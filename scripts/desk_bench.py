@@ -22,7 +22,6 @@ def run(argv=None):
     ap.add_argument("--replicates", type=int, default=3, help="instances per cell")
     ap.add_argument("--seed", type=int, default=20240814)
     ap.add_argument("--time-limit", type=float, default=10.0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/desk")
     args = ap.parse_args(argv)
 
@@ -40,7 +39,6 @@ def run(argv=None):
     return mixopt([
         "bench", str(inst_dir / "manifest.csv"),
         "--time-limit", str(args.time_limit),
-        "--threads", str(args.threads),
         "--out", str(out / "bench.csv"),
     ])
 

@@ -13,10 +13,9 @@ from .bnb import (BRUTE_FORCE_MAX_N, SolveParams, SolveResult,
                   branch_and_bound, brute_force, round_incumbent)
 from .gen import (CORRELATIONS, STRONG, UNCORRELATED, WEAK, Cell, GenConfig,
                   batch, generate, mix_seed, paper_cells)
-from .hull import (ConeRow, FeasibilityReport, HullBlock, HullRow, LinearRow,
-                   ModelIR, RangeSet, Variable, build_miqp, build_misocp,
-                   check_minlp_feasible, hull_block, objective_value,
-                   perspective_value)
+from .hull import (ConeRow, FeasibilityReport, LinearRow, ModelIR, Variable,
+                   build_miqp, build_misocp, check_minlp_feasible,
+                   objective_value, perspective_value)
 from .instance import (Activity, Instance, InstanceError,
                        InvalidActivityError, InvalidInstanceError,
                        LinearConstraint, ParseError, Region, RegionBounds,
@@ -27,24 +26,24 @@ from .lp import export_lp, write_lp
 from .relax import (MIQP, PERSPECTIVE, FixedOutcome, Formulation, NodeState,
                     RelaxParams, RelaxResult, dual_value, per_activity_argmax,
                     root_bounds, solve_fixed_assignment,
-                    solve_node_relaxation, unit_concave_argmax)
+                    solve_node_relaxation)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Activity", "BRUTE_FORCE_MAX_N", "Cell", "ConeRow", "CORRELATIONS",
     "FeasibilityReport", "FixedOutcome", "Formulation", "GenConfig",
-    "HullBlock", "HullRow", "Instance", "InstanceError",
-    "InvalidActivityError", "InvalidInstanceError", "LinearConstraint",
-    "LinearRow", "MIQP", "ModelIR", "NodeState", "ParseError", "PERSPECTIVE",
-    "RangeSet", "Region", "RegionBounds", "RelaxParams", "RelaxResult",
+    "Instance", "InstanceError", "InvalidActivityError",
+    "InvalidInstanceError", "LinearConstraint", "LinearRow", "MIQP",
+    "ModelIR", "NodeState", "ParseError", "PERSPECTIVE", "Region",
+    "RegionBounds", "RelaxParams", "RelaxResult",
     "SchemaError", "Solution", "SolveParams", "SolveResult", "STRONG",
     "UNCORRELATED", "UnsupportedInstanceError", "ValidationReport",
     "Variable", "WEAK", "batch", "branch_and_bound", "brute_force",
     "build_miqp", "build_misocp", "check_minlp_feasible", "compute_regions",
-    "dual_value", "export_lp", "generate", "hull_block", "load_json",
+    "dual_value", "export_lp", "generate", "load_json",
     "mix_seed", "objective_value", "paper_cells", "per_activity_argmax",
     "perspective_value", "root_bounds", "round_incumbent", "save_json",
-    "solve_fixed_assignment", "solve_node_relaxation", "unit_concave_argmax",
-    "validate", "write_lp",
+    "solve_fixed_assignment", "solve_node_relaxation", "validate",
+    "write_lp",
 ]

@@ -18,7 +18,6 @@ import heapq
 import itertools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -28,7 +27,7 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
                        validate)
 from .relax import (LEAF_PARAMS, NODE_PARAMS, PERSPECTIVE, FixedOutcome,
-                    Formulation, NodeState, RelaxParams, RelaxResult,
+                    Formulation, NodeState, RelaxResult,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -44,11 +43,6 @@ class SolveParams:
     time_limit: float = 100.0
     gap_tol: float = 0.0
     node_limit: Optional[int] = None
-    node_selection: str = "best-bound"
-    seed: int = 0  # recorded for provenance; the search itself is deterministic
-    workers: int = 1
-    root_params: RelaxParams = RelaxParams()
-    node_params: RelaxParams = NODE_PARAMS
 
 
 @dataclass
@@ -265,77 +259,61 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         st = "optimal" if gap <= max(params.gap_tol, 1e-9) else "gap-limit"
         return SolveResult(st, inc_sol, inc_val, ub, gap, 0, elapsed())
 
-    root_res = solve_node_relaxation(inst, root, form, params.root_params)
+    root_res = solve_node_relaxation(inst, root, form)
     try_round(root, root_res)
 
+    # entries are (-bound, ticket, node, relaxation): best bound first,
+    # FIFO among equal bounds
     seq = itertools.count()
-    depth0 = 0
-
-    def heap_key(bound: float, depth: int, ticket: int):
-        if params.node_selection == "depth-first":
-            return (-depth, -bound, ticket)
-        return (-bound, ticket)
-
-    heap = [(heap_key(root_res.upper_bound, depth0, next(seq)),
-             root_res.upper_bound, depth0, root, root_res)]
-    pool = (ThreadPoolExecutor(max_workers=params.workers)
-            if params.workers > 1 else None)
+    heap = [(-root_res.upper_bound, next(seq), root, root_res)]
 
     def bound_child(child: NodeState, target: float, warm):
-        node_params = params.node_params
+        node_params = NODE_PARAMS
         if math.isfinite(target):
             node_params = replace(node_params, target=target)
         return solve_node_relaxation(inst, child, form, node_params, warm=warm)
 
     last_popped_bound = root_res.upper_bound
-    try:
-        while heap:
-            if elapsed() > params.time_limit:
-                status = "time-limit"
-                break
-            if params.node_limit is not None and nodes >= params.node_limit:
-                status = "node-limit"
-                break
-            _, bound, depth, node, res = heapq.heappop(heap)
-            last_popped_bound = bound
-            if bound <= _prune_threshold(params.gap_tol, inc_val):
-                status = None  # exhausted within tolerance
-                heap.clear()
-                break
-            nodes += 1
-            if node.is_leaf:
-                close_leaf(node)
+    while heap:
+        if elapsed() > params.time_limit:
+            status = "time-limit"
+            break
+        if params.node_limit is not None and nodes >= params.node_limit:
+            status = "node-limit"
+            break
+        neg_bound, _, node, res = heapq.heappop(heap)
+        bound = -neg_bound
+        last_popped_bound = bound
+        if bound <= _prune_threshold(params.gap_tol, inc_val):
+            status = None  # exhausted within tolerance
+            heap.clear()
+            break
+        nodes += 1
+        if node.is_leaf:
+            close_leaf(node)
+            continue
+        j = _branch_index(node, res)
+        children = []
+        for region in _REGION_ORDER:
+            if region not in node.allowed[j]:
                 continue
-            j = _branch_index(node, res)
-            children = []
-            for region in _REGION_ORDER:
-                if region not in node.allowed[j]:
-                    continue
-                child = node.fix(j, region).saturate_cardinality(inst.m)
-                if child.fixed_nonzero > inst.m:
-                    continue
-                if _node_row_infeasible(inst, rows, child):
-                    continue
-                children.append(child)
-            leaves = [c for c in children if c.is_leaf]
-            inner = [c for c in children if not c.is_leaf]
-            for child in leaves:
-                close_leaf(child)
-            warm = res.multipliers
-            if pool is not None and len(inner) > 1:
-                results = list(pool.map(
-                    lambda c: bound_child(c, inc_val, warm), inner))
-            else:
-                results = [bound_child(c, inc_val, warm) for c in inner]
-            for child, cres in zip(inner, results):
-                child_bound = min(bound, cres.upper_bound)
-                try_round(child, cres)
-                if child_bound > _prune_threshold(params.gap_tol, inc_val):
-                    heapq.heappush(heap, (heap_key(child_bound, depth + 1, next(seq)),
-                                          child_bound, depth + 1, child, cres))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            child = node.fix(j, region).saturate_cardinality(inst.m)
+            if child.fixed_nonzero > inst.m:
+                continue
+            if _node_row_infeasible(inst, rows, child):
+                continue
+            children.append(child)
+        leaves = [c for c in children if c.is_leaf]
+        inner = [c for c in children if not c.is_leaf]
+        for child in leaves:
+            close_leaf(child)
+        # every sibling is bounded against the incumbent from before rounding
+        results = [bound_child(c, inc_val, res.multipliers) for c in inner]
+        for child, cres in zip(inner, results):
+            child_bound = min(bound, cres.upper_bound)
+            try_round(child, cres)
+            if child_bound > _prune_threshold(params.gap_tol, inc_val):
+                heapq.heappush(heap, (-child_bound, next(seq), child, cres))
 
     wall = elapsed()
     if inc_sol is None:
@@ -345,7 +323,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         return SolveResult("infeasible", None, None, -_INF, _INF, nodes, wall)
 
     if status in ("time-limit", "node-limit"):
-        open_ub = max((entry[1] for entry in heap), default=-_INF)
+        open_ub = max((-entry[0] for entry in heap), default=-_INF)
         ub = max(inc_val, residual_ub, open_ub, last_popped_bound)
         gap = max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
         return SolveResult(status, inc_sol, inc_val, ub, gap, nodes, wall)

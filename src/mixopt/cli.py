@@ -132,8 +132,7 @@ def _cmd_gen(args) -> int:
 
 def _solve_params(args, form: str) -> SolveParams:
     return SolveParams(formulation=form, time_limit=args.time_limit,
-                       gap_tol=args.gap_tol, node_limit=args.node_limit,
-                       seed=args.seed, workers=args.threads)
+                       gap_tol=args.gap_tol, node_limit=args.node_limit)
 
 
 _EXIT_BY_STATUS = {"optimal": 0, "gap-limit": 0, "time-limit": 2,
@@ -269,8 +268,8 @@ def _cmd_bench(args) -> int:
 
 
 def pareto_sweep(inst: Instance, form: str = PERSPECTIVE,
-                 time_limit: float = 100.0, m_values: Optional[Sequence[int]] = None,
-                 threads: int = 1) -> List[Dict[str, object]]:
+                 time_limit: float = 100.0,
+                 m_values: Optional[Sequence[int]] = None) -> List[Dict[str, object]]:
     """Solve the instance once per cardinality cap; rows sorted by m."""
     n = inst.n
     if m_values is None:
@@ -283,7 +282,7 @@ def pareto_sweep(inst: Instance, form: str = PERSPECTIVE,
     for m in sorted(set(int(m) for m in m_values)):
         capped = dataclasses.replace(inst, m=m)
         res = branch_and_bound(capped, SolveParams(
-            formulation=form, time_limit=time_limit, workers=threads))
+            formulation=form, time_limit=time_limit))
         points.append({"m": m, "m_fraction": m / n,
                        "revenue": res.objective, "status": res.status})
     for p in reversed(points):
@@ -381,8 +380,7 @@ def _cmd_sweep(args) -> int:
     m_values = args.m if args.m else None
     try:
         points = pareto_sweep(inst, form=_norm_form(args.form),
-                              time_limit=args.time_limit, m_values=m_values,
-                              threads=args.threads)
+                              time_limit=args.time_limit, m_values=m_values)
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -434,8 +432,6 @@ def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=100.0)
     p.add_argument("--gap-tol", type=float, default=0.0)
     p.add_argument("--node-limit", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

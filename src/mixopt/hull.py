@@ -13,78 +13,18 @@ tight at fractional activations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Literal, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Literal, Sequence, Tuple
 
 from .instance import (
     Instance,
     InvalidInstanceError,
-    Interval,
     RegionBounds,
     Solution,
     validate,
 )
 
 Sense = Literal["le", "ge", "eq"]
-
-
-@dataclass(frozen=True)
-class RangeSet:
-    """An ordered collection of closed intervals for one variable, plus the
-    implicit zero point."""
-
-    ranges: Tuple[Interval, ...]
-
-    def __post_init__(self):
-        for lo, hi in self.ranges:
-            if lo > hi:
-                raise ValueError(f"empty range [{lo}, {hi}]")
-
-    @classmethod
-    def from_regions(cls, rb: RegionBounds) -> "RangeSet":
-        rs = []
-        if rb.L is not None:
-            rs.append(rb.L)
-        if rb.R is not None:
-            rs.append(rb.R)
-        return cls(tuple(rs))
-
-
-@dataclass(frozen=True)
-class HullRow:
-    coeffs: Tuple[Tuple[str, float], ...]
-    sense: Sense
-    rhs: float
-
-
-@dataclass(frozen=True)
-class HullBlock:
-    """Hull rows for one variable over a RangeSet.
-
-    ``t`` is the aggregate activation indicator (``sum z = t``); callers that
-    do not need it can drop the link row.
-    """
-
-    x_name: str
-    z_names: Tuple[str, ...]
-    t_name: str
-    rows: Tuple[HullRow, ...]
-
-
-def hull_block(rs: RangeSet, x_name: str = "x", z_prefix: str = "z",
-               t_name: str = "t") -> HullBlock:
-    """Build hull rows for ``x`` ranging over ``rs`` or pinned at zero."""
-    z_names = tuple(f"{z_prefix}{k + 1}" for k in range(len(rs.ranges)))
-    rows = []
-    lo_terms = tuple((z, -lo) for z, (lo, _) in zip(z_names, rs.ranges))
-    hi_terms = tuple((z, -hi) for z, (_, hi) in zip(z_names, rs.ranges))
-    # sum l_k z_k <= x  and  x <= sum u_k z_k
-    rows.append(HullRow(((x_name, 1.0),) + lo_terms, "ge", 0.0))
-    rows.append(HullRow(((x_name, 1.0),) + hi_terms, "le", 0.0))
-    if z_names:
-        rows.append(HullRow(tuple((z, 1.0) for z in z_names), "le", 1.0))
-    rows.append(HullRow(tuple((z, 1.0) for z in z_names) + ((t_name, -1.0),), "eq", 0.0))
-    return HullBlock(x_name=x_name, z_names=z_names, t_name=t_name, rows=tuple(rows))
 
 
 def perspective_value(theta: float, phi: float, psi: float, x: float, z: float) -> float:
@@ -134,11 +74,7 @@ class ConeRow:
 
 @dataclass(frozen=True)
 class ModelIR:
-    """Solver-independent model: variables, rows, objective pieces.
-
-    ``activation_charges`` is a hook for flat per-activation costs; nothing
-    in the current builders sets it.
-    """
+    """Solver-independent model: variables, rows, objective pieces."""
 
     name: str
     variables: Tuple[Variable, ...]
@@ -148,7 +84,6 @@ class ModelIR:
     const_obj: float
     cones: Tuple[ConeRow, ...] = ()
     sense: str = "maximize"
-    activation_charges: Tuple[Tuple[str, float], ...] = ()
 
     def variable_names(self) -> Tuple[str, ...]:
         return tuple(v.name for v in self.variables)
@@ -176,8 +111,6 @@ class ModelIR:
             total += c * point[v1] * point[v2]
         for v, c in self.lin_obj:
             total += c * point[v]
-        for v, c in self.activation_charges:
-            total += c * point[v]
         return total
 
     def row_activity(self, row: LinearRow, point: Dict[str, float]) -> float:
@@ -203,8 +136,8 @@ def _core_rows(inst: Instance) -> Tuple[list, list]:
     for i, (a, rb) in enumerate(zip(inst.activities, inst.regions)):
         lo, hi = _x_bounds(rb)
         variables.append(Variable(f"x_{i}", "continuous", lo, hi))
-        zl_ub = 1.0 if (rb.allow_L and inst.m > 0) else 0.0
-        zr_ub = 1.0 if (rb.allow_R and inst.m > 0) else 0.0
+        zl_ub = 1.0 if (rb.L is not None and inst.m > 0) else 0.0
+        zr_ub = 1.0 if (rb.R is not None and inst.m > 0) else 0.0
         variables.append(Variable(f"zL_{i}", "binary", 0.0, zl_ub))
         variables.append(Variable(f"zR_{i}", "binary", 0.0, zr_ub))
 
@@ -264,7 +197,7 @@ def build_misocp(inst: Instance) -> ModelIR:
     cones = []
     lin = []
     for i, (a, rb) in enumerate(zip(inst.activities, inst.regions)):
-        active = (rb.allow_L or rb.allow_R) and inst.m > 0
+        active = (rb.L is not None or rb.R is not None) and inst.m > 0
         zlr_ub = 1.0 if active else 0.0
         variables.append(Variable(f"zLR_{i}", "binary", 0.0, zlr_ub))
         if a.theta < 0.0:

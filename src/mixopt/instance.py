@@ -92,14 +92,12 @@ class RegionBounds:
 
     ``L`` is the decrease interval ``[l-s, -delta]`` when it is nonempty,
     ``R`` the raise interval ``[delta, u-s]``; the stay region S is always
-    the single point 0.  ``allow_L``/``allow_R`` record whether the matching
-    indicator variable may take value 1 (domain {0,1}) or is pinned to 0.
+    the single point 0.  A missing interval (``None``) pins the matching
+    indicator variable to 0.
     """
 
     L: Optional[Interval]
     R: Optional[Interval]
-    allow_L: bool
-    allow_R: bool
 
     @property
     def S(self) -> Interval:
@@ -140,7 +138,7 @@ def compute_regions(a: Activity) -> RegionBounds:
     neg_delta = -a.delta if a.delta != 0 else 0.0
     L = (lo, neg_delta) if lo <= neg_delta else None
     R = (a.delta, hi) if a.delta <= hi else None
-    return RegionBounds(L=L, R=R, allow_L=L is not None, allow_R=R is not None)
+    return RegionBounds(L=L, R=R)
 
 
 @dataclass(frozen=True)

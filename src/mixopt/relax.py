@@ -21,7 +21,7 @@ The two formulations differ only in the per-activity subproblem:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,12 +48,9 @@ class RelaxParams:
     max_iters: int = 500
     stall_iters: int = 50
     tol: float = 1e-9
-    step_rule: str = "polyak"
     target: Optional[float] = None
     golden_sweeps: int = 2
     golden_iters: int = 40
-    bisect_tol: float = 1e-10
-    bisect_cap: int = 200
 
 
 # Lighter presets used per node inside the tree; the root gets the default.
@@ -67,7 +64,7 @@ class NodeState:
 
     ``allowed[i]`` is the set of regions activity ``i`` may still take:
     the full Table of open regions at the root, a singleton once fixed.
-    Only L and R can be forbidden; S disappears only by fixing L or R.
+    S disappears only by fixing L or R.
     """
 
     allowed: Tuple[frozenset, ...]
@@ -94,13 +91,6 @@ class NodeState:
         sets[i] = frozenset({region})
         return NodeState(tuple(sets))
 
-    def forbid(self, i: int, region: Region) -> "NodeState":
-        if region not in ("L", "R"):
-            raise ValueError("only L and R can be forbidden")
-        sets = list(self.allowed)
-        sets[i] = frozenset(sets[i] - {region})
-        return NodeState(tuple(sets))
-
     def saturate_cardinality(self, m: int) -> "NodeState":
         """Once m activities are fixed nonzero, pin every free one to S."""
         if self.fixed_nonzero < m:
@@ -111,10 +101,6 @@ class NodeState:
     @property
     def fixed_nonzero(self) -> int:
         return sum(1 for a in self.allowed if len(a) == 1 and "S" not in a)
-
-    @property
-    def fixed_zero(self) -> int:
-        return sum(1 for a in self.allowed if a == frozenset({"S"}))
 
     @property
     def is_leaf(self) -> bool:
@@ -132,10 +118,6 @@ class RelaxResult:
     z_R: Tuple[float, ...]
     multipliers: Tuple[float, ...]  # (budget, extras..., cardinality)
     converged: bool
-
-    @property
-    def primal_x(self) -> Tuple[float, ...]:
-        return self.x
 
     @property
     def primal_z(self) -> Tuple[float, ...]:
@@ -237,25 +219,6 @@ def _activity_best(rec, phi_eff: float, mu: float, persp: bool):
     return bv, bx, bzl, bzr
 
 
-def unit_concave_argmax(deriv: Callable[[float], float], tol: float = 1e-10,
-                        cap: int = 200) -> float:
-    """Maximize a concave profile on [0, 1] given its nonincreasing derivative."""
-    if deriv(0.0) <= 0.0:
-        return 0.0
-    if deriv(1.0) >= 0.0:
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(cap):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
                         lam: Sequence[float], mu: float, form: Formulation,
                         coupling: Optional[Sequence[float]] = None,
@@ -264,42 +227,18 @@ def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
 
     ``lam`` holds multipliers for the coupling rows and ``coupling`` the
     activity's coefficients in those rows (all ones by default, matching a
-    budget-only instance).
+    budget-only instance).  This is the kernel every dual evaluation runs,
+    with the priced slope accumulated in the same order.
     """
     lam = tuple(lam)
     if coupling is None:
         coupling = (1.0,) * len(lam)
-    phi_eff = act.phi - math.fsum(l * c for l, c in zip(lam, coupling))
-    rec = _record(act, rb, frozenset(status))
-    if form == PERSPECTIVE:
-        # rebuild the free-region choices through the activation bisection;
-        # the derivative is constant in z so this lands on an endpoint
-        theta = act.theta
-        if "S" in status:
-            best = (0.0, 0.0, 0.0, 0.0)
-        else:
-            best = (-_INF, 0.0, 0.0, 0.0)
-        for region, mode_idx, zpos in (("L", 6, 2), ("R", 7, 3)):
-            mode = rec[mode_idx]
-            if mode == _CLOSED:
-                continue
-            lo, hi = (rec[1], rec[2]) if region == "L" else (rec[3], rec[4])
-            xbar, g = _box_quad_max(theta, phi_eff, lo, hi)
-            slope = g - mu
-            if mode == _FIXED:
-                z = 1.0
-            else:
-                z = unit_concave_argmax(lambda _z: slope)
-            v = z * slope
-            if v > best[0]:
-                point = [v, 0.0, 0.0, 0.0]
-                point[1] = z * xbar
-                point[zpos] = z
-                best = tuple(point)
-        bv, bx, bzl, bzr = best
-    else:
-        bv, bx, bzl, bzr = _activity_best(rec, phi_eff, mu, False)
-    return bx, bzl, bzr, bv
+    phi_eff = act.phi
+    for l, c in zip(lam, coupling):
+        phi_eff -= l * c
+    v, x, zl, zr = _activity_best(_record(act, rb, frozenset(status)), phi_eff,
+                                  mu, form == PERSPECTIVE)
+    return x, zl, zr, v
 
 
 # ---------------------------------------------------------------------------

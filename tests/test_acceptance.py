@@ -62,8 +62,8 @@ def test_criterion_1_region_grid():
         rb = compute_regions(a)
         lo, hi = a.l - a.s, a.u - a.s
         ok = (
-            rb.allow_L == (lo <= -delta)
-            and rb.allow_R == (delta <= hi)
+            (rb.L is not None) == (lo <= -delta)
+            and (rb.R is not None) == (delta <= hi)
             and (rb.L == ((lo, -delta) if lo <= -delta else None))
             and (rb.R == ((delta, hi) if delta <= hi else None))
             and rb.S == (0.0, 0.0)

@@ -91,24 +91,6 @@ def test_determinism_across_reruns(rng):
         assert len({r.incumbent.x for r in runs}) == 1
 
 
-def test_workers_do_not_change_the_answer(rng):
-    inst = random_instance(rng, 7, m=4)
-    single = branch_and_bound(inst, SolveParams(workers=1))
-    multi = branch_and_bound(inst, SolveParams(workers=2))
-    assert multi.status == single.status
-    assert multi.objective == pytest.approx(single.objective, rel=1e-9)
-
-
-def test_depth_first_matches_best_bound(rng):
-    for _ in range(5):
-        inst = random_instance(rng, rng.randint(3, 6))
-        best = branch_and_bound(inst, SolveParams(node_selection="best-bound"))
-        depth = branch_and_bound(inst, SolveParams(node_selection="depth-first"))
-        assert depth.status == best.status
-        if best.status == "optimal":
-            assert depth.objective == pytest.approx(best.objective, rel=1e-9)
-
-
 def test_node_count_bounded_by_assignment_space(rng):
     for _ in range(8):
         inst = random_instance(rng, rng.randint(2, 6))
@@ -250,5 +232,3 @@ def test_solve_params_defaults():
     assert p.formulation == "persp"
     assert p.time_limit == 100.0
     assert p.gap_tol == 0.0
-    assert p.node_selection == "best-bound"
-    assert p.workers == 1

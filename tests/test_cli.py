@@ -317,5 +317,3 @@ def test_parser_defaults():
     assert args.form == "persp"
     assert args.time_limit == 100.0
     assert args.gap_tol == 0.0
-    assert args.threads == 1
-    assert args.seed == 0

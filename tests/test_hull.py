@@ -1,6 +1,7 @@
 """Indicator-hull rows, model IR construction, and the MINLP checker."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,12 +11,10 @@ from mixopt import (
     Activity,
     Instance,
     LinearConstraint,
-    RangeSet,
     Solution,
     build_miqp,
     build_misocp,
     check_minlp_feasible,
-    hull_block,
     objective_value,
     perspective_value,
 )
@@ -23,54 +22,43 @@ from mixopt import (
 from conftest import random_instance
 
 
-def test_hull_block_single_range():
-    hb = hull_block(RangeSet(ranges=((0.5, 3.0),)))
-    assert hb.z_names == ("z1",)
-    rows = {(r.sense, r.rhs): dict(r.coeffs) for r in hb.rows}
-    assert rows[("ge", 0.0)] == {"x": 1.0, "z1": -0.5}
-    assert rows[("le", 1.0)] == {"z1": 1.0}
-    # x <= 3 z1 and the t tie z1 - t = 0
-    assert rows[("le", 0.0)] == {"x": 1.0, "z1": -3.0}
-    assert rows[("eq", 0.0)] == {"z1": 1.0, "t": -1.0}
-
-
-def test_hull_block_two_ranges():
-    hb = hull_block(RangeSet(ranges=((-4.0, -2.0), (2.0, 5.0))), z_prefix="w", t_name="t")
-    assert hb.z_names == ("w1", "w2")
-    by_sense = {}
-    for r in hb.rows:
-        by_sense.setdefault(r.sense, []).append(dict(r.coeffs))
-    # lower envelope: x >= -4 w1 + 2 w2; upper: x <= -2 w1 + 5 w2
-    assert {"x": 1.0, "w1": 4.0, "w2": -2.0} in by_sense["ge"]
-    assert {"x": 1.0, "w1": 2.0, "w2": -5.0} in by_sense["le"]
-    # at most one range selected, and t counts the selection
-    assert {"w1": 1.0, "w2": 1.0} in by_sense["le"]
-    assert by_sense["eq"] == [{"w1": 1.0, "w2": 1.0, "t": -1.0}]
-
-
 def test_hull_block_vertices_feasible():
-    """Every (x, z) with x in range k and z = e_k satisfies all rows."""
-    ranges = ((-4.0, -2.0), (2.0, 5.0))
-    hb = hull_block(RangeSet(ranges=ranges))
+    """Each activity's hull rows in the built model (``rng_lo_i``,
+    ``rng_hi_i``, ``pick_i``) admit every (x in region k, z = e_k) vertex
+    and the origin with no indicator set."""
+    two_range = Activity(id="a", s=5.0, l=1.0, u=10.0, delta=2.0,
+                         theta=-1.0, phi=1.0, psi=0.0)
+    assert (two_range.l - two_range.s, two_range.u - two_range.s) == (-4.0, 5.0)
+    insts = [Instance(activities=(two_range,), rho=2.0, m=1, extras=())]
+    insts.append(random_instance(random.Random(21), 8, m=8))
+    for inst in insts:
+        ir = build_miqp(inst)
+        rows = {r.name: r for r in ir.rows}
+        for i, rb in enumerate(inst.regions):
+            block = [rows[f"{name}_{i}"] for name in ("rng_lo", "rng_hi", "pick")]
 
-    def violated(pt):
-        out = []
-        for r in hb.rows:
-            lhs = sum(c * pt.get(v, 0.0) for v, c in r.coeffs)
-            if r.sense == "le" and lhs > r.rhs + 1e-12:
-                out.append(r)
-            elif r.sense == "ge" and lhs < r.rhs - 1e-12:
-                out.append(r)
-            elif r.sense == "eq" and abs(lhs - r.rhs) > 1e-12:
-                out.append(r)
-        return out
+            def violated(x, zl, zr):
+                pt = {f"x_{i}": x, f"zL_{i}": zl, f"zR_{i}": zr}
+                out = []
+                for r in block:
+                    lhs = sum(c * pt[v] for v, c in r.coeffs)
+                    if r.sense == "le" and lhs > r.rhs + 1e-12:
+                        out.append(r.name)
+                    elif r.sense == "ge" and lhs < r.rhs - 1e-12:
+                        out.append(r.name)
+                return out
 
-    for k, (lo, hi) in enumerate(ranges):
-        for x in (lo, (lo + hi) / 2.0, hi):
-            pt = {"x": x, "t": 1.0, f"z{k + 1}": 1.0}
-            assert violated(pt) == []
-    assert violated({"x": 0.0, "t": 0.0}) == []  # origin with nothing selected
-    assert violated({"x": 2.0, "t": 0.0}) != []  # nonzero x needs an indicator
+            for iv, zl, zr in ((rb.L, 1.0, 0.0), (rb.R, 0.0, 1.0)):
+                if iv is None:
+                    continue
+                lo, hi = iv
+                for x in (lo, (lo + hi) / 2.0, hi):
+                    assert violated(x, zl, zr) == []
+            assert violated(0.0, 0.0, 0.0) == []  # origin with nothing selected
+            if rb.R is not None and rb.R[0] > 0.0:
+                # a nonzero change needs an indicator
+                assert violated(rb.R[0], 0.0, 0.0) != []
+            assert violated(0.0, 1.0, 1.0) != []  # at most one region picked
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_region_grid_exhaustive():
         lo, hi = a.l - a.s, a.u - a.s
 
         # decrease region exists iff l - s <= -delta, range [l-s, -delta]
-        assert rb.allow_L == (lo <= -delta)
+        assert (rb.L is not None) == (lo <= -delta)
         if lo <= -delta:
             assert rb.L == (lo, -delta)
             assert rb.interval("L") == (lo, -delta)
@@ -65,7 +65,7 @@ def test_region_grid_exhaustive():
             assert rb.L is None
 
         # increase region exists iff delta <= u - s, range [delta, u-s]
-        assert rb.allow_R == (delta <= hi)
+        assert (rb.R is not None) == (delta <= hi)
         if delta <= hi:
             assert rb.R == (delta, hi)
         else:

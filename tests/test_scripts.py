@@ -1,0 +1,41 @@
+"""Smoke runs of the example scripts, so a CLI change cannot break them
+unnoticed."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_desk_bench_runs(tmp_path, capsys):
+    out = tmp_path / "desk"
+    rc = _load("desk_bench").run(["--scale-n", "3", "--replicates", "1",
+                                  "--time-limit", "5", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(out / "bench.csv", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    # header, then one row per (paper cell, formulation)
+    assert rows[0][:6] == ["corr", "n", "eps", "xi", "seed", "form"]
+    solves = [r for r in rows[1:] if len(r) > 5 and r[5] in ("miqp", "persp")]
+    assert len(solves) == 27 * 2
+
+
+def test_pareto_demo_runs(tmp_path, capsys):
+    out = tmp_path / "pareto"
+    rc = _load("pareto_demo").run(["--n", "4", "--time-limit", "5",
+                                   "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    with open(out / "pareto.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["m"]) for r in rows] == [0, 1, 2, 3, 4]
+    assert (out / "pareto.svg").read_text().startswith("<svg")
