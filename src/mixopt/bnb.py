@@ -5,8 +5,8 @@ its open regions (ternary at most: decrease side / stay / increase side).
 Every child is bounded eagerly by the Lagrangian relaxation before being
 pushed, inheriting ``min(parent bound, own bound)`` so bounds are monotone
 along any path.  Fully fixed assignments collapse to a separable concave
-program solved exactly (budget only) or by dual descent with primal repair
-(extra rows present).
+program over boxes and the coupling rows, solved exactly by a projected
+Newton method on its dual and certified by the KKT residual.
 
 The search is deterministic: best-bound selection with FIFO tie-breaks,
 and children are explored in the fixed region order L, S, R.
@@ -26,8 +26,8 @@ import numpy as np
 from .hull import check_minlp_feasible
 from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
                        validate)
-from .relax import (LEAF_PARAMS, NODE_PARAMS, PERSPECTIVE, FixedOutcome,
-                    Formulation, NodeState, RelaxResult,
+from .relax import (NODE_PARAMS, PERSPECTIVE, FixedOutcome, Formulation,
+                    NodeState, RelaxResult, _box_qp_max,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -212,7 +212,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
     def solve_assignment(regions: Tuple[Region, ...]) -> FixedOutcome:
         out = assignment_cache.get(regions)
         if out is None:
-            out = solve_fixed_assignment(inst, regions, LEAF_PARAMS)
+            out = solve_fixed_assignment(inst, regions)
             assignment_cache[regions] = out
         return out
 
@@ -231,21 +231,6 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         if not out.feasible:
             return
         admit(_outcome_to_solution(inst, regions, out))
-        gap = out.bound - out.value
-        if gap > 1e-9 * max(1.0, abs(out.value)) and out.bound > inc_val:
-            # one escalated retry before carrying the leftover bound
-            out2 = solve_fixed_assignment(
-                inst, regions,
-                replace(LEAF_PARAMS, max_iters=1000, golden_sweeps=6,
-                        golden_iters=80))
-            if out2.feasible:
-                admit(_outcome_to_solution(inst, regions, out2))
-                best = FixedOutcome(
-                    x=out2.x if out2.value > out.value else out.x,
-                    value=max(out.value, out2.value),
-                    bound=min(out.bound, out2.bound), feasible=True)
-                assignment_cache[regions] = best
-                out = best
         if out.bound > inc_val:
             residual_ub = max(residual_ub, out.bound)
 
@@ -307,8 +292,10 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         inner = [c for c in children if not c.is_leaf]
         for child in leaves:
             close_leaf(child)
-        # every sibling is bounded against the incumbent from before rounding
-        results = [bound_child(c, inc_val, res.multipliers) for c in inner]
+        # every sibling is bounded against the prune threshold of the incumbent
+        # from before rounding: the dual descent aims at the level that prunes
+        results = [bound_child(c, _prune_threshold(params.gap_tol, inc_val),
+                               res.multipliers) for c in inner]
         for child, cres in zip(inner, results):
             child_bound = min(bound, cres.upper_bound)
             try_round(child, cres)
@@ -338,16 +325,17 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 # Exhaustive reference solver
 
 
-def brute_force(inst: Instance, tol: float = 1e-10,
-                max_n: int = BRUTE_FORCE_MAX_N,
+def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                 chunk: int = 65536) -> SolveResult:
     """Enumerate every region assignment and solve each continuous layer.
 
     Exact oracle for small instances: only budget-coupled instances are
     supported, and only up to ``max_n`` activities (the assignment count
-    grows as fast as ``3**n``).  Each assignment's continuous layer is
-    solved by bisection on the budget multiplier to ``tol``.  The reported
-    node count is the number of assignments enumerated.
+    grows as fast as ``3**n``).  Every assignment's continuous layer is
+    solved approximately by a batched bisection on the budget multiplier,
+    independent of the leaf solver; the best candidates are then solved
+    exactly by the leaf solver.  The reported node count is the number of
+    assignments enumerated.
     """
     t0 = time.perf_counter()
     report = validate(inst)
@@ -437,14 +425,14 @@ def brute_force(inst: Instance, tol: float = 1e-10,
     candidates.sort(key=lambda t: -t[0])
     best_sol_val = -_INF
     best: Optional[Tuple[Tuple[float, ...], Tuple[Region, ...], float]] = None
-    from .relax import _budget_solve  # exact polish for the short list
+    budget_row = np.ones((1, n))
     for approx, code in candidates[:64]:
         if approx < best_sol_val - 1e-6 * max(1.0, abs(best_sol_val)):
             break
         regions = tuple(options[i][c][0] for i, c in enumerate(code))
-        lo = [options[i][c][1] for i, c in enumerate(code)]
-        hi = [options[i][c][2] for i, c in enumerate(code)]
-        out = _budget_solve(list(theta), list(phi), lo, hi, b0, tol=tol)
+        lo = np.array([options[i][c][1] for i, c in enumerate(code)])
+        hi = np.array([options[i][c][2] for i, c in enumerate(code)])
+        out = _box_qp_max(theta, phi, lo, hi, budget_row, np.array([b0]))
         if out is None:
             continue
         xs, value, _ = out

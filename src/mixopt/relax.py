@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from .instance import Activity, Instance, Region, RegionBounds
 
@@ -53,9 +53,8 @@ class RelaxParams:
     golden_iters: int = 40
 
 
-# Lighter presets used per node inside the tree; the root gets the default.
+# Lighter preset used per node inside the tree; the root gets the default.
 NODE_PARAMS = RelaxParams(max_iters=60, golden_sweeps=1, golden_iters=25)
-LEAF_PARAMS = RelaxParams(max_iters=300, golden_sweeps=3, golden_iters=60)
 
 
 @dataclass(frozen=True)
@@ -460,8 +459,19 @@ def root_bounds(inst: Instance, params: Optional[RelaxParams] = None,
 
 
 # ---------------------------------------------------------------------------
-# Exact continuous solves for a fixed region assignment.  These close the
-# leaves of the search tree and re-optimize rounded incumbents.
+# Exact continuous solve for a fixed region assignment.  It closes the leaves
+# of the search tree and re-optimizes rounded incumbents.
+#
+# The leaf is max sum theta_i x_i^2 + phi_i x_i over boxes lo <= x <= hi and
+# rows A x <= b.  Its dual g(lam) = b.lam + sum_i max_{x in box_i}
+# theta_i x^2 + (phi_i - a_i.lam) x is convex and piecewise quadratic, and
+# bounds the leaf at every lam >= 0.  A projected Newton method on g (a
+# nonsmooth Newton method in the sense of Qi & Sun, 1993) with an exact
+# breakpoint line search (as in Kiwiel's continuous quadratic knapsack
+# algorithms, 2008) descends to its minimum, and stops on the KKT residual
+# of the primal point it recovers.
+
+_LEAF_MAX_ITERS = 100
 
 
 @dataclass
@@ -472,194 +482,197 @@ class FixedOutcome:
     feasible: bool
 
 
-def _budget_solve(theta, phi, lo, hi, b0, tol=1e-10):
-    """Maximize separable concave revenue over boxes under one budget row.
+def _newton_step(A, b, lam, work, curv, lo, hi, x, free, tied):
+    """Newton direction on the dual and the primal point it aims at.
 
-    Exact up to the multiplier bisection width; linear activities tied at
-    the final multiplier absorb any leftover budget.  Returns
-    (x, value, bound) or None when the boxes alone exceed the budget.
+    ``work`` marks the working rows (a positive multiplier, or violated at
+    ``x``) and is updated in place.  Quadratic activities strictly inside
+    their box respond to the multipliers with slope ``1/curv``; linear
+    activities priced to zero (``tied``) become unknowns ``y`` held on
+    their kink (``a_i.d = 0``):
+
+        [ A_W D A_W' + ridge   -A_WT ] [d]   [-(b_W - A_W x_untied)]
+        [ -A_WT'                  0  ] [y] = [ 0                   ]
+
+    A working row at a zero multiplier that the step would push negative
+    leaves, a tied activity whose ``y`` leaves its box is fixed at the
+    bound it crossed, and a row that the placed ties violate joins (unless
+    it left before); each change solves the system again.  Returns the
+    step ``d`` (zero off the working rows) and ``x`` with the ties placed.
     """
-    n = len(theta)
+    x = x.copy()
+    tied = tied.copy()
+    left = np.zeros(len(lam), dtype=bool)
+    d = np.zeros(len(lam))
+    while work.any():
+        rows = np.flatnonzero(work)
+        ties = np.flatnonzero(tied)
+        k = rows.size
+        aw = A[rows]
+        af = aw[:, free]
+        at = aw[:, ties]
+        m = np.zeros((k + ties.size, k + ties.size))
+        m[:k, :k] = (af / curv[free]) @ af.T
+        m.flat[:k * (k + ties.size):k + ties.size + 1] += (
+            1e-12 * (np.trace(m) + 1.0))
+        m[:k, k:] = -at
+        m[k:, :k] = -at.T
+        rhs = np.zeros(k + ties.size)
+        rhs[:k] = aw @ np.where(tied, 0.0, x) - b[rows]
+        try:
+            sol = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        step, y = sol[:k], sol[k:]
+        drop = (lam[rows] == 0.0) & (step < 0.0)
+        if drop.any():
+            work[rows[drop]] = False
+            left[rows[drop]] = True
+            continue
+        out = (y < lo[ties]) | (y > hi[ties])
+        if out.any():
+            gone = ties[out]
+            x[gone] = np.where(y[out] < lo[gone], lo[gone], hi[gone])
+            tied[gone] = False
+            continue
+        placed = x.copy()
+        placed[ties] = y
+        join = ~work & ~left & (A @ placed > b)
+        if join.any():
+            work |= join
+            continue
+        d[rows] = step
+        x = placed
+        break
+    return d, x
 
-    def inner(lam):
-        xs = []
-        for i in range(n):
-            x, _ = _box_quad_max(theta[i], phi[i] - lam, lo[i], hi[i])
-            xs.append(x)
-        return xs
 
-    def value_of(xs):
-        return math.fsum(theta[i] * xs[i] * xs[i] + phi[i] * xs[i] for i in range(n))
+def _exact_step(quad, curv, c, s, lo, hi, db, t_max):
+    """Step length in ``[0, t_max]`` that is best for the dual along a direction.
 
-    xs = inner(0.0)
-    total = math.fsum(xs)
-    if total <= b0:
-        v = value_of(xs)
-        return xs, v, v
-    if math.fsum(lo) > b0:
+    Along ``lam + t*d`` the priced slopes are ``c - t*s`` and the
+    directional derivative ``db - s.x(t)`` is nondecreasing and piecewise
+    linear in ``t``: it bends where a quadratic activity reaches a box end
+    and jumps where a linear one's price crosses zero.  Bisection over the
+    sorted breakpoints finds the piece where it changes sign, and the piece
+    is solved in closed form.  Linear activities priced to exactly zero
+    leave the kink on the side the step drives them to.  Returns None when
+    the derivative stays negative for ever (the dual is unbounded below).
+    """
+    cq, sq, kq, lq, hq = c[quad], s[quad], curv[quad], lo[quad], hi[quad]
+    lin = ~quad
+    cl, sl = c[lin], s[lin]
+    v0 = np.where((cl > 0.0) | ((cl == 0.0) & (sl < 0.0)), hi[lin], lo[lin])
+    v1 = np.where(cl > 0.0, lo[lin], hi[lin])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = np.where(cl * sl > 0.0, cl / sl, _INF)
+        cuts = np.concatenate(((cq - kq * lq) / sq, (cq - kq * hq) / sq, kink))
+    cuts = np.sort(cuts[(cuts > 0.0) & (cuts < t_max)])
+
+    def slope(t):
+        xq = np.minimum(np.maximum((cq - t * sq) / kq, lq), hq)
+        return db - sq @ xq - sl @ np.where(t < kink, v0, v1)
+
+    if slope(0.0) >= 0.0:
+        return 0.0
+    below, above = -1, cuts.size  # slope < 0 at cuts[below], >= 0 at cuts[above]
+    while above - below > 1:
+        mid = (below + above) // 2
+        if slope(cuts[mid]) >= 0.0:
+            above = mid
+        else:
+            below = mid
+    left = cuts[below] if below >= 0 else 0.0
+    right = cuts[above] if above < cuts.size else t_max
+    probe = 0.5 * (left + right) if right < _INF else left + 1.0
+    xu = (cq - probe * sq) / kq
+    inside = (xu > lq) & (xu < hq)
+    beta = float((sq[inside] * sq[inside] / kq[inside]).sum())
+    if beta > 0.0:
+        return min(max(probe - slope(probe) / beta, left), right)
+    return None if right == _INF else right
+
+
+def _kkt_residual(lam, r):
+    """Projected dual gradient: row slack ``r`` must vanish where the
+    multiplier is positive and be nonnegative where it is zero."""
+    return float(np.where(lam > 0.0, np.abs(r), np.maximum(-r, 0.0)).max())
+
+
+def _box_qp_max(theta, phi, lo, hi, A, b):
+    """Maximize ``sum theta*x^2 + phi*x`` over ``lo <= x <= hi``, ``A x <= b``.
+
+    ``theta <= 0`` elementwise; arrays are numpy, ``A`` has one row per
+    coupling row.  Returns ``(x, value, bound)``, or None when no point of
+    the boxes satisfies the rows.  ``bound`` is the dual value at the final
+    multipliers, a valid upper bound whatever happened; when the KKT
+    residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree to that
+    order.  If the iteration cap is reached first, ``x`` is returned as it
+    stands and the caller's feasibility check decides whether it counts.
+    """
+    K, n = A.shape
+    if K == 1:
+        if math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
+            return None
+    elif linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)),
+                 method="highs").status != 0:
         return None
-
-    span = max(max(abs(a), abs(b)) for a, b in zip(lo, hi)) if n else 0.0
-    lam_hi = max(1.0, max(phi) + 2.0 * max(-t for t in theta) * span + 1.0)
-    while math.fsum(inner(lam_hi)) > b0:
-        lam_hi *= 2.0
-    lam_lo = 0.0
-    for _ in range(200):
-        if lam_hi - lam_lo <= tol:
+    quad = theta < 0.0
+    curv = np.where(quad, -2.0 * theta, 1.0)
+    lin = np.flatnonzero(~quad)
+    # a linear activity priced to exactly zero takes the point closest to
+    # zero, as in _box_quad_max
+    rest = np.minimum(np.maximum(0.0, lo[lin]), hi[lin])
+    flat = ~quad & (hi > lo)
+    tie_tol = 1e-12 * (1.0 + np.abs(phi))
+    tie_rate = 1e-12 * np.abs(A)
+    tol = 1e-12 * (1.0 + float(np.abs(b).max()))
+    lam = np.zeros(K)
+    for it in range(_LEAF_MAX_ITERS + 1):
+        c = phi - lam @ A
+        x0 = np.minimum(np.maximum(c / curv, lo), hi)  # inner argmax
+        if lin.size:
+            cl = c[lin]
+            x0[lin] = np.where(cl > 0.0, hi[lin], np.where(cl < 0.0, lo[lin], rest))
+        r = b - A @ x0
+        x = x0
+        if _kkt_residual(lam, r) <= tol:
             break
-        mid = 0.5 * (lam_lo + lam_hi)
-        if math.fsum(inner(mid)) > b0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-    lam = lam_hi
-    xs = inner(lam)
-    slack = b0 - math.fsum(xs)
-    # dual value at lam is a valid upper bound regardless of the width
-    bound = value_of(xs) + lam * slack
-    # linear activities sitting exactly at the multiplier may take any point
-    # of their box; hand them the leftover budget
-    if slack > 0.0:
-        for i in range(n):
-            if slack <= 0.0:
-                break
-            if theta[i] == 0.0 and abs(phi[i] - lam) <= 1e-7:
-                room = hi[i] - xs[i]
-                add = room if room < slack else slack
-                xs[i] += add
-                slack -= add
-    return xs, value_of(xs), bound
-
-
-def _coupled_box_solve(theta, phi, lo, hi, rows_a, rows_b, params: RelaxParams):
-    """Separable concave maximization over boxes under several <= rows.
-
-    An exact max-margin LP settles feasibility up front (and doubles as the
-    repair anchor).  Dual descent plus a derivative-free polish gives the
-    bound; the primal is recovered at the best multipliers, linear ties are
-    resolved by a small LP, and any residual row violation is repaired by
-    blending toward the anchor.  Returns (x or None, value, bound, feasible).
-    """
-    n = len(theta)
-    K = len(rows_b)
-    scale = 1.0 + max(abs(b) for b in rows_b)
-
-    # feasibility first: maximize t subject to A x + t <= b over the boxes
-    res = linprog(
-        c=[0.0] * n + [-1.0],
-        A_ub=[list(rows_a[k]) + [1.0] for k in range(K)],
-        b_ub=list(rows_b),
-        bounds=[(lo[i], hi[i]) for i in range(n)] + [(None, 1e9)],
-        method="highs")
-    if res.status != 0 or res.x[-1] < -1e-9 * scale:
-        return None, -_INF, -_INF, False
-    anchor = [float(t) for t in res.x[:n]]
-    margin = float(res.x[-1])
-
-    def eval_at(mult):
-        total = math.fsum(mult[k] * rows_b[k] for k in range(K))
-        xs = [0.0] * n
-        for i in range(n):
-            pe = phi[i]
-            for k in range(K):
-                pe -= mult[k] * rows_a[k][i]
-            x, g = _box_quad_max(theta[i], pe, lo[i], hi[i])
-            xs[i] = x
-            total += g
-        grad = [rows_b[k] - math.fsum(rows_a[k][i] * xs[i] for i in range(n))
-                for k in range(K)]
-        return total, xs, grad
-
-    def wrapped(mult):
-        val, _, grad = eval_at(mult)
-        return val, grad
-
-    best_mult, bound, _ = _descend(wrapped, K, params)
-    polished = minimize(lambda m: eval_at(m)[0], best_mult, method="Powell",
-                        bounds=[(0.0, None)] * K,
-                        options={"xtol": 1e-12, "ftol": 1e-14, "maxiter": 40})
-    cand = [max(0.0, float(t)) for t in polished.x]
-    cand_val = eval_at(cand)[0]
-    if cand_val < bound:
-        bound = cand_val
-        best_mult = cand
-    _, xs, _ = eval_at(best_mult)
-
-    # linear activities priced to zero can sit anywhere in their box; pick
-    # the revenue-maximizing placement subject to the remaining capacity
-    ties = [i for i in range(n)
-            if theta[i] == 0.0
-            and abs(phi[i] - math.fsum(best_mult[k] * rows_a[k][i] for k in range(K))) <= 1e-9
-            and hi[i] > lo[i]]
-    if ties:
-        rest_act = [math.fsum(rows_a[k][i] * xs[i] for i in range(n) if i not in ties)
-                    for k in range(K)]
-        res = linprog(
-            c=[-phi[i] for i in ties],
-            A_ub=[[rows_a[k][i] for i in ties] for k in range(K)],
-            b_ub=[rows_b[k] - rest_act[k] for k in range(K)],
-            bounds=[(lo[i], hi[i]) for i in ties],
-            method="highs")
-        if res.status == 0:
-            for j, i in enumerate(ties):
-                xs[i] = float(res.x[j])
-
-    def viol(xs_):
-        return max(math.fsum(rows_a[k][i] * xs_[i] for i in range(n)) - rows_b[k]
-                   for k in range(K))
-
-    v = viol(xs)
-    if v > 1e-9 * scale:
-        if margin <= 0.0:
-            xs = anchor
-        else:
-            s_needed = 0.0
-            for k in range(K):
-                ak = math.fsum(rows_a[k][i] * xs[i] for i in range(n)) - rows_b[k]
-                if ak > 0.0:
-                    bk = math.fsum(rows_a[k][i] * anchor[i] for i in range(n)) - rows_b[k]
-                    s_needed = max(s_needed, ak / (ak - bk))
-            s_needed = min(1.0, s_needed)
-            xs = [x + s_needed * (a - x) for x, a in zip(xs, anchor)]
-    value = math.fsum(theta[i] * xs[i] * xs[i] + phi[i] * xs[i] for i in range(n))
-
-    # local primal polish; accepted only if it stays feasible and improves
-    th = np.asarray(theta)
-    ph = np.asarray(phi)
-    a_np = np.asarray(rows_a)
-    b_np = np.asarray(rows_b)
-    cons = [{"type": "ineq",
-             "fun": (lambda v, k=k: float(b_np[k] - a_np[k] @ v)),
-             "jac": (lambda v, k=k: -a_np[k])} for k in range(K)]
-    res2 = minimize(lambda v: -float(th @ (v * v) + ph @ v),
-                    np.asarray(xs), jac=lambda v: -(2.0 * th * v + ph),
-                    method="SLSQP", bounds=list(zip(lo, hi)),
-                    constraints=cons,
-                    options={"maxiter": 100, "ftol": 1e-12})
-    if res2.x is not None:
-        xv = np.clip(res2.x, lo, hi)
-        if float((a_np @ xv - b_np).max()) <= 1e-9 * scale:
-            v2 = float(th @ (xv * xv) + ph @ xv)
-            if v2 > value:
-                xs = [float(t) for t in xv]
-                value = v2
-    return xs, value, max(bound, value), True
+        tied = flat & (np.abs(c) <= tie_tol + lam @ tie_rate)
+        free = quad & (x0 > lo) & (x0 < hi)
+        d, x = _newton_step(A, b, lam, (lam > 0.0) | (r < 0.0), curv, lo, hi,
+                            x0, free, tied)
+        if _kkt_residual(lam, b - A @ x) <= tol or it == _LEAF_MAX_ITERS:
+            break
+        ratio = np.full(K, _INF)
+        shrink = d < 0.0
+        ratio[shrink] = lam[shrink] / -d[shrink]
+        t_max = float(ratio.min())
+        t = _exact_step(quad, curv, np.where(tied, 0.0, c), d @ A, lo, hi,
+                        float(d @ b), t_max)
+        if t is None:
+            return None
+        if t == 0.0:
+            break
+        lam = np.maximum(lam + t * d, 0.0)
+        if t == t_max:
+            lam[ratio == t_max] = 0.0
+    value = float(theta @ (x * x) + phi @ x)
+    bound = float(b @ lam + theta @ (x0 * x0) + c @ x0)
+    return tuple(x.tolist()), value, bound
 
 
 def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],
-                           params: Optional[RelaxParams] = None) -> FixedOutcome:
+                           ) -> FixedOutcome:
     """Best change vector for a fully decided region assignment.
 
-    Budget-only instances are solved exactly by multiplier bisection;
-    instances with extra rows go through the multi-row dual with primal
-    repair.  ``value`` is attained by a feasible point; ``bound`` is a
-    certified upper bound for the assignment (they coincide when the solve
-    is exact).
+    The continuous layer is a separable concave QP over the regions' boxes
+    under the budget row and any extra rows, solved exactly by
+    ``_box_qp_max``.  ``value`` is attained by the returned point;
+    ``bound`` is the dual value at the final multipliers, a certified upper
+    bound for the assignment that meets ``value`` once the KKT residual is
+    down to rounding.
     """
-    params = params or LEAF_PARAMS
-    theta = [a.theta for a in inst.activities]
-    phi = [a.phi for a in inst.activities]
-    psi_sum = math.fsum(a.psi for a in inst.activities)
     lo, hi = [], []
     for rb, reg in zip(inst.regions, assignment):
         interval = rb.interval(reg)
@@ -667,18 +680,13 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],
             return FixedOutcome(None, -_INF, -_INF, False)
         lo.append(interval[0])
         hi.append(interval[1])
-
-    if not inst.extras:
-        out = _budget_solve(theta, phi, lo, hi, inst.budget_rhs)
-        if out is None:
-            return FixedOutcome(None, -_INF, -_INF, False)
-        xs, value, bound = out
-        return FixedOutcome(tuple(xs), value + psi_sum, bound + psi_sum, True)
-
-    rows_a = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
-    rows_b = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
-    xs, value, bound, feasible = _coupled_box_solve(
-        theta, phi, lo, hi, rows_a, rows_b, params)
-    if not feasible:
+    rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
+    rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
+    out = _box_qp_max(np.array([a.theta for a in inst.activities]),
+                      np.array([a.phi for a in inst.activities]),
+                      np.array(lo), np.array(hi), np.array(rows), np.array(rhs))
+    if out is None:
         return FixedOutcome(None, -_INF, -_INF, False)
-    return FixedOutcome(tuple(xs), value + psi_sum, bound + psi_sum, True)
+    xs, value, bound = out
+    psi_sum = math.fsum(a.psi for a in inst.activities)
+    return FixedOutcome(xs, value + psi_sum, bound + psi_sum, True)

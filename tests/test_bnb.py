@@ -1,26 +1,37 @@
 """Branch-and-bound correctness against the enumeration oracle."""
 
 import dataclasses
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixopt
 from mixopt import (
+    CORRELATIONS,
     Activity,
+    Cell,
     Instance,
     NodeState,
     RelaxResult,
     SolveParams,
     UnsupportedInstanceError,
+    batch,
     branch_and_bound,
     brute_force,
     check_minlp_feasible,
     round_incumbent,
+    solve_fixed_assignment,
     solve_node_relaxation,
 )
+from mixopt.bnb import _round_regions
 
 from conftest import random_instance
 
@@ -159,6 +170,87 @@ def test_cardinality_cap_respected_and_revenue_nested(rng):
         if prev is not None:
             assert res.objective >= prev - 1e-9  # larger cap never hurts
         prev = res.objective
+
+
+# ---------------------------------------------------------------------------
+# generated instances, as emitted (budget row plus two extra rows)
+
+
+def _enumerated_optimum(inst):
+    """Best leaf over every region assignment with at most m moves.
+
+    Each leaf goes through ``solve_fixed_assignment`` and must certify its
+    value; None when no assignment is feasible.
+    """
+    options = [["S"] + [r for r, iv in (("L", rb.L), ("R", rb.R)) if iv is not None]
+               for rb in inst.regions]
+    best = None
+    for regions in itertools.product(*options):
+        if sum(r != "S" for r in regions) > inst.m:
+            continue
+        out = solve_fixed_assignment(inst, regions)
+        if not out.feasible:
+            continue
+        assert out.bound - out.value <= 1e-9 * max(1.0, abs(out.value))
+        if best is None or out.value > best:
+            best = out.value
+    return best
+
+
+@pytest.mark.parametrize("index", range(2 * len(CORRELATIONS)))
+def test_matches_enumeration_on_generated_instances(index):
+    """The first two seeds of each class at n = 5, extra rows kept."""
+    cells = [Cell(c, 5, 0.1, 0.5) for c in CORRELATIONS]
+    _, _, inst = batch(cells, 2, 0)[index]
+    assert len(inst.extras) == 2
+    truth = _enumerated_optimum(inst)
+    for form in FORMS:
+        res = branch_and_bound(inst, SolveParams(formulation=form))
+        if truth is None:
+            assert res.status == "infeasible"
+            continue
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
+        assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+
+
+def test_rounded_leaf_passes_the_checker():
+    """A feasible rounded leaf at n = 100 yields an incumbent.
+
+    The leaf point has to keep the extra rows to the checker's 1e-8; a
+    tolerance that grows with the right-hand side lets it slip past that.
+    """
+    cells = [Cell(c, 100, 0.1, 0.75) for c in CORRELATIONS]
+    for _, cfg, inst in batch(cells, 2, 0):
+        root = NodeState.root(inst)
+        res = solve_node_relaxation(inst, root, "persp")
+        regions = _round_regions(inst, root, res)
+        if solve_fixed_assignment(inst, regions).feasible:
+            assert round_incumbent(inst, res) is not None, cfg.seed
+
+
+_COUPLED_SOLVE = """
+from mixopt import GenConfig, SolveParams, branch_and_bound, generate
+inst = generate(GenConfig("strong", 12, 0.1, 0.5, 17794728303100841390))
+res = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
+print(repr(res.objective), repr(res.upper_bound), res.nodes)
+"""
+
+
+def test_solve_does_not_depend_on_blas_threads():
+    src = str(Path(mixopt.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run([sys.executable, "-c", _COUPLED_SOLVE], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
