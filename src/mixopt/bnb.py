@@ -332,10 +332,12 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     Exact oracle for small instances: only budget-coupled instances are
     supported, and only up to ``max_n`` activities (the assignment count
     grows as fast as ``3**n``).  Every assignment's continuous layer is
-    solved approximately by a batched bisection on the budget multiplier,
-    independent of the leaf solver; the best candidates are then solved
-    exactly by the leaf solver.  The reported node count is the number of
-    assignments enumerated.
+    bracketed by a batched bisection on the budget multiplier, independent
+    of the leaf solver: the value of its point from below, the dual value
+    at its multiplier from above.  Assignments are then solved exactly by
+    the leaf solver in order of decreasing upper bound, until no upper bound
+    left exceeds the best exact value.  The reported node count is the
+    number of assignments enumerated.
     """
     t0 = time.perf_counter()
     report = validate(inst)
@@ -353,7 +355,6 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     b0 = inst.budget_rhs
     theta = np.array([a.theta for a in inst.activities])
     phi = np.array([a.phi for a in inst.activities])
-    psi_sum = math.fsum(a.psi for a in inst.activities)
 
     options: List[List[Tuple[Region, float, float]]] = []
     for rb in inst.regions:
@@ -382,9 +383,12 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                      np.where(phi - lam > 0.0, hi, lo))
         return np.clip(x, lo, hi)
 
-    best_val = -_INF
-    best_code: Optional[np.ndarray] = None
-    candidates: List[Tuple[float, Tuple[int, ...]]] = []
+    # Per assignment, the bisection's point is feasible, so its value is a
+    # lower bound, and the dual value at its multiplier an upper bound; an
+    # assignment whose upper bound is below some lower bound cannot win.
+    floor = -_INF
+    uppers: List[np.ndarray] = []
+    codes: List[np.ndarray] = []
 
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -400,8 +404,8 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
             hi[:, i] = hi_opts[i][code[:, i]]
         feasible = ((code != 0).sum(axis=1) <= inst.m) & (lo.sum(axis=1) <= b0)
 
-        zero = np.zeros((idx.size, 1))
-        x = batch_x(zero, lo, hi)
+        lam = np.zeros(idx.size)
+        x = batch_x(lam[:, None], lo, hi)
         need = x.sum(axis=1) > b0
         if need.any():
             lam_lo = np.zeros(idx.size)
@@ -412,31 +416,31 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                 over = xs.sum(axis=1) > b0
                 lam_lo = np.where(over, mid, lam_lo)
                 lam_hi = np.where(over, lam_hi, mid)
-            x_b = batch_x(lam_hi[:, None], lo, hi)
-            x = np.where(need[:, None], x_b, x)
-        vals = (theta * x * x + phi * x).sum(axis=1)
-        vals = np.where(feasible, vals, -_INF)
-        order = np.argsort(vals)[::-1][:32]
-        for j in order:
-            if vals[j] == -_INF:
-                break
-            candidates.append((float(vals[j]), tuple(int(c) for c in code[j])))
+            lam = np.where(need, lam_hi, 0.0)
+            x = np.where(need[:, None], batch_x(lam_hi[:, None], lo, hi), x)
+        lower = np.where(feasible, (theta * x * x + phi * x).sum(axis=1), -_INF)
+        upper = lam * b0 + (theta * x * x + (phi - lam[:, None]) * x).sum(axis=1)
+        floor = max(floor, float(lower.max()))
+        keep = feasible & (upper >= floor - 1e-9 * max(1.0, abs(floor)))
+        uppers.append(upper[keep])
+        codes.append(code[keep])
 
-    candidates.sort(key=lambda t: -t[0])
+    upper = np.concatenate(uppers)
+    code = np.concatenate(codes)
     best_sol_val = -_INF
     best: Optional[Tuple[Tuple[float, ...], Tuple[Region, ...], float]] = None
     budget_row = np.ones((1, n))
-    for approx, code in candidates[:64]:
-        if approx < best_sol_val - 1e-6 * max(1.0, abs(best_sol_val)):
+    # polish by decreasing upper bound until none left can beat the best
+    for j in np.argsort(-upper, kind="stable"):
+        if upper[j] <= best_sol_val:
             break
-        regions = tuple(options[i][c][0] for i, c in enumerate(code))
-        lo = np.array([options[i][c][1] for i, c in enumerate(code)])
-        hi = np.array([options[i][c][2] for i, c in enumerate(code)])
+        regions = tuple(options[i][c][0] for i, c in enumerate(code[j]))
+        lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
+        hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
         out = _box_qp_max(theta, phi, lo, hi, budget_row, np.array([b0]))
         if out is None:
             continue
         xs, value, _ = out
-        value += psi_sum
         if value > best_sol_val:
             best_sol_val = value
             best = (tuple(xs), regions, value)

@@ -32,6 +32,7 @@ from mixopt import (
     solve_node_relaxation,
 )
 from mixopt.bnb import _round_regions
+from mixopt.relax import _VECTOR_MIN_N
 
 from conftest import random_instance
 
@@ -214,6 +215,36 @@ def test_matches_enumeration_on_generated_instances(index):
         assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
 
 
+def _linear_instance(seed):
+    """A budget-only instance where each activity is linear (theta = 0)
+    with probability 1/2."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, 2 + seed % 6)
+    acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.5 else a
+                 for a in inst.activities)
+    return dataclasses.replace(inst, activities=acts)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_brute_force_exact_with_linear_activities(seed):
+    """A linear activity puts a kink in the assignment's dual, so the
+    bisection's point can undervalue the optimal assignment; brute_force
+    must still find it."""
+    inst = _linear_instance(seed)
+    truth = _enumerated_optimum(inst)
+    res = brute_force(inst)
+    if truth is None:
+        assert res.status == "infeasible"
+        return
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
+    assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+    for form in FORMS:
+        out = branch_and_bound(inst, SolveParams(formulation=form))
+        assert out.status == "optimal"
+        assert out.objective == pytest.approx(res.objective, rel=1e-9, abs=1e-9)
+
+
 def test_rounded_leaf_passes_the_checker():
     """A feasible rounded leaf at n = 100 yields an incumbent.
 
@@ -229,15 +260,20 @@ def test_rounded_leaf_passes_the_checker():
             assert round_incumbent(inst, res) is not None, cfg.seed
 
 
-_COUPLED_SOLVE = """
+_SOLVES = """
 from mixopt import GenConfig, SolveParams, branch_and_bound, generate
-inst = generate(GenConfig("strong", 12, 0.1, 0.5, 17794728303100841390))
-res = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
-print(repr(res.objective), repr(res.upper_bound), res.nodes)
+for cfg, limit in ((GenConfig("strong", 12, 0.1, 0.5, 17794728303100841390), 15),
+                   (GenConfig("weak", 150, 0.1, 0.75, 0), 0)):
+    res = branch_and_bound(generate(cfg),
+                           SolveParams(formulation="persp", node_limit=limit))
+    print(repr(res.objective), repr(res.upper_bound), res.nodes)
 """
 
 
 def test_solve_does_not_depend_on_blas_threads():
+    """A coupled desk solve, and a root solve above ``_VECTOR_MIN_N``
+    where the numpy dual kernel runs."""
+    assert 150 >= _VECTOR_MIN_N
     src = str(Path(mixopt.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -246,10 +282,11 @@ def test_solve_does_not_depend_on_blas_threads():
             p for p in (src, env.get("PYTHONPATH")) if p)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = threads
-        run = subprocess.run([sys.executable, "-c", _COUPLED_SOLVE], env=env,
+        run = subprocess.run([sys.executable, "-c", _SOLVES], env=env,
                              capture_output=True, text=True, timeout=600)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
+    assert len(outs[0].splitlines()) == 2
     assert outs[0] == outs[1]
 
 

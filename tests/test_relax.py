@@ -20,6 +20,7 @@ from mixopt import (
     Activity,
     GenConfig,
     Instance,
+    LinearConstraint,
     NodeState,
     RelaxParams,
     brute_force,
@@ -31,6 +32,8 @@ from mixopt import (
     solve_fixed_assignment,
     solve_node_relaxation,
 )
+from mixopt import relax
+from mixopt.relax import _VECTOR_MIN_N, _NodeContext, _dual_eval
 
 from conftest import make_activity, random_instance
 
@@ -189,12 +192,16 @@ def test_dual_value_sums_per_activity_argmax():
 
     Generated instances keep their two extra rows, so each activity is
     priced through its own coupling column; checked at the root and at a
-    node with some activities fixed, for both formulations.
+    node with some activities fixed, for both formulations.  The last
+    instance is above ``_VECTOR_MIN_N``, where the numpy kernel runs.
     """
     rng = random.Random(17)
-    for k, corr in enumerate(CORRELATIONS):
-        inst = generate(GenConfig(correlation=corr, n=9, epsilon=0.1, xi=0.5,
-                                  seed=40 + k))
+    configs = [GenConfig(correlation=corr, n=9, epsilon=0.1, xi=0.5, seed=40 + k)
+               for k, corr in enumerate(CORRELATIONS)]
+    configs.append(GenConfig(correlation="weak", n=150, epsilon=0.1, xi=0.75, seed=43))
+    assert configs[-1].n >= _VECTOR_MIN_N
+    for cfg in configs:
+        inst = generate(cfg)
         assert len(inst.extras) == 2
         b = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
         root = NodeState.root(inst)
@@ -216,6 +223,86 @@ def test_dual_value_sums_per_activity_argmax():
                                                       mu, form, coupling=col)[3]
                     got = dual_value(inst, state, form, mult)
                     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def _with_edge_activities(inst):
+    """Cycle the activities through linear revenue, zero minimum change and
+    single-point decrease and raise regions, and add a >= row with a zero
+    right-hand side (stored as a <= row with rhs -0.0)."""
+    acts = []
+    for i, a in enumerate(inst.activities):
+        kind = i % 5
+        if kind == 0:
+            a = dataclasses.replace(a, theta=0.0)
+        elif kind == 1:
+            a = dataclasses.replace(a, delta=0.0)
+        elif kind == 2 and a.l < a.s:
+            a = dataclasses.replace(a, delta=a.s - a.l)  # L = [l - s, l - s]
+        elif kind == 3 and a.s < a.u:
+            a = dataclasses.replace(a, delta=a.u - a.s)  # R = [u - s, u - s]
+        acts.append(a)
+    row = LinearConstraint(tuple(1.0 + (i % 7) for i in range(inst.n)), "ge", 0.0)
+    return dataclasses.replace(inst, activities=tuple(acts),
+                               extras=inst.extras + (row,))
+
+
+def _kernel_nodes(inst, rng):
+    """The root, a node with one activity fixed to each of L, S and R, and
+    a node saturated by the cardinality cap."""
+    root = NodeState.root(inst)
+    yield root
+    free = root.free_indices()
+    node = root
+    for region in ("L", "S", "R"):
+        i = next(i for i in free if region in node.allowed[i] and len(node.allowed[i]) > 1)
+        node = node.fix(i, region)
+    yield node
+    saturated = root
+    for i in rng.sample([i for i in free if "R" in root.allowed[i]], inst.m):
+        saturated = saturated.fix(i, "R")
+    saturated = saturated.saturate_cardinality(inst.m)
+    assert saturated.is_leaf
+    yield saturated
+
+
+def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
+    """The numpy kernel returns the scalar loop's value, x, zL, zR and
+    subgradient bit for bit, on both sides of ``_VECTOR_MIN_N``."""
+    rng = random.Random(23)
+    insts = []
+    for n in (40, 150):
+        inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.75, seed=n))
+        insts += [inst, dataclasses.replace(inst, extras=()),
+                  dataclasses.replace(inst, m=3), _with_edge_activities(inst)]
+    edge = _with_edge_activities(insts[0])
+    insts += [dataclasses.replace(edge, m=0), dataclasses.replace(edge, m=edge.n)]
+    assert insts[0].n < _VECTOR_MIN_N <= insts[4].n
+    checked = 0
+    for inst in insts:
+        for node in (_kernel_nodes(inst, rng) if 0 < inst.m < inst.n
+                     else [NodeState.root(inst)]):
+            ctx = _NodeContext(inst, node)
+            assert (ctx.arrays is not None) == (inst.n >= _VECTOR_MIN_N)
+            monkeypatch.setattr(relax, "_VECTOR_MIN_N", inst.n + 1)
+            scalar = _NodeContext(inst, node)
+            monkeypatch.setattr(relax, "_VECTOR_MIN_N", 0)
+            vector = _NodeContext(inst, node)
+            monkeypatch.undo()
+            assert scalar.arrays is None and vector.arrays is not None
+            K = ctx.K
+            for form in ("miqp", "persp"):
+                persp = form == "persp"
+                mults = [(0.0,) * (K + 1),
+                         tuple(solve_node_relaxation(inst, node, form).multipliers)]
+                for _ in range(4):
+                    lam = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(K)]
+                    mults += [tuple(lam) + (0.0,), tuple(lam) + (rng.uniform(0.0, 5.0),)]
+                for mult in mults:
+                    expect = repr(_dual_eval(scalar, mult, persp))
+                    assert repr(_dual_eval(vector, mult, persp)) == expect
+                    assert repr(_dual_eval(ctx, mult, persp)) == expect
+                    checked += 1
+    assert checked > 200
 
 
 def test_relaxation_bound_above_optimum_and_dominance(rng):
