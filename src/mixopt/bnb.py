@@ -190,7 +190,6 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         raise InvalidInstanceError("; ".join(report.violations))
     t0 = time.perf_counter()
     form = params.formulation
-    deadline = t0 + params.time_limit
 
     inc_sol: Optional[Solution] = None
     inc_val = -_INF

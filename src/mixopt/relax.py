@@ -21,7 +21,9 @@ A node with ``_VECTOR_MIN_N`` or more activities evaluates its dual with a
 numpy kernel over whole columns; smaller nodes, where numpy's per-call
 overhead outweighs the work, run the scalar loop over ``_activity_best``.
 The numpy kernel performs the scalar operations in the scalar order and
-sums sequentially, so the two return the same bits.
+sums sequentially, so the two return the same bits.  The descent evaluates
+only the dual value and subgradient; the inner solution is built once, at
+the best multipliers.
 """
 
 from __future__ import annotations
@@ -253,10 +255,11 @@ def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
 
 
 # From this many activities on, a node's dual is evaluated by the numpy
-# kernel.  Per call, scalar -> numpy (medians of three runs, 2-core Xeon VM,
-# Python 3.11, numpy 2.4): n = 12 persp 26 -> 58 us, miqp 33 -> 90 us; n = 30
-# 56 -> 40 us, 56 -> 64 us; n = 48 72 -> 54 us, 109 -> 59 us, within the
-# run-to-run spread; n = 64 78 -> 39 us, 115 -> 87 us.  Both give the same bits.
+# kernel.  Value and subgradient per call, scalar -> numpy (medians of three
+# runs of scripts/bench_layers.py, 2-core x86_64 VM, Python 3.11, numpy 2.4):
+# n = 12 persp 23 -> 37 us, miqp 29 -> 44 us; n = 30 57 -> 39, 66 -> 51;
+# n = 48 94 -> 43, 123 -> 46; n = 64 121 -> 41, 157 -> 47.  The crossover
+# now lies between 12 and 30.  Both give the same bits.
 _VECTOR_MIN_N = 64
 
 
@@ -298,20 +301,23 @@ _ABSENT = (math.nan, math.nan)
 class _InstanceArrays:
     """The numpy kernel's columns that do not depend on the node.
 
-    The coupling rows (budget first) are the rows of ``A``; an absent
-    region's ends read as 0.0, as in ``_record``.
+    The coupling rows (budget first) are the rows of ``A``.  The side
+    arrays stack the decrease side as row 0 and the raise side as row 1:
+    ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0, as
+    in ``_record``), ``outer`` the end away from zero and ``inner`` the end
+    next to it.  ``linear`` marks theta = 0, or is None when no one has it.
     """
 
-    __slots__ = ("theta", "phi", "quad", "linear", "neg2theta", "A", "b",
-                 "lL", "uL", "lR", "uR", "has_l", "has_r", "neg_ul", "pos_lr")
+    __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "has",
+                 "lo", "hi", "outer", "inner", "inner_ok")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
         self.theta = np.fromiter([a.theta for a in acts], float, n)
         self.phi = np.fromiter([a.phi for a in acts], float, n)
-        self.quad = self.theta < 0.0
-        self.linear = not self.quad.all()
-        self.neg2theta = np.where(self.quad, -2.0 * self.theta, 1.0)
+        quad = self.theta < 0.0
+        self.linear = None if quad.all() else ~quad
+        self.neg2theta = np.where(quad, -2.0 * self.theta, 1.0)
         self.A = np.ones((1 + len(inst.extras), n))
         for k, ex in enumerate(inst.extras, 1):
             self.A[k] = ex.coeffs
@@ -319,10 +325,11 @@ class _InstanceArrays:
         ends = np.fromiter(itertools.chain.from_iterable(
             [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in inst.regions]),
             float, 4 * n).reshape(n, 4).T
-        self.has_l, self.has_r = ~np.isnan(ends[0]), ~np.isnan(ends[2])
-        self.lL, self.uL, self.lR, self.uR = np.where(np.isnan(ends), 0.0, ends)
-        self.neg_ul = self.uL < 0.0
-        self.pos_lr = self.lR > 0.0
+        self.has = ~np.isnan(ends[::2])
+        lL, uL, lR, uR = np.where(np.isnan(ends), 0.0, ends)
+        self.lo, self.hi = np.array([lL, lR]), np.array([uL, uR])
+        self.outer, self.inner = np.array([lL, uR]), np.array([uL, lR])
+        self.inner_ok = np.array([uL < 0.0, lR > 0.0])
 
 
 def _instance_arrays(inst: Instance) -> _InstanceArrays:
@@ -341,155 +348,151 @@ _REGION_BITS = {frozenset(regions): bits for regions, bits in (
 
 
 class _NodeArrays:
-    """The instance's columns and the node's records (see ``_record``) as
-    masks saying which branch of ``_activity_best`` each activity takes:
-    ``open_*`` marks a side the persp form prices, ``hull_*`` one the miqp
-    form prices, and ``scaled_*`` the free sides among those, whose box
-    scales with the activation.
+    """The node's records (see ``_record``) as masks saying which branch of
+    ``_activity_best`` each activity takes, stacked by side like the
+    instance's columns: ``open`` marks a side the persp form prices,
+    ``hull`` one the miqp form prices, and ``scaled`` the free sides among
+    those, whose miqp box ``[lo, hi]`` ends at zero and scales with the
+    activation.  Each evaluation refills two buffers: ``sides`` with each
+    side's activation, value and x, and ``acc`` with the chosen ones and
+    the extra rows' ``A x`` terms after the scalar start values in column 0.
     """
 
-    __slots__ = ("inst_arrays", "start", "open_l", "open_r", "scaled_l",
-                 "scaled_r", "hull_l", "hull_r", "hi_l", "lo_r")
+    __slots__ = ("inst_arrays", "stay", "open", "hull", "scaled", "lo", "hi",
+                 "inner_ok", "sides", "acc")
 
     def __init__(self, inst: Instance, node: NodeState):
         cols = self.inst_arrays = _instance_arrays(inst)
         bits = np.fromiter([_REGION_BITS[a] for a in node.allowed], np.int64, inst.n)
         free = (bits & (bits - 1)) != 0  # more than one region left
-        self.start = np.where((bits & 1) != 0, 0.0, -_INF)
-        self.open_l = ((bits & 2) != 0) & cols.has_l
-        self.open_r = ((bits & 4) != 0) & cols.has_r
-        self.scaled_l = self.open_l & free & (cols.lL < 0.0)
-        self.scaled_r = self.open_r & free & (cols.uR > 0.0)
-        self.hull_l = (self.open_l & ~free) | self.scaled_l
-        self.hull_r = (self.open_r & ~free) | self.scaled_r
-        self.hi_l = np.where(self.scaled_l, 0.0, cols.uL)
-        self.lo_r = np.where(self.scaled_r, 0.0, cols.lR)
+        self.stay = np.zeros((3, inst.n))  # activation, value, x of the stay region
+        self.stay[1] = np.where((bits & 1) != 0, 0.0, -_INF)
+        self.open = np.array([(bits & 2) != 0, (bits & 4) != 0]) & cols.has
+        self.scaled = self.open & free & np.array([cols.lo[0] < 0.0, cols.hi[1] > 0.0])
+        self.hull = (self.open & ~free) | self.scaled
+        self.lo = np.array([cols.lo[0], np.where(self.scaled[1], 0.0, cols.lo[1])])
+        self.hi = np.array([np.where(self.scaled[0], 0.0, cols.hi[0]), cols.hi[1]])
+        self.inner_ok = self.scaled & cols.inner_ok
+        self.sides = np.empty((3, 2, inst.n))
+        self.acc = np.zeros((len(cols.A) + 2, inst.n + 1))
 
 
-def _box_quad_max_arrays(cols: _InstanceArrays, c, lo, hi):
-    """``_box_quad_max`` applied elementwise, with the same operations."""
-    x = c / cols.neg2theta
-    x = np.where(x < lo, lo, np.where(x > hi, hi, x))
-    if cols.linear:
-        flat = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-        flat = np.where(c > 0.0, hi, np.where(c < 0.0, lo, flat))
-        x = np.where(cols.quad, x, flat)
-    return x, cols.theta * x * x + c * x
-
-
-def _scaled_activation(x, mu, end, end_ok, far, far_ok):
-    """miqp activation of a free side whose box scales with it: ``x/end``
-    when ``mu > 0``, else ``min(1, x/far)`` where ``far_ok`` and 1 elsewhere."""
-    if mu > 0.0:
-        return np.divide(x, end, out=np.zeros_like(x), where=end_ok)
-    z = np.divide(x, far, out=np.ones_like(x), where=far_ok)
-    return np.where(z < 1.0, z, 1.0)
-
-
-def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool):
+def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool,
+                      point: bool = False):
     """``_dual_eval_loop`` on whole columns, bit for bit.
 
-    Every elementwise operation is the scalar one in the scalar order;
-    divisions run only where the scalar branch divides, comparisons are
-    strict in the order stay, decrease, increase, and the sums are
-    sequential ``np.cumsum`` runs seeded with the scalar start values
-    (``np.sum`` and ``@`` sum pairwise or through BLAS).
+    Every elementwise operation is the scalar one in the scalar order, with
+    both sides priced in one pass over ``(2, n)`` arrays; divisions run only
+    where the scalar branch divides, comparisons are strict in the order
+    stay, decrease, increase, and the sums are one sequential ``np.cumsum``
+    seeded with the scalar start values (``np.sum`` and ``@`` sum pairwise
+    or through BLAS).  The activation sum adds the chosen side's activation
+    without the other side's 0.0, which would only turn -0.0 into 0.0: a
+    sum seeded with 0.0 cannot tell the two apart.
     """
     arr = ctx.arrays
     cols = arr.inst_arrays
     K = ctx.K
     mu = mult[K]
-    n = ctx.n
     start = ctx.psi_sum + mu * ctx.m
     for k in range(K):
         start += mult[k] * ctx.b[k]
-    pe = cols.phi
-    for k in range(K):
-        pe = pe - mult[k] * cols.A[k]
+    pe = cols.phi - mult[0]  # the budget row's coefficients are all 1.0
+    for k in range(1, K):
+        pe -= mult[k] * cols.A[k]
 
+    z, val, x = arr.sides
     if persp:
-        xl, gl = _box_quad_max_arrays(cols, pe, cols.lL, cols.uL)
-        vl, zl, on_l = gl - mu, 1.0, arr.open_l
-        xr, gr = _box_quad_max_arrays(cols, pe, cols.lR, cols.uR)
-        vr, zr, on_r = gr - mu, 1.0, arr.open_r
+        c, lo, hi, on = pe, cols.lo, cols.hi, arr.open
     else:
-        shift = np.divide(mu, cols.lL, out=np.zeros(n), where=arr.scaled_l)
-        xl, gl = _box_quad_max_arrays(
-            cols, np.where(arr.scaled_l, pe - shift, pe), cols.lL, arr.hi_l)
-        vl = np.where(arr.scaled_l, gl, gl - mu)
-        zl = np.where(arr.scaled_l, _scaled_activation(
-            xl, mu, cols.lL, arr.scaled_l, cols.uL, cols.neg_ul), 1.0)
-        on_l = arr.hull_l
-        shift = np.divide(mu, cols.uR, out=np.zeros(n), where=arr.scaled_r)
-        xr, gr = _box_quad_max_arrays(
-            cols, np.where(arr.scaled_r, pe - shift, pe), arr.lo_r, cols.uR)
-        vr = np.where(arr.scaled_r, gr, gr - mu)
-        zr = np.where(arr.scaled_r, _scaled_activation(
-            xr, mu, cols.uR, arr.scaled_r, cols.lR, cols.pos_lr), 1.0)
-        on_r = arr.hull_r
+        shift = np.divide(mu, cols.outer, out=np.zeros_like(x), where=arr.scaled)
+        c, lo, hi, on = pe - shift, arr.lo, arr.hi, arr.hull
+    q = c / cols.neg2theta
+    x[...] = q
+    np.copyto(x, hi, where=q > hi)
+    np.copyto(x, lo, where=q < lo)
+    if cols.linear is not None:
+        flat = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
+        np.copyto(x, np.where(c > 0.0, hi, np.where(c < 0.0, lo, flat)),
+                  where=cols.linear)
+    np.multiply(cols.theta, x, out=val)
+    val *= x
+    val += c * x
+    z[...] = 1.0
+    if persp:
+        val -= mu
+    else:
+        np.subtract(val, mu, out=val, where=~arr.scaled)
+        if mu > 0.0:
+            np.divide(x, cols.outer, out=z, where=arr.scaled)
+        else:
+            np.divide(x, cols.inner, out=z, where=arr.inner_ok)
+            np.minimum(z, 1.0, out=z)
 
-    best = arr.start
-    take_l = on_l & (vl > best)
-    best = np.where(take_l, vl, best)
-    take_r = on_r & (vr > best)
-    # rows: value, A x (K rows), zsum; column 0 holds the scalar start values
-    acc = np.zeros((K + 2, n + 1))
-    acc[0, 0] = start
-    acc[0, 1:] = np.where(take_r, vr, best)
-    x = np.where(take_r, xr, np.where(take_l, xl, 0.0))
-    np.multiply(cols.A, x, out=acc[1:K + 1, 1:])
-    z_l = np.where(take_r, 0.0, np.where(take_l, zl, 0.0))
-    z_r = np.where(take_r, zr, 0.0)
-    np.add(z_l, z_r, out=acc[K + 1, 1:])
+    acc = arr.acc
+    acc[1, 0] = start
+    chosen = acc[:3, 1:]
+    chosen[...] = arr.stay
+    take_l = on[0] & (val[0] > chosen[1])
+    np.copyto(chosen, arr.sides[:, 0], where=take_l)
+    take_r = on[1] & (val[1] > chosen[1])
+    np.copyto(chosen, arr.sides[:, 1], where=take_r)
+    np.multiply(cols.A[1:], chosen[2], out=acc[3:, 1:])
     sums = np.cumsum(acc, axis=1)[:, -1]
-    grad = (cols.b - sums[1:K + 1]).tolist()
-    grad.append(ctx.m - float(sums[K + 1]))
-    return float(sums[0]), x.tolist(), z_l.tolist(), z_r.tolist(), grad
+    grad = (cols.b - sums[2:]).tolist()
+    grad.append(ctx.m - float(sums[0]))
+    if not point:
+        return float(sums[1]), grad
+    z_l = np.where(take_r, 0.0, np.where(take_l, z[0], 0.0))
+    z_r = np.where(take_r, z[1], 0.0)
+    return float(sums[1]), grad, chosen[2].tolist(), z_l.tolist(), z_r.tolist()
 
 
-def _dual_eval(ctx: _NodeContext, mult: Sequence[float], persp: bool):
-    """Dual value and primal/subgradient data at one multiplier vector.
+def _dual_eval(ctx: _NodeContext, mult: Sequence[float], persp: bool,
+               point: bool = False):
+    """Dual value and subgradient at one multiplier vector.
 
-    Returns (value, x, zL, zR, subgradient); nodes with ``_VECTOR_MIN_N``
-    or more activities take the numpy kernel, which gives the same bits.
+    Returns (value, subgradient), followed by the inner solution x, zL, zR
+    when ``point``; nodes with ``_VECTOR_MIN_N`` or more activities take
+    the numpy kernel, which gives the same bits.
     """
-    if ctx.arrays is not None:
-        return _dual_eval_arrays(ctx, mult, persp)
-    return _dual_eval_loop(ctx, mult, persp)
+    kernel = _dual_eval_loop if ctx.arrays is None else _dual_eval_arrays
+    return kernel(ctx, mult, persp, point)
 
 
-def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool):
+def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool,
+                    point: bool = False):
     """Scalar dual evaluation, one ``_activity_best`` per activity."""
     K = ctx.K
     mu = mult[K]
     total = ctx.psi_sum + mu * ctx.m
     for k in range(K):
         total += mult[k] * ctx.b[k]
-    n = ctx.n
-    x = [0.0] * n
-    zl = [0.0] * n
-    zr = [0.0] * n
+    x, zl, zr = [], [], []
     ax = [0.0] * K
     zsum = 0.0
     records = ctx.records
     phi = ctx.phi
     cols = ctx.cols
-    for i in range(n):
+    for i in range(ctx.n):
         pe = phi[i]
         col = cols[i]
         for k in range(K):
             pe -= mult[k] * col[k]
         v, xi, a, b_ = _activity_best(records[i], pe, mu, persp)
         total += v
-        x[i] = xi
-        zl[i] = a
-        zr[i] = b_
         zsum += a + b_
         for k in range(K):
             ax[k] += col[k] * xi
+        if point:
+            x.append(xi)
+            zl.append(a)
+            zr.append(b_)
     grad = [ctx.b[k] - ax[k] for k in range(K)]
     grad.append(ctx.m - zsum)
-    return total, x, zl, zr, grad
+    if not point:
+        return total, grad
+    return total, grad, x, zl, zr
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int) -> float:
@@ -592,8 +595,7 @@ def dual_value(inst: Instance, node: NodeState, form: Formulation,
                multipliers: Sequence[float]) -> float:
     """Dual bound at an explicit multiplier vector (budget, extras..., card)."""
     ctx = _NodeContext(inst, node)
-    val, *_ = _dual_eval(ctx, tuple(multipliers), form == PERSPECTIVE)
-    return val
+    return _dual_eval(ctx, tuple(multipliers), form == PERSPECTIVE)[0]
 
 
 def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
@@ -619,14 +621,12 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
         key = tuple(mult)
         hit = cache.get(key)
         if hit is None:
-            val, x, zl, zr, grad = _dual_eval(ctx, key, persp)
-            hit = (val, grad)
-            cache[key] = hit
+            hit = cache[key] = _dual_eval(ctx, key, persp)
         return hit
 
     best_mult, best_val, converged = _descend(eval_at, ctx.K + 1, params,
                                               init=warm)
-    _, x, zl, zr, _ = _dual_eval(ctx, tuple(best_mult), persp)
+    _, _, x, zl, zr = _dual_eval(ctx, tuple(best_mult), persp, point=True)
     return RelaxResult(upper_bound=best_val, x=tuple(x), z_L=tuple(zl),
                        z_R=tuple(zr), multipliers=tuple(best_mult),
                        converged=converged)

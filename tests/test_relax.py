@@ -266,8 +266,9 @@ def _kernel_nodes(inst, rng):
 
 
 def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
-    """The numpy kernel returns the scalar loop's value, x, zL, zR and
-    subgradient bit for bit, on both sides of ``_VECTOR_MIN_N``."""
+    """The numpy kernel returns the scalar loop's value and subgradient,
+    and with ``point`` also its x, zL and zR, bit for bit, on both sides of
+    ``_VECTOR_MIN_N``."""
     rng = random.Random(23)
     insts = []
     for n in (40, 150):
@@ -298,11 +299,41 @@ def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
                     lam = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(K)]
                     mults += [tuple(lam) + (0.0,), tuple(lam) + (rng.uniform(0.0, 5.0),)]
                 for mult in mults:
-                    expect = repr(_dual_eval(scalar, mult, persp))
-                    assert repr(_dual_eval(vector, mult, persp)) == expect
-                    assert repr(_dual_eval(ctx, mult, persp)) == expect
+                    for point in (False, True):
+                        expect = repr(_dual_eval(scalar, mult, persp, point))
+                        assert repr(_dual_eval(vector, mult, persp, point)) == expect
+                        assert repr(_dual_eval(ctx, mult, persp, point)) == expect
+                    value, grad, *_ = _dual_eval(scalar, mult, persp, True)
+                    assert repr((value, grad)) == repr(_dual_eval(scalar, mult, persp))
                     checked += 1
     assert checked > 200
+
+
+def test_descent_is_the_same_with_either_kernel(monkeypatch):
+    """A whole dual descent returns the same bits whichever kernel
+    evaluates it: the root under the default parameters, and a child under
+    ``NODE_PARAMS`` aimed at a finite target from a warm start."""
+    inst = generate(GenConfig(correlation="weak", n=150, epsilon=0.1, xi=0.75, seed=5))
+    assert len(inst.extras) == 2
+    root = NodeState.root(inst)
+    child = root
+    for i, region in zip(root.free_indices(), ("L", "R", "S")):
+        child = child.fix(i, region if region in root.allowed[i] else "S")
+
+    def run(vector_min_n, node, form, params=None, warm=None):
+        monkeypatch.setattr(relax, "_VECTOR_MIN_N", vector_min_n)
+        res = solve_node_relaxation(inst, node, form, params, warm=warm)
+        monkeypatch.undo()
+        return repr((res.upper_bound, res.multipliers, res.x, res.z_L, res.z_R,
+                     res.converged))
+
+    for form in ("miqp", "persp"):
+        assert run(0, root, form) == run(inst.n + 1, root, form)
+        parent = solve_node_relaxation(inst, root, form)
+        params = dataclasses.replace(relax.NODE_PARAMS,
+                                     target=parent.upper_bound - 1.0)
+        assert (run(0, child, form, params, parent.multipliers)
+                == run(inst.n + 1, child, form, params, parent.multipliers))
 
 
 def test_relaxation_bound_above_optimum_and_dominance(rng):

@@ -39,3 +39,18 @@ def test_pareto_demo_runs(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [int(r["m"]) for r in rows] == [0, 1, 2, 3, 4]
     assert (out / "pareto.svg").read_text().startswith("<svg")
+
+
+def test_bench_layers_runs(capsys):
+    rc = _load("bench_layers").run(["--n", "12", "64", "--calls", "2",
+                                    "--repeats", "1"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("#")
+    assert lines[1].split() == ["n", "form", "kernel", "value_us", "point_us"]
+    rows = [line.split() for line in lines[2:]]
+    # one row per n x formulation x kernel
+    assert [r[:3] for r in rows] == [[n, f, k] for n in ("12", "64")
+                                     for f in ("persp", "miqp")
+                                     for k in ("scalar", "numpy")]
+    assert all(float(r[3]) > 0.0 and float(r[4]) > 0.0 for r in rows)
