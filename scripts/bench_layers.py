@@ -1,23 +1,34 @@
 #!/usr/bin/env python3
-"""Time the dual evaluation per call, by kernel, formulation and size.
+"""Time the dual evaluation and the node relaxation, by formulation and size.
 
 For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
-each formulation.  At the multipliers that descent ends at, it then times
-both kernels, the scalar loop and the numpy kernel, whatever
-``_VECTOR_MIN_N`` would pick for that n: ``value_us`` is the value and
-subgradient evaluation the descent runs hundreds of times, ``point_us``
-the evaluation that also builds the primal point, once per relaxation.
+each formulation.  Two layers are timed from there.
+
+The dual evaluation, at the multipliers the root descent ends at, in both
+kernels, the scalar loop and the numpy kernel, whatever ``_VECTOR_MIN_N``
+would pick for that n: ``value_us`` is the value and subgradient
+evaluation the descent runs hundreds of times, ``point_us`` the
+evaluation that also builds the primal point, once per relaxation.
+
+The node relaxation of one child of the root (the branching activity
+fixed to its first open region), warm-started at the root's multipliers
+under ``NODE_PARAMS`` as the search bounds it, with the kernel the solver
+picks.  The ``pruned`` child aims at its own dual value at the warm start,
+so it is pruned there; the ``open`` child aims 0.1% below the bound its
+untargeted descent reaches, so it runs the whole descent.
+
 Each figure is the median over ``--repeats`` batches of the mean time of
-``--calls`` calls.
+``--calls`` calls (``--relax-calls`` for the relaxations).
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --n 64 500 --calls 200 --repeats 9
 
-Only the dual-evaluation layer is timed so far.
+The other layers are not timed yet.
 """
 
 import argparse
+import dataclasses
 import platform
 import statistics
 import sys
@@ -26,12 +37,14 @@ import time
 import numpy as np
 
 from mixopt import gen, relax
-from mixopt.relax import NodeState, solve_node_relaxation
+from mixopt.bnb import _REGION_ORDER, _branch_index
+from mixopt.relax import NODE_PARAMS, NodeState, dual_value, solve_node_relaxation
 
-SIZES = (12, 30, 48, 64, 100, 500, 1000)
+SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
 KERNELS = ("scalar", "numpy")
 FORMS = ("persp", "miqp")
+CHILDREN = ("pruned", "open")
 
 
 def _context(inst, node, kernel):
@@ -42,6 +55,19 @@ def _context(inst, node, kernel):
         return relax._NodeContext(inst, node)
     finally:
         relax._VECTOR_MIN_N = saved
+
+
+def _child_targets(inst, root, root_res, form):
+    """The first child of the root, and the targets that prune it at its
+    warm start and that leave it open."""
+    j = _branch_index(root, root_res)
+    region = next(r for r in _REGION_ORDER if r in root.allowed[j])
+    child = root.fix(j, region).saturate_cardinality(inst.m)
+    warm = root_res.multipliers
+    reach = solve_node_relaxation(inst, child, form, NODE_PARAMS, warm=warm).upper_bound
+    targets = {"pruned": dual_value(inst, child, form, warm),
+               "open": reach - 1e-3 * max(1.0, abs(reach))}
+    return child, warm, targets
 
 
 def per_call_us(call, calls, repeats):
@@ -61,26 +87,42 @@ def run(argv=None):
                     help="activity counts to time")
     ap.add_argument("--calls", type=int, default=100, help="calls per timed batch")
     ap.add_argument("--repeats", type=int, default=7, help="timed batches per figure")
+    ap.add_argument("--relax-calls", type=int, default=5,
+                    help="node relaxations per timed batch")
     args = ap.parse_args(argv)
 
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{platform.machine()}, _VECTOR_MIN_N = {relax._VECTOR_MIN_N}")
-    print(f"{'n':>5} {'form':>5} {'kernel':>6} {'value_us':>9} {'point_us':>9}")
+    cells = []
     for n in args.n:
         inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=n, epsilon=0.1,
                                           xi=0.75, seed=SEED))
         root = NodeState.root(inst)
         for form in FORMS:
-            mult = tuple(solve_node_relaxation(inst, root, form).multipliers)
-            persp = form == relax.PERSPECTIVE
-            for kernel in KERNELS:
-                ctx = _context(inst, root, kernel)
-                value = per_call_us(lambda: relax._dual_eval(ctx, mult, persp),
-                                    args.calls, args.repeats)
-                point = per_call_us(lambda: relax._dual_eval(ctx, mult, persp, True),
-                                    args.calls, args.repeats)
-                print(f"{n:5d} {form:>5} {kernel:>6} {value:9.1f} {point:9.1f}",
-                      flush=True)
+            cells.append((inst, root, form, solve_node_relaxation(inst, root, form)))
+
+    print(f"{'n':>5} {'form':>5} {'kernel':>6} {'value_us':>9} {'point_us':>9}")
+    for inst, root, form, root_res in cells:
+        mult = tuple(root_res.multipliers)
+        persp = form == relax.PERSPECTIVE
+        for kernel in KERNELS:
+            ctx = _context(inst, root, kernel)
+            value = per_call_us(lambda: relax._dual_eval(ctx, mult, persp),
+                                args.calls, args.repeats)
+            point = per_call_us(lambda: relax._dual_eval(ctx, mult, persp, True),
+                                args.calls, args.repeats)
+            print(f"{inst.n:5d} {form:>5} {kernel:>6} {value:9.1f} {point:9.1f}",
+                  flush=True)
+
+    print(f"{'n':>5} {'form':>5} {'child':>6} {'relax_us':>9}")
+    for inst, root, form, root_res in cells:
+        child, warm, targets = _child_targets(inst, root, root_res, form)
+        for kind in CHILDREN:
+            params = dataclasses.replace(NODE_PARAMS, target=targets[kind])
+            took = per_call_us(
+                lambda: solve_node_relaxation(inst, child, form, params, warm=warm),
+                args.relax_calls, args.repeats)
+            print(f"{inst.n:5d} {form:>5} {kind:>6} {took:9.1f}", flush=True)
     return 0
 
 

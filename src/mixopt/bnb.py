@@ -4,7 +4,9 @@ Nodes are ``NodeState`` objects; branching fixes one activity to each of
 its open regions (ternary at most: decrease side / stay / increase side).
 Every child is bounded eagerly by the Lagrangian relaxation before being
 pushed, inheriting ``min(parent bound, own bound)`` so bounds are monotone
-along any path.  Fully fixed assignments collapse to a separable concave
+along any path.  The child's dual descent aims at the incumbent's prune
+threshold and stops once it gets there; a child pruned that way is not
+rounded either.  Fully fixed assignments collapse to a separable concave
 program over boxes and the coupling rows, solved exactly by a projected
 Newton method on its dual and certified by the KKT residual.
 
@@ -293,10 +295,14 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             close_leaf(child)
         # every sibling is bounded against the prune threshold of the incumbent
         # from before rounding: the dual descent aims at the level that prunes
-        results = [bound_child(c, _prune_threshold(params.gap_tol, inc_val),
-                               res.multipliers) for c in inner]
+        # and stops there.  The threshold only rises, so a child at or below
+        # it is pruned, and no point of it is worth rounding.
+        aim = _prune_threshold(params.gap_tol, inc_val)
+        results = [bound_child(c, aim, res.multipliers) for c in inner]
         for child, cres in zip(inner, results):
             child_bound = min(bound, cres.upper_bound)
+            if child_bound <= aim:
+                continue
             try_round(child, cres)
             if child_bound > _prune_threshold(params.gap_tol, inc_val):
                 heapq.heappush(heap, (-child_bound, next(seq), child, cres))

@@ -201,9 +201,14 @@ class Instance:
     def n(self) -> int:
         return len(self.activities)
 
-    @property
+    @cached_property
     def budget_rhs(self) -> float:
         return (self.rho - 1.0) * math.fsum(a.s for a in self.activities)
+
+    @cached_property
+    def psi_sum(self) -> float:
+        """Revenue at zero change, the constant every bound and leaf adds."""
+        return math.fsum(a.psi for a in self.activities)
 
     @cached_property
     def regions(self) -> Tuple[RegionBounds, ...]:

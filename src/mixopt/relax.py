@@ -51,7 +51,10 @@ class RelaxParams:
     """Dual-descent knobs.
 
     ``target`` feeds the Polyak step rule (use the incumbent when one is
-    known); without it an adaptive target trails the best dual value.
+    known); without it an adaptive target trails the best dual value.  A
+    finite target also ends the descent once the best value is at or below
+    it, since the node is then pruned whatever follows; such a stop is not
+    convergence.
     """
 
     max_iters: int = 500
@@ -255,12 +258,14 @@ def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
 
 
 # From this many activities on, a node's dual is evaluated by the numpy
-# kernel.  Value and subgradient per call, scalar -> numpy (medians of three
-# runs of scripts/bench_layers.py, 2-core x86_64 VM, Python 3.11, numpy 2.4):
-# n = 12 persp 23 -> 37 us, miqp 29 -> 44 us; n = 30 57 -> 39, 66 -> 51;
-# n = 48 94 -> 43, 123 -> 46; n = 64 121 -> 41, 157 -> 47.  The crossover
-# now lies between 12 and 30.  Both give the same bits.
-_VECTOR_MIN_N = 64
+# kernel: the smallest n at which it beat the scalar loop in both forms in
+# each of three runs of scripts/bench_layers.py (--calls 200 --repeats 15,
+# 2-core x86_64 VM, Python 3.11, numpy 2.4).  Value and subgradient per
+# call, scalar -> numpy, medians of the three runs:
+# n = 12 persp 21 -> 42 us, miqp 33 -> 52 us; n = 16 38 -> 43, 45 -> 54;
+# n = 20 44 -> 40, 44 -> 53; n = 24 49 -> 42, 55 -> 53; n = 30 63 -> 44,
+# 73 -> 54.  Both give the same bits.
+_VECTOR_MIN_N = 24
 
 
 class _NodeContext:
@@ -279,7 +284,7 @@ class _NodeContext:
         extras = inst.extras
         self.K = 1 + len(extras)
         self.b = (inst.budget_rhs,) + tuple(ex.rhs for ex in extras)
-        self.psi_sum = math.fsum(a.psi for a in inst.activities)
+        self.psi_sum = inst.psi_sum
         self.m = inst.m
         if self.n >= _VECTOR_MIN_N:
             self.arrays = _NodeArrays(inst, node)
@@ -520,7 +525,13 @@ def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
 
     ``eval_at(mult)`` returns (dual value, subgradient).  Returns the best
     multiplier vector, the best dual value seen, and a convergence flag.
+    A finite ``params.target`` also ends the descent: as soon as the best
+    value is at or below it, from the first evaluation on and between
+    golden coordinates, the descent returns with the flag False.
     """
+    goal = params.target
+    if goal is None or not math.isfinite(goal):
+        goal = -_INF
     if init is not None and len(init) == dim:
         mult = [max(0.0, float(t)) for t in init]
     else:
@@ -528,6 +539,8 @@ def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
     val, grad = eval_at(mult)
     best_val = val
     best_mult = list(mult)
+    if best_val <= goal:
+        return best_mult, best_val, False
     beta = 1.0
     stall = 0
     tiny = max(params.tol, 1e-12 * (1.0 + abs(best_val)))
@@ -535,8 +548,8 @@ def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
         gnorm2 = math.fsum(g * g for g in grad)
         if gnorm2 <= 1e-18:
             break
-        if params.target is not None and math.isfinite(params.target):
-            target = params.target
+        if goal > -_INF:
+            target = goal
         else:
             target = best_val - max(0.1, 0.05 * abs(best_val))
         gap = val - target
@@ -548,6 +561,8 @@ def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
         if val < best_val - tiny:
             best_val = val
             best_mult = list(mult)
+            if best_val <= goal:
+                return best_mult, best_val, False
             stall = 0
         else:
             stall += 1
@@ -584,6 +599,8 @@ def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
                 best_val = v_star
                 mult[k] = t_star
                 best_mult = list(mult)
+                if best_val <= goal:
+                    return best_mult, best_val, False
             # keep mult at the best known coordinate value
             mult[k] = best_mult[k]
         improved_last = sweep_start - best_val
@@ -604,9 +621,12 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     """Upper-bound a node by pricing the coupling rows.
 
     The returned bound is the lowest dual value visited; validity does not
-    depend on convergence.  The primal point is the inner solution at the
-    best multipliers and may violate the coupling rows; it is meant for
-    branching scores and incumbent rounding only.
+    depend on convergence.  With a finite ``params.target`` the descent
+    stops once its best value is at or below it (see ``_descend``),
+    possibly at the warm start, and ``converged`` is False.  The primal
+    point is the inner solution at the best multipliers and may violate
+    the coupling rows; it is meant for branching scores and incumbent
+    rounding only.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
@@ -881,5 +901,4 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],
     if out is None:
         return FixedOutcome(None, -_INF, -_INF, False)
     xs, value, bound = out
-    psi_sum = math.fsum(a.psi for a in inst.activities)
-    return FixedOutcome(xs, value + psi_sum, bound + psi_sum, True)
+    return FixedOutcome(xs, value + inst.psi_sum, bound + inst.psi_sum, True)

@@ -18,6 +18,7 @@ from mixopt import (
     CORRELATIONS,
     Activity,
     Cell,
+    GenConfig,
     Instance,
     NodeState,
     RelaxResult,
@@ -27,10 +28,12 @@ from mixopt import (
     branch_and_bound,
     brute_force,
     check_minlp_feasible,
+    generate,
     round_incumbent,
     solve_fixed_assignment,
     solve_node_relaxation,
 )
+from mixopt import bnb
 from mixopt.bnb import _round_regions
 from mixopt.relax import _VECTOR_MIN_N
 
@@ -354,6 +357,37 @@ def test_round_never_beats_the_oracle(rng):
         assert check_minlp_feasible(inst, sol, tol=1e-8).ok
         if truth.status == "optimal":
             assert sol.objective <= truth.objective + 1e-9
+
+
+def test_children_pruned_at_their_bounding_are_not_rounded(monkeypatch):
+    """A child whose relaxation bound sits at or below the threshold it was
+    bounded against is pruned, so no rounding is spent on it: checked on
+    the strong n = 30 desk case with the budget row only, as benchmarked."""
+    inst = dataclasses.replace(
+        generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
+    aims = {}  # id of a child's relaxation -> the target it was bounded against
+    rounded = []
+
+    def bound(inst, node, form, params=None, warm=None):
+        res = solve_node_relaxation(inst, node, form, params, warm=warm)
+        if warm is not None:
+            aims[id(res)] = (params.target, res)
+        return res
+
+    def round_regions(inst, node, res):
+        rounded.append(res)
+        return _round_regions(inst, node, res)
+
+    monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
+    monkeypatch.setattr(bnb, "_round_regions", round_regions)
+    assert branch_and_bound(inst, SolveParams(formulation="persp",
+                                              node_limit=60)).ok
+    children = [aims[id(res)] for res in rounded if id(res) in aims]
+    assert children
+    assert all(res.upper_bound > target for target, res in children)
+    # the search does prune children at their bounding
+    assert any(target is not None and res.upper_bound <= target
+               for target, res in aims.values())
 
 
 def test_solve_params_defaults():

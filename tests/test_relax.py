@@ -271,7 +271,7 @@ def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
     ``_VECTOR_MIN_N``."""
     rng = random.Random(23)
     insts = []
-    for n in (40, 150):
+    for n in (12, 150):
         inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.75, seed=n))
         insts += [inst, dataclasses.replace(inst, extras=()),
                   dataclasses.replace(inst, m=3), _with_edge_activities(inst)]
@@ -334,6 +334,35 @@ def test_descent_is_the_same_with_either_kernel(monkeypatch):
                                      target=parent.upper_bound - 1.0)
         assert (run(0, child, form, params, parent.multipliers)
                 == run(inst.n + 1, child, form, params, parent.multipliers))
+
+
+def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
+    """A child whose dual value at the warm start is at or below its target
+    is pruned there: the descent evaluates nothing more, the primal point
+    is built once, and the stop is not reported as convergence.  Checked
+    below and above ``_VECTOR_MIN_N``."""
+    for n in (12, 30):
+        inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.5, seed=n))
+        root = NodeState.root(inst)
+        child = root.fix(root.free_indices()[0], "S")
+        for form in ("miqp", "persp"):
+            warm = solve_node_relaxation(inst, root, form).multipliers
+            at_warm = dual_value(inst, child, form, warm)
+            for target in (at_warm, at_warm + 1.0):
+                points = []
+
+                def counted(ctx, mult, persp, point=False):
+                    points.append(point)
+                    return _dual_eval(ctx, mult, persp, point)
+
+                params = dataclasses.replace(relax.NODE_PARAMS, target=target)
+                monkeypatch.setattr(relax, "_dual_eval", counted)
+                res = solve_node_relaxation(inst, child, form, params, warm=warm)
+                monkeypatch.undo()
+                assert points == [False, True]
+                assert res.upper_bound == at_warm <= target
+                assert res.multipliers == tuple(warm)
+                assert res.converged is False
 
 
 def test_relaxation_bound_above_optimum_and_dominance(rng):

@@ -43,14 +43,21 @@ def test_pareto_demo_runs(tmp_path, capsys):
 
 def test_bench_layers_runs(capsys):
     rc = _load("bench_layers").run(["--n", "12", "64", "--calls", "2",
-                                    "--repeats", "1"])
+                                    "--repeats", "1", "--relax-calls", "1"])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#")
     assert lines[1].split() == ["n", "form", "kernel", "value_us", "point_us"]
-    rows = [line.split() for line in lines[2:]]
+    rows = [line.split() for line in lines[2:10]]
     # one row per n x formulation x kernel
     assert [r[:3] for r in rows] == [[n, f, k] for n in ("12", "64")
                                      for f in ("persp", "miqp")
                                      for k in ("scalar", "numpy")]
     assert all(float(r[3]) > 0.0 and float(r[4]) > 0.0 for r in rows)
+    # then the node relaxation: one row per n x formulation x child
+    assert lines[10].split() == ["n", "form", "child", "relax_us"]
+    rows = [line.split() for line in lines[11:]]
+    assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
+                                     for f in ("persp", "miqp")
+                                     for c in ("pruned", "open")]
+    assert all(float(r[3]) > 0.0 for r in rows)
