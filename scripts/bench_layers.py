@@ -5,20 +5,22 @@ For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
 each formulation.  Two layers are timed from there.
 
-The dual evaluation, at the multipliers the root descent ends at, in both
-kernels, the scalar loop and the numpy kernel, whatever ``_VECTOR_MIN_N``
-would pick for that n: ``value_us`` is the value and subgradient
-evaluation the descent runs hundreds of times, ``point_us`` the
-evaluation that also builds the primal point, once per relaxation.
+The dual evaluation, at the multipliers the root relaxation ends at, in
+both kernels, the scalar loop and the numpy kernel, whatever
+``_VECTOR_MIN_N`` would pick for that n: ``value_us`` is the value and
+subgradient evaluation the Newton method runs once per step, ``point_us``
+the evaluation that also builds the primal point, once per relaxation.
 
-The node relaxation of one child of the root (the branching activity
-fixed to its first open region), warm-started at the root's multipliers
-under ``NODE_PARAMS`` as the search bounds it, with the kernel the solver
-picks.  The ``pruned`` child aims at its own dual value at the warm start,
-so it is pruned there; the ``open`` child aims 0.1% below the bound its
-untargeted descent reaches, so it runs the whole descent.
+The node relaxation, with the kernel the solver picks: the ``root`` from
+zero multipliers, and one child of the root (the branching activity fixed
+to its first open region), warm-started at the root's multipliers as the
+search bounds it.  The ``pruned`` child aims at its own dual value at the
+warm start, so it is pruned there; the ``open`` child aims 0.1% below the
+bound its untargeted relaxation reaches, so it runs the whole Newton
+method.  ``evals`` counts its dual evaluations (the point build included)
+and ``newton`` its Newton steps.
 
-Each figure is the median over ``--repeats`` batches of the mean time of
+Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations).
 
     python3 scripts/bench_layers.py
@@ -28,7 +30,6 @@ The other layers are not timed yet.
 """
 
 import argparse
-import dataclasses
 import platform
 import statistics
 import sys
@@ -38,13 +39,13 @@ import numpy as np
 
 from mixopt import gen, relax
 from mixopt.bnb import _REGION_ORDER, _branch_index
-from mixopt.relax import NODE_PARAMS, NodeState, dual_value, solve_node_relaxation
+from mixopt.relax import NodeState, RelaxParams, dual_value, solve_node_relaxation
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
 KERNELS = ("scalar", "numpy")
 FORMS = ("persp", "miqp")
-CHILDREN = ("pruned", "open")
+RELAXATIONS = ("root", "pruned", "open")
 
 
 def _context(inst, node, kernel):
@@ -64,10 +65,31 @@ def _child_targets(inst, root, root_res, form):
     region = next(r for r in _REGION_ORDER if r in root.allowed[j])
     child = root.fix(j, region).saturate_cardinality(inst.m)
     warm = root_res.multipliers
-    reach = solve_node_relaxation(inst, child, form, NODE_PARAMS, warm=warm).upper_bound
+    reach = solve_node_relaxation(inst, child, form, warm=warm).upper_bound
     targets = {"pruned": dual_value(inst, child, form, warm),
                "open": reach - 1e-3 * max(1.0, abs(reach))}
     return child, warm, targets
+
+
+def counted(call):
+    """Dual evaluations and Newton steps one call makes."""
+    counts = [0, 0]
+    kernel, newton = relax._dual_eval, relax._Dual.newton
+
+    def evaluation(*args, **kwargs):
+        counts[0] += 1
+        return kernel(*args, **kwargs)
+
+    def step(*args, **kwargs):
+        counts[1] += 1
+        return newton(*args, **kwargs)
+
+    relax._dual_eval, relax._Dual.newton = evaluation, step
+    try:
+        call()
+    finally:
+        relax._dual_eval, relax._Dual.newton = kernel, newton
+    return counts
 
 
 def per_call_us(call, calls, repeats):
@@ -114,15 +136,22 @@ def run(argv=None):
             print(f"{inst.n:5d} {form:>5} {kernel:>6} {value:9.1f} {point:9.1f}",
                   flush=True)
 
-    print(f"{'n':>5} {'form':>5} {'child':>6} {'relax_us':>9}")
+    print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'relax_us':>9}")
     for inst, root, form, root_res in cells:
         child, warm, targets = _child_targets(inst, root, root_res, form)
-        for kind in CHILDREN:
-            params = dataclasses.replace(NODE_PARAMS, target=targets[kind])
-            took = per_call_us(
-                lambda: solve_node_relaxation(inst, child, form, params, warm=warm),
-                args.relax_calls, args.repeats)
-            print(f"{inst.n:5d} {form:>5} {kind:>6} {took:9.1f}", flush=True)
+        for kind in RELAXATIONS:
+            if kind == "root":
+                def call():
+                    solve_node_relaxation(inst, root, form)
+            else:
+                params = RelaxParams(target=targets[kind])
+
+                def call():
+                    solve_node_relaxation(inst, child, form, params, warm=warm)
+            evals, newton = counted(call)
+            took = per_call_us(call, args.relax_calls, args.repeats)
+            print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {took:9.1f}",
+                  flush=True)
     return 0
 
 

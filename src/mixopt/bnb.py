@@ -4,11 +4,15 @@ Nodes are ``NodeState`` objects; branching fixes one activity to each of
 its open regions (ternary at most: decrease side / stay / increase side).
 Every child is bounded eagerly by the Lagrangian relaxation before being
 pushed, inheriting ``min(parent bound, own bound)`` so bounds are monotone
-along any path.  The child's dual descent aims at the incumbent's prune
-threshold and stops once it gets there; a child pruned that way is not
-rounded either.  Fully fixed assignments collapse to a separable concave
-program over boxes and the coupling rows, solved exactly by a projected
-Newton method on its dual and certified by the KKT residual.
+along any path.  The relaxation minimises the node dual exactly with a
+semismooth Newton method warm-started at the parent's multipliers; it
+stops early once the dual value reaches the incumbent's prune threshold,
+and a child pruned that way is not rounded either.  A relaxation whose dual
+falls without bound proves the node's hull relaxation infeasible: such a
+child is pruned, and such a root ends the solve as ``infeasible``.  Fully
+fixed assignments collapse to a separable concave program over boxes and
+the coupling rows, solved exactly by the same Newton method on its dual
+and certified by the KKT residual.
 
 The search is deterministic: best-bound selection with FIFO tie-breaks,
 and children are explored in the fixed region order L, S, R.
@@ -20,7 +24,7 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,8 +32,8 @@ import numpy as np
 from .hull import check_minlp_feasible
 from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
                        validate)
-from .relax import (NODE_PARAMS, PERSPECTIVE, FixedOutcome, Formulation,
-                    NodeState, RelaxResult, _box_qp_max,
+from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
+                    RelaxParams, RelaxResult, _box_qp_max,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -246,18 +250,14 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         return SolveResult(st, inc_sol, inc_val, ub, gap, 0, elapsed())
 
     root_res = solve_node_relaxation(inst, root, form)
+    if root_res.upper_bound == -_INF:  # the root's hull relaxation has no point
+        return SolveResult("infeasible", None, None, -_INF, _INF, 0, elapsed())
     try_round(root, root_res)
 
     # entries are (-bound, ticket, node, relaxation): best bound first,
     # FIFO among equal bounds
     seq = itertools.count()
     heap = [(-root_res.upper_bound, next(seq), root, root_res)]
-
-    def bound_child(child: NodeState, target: float, warm):
-        node_params = NODE_PARAMS
-        if math.isfinite(target):
-            node_params = replace(node_params, target=target)
-        return solve_node_relaxation(inst, child, form, node_params, warm=warm)
 
     last_popped_bound = root_res.upper_bound
     while heap:
@@ -294,11 +294,12 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         for child in leaves:
             close_leaf(child)
         # every sibling is bounded against the prune threshold of the incumbent
-        # from before rounding: the dual descent aims at the level that prunes
-        # and stops there.  The threshold only rises, so a child at or below
-        # it is pruned, and no point of it is worth rounding.
+        # from before rounding: the Newton method stops once the dual value
+        # gets there.  The threshold only rises, so a child at or below it is
+        # pruned, and no point of it is worth rounding.
         aim = _prune_threshold(params.gap_tol, inc_val)
-        results = [bound_child(c, aim, res.multipliers) for c in inner]
+        results = [solve_node_relaxation(inst, c, form, RelaxParams(target=aim),
+                                         warm=res.multipliers) for c in inner]
         for child, cres in zip(inner, results):
             child_bound = min(bound, cres.upper_bound)
             if child_bound <= aim:
@@ -334,24 +335,22 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                 chunk: int = 65536) -> SolveResult:
     """Enumerate every region assignment and solve each continuous layer.
 
-    Exact oracle for small instances: only budget-coupled instances are
-    supported, and only up to ``max_n`` activities (the assignment count
-    grows as fast as ``3**n``).  Every assignment's continuous layer is
-    bracketed by a batched bisection on the budget multiplier, independent
-    of the leaf solver: the value of its point from below, the dual value
-    at its multiplier from above.  Assignments are then solved exactly by
-    the leaf solver in order of decreasing upper bound, until no upper bound
-    left exceeds the best exact value.  The reported node count is the
-    number of assignments enumerated.
+    Exact oracle for small instances, up to ``max_n`` activities (the
+    assignment count grows as fast as ``3**n``), with the budget row and
+    any extra rows.  Every assignment's continuous layer is bracketed by a
+    batched bisection on the budget multiplier, independent of the leaf
+    solver: from above by the dual value at that multiplier with the extra
+    rows priced at zero (weak duality), from below by the value of its point
+    when the point meets every row.  Assignments are then solved exactly
+    over all rows by the leaf solver in order of decreasing upper bound,
+    until no upper bound left exceeds the best exact value.  The reported
+    node count is the number of assignments enumerated.
     """
     t0 = time.perf_counter()
     report = validate(inst)
     if not report.ok:
         from .instance import InvalidInstanceError
         raise InvalidInstanceError("; ".join(report.violations))
-    if inst.extras:
-        raise UnsupportedInstanceError(
-            "brute force supports budget-coupled instances only")
     if inst.n > max_n:
         raise UnsupportedInstanceError(
             f"brute force capped at {max_n} activities, got {inst.n}")
@@ -360,6 +359,8 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     b0 = inst.budget_rhs
     theta = np.array([a.theta for a in inst.activities])
     phi = np.array([a.phi for a in inst.activities])
+    rows = np.array([(1.0,) * n] + [ex.coeffs for ex in inst.extras])
+    rhs = np.array([b0] + [ex.rhs for ex in inst.extras])
 
     options: List[List[Tuple[Region, float, float]]] = []
     for rb in inst.regions:
@@ -388,9 +389,10 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                      np.where(phi - lam > 0.0, hi, lo))
         return np.clip(x, lo, hi)
 
-    # Per assignment, the bisection's point is feasible, so its value is a
-    # lower bound, and the dual value at its multiplier an upper bound; an
-    # assignment whose upper bound is below some lower bound cannot win.
+    # Per assignment, the bisection's point meets the budget, so its value
+    # is a lower bound when it meets the extra rows too, and the dual value
+    # at its multiplier is an upper bound; an assignment whose upper bound
+    # is below some lower bound cannot win.
     floor = -_INF
     uppers: List[np.ndarray] = []
     codes: List[np.ndarray] = []
@@ -407,7 +409,10 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
         for i in range(n):
             lo[:, i] = lo_opts[i][code[:, i]]
             hi[:, i] = hi_opts[i][code[:, i]]
-        feasible = ((code != 0).sum(axis=1) <= inst.m) & (lo.sum(axis=1) <= b0)
+        # no row may be out of reach activity by activity
+        reach = (np.minimum(lo[:, None, :] * rows, hi[:, None, :] * rows).sum(axis=2)
+                 <= rhs)
+        feasible = ((code != 0).sum(axis=1) <= inst.m) & reach.all(axis=1)
 
         lam = np.zeros(idx.size)
         x = batch_x(lam[:, None], lo, hi)
@@ -423,7 +428,8 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
                 lam_hi = np.where(over, lam_hi, mid)
             lam = np.where(need, lam_hi, 0.0)
             x = np.where(need[:, None], batch_x(lam_hi[:, None], lo, hi), x)
-        lower = np.where(feasible, (theta * x * x + phi * x).sum(axis=1), -_INF)
+        meets = (x @ rows[1:].T <= rhs[1:]).all(axis=1)
+        lower = np.where(feasible & meets, (theta * x * x + phi * x).sum(axis=1), -_INF)
         upper = lam * b0 + (theta * x * x + (phi - lam[:, None]) * x).sum(axis=1)
         floor = max(floor, float(lower.max()))
         keep = feasible & (upper >= floor - 1e-9 * max(1.0, abs(floor)))
@@ -434,7 +440,6 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     code = np.concatenate(codes)
     best_sol_val = -_INF
     best: Optional[Tuple[Tuple[float, ...], Tuple[Region, ...], float]] = None
-    budget_row = np.ones((1, n))
     # polish by decreasing upper bound until none left can beat the best
     for j in np.argsort(-upper, kind="stable"):
         if upper[j] <= best_sol_val:
@@ -442,10 +447,12 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
         regions = tuple(options[i][c][0] for i, c in enumerate(code[j]))
         lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
         hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
-        out = _box_qp_max(theta, phi, lo, hi, budget_row, np.array([b0]))
+        out = _box_qp_max(theta, phi, lo, hi, rows, rhs)
         if out is None:
             continue
         xs, value, _ = out
+        if (rows @ np.array(xs) > rhs + 1e-9 * (1.0 + np.abs(rhs))).any():
+            continue  # the leaf solve stalled off the rows
         if value > best_sol_val:
             best_sol_val = value
             best = (tuple(xs), regions, value)

@@ -4,7 +4,12 @@ The coupling rows (budget, extra linear rows, cardinality) are priced into
 the objective with nonnegative multipliers; the remainder then separates
 into one tiny maximization per activity with a closed form.  Weak duality
 makes every multiplier vector yield a valid upper bound on the node's
-integer optimum, so a non-converged descent is safe, just loose.
+integer optimum.  The dual has at most four multipliers and is convex and
+piecewise quadratic; a projected semismooth Newton method with an exact
+line search minimises it and stops on a certificate: the KKT residual of
+the relaxation point it recovers, or a ray along which the dual falls
+without bound, which proves the node's hull relaxation has no point.  The
+same method, with one option per activity, solves fixed assignments.
 
 The two formulations differ only in the per-activity subproblem:
 
@@ -21,9 +26,10 @@ A node with ``_VECTOR_MIN_N`` or more activities evaluates its dual with a
 numpy kernel over whole columns; smaller nodes, where numpy's per-call
 overhead outweighs the work, run the scalar loop over ``_activity_best``.
 The numpy kernel performs the scalar operations in the scalar order and
-sums sequentially, so the two return the same bits.  The descent evaluates
-only the dual value and subgradient; the inner solution is built once, at
-the best multipliers.
+sums sequentially, so the two return the same bits.  The Newton method
+reads only the dual value and subgradient from them, once per step, and
+assembles its system and line search from its own numpy arrays, whatever
+the kernel; the inner solution is built once, at the final multipliers.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .instance import Activity, Instance, Region, RegionBounds
 
@@ -48,25 +53,15 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class RelaxParams:
-    """Dual-descent knobs.
+    """Node relaxation controls.
 
-    ``target`` feeds the Polyak step rule (use the incumbent when one is
-    known); without it an adaptive target trails the best dual value.  A
-    finite target also ends the descent once the best value is at or below
-    it, since the node is then pruned whatever follows; such a stop is not
+    A finite ``target`` ends the Newton method on the node dual as soon as
+    the dual value is at or below it (use the incumbent's prune threshold):
+    the node is then pruned whatever follows, and the stop is not
     convergence.
     """
 
-    max_iters: int = 500
-    stall_iters: int = 50
-    tol: float = 1e-9
     target: Optional[float] = None
-    golden_sweeps: int = 2
-    golden_iters: int = 40
-
-
-# Lighter preset used per node inside the tree; the root gets the default.
-NODE_PARAMS = RelaxParams(max_iters=60, golden_sweeps=1, golden_iters=25)
 
 
 @dataclass(frozen=True)
@@ -500,112 +495,445 @@ def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool,
     return total, grad, x, zl, zr
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, iters: int) -> float:
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# ---------------------------------------------------------------------------
+# Semismooth Newton machinery, shared by the node dual and the leaf dual.
+#
+# Both duals are D(y) = e.y + sum_i max_o [max_{x in box_io} theta_i x^2
+# + (phi_i - a_i.lam - kappa_io*mu) x - zeta_io*mu] over multipliers
+# y = (lam, mu) >= 0.  Each activity takes the best of its options o: one
+# for a leaf, where mu prices an empty row; stay, decrease and raise at a
+# node, where mu prices the cardinality row.  Option o uses the rows by
+# (a_i*x, kappa_io*x + zeta_io).  D is convex and piecewise quadratic.  A
+# projected Newton method on D (a nonsmooth Newton method in the sense of Qi
+# & Sun, 1993) with an exact breakpoint line search (as in Kiwiel's
+# continuous quadratic knapsack algorithms, 2008) descends to its minimum.
+# It stops on the KKT residual of the primal point it recovers, or on a ray
+# along which D falls without bound, which proves that no point of the
+# boxes meets the rows.
+
+_NEWTON_MAX_ITERS = 100
 
 
-def _descend(eval_at: Callable[[Sequence[float]], Tuple[float, list]], dim: int,
-             params: RelaxParams, init: Optional[Sequence[float]] = None):
-    """Projected subgradient descent plus coordinate golden refinement.
+def _kkt_residual(lam, r):
+    """Projected dual gradient: row slack ``r`` must vanish where the
+    multiplier is positive and be nonnegative where it is zero."""
+    return float(np.where(lam > 0.0, np.abs(r), np.maximum(-r, 0.0)).max())
 
-    ``eval_at(mult)`` returns (dual value, subgradient).  Returns the best
-    multiplier vector, the best dual value seen, and a convergence flag.
-    A finite ``params.target`` also ends the descent: as soon as the best
-    value is at or below it, from the first evaluation on and between
-    golden coordinates, the descent returns with the flag False.
+
+def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
+    """Newton direction on the dual and the primal point it aims at.
+
+    ``M`` is the dual's generalized Hessian: every quadratic activity
+    strictly inside its box responds to the multipliers with slope
+    ``1/curv``.  ``r`` is the row slack of the point without its ties.  A
+    tie is an activity whose price sits on a kink of the dual: a linear
+    activity priced to zero, or two options of equal value.  Its weight
+    ``w``, in ``[tlo, thi]``, is an unknown that adds ``w`` times its column
+    of ``T`` to the row usage, and the step must keep the tie
+    (``-T_j.d = tgap_j``, the tie's residual):
+
+        [ M_WW + ridge   -T_W ] [d]   [-r_W ]
+        [ -T_W'            0  ] [w] = [ tgap]
+
+    ``work`` marks the working rows (a positive multiplier, or violated)
+    and is updated in place.  An active-set loop settles the system: a tie
+    whose weight leaves its bounds is released at the bound it crossed;
+    then, with every weight in bounds, a working row at a zero multiplier
+    that the step would push negative leaves, a row that the placed ties
+    violate joins (unless it left before), and a released tie that the step
+    would carry back across its kink is held again.  Each change solves the
+    system again.  (A row judged by a step whose weights are out of bounds
+    can leave when only the tie blocks it, and the step then vanishes.)
+    Returns the step ``d`` (zero off the working rows), the weights (``w0``
+    where no row works) and the slack of the point with the ties placed.
     """
-    goal = params.target
-    if goal is None or not math.isfinite(goal):
-        goal = -_INF
-    if init is not None and len(init) == dim:
-        mult = [max(0.0, float(t)) for t in init]
+    r = r.copy()
+    w = w0.copy()
+    live = np.ones(w.size, dtype=bool)
+    left = np.zeros(lam.size, dtype=bool)
+    d = np.zeros(lam.size)
+    for _ in range(4 * (lam.size + w.size) + 4):
+        d[:] = 0.0
+        if not work.any():
+            break
+        rows = np.flatnonzero(work)
+        ties = np.flatnonzero(live)
+        k = rows.size
+        size = k + ties.size
+        tw = T[np.ix_(rows, ties)]
+        m = np.zeros((size, size))
+        m[:k, :k] = M[np.ix_(rows, rows)]
+        m.flat[:k * size:size + 1] += 1e-12 * (np.trace(m) + 1.0)
+        m[:k, k:] = -tw
+        m[k:, :k] = -tw.T
+        rhs = np.concatenate((-r[rows], tgap[ties]))
+        try:
+            sol = np.linalg.solve(m, rhs)
+        except np.linalg.LinAlgError:
+            sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
+        step, y = sol[:k], sol[k:]
+        out = (y < tlo[ties]) | (y > thi[ties])
+        if out.any():
+            gone = ties[out]
+            w[gone] = np.where(y[out] < tlo[gone], tlo[gone], thi[gone])
+            r -= T[:, gone] @ w[gone]
+            live[gone] = False
+            continue
+        drop = (lam[rows] == 0.0) & (step < 0.0)
+        if drop.any():
+            work[rows[drop]] = False
+            left[rows[drop]] = True
+            continue
+        w[ties] = y
+        d[rows] = step
+        join = ~work & ~left & (r - T[:, ties] @ y < 0.0)
+        if join.any():
+            work |= join
+            continue
+        lean = -tgap - d @ T  # where each tie's partner ends up against it
+        back = ~live & (((w == tlo) & (lean > 0.0)) | ((w == thi) & (lean < 0.0)))
+        if not back.any():
+            break
+        r += T[:, back] @ w[back]
+        live |= back
+    return d, w, r - T[:, live] @ w[live]
+
+
+def _falls_without_bound(db, s, lo, hi, act):
+    """Farkas test of a ray ``d >= 0`` of the dual.
+
+    Far along ``d`` each activity takes the option and the end of its box
+    that use the rows least, ``min(s*lo, s*hi) + act`` in the direction
+    (``s`` the option's price slope and ``act`` its activation's; infinite
+    for a closed option).  The dual falls without bound when ``db = e.d``
+    lies below the sum of those by more than rounding, and then no point of
+    the boxes meets the rows.
+    """
+    use = (np.minimum(s * lo, s * hi) + act).min(axis=0)
+    return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
+
+
+def _exact_step(quad, curv, c, s, lo, hi, db, t_max, off, act):
+    """Step length in ``[0, t_max]`` that is best for the dual along a direction.
+
+    Each row of the ``(P, n)`` arrays is one option of every activity.
+    Along ``y + t*d`` an option's priced slope is ``c - t*s`` and its
+    activation costs ``off + t*act`` (infinite ``off`` closes the option);
+    each activity takes its best option.  The directional derivative
+    ``db - sum(s*x(t) + act)`` is nondecreasing and piecewise linear in
+    ``t``: it bends where a quadratic option reaches a box end, and jumps
+    where a linear one's price crosses zero or an activity's best option
+    changes.  A search over the sorted box ends and zero crossings finds
+    the piece where it changes sign.  With more than one option, every
+    option's value is one quadratic in ``t`` on that piece, and a second
+    search over the points where two of an activity's options cross
+    narrows it to a piece where the derivative is linear, which is solved
+    in closed form.  Linear options priced to exactly zero leave the kink on
+    the side the step drives them to.  Returns None when the derivative
+    stays below zero for ever, by more than rounding: the dual falls
+    without bound along the direction, a ray that proves no point of the
+    boxes meets the rows.
+    """
+    P, n = c.shape
+    theta = np.where(quad, -0.5 * curv, 0.0)
+    lin = ~quad
+    mixed = bool(lin.any())
+    cols = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kink = np.where(lin & (c * s > 0.0), c / s, _INF)
+        bend = quad & (off < _INF)
+        cuts = np.concatenate((np.where(bend, (c - curv * lo) / s, _INF),
+                               np.where(bend, (c - curv * hi) / s, _INF),
+                               kink)).ravel()
+    v0 = np.where((c > 0.0) | ((c == 0.0) & (s < 0.0)), hi, lo)
+    v1 = np.where(c > 0.0, lo, hi)
+    if P > 1:  # rounding in the options' values, from their terms at t = 0
+        x = np.minimum(np.maximum(c / curv, lo), hi)
+        level_tol = 1e-12 * (1.0 + np.abs(theta * x * x) + np.abs(c * x)
+                             + np.where(off < _INF, np.abs(off), 0.0)).max(axis=0)
+
+    def state(t, full=False):
+        """Slope just after ``t``; with ``full`` also its rate there and the
+        options' points.
+
+        Among options level with an activity's best to rounding, the one
+        that uses the rows least along the direction is taken: it is the
+        best just after ``t``.
+        """
+        x = np.minimum(np.maximum((c - t * s) / curv, lo), hi)
+        if mixed:
+            x = np.where(lin, np.where(t < kink, v0, v1), x)
+        use = s * x + act
+        best = None
+        if P > 1:
+            val = (theta * x + (c - t * s)) * x - (off + t * act)
+            level = val >= val.max(axis=0) - level_tol
+            best = np.argmin(np.where(level, use, _INF), axis=0)
+            use = use[best, cols]
+        slope = db - float(use.sum())
+        if not full:
+            return slope
+        rate = np.where(quad & (x > lo) & (x < hi), s * s / curv, 0.0)
+        return slope, float((rate if best is None else rate[best, cols]).sum()), x
+
+    def bracket(points, t_lo, f_lo, t_hi, f_hi, guess):
+        """Narrow ``(t_lo, t_hi)``, where the slope ``f_lo`` is negative and
+        ``f_hi`` is not (infinite when not known yet), over the points in
+        between.  Each probe is the point next to ``guess``, then to the
+        root of the slope's chord; two probes in a row on the same side, or
+        no chord, make the next probe the middle one."""
+        points = np.sort(points[(points > t_lo) & (points < t_hi)])
+        i, j, side = -1, points.size, None
+        while j - i > 1:
+            if guess is None:
+                k = (i + j) // 2
+            else:
+                k = min(max(int(np.searchsorted(points, guess)), i + 1), j - 1)
+            f = state(points[k])
+            above = f >= 0.0
+            if above:
+                j, t_hi, f_hi = k, points[k], f
+            else:
+                i, t_lo, f_lo = k, points[k], f
+            if guess is None or above != side:
+                guess = (t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
+                         if f_hi < _INF else None)
+            else:
+                guess = None
+            side = above
+        return t_lo, f_lo, t_hi, f_hi
+
+    f0 = state(0.0)
+    if f0 >= 0.0:
+        return 0.0
+    left, f_left, right, f_right = bracket(cuts, 0.0, f0, t_max, _INF, 1.0)
+    if P > 1:
+        # each option is one quadratic in t on (left, right): a + b t + g t^2
+        probe = 0.5 * (left + right) if right < _INF else left + 1.0
+        x = state(probe, True)[2]
+        inside = quad & (x > lo) & (x < hi)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            g = np.where(inside, 0.5 * s * s / curv, 0.0)
+            b = np.where(inside, -c * s / curv, -s * x) - act
+            a = np.where(inside, 0.5 * c * c / curv, theta * x * x + c * x) - off
+            roots = []
+            for p, q in ((0, 1), (0, 2), (1, 2))[:P * (P - 1) // 2]:
+                da, db_, dg = a[p] - a[q], b[p] - b[q], g[p] - g[q]
+                disc = np.sqrt(db_ * db_ - 4.0 * dg * da)
+                half = -0.5 * (db_ + np.copysign(disc, db_))
+                roots += [np.where(dg != 0.0, half / dg, -da / db_), da / half]
+        cross = np.concatenate(roots)
+        chord = (left - f_left * (right - left) / (f_right - f_left)
+                 if f_right < _INF else None)
+        left, f_left, right, f_right = bracket(cross[np.isfinite(cross)], left, f_left,
+                                               right, f_right, chord)
+    probe = 0.5 * (left + right) if right < _INF else left + 1.0
+    slope, rate, _ = state(probe, True)
+    if rate > 0.0:
+        return min(max(probe - slope / rate, left), right)
+    if slope >= 0.0:  # the derivative jumped across zero at ``left``
+        return left
+    if right < _INF:
+        return right
+    closed = np.where(off < _INF, act, _INF)
+    return None if _falls_without_bound(db, s, lo, hi, closed) else left
+
+
+class _Dual:
+    """A dual of the form above, for the Newton method.
+
+    Row ``o`` of the ``(P, n)`` arrays is option ``o`` of every activity.
+    The multipliers are ``y = (lam, mu)``: ``lam`` prices the rows ``A``
+    (``K`` of them) and ``mu`` the last row, which counts activations.  At
+    ``y`` option ``o`` prices ``x`` in ``[lo, hi]`` at
+    ``phi - a.lam - kappa*mu`` and costs ``zeta*mu + off`` (an infinite
+    ``off`` closes it), so it uses the rows by ``(a*x, kappa*x + zeta)``.
+    ``e`` holds the right-hand sides.  ``x`` is the point the last Newton
+    step recovered, each activity at its best option with its kink ties
+    placed.
+    """
+
+    __slots__ = ("K", "A", "e", "phi", "theta", "quad", "curv", "lo", "hi",
+                 "kappa", "zeta", "off", "tie_rate", "x")
+
+    def __init__(self, A, e, phi, theta, lo, hi, kappa, zeta, off):
+        self.K = len(A)
+        self.A, self.e, self.phi, self.theta = A, e, phi, theta
+        self.quad = theta < 0.0
+        self.curv = np.where(self.quad, -2.0 * theta, 1.0)
+        self.lo, self.hi, self.kappa, self.zeta, self.off = lo, hi, kappa, zeta, off
+        self.tie_rate = 1e-12 * np.vstack((np.abs(A), np.abs(kappa).max(axis=0)))
+        self.x = None
+
+    def inner(self, c):
+        """Each option's maximiser of ``theta*x^2 + c*x`` over its box."""
+        x = np.minimum(np.maximum(c / self.curv, self.lo), self.hi)
+        lin = ~self.quad
+        if lin.any():
+            # a linear option priced to exactly zero takes the point closest
+            # to zero, as in _box_quad_max
+            lo, hi = self.lo, self.hi
+            rest = np.minimum(np.maximum(0.0, lo), hi)
+            x = np.where(lin, np.where(c > 0.0, hi, np.where(c < 0.0, lo, rest)), x)
+        return x
+
+    def newton(self, y: np.ndarray, kept: np.ndarray):
+        """Newton step at ``y``.
+
+        ``kept`` holds, per activity, the bits (1 << option) of the two
+        options it was left tied between by the previous step, or 0; such a
+        tie stays in the system, with its residual, until the system
+        releases it.  Returns the direction, the slack of the relaxation
+        point it recovers, the step's line search as a function of the
+        largest admissible length, and the ties to keep for the next step.
+        """
+        K, A, quad, curv = self.K, self.A, self.quad, self.curv
+        lam, mu = y[:K], y[K]
+        n = A.shape[1]
+        idx = np.arange(n)
+        c = self.phi - lam @ A - self.kappa * mu
+        lo, hi, lin = self.lo, self.hi, ~quad
+        x = self.inner(c)
+        val = self.theta * x * x + c * x - self.zeta * mu - self.off
+        best = np.argmax(val, axis=0)
+        vb, xb, cb = val[best, idx], x[best, idx], c[best, idx]
+        kb, zb = self.kappa[best, idx], self.zeta[best, idx]
+        others = val.copy()
+        others[best, idx] = -_INF
+        # a kept tie pairs the best option with its partner, others the two best
+        partner = kept & ~(1 << best)
+        remembered = (partner != kept) & (partner > 0)
+        second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
+                          np.argmax(others, axis=0))
+        x2, v2 = x[second, idx], others[second, idx]
+        # ties: a linear activity priced to zero inside its box, or two
+        # options of level value that use the rows differently
+        kink = lin & (lo[best, idx] < hi[best, idx]) & (
+            np.abs(cb) <= 1e-12 * (1.0 + np.abs(self.phi)) + y @ self.tie_rate)
+        dx = x2 - xb
+        dz = self.kappa[second, idx] * x2 + self.zeta[second, idx] - kb * xb - zb
+        level = remembered | (vb - v2 <= 1e-10 * (
+            1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
+        level &= ~kink & (v2 > -_INF) & ((dx != 0.0) | (dz != 0.0))
+        held = np.where(kink, 0.0, xb)
+        r = self.e - np.append(A @ held, kb @ held + zb.sum())
+        ki, li = np.flatnonzero(kink), np.flatnonzero(level)
+        T = np.hstack((np.vstack((A[:, ki], kb[ki])),
+                       np.vstack((A[:, li] * dx[li], dz[li]))))
+        tlo = np.concatenate((lo[best[ki], ki], np.zeros(li.size)))
+        thi = np.concatenate((hi[best[ki], ki], np.ones(li.size)))
+        tgap = np.concatenate((-cb[ki], vb[li] - v2[li]))
+        w0 = np.concatenate((xb[ki], np.zeros(li.size)))
+        free = quad & (xb > lo[best, idx]) & (xb < hi[best, idx])
+        cf = np.vstack((A[:, free], kb[free]))
+        d, w, slack = _newton_step((cf / curv[free]) @ cf.T, r, T, tlo, thi, tgap, w0,
+                                   y, (y > 0.0) | (r - T @ w0 < 0.0))
+        xb[ki] = w[:ki.size]
+        self.x = xb
+        w = w[ki.size:]
+        inner = li[(w > 0.0) & (w < 1.0)]
+        kept = np.zeros(n, dtype=np.int64)
+        kept[inner] = (1 << best[inner]) | (1 << second[inner])
+
+        c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
+
+        def search(t_max):
+            s = (d[:K] @ A) + self.kappa * d[K]
+            return _exact_step(quad, curv, c, s, lo, hi,
+                               float(self.e @ d), t_max, self.zeta * mu + self.off,
+                               self.zeta * d[K])
+
+        return d, slack, search, kept
+
+    def falls_along(self, d: np.ndarray) -> bool:
+        """Whether the dual falls without bound along the ray ``d``."""
+        K = self.K
+        s = d[:K] @ self.A + self.kappa * d[K]
+        return _falls_without_bound(float(self.e @ d), s, self.lo, self.hi,
+                                    self.zeta * d[K] + self.off)
+
+
+def _node_dual(inst: Instance, node: NodeState, persp: bool,
+               arrays: Optional[_NodeArrays] = None) -> _Dual:
+    """A node's dual with three options per activity.
+
+    Rows 0, 1 and 2 are staying (``x = 0``), the decrease side and the
+    raise side, open as ``_activity_best`` prices them; the last row is the
+    cardinality cap.  A persp side and a fixed miqp side are the region's
+    box at activation one (``kappa = 0``, ``zeta = 1``); a free miqp side is
+    the box from zero to the region's far end, at the smallest activation
+    that holds ``x`` (``kappa = 1/far end``, ``zeta = 0``).
+    """
+    arr = arrays if arrays is not None else _NodeArrays(inst, node)
+    cols = arr.inst_arrays
+    zero = np.zeros((1, inst.n))
+    if persp:
+        on, lo, hi = arr.open, cols.lo, cols.hi
+        kappa, zeta = np.zeros_like(lo), np.ones_like(lo)
     else:
-        mult = [0.0] * dim
-    val, grad = eval_at(mult)
-    best_val = val
-    best_mult = list(mult)
-    if best_val <= goal:
-        return best_mult, best_val, False
-    beta = 1.0
-    stall = 0
-    tiny = max(params.tol, 1e-12 * (1.0 + abs(best_val)))
-    for _ in range(params.max_iters):
-        gnorm2 = math.fsum(g * g for g in grad)
-        if gnorm2 <= 1e-18:
-            break
-        if goal > -_INF:
-            target = goal
-        else:
-            target = best_val - max(0.1, 0.05 * abs(best_val))
-        gap = val - target
-        if gap <= 0.0:
-            break
-        step = beta * gap / gnorm2
-        mult = [max(0.0, m - step * g) for m, g in zip(mult, grad)]
-        val, grad = eval_at(mult)
-        if val < best_val - tiny:
-            best_val = val
-            best_mult = list(mult)
-            if best_val <= goal:
-                return best_mult, best_val, False
-            stall = 0
-        else:
-            stall += 1
-            if stall >= params.stall_iters:
-                beta *= 0.5
-                stall = 0
-                if beta < 1e-3:
-                    break
+        on, lo, hi = arr.hull, arr.lo, arr.hi
+        kappa = np.divide(1.0, cols.outer, out=np.zeros_like(lo), where=arr.scaled)
+        zeta = np.where(arr.scaled, 0.0, 1.0)
+    off = np.where(np.vstack(((arr.stay[1] == 0.0)[None], on)), 0.0, _INF)
+    return _Dual(cols.A, np.append(cols.b, float(inst.m)), cols.phi, cols.theta,
+                 np.vstack((zero, lo)), np.vstack((zero, hi)),
+                 np.vstack((zero, kappa)), np.vstack((zero, zeta)), off)
 
-    # coordinate refinement around the best point seen
-    mult = list(best_mult)
-    improved_last = _INF
-    for _ in range(params.golden_sweeps):
-        sweep_start = best_val
-        for k in range(dim):
-            def fk(t, _k=k):
-                trial = list(mult)
-                trial[_k] = t
-                v, _ = eval_at(trial)
-                return v
 
-            hi = max(1.0, 2.0 * mult[k])
-            fhi = fk(hi)
-            fcur = fk(mult[k])
-            expand = 0
-            while fhi < fcur and expand < 40:
-                hi *= 2.0
-                fcur = fhi
-                fhi = fk(hi)
-                expand += 1
-            t_star = _golden_min(fk, 0.0, hi, params.golden_iters)
-            v_star = fk(t_star)
-            if v_star < best_val:
-                best_val = v_star
-                mult[k] = t_star
-                best_mult = list(mult)
-                if best_val <= goal:
-                    return best_mult, best_val, False
-            # keep mult at the best known coordinate value
-            mult[k] = best_mult[k]
-        improved_last = sweep_start - best_val
-    converged = improved_last <= max(params.tol, params.tol * abs(best_val))
-    return best_mult, best_val, converged
+def _descend(build: Callable[[], _Dual], value: Callable, y: np.ndarray,
+             goal: float):
+    """Projected semismooth Newton method on the dual ``build()`` returns,
+    from ``y``; it is built only when a step is needed.
+
+    ``value(y)`` returns the dual value and its subgradient at the inner
+    solution.  Each step solves the Newton system of ``_Dual.newton`` and
+    moves by an exact line search along it, or by the unit step where the
+    search finds no slope beyond rounding; a step that raises the value by
+    more than rounding is not taken.  Returns the multipliers, the dual
+    value there, and how the method ended: ``"converged"`` when the KKT
+    residual of the inner solution, or of the point the Newton step
+    recovers, is down to ``1e-12*(1 + max|e|)``; ``"target"`` once the value
+    is at or below ``goal`` (a node is then pruned whatever follows);
+    ``"ray"`` when the dual falls without bound, with the value -inf (no
+    point meets the rows); ``"stalled"`` when a step gains nothing or the
+    iteration cap is reached.
+    """
+    val, grad = value(y)
+    if val <= goal:
+        return y, val, "target"
+    dual = build()
+    tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
+    kept = np.zeros(dual.A.shape[1], dtype=np.int64)
+    for it in range(_NEWTON_MAX_ITERS + 1):
+        dual.x = None
+        if _kkt_residual(y, grad) <= tol:
+            return y, val, "converged"
+        d, slack, search, kept = dual.newton(y, kept)
+        if _kkt_residual(y, slack) <= tol:
+            return y, val, "converged"
+        if it == _NEWTON_MAX_ITERS or not d.any():
+            break
+        ratio = np.full(y.size, _INF)
+        shrink = d < 0.0
+        ratio[shrink] = y[shrink] / -d[shrink]
+        t_max = float(ratio.min())
+        t = search(t_max)
+        if t is None:
+            return y, -_INF, "ray"
+        if t == 0.0:  # a flat start to rounding: try the unit step
+            t = min(1.0, t_max)
+        nxt = np.maximum(y + t * d, 0.0)
+        if t == t_max:
+            nxt[ratio == t_max] = 0.0
+        nval, ngrad = value(nxt)
+        if nval > val + 1e-13 * max(1.0, abs(val)):  # more than rounding
+            break
+        y, val, grad = nxt, nval, ngrad
+        if val <= goal:
+            return y, val, "target"
+    if dual.falls_along(y):  # the iterates ran off along a ray
+        return y, -_INF, "ray"
+    return y, val, "stalled"
 
 
 def dual_value(inst: Instance, node: NodeState, form: Formulation,
@@ -620,51 +948,53 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
                           warm: Optional[Sequence[float]] = None) -> RelaxResult:
     """Upper-bound a node by pricing the coupling rows.
 
-    The returned bound is the lowest dual value visited; validity does not
-    depend on convergence.  With a finite ``params.target`` the descent
-    stops once its best value is at or below it (see ``_descend``),
-    possibly at the warm start, and ``converged`` is False.  The primal
-    point is the inner solution at the best multipliers and may violate
-    the coupling rows; it is meant for branching scores and incumbent
-    rounding only.
+    The node dual is minimised by the projected semismooth Newton method of
+    ``_descend`` from the warm start (or zero).  ``converged`` is True when
+    the method ends on a certificate: the KKT residual of the relaxation
+    point it recovers, or a ray along which the dual falls without bound,
+    in which case ``upper_bound`` is -inf (the node's hull relaxation has no
+    point).  With a finite ``params.target`` the method stops once the dual
+    value is at or below it, possibly at the warm start, and ``converged``
+    is False.  The bound is the dual value at the returned multipliers, so
+    it is valid whatever the ending.  The primal point is the inner
+    solution there and may violate the coupling rows; it is meant for
+    branching scores and incumbent rounding only.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
-    lowers the dual pointwise, and descent only improves from the start.
+    lowers the dual pointwise, and every step descends.
     """
-    params = params or RelaxParams()
+    target = (params or RelaxParams()).target
+    goal = target if target is not None and math.isfinite(target) else -_INF
     ctx = _NodeContext(inst, node)
     persp = form == PERSPECTIVE
-    cache = {}
+    y = np.zeros(ctx.K + 1)
+    if warm is not None and len(warm) == y.size:
+        y = np.maximum(np.array(warm, dtype=float), 0.0)
 
-    def eval_at(mult):
-        key = tuple(mult)
-        hit = cache.get(key)
-        if hit is None:
-            hit = cache[key] = _dual_eval(ctx, key, persp)
-        return hit
+    def value(y):
+        val, grad = _dual_eval(ctx, tuple(y.tolist()), persp)
+        return val, np.array(grad)
 
-    best_mult, best_val, converged = _descend(eval_at, ctx.K + 1, params,
-                                              init=warm)
-    _, _, x, zl, zr = _dual_eval(ctx, tuple(best_mult), persp, point=True)
-    return RelaxResult(upper_bound=best_val, x=tuple(x), z_L=tuple(zl),
-                       z_R=tuple(zr), multipliers=tuple(best_mult),
-                       converged=converged)
+    y, val, end = _descend(lambda: _node_dual(inst, node, persp, ctx.arrays), value,
+                           y, goal)
+    mult = tuple(y.tolist())
+    _, _, x, zl, zr = _dual_eval(ctx, mult, persp, point=True)
+    return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
+                       multipliers=mult, converged=end in ("converged", "ray"))
 
 
-def root_bounds(inst: Instance, params: Optional[RelaxParams] = None,
-                ) -> Tuple[float, float]:
-    """Root bounds for both formulations under shared dual parameters.
+def root_bounds(inst: Instance) -> Tuple[float, float]:
+    """Root bounds for both formulations.
 
-    Each bound is additionally evaluated at the other descent's best
+    Each bound is additionally evaluated at the other formulation's
     multipliers; pointwise the activation-scaled subproblem never exceeds
     the hull subproblem, so the returned pair always satisfies
     ``persp <= miqp``.
     """
-    params = params or RelaxParams()
     node = NodeState.root(inst)
-    res_m = solve_node_relaxation(inst, node, MIQP, params)
-    res_p = solve_node_relaxation(inst, node, PERSPECTIVE, params)
+    res_m = solve_node_relaxation(inst, node, MIQP)
+    res_p = solve_node_relaxation(inst, node, PERSPECTIVE)
     ctx = _NodeContext(inst, node)
     cross_m = _dual_eval(ctx, res_p.multipliers, False)[0]
     cross_p = _dual_eval(ctx, res_m.multipliers, True)[0]
@@ -676,15 +1006,7 @@ def root_bounds(inst: Instance, params: Optional[RelaxParams] = None,
 # of the search tree and re-optimizes rounded incumbents.
 #
 # The leaf is max sum theta_i x_i^2 + phi_i x_i over boxes lo <= x <= hi and
-# rows A x <= b.  Its dual g(lam) = b.lam + sum_i max_{x in box_i}
-# theta_i x^2 + (phi_i - a_i.lam) x is convex and piecewise quadratic, and
-# bounds the leaf at every lam >= 0.  A projected Newton method on g (a
-# nonsmooth Newton method in the sense of Qi & Sun, 1993) with an exact
-# breakpoint line search (as in Kiwiel's continuous quadratic knapsack
-# algorithms, 2008) descends to its minimum, and stops on the KKT residual
-# of the primal point it recovers.
-
-_LEAF_MAX_ITERS = 100
+# rows A x <= b: the Newton machinery above with one option per activity.
 
 
 @dataclass
@@ -695,184 +1017,37 @@ class FixedOutcome:
     feasible: bool
 
 
-def _newton_step(A, b, lam, work, curv, lo, hi, x, free, tied):
-    """Newton direction on the dual and the primal point it aims at.
-
-    ``work`` marks the working rows (a positive multiplier, or violated at
-    ``x``) and is updated in place.  Quadratic activities strictly inside
-    their box respond to the multipliers with slope ``1/curv``; linear
-    activities priced to zero (``tied``) become unknowns ``y`` held on
-    their kink (``a_i.d = 0``):
-
-        [ A_W D A_W' + ridge   -A_WT ] [d]   [-(b_W - A_W x_untied)]
-        [ -A_WT'                  0  ] [y] = [ 0                   ]
-
-    A working row at a zero multiplier that the step would push negative
-    leaves, a tied activity whose ``y`` leaves its box is fixed at the
-    bound it crossed, and a row that the placed ties violate joins (unless
-    it left before); each change solves the system again.  Returns the
-    step ``d`` (zero off the working rows) and ``x`` with the ties placed.
-    """
-    x = x.copy()
-    tied = tied.copy()
-    left = np.zeros(len(lam), dtype=bool)
-    d = np.zeros(len(lam))
-    while work.any():
-        rows = np.flatnonzero(work)
-        ties = np.flatnonzero(tied)
-        k = rows.size
-        aw = A[rows]
-        af = aw[:, free]
-        at = aw[:, ties]
-        m = np.zeros((k + ties.size, k + ties.size))
-        m[:k, :k] = (af / curv[free]) @ af.T
-        m.flat[:k * (k + ties.size):k + ties.size + 1] += (
-            1e-12 * (np.trace(m) + 1.0))
-        m[:k, k:] = -at
-        m[k:, :k] = -at.T
-        rhs = np.zeros(k + ties.size)
-        rhs[:k] = aw @ np.where(tied, 0.0, x) - b[rows]
-        try:
-            sol = np.linalg.solve(m, rhs)
-        except np.linalg.LinAlgError:
-            sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
-        step, y = sol[:k], sol[k:]
-        drop = (lam[rows] == 0.0) & (step < 0.0)
-        if drop.any():
-            work[rows[drop]] = False
-            left[rows[drop]] = True
-            continue
-        out = (y < lo[ties]) | (y > hi[ties])
-        if out.any():
-            gone = ties[out]
-            x[gone] = np.where(y[out] < lo[gone], lo[gone], hi[gone])
-            tied[gone] = False
-            continue
-        placed = x.copy()
-        placed[ties] = y
-        join = ~work & ~left & (A @ placed > b)
-        if join.any():
-            work |= join
-            continue
-        d[rows] = step
-        x = placed
-        break
-    return d, x
-
-
-def _exact_step(quad, curv, c, s, lo, hi, db, t_max):
-    """Step length in ``[0, t_max]`` that is best for the dual along a direction.
-
-    Along ``lam + t*d`` the priced slopes are ``c - t*s`` and the
-    directional derivative ``db - s.x(t)`` is nondecreasing and piecewise
-    linear in ``t``: it bends where a quadratic activity reaches a box end
-    and jumps where a linear one's price crosses zero.  Bisection over the
-    sorted breakpoints finds the piece where it changes sign, and the piece
-    is solved in closed form.  Linear activities priced to exactly zero
-    leave the kink on the side the step drives them to.  Returns None when
-    the derivative stays negative for ever (the dual is unbounded below).
-    """
-    cq, sq, kq, lq, hq = c[quad], s[quad], curv[quad], lo[quad], hi[quad]
-    lin = ~quad
-    cl, sl = c[lin], s[lin]
-    v0 = np.where((cl > 0.0) | ((cl == 0.0) & (sl < 0.0)), hi[lin], lo[lin])
-    v1 = np.where(cl > 0.0, lo[lin], hi[lin])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kink = np.where(cl * sl > 0.0, cl / sl, _INF)
-        cuts = np.concatenate(((cq - kq * lq) / sq, (cq - kq * hq) / sq, kink))
-    cuts = np.sort(cuts[(cuts > 0.0) & (cuts < t_max)])
-
-    def slope(t):
-        xq = np.minimum(np.maximum((cq - t * sq) / kq, lq), hq)
-        return db - sq @ xq - sl @ np.where(t < kink, v0, v1)
-
-    if slope(0.0) >= 0.0:
-        return 0.0
-    below, above = -1, cuts.size  # slope < 0 at cuts[below], >= 0 at cuts[above]
-    while above - below > 1:
-        mid = (below + above) // 2
-        if slope(cuts[mid]) >= 0.0:
-            above = mid
-        else:
-            below = mid
-    left = cuts[below] if below >= 0 else 0.0
-    right = cuts[above] if above < cuts.size else t_max
-    probe = 0.5 * (left + right) if right < _INF else left + 1.0
-    xu = (cq - probe * sq) / kq
-    inside = (xu > lq) & (xu < hq)
-    beta = float((sq[inside] * sq[inside] / kq[inside]).sum())
-    if beta > 0.0:
-        return min(max(probe - slope(probe) / beta, left), right)
-    return None if right == _INF else right
-
-
-def _kkt_residual(lam, r):
-    """Projected dual gradient: row slack ``r`` must vanish where the
-    multiplier is positive and be nonnegative where it is zero."""
-    return float(np.where(lam > 0.0, np.abs(r), np.maximum(-r, 0.0)).max())
-
-
 def _box_qp_max(theta, phi, lo, hi, A, b):
     """Maximize ``sum theta*x^2 + phi*x`` over ``lo <= x <= hi``, ``A x <= b``.
 
     ``theta <= 0`` elementwise; arrays are numpy, ``A`` has one row per
-    coupling row.  Returns ``(x, value, bound)``, or None when no point of
-    the boxes satisfies the rows.  ``bound`` is the dual value at the final
+    coupling row.  The dual is ``_Dual`` with one option per activity and an
+    empty activation row, minimised by ``_descend``.  Returns
+    ``(x, value, bound)``, or None when no point of the boxes satisfies the
+    rows: with one row by the interval test, else on a ray along which the
+    dual falls without bound.  ``bound`` is the dual value at the final
     multipliers, a valid upper bound whatever happened; when the KKT
     residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree to that
-    order.  If the iteration cap is reached first, ``x`` is returned as it
-    stands and the caller's feasibility check decides whether it counts.
+    order.  If the method stalls first, ``x`` is returned as it stands and
+    the caller's feasibility check decides whether it counts.
     """
     K, n = A.shape
-    if K == 1:
-        if math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
-            return None
-    elif linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)),
-                 method="highs").status != 0:
+    if K == 1 and math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
         return None
-    quad = theta < 0.0
-    curv = np.where(quad, -2.0 * theta, 1.0)
-    lin = np.flatnonzero(~quad)
-    # a linear activity priced to exactly zero takes the point closest to
-    # zero, as in _box_quad_max
-    rest = np.minimum(np.maximum(0.0, lo[lin]), hi[lin])
-    flat = ~quad & (hi > lo)
-    tie_tol = 1e-12 * (1.0 + np.abs(phi))
-    tie_rate = 1e-12 * np.abs(A)
-    tol = 1e-12 * (1.0 + float(np.abs(b).max()))
-    lam = np.zeros(K)
-    for it in range(_LEAF_MAX_ITERS + 1):
-        c = phi - lam @ A
-        x0 = np.minimum(np.maximum(c / curv, lo), hi)  # inner argmax
-        if lin.size:
-            cl = c[lin]
-            x0[lin] = np.where(cl > 0.0, hi[lin], np.where(cl < 0.0, lo[lin], rest))
-        r = b - A @ x0
-        x = x0
-        if _kkt_residual(lam, r) <= tol:
-            break
-        tied = flat & (np.abs(c) <= tie_tol + lam @ tie_rate)
-        free = quad & (x0 > lo) & (x0 < hi)
-        d, x = _newton_step(A, b, lam, (lam > 0.0) | (r < 0.0), curv, lo, hi,
-                            x0, free, tied)
-        if _kkt_residual(lam, b - A @ x) <= tol or it == _LEAF_MAX_ITERS:
-            break
-        ratio = np.full(K, _INF)
-        shrink = d < 0.0
-        ratio[shrink] = lam[shrink] / -d[shrink]
-        t_max = float(ratio.min())
-        t = _exact_step(quad, curv, np.where(tied, 0.0, c), d @ A, lo, hi,
-                        float(d @ b), t_max)
-        if t is None:
-            return None
-        if t == 0.0:
-            break
-        lam = np.maximum(lam + t * d, 0.0)
-        if t == t_max:
-            lam[ratio == t_max] = 0.0
-    value = float(theta @ (x * x) + phi @ x)
-    bound = float(b @ lam + theta @ (x0 * x0) + c @ x0)
-    return tuple(x.tolist()), value, bound
+    zero = np.zeros((1, n))
+    dual = _Dual(A, np.append(b, 0.0), phi, theta, lo[None], hi[None], zero, zero, zero)
+    inner = {}
+
+    def value(y):
+        c = phi - y[:K] @ A
+        x = inner["x"] = dual.inner(c[None])[0]
+        return float(b @ y[:K] + theta @ (x * x) + c @ x), np.append(b - A @ x, 0.0)
+
+    y, bound, end = _descend(lambda: dual, value, np.zeros(K + 1), -_INF)
+    if end == "ray":
+        return None
+    x = dual.x if dual.x is not None else inner["x"]
+    return tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound
 
 
 def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],

@@ -71,8 +71,13 @@ def test_matches_brute_force(seed, n):
 def test_brute_force_refuses_what_it_cannot_certify(rng):
     with pytest.raises(UnsupportedInstanceError):
         brute_force(random_instance(rng, 13))
-    with pytest.raises(UnsupportedInstanceError):
-        brute_force(random_instance(rng, 3, with_extras=True))
+    # extra rows are within its reach: it matches the enumeration oracle
+    inst = random_instance(rng, 3, with_extras=True)
+    truth = _enumerated_optimum(inst)
+    res = brute_force(inst)
+    assert res.status == ("infeasible" if truth is None else "optimal")
+    if truth is not None:
+        assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
 
 
 def test_zero_cap_is_instant(rng):
@@ -216,6 +221,38 @@ def test_matches_enumeration_on_generated_instances(index):
         assert res.status == "optimal"
         assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
         assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+
+
+@pytest.mark.parametrize("index", range(2 * len(CORRELATIONS)))
+def test_brute_force_matches_enumeration_with_extra_rows(index):
+    """``brute_force`` on the generated n = 5 instances, both extra rows
+    kept: its budget-only ranking bound and its all-row polish must find
+    the enumeration oracle's optimum, or prove there is none."""
+    cells = [Cell(c, 5, 0.1, 0.5) for c in CORRELATIONS]
+    _, _, inst = batch(cells, 2, 0)[index]
+    assert len(inst.extras) == 2
+    truth = _enumerated_optimum(inst)
+    res = brute_force(inst)
+    if truth is None:
+        assert res.status == "infeasible"
+        return
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
+    assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+
+
+def test_hull_infeasible_root_ends_the_solve():
+    """The ``coupled`` desk case weak n = 12, seed 11539782348902174461, as
+    generated: HiGHS finds its root hull LP infeasible, so the root dual
+    falls without bound along a ray and the solve ends ``infeasible`` at 0
+    nodes in both formulations, where a node limit stopped it before."""
+    inst = generate(GenConfig("weak", 12, 0.1, 0.5, 11539782348902174461))
+    root = NodeState.root(inst)
+    for form in FORMS:
+        res = solve_node_relaxation(inst, root, form)
+        assert res.upper_bound == -math.inf and res.converged
+        out = branch_and_bound(inst, SolveParams(formulation=form, node_limit=15))
+        assert (out.status, out.nodes, out.incumbent) == ("infeasible", 0, None)
 
 
 def _linear_instance(seed):

@@ -6,6 +6,7 @@ code with the closed forms under test.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -310,9 +311,9 @@ def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
 
 
 def test_descent_is_the_same_with_either_kernel(monkeypatch):
-    """A whole dual descent returns the same bits whichever kernel
-    evaluates it: the root under the default parameters, and a child under
-    ``NODE_PARAMS`` aimed at a finite target from a warm start."""
+    """A whole Newton descent on the node dual returns the same bits
+    whichever kernel evaluates it: the root without a target, and a child
+    aimed at a finite target from a warm start."""
     inst = generate(GenConfig(correlation="weak", n=150, epsilon=0.1, xi=0.75, seed=5))
     assert len(inst.extras) == 2
     root = NodeState.root(inst)
@@ -330,8 +331,7 @@ def test_descent_is_the_same_with_either_kernel(monkeypatch):
     for form in ("miqp", "persp"):
         assert run(0, root, form) == run(inst.n + 1, root, form)
         parent = solve_node_relaxation(inst, root, form)
-        params = dataclasses.replace(relax.NODE_PARAMS,
-                                     target=parent.upper_bound - 1.0)
+        params = RelaxParams(target=parent.upper_bound - 1.0)
         assert (run(0, child, form, params, parent.multipliers)
                 == run(inst.n + 1, child, form, params, parent.multipliers))
 
@@ -355,7 +355,7 @@ def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
                     points.append(point)
                     return _dual_eval(ctx, mult, persp, point)
 
-                params = dataclasses.replace(relax.NODE_PARAMS, target=target)
+                params = RelaxParams(target=target)
                 monkeypatch.setattr(relax, "_dual_eval", counted)
                 res = solve_node_relaxation(inst, child, form, params, warm=warm)
                 monkeypatch.undo()
@@ -457,6 +457,132 @@ def test_relax_result_shape(rng):
     assert len(res.multipliers) == _mult_len(inst)
     assert all(m >= 0.0 for m in res.multipliers)
     assert isinstance(res.converged, bool)
+
+
+def _hull_lp_feasible(inst, node):
+    """HiGHS on the node's hull LP: per activity and open side, x in
+    [lo*z, hi*z] with z in [0, 1]; the sides' z sum to at most one, or to
+    one when the node fixes a side; then the coupling rows on the summed x
+    and the cardinality row on the summed z."""
+    n = inst.n
+    sides = [[iv if iv is not None and reg in allowed else None
+              for reg, iv in (("L", rb.L), ("R", rb.R))]
+             for rb, allowed in zip(inst.regions, node.allowed)]
+    # variables: x_L, x_R, z_L, z_R, each a block of n
+    bounds, A_ub, b_ub, A_eq, b_eq = [], [], [], [], []
+    for k in range(2):
+        bounds += [(min(s[k][0], 0.0), max(s[k][1], 0.0)) if s[k] else (0.0, 0.0)
+                   for s in sides]
+    for k in range(2):
+        bounds += [(0.0, 1.0) if s[k] else (0.0, 0.0) for s in sides]
+    for i, s in enumerate(sides):
+        for k in range(2):
+            if s[k] is None:
+                continue
+            lo, hi = s[k]
+            for sign, end in ((-1.0, lo), (1.0, hi)):  # lo*z <= x <= hi*z
+                row = np.zeros(4 * n)
+                row[k * n + i], row[(2 + k) * n + i] = sign, -sign * end
+                A_ub.append(row)
+                b_ub.append(0.0)
+        row = np.zeros(4 * n)
+        row[2 * n + i] = row[3 * n + i] = 1.0
+        if "S" in node.allowed[i]:
+            A_ub.append(row)
+            b_ub.append(1.0)
+        else:
+            A_eq.append(row)
+            b_eq.append(1.0)
+    coupling = [((1.0,) * n, inst.budget_rhs)] + [(ex.coeffs, ex.rhs) for ex in inst.extras]
+    for coeffs, rhs in coupling:
+        A_ub.append(np.concatenate((coeffs, coeffs, np.zeros(2 * n))))
+        b_ub.append(rhs)
+    A_ub.append(np.concatenate((np.zeros(2 * n), np.ones(2 * n))))
+    b_ub.append(float(inst.m))
+    res = linprog(np.zeros(4 * n), A_ub=np.array(A_ub), b_ub=b_ub,
+                  A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
+                  bounds=bounds, method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def _polyak_multipliers(inst, node, form, iters=500):
+    """The projected subgradient descent with Polyak steps that bounded
+    nodes before the Newton method, as an independent minimiser: every
+    iterate it visits."""
+    ctx = _NodeContext(inst, node)
+    persp = form == "persp"
+    mult = [0.0] * (ctx.K + 1)
+    val, grad = _dual_eval(ctx, tuple(mult), persp)
+    best, visited = val, [tuple(mult)]
+    for _ in range(iters):
+        gnorm2 = math.fsum(g * g for g in grad)
+        if gnorm2 <= 1e-18 or not math.isfinite(val):
+            break
+        step = (val - (best - max(0.1, 0.05 * abs(best)))) / gnorm2
+        mult = [max(0.0, m - step * g) for m, g in zip(mult, grad)]
+        val, grad = _dual_eval(ctx, tuple(mult), persp)
+        best = min(best, val)
+        visited.append(tuple(mult))
+    return visited
+
+
+def _random_node(inst, rng):
+    """The root with a random set of activities fixed to random open
+    regions, saturated by the cardinality cap; None past the cap."""
+    node = NodeState.root(inst)
+    for i in rng.sample(range(inst.n), rng.randint(0, inst.n - 1)):
+        if len(node.allowed[i]) > 1:
+            node = node.fix(i, rng.choice(sorted(node.allowed[i])))
+    node = node.saturate_cardinality(inst.m)
+    return None if node.fixed_nonzero > inst.m else node
+
+
+def _best_leaf(inst, node):
+    """Best leaf value over the node's assignments with at most m moves."""
+    best = -math.inf
+    for regions in itertools.product(*[sorted(a) for a in node.allowed]):
+        if sum(r != "S" for r in regions) <= inst.m:
+            out = solve_fixed_assignment(inst, regions)
+            if out.feasible:
+                best = max(best, out.value)
+    return best
+
+
+def test_node_bound_is_valid_and_exact():
+    """At the root and random nodes of instances with extra rows, in both
+    formulations: the Newton method ends on a certificate, its bound is at
+    least the best leaf below the node, no dual value at 200 random
+    multipliers or along the old subgradient descent lies more than 1e-9
+    relative below it, and it is -inf exactly when HiGHS finds the node's
+    hull LP infeasible."""
+    rng = random.Random(29)
+    endings = {True: 0, False: 0}
+    for k in range(24):
+        inst = random_instance(rng, rng.randint(2, 6), with_extras=True)
+        if k % 3 == 0:  # looser extra rows, so that more nodes are feasible
+            extras = tuple(dataclasses.replace(ex, rhs=ex.rhs + rng.uniform(0.0, 20.0))
+                           for ex in inst.extras)
+            inst = dataclasses.replace(inst, extras=extras)
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(2)]
+        for node in filter(None, nodes):
+            hull_ok = _hull_lp_feasible(inst, node)
+            leaf = _best_leaf(inst, node)
+            for form in ("miqp", "persp"):
+                res = solve_node_relaxation(inst, node, form)
+                assert res.converged
+                assert (res.upper_bound > -math.inf) == hull_ok
+                endings[hull_ok] += 1
+                assert res.upper_bound >= leaf - 1e-9 * max(1.0, abs(leaf))
+                floor = res.upper_bound - 1e-9 * max(1.0, abs(res.upper_bound))
+                mults = _polyak_multipliers(inst, node, form)
+                for _ in range(200):
+                    scale = 10.0 ** rng.uniform(-2.0, 1.0)
+                    mults.append([rng.choice([0.0, rng.uniform(0.0, scale)])
+                                  for _ in range(len(res.multipliers))])
+                for mult in mults:
+                    assert dual_value(inst, node, form, mult) >= floor
+    assert min(endings.values()) >= 20  # both verdicts are exercised
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +707,39 @@ def test_fixed_assignment_infeasible_boxes():
     assert out.value == -math.inf
 
 
+def test_leaf_feasibility_agrees_with_highs():
+    """Without a linear-programming pre-check, the leaf solver's verdict
+    (None when no point of the boxes meets the rows) agrees with HiGHS on
+    600 random boxes with 1 to 3 rows, a third with every right-hand side
+    within 1e-9 above its row's minimum over the box, and some linear
+    activities and single-point boxes."""
+    rng = np.random.default_rng(41)
+    verdicts = {True: 0, False: 0}
+    for k in range(600):
+        n, K = int(rng.integers(1, 30)), 1 + k % 3
+        lo = rng.uniform(-5.0, 2.0, n)
+        hi = lo + rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.9)
+        theta = -rng.uniform(0.5, 10.0, n) * (rng.random(n) < 0.8)
+        phi = rng.uniform(-5.0, 10.0, n)
+        A = rng.uniform(-3.0, 10.0, (K, n))
+        A[0] = 1.0 if k % 2 else A[0]
+        row_min = np.minimum(A * lo, A * hi).sum(axis=1)
+        row_max = np.maximum(A * lo, A * hi).sum(axis=1)
+        if k % 3 == 0:
+            b = row_min + rng.uniform(0.0, 1e-9, K)
+        else:
+            b = row_min + rng.uniform(-0.2, 0.6, K) * (row_max - row_min)
+        out = relax._box_qp_max(theta, phi, lo, hi, A, b)
+        lp = linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)),
+                     method="highs")
+        assert lp.status in (0, 2)
+        assert (out is not None) == (lp.status == 0), k
+        verdicts[lp.status == 0] += 1
+    assert min(verdicts.values()) >= 150
+
+
 def test_relax_params_defaults():
-    p = RelaxParams()
-    assert p.max_iters >= 100
+    # the Newton method stops on its certificate: no iteration, stall or
+    # golden-section knobs are left, only the pruning target
+    assert [f.name for f in dataclasses.fields(RelaxParams)] == ["target"]
+    assert RelaxParams().target is None

@@ -54,10 +54,16 @@ def test_bench_layers_runs(capsys):
                                      for f in ("persp", "miqp")
                                      for k in ("scalar", "numpy")]
     assert all(float(r[3]) > 0.0 and float(r[4]) > 0.0 for r in rows)
-    # then the node relaxation: one row per n x formulation x child
-    assert lines[10].split() == ["n", "form", "child", "relax_us"]
+    # then the node relaxation: one row per n x formulation x relaxation,
+    # with its dual evaluations and Newton steps
+    assert lines[10].split() == ["n", "form", "relax", "evals", "newton", "relax_us"]
     rows = [line.split() for line in lines[11:]]
     assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
                                      for f in ("persp", "miqp")
-                                     for c in ("pruned", "open")]
-    assert all(float(r[3]) > 0.0 for r in rows)
+                                     for c in ("root", "pruned", "open")]
+    assert all(float(r[5]) > 0.0 for r in rows)
+    # a pruned child costs its warm-start evaluation and the point build
+    assert all(r[3:5] == ["2", "0"] for r in rows if r[2] == "pruned")
+    # the root takes Newton steps, each evaluating the dual once
+    assert all(int(r[4]) > 0 and int(r[3]) <= int(r[4]) + 2 for r in rows
+               if r[2] == "root")
