@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dual evaluation and the node relaxation, by formulation and size.
+"""Time the dual evaluation, the node relaxation and reduced-cost fixing.
 
 For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
@@ -20,6 +20,13 @@ bound its untargeted relaxation reaches, so it runs the whole Newton
 method.  ``evals`` counts its dual evaluations (the point build included)
 and ``newton`` its Newton steps.
 
+Reduced-cost fixing, at the root's multipliers and against the prune
+threshold of the incumbent rounded from the root relaxation, as the search
+runs it when it pops the root: ``fix_us`` times the call, ``removed``
+counts the regions it drops and ``fixed`` the activities it leaves with
+one region, of the ``free`` ones (a root it prunes shows every free
+region removed and none fixed).
+
 Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations).
 
@@ -30,6 +37,7 @@ The other layers are not timed yet.
 """
 
 import argparse
+import math
 import platform
 import statistics
 import sys
@@ -38,8 +46,9 @@ import time
 import numpy as np
 
 from mixopt import gen, relax
-from mixopt.bnb import _REGION_ORDER, _branch_index
-from mixopt.relax import NodeState, RelaxParams, dual_value, solve_node_relaxation
+from mixopt.bnb import _REGION_ORDER, _branch_index, _prune_threshold, round_incumbent
+from mixopt.relax import (NodeState, RelaxParams, dual_value, fix_by_reduced_cost,
+                          solve_node_relaxation)
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
@@ -152,6 +161,20 @@ def run(argv=None):
             took = per_call_us(call, args.relax_calls, args.repeats)
             print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {took:9.1f}",
                   flush=True)
+
+    print(f"{'n':>5} {'form':>5} {'free':>5} {'fixed':>5} {'removed':>7} {'fix_us':>9}")
+    for inst, root, form, root_res in cells:
+        sol = round_incumbent(inst, root_res, root)
+        threshold = _prune_threshold(0.0, sol.objective if sol else -math.inf)
+        free = root.free_indices()
+        out = fix_by_reduced_cost(inst, root, root_res, threshold)
+        left = out.allowed if out is not None else [()] * inst.n
+        fixed = sum(len(left[i]) == 1 for i in free)
+        removed = sum(len(root.allowed[i]) - len(left[i]) for i in free)
+        took = per_call_us(lambda: fix_by_reduced_cost(inst, root, root_res, threshold),
+                           args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {len(free):5d} {fixed:5d} {removed:7d} {took:9.1f}",
+              flush=True)
     return 0
 
 

@@ -9,9 +9,18 @@ semismooth Newton method warm-started at the parent's multipliers; it
 stops early once the dual value reaches the incumbent's prune threshold,
 and a child pruned that way is not rounded either.  A relaxation whose dual
 falls without bound proves the node's hull relaxation infeasible: such a
-child is pruned, and such a root ends the solve as ``infeasible``.  Fully
-fixed assignments collapse to a separable concave program over boxes and
-the coupling rows, solved exactly by the same Newton method on its dual
+child is pruned, and such a root ends the solve as ``infeasible``.
+
+A popped node first drops every region whose Lagrangian child bound
+(``relax.fix_by_reduced_cost``: the node's dual value with one activity's
+term replaced by its value in that region, at the node's multipliers) is at
+or below the prune threshold of the incumbent found by then; it is then
+saturated and checked against the rows again, and closed as a leaf once
+nothing is left free.  The fixing runs at pop only, where it sees every
+incumbent found since the node was bounded; a root-only solve does none.
+
+Fully fixed assignments collapse to a separable concave program over boxes
+and the coupling rows, solved exactly by the same Newton method on its dual
 and certified by the KKT residual.
 
 The search is deterministic: best-bound selection with FIFO tie-breaks,
@@ -33,8 +42,9 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
                        validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxParams, RelaxResult, _box_qp_max,
-                    solve_fixed_assignment, solve_node_relaxation)
+                    RelaxParams, RelaxResult, _box_qp_max, _instance_arrays,
+                    _node_bits, fix_by_reduced_cost, solve_fixed_assignment,
+                    solve_node_relaxation)
 
 _INF = math.inf
 
@@ -138,32 +148,16 @@ def round_incumbent(inst: Instance, relax: RelaxResult,
                                 solve_fixed_assignment(inst, regions))
 
 
-def _row_mins(inst: Instance) -> List[Tuple[Tuple[float, ...], float, float]]:
-    """Coupling rows as (coeffs, rhs, tolerance scale) for interval pruning."""
-    rows = [((1.0,) * inst.n, inst.budget_rhs)]
-    rows.extend((ex.coeffs, ex.rhs) for ex in inst.extras)
-    return [(c, b, 1e-9 * (1.0 + abs(b))) for c, b in rows]
-
-
-def _node_row_infeasible(inst: Instance, rows, node: NodeState) -> bool:
-    """True when some row cannot be satisfied even activity-by-activity."""
-    regions = inst.regions
-    for coeffs, rhs, tol in rows:
-        total = 0.0
-        for i, allowed in enumerate(node.allowed):
-            c = coeffs[i]
-            if c == 0.0:
-                continue
-            best = _INF
-            for reg in allowed:
-                lo, hi = regions[i].interval(reg)
-                v = c * lo if c > 0.0 else c * hi
-                if v < best:
-                    best = v
-            total += best
-        if total > rhs + tol:
-            return True
-    return False
+def _node_row_infeasible(inst: Instance, node: NodeState) -> bool:
+    """True when some coupling row cannot be met even activity by activity:
+    the least use of each activity's open regions (``least`` of
+    ``_InstanceArrays``), summed in activity order (``np.cumsum`` is
+    sequential), exceeds the right-hand side by more than
+    ``1e-9*(1 + |rhs|)``."""
+    cols = _instance_arrays(inst)
+    least = cols.least[:, _node_bits(node), cols.index]
+    total = np.cumsum(least, axis=1)[:, -1]
+    return bool((total > cols.b + 1e-9 * (1.0 + np.abs(cols.b))).any())
 
 
 def _branch_index(node: NodeState, res: RelaxResult) -> int:
@@ -211,7 +205,6 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         if sol is not None and sol.objective > inc_val:
             inc_sol, inc_val = sol, sol.objective
 
-    rows = _row_mins(inst)
     assignment_cache: dict = {}
 
     def solve_assignment(regions: Tuple[Region, ...]) -> FixedOutcome:
@@ -229,7 +222,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
     def close_leaf(node: NodeState) -> None:
         nonlocal residual_ub
-        if _node_row_infeasible(inst, rows, node):
+        if _node_row_infeasible(inst, node):
             return
         regions = _assignment(node)
         out = solve_assignment(regions)
@@ -270,11 +263,21 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         neg_bound, _, node, res = heapq.heappop(heap)
         bound = -neg_bound
         last_popped_bound = bound
-        if bound <= _prune_threshold(params.gap_tol, inc_val):
+        threshold = _prune_threshold(params.gap_tol, inc_val)
+        if bound <= threshold:
             status = None  # exhausted within tolerance
             heap.clear()
             break
         nodes += 1
+        # drop the regions whose child bound cannot beat the incumbent found
+        # by now, then prune and saturate what is left, as at a push
+        fixed = fix_by_reduced_cost(inst, node, res, threshold)
+        if fixed is not node:
+            if fixed is None:
+                continue
+            node = fixed.saturate_cardinality(inst.m)
+            if node.fixed_nonzero > inst.m or _node_row_infeasible(inst, node):
+                continue
         if node.is_leaf:
             close_leaf(node)
             continue
@@ -286,7 +289,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             child = node.fix(j, region).saturate_cardinality(inst.m)
             if child.fixed_nonzero > inst.m:
                 continue
-            if _node_row_infeasible(inst, rows, child):
+            if _node_row_infeasible(inst, child):
                 continue
             children.append(child)
         leaves = [c for c in children if c.is_leaf]
@@ -448,11 +451,9 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
         lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
         hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
         out = _box_qp_max(theta, phi, lo, hi, rows, rhs)
-        if out is None:
+        if out is None or out[0] is None:
             continue
         xs, value, _ = out
-        if (rows @ np.array(xs) > rhs + 1e-9 * (1.0 + np.abs(rhs))).any():
-            continue  # the leaf solve stalled off the rows
         if value > best_sol_val:
             best_sol_val = value
             best = (tuple(xs), regions, value)

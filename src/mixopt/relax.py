@@ -124,6 +124,7 @@ class RelaxResult:
     z_R: Tuple[float, ...]
     multipliers: Tuple[float, ...]  # (budget, extras..., cardinality)
     converged: bool
+    values: Tuple[float, ...]  # each activity's term in the bound
 
     @property
     def primal_z(self) -> Tuple[float, ...]:
@@ -306,10 +307,13 @@ class _InstanceArrays:
     ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0, as
     in ``_record``), ``outer`` the end away from zero and ``inner`` the end
     next to it.  ``linear`` marks theta = 0, or is None when no one has it.
+    ``least[k, bits, i]`` is the least use of row ``k`` by activity ``i``
+    over the region set ``bits`` (``_REGION_BITS``; +inf for the empty set),
+    and ``index`` is ``arange(n)``, to pick one set per activity.
     """
 
     __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "has",
-                 "lo", "hi", "outer", "inner", "inner_ok")
+                 "lo", "hi", "outer", "inner", "inner_ok", "least", "index")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
@@ -330,6 +334,16 @@ class _InstanceArrays:
         self.lo, self.hi = np.array([lL, lR]), np.array([uL, uR])
         self.outer, self.inner = np.array([lL, uR]), np.array([uL, lR])
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
+        A = self.A[:, None]
+        sides = np.where(A > 0.0, A * self.lo, A * self.hi)  # (row, side, n)
+        self.least = np.full((len(self.A), 8, n), _INF)
+        self.least[:, 1::2] = 0.0  # the sets holding S
+        for bits in range(2, 8):
+            for bit, side in ((2, 0), (4, 1)):
+                if bits & bit:
+                    np.minimum(self.least[:, bits], sides[:, side],
+                               out=self.least[:, bits])
+        self.index = np.arange(n)
 
 
 def _instance_arrays(inst: Instance) -> _InstanceArrays:
@@ -345,6 +359,13 @@ def _instance_arrays(inst: Instance) -> _InstanceArrays:
 # bit 1 = S, 2 = L, 4 = R, for every region set a node can hold
 _REGION_BITS = {frozenset(regions): bits for regions, bits in (
     ("S", 1), ("L", 2), ("SL", 3), ("R", 4), ("SR", 5), ("LR", 6), ("SLR", 7))}
+_BIT_REGIONS = {bits: regions for regions, bits in _REGION_BITS.items()}
+
+
+def _node_bits(node: NodeState) -> np.ndarray:
+    """The node's region sets as ``_REGION_BITS``, one int per activity."""
+    return np.fromiter([_REGION_BITS[a] for a in node.allowed], np.int64,
+                       len(node.allowed))
 
 
 class _NodeArrays:
@@ -363,7 +384,7 @@ class _NodeArrays:
 
     def __init__(self, inst: Instance, node: NodeState):
         cols = self.inst_arrays = _instance_arrays(inst)
-        bits = np.fromiter([_REGION_BITS[a] for a in node.allowed], np.int64, inst.n)
+        bits = _node_bits(node)
         free = (bits & (bits - 1)) != 0  # more than one region left
         self.stay = np.zeros((3, inst.n))  # activation, value, x of the stay region
         self.stay[1] = np.where((bits & 1) != 0, 0.0, -_INF)
@@ -407,17 +428,7 @@ def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool,
     else:
         shift = np.divide(mu, cols.outer, out=np.zeros_like(x), where=arr.scaled)
         c, lo, hi, on = pe - shift, arr.lo, arr.hi, arr.hull
-    q = c / cols.neg2theta
-    x[...] = q
-    np.copyto(x, hi, where=q > hi)
-    np.copyto(x, lo, where=q < lo)
-    if cols.linear is not None:
-        flat = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-        np.copyto(x, np.where(c > 0.0, hi, np.where(c < 0.0, lo, flat)),
-                  where=cols.linear)
-    np.multiply(cols.theta, x, out=val)
-    val *= x
-    val += c * x
+    _side_values(cols, c, lo, hi, x, val)
     z[...] = 1.0
     if persp:
         val -= mu
@@ -445,7 +456,24 @@ def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool,
         return float(sums[1]), grad
     z_l = np.where(take_r, 0.0, np.where(take_l, z[0], 0.0))
     z_r = np.where(take_r, z[1], 0.0)
-    return float(sums[1]), grad, chosen[2].tolist(), z_l.tolist(), z_r.tolist()
+    return (float(sums[1]), grad, chosen[2].tolist(), z_l.tolist(), z_r.tolist(),
+            chosen[1].tolist())
+
+
+def _side_values(cols: _InstanceArrays, c, lo, hi, x: np.ndarray, val: np.ndarray):
+    """Each side's maximiser of ``theta*x^2 + c*x`` over ``[lo, hi]`` into
+    ``x`` and its value into ``val``, by ``_box_quad_max``'s operations."""
+    q = c / cols.neg2theta
+    x[...] = q
+    np.copyto(x, hi, where=q > hi)
+    np.copyto(x, lo, where=q < lo)
+    if cols.linear is not None:
+        flat = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
+        np.copyto(x, np.where(c > 0.0, hi, np.where(c < 0.0, lo, flat)),
+                  where=cols.linear)
+    np.multiply(cols.theta, x, out=val)
+    val *= x
+    val += c * x
 
 
 def _dual_eval(ctx: _NodeContext, mult: Sequence[float], persp: bool,
@@ -453,7 +481,8 @@ def _dual_eval(ctx: _NodeContext, mult: Sequence[float], persp: bool,
     """Dual value and subgradient at one multiplier vector.
 
     Returns (value, subgradient), followed by the inner solution x, zL, zR
-    when ``point``; nodes with ``_VECTOR_MIN_N`` or more activities take
+    and each activity's priced value (its term in the dual value) when
+    ``point``; nodes with ``_VECTOR_MIN_N`` or more activities take
     the numpy kernel, which gives the same bits.
     """
     kernel = _dual_eval_loop if ctx.arrays is None else _dual_eval_arrays
@@ -468,7 +497,7 @@ def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool,
     total = ctx.psi_sum + mu * ctx.m
     for k in range(K):
         total += mult[k] * ctx.b[k]
-    x, zl, zr = [], [], []
+    x, zl, zr, vals = [], [], [], []
     ax = [0.0] * K
     zsum = 0.0
     records = ctx.records
@@ -488,11 +517,12 @@ def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool,
             x.append(xi)
             zl.append(a)
             zr.append(b_)
+            vals.append(v)
     grad = [ctx.b[k] - ax[k] for k in range(K)]
     grad.append(ctx.m - zsum)
     if not point:
         return total, grad
-    return total, grad, x, zl, zr
+    return total, grad, x, zl, zr, vals
 
 
 # ---------------------------------------------------------------------------
@@ -979,9 +1009,67 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     y, val, end = _descend(lambda: _node_dual(inst, node, persp, ctx.arrays), value,
                            y, goal)
     mult = tuple(y.tolist())
-    _, _, x, zl, zr = _dual_eval(ctx, mult, persp, point=True)
+    _, _, x, zl, zr, vals = _dual_eval(ctx, mult, persp, point=True)
     return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
-                       multipliers=mult, converged=end in ("converged", "ray"))
+                       multipliers=mult, converged=end in ("converged", "ray"),
+                       values=tuple(vals))
+
+
+# ---------------------------------------------------------------------------
+# Lagrangian reduced-cost fixing (Fisher, 1981; Beasley, 1993)
+
+
+def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
+    """The bound of every child "activity i in region r" of the node that
+    ``res`` bounds, at the node's multipliers, as a ``(3, n)`` array with
+    rows stay, decrease side and raise side (the bit order of
+    ``_REGION_BITS``); entries of regions the node does not hold mean
+    nothing.
+
+    The node dual is separable, so fixing ``i`` to ``r`` replaces only its
+    term ``v_i`` of the dual value ``D``: the child's dual at the same
+    multipliers is ``D - v_i + w_ir``, with ``w_iS = 0`` and a side's
+    ``w_ir`` its value at activation one over its region box.  A fixed side
+    is priced that way in both formulations (``_record``'s fixed mode), so
+    the bound holds for both and agrees with ``dual_value`` on the child
+    to rounding.
+    """
+    cols = _instance_arrays(inst)
+    mult = res.multipliers
+    K = len(cols.A)
+    pe = cols.phi - mult[0]  # the kernel's priced slopes, in its order
+    for k in range(1, K):
+        pe -= mult[k] * cols.A[k]
+    x, w = np.empty((2, inst.n)), np.empty((2, inst.n))
+    _side_values(cols, pe, cols.lo, cols.hi, x, w)
+    w -= mult[K]
+    base = res.upper_bound - np.array(res.values)
+    return np.vstack((base, base + w))
+
+
+def fix_by_reduced_cost(inst: Instance, node: NodeState, res: RelaxResult,
+                        threshold: float) -> Optional[NodeState]:
+    """Drop every open region of a free activity whose child bound
+    (``_child_bounds``) is at or below ``threshold``.
+
+    Use the incumbent's prune threshold: a dropped region holds no
+    assignment above it, exactly as a pruned node does.  Returns ``node``
+    itself when nothing is dropped (always when ``threshold`` is -inf), or
+    None when an activity has no region left, so the node holds nothing
+    above the threshold.
+    """
+    if threshold == -_INF:
+        return node
+    bits = _node_bits(node)
+    above = _child_bounds(inst, res) > threshold
+    keep = above[0] | (above[1] << 1) | (above[2] << 2)
+    free = (bits & (bits - 1)) != 0
+    left = np.where(free, bits & keep, bits)
+    if (left == bits).all():
+        return node
+    if not left.all():
+        return None
+    return NodeState(tuple(_BIT_REGIONS[b] for b in left.tolist()))
 
 
 def root_bounds(inst: Instance) -> Tuple[float, float]:
@@ -1028,8 +1116,9 @@ def _box_qp_max(theta, phi, lo, hi, A, b):
     dual falls without bound.  ``bound`` is the dual value at the final
     multipliers, a valid upper bound whatever happened; when the KKT
     residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree to that
-    order.  If the method stalls first, ``x`` is returned as it stands and
-    the caller's feasibility check decides whether it counts.
+    order.  If the method stalls first, ``x`` is returned as it stands when
+    it meets every row within ``1e-9*(1 + |b|)``; otherwise ``x`` is None
+    and ``value`` -inf, and ``bound`` still holds.
     """
     K, n = A.shape
     if K == 1 and math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
@@ -1047,6 +1136,8 @@ def _box_qp_max(theta, phi, lo, hi, A, b):
     if end == "ray":
         return None
     x = dual.x if dual.x is not None else inner["x"]
+    if end == "stalled" and (A @ x > b + 1e-9 * (1.0 + np.abs(b))).any():
+        return None, -_INF, bound
     return tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound
 
 
@@ -1059,7 +1150,9 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],
     ``_box_qp_max``.  ``value`` is attained by the returned point;
     ``bound`` is the dual value at the final multipliers, a certified upper
     bound for the assignment that meets ``value`` once the KKT residual is
-    down to rounding.
+    down to rounding.  A solve that stalls off the rows gives no point
+    (``x`` None, ``value`` -inf) but stays ``feasible`` with its bound: no
+    ray proved the boxes miss the rows.
     """
     lo, hi = [], []
     for rb, reg in zip(inst.regions, assignment):

@@ -342,6 +342,7 @@ def _relax_point(inst, x, z_L, z_R):
         z_R=tuple(z_R),
         multipliers=(0.0,) * (2 + len(inst.extras)),
         converged=True,
+        values=(0.0,) * inst.n,
     )
 
 
@@ -425,6 +426,50 @@ def test_children_pruned_at_their_bounding_are_not_rounded(monkeypatch):
     # the search does prune children at their bounding
     assert any(target is not None and res.upper_bound <= target
                for target, res in aims.values())
+
+
+@pytest.mark.parametrize("n", (6, 7, 8, 9))
+def test_search_with_fixing_matches_brute_force(n, monkeypatch):
+    """Reduced-cost fixing at node pop changes neither status nor objective:
+    generated instances of every correlation class, with both extra rows
+    and with the budget row only, in both formulations, against
+    ``brute_force``; and the fixing does drop regions on the way."""
+    dropped = []
+    fix_by_reduced_cost = bnb.fix_by_reduced_cost
+
+    def fix(inst, node, res, threshold):
+        out = fix_by_reduced_cost(inst, node, res, threshold)
+        dropped.append(out is not node)
+        return out
+
+    monkeypatch.setattr(bnb, "fix_by_reduced_cost", fix)
+    cells = [Cell(c, n, 0.1, xi) for c in CORRELATIONS for xi in (0.5, 0.75)]
+    generated = [inst for _, _, inst in batch(cells, 1, n)]
+    assert all(len(inst.extras) == 2 for inst in generated)
+    for inst in generated + [dataclasses.replace(i, extras=()) for i in generated]:
+        truth = brute_force(inst)
+        for form in FORMS:
+            res = branch_and_bound(inst, SolveParams(formulation=form))
+            assert res.status == truth.status, form
+            if truth.status == "optimal":
+                assert res.objective == pytest.approx(truth.objective, rel=1e-9, abs=1e-9)
+                assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+    assert any(dropped)
+
+
+def test_root_only_solve_is_the_rounded_root():
+    """With ``node_limit=0`` the search pops nothing, so no fixing runs: the
+    result is the root relaxation and its rounding, to the last bit."""
+    cells = [Cell(c, 100, 0.1, 0.75) for c in CORRELATIONS]
+    for _, _, inst in batch(cells, 1, 0):
+        root = NodeState.root(inst)
+        for form in FORMS:
+            root_res = solve_node_relaxation(inst, root, form)
+            sol = round_incumbent(inst, root_res)
+            res = branch_and_bound(inst, SolveParams(formulation=form, node_limit=0))
+            want = ("node-limit", sol and sol.objective, root_res.upper_bound, sol)
+            assert repr((res.status, res.objective, res.upper_bound, res.incumbent)) \
+                == repr(want)
 
 
 def test_solve_params_defaults():

@@ -585,6 +585,40 @@ def test_node_bound_is_valid_and_exact():
     assert min(endings.values()) >= 20  # both verdicts are exercised
 
 
+def test_child_bounds_are_the_fixed_childs_dual():
+    """At a node's multipliers, the bound ``_child_bounds`` gives each free
+    (activity, region) pair is the dual value of the node with that
+    activity fixed to that region, at the same multipliers, to 1e-12
+    relative: on random nodes of generated instances with both extra rows
+    (and with edge activities), in both formulations, on both sides of
+    ``_VECTOR_MIN_N``."""
+    rng = random.Random(31)
+    insts = []
+    for n in (9, 60):
+        inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.75, seed=n))
+        assert len(inst.extras) == 2
+        insts += [inst, _with_edge_activities(inst)]
+    assert insts[0].n < _VECTOR_MIN_N <= insts[-1].n
+    checked = 0
+    for inst in insts:
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(4)]
+        for node in filter(None, nodes):
+            for form in ("miqp", "persp"):
+                res = solve_node_relaxation(inst, node, form)
+                if res.upper_bound == -math.inf:
+                    continue
+                bounds = relax._child_bounds(inst, res)
+                for i in node.free_indices():
+                    for row, region in enumerate("SLR"):
+                        if region not in node.allowed[i]:
+                            continue
+                        want = dual_value(inst, node.fix(i, region), form,
+                                          res.multipliers)
+                        assert abs(bounds[row, i] - want) <= 1e-12 * max(1.0, abs(want))
+                        checked += 1
+    assert checked > 300
+
+
 # ---------------------------------------------------------------------------
 # node state
 
@@ -736,6 +770,35 @@ def test_leaf_feasibility_agrees_with_highs():
         assert (out is not None) == (lp.status == 0), k
         verdicts[lp.status == 0] += 1
     assert min(verdicts.values()) >= 150
+
+
+def test_stalled_leaf_returns_no_point_off_its_rows():
+    """A leaf solve that stalls (a singular Hessian block with a linear
+    activity on its kink) returns no point rather than one off its rows,
+    and keeps its bound.  The box, 12 activities with 3 rows and a fifth of
+    them drawn linear, is one of about 1 in 450 feasible boxes drawn this
+    way that stall off a row."""
+    rng = np.random.default_rng(139)
+    n, K = 12, 3
+    lo = rng.uniform(-5.0, 2.0, n)
+    hi = lo + rng.uniform(0.0, 5.0, n) * (rng.random(n) < 0.9)
+    theta = -rng.uniform(0.5, 10.0, n) * (rng.random(n) < 0.8)
+    phi = rng.uniform(-5.0, 10.0, n)
+    A = rng.uniform(-3.0, 10.0, (K, n))
+    row_min = np.minimum(A * lo, A * hi).sum(axis=1)
+    row_max = np.maximum(A * lo, A * hi).sum(axis=1)
+    b = row_min + rng.uniform(-0.2, 0.6, K) * (row_max - row_min)
+    assert (theta == 0.0).any()
+    lp = linprog(-phi, A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)), method="highs")
+    assert lp.status == 0
+    out = relax._box_qp_max(theta, phi, lo, hi, A, b)
+    assert out is not None  # feasible: no ray
+    x, value, bound = out
+    if x is not None:
+        assert (A @ np.array(x) <= b + 1e-9 * (1.0 + np.abs(b))).all()
+        assert value <= bound + 1e-9 * max(1.0, abs(bound))
+    # the bound holds over the feasible set, at HiGHS's vertex too
+    assert float(theta @ (lp.x * lp.x) + phi @ lp.x) <= bound + 1e-9 * max(1.0, abs(bound))
 
 
 def test_relax_params_defaults():

@@ -57,7 +57,7 @@ def test_bench_layers_runs(capsys):
     # then the node relaxation: one row per n x formulation x relaxation,
     # with its dual evaluations and Newton steps
     assert lines[10].split() == ["n", "form", "relax", "evals", "newton", "relax_us"]
-    rows = [line.split() for line in lines[11:]]
+    rows = [line.split() for line in lines[11:23]]
     assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
                                      for f in ("persp", "miqp")
                                      for c in ("root", "pruned", "open")]
@@ -67,3 +67,12 @@ def test_bench_layers_runs(capsys):
     # the root takes Newton steps, each evaluating the dual once
     assert all(int(r[4]) > 0 and int(r[3]) <= int(r[4]) + 2 for r in rows
                if r[2] == "root")
+    # then reduced-cost fixing at the root: one row per n x formulation
+    assert lines[23].split() == ["n", "form", "free", "fixed", "removed", "fix_us"]
+    rows = [line.split() for line in lines[24:]]
+    assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
+                                     for f in ("persp", "miqp")]
+    assert all(0 <= int(r[3]) <= int(r[2]) and int(r[3]) <= int(r[4])
+               and float(r[5]) > 0.0 for r in rows)
+    # the persp root of the n = 64 paper cell fixes activities
+    assert int(rows[2][3]) > 0
