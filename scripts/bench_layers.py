@@ -5,20 +5,19 @@ For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
 each formulation.  Two layers are timed from there.
 
-The dual evaluation, at the multipliers the root relaxation ends at, in
-both kernels, the scalar loop and the numpy kernel, whatever
-``_VECTOR_MIN_N`` would pick for that n: ``value_us`` is the value and
-subgradient evaluation the Newton method runs once per step, ``point_us``
-the evaluation that also builds the primal point, once per relaxation.
+The dual evaluation, at the multipliers the root relaxation ends at:
+``value_us`` is the value and subgradient evaluation the Newton method
+runs once per step, ``point_us`` the evaluation that also builds the
+primal point, once per relaxation.
 
-The node relaxation, with the kernel the solver picks: the ``root`` from
-zero multipliers, and one child of the root (the branching activity fixed
-to its first open region), warm-started at the root's multipliers as the
-search bounds it.  The ``pruned`` child aims at its own dual value at the
-warm start, so it is pruned there; the ``open`` child aims 0.1% below the
-bound its untargeted relaxation reaches, so it runs the whole Newton
-method.  ``evals`` counts its dual evaluations (the point build included)
-and ``newton`` its Newton steps.
+The node relaxation: the ``root`` from zero multipliers, and one child of
+the root (the branching activity fixed to its first open region),
+warm-started at the root's multipliers as the search bounds it.  The
+``pruned`` child aims at its own dual value at the warm start, so it is
+pruned there; the ``open`` child aims 0.1% below the bound its untargeted
+relaxation reaches, so it runs the whole Newton method.  ``evals`` counts
+its dual evaluations (the point build included) and ``newton`` its Newton
+steps.
 
 Reduced-cost fixing, at the root's multipliers and against the prune
 threshold of the incumbent rounded from the root relaxation, as the search
@@ -47,31 +46,24 @@ import numpy as np
 
 from mixopt import gen, relax
 from mixopt.bnb import _REGION_ORDER, _branch_index, _prune_threshold, round_incumbent
-from mixopt.relax import (NodeState, RelaxParams, dual_value, fix_by_reduced_cost,
-                          solve_node_relaxation)
+from mixopt.relax import NodeState, dual_value, fix_by_reduced_cost, solve_node_relaxation
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
-KERNELS = ("scalar", "numpy")
 FORMS = ("persp", "miqp")
 RELAXATIONS = ("root", "pruned", "open")
 
 
-def _context(inst, node, kernel):
-    """The node's dual context for ``kernel``, whatever its size."""
-    saved = relax._VECTOR_MIN_N
-    relax._VECTOR_MIN_N = 0 if kernel == "numpy" else inst.n + 1
-    try:
-        return relax._NodeContext(inst, node)
-    finally:
-        relax._VECTOR_MIN_N = saved
+def _regions_held(bits):
+    """How many regions each activity holds, from a node's bits."""
+    return (bits & 1) + (bits >> 1 & 1) + (bits >> 2 & 1)
 
 
 def _child_targets(inst, root, root_res, form):
     """The first child of the root, and the targets that prune it at its
     warm start and that leave it open."""
     j = _branch_index(root, root_res)
-    region = next(r for r in _REGION_ORDER if r in root.allowed[j])
+    region = next(r for r in _REGION_ORDER if root.bits[j] & relax._BIT[r])
     child = root.fix(j, region).saturate_cardinality(inst.m)
     warm = root_res.multipliers
     reach = solve_node_relaxation(inst, child, form, warm=warm).upper_bound
@@ -83,7 +75,7 @@ def _child_targets(inst, root, root_res, form):
 def counted(call):
     """Dual evaluations and Newton steps one call makes."""
     counts = [0, 0]
-    kernel, newton = relax._dual_eval, relax._Dual.newton
+    kernel, newton = relax._dual_eval_arrays, relax._Dual.newton
 
     def evaluation(*args, **kwargs):
         counts[0] += 1
@@ -93,11 +85,11 @@ def counted(call):
         counts[1] += 1
         return newton(*args, **kwargs)
 
-    relax._dual_eval, relax._Dual.newton = evaluation, step
+    relax._dual_eval_arrays, relax._Dual.newton = evaluation, step
     try:
         call()
     finally:
-        relax._dual_eval, relax._Dual.newton = kernel, newton
+        relax._dual_eval_arrays, relax._Dual.newton = kernel, newton
     return counts
 
 
@@ -123,7 +115,7 @@ def run(argv=None):
     args = ap.parse_args(argv)
 
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
-          f"{platform.machine()}, _VECTOR_MIN_N = {relax._VECTOR_MIN_N}")
+          f"{platform.machine()}")
     cells = []
     for n in args.n:
         inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=n, epsilon=0.1,
@@ -132,18 +124,16 @@ def run(argv=None):
         for form in FORMS:
             cells.append((inst, root, form, solve_node_relaxation(inst, root, form)))
 
-    print(f"{'n':>5} {'form':>5} {'kernel':>6} {'value_us':>9} {'point_us':>9}")
+    print(f"{'n':>5} {'form':>5} {'value_us':>9} {'point_us':>9}")
     for inst, root, form, root_res in cells:
         mult = tuple(root_res.multipliers)
         persp = form == relax.PERSPECTIVE
-        for kernel in KERNELS:
-            ctx = _context(inst, root, kernel)
-            value = per_call_us(lambda: relax._dual_eval(ctx, mult, persp),
-                                args.calls, args.repeats)
-            point = per_call_us(lambda: relax._dual_eval(ctx, mult, persp, True),
-                                args.calls, args.repeats)
-            print(f"{inst.n:5d} {form:>5} {kernel:>6} {value:9.1f} {point:9.1f}",
-                  flush=True)
+        arr = relax._NodeArrays(inst, root)
+        value = per_call_us(lambda: relax._dual_eval_arrays(arr, mult, persp),
+                            args.calls, args.repeats)
+        point = per_call_us(lambda: relax._dual_eval_arrays(arr, mult, persp, True),
+                            args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {value:9.1f} {point:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'relax_us':>9}")
     for inst, root, form, root_res in cells:
@@ -153,10 +143,10 @@ def run(argv=None):
                 def call():
                     solve_node_relaxation(inst, root, form)
             else:
-                params = RelaxParams(target=targets[kind])
+                target = targets[kind]
 
                 def call():
-                    solve_node_relaxation(inst, child, form, params, warm=warm)
+                    solve_node_relaxation(inst, child, form, warm=warm, target=target)
             evals, newton = counted(call)
             took = per_call_us(call, args.relax_calls, args.repeats)
             print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {took:9.1f}",
@@ -166,14 +156,14 @@ def run(argv=None):
     for inst, root, form, root_res in cells:
         sol = round_incumbent(inst, root_res, root)
         threshold = _prune_threshold(0.0, sol.objective if sol else -math.inf)
-        free = root.free_indices()
+        free = root.free
         out = fix_by_reduced_cost(inst, root, root_res, threshold)
-        left = out.allowed if out is not None else [()] * inst.n
-        fixed = sum(len(left[i]) == 1 for i in free)
-        removed = sum(len(root.allowed[i]) - len(left[i]) for i in free)
+        left = _regions_held(out.bits if out is not None else np.zeros_like(root.bits))
+        fixed = int((left[free] == 1).sum())
+        removed = int((_regions_held(root.bits) - left)[free].sum())
         took = per_call_us(lambda: fix_by_reduced_cost(inst, root, root_res, threshold),
                            args.calls, args.repeats)
-        print(f"{inst.n:5d} {form:>5} {len(free):5d} {fixed:5d} {removed:7d} {took:9.1f}",
+        print(f"{inst.n:5d} {form:>5} {free.sum():5d} {fixed:5d} {removed:7d} {took:9.1f}",
               flush=True)
     return 0
 

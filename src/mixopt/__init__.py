@@ -24,9 +24,8 @@ from .instance import (Activity, Instance, InstanceError,
                        save_json, validate)
 from .lp import export_lp, write_lp
 from .relax import (MIQP, PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxParams, RelaxResult, dual_value, per_activity_argmax,
-                    root_bounds, solve_fixed_assignment,
-                    solve_node_relaxation)
+                    RelaxResult, dual_value, per_activity_argmax, root_bounds,
+                    solve_fixed_assignment, solve_node_relaxation)
 
 __version__ = "0.1.0"
 
@@ -36,7 +35,7 @@ __all__ = [
     "Instance", "InstanceError", "InvalidActivityError",
     "InvalidInstanceError", "LinearConstraint", "LinearRow", "MIQP",
     "ModelIR", "NodeState", "ParseError", "PERSPECTIVE", "Region",
-    "RegionBounds", "RelaxParams", "RelaxResult",
+    "RegionBounds", "RelaxResult",
     "SchemaError", "Solution", "SolveParams", "SolveResult", "STRONG",
     "UNCORRELATED", "UnsupportedInstanceError", "ValidationReport",
     "Variable", "WEAK", "batch", "branch_and_bound", "brute_force",

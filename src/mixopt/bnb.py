@@ -1,7 +1,8 @@
 """Branch-and-bound over region assignments.
 
-Nodes are ``NodeState`` objects; branching fixes one activity to each of
-its open regions (ternary at most: decrease side / stay / increase side).
+Nodes are ``NodeState`` objects, one int8 array of region bits per node
+(1 = S, 2 = L, 4 = R); branching fixes one activity to each of its open
+regions (ternary at most: decrease side / stay / increase side).
 Every child is bounded eagerly by the Lagrangian relaxation before being
 pushed, inheriting ``min(parent bound, own bound)`` so bounds are monotone
 along any path.  The relaxation minimises the node dual exactly with a
@@ -42,13 +43,14 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
                        validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxParams, RelaxResult, _box_qp_max, _instance_arrays,
-                    _node_bits, fix_by_reduced_cost, solve_fixed_assignment,
+                    RelaxResult, _BIT, _box_qp_max, _instance_arrays,
+                    fix_by_reduced_cost, solve_fixed_assignment,
                     solve_node_relaxation)
 
 _INF = math.inf
 
 BRUTE_FORCE_MAX_N = 12
+_BRUTE_FORCE_CHUNK = 65536  # assignments bracketed per batch
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,12 @@ def _prune_threshold(gap_tol: float, inc_val: float) -> float:
     return inc_val + max(gap_tol, 1e-9) * max(1.0, abs(inc_val))
 
 
+# the region of each single bit of a node's ``bits``
+_REGION_OF = {bit: region for region, bit in _BIT.items()}
+
+
 def _assignment(node: NodeState) -> Tuple[Region, ...]:
-    return tuple(next(iter(a)) for a in node.allowed)
+    return tuple(_REGION_OF[b] for b in node.bits.tolist())
 
 
 def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
@@ -92,9 +98,10 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
     """Snap a fractional relaxation point to a region assignment."""
     regions: List[Region] = []
     scored = []
-    for i, allowed in enumerate(node.allowed):
-        if len(allowed) == 1:
-            regions.append(next(iter(allowed)))
+    free = node.free.tolist()
+    for i, bits in enumerate(node.bits.tolist()):
+        if not free[i]:
+            regions.append(_REGION_OF[bits])
             continue
         zl, zr = res.z_L[i], res.z_R[i]
         if zl + zr <= 0.5:
@@ -106,8 +113,7 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
     # enforce the cardinality cap: keep the strongest indicators
     active = [i for i, r in enumerate(regions) if r != "S"]
     if len(active) > inst.m:
-        fixed_active = [i for i, (r, a) in enumerate(zip(regions, node.allowed))
-                        if r != "S" and len(a) == 1]
+        fixed_active = [i for i in active if not free[i]]
         budgetleft = inst.m - len(fixed_active)
         order = sorted(scored, key=lambda t: (-t[0], t[1]))
         keep = {i for _, i in order[:max(budgetleft, 0)]} | set(fixed_active)
@@ -155,7 +161,7 @@ def _node_row_infeasible(inst: Instance, node: NodeState) -> bool:
     sequential), exceeds the right-hand side by more than
     ``1e-9*(1 + |rhs|)``."""
     cols = _instance_arrays(inst)
-    least = cols.least[:, _node_bits(node), cols.index]
+    least = cols.least[:, node.bits, cols.index]
     total = np.cumsum(least, axis=1)[:, -1]
     return bool((total > cols.b + 1e-9 * (1.0 + np.abs(cols.b))).any())
 
@@ -284,7 +290,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         j = _branch_index(node, res)
         children = []
         for region in _REGION_ORDER:
-            if region not in node.allowed[j]:
+            if not node.bits[j] & _BIT[region]:
                 continue
             child = node.fix(j, region).saturate_cardinality(inst.m)
             if child.fixed_nonzero > inst.m:
@@ -301,8 +307,8 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         # gets there.  The threshold only rises, so a child at or below it is
         # pruned, and no point of it is worth rounding.
         aim = _prune_threshold(params.gap_tol, inc_val)
-        results = [solve_node_relaxation(inst, c, form, RelaxParams(target=aim),
-                                         warm=res.multipliers) for c in inner]
+        results = [solve_node_relaxation(inst, c, form, warm=res.multipliers,
+                                         target=aim) for c in inner]
         for child, cres in zip(inner, results):
             child_bound = min(bound, cres.upper_bound)
             if child_bound <= aim:
@@ -334,13 +340,12 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 # Exhaustive reference solver
 
 
-def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
-                chunk: int = 65536) -> SolveResult:
+def brute_force(inst: Instance) -> SolveResult:
     """Enumerate every region assignment and solve each continuous layer.
 
-    Exact oracle for small instances, up to ``max_n`` activities (the
-    assignment count grows as fast as ``3**n``), with the budget row and
-    any extra rows.  Every assignment's continuous layer is bracketed by a
+    Exact oracle for small instances, up to ``BRUTE_FORCE_MAX_N``
+    activities (the assignment count grows as fast as ``3**n``), with the
+    budget row and any extra rows.  Every assignment's continuous layer is bracketed by a
     batched bisection on the budget multiplier, independent of the leaf
     solver: from above by the dual value at that multiplier with the extra
     rows priced at zero (weak duality), from below by the value of its point
@@ -354,9 +359,9 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     if not report.ok:
         from .instance import InvalidInstanceError
         raise InvalidInstanceError("; ".join(report.violations))
-    if inst.n > max_n:
+    if inst.n > BRUTE_FORCE_MAX_N:
         raise UnsupportedInstanceError(
-            f"brute force capped at {max_n} activities, got {inst.n}")
+            f"brute force capped at {BRUTE_FORCE_MAX_N} activities, got {inst.n}")
 
     n = inst.n
     b0 = inst.budget_rhs
@@ -400,8 +405,8 @@ def brute_force(inst: Instance, max_n: int = BRUTE_FORCE_MAX_N,
     uppers: List[np.ndarray] = []
     codes: List[np.ndarray] = []
 
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _BRUTE_FORCE_CHUNK):
+        idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total), dtype=np.int64)
         rem = idx
         code = np.empty((idx.size, n), dtype=np.int8)
         for i in range(n - 1, -1, -1):

@@ -22,14 +22,13 @@ The two formulations differ only in the per-activity subproblem:
   ``z``), so the subproblem optimum sits at an integral activation and the
   bound matches the convex envelope of the true disjunction.
 
-A node with ``_VECTOR_MIN_N`` or more activities evaluates its dual with a
-numpy kernel over whole columns; smaller nodes, where numpy's per-call
-overhead outweighs the work, run the scalar loop over ``_activity_best``.
-The numpy kernel performs the scalar operations in the scalar order and
-sums sequentially, so the two return the same bits.  The Newton method
-reads only the dual value and subgradient from them, once per step, and
-assembles its system and line search from its own numpy arrays, whatever
-the kernel; the inner solution is built once, at the final multipliers.
+A numpy kernel evaluates a node's dual over whole columns at every node
+size.  It performs ``_activity_best``'s scalar operations in the scalar
+order and sums sequentially, so its bits are those of the per-activity
+reference ``per_activity_argmax`` summed in activity order.  The Newton
+method reads only the dual value and subgradient from it, once per step,
+and assembles its system and line search from its own numpy arrays; the
+inner solution is built once, at the final multipliers.
 """
 
 from __future__ import annotations
@@ -51,69 +50,62 @@ PERSPECTIVE: Formulation = "persp"
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class RelaxParams:
-    """Node relaxation controls.
-
-    A finite ``target`` ends the Newton method on the node dual as soon as
-    the dual value is at or below it (use the incumbent's prune threshold):
-    the node is then pruned whatever follows, and the stop is not
-    convergence.
-    """
-
-    target: Optional[float] = None
+# the bit of each region in a node's ``bits``
+_BIT = {"S": 1, "L": 2, "R": 4}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeState:
     """Per-activity region availability at a branch-and-bound node.
 
-    ``allowed[i]`` is the set of regions activity ``i`` may still take:
-    the full Table of open regions at the root, a singleton once fixed.
-    S disappears only by fixing L or R.
+    ``bits[i]`` holds the regions activity ``i`` may still take, one bit
+    each (``_BIT``: 1 = S, 2 = L, 4 = R): every open region at the root,
+    one bit once fixed.  S disappears only by fixing L or R.  The int8
+    array is read-only: ``fix`` and ``saturate_cardinality`` return a new
+    node and leave this one as it was.
     """
 
-    allowed: Tuple[frozenset, ...]
+    bits: np.ndarray
+
+    def __post_init__(self):
+        self.bits.flags.writeable = False
 
     @classmethod
     def root(cls, inst: Instance) -> "NodeState":
-        sets = []
-        for rb in inst.regions:
-            if inst.m == 0:
-                sets.append(frozenset({"S"}))
-                continue
-            opts = {"S"}
-            if rb.L is not None:
-                opts.add("L")
-            if rb.R is not None:
-                opts.add("R")
-            sets.append(frozenset(opts))
-        return cls(tuple(sets))
+        if inst.m == 0:
+            return cls(np.ones(inst.n, np.int8))
+        return cls(np.fromiter([1 | 2 * (rb.L is not None) | 4 * (rb.R is not None)
+                                for rb in inst.regions], np.int8, inst.n))
 
     def fix(self, i: int, region: Region) -> "NodeState":
-        if region not in self.allowed[i]:
+        bit = _BIT[region]
+        if not self.bits[i] & bit:
             raise ValueError(f"region {region} not open for activity {i}")
-        sets = list(self.allowed)
-        sets[i] = frozenset({region})
-        return NodeState(tuple(sets))
+        bits = self.bits.copy()
+        bits[i] = bit
+        return NodeState(bits)
+
+    @property
+    def free(self) -> np.ndarray:
+        """Where more than one region is left."""
+        return (self.bits & (self.bits - 1)) != 0
 
     def saturate_cardinality(self, m: int) -> "NodeState":
         """Once m activities are fixed nonzero, pin every free one to S."""
         if self.fixed_nonzero < m:
             return self
-        sets = [a if len(a) == 1 else frozenset({"S"}) for a in self.allowed]
-        return NodeState(tuple(sets))
+        return NodeState(np.where(self.free, 1, self.bits).astype(np.int8))
 
     @property
     def fixed_nonzero(self) -> int:
-        return sum(1 for a in self.allowed if len(a) == 1 and "S" not in a)
+        return int(np.count_nonzero((self.bits == 2) | (self.bits == 4)))
 
     @property
     def is_leaf(self) -> bool:
-        return all(len(a) == 1 for a in self.allowed)
+        return not self.free.any()
 
     def free_indices(self) -> List[int]:
-        return [i for i, a in enumerate(self.allowed) if len(a) > 1]
+        return np.flatnonzero(self.free).tolist()
 
 
 @dataclass
@@ -136,8 +128,8 @@ class RelaxResult:
 # Per-activity subproblems.
 #
 # A record is (theta, lL, uL, lR, uR, allowS, modeL, modeR) with mode
-# 0 = closed, 1 = free, 2 = fixed.  Kept as a plain tuple: these are walked
-# in the innermost loop of every dual evaluation.
+# 0 = closed, 1 = free, 2 = fixed.  These scalar closed forms are the
+# reference the numpy kernel below repeats on whole columns.
 
 _CLOSED, _FREE, _FIXED = 0, 1, 2
 
@@ -234,9 +226,8 @@ def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
 
     ``lam`` holds multipliers for the coupling rows and ``coupling`` the
     activity's coefficients in those rows (all ones by default, matching a
-    budget-only instance).  This is the kernel the scalar dual evaluation
-    runs, with the priced slope accumulated in the same order, and the
-    reference the numpy kernel matches bit for bit.
+    budget-only instance).  The priced slope is accumulated in the numpy
+    kernel's order, and the kernel matches these results bit for bit.
     """
     lam = tuple(lam)
     if coupling is None:
@@ -250,50 +241,7 @@ def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
 
 
 # ---------------------------------------------------------------------------
-# Node context and dual machinery
-
-
-# From this many activities on, a node's dual is evaluated by the numpy
-# kernel: the smallest n at which it beat the scalar loop in both forms in
-# each of three runs of scripts/bench_layers.py (--calls 200 --repeats 15,
-# 2-core x86_64 VM, Python 3.11, numpy 2.4).  Value and subgradient per
-# call, scalar -> numpy, medians of the three runs:
-# n = 12 persp 21 -> 42 us, miqp 33 -> 52 us; n = 16 38 -> 43, 45 -> 54;
-# n = 20 44 -> 40, 44 -> 53; n = 24 49 -> 42, 55 -> 53; n = 30 63 -> 44,
-# 73 -> 54.  Both give the same bits.
-_VECTOR_MIN_N = 24
-
-
-class _NodeContext:
-    """Data precomputed once per node for fast dual evaluations.
-
-    From ``_VECTOR_MIN_N`` activities on, ``arrays`` holds the numpy
-    kernel's node masks (and through them the instance's columns); smaller
-    nodes get the scalar loop's ``records``, ``cols`` and ``phi`` instead.
-    """
-
-    __slots__ = ("n", "K", "b", "cols", "records", "phi", "psi_sum", "m",
-                 "arrays")
-
-    def __init__(self, inst: Instance, node: NodeState):
-        self.n = inst.n
-        extras = inst.extras
-        self.K = 1 + len(extras)
-        self.b = (inst.budget_rhs,) + tuple(ex.rhs for ex in extras)
-        self.psi_sum = inst.psi_sum
-        self.m = inst.m
-        if self.n >= _VECTOR_MIN_N:
-            self.arrays = _NodeArrays(inst, node)
-            self.cols = self.records = self.phi = None
-            return
-        self.arrays = None
-        self.cols = tuple(
-            (1.0,) + tuple(ex.coeffs[i] for ex in extras)
-            for i in range(inst.n))
-        self.records = tuple(
-            _record(a, rb, allowed)
-            for a, rb, allowed in zip(inst.activities, inst.regions, node.allowed))
-        self.phi = tuple(a.phi for a in inst.activities)
+# The numpy dual kernel
 
 
 _ABSENT = (math.nan, math.nan)
@@ -308,15 +256,19 @@ class _InstanceArrays:
     in ``_record``), ``outer`` the end away from zero and ``inner`` the end
     next to it.  ``linear`` marks theta = 0, or is None when no one has it.
     ``least[k, bits, i]`` is the least use of row ``k`` by activity ``i``
-    over the region set ``bits`` (``_REGION_BITS``; +inf for the empty set),
-    and ``index`` is ``arange(n)``, to pick one set per activity.
+    over the region set ``bits`` (a node's ``bits``; +inf for the empty
+    set), and ``index`` is ``arange(n)``, to pick one set per activity.
+    ``rhs``, ``psi_sum`` and ``m`` are the dual value's constant terms as
+    Python numbers, for the scalar start of each evaluation.
     """
 
-    __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "has",
-                 "lo", "hi", "outer", "inner", "inner_ok", "least", "index")
+    __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "rhs",
+                 "psi_sum", "m", "has", "lo", "hi", "outer", "inner",
+                 "inner_ok", "least", "index")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
+        self.psi_sum, self.m = inst.psi_sum, inst.m
         self.theta = np.fromiter([a.theta for a in acts], float, n)
         self.phi = np.fromiter([a.phi for a in acts], float, n)
         quad = self.theta < 0.0
@@ -325,7 +277,8 @@ class _InstanceArrays:
         self.A = np.ones((1 + len(inst.extras), n))
         for k, ex in enumerate(inst.extras, 1):
             self.A[k] = ex.coeffs
-        self.b = np.array([inst.budget_rhs] + [ex.rhs for ex in inst.extras])
+        self.rhs = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
+        self.b = np.array(self.rhs)
         ends = np.fromiter(itertools.chain.from_iterable(
             [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in inst.regions]),
             float, 4 * n).reshape(n, 4).T
@@ -356,27 +309,17 @@ def _instance_arrays(inst: Instance) -> _InstanceArrays:
     return arrays
 
 
-# bit 1 = S, 2 = L, 4 = R, for every region set a node can hold
-_REGION_BITS = {frozenset(regions): bits for regions, bits in (
-    ("S", 1), ("L", 2), ("SL", 3), ("R", 4), ("SR", 5), ("LR", 6), ("SLR", 7))}
-_BIT_REGIONS = {bits: regions for regions, bits in _REGION_BITS.items()}
-
-
-def _node_bits(node: NodeState) -> np.ndarray:
-    """The node's region sets as ``_REGION_BITS``, one int per activity."""
-    return np.fromiter([_REGION_BITS[a] for a in node.allowed], np.int64,
-                       len(node.allowed))
-
-
 class _NodeArrays:
-    """The node's records (see ``_record``) as masks saying which branch of
-    ``_activity_best`` each activity takes, stacked by side like the
-    instance's columns: ``open`` marks a side the persp form prices,
-    ``hull`` one the miqp form prices, and ``scaled`` the free sides among
-    those, whose miqp box ``[lo, hi]`` ends at zero and scales with the
-    activation.  Each evaluation refills two buffers: ``sides`` with each
-    side's activation, value and x, and ``acc`` with the chosen ones and
-    the extra rows' ``A x`` terms after the scalar start values in column 0.
+    """A node's dual, ready for ``_dual_eval_arrays``: the instance's
+    columns (``inst_arrays``) and the node's region bits as masks saying
+    which branch of ``_activity_best`` each activity takes (its ``_record``
+    modes), stacked by side like the columns.  ``open`` marks a side the
+    persp form prices, ``hull`` one the miqp form prices, and ``scaled`` the
+    free sides among those, whose miqp box ``[lo, hi]`` ends at zero and
+    scales with the activation.  Each evaluation refills two buffers:
+    ``sides`` with each side's activation, value and x, and ``acc`` with
+    the chosen ones and the extra rows' ``A x`` terms after the scalar start
+    values in column 0.
     """
 
     __slots__ = ("inst_arrays", "stay", "open", "hull", "scaled", "lo", "hi",
@@ -384,8 +327,7 @@ class _NodeArrays:
 
     def __init__(self, inst: Instance, node: NodeState):
         cols = self.inst_arrays = _instance_arrays(inst)
-        bits = _node_bits(node)
-        free = (bits & (bits - 1)) != 0  # more than one region left
+        bits, free = node.bits, node.free
         self.stay = np.zeros((3, inst.n))  # activation, value, x of the stay region
         self.stay[1] = np.where((bits & 1) != 0, 0.0, -_INF)
         self.open = np.array([(bits & 2) != 0, (bits & 4) != 0]) & cols.has
@@ -398,26 +340,29 @@ class _NodeArrays:
         self.acc = np.zeros((len(cols.A) + 2, inst.n + 1))
 
 
-def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool,
+def _dual_eval_arrays(arr: _NodeArrays, mult: Sequence[float], persp: bool,
                       point: bool = False):
-    """``_dual_eval_loop`` on whole columns, bit for bit.
+    """Dual value and subgradient at one multiplier vector.
 
-    Every elementwise operation is the scalar one in the scalar order, with
-    both sides priced in one pass over ``(2, n)`` arrays; divisions run only
-    where the scalar branch divides, comparisons are strict in the order
-    stay, decrease, increase, and the sums are one sequential ``np.cumsum``
-    seeded with the scalar start values (``np.sum`` and ``@`` sum pairwise
-    or through BLAS).  The activation sum adds the chosen side's activation
-    without the other side's 0.0, which would only turn -0.0 into 0.0: a
-    sum seeded with 0.0 cannot tell the two apart.
+    Returns (value, subgradient), followed by the inner solution x, zL, zR
+    and each activity's priced value (its term in the dual value) when
+    ``point``.  These are ``_activity_best``'s results summed in activity
+    order, bit for bit: every elementwise operation is the scalar one in
+    the scalar order, with both sides priced in one pass over ``(2, n)``
+    arrays; divisions run only where the scalar branch divides, comparisons
+    are strict in the order stay, decrease, increase, and the sums are one
+    sequential ``np.cumsum`` seeded with the scalar start values (``np.sum``
+    and ``@`` sum pairwise or through BLAS).  The activation sum adds the
+    chosen side's activation without the other side's 0.0, which would
+    only turn -0.0 into 0.0: a sum seeded with 0.0 cannot tell the two
+    apart.
     """
-    arr = ctx.arrays
     cols = arr.inst_arrays
-    K = ctx.K
+    K = len(cols.rhs)
     mu = mult[K]
-    start = ctx.psi_sum + mu * ctx.m
+    start = cols.psi_sum + mu * cols.m
     for k in range(K):
-        start += mult[k] * ctx.b[k]
+        start += mult[k] * cols.rhs[k]
     pe = cols.phi - mult[0]  # the budget row's coefficients are all 1.0
     for k in range(1, K):
         pe -= mult[k] * cols.A[k]
@@ -451,7 +396,7 @@ def _dual_eval_arrays(ctx: _NodeContext, mult: Sequence[float], persp: bool,
     np.multiply(cols.A[1:], chosen[2], out=acc[3:, 1:])
     sums = np.cumsum(acc, axis=1)[:, -1]
     grad = (cols.b - sums[2:]).tolist()
-    grad.append(ctx.m - float(sums[0]))
+    grad.append(cols.m - float(sums[0]))
     if not point:
         return float(sums[1]), grad
     z_l = np.where(take_r, 0.0, np.where(take_l, z[0], 0.0))
@@ -474,55 +419,6 @@ def _side_values(cols: _InstanceArrays, c, lo, hi, x: np.ndarray, val: np.ndarra
     np.multiply(cols.theta, x, out=val)
     val *= x
     val += c * x
-
-
-def _dual_eval(ctx: _NodeContext, mult: Sequence[float], persp: bool,
-               point: bool = False):
-    """Dual value and subgradient at one multiplier vector.
-
-    Returns (value, subgradient), followed by the inner solution x, zL, zR
-    and each activity's priced value (its term in the dual value) when
-    ``point``; nodes with ``_VECTOR_MIN_N`` or more activities take
-    the numpy kernel, which gives the same bits.
-    """
-    kernel = _dual_eval_loop if ctx.arrays is None else _dual_eval_arrays
-    return kernel(ctx, mult, persp, point)
-
-
-def _dual_eval_loop(ctx: _NodeContext, mult: Sequence[float], persp: bool,
-                    point: bool = False):
-    """Scalar dual evaluation, one ``_activity_best`` per activity."""
-    K = ctx.K
-    mu = mult[K]
-    total = ctx.psi_sum + mu * ctx.m
-    for k in range(K):
-        total += mult[k] * ctx.b[k]
-    x, zl, zr, vals = [], [], [], []
-    ax = [0.0] * K
-    zsum = 0.0
-    records = ctx.records
-    phi = ctx.phi
-    cols = ctx.cols
-    for i in range(ctx.n):
-        pe = phi[i]
-        col = cols[i]
-        for k in range(K):
-            pe -= mult[k] * col[k]
-        v, xi, a, b_ = _activity_best(records[i], pe, mu, persp)
-        total += v
-        zsum += a + b_
-        for k in range(K):
-            ax[k] += col[k] * xi
-        if point:
-            x.append(xi)
-            zl.append(a)
-            zr.append(b_)
-            vals.append(v)
-    grad = [ctx.b[k] - ax[k] for k in range(K)]
-    grad.append(ctx.m - zsum)
-    if not point:
-        return total, grad
-    return total, grad, x, zl, zr, vals
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +779,7 @@ class _Dual:
                                     self.zeta * d[K] + self.off)
 
 
-def _node_dual(inst: Instance, node: NodeState, persp: bool,
-               arrays: Optional[_NodeArrays] = None) -> _Dual:
+def _node_dual(arr: _NodeArrays, persp: bool) -> _Dual:
     """A node's dual with three options per activity.
 
     Rows 0, 1 and 2 are staying (``x = 0``), the decrease side and the
@@ -894,9 +789,8 @@ def _node_dual(inst: Instance, node: NodeState, persp: bool,
     the box from zero to the region's far end, at the smallest activation
     that holds ``x`` (``kappa = 1/far end``, ``zeta = 0``).
     """
-    arr = arrays if arrays is not None else _NodeArrays(inst, node)
     cols = arr.inst_arrays
-    zero = np.zeros((1, inst.n))
+    zero = np.zeros((1, cols.index.size))
     if persp:
         on, lo, hi = arr.open, cols.lo, cols.hi
         kappa, zeta = np.zeros_like(lo), np.ones_like(lo)
@@ -905,7 +799,7 @@ def _node_dual(inst: Instance, node: NodeState, persp: bool,
         kappa = np.divide(1.0, cols.outer, out=np.zeros_like(lo), where=arr.scaled)
         zeta = np.where(arr.scaled, 0.0, 1.0)
     off = np.where(np.vstack(((arr.stay[1] == 0.0)[None], on)), 0.0, _INF)
-    return _Dual(cols.A, np.append(cols.b, float(inst.m)), cols.phi, cols.theta,
+    return _Dual(cols.A, np.append(cols.b, float(cols.m)), cols.phi, cols.theta,
                  np.vstack((zero, lo)), np.vstack((zero, hi)),
                  np.vstack((zero, kappa)), np.vstack((zero, zeta)), off)
 
@@ -969,13 +863,13 @@ def _descend(build: Callable[[], _Dual], value: Callable, y: np.ndarray,
 def dual_value(inst: Instance, node: NodeState, form: Formulation,
                multipliers: Sequence[float]) -> float:
     """Dual bound at an explicit multiplier vector (budget, extras..., card)."""
-    ctx = _NodeContext(inst, node)
-    return _dual_eval(ctx, tuple(multipliers), form == PERSPECTIVE)[0]
+    return _dual_eval_arrays(_NodeArrays(inst, node), tuple(multipliers),
+                             form == PERSPECTIVE)[0]
 
 
 def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
-                          params: Optional[RelaxParams] = None,
-                          warm: Optional[Sequence[float]] = None) -> RelaxResult:
+                          *, warm: Optional[Sequence[float]] = None,
+                          target: Optional[float] = None) -> RelaxResult:
     """Upper-bound a node by pricing the coupling rows.
 
     The node dual is minimised by the projected semismooth Newton method of
@@ -983,8 +877,9 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     the method ends on a certificate: the KKT residual of the relaxation
     point it recovers, or a ray along which the dual falls without bound,
     in which case ``upper_bound`` is -inf (the node's hull relaxation has no
-    point).  With a finite ``params.target`` the method stops once the dual
-    value is at or below it, possibly at the warm start, and ``converged``
+    point).  With a finite ``target`` (use the incumbent's prune threshold)
+    the method stops once the dual value is at or below it, possibly at the
+    warm start: the node is then pruned whatever follows, and ``converged``
     is False.  The bound is the dual value at the returned multipliers, so
     it is valid whatever the ending.  The primal point is the inner
     solution there and may violate the coupling rows; it is meant for
@@ -994,22 +889,20 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     child bound never exceeds the parent bound: shrinking the region sets
     lowers the dual pointwise, and every step descends.
     """
-    target = (params or RelaxParams()).target
     goal = target if target is not None and math.isfinite(target) else -_INF
-    ctx = _NodeContext(inst, node)
+    arr = _NodeArrays(inst, node)
     persp = form == PERSPECTIVE
-    y = np.zeros(ctx.K + 1)
+    y = np.zeros(len(arr.inst_arrays.rhs) + 1)
     if warm is not None and len(warm) == y.size:
         y = np.maximum(np.array(warm, dtype=float), 0.0)
 
     def value(y):
-        val, grad = _dual_eval(ctx, tuple(y.tolist()), persp)
+        val, grad = _dual_eval_arrays(arr, tuple(y.tolist()), persp)
         return val, np.array(grad)
 
-    y, val, end = _descend(lambda: _node_dual(inst, node, persp, ctx.arrays), value,
-                           y, goal)
+    y, val, end = _descend(lambda: _node_dual(arr, persp), value, y, goal)
     mult = tuple(y.tolist())
-    _, _, x, zl, zr, vals = _dual_eval(ctx, mult, persp, point=True)
+    _, _, x, zl, zr, vals = _dual_eval_arrays(arr, mult, persp, point=True)
     return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
                        multipliers=mult, converged=end in ("converged", "ray"),
                        values=tuple(vals))
@@ -1022,8 +915,8 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
 def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     """The bound of every child "activity i in region r" of the node that
     ``res`` bounds, at the node's multipliers, as a ``(3, n)`` array with
-    rows stay, decrease side and raise side (the bit order of
-    ``_REGION_BITS``); entries of regions the node does not hold mean
+    rows stay, decrease side and raise side (the bit order of a node's
+    ``bits``); entries of regions the node does not hold mean
     nothing.
 
     The node dual is separable, so fixing ``i`` to ``r`` replaces only its
@@ -1060,16 +953,15 @@ def fix_by_reduced_cost(inst: Instance, node: NodeState, res: RelaxResult,
     """
     if threshold == -_INF:
         return node
-    bits = _node_bits(node)
+    bits = node.bits
     above = _child_bounds(inst, res) > threshold
     keep = above[0] | (above[1] << 1) | (above[2] << 2)
-    free = (bits & (bits - 1)) != 0
-    left = np.where(free, bits & keep, bits)
+    left = np.where(node.free, bits & keep, bits)
     if (left == bits).all():
         return node
     if not left.all():
         return None
-    return NodeState(tuple(_BIT_REGIONS[b] for b in left.tolist()))
+    return NodeState(left.astype(np.int8))
 
 
 def root_bounds(inst: Instance) -> Tuple[float, float]:
@@ -1083,9 +975,8 @@ def root_bounds(inst: Instance) -> Tuple[float, float]:
     node = NodeState.root(inst)
     res_m = solve_node_relaxation(inst, node, MIQP)
     res_p = solve_node_relaxation(inst, node, PERSPECTIVE)
-    ctx = _NodeContext(inst, node)
-    cross_m = _dual_eval(ctx, res_p.multipliers, False)[0]
-    cross_p = _dual_eval(ctx, res_m.multipliers, True)[0]
+    cross_m = dual_value(inst, node, MIQP, res_p.multipliers)
+    cross_p = dual_value(inst, node, PERSPECTIVE, res_m.multipliers)
     return min(res_m.upper_bound, cross_m), min(res_p.upper_bound, cross_p)
 
 

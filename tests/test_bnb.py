@@ -35,7 +35,6 @@ from mixopt import (
 )
 from mixopt import bnb
 from mixopt.bnb import _round_regions
-from mixopt.relax import _VECTOR_MIN_N
 
 from conftest import random_instance
 
@@ -311,9 +310,7 @@ for cfg, limit in ((GenConfig("strong", 12, 0.1, 0.5, 17794728303100841390), 15)
 
 
 def test_solve_does_not_depend_on_blas_threads():
-    """A coupled desk solve, and a root solve above ``_VECTOR_MIN_N``
-    where the numpy dual kernel runs."""
-    assert 150 >= _VECTOR_MIN_N
+    """A coupled desk solve, and a root solve at n = 150."""
     src = str(Path(mixopt.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
@@ -406,10 +403,10 @@ def test_children_pruned_at_their_bounding_are_not_rounded(monkeypatch):
     aims = {}  # id of a child's relaxation -> the target it was bounded against
     rounded = []
 
-    def bound(inst, node, form, params=None, warm=None):
-        res = solve_node_relaxation(inst, node, form, params, warm=warm)
+    def bound(inst, node, form, warm=None, target=None):
+        res = solve_node_relaxation(inst, node, form, warm=warm, target=target)
         if warm is not None:
-            aims[id(res)] = (params.target, res)
+            aims[id(res)] = (target, res)
         return res
 
     def round_regions(inst, node, res):

@@ -23,7 +23,6 @@ from mixopt import (
     Instance,
     LinearConstraint,
     NodeState,
-    RelaxParams,
     brute_force,
     compute_regions,
     dual_value,
@@ -34,7 +33,7 @@ from mixopt import (
     solve_node_relaxation,
 )
 from mixopt import relax
-from mixopt.relax import _VECTOR_MIN_N, _NodeContext, _dual_eval
+from mixopt.relax import _NodeArrays, _dual_eval_arrays
 
 from conftest import make_activity, random_instance
 
@@ -89,6 +88,11 @@ def _oracle_argmax_value(act, rb, status, lam, mu, form):
         v = _grid_region_best(act.theta, phi_eff, mu, iv[0], iv[1], fixed, form == "persp")
         best = max(best, v)
     return best
+
+
+def _regions(bits):
+    """The region set a node's bits hold, as ``per_activity_argmax`` takes it."""
+    return frozenset(r for r, bit in (("S", 1), ("L", 2), ("R", 4)) if bits & bit)
 
 
 def _statuses_for(rb):
@@ -193,14 +197,13 @@ def test_dual_value_sums_per_activity_argmax():
 
     Generated instances keep their two extra rows, so each activity is
     priced through its own coupling column; checked at the root and at a
-    node with some activities fixed, for both formulations.  The last
-    instance is above ``_VECTOR_MIN_N``, where the numpy kernel runs.
+    node with some activities fixed, for both formulations, at n = 9 and
+    n = 150.
     """
     rng = random.Random(17)
     configs = [GenConfig(correlation=corr, n=9, epsilon=0.1, xi=0.5, seed=40 + k)
                for k, corr in enumerate(CORRELATIONS)]
     configs.append(GenConfig(correlation="weak", n=150, epsilon=0.1, xi=0.75, seed=43))
-    assert configs[-1].n >= _VECTOR_MIN_N
     for cfg in configs:
         inst = generate(cfg)
         assert len(inst.extras) == 2
@@ -208,7 +211,7 @@ def test_dual_value_sums_per_activity_argmax():
         root = NodeState.root(inst)
         node = root
         for i in rng.sample(root.free_indices(), 3):
-            node = node.fix(i, rng.choice(sorted(node.allowed[i])))
+            node = node.fix(i, rng.choice(sorted(_regions(node.bits[i]))))
         for state in (root, node):
             for form in ("miqp", "persp"):
                 solved = solve_node_relaxation(inst, state, form).multipliers
@@ -220,8 +223,8 @@ def test_dual_value_sums_per_activity_argmax():
                         expect += lam_k * b_k
                     for i, (act, rb) in enumerate(zip(inst.activities, inst.regions)):
                         col = (1.0,) + tuple(ex.coeffs[i] for ex in inst.extras)
-                        expect += per_activity_argmax(act, rb, state.allowed[i], lam,
-                                                      mu, form, coupling=col)[3]
+                        expect += per_activity_argmax(act, rb, _regions(state.bits[i]),
+                                                      lam, mu, form, coupling=col)[3]
                     got = dual_value(inst, state, form, mult)
                     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
@@ -255,21 +258,24 @@ def _kernel_nodes(inst, rng):
     free = root.free_indices()
     node = root
     for region in ("L", "S", "R"):
-        i = next(i for i in free if region in node.allowed[i] and len(node.allowed[i]) > 1)
+        i = next(i for i in free if node.free[i] and region in _regions(node.bits[i]))
         node = node.fix(i, region)
     yield node
     saturated = root
-    for i in rng.sample([i for i in free if "R" in root.allowed[i]], inst.m):
+    for i in rng.sample([i for i in free if root.bits[i] & 4], inst.m):
         saturated = saturated.fix(i, "R")
     saturated = saturated.saturate_cardinality(inst.m)
     assert saturated.is_leaf
     yield saturated
 
 
-def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
-    """The numpy kernel returns the scalar loop's value and subgradient,
-    and with ``point`` also its x, zL and zR, bit for bit, on both sides of
-    ``_VECTOR_MIN_N``."""
+def test_dual_eval_arrays_match_the_scalar_loop():
+    """The numpy kernel is ``per_activity_argmax`` run activity by activity:
+    with ``point`` its x, zL, zR and per-activity values are the reference's
+    bit for bit, and its dual value and subgradient lie within 1e-12
+    (relative to the terms' magnitudes) of the ``fsum`` of the reference's
+    terms; without ``point`` it returns the same value and subgradient.
+    At n = 12 and 150, with edge activities, and with m = 0 and m = n."""
     rng = random.Random(23)
     insts = []
     for n in (12, 150):
@@ -278,20 +284,14 @@ def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
                   dataclasses.replace(inst, m=3), _with_edge_activities(inst)]
     edge = _with_edge_activities(insts[0])
     insts += [dataclasses.replace(edge, m=0), dataclasses.replace(edge, m=edge.n)]
-    assert insts[0].n < _VECTOR_MIN_N <= insts[4].n
     checked = 0
     for inst in insts:
+        K = 1 + len(inst.extras)
+        b = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
+        cols = [(1.0,) + tuple(ex.coeffs[i] for ex in inst.extras) for i in range(inst.n)]
         for node in (_kernel_nodes(inst, rng) if 0 < inst.m < inst.n
                      else [NodeState.root(inst)]):
-            ctx = _NodeContext(inst, node)
-            assert (ctx.arrays is not None) == (inst.n >= _VECTOR_MIN_N)
-            monkeypatch.setattr(relax, "_VECTOR_MIN_N", inst.n + 1)
-            scalar = _NodeContext(inst, node)
-            monkeypatch.setattr(relax, "_VECTOR_MIN_N", 0)
-            vector = _NodeContext(inst, node)
-            monkeypatch.undo()
-            assert scalar.arrays is None and vector.arrays is not None
-            K = ctx.K
+            arr = _NodeArrays(inst, node)
             for form in ("miqp", "persp"):
                 persp = form == "persp"
                 mults = [(0.0,) * (K + 1),
@@ -300,47 +300,36 @@ def test_dual_eval_arrays_match_the_scalar_loop(monkeypatch):
                     lam = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(K)]
                     mults += [tuple(lam) + (0.0,), tuple(lam) + (rng.uniform(0.0, 5.0),)]
                 for mult in mults:
-                    for point in (False, True):
-                        expect = repr(_dual_eval(scalar, mult, persp, point))
-                        assert repr(_dual_eval(vector, mult, persp, point)) == expect
-                        assert repr(_dual_eval(ctx, mult, persp, point)) == expect
-                    value, grad, *_ = _dual_eval(scalar, mult, persp, True)
-                    assert repr((value, grad)) == repr(_dual_eval(scalar, mult, persp))
+                    lam, mu = mult[:K], mult[K]
+                    value, grad, x, zl, zr, vals = _dual_eval_arrays(arr, mult, persp, True)
+                    assert repr((value, grad)) == repr(_dual_eval_arrays(arr, mult, persp))
+                    ref = [per_activity_argmax(act, rb, _regions(bits), lam, mu, form,
+                                               coupling=col)
+                           for act, rb, bits, col in zip(inst.activities, inst.regions,
+                                                         node.bits.tolist(), cols)]
+                    assert repr(list(zip(x, zl, zr, vals))) == repr(ref)
+                    terms = ([a.psi for a in inst.activities] + [mu * inst.m]
+                             + [l * r for l, r in zip(lam, b)] + list(vals))
+                    want = math.fsum(terms)
+                    scale = math.fsum(abs(t) for t in terms)
+                    assert abs(value - want) <= 1e-12 * max(1.0, scale)
+                    for k in range(K):
+                        use = [col[k] * xi for col, xi in zip(cols, x)]
+                        want = b[k] - math.fsum(use)
+                        scale = abs(b[k]) + math.fsum(abs(u) for u in use)
+                        assert abs(grad[k] - want) <= 1e-12 * max(1.0, scale)
+                    z = [a + c for a, c in zip(zl, zr)]
+                    want = inst.m - math.fsum(z)
+                    assert abs(grad[K] - want) <= 1e-12 * max(1.0, inst.m + math.fsum(z))
                     checked += 1
     assert checked > 200
-
-
-def test_descent_is_the_same_with_either_kernel(monkeypatch):
-    """A whole Newton descent on the node dual returns the same bits
-    whichever kernel evaluates it: the root without a target, and a child
-    aimed at a finite target from a warm start."""
-    inst = generate(GenConfig(correlation="weak", n=150, epsilon=0.1, xi=0.75, seed=5))
-    assert len(inst.extras) == 2
-    root = NodeState.root(inst)
-    child = root
-    for i, region in zip(root.free_indices(), ("L", "R", "S")):
-        child = child.fix(i, region if region in root.allowed[i] else "S")
-
-    def run(vector_min_n, node, form, params=None, warm=None):
-        monkeypatch.setattr(relax, "_VECTOR_MIN_N", vector_min_n)
-        res = solve_node_relaxation(inst, node, form, params, warm=warm)
-        monkeypatch.undo()
-        return repr((res.upper_bound, res.multipliers, res.x, res.z_L, res.z_R,
-                     res.converged))
-
-    for form in ("miqp", "persp"):
-        assert run(0, root, form) == run(inst.n + 1, root, form)
-        parent = solve_node_relaxation(inst, root, form)
-        params = RelaxParams(target=parent.upper_bound - 1.0)
-        assert (run(0, child, form, params, parent.multipliers)
-                == run(inst.n + 1, child, form, params, parent.multipliers))
 
 
 def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
     """A child whose dual value at the warm start is at or below its target
     is pruned there: the descent evaluates nothing more, the primal point
     is built once, and the stop is not reported as convergence.  Checked
-    below and above ``_VECTOR_MIN_N``."""
+    at n = 12 and 30."""
     for n in (12, 30):
         inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.5, seed=n))
         root = NodeState.root(inst)
@@ -351,13 +340,12 @@ def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
             for target in (at_warm, at_warm + 1.0):
                 points = []
 
-                def counted(ctx, mult, persp, point=False):
+                def counted(arr, mult, persp, point=False):
                     points.append(point)
-                    return _dual_eval(ctx, mult, persp, point)
+                    return _dual_eval_arrays(arr, mult, persp, point)
 
-                params = RelaxParams(target=target)
-                monkeypatch.setattr(relax, "_dual_eval", counted)
-                res = solve_node_relaxation(inst, child, form, params, warm=warm)
+                monkeypatch.setattr(relax, "_dual_eval_arrays", counted)
+                res = solve_node_relaxation(inst, child, form, warm=warm, target=target)
                 monkeypatch.undo()
                 assert points == [False, True]
                 assert res.upper_bound == at_warm <= target
@@ -399,7 +387,7 @@ def test_child_bound_never_exceeds_parent(rng):
             if not free:
                 continue
             i = rng.choice(free)
-            for region in sorted(root.allowed[i]):
+            for region in sorted(_regions(root.bits[i])):
                 child = root.fix(i, region)
                 res = solve_node_relaxation(inst, child, form, warm=parent.multipliers)
                 assert res.upper_bound <= parent.upper_bound + 1e-7
@@ -421,7 +409,8 @@ def test_single_activity_loose_budget_bound_is_exact():
     act = Activity(id="a", s=2.0, l=1.0, u=6.0, delta=0.5, theta=-1.0, phi=3.0, psi=0.75)
     inst = Instance(activities=(act,), rho=50.0, m=1, extras=())
     rb = inst.regions[0]
-    x, _, _, v = per_activity_argmax(act, rb, NodeState.root(inst).allowed[0], [0.0], 0.0, "miqp")
+    x, _, _, v = per_activity_argmax(act, rb, _regions(NodeState.root(inst).bits[0]), [0.0],
+                                     0.0, "miqp")
     expect = max(v, 0.0) + act.psi
     for form in ("miqp", "persp"):
         res = solve_node_relaxation(inst, NodeState.root(inst), form)
@@ -465,9 +454,9 @@ def _hull_lp_feasible(inst, node):
     one when the node fixes a side; then the coupling rows on the summed x
     and the cardinality row on the summed z."""
     n = inst.n
-    sides = [[iv if iv is not None and reg in allowed else None
-              for reg, iv in (("L", rb.L), ("R", rb.R))]
-             for rb, allowed in zip(inst.regions, node.allowed)]
+    sides = [[iv if iv is not None and bits & bit else None
+              for bit, iv in ((2, rb.L), (4, rb.R))]
+             for rb, bits in zip(inst.regions, node.bits.tolist())]
     # variables: x_L, x_R, z_L, z_R, each a block of n
     bounds, A_ub, b_ub, A_eq, b_eq = [], [], [], [], []
     for k in range(2):
@@ -487,7 +476,7 @@ def _hull_lp_feasible(inst, node):
                 b_ub.append(0.0)
         row = np.zeros(4 * n)
         row[2 * n + i] = row[3 * n + i] = 1.0
-        if "S" in node.allowed[i]:
+        if node.bits[i] & 1:
             A_ub.append(row)
             b_ub.append(1.0)
         else:
@@ -510,10 +499,10 @@ def _polyak_multipliers(inst, node, form, iters=500):
     """The projected subgradient descent with Polyak steps that bounded
     nodes before the Newton method, as an independent minimiser: every
     iterate it visits."""
-    ctx = _NodeContext(inst, node)
+    arr = _NodeArrays(inst, node)
     persp = form == "persp"
-    mult = [0.0] * (ctx.K + 1)
-    val, grad = _dual_eval(ctx, tuple(mult), persp)
+    mult = [0.0] * (len(inst.extras) + 2)
+    val, grad = _dual_eval_arrays(arr, tuple(mult), persp)
     best, visited = val, [tuple(mult)]
     for _ in range(iters):
         gnorm2 = math.fsum(g * g for g in grad)
@@ -521,7 +510,7 @@ def _polyak_multipliers(inst, node, form, iters=500):
             break
         step = (val - (best - max(0.1, 0.05 * abs(best)))) / gnorm2
         mult = [max(0.0, m - step * g) for m, g in zip(mult, grad)]
-        val, grad = _dual_eval(ctx, tuple(mult), persp)
+        val, grad = _dual_eval_arrays(arr, tuple(mult), persp)
         best = min(best, val)
         visited.append(tuple(mult))
     return visited
@@ -532,8 +521,8 @@ def _random_node(inst, rng):
     regions, saturated by the cardinality cap; None past the cap."""
     node = NodeState.root(inst)
     for i in rng.sample(range(inst.n), rng.randint(0, inst.n - 1)):
-        if len(node.allowed[i]) > 1:
-            node = node.fix(i, rng.choice(sorted(node.allowed[i])))
+        if node.free[i]:
+            node = node.fix(i, rng.choice(sorted(_regions(node.bits[i]))))
     node = node.saturate_cardinality(inst.m)
     return None if node.fixed_nonzero > inst.m else node
 
@@ -541,7 +530,7 @@ def _random_node(inst, rng):
 def _best_leaf(inst, node):
     """Best leaf value over the node's assignments with at most m moves."""
     best = -math.inf
-    for regions in itertools.product(*[sorted(a) for a in node.allowed]):
+    for regions in itertools.product(*[sorted(_regions(b)) for b in node.bits.tolist()]):
         if sum(r != "S" for r in regions) <= inst.m:
             out = solve_fixed_assignment(inst, regions)
             if out.feasible:
@@ -590,15 +579,13 @@ def test_child_bounds_are_the_fixed_childs_dual():
     (activity, region) pair is the dual value of the node with that
     activity fixed to that region, at the same multipliers, to 1e-12
     relative: on random nodes of generated instances with both extra rows
-    (and with edge activities), in both formulations, on both sides of
-    ``_VECTOR_MIN_N``."""
+    (and with edge activities), in both formulations, at n = 9 and 60."""
     rng = random.Random(31)
     insts = []
     for n in (9, 60):
         inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.75, seed=n))
         assert len(inst.extras) == 2
         insts += [inst, _with_edge_activities(inst)]
-    assert insts[0].n < _VECTOR_MIN_N <= insts[-1].n
     checked = 0
     for inst in insts:
         nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(4)]
@@ -610,7 +597,7 @@ def test_child_bounds_are_the_fixed_childs_dual():
                 bounds = relax._child_bounds(inst, res)
                 for i in node.free_indices():
                     for row, region in enumerate("SLR"):
-                        if region not in node.allowed[i]:
+                        if not node.bits[i] & (1 << row):
                             continue
                         want = dual_value(inst, node.fix(i, region), form,
                                           res.multipliers)
@@ -619,20 +606,59 @@ def test_child_bounds_are_the_fixed_childs_dual():
     assert checked > 300
 
 
+def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
+    """``fix_by_reduced_cost`` against a frozenset model of the node: each
+    free activity keeps the regions whose ``_child_bounds`` entry is above
+    the threshold, fixed ones keep theirs; the node itself comes back when
+    nothing is dropped, None when an activity is left with nothing.  On
+    random nodes of generated instances, at thresholds drawn among the
+    child bounds, in both formulations."""
+    rng = random.Random(37)
+    outcomes = {"same": 0, "none": 0, "fixed": 0}
+    for n in (9, 40):
+        inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.75, seed=n))
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(4)]
+        for node in filter(None, nodes):
+            for form in ("miqp", "persp"):
+                res = solve_node_relaxation(inst, node, form)
+                if res.upper_bound == -math.inf or node.is_leaf:
+                    continue
+                bounds = relax._child_bounds(inst, res)
+                free = node.free_indices()
+                levels = sorted(bounds[:, free].ravel().tolist())
+                for threshold in [-math.inf] + rng.sample(levels, min(6, len(levels))):
+                    model = [_regions(b) for b in node.bits.tolist()]
+                    for i in free:
+                        model[i] = frozenset(r for row, r in enumerate("SLR")
+                                             if r in model[i] and bounds[row, i] > threshold)
+                    out = relax.fix_by_reduced_cost(inst, node, res, threshold)
+                    if not all(model):
+                        assert out is None
+                        outcomes["none"] += 1
+                    elif model == [_regions(b) for b in node.bits.tolist()]:
+                        assert out is node
+                        outcomes["same"] += 1
+                    else:
+                        assert [_regions(b) for b in out.bits.tolist()] == model
+                        assert out.bits.dtype == np.int8 and not out.bits.flags.writeable
+                        outcomes["fixed"] += 1
+    assert min(outcomes.values()) > 0
+
+
 # ---------------------------------------------------------------------------
 # node state
 
 
 def test_node_state_lifecycle(two_symmetric):
     root = NodeState.root(two_symmetric)
-    assert root.allowed == (frozenset({"S", "R"}), frozenset({"S", "R"}))
+    assert root.bits.dtype == np.int8 and root.bits.tolist() == [5, 5]  # S | R
     assert root.free_indices() == [0, 1]
     assert not root.is_leaf and root.fixed_nonzero == 0
 
     child = root.fix(0, "R")
     assert child.fixed_nonzero == 1
     saturated = child.saturate_cardinality(two_symmetric.m)
-    assert saturated.allowed[1] == frozenset({"S"})
+    assert saturated.bits.tolist() == [4, 1]
     assert saturated.is_leaf
 
     with pytest.raises(ValueError):
@@ -644,7 +670,59 @@ def test_root_with_zero_cap_pins_everything():
     inst = random_instance(rng, 4, m=0)
     root = NodeState.root(inst)
     assert root.is_leaf
-    assert all(a == frozenset({"S"}) for a in root.allowed)
+    assert root.bits.tolist() == [1] * 4
+
+
+def _model_root(inst):
+    """A node as the tuple of region sets the bits stand for."""
+    if inst.m == 0:
+        return [frozenset("S")] * inst.n
+    return [frozenset("S" + "L" * (rb.L is not None) + "R" * (rb.R is not None))
+            for rb in inst.regions]
+
+
+def _assert_matches_model(node, model):
+    assert [_regions(b) for b in node.bits.tolist()] == model
+    free = [i for i, a in enumerate(model) if len(a) > 1]
+    assert node.free_indices() == free
+    assert node.free.tolist() == [len(a) > 1 for a in model]
+    assert node.is_leaf == (not free)
+    assert node.fixed_nonzero == sum(len(a) == 1 and "S" not in a for a in model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_node_state_matches_a_frozenset_model(seed):
+    """Random ``fix`` and ``saturate_cardinality`` sequences on random
+    instances, m = 0 and m = n among them, agree with a model that keeps
+    each activity's open regions as a frozenset: ``fix`` of a region the
+    model lacks raises, ``fix`` leaves its parent as it was, and ``bits``
+    is read-only."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 8)
+    inst = random_instance(rng, n, m=rng.choice([0, n, rng.randint(0, n)]))
+    node, model = NodeState.root(inst), _model_root(inst)
+    _assert_matches_model(node, model)
+    for _ in range(rng.randint(0, 2 * n)):
+        if rng.random() < 0.25:
+            m = rng.randint(0, n)
+            node = node.saturate_cardinality(m)
+            if sum(len(a) == 1 and "S" not in a for a in model) >= m:
+                model = [a if len(a) == 1 else frozenset("S") for a in model]
+        else:
+            i, region = rng.randrange(n), rng.choice("SLR")
+            before = node.bits.tolist()
+            if region not in model[i]:
+                with pytest.raises(ValueError):
+                    node.fix(i, region)
+                continue
+            child = node.fix(i, region)
+            assert node.bits.tolist() == before
+            node, model = child, model[:i] + [frozenset(region)] + model[i + 1:]
+        _assert_matches_model(node, model)
+        assert node.bits.dtype == np.int8
+        with pytest.raises(ValueError):
+            node.bits[0] = 7
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +799,7 @@ def test_fixed_assignment_matches_scipy(seed):
 def test_fixed_assignment_budget_only_is_tight(rng):
     for _ in range(15):
         inst = random_instance(rng, rng.randint(2, 6))
-        assignment = [rng.choice(sorted(s)) for s in NodeState.root(inst).allowed]
+        assignment = [rng.choice(sorted(_regions(b))) for b in NodeState.root(inst).bits]
         out = solve_fixed_assignment(inst, assignment)
         if not out.feasible:
             continue
@@ -799,10 +877,3 @@ def test_stalled_leaf_returns_no_point_off_its_rows():
         assert value <= bound + 1e-9 * max(1.0, abs(bound))
     # the bound holds over the feasible set, at HiGHS's vertex too
     assert float(theta @ (lp.x * lp.x) + phi @ lp.x) <= bound + 1e-9 * max(1.0, abs(bound))
-
-
-def test_relax_params_defaults():
-    # the Newton method stops on its certificate: no iteration, stall or
-    # golden-section knobs are left, only the pruning target
-    assert [f.name for f in dataclasses.fields(RelaxParams)] == ["target"]
-    assert RelaxParams().target is None

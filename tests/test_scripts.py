@@ -47,17 +47,16 @@ def test_bench_layers_runs(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#")
-    assert lines[1].split() == ["n", "form", "kernel", "value_us", "point_us"]
-    rows = [line.split() for line in lines[2:10]]
-    # one row per n x formulation x kernel
-    assert [r[:3] for r in rows] == [[n, f, k] for n in ("12", "64")
-                                     for f in ("persp", "miqp")
-                                     for k in ("scalar", "numpy")]
-    assert all(float(r[3]) > 0.0 and float(r[4]) > 0.0 for r in rows)
+    assert lines[1].split() == ["n", "form", "value_us", "point_us"]
+    rows = [line.split() for line in lines[2:6]]
+    # one row per n x formulation
+    assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
+                                     for f in ("persp", "miqp")]
+    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
     # then the node relaxation: one row per n x formulation x relaxation,
     # with its dual evaluations and Newton steps
-    assert lines[10].split() == ["n", "form", "relax", "evals", "newton", "relax_us"]
-    rows = [line.split() for line in lines[11:23]]
+    assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "relax_us"]
+    rows = [line.split() for line in lines[7:19]]
     assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
                                      for f in ("persp", "miqp")
                                      for c in ("root", "pruned", "open")]
@@ -68,8 +67,8 @@ def test_bench_layers_runs(capsys):
     assert all(int(r[4]) > 0 and int(r[3]) <= int(r[4]) + 2 for r in rows
                if r[2] == "root")
     # then reduced-cost fixing at the root: one row per n x formulation
-    assert lines[23].split() == ["n", "form", "free", "fixed", "removed", "fix_us"]
-    rows = [line.split() for line in lines[24:]]
+    assert lines[19].split() == ["n", "form", "free", "fixed", "removed", "fix_us"]
+    rows = [line.split() for line in lines[20:]]
     assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
                                      for f in ("persp", "miqp")]
     assert all(0 <= int(r[3]) <= int(r[2]) and int(r[3]) <= int(r[4])
