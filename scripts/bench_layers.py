@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dual evaluation, the node relaxation and reduced-cost fixing.
+"""Time the dual evaluation, node relaxation, reduced-cost fixing and a search.
 
 For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
@@ -26,8 +26,17 @@ counts the regions it drops and ``fixed`` the activities it leaves with
 one region, of the ``free`` ones (a root it prunes shows every free
 region removed and none fixed).
 
+The search, on the ``coupled`` desk case weak n = 30 (generator seed
+``SEARCH_SEED``, both extra rows), whose root is hull-feasible while much
+of the tree below it is not, stopped after 15 nodes as benchmarked:
+``relax`` counts its node relaxations, ``descents`` the Newton descents
+they run, ``rays`` the descents that end on a Farkas ray and ``pooled``
+the children closed by a ray an earlier descent found, without a descent
+of their own; ``solve_ms`` times the whole search.
+
 Each time is the median over ``--repeats`` batches of the mean time of
-``--calls`` calls (``--relax-calls`` for the relaxations).
+``--calls`` calls (``--relax-calls`` for the relaxations, one for the
+search).
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --n 64 500 --calls 200 --repeats 9
@@ -44,14 +53,16 @@ import time
 
 import numpy as np
 
-from mixopt import gen, relax
-from mixopt.bnb import _REGION_ORDER, _branch_index, _prune_threshold, round_incumbent
+from mixopt import bnb, gen, relax
+from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index, _prune_threshold,
+                        branch_and_bound, round_incumbent)
 from mixopt.relax import NodeState, dual_value, fix_by_reduced_cost, solve_node_relaxation
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
 FORMS = ("persp", "miqp")
 RELAXATIONS = ("root", "pruned", "open")
+SEARCH_SEED = 9489810283428522141  # the coupled weak n = 30 case
 
 
 def _regions_held(bits):
@@ -91,6 +102,35 @@ def counted(call):
     finally:
         relax._dual_eval_arrays, relax._Dual.newton = kernel, newton
     return counts
+
+
+def search_counts(call):
+    """Node relaxations, their descents, the descents that end on a ray,
+    and the relaxations closed by a pooled ray, in one search."""
+    ends, counts = [], [0, 0, 0, 0]
+    descend, bound = relax._descend, bnb.solve_node_relaxation
+
+    def descent(*args):
+        out = descend(*args)
+        ends.append(out[2])
+        return out
+
+    def relaxation(*args, **kwargs):
+        before = len(ends)  # leaf solves descend too, outside any window
+        res = bound(*args, **kwargs)
+        window = ends[before:]
+        counts[0] += 1
+        counts[1] += len(window)
+        counts[2] += window.count("ray")
+        counts[3] += res.ray is not None and not window
+        return res
+
+    relax._descend, bnb.solve_node_relaxation = descent, relaxation
+    try:
+        out = call()
+    finally:
+        relax._descend, bnb.solve_node_relaxation = descend, bound
+    return out, counts
 
 
 def per_call_us(call, calls, repeats):
@@ -165,6 +205,17 @@ def run(argv=None):
                            args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {free.sum():5d} {fixed:5d} {removed:7d} {took:9.1f}",
               flush=True)
+
+    inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=30, epsilon=0.1,
+                                      xi=0.5, seed=SEARCH_SEED))
+    print(f"{'n':>5} {'form':>5} {'status':>10} {'nodes':>5} {'relax':>5} "
+          f"{'descents':>8} {'rays':>4} {'pooled':>6} {'solve_ms':>9}")
+    for form in FORMS:
+        params = SolveParams(formulation=form, node_limit=15)
+        out, counts = search_counts(lambda: branch_and_bound(inst, params))
+        took = per_call_us(lambda: branch_and_bound(inst, params), 1, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {out.status:>10} {out.nodes:5d} {counts[0]:5d} "
+              f"{counts[1]:8d} {counts[2]:4d} {counts[3]:6d} {took / 1e3:9.1f}", flush=True)
     return 0
 
 

@@ -10,7 +10,12 @@ semismooth Newton method warm-started at the parent's multipliers; it
 stops early once the dual value reaches the incumbent's prune threshold,
 and a child pruned that way is not rounded either.  A relaxation whose dual
 falls without bound proves the node's hull relaxation infeasible: such a
-child is pruned, and such a root ends the solve as ``infeasible``.
+child is pruned, and such a root ends the solve as ``infeasible``.  Each
+search keeps a pool of the Farkas rays its descents find, and every child
+is tested along them before it descends (``solve_node_relaxation``'s
+``rays``); a child whose dual falls along one is pruned without a descent.
+Roundings and leaves go through the feasibility checker only when they
+would beat the incumbent.
 
 A popped node first drops every region whose Lagrangian child bound
 (``relax.fix_by_reduced_cost``: the node's dual value with one activity's
@@ -124,16 +129,18 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
 
 
 def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
-                         out: FixedOutcome) -> Optional[Solution]:
-    """Gate a continuous-layer optimum through the exact checker."""
+                         out: FixedOutcome, floor: float = -_INF,
+                         ) -> Optional[Solution]:
+    """Gate a continuous-layer optimum through the exact checker; one whose
+    objective is at or below ``floor`` (the incumbent's value) is None
+    unchecked, as it could not replace the incumbent."""
     if not out.feasible or out.x is None:
         return None
     # an activity sitting at zero change is really staying put
     final_regions = tuple("S" if x == 0.0 else reg
                           for x, reg in zip(out.x, regions))
     sol = Solution.from_x(inst, out.x, final_regions)
-    report = check_minlp_feasible(inst, sol, tol=1e-8)
-    if not report.ok:
+    if sol.objective <= floor or not check_minlp_feasible(inst, sol, tol=1e-8).ok:
         return None
     return sol
 
@@ -212,6 +219,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             inc_sol, inc_val = sol, sol.objective
 
     assignment_cache: dict = {}
+    rays: List[Tuple[float, ...]] = []  # Farkas rays the descents found
 
     def solve_assignment(regions: Tuple[Region, ...]) -> FixedOutcome:
         out = assignment_cache.get(regions)
@@ -224,7 +232,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         regions = _round_regions(inst, node, res)
         out = solve_assignment(regions)
         if out.feasible:
-            admit(_outcome_to_solution(inst, regions, out))
+            admit(_outcome_to_solution(inst, regions, out, inc_val))
 
     def close_leaf(node: NodeState) -> None:
         nonlocal residual_ub
@@ -234,7 +242,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         out = solve_assignment(regions)
         if not out.feasible:
             return
-        admit(_outcome_to_solution(inst, regions, out))
+        admit(_outcome_to_solution(inst, regions, out, inc_val))
         if out.bound > inc_val:
             residual_ub = max(residual_ub, out.bound)
 
@@ -305,11 +313,15 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         # every sibling is bounded against the prune threshold of the incumbent
         # from before rounding: the Newton method stops once the dual value
         # gets there.  The threshold only rises, so a child at or below it is
-        # pruned, and no point of it is worth rounding.
+        # pruned, and no point of it is worth rounding.  Siblings are bounded
+        # one at a time, each against the rays found so far, so that a later
+        # sibling can use an earlier sibling's ray.
         aim = _prune_threshold(params.gap_tol, inc_val)
-        results = [solve_node_relaxation(inst, c, form, warm=res.multipliers,
-                                         target=aim) for c in inner]
-        for child, cres in zip(inner, results):
+        for child in inner:
+            cres = solve_node_relaxation(inst, child, form, warm=res.multipliers,
+                                         target=aim, rays=rays)
+            if cres.ray is not None and cres.ray not in rays:
+                rays.append(cres.ray)
             child_bound = min(bound, cres.upper_bound)
             if child_bound <= aim:
                 continue

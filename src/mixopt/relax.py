@@ -117,6 +117,8 @@ class RelaxResult:
     multipliers: Tuple[float, ...]  # (budget, extras..., cardinality)
     converged: bool
     values: Tuple[float, ...]  # each activity's term in the bound
+    # the Farkas ray that proves the bound -inf, else None
+    ray: Optional[Tuple[float, ...]] = None
 
     @property
     def primal_z(self) -> Tuple[float, ...]:
@@ -804,28 +806,26 @@ def _node_dual(arr: _NodeArrays, persp: bool) -> _Dual:
                  np.vstack((zero, kappa)), np.vstack((zero, zeta)), off)
 
 
-def _descend(build: Callable[[], _Dual], value: Callable, y: np.ndarray,
-             goal: float):
-    """Projected semismooth Newton method on the dual ``build()`` returns,
-    from ``y``; it is built only when a step is needed.
+def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
+    """Projected semismooth Newton method on ``dual`` from ``y``.
 
     ``value(y)`` returns the dual value and its subgradient at the inner
-    solution.  Each step solves the Newton system of ``_Dual.newton`` and
-    moves by an exact line search along it, or by the unit step where the
-    search finds no slope beyond rounding; a step that raises the value by
-    more than rounding is not taken.  Returns the multipliers, the dual
-    value there, and how the method ended: ``"converged"`` when the KKT
-    residual of the inner solution, or of the point the Newton step
-    recovers, is down to ``1e-12*(1 + max|e|)``; ``"target"`` once the value
-    is at or below ``goal`` (a node is then pruned whatever follows);
-    ``"ray"`` when the dual falls without bound, with the value -inf (no
-    point meets the rows); ``"stalled"`` when a step gains nothing or the
-    iteration cap is reached.
+    solution, and ``start`` is ``value(y)`` at the first ``y``.  Each step
+    solves the Newton system of ``_Dual.newton`` and moves by an exact line
+    search along it, or by the unit step where the search finds no slope
+    beyond rounding; a step that raises the value by more than rounding is
+    not taken.  Returns the multipliers, the dual value there, and how the
+    method ended: ``"converged"`` when the KKT residual of the inner
+    solution, or of the point the Newton step recovers, is down to
+    ``1e-12*(1 + max|e|)``; ``"target"`` once a step takes the value to or
+    below ``goal`` (a node is then pruned whatever follows); ``"ray"`` when
+    the dual falls without bound, with the value -inf (no point meets the
+    rows); ``"stalled"`` when a step gains nothing or the iteration cap is
+    reached.  On a ray the multipliers returned are the certificate, a
+    direction ``d >= 0`` with ``dual.falls_along(d)``: the Newton direction
+    the line search runs off along, or the last iterate.
     """
-    val, grad = value(y)
-    if val <= goal:
-        return y, val, "target"
-    dual = build()
+    val, grad = start
     tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
     for it in range(_NEWTON_MAX_ITERS + 1):
@@ -842,8 +842,8 @@ def _descend(build: Callable[[], _Dual], value: Callable, y: np.ndarray,
         ratio[shrink] = y[shrink] / -d[shrink]
         t_max = float(ratio.min())
         t = search(t_max)
-        if t is None:
-            return y, -_INF, "ray"
+        if t is None:  # no d < 0, as t_max is infinite
+            return d, -_INF, "ray"
         if t == 0.0:  # a flat start to rounding: try the unit step
             t = min(1.0, t_max)
         nxt = np.maximum(y + t * d, 0.0)
@@ -869,7 +869,8 @@ def dual_value(inst: Instance, node: NodeState, form: Formulation,
 
 def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
                           *, warm: Optional[Sequence[float]] = None,
-                          target: Optional[float] = None) -> RelaxResult:
+                          target: Optional[float] = None,
+                          rays: Sequence[Sequence[float]] = ()) -> RelaxResult:
     """Upper-bound a node by pricing the coupling rows.
 
     The node dual is minimised by the projected semismooth Newton method of
@@ -877,13 +878,21 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     the method ends on a certificate: the KKT residual of the relaxation
     point it recovers, or a ray along which the dual falls without bound,
     in which case ``upper_bound`` is -inf (the node's hull relaxation has no
-    point).  With a finite ``target`` (use the incumbent's prune threshold)
-    the method stops once the dual value is at or below it, possibly at the
-    warm start: the node is then pruned whatever follows, and ``converged``
-    is False.  The bound is the dual value at the returned multipliers, so
-    it is valid whatever the ending.  The primal point is the inner
-    solution there and may violate the coupling rows; it is meant for
-    branching scores and incumbent rounding only.
+    point) and ``ray`` and ``multipliers`` hold that ray.  With a finite
+    ``target`` (use the incumbent's prune threshold) the method stops once
+    the dual value is at or below it, possibly at the warm start: the node
+    is then pruned whatever follows, and ``converged`` is False.  The bound
+    is the dual value at the returned multipliers, so it is valid whatever
+    the ending.  The primal point is the inner solution there and may
+    violate the coupling rows; it is meant for branching scores and
+    incumbent rounding only.
+
+    ``rays`` are Farkas rays found on other nodes of the same instance
+    (``RelaxResult.ray``).  Unless the warm start already reaches the
+    target, each is tested on this node's dual by ``_Dual.falls_along``
+    before the descent, the test the descent ends on; the first along
+    which the dual falls without bound proves the node infeasible as well,
+    and is returned as its ray without a descent.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
@@ -900,12 +909,21 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
         val, grad = _dual_eval_arrays(arr, tuple(y.tolist()), persp)
         return val, np.array(grad)
 
-    y, val, end = _descend(lambda: _node_dual(arr, persp), value, y, goal)
+    start = value(y)
+    if start[0] <= goal:
+        val, end = start[0], "target"
+    else:
+        dual = _node_dual(arr, persp)
+        hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
+        if hit is not None:
+            y, val, end = hit, -_INF, "ray"
+        else:
+            y, val, end = _descend(dual, value, y, start, goal)
     mult = tuple(y.tolist())
     _, _, x, zl, zr, vals = _dual_eval_arrays(arr, mult, persp, point=True)
     return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
                        multipliers=mult, converged=end in ("converged", "ray"),
-                       values=tuple(vals))
+                       values=tuple(vals), ray=mult if end == "ray" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1041,8 @@ def _box_qp_max(theta, phi, lo, hi, A, b):
         x = inner["x"] = dual.inner(c[None])[0]
         return float(b @ y[:K] + theta @ (x * x) + c @ x), np.append(b - A @ x, 0.0)
 
-    y, bound, end = _descend(lambda: dual, value, np.zeros(K + 1), -_INF)
+    y = np.zeros(K + 1)
+    y, bound, end = _descend(dual, value, y, value(y), -_INF)
     if end == "ray":
         return None
     x = dual.x if dual.x is not None else inner["x"]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from mixopt import (
     solve_fixed_assignment,
     solve_node_relaxation,
 )
-from mixopt import bnb
+from mixopt import bnb, relax
 from mixopt.bnb import _round_regions
 
 from conftest import random_instance
@@ -244,14 +245,27 @@ def test_hull_infeasible_root_ends_the_solve():
     """The ``coupled`` desk case weak n = 12, seed 11539782348902174461, as
     generated: HiGHS finds its root hull LP infeasible, so the root dual
     falls without bound along a ray and the solve ends ``infeasible`` at 0
-    nodes in both formulations, where a node limit stopped it before."""
+    nodes in both formulations, where a node limit stopped it before.  The
+    result holds that ray, and the root's dual falls along it; a relaxation
+    that ends otherwise (the feasible root of the weak n = 30 case, bounded
+    to convergence or stopped at its warm start by a target) holds none."""
     inst = generate(GenConfig("weak", 12, 0.1, 0.5, 11539782348902174461))
     root = NodeState.root(inst)
+    feasible = generate(GenConfig("weak", 30, 0.1, 0.5, 9489810283428522141))
     for form in FORMS:
         res = solve_node_relaxation(inst, root, form)
         assert res.upper_bound == -math.inf and res.converged
+        assert res.ray is not None and res.ray == res.multipliers
+        dual = relax._node_dual(relax._NodeArrays(inst, root), form == "persp")
+        assert dual.falls_along(np.array(res.ray))
         out = branch_and_bound(inst, SolveParams(formulation=form, node_limit=15))
         assert (out.status, out.nodes, out.incumbent) == ("infeasible", 0, None)
+        froot = NodeState.root(feasible)
+        done = solve_node_relaxation(feasible, froot, form)
+        stopped = solve_node_relaxation(feasible, froot, form, warm=done.multipliers,
+                                        target=done.upper_bound)
+        assert done.upper_bound > -math.inf and done.converged and done.ray is None
+        assert not stopped.converged and stopped.ray is None
 
 
 def _linear_instance(seed):
@@ -403,8 +417,9 @@ def test_children_pruned_at_their_bounding_are_not_rounded(monkeypatch):
     aims = {}  # id of a child's relaxation -> the target it was bounded against
     rounded = []
 
-    def bound(inst, node, form, warm=None, target=None):
-        res = solve_node_relaxation(inst, node, form, warm=warm, target=target)
+    def bound(inst, node, form, warm=None, target=None, rays=()):
+        res = solve_node_relaxation(inst, node, form, warm=warm, target=target,
+                                    rays=rays)
         if warm is not None:
             aims[id(res)] = (target, res)
         return res
@@ -423,6 +438,70 @@ def test_children_pruned_at_their_bounding_are_not_rounded(monkeypatch):
     # the search does prune children at their bounding
     assert any(target is not None and res.upper_bound <= target
                for target, res in aims.values())
+
+
+def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
+    """The ``coupled`` desk case weak n = 30, seed 9489810283428522141, as
+    generated (hull-feasible root, infeasible MINLP), persp, node limit 15:
+    the search keeps its status, node count and bound to the last bit, and
+    its node relaxations, 41 as before, run at most 20 descents, of which
+    at most 3 end on a Farkas ray (24 did when every child descended); the
+    other children whose dual falls without bound are closed by a ray an
+    earlier descent found."""
+    inst = generate(GenConfig("weak", 30, 0.1, 0.5, 9489810283428522141))
+    ends = []  # how each descent of a node relaxation ended
+    relaxations = []
+    descend = relax._descend
+
+    def counted(*args):
+        out = descend(*args)
+        ends.append(out[2])
+        return out
+
+    def bound(*args, **kwargs):
+        before = len(ends)
+        res = solve_node_relaxation(*args, **kwargs)
+        relaxations.append((res, ends[before:]))
+        return res
+
+    monkeypatch.setattr(relax, "_descend", counted)
+    monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
+    out = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
+    assert (out.status, out.nodes, repr(out.upper_bound)) == (
+        "node-limit", 15, "-518.8817960682755")
+    node_ends = [end for _, window in relaxations for end in window]
+    assert len(relaxations) == 41 and len(node_ends) <= 20
+    assert 0 < node_ends.count("ray") <= 3
+    pooled = [res for res, window in relaxations if not window and res.ray is not None]
+    assert len(pooled) >= 41 - 20
+    assert all(res.upper_bound == -math.inf and res.converged for res in pooled)
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_checker_sees_only_candidates_that_beat_the_incumbent(form, monkeypatch):
+    """Roundings and leaves at or below the incumbent are dropped before the
+    feasibility checker: on the strong n = 30 desk case with the budget row
+    only, as benchmarked, every checked candidate's objective beats every
+    earlier candidate that passed the check."""
+    inst = dataclasses.replace(
+        generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
+    checked = []  # (objective, passed) per checker call, in order
+    check = bnb.check_minlp_feasible
+
+    def counted(inst, sol, tol):
+        report = check(inst, sol, tol=tol)
+        checked.append((sol.objective, report.ok))
+        return report
+
+    monkeypatch.setattr(bnb, "check_minlp_feasible", counted)
+    out = branch_and_bound(inst, SolveParams(formulation=form, node_limit=60))
+    assert out.incumbent is not None and len(checked) > 1
+    best = -math.inf
+    for objective, passed in checked:
+        assert objective > best
+        if passed:
+            best = objective
+    assert best == out.objective
 
 
 @pytest.mark.parametrize("n", (6, 7, 8, 9))

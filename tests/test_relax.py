@@ -574,6 +574,59 @@ def test_node_bound_is_valid_and_exact():
     assert min(endings.values()) >= 20  # both verdicts are exercised
 
 
+def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
+    """A Farkas ray that one node's descent finds, offered to the other
+    nodes of the same instance by ``rays``: every node pruned with it has
+    an infeasible hull LP by HiGHS, and its own descent (no rays) ends at
+    -inf as well.  On random small instances with extra rows drawn as the
+    generator draws them (a third loosened), the root and random nodes, in
+    both formulations; nodes are closed by the pooled ray itself, without
+    a Newton step, also by rays found below the root."""
+    steps = [0]
+    newton = relax._Dual.newton
+
+    def counted(self, *args):
+        steps[0] += 1
+        return newton(self, *args)
+
+    monkeypatch.setattr(relax._Dual, "newton", counted)
+    rng = random.Random(43)
+    hits = {True: 0, False: 0}  # by whether the ray was found at the root
+    pruned = 0
+    for k in range(30):
+        inst = random_instance(rng, rng.randint(2, 6), with_extras=True)
+        if k % 3 == 0:
+            extras = tuple(dataclasses.replace(ex, rhs=ex.rhs + rng.uniform(0.0, 20.0))
+                           for ex in inst.extras)
+            inst = dataclasses.replace(inst, extras=extras)
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(5)]
+        nodes = [node for node in nodes if node is not None]
+        hull_ok = [_hull_lp_feasible(inst, node) for node in nodes]
+        for form in ("miqp", "persp"):
+            found = [(j, solve_node_relaxation(inst, node, form).ray)
+                     for j, node in enumerate(nodes)]
+            for j, ray in found:
+                if ray is None:
+                    continue
+                assert len(ray) == len(inst.extras) + 2 and min(ray) >= 0.0
+                for i, node in enumerate(nodes):
+                    if i == j:
+                        continue
+                    steps[0] = 0
+                    res = solve_node_relaxation(inst, node, form, rays=[ray])
+                    if res.upper_bound > -math.inf:
+                        continue
+                    assert res.converged and res.ray is not None
+                    assert len(res.x) == len(res.z_L) == len(res.values) == inst.n
+                    if steps[0] == 0:  # closed by the pool
+                        assert res.ray == ray
+                        hits[j == 0] += 1
+                    pruned += 1
+                    assert not hull_ok[i]
+                    assert solve_node_relaxation(inst, node, form).upper_bound == -math.inf
+    assert min(hits.values()) >= 10 and pruned >= sum(hits.values())
+
+
 def test_child_bounds_are_the_fixed_childs_dual():
     """At a node's multipliers, the bound ``_child_bounds`` gives each free
     (activity, region) pair is the dual value of the node with that

@@ -68,10 +68,23 @@ def test_bench_layers_runs(capsys):
                if r[2] == "root")
     # then reduced-cost fixing at the root: one row per n x formulation
     assert lines[19].split() == ["n", "form", "free", "fixed", "removed", "fix_us"]
-    rows = [line.split() for line in lines[20:]]
+    rows = [line.split() for line in lines[20:24]]
     assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
                                      for f in ("persp", "miqp")]
     assert all(0 <= int(r[3]) <= int(r[2]) and int(r[3]) <= int(r[4])
                and float(r[5]) > 0.0 for r in rows)
     # the persp root of the n = 64 paper cell fixes activities
     assert int(rows[2][3]) > 0
+    # then the search on the coupled weak n = 30 case: one row per formulation
+    assert lines[24].split() == ["n", "form", "status", "nodes", "relax", "descents",
+                                 "rays", "pooled", "solve_ms"]
+    rows = [line.split() for line in lines[25:]]
+    assert [r[:2] for r in rows] == [["30", f] for f in ("persp", "miqp")]
+    for r in rows:
+        relaxations, descents, rays, pooled = map(int, r[4:8])
+        # every relaxation descends or is closed by a pooled ray, unless its
+        # warm start already prunes it
+        assert descents + pooled <= relaxations and rays <= descents
+        assert pooled > 0 and float(r[8]) > 0.0
+    # persp, as benchmarked: 41 relaxations, 20 descents, 3 rays
+    assert rows[0][2:8] == ["node-limit", "15", "41", "20", "3", "21"]
