@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the dual evaluation, node relaxation, reduced-cost fixing and a search.
+"""Time the dual evaluation, relaxation, fixing, leaf solve and a search.
 
 For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
@@ -26,6 +26,15 @@ counts the regions it drops and ``fixed`` the activities it leaves with
 one region, of the ``free`` ones (a root it prunes shows every free
 region removed and none fixed).
 
+The leaf solve, on the assignment the root relaxation rounds to, as the
+search's first rounding solves it: ``full`` with no floor; ``cut`` against
+a floor above the root bound, which the leaf's dual value at the root's
+multipliers already falls below, so no descent runs; ``target`` with no
+multipliers and a floor halfway between the leaf's value and its dual
+value at zero, so the descent stops once its dual value gets to the floor
+(or runs in full when the two are level).  ``end`` is how the descent
+ended (``bound`` when none ran) and ``newton`` counts its Newton steps.
+
 The search, on the ``coupled`` desk case weak n = 30 (generator seed
 ``SEARCH_SEED``, both extra rows), whose root is hull-feasible while much
 of the tree below it is not, stopped after 15 nodes as benchmarked:
@@ -35,8 +44,8 @@ the children closed by a ray an earlier descent found, without a descent
 of their own; ``solve_ms`` times the whole search.
 
 Each time is the median over ``--repeats`` batches of the mean time of
-``--calls`` calls (``--relax-calls`` for the relaxations, one for the
-search).
+``--calls`` calls (``--relax-calls`` for the relaxations and leaves, one
+for the search).
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --n 64 500 --calls 200 --repeats 9
@@ -55,8 +64,9 @@ import numpy as np
 
 from mixopt import bnb, gen, relax
 from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index, _prune_threshold,
-                        branch_and_bound, round_incumbent)
-from mixopt.relax import NodeState, dual_value, fix_by_reduced_cost, solve_node_relaxation
+                        _round_regions, branch_and_bound, round_incumbent)
+from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,
+                          solve_fixed_assignment, solve_node_relaxation)
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
@@ -102,6 +112,35 @@ def counted(call):
     finally:
         relax._dual_eval_arrays, relax._Dual.newton = kernel, newton
     return counts
+
+
+def leaf_floors(inst, root_res, regions):
+    """The floor and multipliers of each timed leaf solve."""
+    full = solve_fixed_assignment(inst, regions)
+    # a floor no leaf reaches cuts the solve at once, at the dual value at zero
+    top = solve_fixed_assignment(inst, regions, floor=sys.float_info.max).bound
+    bound = root_res.upper_bound
+    return {"full": (-math.inf, None),
+            "cut": (bound + 1e-6 * max(1.0, abs(bound)), root_res.multipliers),
+            "target": (0.5 * (full.value + top), None)}
+
+
+def leaf_end(call):
+    """How the one descent of a leaf solve ended, ``bound`` when none ran."""
+    ends = []
+    descend = relax._descend
+
+    def descent(*args):
+        out = descend(*args)
+        ends.append(out[2])
+        return out
+
+    relax._descend = descent
+    try:
+        call()
+    finally:
+        relax._descend = descend
+    return ends[0] if ends else "bound"
 
 
 def search_counts(call):
@@ -205,6 +244,18 @@ def run(argv=None):
                            args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {free.sum():5d} {fixed:5d} {removed:7d} {took:9.1f}",
               flush=True)
+
+    print(f"{'n':>5} {'form':>5} {'leaf':>6} {'end':>9} {'newton':>6} {'leaf_us':>9}")
+    for inst, root, form, root_res in cells:
+        regions = _round_regions(inst, root, root_res)
+        for kind, (floor, mult) in leaf_floors(inst, root_res, regions).items():
+            def call():
+                solve_fixed_assignment(inst, regions, floor=floor, multipliers=mult)
+            end = leaf_end(call)
+            newton = counted(call)[1]
+            took = per_call_us(call, args.relax_calls, args.repeats)
+            print(f"{inst.n:5d} {form:>5} {kind:>6} {end:>9} {newton:6d} {took:9.1f}",
+                  flush=True)
 
     inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=30, epsilon=0.1,
                                       xi=0.5, seed=SEARCH_SEED))

@@ -14,6 +14,12 @@ child is pruned, and such a root ends the solve as ``infeasible``.  Each
 search keeps a pool of the Farkas rays its descents find, and every child
 is tested along them before it descends (``solve_node_relaxation``'s
 ``rays``); a child whose dual falls along one is pruned without a descent.
+Roundings and leaves are solved against the incumbent's value as a floor,
+with the multipliers of the node they come from (``solve_fixed_assignment``'s
+``floor`` and ``multipliers``): a leaf whose dual value falls below the
+floor is cut without its full solve, as it could neither be admitted nor
+raise the bound.  Each search also pools the Farkas rays of its leaf duals,
+and tests every leaf along them and along the node rays before it descends.
 Roundings and leaves go through the feasibility checker only when they
 would beat the incumbent.
 
@@ -218,28 +224,42 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         if sol is not None and sol.objective > inc_val:
             inc_sol, inc_val = sol, sol.objective
 
+    # a cut outcome stays below every later floor, as the incumbent only
+    # rises, so the cache may hold it
     assignment_cache: dict = {}
-    rays: List[Tuple[float, ...]] = []  # Farkas rays the descents found
+    # Farkas rays the node descents found, and those the leaf descents found.
+    # A leaf's dual has the node dual's multipliers with the cardinality one
+    # pricing an empty row, so the leaves are tested along both pools.
+    rays: List[Tuple[float, ...]] = []
+    leaf_rays: List[Tuple[float, ...]] = []
 
-    def solve_assignment(regions: Tuple[Region, ...]) -> FixedOutcome:
+    def solve_assignment(regions: Tuple[Region, ...],
+                         res: Optional[RelaxResult]) -> FixedOutcome:
         out = assignment_cache.get(regions)
         if out is None:
-            out = solve_fixed_assignment(inst, regions)
+            pool = leaf_rays + rays
+            out = solve_fixed_assignment(
+                inst, regions, floor=inc_val,
+                multipliers=None if res is None else res.multipliers, rays=pool)
             assignment_cache[regions] = out
+            if out.ray is not None and out.ray not in pool:
+                leaf_rays.append(out.ray)
         return out
 
     def try_round(node: NodeState, res: RelaxResult) -> None:
         regions = _round_regions(inst, node, res)
-        out = solve_assignment(regions)
+        out = solve_assignment(regions, res)
         if out.feasible:
             admit(_outcome_to_solution(inst, regions, out, inc_val))
 
-    def close_leaf(node: NodeState) -> None:
+    def close_leaf(node: NodeState, res: Optional[RelaxResult]) -> None:
+        """``res`` is the relaxation of the node or of its parent, whose
+        multipliers bound the leaf."""
         nonlocal residual_ub
         if _node_row_infeasible(inst, node):
             return
         regions = _assignment(node)
-        out = solve_assignment(regions)
+        out = solve_assignment(regions, res)
         if not out.feasible:
             return
         admit(_outcome_to_solution(inst, regions, out, inc_val))
@@ -248,7 +268,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
     root = NodeState.root(inst)
     if root.is_leaf:
-        close_leaf(root)
+        close_leaf(root, None)
         ub = max(inc_val, residual_ub)
         if inc_sol is None:
             return SolveResult("infeasible", None, None, -_INF, _INF, 0, elapsed())
@@ -293,7 +313,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             if node.fixed_nonzero > inst.m or _node_row_infeasible(inst, node):
                 continue
         if node.is_leaf:
-            close_leaf(node)
+            close_leaf(node, res)
             continue
         j = _branch_index(node, res)
         children = []
@@ -309,7 +329,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         leaves = [c for c in children if c.is_leaf]
         inner = [c for c in children if not c.is_leaf]
         for child in leaves:
-            close_leaf(child)
+            close_leaf(child, res)
         # every sibling is bounded against the prune threshold of the incumbent
         # from before rounding: the Newton method stops once the dual value
         # gets there.  The threshold only rises, so a child at or below it is
@@ -468,12 +488,11 @@ def brute_force(inst: Instance) -> SolveResult:
         lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
         hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
         out = _box_qp_max(theta, phi, lo, hi, rows, rhs)
-        if out is None or out[0] is None:
+        if out.x is None:
             continue
-        xs, value, _ = out
-        if value > best_sol_val:
-            best_sol_val = value
-            best = (tuple(xs), regions, value)
+        if out.value > best_sol_val:
+            best_sol_val = out.value
+            best = (out.x, regions, out.value)
     wall = time.perf_counter() - t0
     if best is None:
         return SolveResult("infeasible", None, None, -_INF, _INF, total, wall)

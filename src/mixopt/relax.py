@@ -261,7 +261,9 @@ class _InstanceArrays:
     over the region set ``bits`` (a node's ``bits``; +inf for the empty
     set), and ``index`` is ``arange(n)``, to pick one set per activity.
     ``rhs``, ``psi_sum`` and ``m`` are the dual value's constant terms as
-    Python numbers, for the scalar start of each evaluation.
+    Python numbers, for the scalar start of each evaluation.  The leaf
+    solve reads its boxes, rows and revenue from the same columns.  Every
+    node and leaf of a search shares them, so the arrays are read-only.
     """
 
     __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "rhs",
@@ -299,6 +301,10 @@ class _InstanceArrays:
                     np.minimum(self.least[:, bits], sides[:, side],
                                out=self.least[:, bits])
         self.index = np.arange(n)
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 def _instance_arrays(inst: Instance) -> _InstanceArrays:
@@ -818,12 +824,13 @@ def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
     method ended: ``"converged"`` when the KKT residual of the inner
     solution, or of the point the Newton step recovers, is down to
     ``1e-12*(1 + max|e|)``; ``"target"`` once a step takes the value to or
-    below ``goal`` (a node is then pruned whatever follows); ``"ray"`` when
-    the dual falls without bound, with the value -inf (no point meets the
-    rows); ``"stalled"`` when a step gains nothing or the iteration cap is
-    reached.  On a ray the multipliers returned are the certificate, a
-    direction ``d >= 0`` with ``dual.falls_along(d)``: the Newton direction
-    the line search runs off along, or the last iterate.
+    below ``goal`` (a node is then pruned, and a leaf cut, whatever
+    follows); ``"ray"`` when the dual falls without bound, with the value
+    -inf (no point meets the rows); ``"stalled"`` when a step gains nothing
+    or the iteration cap is reached.  On a ray the multipliers returned are
+    the certificate, a direction ``d >= 0`` with ``dual.falls_along(d)``:
+    the Newton direction the line search runs off along, or the last
+    iterate.
     """
     val, grad = start
     tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
@@ -1012,26 +1019,43 @@ class FixedOutcome:
     value: float
     bound: float
     feasible: bool
+    # the leaf dual's Farkas ray that proves no point meets the rows, else None
+    ray: Optional[Tuple[float, ...]] = None
 
 
-def _box_qp_max(theta, phi, lo, hi, A, b):
+def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=()):
     """Maximize ``sum theta*x^2 + phi*x`` over ``lo <= x <= hi``, ``A x <= b``.
 
     ``theta <= 0`` elementwise; arrays are numpy, ``A`` has one row per
-    coupling row.  The dual is ``_Dual`` with one option per activity and an
-    empty activation row, minimised by ``_descend``.  Returns
-    ``(x, value, bound)``, or None when no point of the boxes satisfies the
-    rows: with one row by the interval test, else on a ray along which the
-    dual falls without bound.  ``bound`` is the dual value at the final
-    multipliers, a valid upper bound whatever happened; when the KKT
-    residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree to that
-    order.  If the method stalls first, ``x`` is returned as it stands when
-    it meets every row within ``1e-9*(1 + |b|)``; otherwise ``x`` is None
-    and ``value`` -inf, and ``bound`` still holds.
+    coupling row, and none of them is written to.  The dual is ``_Dual``
+    with one option per activity and an empty activation row, minimised by
+    ``_descend`` from zero.  Returns a ``FixedOutcome`` in the leaf's own
+    value.  ``bound`` is the dual value at the final multipliers, a valid
+    upper bound whatever happened; when the KKT residual of ``x`` falls to
+    ``1e-12*(1 + max|b|)`` the two agree to that order.  If the method
+    stalls first, ``x`` is returned as it stands when it meets every row
+    within ``1e-9*(1 + |b|)``; otherwise ``x`` is None and ``value`` -inf,
+    and ``bound`` still holds.
+
+    The tests run in this order, each ending the solve:
+    - with one row, the interval test: no point of the boxes meets it;
+    - the floor: the dual value at ``multipliers`` (one per row of ``A``),
+      then at zero, is at or below ``goal``, so by weak duality the leaf
+      cannot beat ``goal``;
+    - the pooled ``rays`` (Farkas rays found on other duals over the same
+      rows, each with one entry per row and one for the activation row):
+      the first along which this dual falls without bound
+      (``_Dual.falls_along``) proves that no point meets the rows;
+    - the descent, which ends on a ray as well, or at ``goal``
+      (``"target"``).
+    A solve cut at ``goal`` returns no point, with the dual value it ended
+    at as its bound, and stays ``feasible``.  An infeasible one has bound
+    -inf and carries its ray, unless the interval test found it.  A solve
+    that is not cut follows the iterates of the unfloored one bit for bit.
     """
     K, n = A.shape
     if K == 1 and math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
-        return None
+        return FixedOutcome(None, -_INF, -_INF, False)
     zero = np.zeros((1, n))
     dual = _Dual(A, np.append(b, 0.0), phi, theta, lo[None], hi[None], zero, zero, zero)
     inner = {}
@@ -1041,42 +1065,74 @@ def _box_qp_max(theta, phi, lo, hi, A, b):
         x = inner["x"] = dual.inner(c[None])[0]
         return float(b @ y[:K] + theta @ (x * x) + c @ x), np.append(b - A @ x, 0.0)
 
+    if multipliers is not None and goal > -_INF:
+        at = value(np.array(multipliers, dtype=float))[0]
+        if at <= goal:
+            return FixedOutcome(None, -_INF, at, True)
     y = np.zeros(K + 1)
-    y, bound, end = _descend(dual, value, y, value(y), -_INF)
+    start = value(y)  # last, so that ``inner`` holds the point at zero
+    if start[0] <= goal:
+        return FixedOutcome(None, -_INF, start[0], True)
+    hit = next((r for r in rays if dual.falls_along(np.array(r))), None)
+    if hit is not None:
+        return FixedOutcome(None, -_INF, -_INF, False, tuple(hit))
+    y, bound, end = _descend(dual, value, y, start, goal)
     if end == "ray":
-        return None
+        return FixedOutcome(None, -_INF, -_INF, False, tuple(y.tolist()))
+    if end == "target":
+        return FixedOutcome(None, -_INF, bound, True)
     x = dual.x if dual.x is not None else inner["x"]
     if end == "stalled" and (A @ x > b + 1e-9 * (1.0 + np.abs(b))).any():
-        return None, -_INF, bound
-    return tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound
+        return FixedOutcome(None, -_INF, bound, True)
+    return FixedOutcome(tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound, True)
 
 
-def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region],
-                           ) -> FixedOutcome:
+# the side of ``_InstanceArrays.lo`` and ``hi`` each region reads; 2 stays
+_SIDE = {"L": 0, "R": 1, "S": 2}
+
+
+def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
+                           floor: float = -_INF,
+                           multipliers: Optional[Sequence[float]] = None,
+                           rays: Sequence[Tuple[float, ...]] = ()) -> FixedOutcome:
     """Best change vector for a fully decided region assignment.
 
     The continuous layer is a separable concave QP over the regions' boxes
-    under the budget row and any extra rows, solved exactly by
-    ``_box_qp_max``.  ``value`` is attained by the returned point;
-    ``bound`` is the dual value at the final multipliers, a certified upper
-    bound for the assignment that meets ``value`` once the KKT residual is
-    down to rounding.  A solve that stalls off the rows gives no point
-    (``x`` None, ``value`` -inf) but stays ``feasible`` with its bound: no
-    ray proved the boxes miss the rows.
+    (read from ``_InstanceArrays``) under the budget row and any extra
+    rows, solved exactly by ``_box_qp_max``.  ``value`` is attained by the
+    returned point; ``bound`` is the dual value at the final multipliers, a
+    certified upper bound for the assignment that meets ``value`` once the
+    KKT residual is down to rounding.  A solve that stalls off the rows
+    gives no point (``x`` None, ``value`` -inf) but stays ``feasible`` with
+    its bound: no ray proved the boxes miss the rows.  A region the
+    activity does not have, or a ray, makes the outcome infeasible; ``ray``
+    holds the leaf dual's ray, for ``rays`` of later calls on the instance.
+
+    ``floor`` is the value to beat (the incumbent's), and ``multipliers`` a
+    node's ``RelaxResult.multipliers``, whose row entries (all but the last,
+    cardinality, one) price the leaf's rows.  The solve stops once the leaf
+    provably cannot beat the floor by more than rounding: when its dual
+    value, at those multipliers, at zero or along the descent, falls to
+    ``floor - 1e-9*max(1, |floor|)`` (as ``bnb._prune_threshold`` allows
+    for nodes).  Such a cut outcome has no point and a bound at or below
+    that level, and stays ``feasible``; the floor only rises in a search,
+    so it stays below every later floor.  ``rays`` are Farkas rays found
+    on other leaves (``FixedOutcome.ray``) or nodes (``RelaxResult.ray``)
+    of the instance, tested after the floor and before the descent; a
+    node's cardinality entry prices the leaf's empty row.  The defaults
+    solve every leaf in full.
     """
-    lo, hi = [], []
-    for rb, reg in zip(inst.regions, assignment):
-        interval = rb.interval(reg)
-        if interval is None:
-            return FixedOutcome(None, -_INF, -_INF, False)
-        lo.append(interval[0])
-        hi.append(interval[1])
-    rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
-    rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
-    out = _box_qp_max(np.array([a.theta for a in inst.activities]),
-                      np.array([a.phi for a in inst.activities]),
-                      np.array(lo), np.array(hi), np.array(rows), np.array(rhs))
-    if out is None:
+    cols = _instance_arrays(inst)
+    code = np.fromiter(map(_SIDE.__getitem__, assignment), np.intp, inst.n)
+    moves = code < 2
+    side = np.where(moves, code, 0)
+    if (moves & ~cols.has[side, cols.index]).any():
         return FixedOutcome(None, -_INF, -_INF, False)
-    xs, value, bound = out
-    return FixedOutcome(xs, value + inst.psi_sum, bound + inst.psi_sum, True)
+    lo = np.where(moves, cols.lo[side, cols.index], 0.0)
+    hi = np.where(moves, cols.hi[side, cols.index], 0.0)
+    # the cut level in the leaf's own value, which leaves out psi_sum
+    goal = floor - 1e-9 * max(1.0, abs(floor)) - inst.psi_sum
+    out = _box_qp_max(cols.theta, cols.phi, lo, hi, cols.A, cols.b, goal,
+                      None if multipliers is None else multipliers[:-1], rays)
+    return FixedOutcome(out.x, out.value + inst.psi_sum, out.bound + inst.psi_sum,
+                        out.feasible, out.ray)

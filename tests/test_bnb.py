@@ -477,6 +477,60 @@ def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
     assert all(res.upper_bound == -math.inf and res.converged for res in pooled)
 
 
+def _leaf_descents(monkeypatch):
+    """How each ``bnb.solve_fixed_assignment`` call ends its descents:
+    one list per call, empty when the call descends to no end."""
+    ends, calls = [], []
+    descend = relax._descend
+
+    def counted(*args):
+        out = descend(*args)
+        ends.append(out[2])
+        return out
+
+    def leaf(*args, **kwargs):
+        before = len(ends)
+        out = solve_fixed_assignment(*args, **kwargs)
+        calls.append((ends[before:], out))
+        return out
+
+    monkeypatch.setattr(relax, "_descend", counted)
+    monkeypatch.setattr(bnb, "solve_fixed_assignment", leaf)
+    return calls
+
+
+def test_floor_cuts_leaf_descents_and_keeps_the_search(monkeypatch):
+    """Leaves are solved against the incumbent's value: on the strong
+    n = 30 desk case with the budget row only, miqp, node limit 60, as
+    benchmarked, the search ends as it did when every leaf was solved in
+    full, to the last bit, while only 3 of its 63 leaf solves reach a
+    descent (61 did)."""
+    inst = dataclasses.replace(
+        generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
+    calls = _leaf_descents(monkeypatch)
+    out = branch_and_bound(inst, SolveParams(formulation="miqp", node_limit=60))
+    assert repr((out.status, out.objective, out.upper_bound, out.nodes, out.gap)) == repr(
+        ("node-limit", 196.41045634110043, 197.2433879809493, 60, 0.004240770350853172))
+    assert len(calls) == 63
+    assert sum(len(window) for window, _ in calls) == 3
+
+
+def test_pooled_rays_close_the_infeasible_leaves(monkeypatch):
+    """The ``coupled`` desk case weak n = 30, seed 9489810283428522141,
+    persp, node limit 15: of its 4 rounding leaves, all infeasible, only
+    the first descends to a Farkas ray (all 4 did without a pool); the
+    others fall along a ray found earlier, by a leaf or a node, and the
+    search keeps its status, node count and bound to the last bit."""
+    inst = generate(GenConfig("weak", 30, 0.1, 0.5, 9489810283428522141))
+    calls = _leaf_descents(monkeypatch)
+    out = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
+    assert (out.status, out.nodes, repr(out.upper_bound)) == (
+        "node-limit", 15, "-518.8817960682755")
+    assert len(calls) == 4
+    assert all(not leaf.feasible and leaf.ray is not None for _, leaf in calls)
+    assert [window for window, _ in calls] == [["ray"], [], [], []]
+
+
 @pytest.mark.parametrize("form", FORMS)
 def test_checker_sees_only_candidates_that_beat_the_incumbent(form, monkeypatch):
     """Roundings and leaves at or below the incumbent are dropped before the

@@ -19,10 +19,12 @@ from scipy.optimize import linprog, minimize
 from mixopt import (
     CORRELATIONS,
     Activity,
+    Cell,
     GenConfig,
     Instance,
     LinearConstraint,
     NodeState,
+    batch,
     brute_force,
     compute_regions,
     dual_value,
@@ -874,10 +876,10 @@ def test_fixed_assignment_infeasible_boxes():
 
 def test_leaf_feasibility_agrees_with_highs():
     """Without a linear-programming pre-check, the leaf solver's verdict
-    (None when no point of the boxes meets the rows) agrees with HiGHS on
-    600 random boxes with 1 to 3 rows, a third with every right-hand side
-    within 1e-9 above its row's minimum over the box, and some linear
-    activities and single-point boxes."""
+    (not ``feasible`` when no point of the boxes meets the rows) agrees
+    with HiGHS on 600 random boxes with 1 to 3 rows, a third with every
+    right-hand side within 1e-9 above its row's minimum over the box, and
+    some linear activities and single-point boxes."""
     rng = np.random.default_rng(41)
     verdicts = {True: 0, False: 0}
     for k in range(600):
@@ -898,7 +900,7 @@ def test_leaf_feasibility_agrees_with_highs():
         lp = linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)),
                      method="highs")
         assert lp.status in (0, 2)
-        assert (out is not None) == (lp.status == 0), k
+        assert out.feasible == (lp.status == 0), k
         verdicts[lp.status == 0] += 1
     assert min(verdicts.values()) >= 150
 
@@ -923,10 +925,158 @@ def test_stalled_leaf_returns_no_point_off_its_rows():
     lp = linprog(-phi, A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)), method="highs")
     assert lp.status == 0
     out = relax._box_qp_max(theta, phi, lo, hi, A, b)
-    assert out is not None  # feasible: no ray
-    x, value, bound = out
+    assert out.feasible and out.ray is None  # feasible: no ray
+    x, value, bound = out.x, out.value, out.bound
     if x is not None:
         assert (A @ np.array(x) <= b + 1e-9 * (1.0 + np.abs(b))).all()
         assert value <= bound + 1e-9 * max(1.0, abs(bound))
     # the bound holds over the feasible set, at HiGHS's vertex too
     assert float(theta @ (lp.x * lp.x) + phi @ lp.x) <= bound + 1e-9 * max(1.0, abs(bound))
+
+
+def test_fixed_assignment_absent_region_is_infeasible():
+    """An assignment to a region the activity does not have is infeasible
+    at once, with no point and no bound."""
+    act = dict(s=2.0, l=2.0, u=8.0, delta=1.0, theta=-1.0, phi=5.0, psi=1.0)
+    a, b = Activity(id="a", **act), Activity(id="b", **act)  # no decrease side
+    inst = Instance(activities=(a, b), rho=2.0, m=2, extras=())
+    assert inst.regions[0].L is None
+    for floor in (-math.inf, 0.0):
+        out = solve_fixed_assignment(inst, ["L", "S"], floor=floor)
+        assert (out.x, out.value, out.bound, out.feasible, out.ray) == (
+            None, -math.inf, -math.inf, False, None)
+    assert solve_fixed_assignment(inst, ["R", "S"]).feasible
+
+
+def _random_assignment(inst, rng):
+    """One open region per activity, drawn at random."""
+    return tuple(rng.choice(sorted(_regions(b))) for b in NodeState.root(inst).bits)
+
+
+def _scaled_revenue(inst, factor):
+    """The instance with every revenue coefficient scaled by ``factor``."""
+    acts = tuple(dataclasses.replace(a, theta=a.theta * factor, phi=a.phi * factor,
+                                     psi=a.psi * factor) for a in inst.activities)
+    return dataclasses.replace(inst, activities=acts)
+
+
+# where a floor sits above a leaf's value, relative to max(1, |value|): the
+# cut margin is 1e-9 of the floor, so the floors up to 9e-10 above must not cut
+_FLOOR_OFFSETS = (-1e-1, -1e-6, -1e-9, -1e-10, 0.0, 1e-10, 5e-10, 9e-10, 1.1e-9,
+                  3e-9, 1e-6, 1e-3, 1e-1, 1.0)
+
+
+def test_floor_cuts_only_leaves_that_cannot_beat_it():
+    """``solve_fixed_assignment`` with a floor and a node's multipliers
+    either returns the outcome it returns without them, field for field, or
+    cuts the leaf: no point, ``feasible``, no ray and a bound at or below
+    ``floor - 1e-9*max(1, |floor|)``; the outcome without a floor then has
+    its value and bound at or below the floor.  On generated instances, as
+    generated and with the budget row only, with edge activities (linear
+    revenue, single-point regions) and with the revenue coefficients scaled
+    by 1e6; random assignments; the multipliers of node relaxations (root
+    and random nodes, both forms), random ones and none; floors from far
+    below to far above each leaf's value, some inside the margin."""
+    rng = random.Random(61)
+    cells = [Cell(c, 8, 0.1, xi) for c in CORRELATIONS for xi in (0.5, 0.75)]
+    insts = []
+    for _, _, inst in batch(cells, 1, 5):
+        insts += [inst, dataclasses.replace(inst, extras=()),
+                  _with_edge_activities(inst), _scaled_revenue(inst, 1e6)]
+    kept = cut = 0
+    for inst in insts:
+        nodes = [NodeState.root(inst), _random_node(inst, rng)]
+        mults = [solve_node_relaxation(inst, node, form).multipliers
+                 for node in nodes if node is not None for form in ("miqp", "persp")]
+        mults = [m for m in mults if min(m) >= 0.0]
+        width = len(inst.extras) + 2
+        mults += [tuple(rng.choice([0.0, rng.uniform(0.0, 10.0 ** rng.uniform(-2.0, 1.0))])
+                        for _ in range(width)) for _ in range(2)]
+        mults.append(None)
+        for _ in range(3):
+            regions = _random_assignment(inst, rng)
+            full = solve_fixed_assignment(inst, regions)
+            level = full.value if full.x is not None else full.bound
+            if level == -math.inf:  # infeasible: floors around the root bound
+                level = solve_node_relaxation(inst, nodes[0], "persp").upper_bound
+            if level == -math.inf:
+                level = 0.0
+            for offset in _FLOOR_OFFSETS:
+                floor = level + offset * max(1.0, abs(level))
+                goal = floor - 1e-9 * max(1.0, abs(floor))
+                # the bound carries psi_sum, added after the cut
+                slack = 4.0 * math.ulp(max(abs(goal), abs(inst.psi_sum)))
+                for mult in mults:
+                    out = solve_fixed_assignment(inst, regions, floor=floor,
+                                                 multipliers=mult)
+                    if out == full:
+                        kept += 1
+                        continue
+                    cut += 1
+                    assert (out.x, out.value, out.feasible, out.ray) == (
+                        None, -math.inf, True, None)
+                    assert out.bound <= goal + slack
+                    assert full.value <= floor and full.bound <= floor
+                    assert 0.0 < offset or full.x is None
+    assert kept > 2000 and cut > 2000
+
+
+def _leaf_lp_feasible(inst, regions):
+    """HiGHS on the leaf's boxes and coupling rows."""
+    bounds = [rb.interval(r) for rb, r in zip(inst.regions, regions)]
+    rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
+    rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
+    lp = linprog(np.zeros(inst.n), A_ub=np.array(rows), b_ub=rhs, bounds=bounds,
+                 method="highs")
+    assert lp.status in (0, 2)
+    return lp.status == 0
+
+
+def test_pooled_rays_cut_only_infeasible_leaves(monkeypatch):
+    """A Farkas ray of one leaf's dual, or of a node's dual, offered to the
+    other assignments of the same instance by ``rays``: every leaf closed
+    by it, without a Newton step, has no point of its boxes meeting the
+    rows by HiGHS, and its own descent (no rays) ends on a ray as well.  On
+    random small instances with extra rows drawn as the generator draws
+    them (a third loosened), random assignments, and the root and random
+    nodes in both forms."""
+    steps = [0]
+    newton = relax._Dual.newton
+
+    def counted(self, *args):
+        steps[0] += 1
+        return newton(self, *args)
+
+    monkeypatch.setattr(relax._Dual, "newton", counted)
+    rng = random.Random(47)
+    hits = {"leaf": 0, "node": 0}  # by the dual the ray was found on
+    for k in range(20):
+        inst = random_instance(rng, rng.randint(2, 6), with_extras=True)
+        if k % 3 == 0:
+            extras = tuple(dataclasses.replace(ex, rhs=ex.rhs + rng.uniform(0.0, 20.0))
+                           for ex in inst.extras)
+            inst = dataclasses.replace(inst, extras=extras)
+        leaves = [_random_assignment(inst, rng) for _ in range(6)]
+        found = [("leaf", regions, solve_fixed_assignment(inst, regions).ray)
+                 for regions in leaves]
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(3)]
+        found += [("node", None, solve_node_relaxation(inst, node, form).ray)
+                  for node in nodes if node is not None for form in ("miqp", "persp")]
+        for kind, source, ray in found:
+            if ray is None:
+                continue
+            assert len(ray) == len(inst.extras) + 2 and min(ray) >= 0.0
+            for regions in leaves:
+                if regions == source:
+                    continue
+                steps[0] = 0
+                out = solve_fixed_assignment(inst, regions, rays=[ray])
+                if steps[0] or out.feasible:
+                    continue
+                assert (out.x, out.value, out.bound, out.ray) == (
+                    None, -math.inf, -math.inf, ray)
+                hits[kind] += 1
+                assert not _leaf_lp_feasible(inst, regions)
+                own = solve_fixed_assignment(inst, regions)
+                assert not own.feasible and own.ray is not None
+    assert min(hits.values()) >= 100

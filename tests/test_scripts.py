@@ -75,10 +75,24 @@ def test_bench_layers_runs(capsys):
                and float(r[5]) > 0.0 for r in rows)
     # the persp root of the n = 64 paper cell fixes activities
     assert int(rows[2][3]) > 0
+    # then the leaf solve of the root rounding: one row per n x formulation x
+    # leaf, with how its descent ended and its Newton steps
+    assert lines[24].split() == ["n", "form", "leaf", "end", "newton", "leaf_us"]
+    rows = [line.split() for line in lines[25:37]]
+    assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
+                                     for f in ("persp", "miqp")
+                                     for c in ("full", "cut", "target")]
+    assert all(float(r[5]) > 0.0 for r in rows)
+    for full, cut, target in zip(rows[::3], rows[1::3], rows[2::3]):
+        assert full[3] == "converged" and cut[3:5] == ["bound", "0"]
+        # the target stops the descent early, unless its start is the optimum
+        assert (target[3] == "target" and int(target[4]) < int(full[4])
+                or target[3:5] == full[3:5] == ["converged", "0"])
+    assert sum(r[3] == "target" for r in rows) >= 3
     # then the search on the coupled weak n = 30 case: one row per formulation
-    assert lines[24].split() == ["n", "form", "status", "nodes", "relax", "descents",
+    assert lines[37].split() == ["n", "form", "status", "nodes", "relax", "descents",
                                  "rays", "pooled", "solve_ms"]
-    rows = [line.split() for line in lines[25:]]
+    rows = [line.split() for line in lines[38:]]
     assert [r[:2] for r in rows] == [["30", f] for f in ("persp", "miqp")]
     for r in rows:
         relaxations, descents, rays, pooled = map(int, r[4:8])
