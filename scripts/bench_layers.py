@@ -7,8 +7,10 @@ each formulation.  Two layers are timed from there.
 
 The dual evaluation, at the multipliers the root relaxation ends at:
 ``value_us`` is the value and subgradient evaluation the Newton method
-runs once per step, ``point_us`` the evaluation that also builds the
-primal point, once per relaxation.
+runs once per step, ``point_us`` the read of the primal point from the
+buffers that evaluation leaves, once per relaxation (a relaxation that
+ends away from its last evaluation, on a ray or a rejected step,
+evaluates there once more first).
 
 The node relaxation: the ``root`` from zero multipliers, and one child of
 the root (the branching activity fixed to its first open region),
@@ -16,8 +18,9 @@ warm-started at the root's multipliers as the search bounds it.  The
 ``pruned`` child aims at its own dual value at the warm start, so it is
 pruned there; the ``open`` child aims 0.1% below the bound its untargeted
 relaxation reaches, so it runs the whole Newton method.  ``evals`` counts
-its dual evaluations (the point build included) and ``newton`` its Newton
-steps.
+its dual evaluations, ``newton`` its Newton steps and ``search`` the exact
+line searches among them (a full step whose point passes the KKT test
+ends the descent without one).
 
 Reduced-cost fixing, at the root's multipliers and against the prune
 threshold of the incumbent rounded from the root relaxation, as the search
@@ -94,9 +97,9 @@ def _child_targets(inst, root, root_res, form):
 
 
 def counted(call):
-    """Dual evaluations and Newton steps one call makes."""
-    counts = [0, 0]
-    kernel, newton = relax._dual_eval_arrays, relax._Dual.newton
+    """Dual evaluations, Newton steps and line searches one call makes."""
+    counts = [0, 0, 0]
+    kernel, newton, exact = relax._dual_eval_arrays, relax._Dual.newton, relax._exact_step
 
     def evaluation(*args, **kwargs):
         counts[0] += 1
@@ -106,11 +109,17 @@ def counted(call):
         counts[1] += 1
         return newton(*args, **kwargs)
 
-    relax._dual_eval_arrays, relax._Dual.newton = evaluation, step
+    def search(*args, **kwargs):
+        counts[2] += 1
+        return exact(*args, **kwargs)
+
+    relax._dual_eval_arrays, relax._exact_step = evaluation, search
+    relax._Dual.newton = step
     try:
         call()
     finally:
-        relax._dual_eval_arrays, relax._Dual.newton = kernel, newton
+        relax._dual_eval_arrays, relax._exact_step = kernel, exact
+        relax._Dual.newton = newton
     return counts
 
 
@@ -210,11 +219,11 @@ def run(argv=None):
         arr = relax._NodeArrays(inst, root)
         value = per_call_us(lambda: relax._dual_eval_arrays(arr, mult, persp),
                             args.calls, args.repeats)
-        point = per_call_us(lambda: relax._dual_eval_arrays(arr, mult, persp, True),
-                            args.calls, args.repeats)
+        point = per_call_us(lambda: relax._node_point(arr), args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {value:9.1f} {point:9.1f}", flush=True)
 
-    print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'relax_us':>9}")
+    print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'search':>6} "
+          f"{'relax_us':>9}")
     for inst, root, form, root_res in cells:
         child, warm, targets = _child_targets(inst, root, root_res, form)
         for kind in RELAXATIONS:
@@ -226,10 +235,10 @@ def run(argv=None):
 
                 def call():
                     solve_node_relaxation(inst, child, form, warm=warm, target=target)
-            evals, newton = counted(call)
+            evals, newton, search = counted(call)
             took = per_call_us(call, args.relax_calls, args.repeats)
-            print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {took:9.1f}",
-                  flush=True)
+            print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {search:6d} "
+                  f"{took:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'free':>5} {'fixed':>5} {'removed':>7} {'fix_us':>9}")
     for inst, root, form, root_res in cells:

@@ -5,8 +5,9 @@ the objective with nonnegative multipliers; the remainder then separates
 into one tiny maximization per activity with a closed form.  Weak duality
 makes every multiplier vector yield a valid upper bound on the node's
 integer optimum.  The dual has at most four multipliers and is convex and
-piecewise quadratic; a projected semismooth Newton method with an exact
-line search minimises it and stops on a certificate: the KKT residual of
+piecewise quadratic; a projected semismooth Newton method minimises it,
+keeping a full step whose point passes the KKT test and otherwise moving
+by an exact line search, and stops on a certificate: the KKT residual of
 the relaxation point it recovers, or a ray along which the dual falls
 without bound, which proves the node's hull relaxation has no point.  The
 same method, with one option per activity, solves fixed assignments.
@@ -27,8 +28,10 @@ size.  It performs ``_activity_best``'s scalar operations in the scalar
 order and sums sequentially, so its bits are those of the per-activity
 reference ``per_activity_argmax`` summed in activity order.  The Newton
 method reads only the dual value and subgradient from it, once per step,
-and assembles its system and line search from its own numpy arrays; the
-inner solution is built once, at the final multipliers.
+and assembles its system and line search from its own numpy arrays.  The
+relaxation point is read from the buffers of the last evaluation, which
+is at the final multipliers unless a ray or a rejected step ended the
+descent; only then is the dual evaluated once more.
 """
 
 from __future__ import annotations
@@ -327,11 +330,13 @@ class _NodeArrays:
     scales with the activation.  Each evaluation refills two buffers:
     ``sides`` with each side's activation, value and x, and ``acc`` with
     the chosen ones and the extra rows' ``A x`` terms after the scalar start
-    values in column 0.
+    values in column 0.  It records its multipliers in ``at`` and the sides
+    it chose in ``take_l`` and ``take_r``, from which ``_node_point`` reads
+    the inner solution there.
     """
 
     __slots__ = ("inst_arrays", "stay", "open", "hull", "scaled", "lo", "hi",
-                 "inner_ok", "sides", "acc")
+                 "inner_ok", "sides", "acc", "at", "take_l", "take_r")
 
     def __init__(self, inst: Instance, node: NodeState):
         cols = self.inst_arrays = _instance_arrays(inst)
@@ -346,17 +351,16 @@ class _NodeArrays:
         self.inner_ok = self.scaled & cols.inner_ok
         self.sides = np.empty((3, 2, inst.n))
         self.acc = np.zeros((len(cols.A) + 2, inst.n + 1))
+        self.at = None
 
 
-def _dual_eval_arrays(arr: _NodeArrays, mult: Sequence[float], persp: bool,
-                      point: bool = False):
+def _dual_eval_arrays(arr: _NodeArrays, mult: Tuple[float, ...], persp: bool):
     """Dual value and subgradient at one multiplier vector.
 
-    Returns (value, subgradient), followed by the inner solution x, zL, zR
-    and each activity's priced value (its term in the dual value) when
-    ``point``.  These are ``_activity_best``'s results summed in activity
-    order, bit for bit: every elementwise operation is the scalar one in
-    the scalar order, with both sides priced in one pass over ``(2, n)``
+    Returns (value, subgradient) and leaves the inner solution in ``arr``
+    for ``_node_point``.  These are ``_activity_best``'s results summed in
+    activity order, bit for bit: every elementwise operation is the scalar
+    one in the scalar order, with both sides priced in one pass over ``(2, n)``
     arrays; divisions run only where the scalar branch divides, comparisons
     are strict in the order stay, decrease, increase, and the sums are one
     sequential ``np.cumsum`` seeded with the scalar start values (``np.sum``
@@ -397,20 +401,26 @@ def _dual_eval_arrays(arr: _NodeArrays, mult: Sequence[float], persp: bool,
     acc[1, 0] = start
     chosen = acc[:3, 1:]
     chosen[...] = arr.stay
-    take_l = on[0] & (val[0] > chosen[1])
+    take_l = arr.take_l = on[0] & (val[0] > chosen[1])
     np.copyto(chosen, arr.sides[:, 0], where=take_l)
-    take_r = on[1] & (val[1] > chosen[1])
+    take_r = arr.take_r = on[1] & (val[1] > chosen[1])
     np.copyto(chosen, arr.sides[:, 1], where=take_r)
+    arr.at = mult
     np.multiply(cols.A[1:], chosen[2], out=acc[3:, 1:])
     sums = np.cumsum(acc, axis=1)[:, -1]
     grad = (cols.b - sums[2:]).tolist()
     grad.append(cols.m - float(sums[0]))
-    if not point:
-        return float(sums[1]), grad
-    z_l = np.where(take_r, 0.0, np.where(take_l, z[0], 0.0))
-    z_r = np.where(take_r, z[1], 0.0)
-    return (float(sums[1]), grad, chosen[2].tolist(), z_l.tolist(), z_r.tolist(),
-            chosen[1].tolist())
+    return float(sums[1]), grad
+
+
+def _node_point(arr: _NodeArrays):
+    """The inner solution x, zL, zR of ``arr``'s last evaluation (at
+    ``arr.at``) and each activity's priced value there, its term in the
+    dual value."""
+    z, chosen = arr.sides[0], arr.acc[:3, 1:]
+    z_l = np.where(arr.take_r, 0.0, np.where(arr.take_l, z[0], 0.0))
+    z_r = np.where(arr.take_r, z[1], 0.0)
+    return chosen[2].tolist(), z_l.tolist(), z_r.tolist(), chosen[1].tolist()
 
 
 def _side_values(cols: _InstanceArrays, c, lo, hi, x: np.ndarray, val: np.ndarray):
@@ -440,7 +450,8 @@ def _side_values(cols: _InstanceArrays, c, lo, hi, x: np.ndarray, val: np.ndarra
 # (a_i*x, kappa_io*x + zeta_io).  D is convex and piecewise quadratic.  A
 # projected Newton method on D (a nonsmooth Newton method in the sense of Qi
 # & Sun, 1993) with an exact breakpoint line search (as in Kiwiel's
-# continuous quadratic knapsack algorithms, 2008) descends to its minimum.
+# continuous quadratic knapsack algorithms, 2008) descends to its minimum;
+# a full step whose point passes the KKT test needs no search.
 # It stops on the KKT residual of the primal point it recovers, or on a ray
 # along which D falls without bound, which proves that no point of the
 # boxes meets the rows.
@@ -732,31 +743,36 @@ class _Dual:
         best = np.argmax(val, axis=0)
         vb, xb, cb = val[best, idx], x[best, idx], c[best, idx]
         kb, zb = self.kappa[best, idx], self.zeta[best, idx]
-        others = val.copy()
-        others[best, idx] = -_INF
-        # a kept tie pairs the best option with its partner, others the two best
-        partner = kept & ~(1 << best)
-        remembered = (partner != kept) & (partner > 0)
-        second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
-                          np.argmax(others, axis=0))
-        x2, v2 = x[second, idx], others[second, idx]
         # ties: a linear activity priced to zero inside its box, or two
         # options of level value that use the rows differently
         kink = lin & (lo[best, idx] < hi[best, idx]) & (
             np.abs(cb) <= 1e-12 * (1.0 + np.abs(self.phi)) + y @ self.tie_rate)
-        dx = x2 - xb
-        dz = self.kappa[second, idx] * x2 + self.zeta[second, idx] - kb * xb - zb
-        level = remembered | (vb - v2 <= 1e-10 * (
-            1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
-        level &= ~kink & (v2 > -_INF) & ((dx != 0.0) | (dz != 0.0))
+        ki = np.flatnonzero(kink)
+        li = pair = np.zeros(0, dtype=np.int64)
+        dx = dz = gap = np.zeros(0)
+        if len(val) > 1:  # one option per activity ties no two
+            others = val.copy()
+            others[best, idx] = -_INF
+            # a kept tie pairs the best option with its partner, others the two best
+            partner = kept & ~(1 << best)
+            remembered = (partner != kept) & (partner > 0)
+            second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
+                              np.argmax(others, axis=0))
+            x2, v2 = x[second, idx], others[second, idx]
+            dx = x2 - xb
+            dz = self.kappa[second, idx] * x2 + self.zeta[second, idx] - kb * xb - zb
+            level = remembered | (vb - v2 <= 1e-10 * (
+                1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
+            level &= ~kink & (v2 > -_INF) & ((dx != 0.0) | (dz != 0.0))
+            li = np.flatnonzero(level)
+            dx, dz, gap = dx[li], dz[li], vb[li] - v2[li]
+            pair = (1 << best[li]) | (1 << second[li])
         held = np.where(kink, 0.0, xb)
         r = self.e - np.append(A @ held, kb @ held + zb.sum())
-        ki, li = np.flatnonzero(kink), np.flatnonzero(level)
-        T = np.hstack((np.vstack((A[:, ki], kb[ki])),
-                       np.vstack((A[:, li] * dx[li], dz[li]))))
+        T = np.hstack((np.vstack((A[:, ki], kb[ki])), np.vstack((A[:, li] * dx, dz))))
         tlo = np.concatenate((lo[best[ki], ki], np.zeros(li.size)))
         thi = np.concatenate((hi[best[ki], ki], np.ones(li.size)))
-        tgap = np.concatenate((-cb[ki], vb[li] - v2[li]))
+        tgap = np.concatenate((-cb[ki], gap))
         w0 = np.concatenate((xb[ki], np.zeros(li.size)))
         free = quad & (xb > lo[best, idx]) & (xb < hi[best, idx])
         cf = np.vstack((A[:, free], kb[free]))
@@ -765,9 +781,9 @@ class _Dual:
         xb[ki] = w[:ki.size]
         self.x = xb
         w = w[ki.size:]
-        inner = li[(w > 0.0) & (w < 1.0)]
+        inner = (w > 0.0) & (w < 1.0)
         kept = np.zeros(n, dtype=np.int64)
-        kept[inner] = (1 << best[inner]) | (1 << second[inner])
+        kept[li[inner]] = pair[inner]
 
         c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
 
@@ -820,21 +836,29 @@ def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
     solves the Newton system of ``_Dual.newton`` and moves by an exact line
     search along it, or by the unit step where the search finds no slope
     beyond rounding; a step that raises the value by more than rounding is
-    not taken.  Returns the multipliers, the dual value there, and how the
-    method ended: ``"converged"`` when the KKT residual of the inner
-    solution, or of the point the Newton step recovers, is down to
-    ``1e-12*(1 + max|e|)``; ``"target"`` once a step takes the value to or
-    below ``goal`` (a node is then pruned, and a leaf cut, whatever
-    follows); ``"ray"`` when the dual falls without bound, with the value
-    -inf (no point meets the rows); ``"stalled"`` when a step gains nothing
-    or the iteration cap is reached.  On a ray the multipliers returned are
-    the certificate, a direction ``d >= 0`` with ``dual.falls_along(d)``:
-    the Newton direction the line search runs off along, or the last
-    iterate.
+    not taken.  The first step that admits the full length tries it before
+    its search (warm-started at a parent's multipliers, the Newton step
+    often lands on the child's minimum): if the value there rises by no
+    more than rounding and the inner solution passes the KKT test, the
+    method ends there; otherwise it searches, and tries no full step again.
+    Returns the multipliers, the dual value there, and how the method
+    ended: ``"converged"`` when the KKT residual of the inner solution, or
+    of the point the Newton step recovers, is down to
+    ``1e-12*(1 + max|e|)``; ``"target"`` once a step, the kept full step
+    included, takes the value to or below ``goal`` (a node is then pruned,
+    and a leaf cut, whatever follows); ``"ray"`` when the dual falls
+    without bound, with the value -inf (no point meets the rows);
+    ``"stalled"`` when a step gains nothing or the iteration cap is
+    reached.  On a ray the multipliers returned are the certificate, a
+    direction ``d >= 0`` with ``dual.falls_along(d)``: the Newton direction
+    the line search runs off along, or the last iterate.  A ``"converged"``
+    ending leaves ``dual.x`` None where the inner solution passed the test,
+    and the Newton step's point where that passed it.
     """
     val, grad = start
     tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
+    tried = False
     for it in range(_NEWTON_MAX_ITERS + 1):
         dual.x = None
         if _kkt_residual(y, grad) <= tol:
@@ -848,14 +872,22 @@ def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
         shrink = d < 0.0
         ratio[shrink] = y[shrink] / -d[shrink]
         t_max = float(ratio.min())
+        if t_max >= 1.0 and not tried:  # the full step, kept on its certificate
+            tried = True
+            nxt = np.maximum(y + d, 0.0)
+            nxt[ratio == 1.0] = 0.0
+            nval, ngrad = value(nxt)
+            if (nval <= val + 1e-13 * max(1.0, abs(val))
+                    and _kkt_residual(nxt, ngrad) <= tol):
+                dual.x = None  # the point is the inner solution at ``nxt``
+                return nxt, nval, "target" if nval <= goal else "converged"
         t = search(t_max)
         if t is None:  # no d < 0, as t_max is infinite
             return d, -_INF, "ray"
         if t == 0.0:  # a flat start to rounding: try the unit step
             t = min(1.0, t_max)
         nxt = np.maximum(y + t * d, 0.0)
-        if t == t_max:
-            nxt[ratio == t_max] = 0.0
+        nxt[ratio == t] = 0.0  # t <= t_max: the multipliers the step takes to zero
         nval, ngrad = value(nxt)
         if nval > val + 1e-13 * max(1.0, abs(val)):  # more than rounding
             break
@@ -892,7 +924,9 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     is the dual value at the returned multipliers, so it is valid whatever
     the ending.  The primal point is the inner solution there and may
     violate the coupling rows; it is meant for branching scores and
-    incumbent rounding only.
+    incumbent rounding only.  It is read from the last dual evaluation,
+    which is at those multipliers except after a ray or a rejected step;
+    then the dual is evaluated there once more.
 
     ``rays`` are Farkas rays found on other nodes of the same instance
     (``RelaxResult.ray``).  Unless the warm start already reaches the
@@ -927,7 +961,9 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
         else:
             y, val, end = _descend(dual, value, y, start, goal)
     mult = tuple(y.tolist())
-    _, _, x, zl, zr, vals = _dual_eval_arrays(arr, mult, persp, point=True)
+    if arr.at != mult:  # a ray or a rejected step ended the descent
+        _dual_eval_arrays(arr, mult, persp)
+    x, zl, zr, vals = _node_point(arr)
     return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
                        multipliers=mult, converged=end in ("converged", "ray"),
                        values=tuple(vals), ray=mult if end == "ray" else None)

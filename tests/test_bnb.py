@@ -515,6 +515,39 @@ def test_floor_cuts_leaf_descents_and_keeps_the_search(monkeypatch):
     assert sum(len(window) for window, _ in calls) == 3
 
 
+@pytest.mark.parametrize("form, want, newton, searches", [
+    ("miqp", ("node-limit", 196.41045634110043, 197.2433879809493, 60,
+              0.004240770350853172), 119, 35),
+    ("persp", ("optimal", 196.4913595232, 196.4913595232, 9, 0.0), 24, 12)])
+def test_full_newton_steps_skip_line_searches(form, want, newton, searches,
+                                              monkeypatch):
+    """Node descents keep a full Newton step whose point passes the KKT
+    test without a line search: on the strong n = 30 desk case with the
+    budget row only, node limit 60, as benchmarked, the search ends as it
+    did when every step ran one, to the last bit (miqp at the node limit,
+    persp optimal at 9 nodes), and takes the same node Newton steps; miqp
+    runs 35 node line searches (119 did), persp 12 as before."""
+    inst = dataclasses.replace(
+        generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
+    counts = {"newton": 0, "search": 0}  # on node duals: three options
+    step, exact = relax._Dual.newton, relax._exact_step
+
+    def counted_step(self, *args):
+        counts["newton"] += len(self.lo) == 3
+        return step(self, *args)
+
+    def counted_search(quad, curv, c, *args):
+        counts["search"] += len(c) == 3
+        return exact(quad, curv, c, *args)
+
+    monkeypatch.setattr(relax._Dual, "newton", counted_step)
+    monkeypatch.setattr(relax, "_exact_step", counted_search)
+    out = branch_and_bound(inst, SolveParams(formulation=form, node_limit=60))
+    assert repr((out.status, out.objective, out.upper_bound, out.nodes, out.gap)) == repr(
+        want)
+    assert counts == {"newton": newton, "search": searches}
+
+
 def test_pooled_rays_close_the_infeasible_leaves(monkeypatch):
     """The ``coupled`` desk case weak n = 30, seed 9489810283428522141,
     persp, node limit 15: of its 4 rounding leaves, all infeasible, only

@@ -35,7 +35,7 @@ from mixopt import (
     solve_node_relaxation,
 )
 from mixopt import relax
-from mixopt.relax import _NodeArrays, _dual_eval_arrays
+from mixopt.relax import _NodeArrays, _dual_eval_arrays, _node_point
 
 from conftest import make_activity, random_instance
 
@@ -273,11 +273,12 @@ def _kernel_nodes(inst, rng):
 
 def test_dual_eval_arrays_match_the_scalar_loop():
     """The numpy kernel is ``per_activity_argmax`` run activity by activity:
-    with ``point`` its x, zL, zR and per-activity values are the reference's
-    bit for bit, and its dual value and subgradient lie within 1e-12
-    (relative to the terms' magnitudes) of the ``fsum`` of the reference's
-    terms; without ``point`` it returns the same value and subgradient.
-    At n = 12 and 150, with edge activities, and with m = 0 and m = n."""
+    the x, zL, zR and per-activity values that ``_node_point`` reads after
+    an evaluation are the reference's bit for bit, and its dual value and
+    subgradient lie within 1e-12 (relative to the terms' magnitudes) of the
+    ``fsum`` of the reference's terms.  Each evaluation follows one at other
+    multipliers, whose buffers it must refill in full.  At n = 12 and 150,
+    with edge activities, and with m = 0 and m = n."""
     rng = random.Random(23)
     insts = []
     for n in (12, 150):
@@ -301,10 +302,12 @@ def test_dual_eval_arrays_match_the_scalar_loop():
                 for _ in range(4):
                     lam = [rng.choice([0.0, rng.uniform(0.0, 3.0)]) for _ in range(K)]
                     mults += [tuple(lam) + (0.0,), tuple(lam) + (rng.uniform(0.0, 5.0),)]
-                for mult in mults:
+                for other, mult in zip(mults[::-1], mults):
                     lam, mu = mult[:K], mult[K]
-                    value, grad, x, zl, zr, vals = _dual_eval_arrays(arr, mult, persp, True)
-                    assert repr((value, grad)) == repr(_dual_eval_arrays(arr, mult, persp))
+                    _dual_eval_arrays(arr, other, persp)
+                    value, grad = _dual_eval_arrays(arr, mult, persp)
+                    assert arr.at == mult
+                    x, zl, zr, vals = _node_point(arr)
                     ref = [per_activity_argmax(act, rb, _regions(bits), lam, mu, form,
                                                coupling=col)
                            for act, rb, bits, col in zip(inst.activities, inst.regions,
@@ -329,9 +332,9 @@ def test_dual_eval_arrays_match_the_scalar_loop():
 
 def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
     """A child whose dual value at the warm start is at or below its target
-    is pruned there: the descent evaluates nothing more, the primal point
-    is built once, and the stop is not reported as convergence.  Checked
-    at n = 12 and 30."""
+    is pruned there: the dual is evaluated once, at the warm start, the
+    primal point is read from that evaluation, and the stop is not reported
+    as convergence.  Checked at n = 12 and 30."""
     for n in (12, 30):
         inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.5, seed=n))
         root = NodeState.root(inst)
@@ -342,14 +345,14 @@ def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
             for target in (at_warm, at_warm + 1.0):
                 points = []
 
-                def counted(arr, mult, persp, point=False):
-                    points.append(point)
-                    return _dual_eval_arrays(arr, mult, persp, point)
+                def counted(arr, mult, persp):
+                    points.append(mult)
+                    return _dual_eval_arrays(arr, mult, persp)
 
                 monkeypatch.setattr(relax, "_dual_eval_arrays", counted)
                 res = solve_node_relaxation(inst, child, form, warm=warm, target=target)
                 monkeypatch.undo()
-                assert points == [False, True]
+                assert points == [tuple(warm)]
                 assert res.upper_bound == at_warm <= target
                 assert res.multipliers == tuple(warm)
                 assert res.converged is False
@@ -1080,3 +1083,88 @@ def test_pooled_rays_cut_only_infeasible_leaves(monkeypatch):
                 own = solve_fixed_assignment(inst, regions)
                 assert not own.feasible and own.ray is not None
     assert min(hits.values()) >= 100
+
+
+def _node_descents(monkeypatch):
+    """Every ``_descend`` call, as (ending, multipliers, full): ``full``
+    says whether it ended on a full Newton step, that is, off the start of
+    its last Newton step with no line search after it."""
+    events, descents = [], []
+    newton, exact, descend = relax._Dual.newton, relax._exact_step, relax._descend
+
+    def counted_step(self, y, kept):
+        events.append(y.copy())
+        return newton(self, y, kept)
+
+    def counted_search(*args):
+        events.append(None)
+        return exact(*args)
+
+    def counted_descent(*args):
+        before = len(events)
+        y, val, end = descend(*args)
+        last = events[-1] if len(events) > before else None
+        descents.append((end, y, last is not None and not np.array_equal(last, y)))
+        return y, val, end
+
+    monkeypatch.setattr(relax._Dual, "newton", counted_step)
+    monkeypatch.setattr(relax, "_exact_step", counted_search)
+    monkeypatch.setattr(relax, "_descend", counted_descent)
+    return descents
+
+
+def test_kept_full_steps_end_on_their_certificate(monkeypatch):
+    """A node descent that keeps a full Newton step, without a line search,
+    ends where that step's point passes the KKT test: its bound is exactly
+    ``dual_value`` at its multipliers, the KKT residual of the inner
+    solution there is at most ``1e-12*(1 + max|rhs|)``, and it ends
+    ``"target"`` only on a node whose descent without a target does not end
+    on a ray.  On generated instances, as generated and with the budget row
+    only, with edge activities and with the revenue scaled by 1e6; in both
+    forms, the root from zero, and its children (as the search bounds them)
+    and random nodes from the root's multipliers, without a target and with
+    targets between the start's dual value and the bound."""
+    descents = _node_descents(monkeypatch)
+    rng = random.Random(71)
+    insts = []
+    for _, _, inst in batch([Cell(c, 12, 0.1, 0.5) for c in CORRELATIONS], 1, 9):
+        insts += [inst, dataclasses.replace(inst, extras=()),
+                  _with_edge_activities(inst), _scaled_revenue(inst, 1e6)]
+    kept = {"converged": 0, "target": 0}
+    for inst in insts:
+        rhs = [inst.budget_rhs, float(inst.m)] + [ex.rhs for ex in inst.extras]
+        tol = 1e-12 * (1.0 + max(map(abs, rhs)))
+        root = NodeState.root(inst)
+        nodes = [root.fix(i, region) for i in root.free_indices()
+                 for region in sorted(_regions(root.bits[i]))]
+        nodes += [node for node in (_random_node(inst, rng) for _ in range(2))
+                  if node is not None]
+        for form in ("miqp", "persp"):
+            persp = form == "persp"
+            warm = solve_node_relaxation(inst, root, form).multipliers
+            for node, start in [(root, None)] + [(node, warm) for node in nodes]:
+                top = dual_value(inst, node, form, start or (0.0,) * len(rhs))
+                del descents[:]
+                free = solve_node_relaxation(inst, node, form, warm=start)
+                on_ray = free.ray is not None
+                bottom = top - max(1.0, abs(top)) if on_ray else free.upper_bound
+                runs = [(free, descents[:])]
+                for target in (0.5 * (top + bottom), bottom + 1e-9 * max(1.0, abs(bottom))):
+                    del descents[:]
+                    res = solve_node_relaxation(inst, node, form, warm=start, target=target)
+                    runs.append((res, descents[:]))
+                for res, ends in runs:
+                    if not ends or not ends[-1][2]:
+                        continue
+                    end, y, _ = ends[-1]
+                    assert end in kept
+                    kept[end] += 1
+                    assert res.multipliers == tuple(y.tolist())
+                    assert res.converged == (end == "converged")
+                    assert repr(res.upper_bound) == repr(
+                        dual_value(inst, node, form, res.multipliers))
+                    grad = _dual_eval_arrays(_NodeArrays(inst, node), res.multipliers,
+                                             persp)[1]
+                    assert relax._kkt_residual(y, np.array(grad)) <= tol
+                    assert end != "target" or not on_ray
+    assert kept["converged"] > 30 and kept["target"] > 60

@@ -54,15 +54,18 @@ def test_bench_layers_runs(capsys):
                                      for f in ("persp", "miqp")]
     assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
     # then the node relaxation: one row per n x formulation x relaxation,
-    # with its dual evaluations and Newton steps
-    assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "relax_us"]
+    # with its dual evaluations, Newton steps and line searches
+    assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "search",
+                                "relax_us"]
     rows = [line.split() for line in lines[7:19]]
     assert [r[:3] for r in rows] == [[n, f, c] for n in ("12", "64")
                                      for f in ("persp", "miqp")
                                      for c in ("root", "pruned", "open")]
-    assert all(float(r[5]) > 0.0 for r in rows)
-    # a pruned child costs its warm-start evaluation and the point build
-    assert all(r[3:5] == ["2", "0"] for r in rows if r[2] == "pruned")
+    assert all(float(r[6]) > 0.0 for r in rows)
+    # a step runs at most one line search
+    assert all(int(r[5]) <= int(r[4]) for r in rows)
+    # a pruned child costs its warm-start evaluation, which the point is read from
+    assert all(r[3:6] == ["1", "0", "0"] for r in rows if r[2] == "pruned")
     # the root takes Newton steps, each evaluating the dual once
     assert all(int(r[4]) > 0 and int(r[3]) <= int(r[4]) + 2 for r in rows
                if r[2] == "root")
