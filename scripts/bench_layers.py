@@ -5,12 +5,11 @@ For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
 each formulation.  Two layers are timed from there.
 
-The dual evaluation, at the multipliers the root relaxation ends at:
-``value_us`` is the value and subgradient evaluation the Newton method
-runs once per step, ``point_us`` the read of the primal point from the
-buffers that evaluation leaves, once per relaxation (a relaxation that
-ends away from its last evaluation, on a ray or a rejected step,
-evaluates there once more first).
+The node dual, at the multipliers the root relaxation ends at:
+``build_us`` builds it from the node's bits, once per relaxation;
+``value_us`` prices it (``_Dual.value``), once per step, which gives the
+dual value, the subgradient and the point; ``newton_us`` is the Newton
+step, which reads those prices and prices nothing itself.
 
 The node relaxation: the ``root`` from zero multipliers, and one child of
 the root (the branching activity fixed to its first open region),
@@ -18,9 +17,9 @@ warm-started at the root's multipliers as the search bounds it.  The
 ``pruned`` child aims at its own dual value at the warm start, so it is
 pruned there; the ``open`` child aims 0.1% below the bound its untargeted
 relaxation reaches, so it runs the whole Newton method.  ``evals`` counts
-its dual evaluations, ``newton`` its Newton steps and ``search`` the exact
-line searches among them (a full step whose point passes the KKT test
-ends the descent without one).
+its pricings of the dual, ``newton`` its Newton steps and ``search`` the
+exact line searches among them (a full step whose point passes the KKT
+test ends the descent without one).
 
 Reduced-cost fixing, at the root's multipliers and against the prune
 threshold of the incumbent rounded from the root relaxation, as the search
@@ -97,9 +96,9 @@ def _child_targets(inst, root, root_res, form):
 
 
 def counted(call):
-    """Dual evaluations, Newton steps and line searches one call makes."""
+    """Pricings, Newton steps and line searches one call makes."""
     counts = [0, 0, 0]
-    kernel, newton, exact = relax._dual_eval_arrays, relax._Dual.newton, relax._exact_step
+    kernel, newton, exact = relax._Dual.value, relax._Dual.newton, relax._exact_step
 
     def evaluation(*args, **kwargs):
         counts[0] += 1
@@ -113,13 +112,11 @@ def counted(call):
         counts[2] += 1
         return exact(*args, **kwargs)
 
-    relax._dual_eval_arrays, relax._exact_step = evaluation, search
-    relax._Dual.newton = step
+    relax._Dual.value, relax._Dual.newton, relax._exact_step = evaluation, step, search
     try:
         call()
     finally:
-        relax._dual_eval_arrays, relax._exact_step = kernel, exact
-        relax._Dual.newton = newton
+        relax._Dual.value, relax._Dual.newton, relax._exact_step = kernel, newton, exact
     return counts
 
 
@@ -212,15 +209,18 @@ def run(argv=None):
         for form in FORMS:
             cells.append((inst, root, form, solve_node_relaxation(inst, root, form)))
 
-    print(f"{'n':>5} {'form':>5} {'value_us':>9} {'point_us':>9}")
+    print(f"{'n':>5} {'form':>5} {'build_us':>9} {'value_us':>9} {'newton_us':>9}")
     for inst, root, form, root_res in cells:
-        mult = tuple(root_res.multipliers)
+        mult = np.array(root_res.multipliers)
         persp = form == relax.PERSPECTIVE
-        arr = relax._NodeArrays(inst, root)
-        value = per_call_us(lambda: relax._dual_eval_arrays(arr, mult, persp),
+        build = per_call_us(lambda: relax._node_dual(inst, root, persp),
                             args.calls, args.repeats)
-        point = per_call_us(lambda: relax._node_point(arr), args.calls, args.repeats)
-        print(f"{inst.n:5d} {form:>5} {value:9.1f} {point:9.1f}", flush=True)
+        dual = relax._node_dual(inst, root, persp)
+        value = per_call_us(lambda: dual.value(mult), args.calls, args.repeats)
+        kept = np.zeros(inst.n, dtype=np.int64)
+        newton = per_call_us(lambda: dual.newton(kept), args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {newton:9.1f}",
+              flush=True)
 
     print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'search':>6} "
           f"{'relax_us':>9}")

@@ -24,7 +24,7 @@ from .instance import (Activity, Instance, InstanceError,
                        save_json, validate)
 from .lp import export_lp, write_lp
 from .relax import (MIQP, PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, dual_value, per_activity_argmax, root_bounds,
+                    RelaxResult, dual_value, root_bounds,
                     solve_fixed_assignment, solve_node_relaxation)
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "Variable", "WEAK", "batch", "branch_and_bound", "brute_force",
     "build_miqp", "build_misocp", "check_minlp_feasible", "compute_regions",
     "dual_value", "export_lp", "generate", "load_json",
-    "mix_seed", "objective_value", "paper_cells", "per_activity_argmax",
+    "mix_seed", "objective_value", "paper_cells",
     "perspective_value", "root_bounds", "round_incumbent", "save_json",
     "solve_fixed_assignment", "solve_node_relaxation", "validate",
     "write_lp",

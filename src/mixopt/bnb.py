@@ -201,7 +201,13 @@ _REGION_ORDER: Tuple[Region, ...] = ("L", "S", "R")
 
 def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
                      ) -> SolveResult:
-    """Exact solve of the adjustment problem by Lagrangian-bounded search."""
+    """Exact solve of the adjustment problem by Lagrangian-bounded search.
+
+    ``params.time_limit`` is checked once per popped node, so a solve
+    overruns it by at most the root's relaxation and rounding, or one
+    node's work: its fixing, the bounding of its children, and their
+    roundings and leaf solves.
+    """
     params = params or SolveParams()
     report = validate(inst)
     if not report.ok:

@@ -23,15 +23,14 @@ The two formulations differ only in the per-activity subproblem:
   ``z``), so the subproblem optimum sits at an integral activation and the
   bound matches the convex envelope of the true disjunction.
 
-A numpy kernel evaluates a node's dual over whole columns at every node
-size.  It performs ``_activity_best``'s scalar operations in the scalar
-order and sums sequentially, so its bits are those of the per-activity
-reference ``per_activity_argmax`` summed in activity order.  The Newton
-method reads only the dual value and subgradient from it, once per step,
-and assembles its system and line search from its own numpy arrays.  The
-relaxation point is read from the buffers of the last evaluation, which
-is at the final multipliers unless a ray or a rejected step ended the
-descent; only then is the dual evaluated once more.
+One numpy kernel, ``_Dual.value``, prices every option of every activity
+at a multiplier vector, for nodes and leaves alike.  It performs the
+scalar reference's operations (kept in the tests) in the scalar order and
+sums sequentially, so its points and per-activity values are the
+reference's bit for bit.  It keeps the prices and each activity's best
+option, and the dual value, the Newton step and the relaxation point all
+read them: each step prices the dual once.  Only a descent that a ray or
+a rejected step ends away from its last pricing prices once more.
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Literal, Optional, Sequence, Tuple
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instance import Activity, Instance, Region, RegionBounds
+from .instance import Instance, Region
 
 Formulation = Literal["miqp", "persp"]
 
@@ -130,122 +129,6 @@ class RelaxResult:
 
 
 # ---------------------------------------------------------------------------
-# Per-activity subproblems.
-#
-# A record is (theta, lL, uL, lR, uR, allowS, modeL, modeR) with mode
-# 0 = closed, 1 = free, 2 = fixed.  These scalar closed forms are the
-# reference the numpy kernel below repeats on whole columns.
-
-_CLOSED, _FREE, _FIXED = 0, 1, 2
-
-
-def _record(act: Activity, rb: RegionBounds, allowed: frozenset):
-    def mode(region, present):
-        if not present or region not in allowed:
-            return _CLOSED
-        return _FIXED if len(allowed) == 1 else _FREE
-
-    lL, uL = rb.L if rb.L is not None else (0.0, 0.0)
-    lR, uR = rb.R if rb.R is not None else (0.0, 0.0)
-    return (act.theta, lL, uL, lR, uR, "S" in allowed,
-            mode("L", rb.L is not None), mode("R", rb.R is not None))
-
-
-def _box_quad_max(theta: float, c: float, lo: float, hi: float) -> Tuple[float, float]:
-    """argmax/max of ``theta*x^2 + c*x`` over ``[lo, hi]`` with theta <= 0."""
-    if theta < 0.0:
-        x = c / (-2.0 * theta)
-        if x < lo:
-            x = lo
-        elif x > hi:
-            x = hi
-    elif c > 0.0:
-        x = hi
-    elif c < 0.0:
-        x = lo
-    else:
-        x = lo if lo > 0.0 else (hi if hi < 0.0 else 0.0)
-    return x, theta * x * x + c * x
-
-
-def _activity_best(rec, phi_eff: float, mu: float, persp: bool):
-    """Best (value, x, zL, zR) for one activity under priced objective.
-
-    Ties prefer the stay region, then the decrease side; this keeps
-    incumbent rounding biased toward the fewest active indicators.
-    """
-    theta, lL, uL, lR, uR, allow_s, mode_l, mode_r = rec
-    if allow_s:
-        bv, bx, bzl, bzr = 0.0, 0.0, 0.0, 0.0
-    else:
-        bv, bx, bzl, bzr = -_INF, 0.0, 0.0, 0.0
-
-    if mode_l == _FIXED:
-        x, g = _box_quad_max(theta, phi_eff, lL, uL)
-        v = g - mu
-        if v > bv:
-            bv, bx, bzl, bzr = v, x, 1.0, 0.0
-    elif mode_l == _FREE:
-        if persp:
-            x, g = _box_quad_max(theta, phi_eff, lL, uL)
-            v = g - mu
-            # profile in z is linear, so the activation sits at an endpoint
-            if v > bv:
-                bv, bx, bzl, bzr = v, x, 1.0, 0.0
-        elif lL < 0.0:
-            x, v = _box_quad_max(theta, phi_eff - mu / lL, lL, 0.0)
-            if v > bv:
-                if mu > 0.0:
-                    z = x / lL
-                else:
-                    z = min(1.0, x / uL) if uL < 0.0 else 1.0
-                bv, bx, bzl, bzr = v, x, z, 0.0
-
-    if mode_r == _FIXED:
-        x, g = _box_quad_max(theta, phi_eff, lR, uR)
-        v = g - mu
-        if v > bv:
-            bv, bx, bzl, bzr = v, x, 0.0, 1.0
-    elif mode_r == _FREE:
-        if persp:
-            x, g = _box_quad_max(theta, phi_eff, lR, uR)
-            v = g - mu
-            if v > bv:
-                bv, bx, bzl, bzr = v, x, 0.0, 1.0
-        elif uR > 0.0:
-            x, v = _box_quad_max(theta, phi_eff - mu / uR, 0.0, uR)
-            if v > bv:
-                if mu > 0.0:
-                    z = x / uR
-                else:
-                    z = min(1.0, x / lR) if lR > 0.0 else 1.0
-                bv, bx, bzl, bzr = v, x, 0.0, z
-    return bv, bx, bzl, bzr
-
-
-def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
-                        lam: Sequence[float], mu: float, form: Formulation,
-                        coupling: Optional[Sequence[float]] = None,
-                        ) -> Tuple[float, float, float, float]:
-    """Solve one activity's priced subproblem; returns (x, zL, zR, value).
-
-    ``lam`` holds multipliers for the coupling rows and ``coupling`` the
-    activity's coefficients in those rows (all ones by default, matching a
-    budget-only instance).  The priced slope is accumulated in the numpy
-    kernel's order, and the kernel matches these results bit for bit.
-    """
-    lam = tuple(lam)
-    if coupling is None:
-        coupling = (1.0,) * len(lam)
-    phi_eff = act.phi
-    for l, c in zip(lam, coupling):
-        phi_eff -= l * c
-    v, x, zl, zr = _activity_best(_record(act, rb, frozenset(status)), phi_eff,
-                                  mu, form == PERSPECTIVE)
-    return x, zl, zr, v
-
-
-# ---------------------------------------------------------------------------
 # The numpy dual kernel
 
 
@@ -253,39 +136,32 @@ _ABSENT = (math.nan, math.nan)
 
 
 class _InstanceArrays:
-    """The numpy kernel's columns that do not depend on the node.
+    """The kernel's columns that do not depend on the node.
 
     The coupling rows (budget first) are the rows of ``A``.  The side
     arrays stack the decrease side as row 0 and the raise side as row 1:
-    ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0, as
-    in ``_record``), ``outer`` the end away from zero and ``inner`` the end
-    next to it.  ``linear`` marks theta = 0, or is None when no one has it.
+    ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0),
+    ``outer`` the end away from zero and ``inner`` the end next to it.
     ``least[k, bits, i]`` is the least use of row ``k`` by activity ``i``
     over the region set ``bits`` (a node's ``bits``; +inf for the empty
     set), and ``index`` is ``arange(n)``, to pick one set per activity.
-    ``rhs``, ``psi_sum`` and ``m`` are the dual value's constant terms as
-    Python numbers, for the scalar start of each evaluation.  The leaf
+    ``psi_sum`` and ``m`` are the node dual's constant terms.  The leaf
     solve reads its boxes, rows and revenue from the same columns.  Every
     node and leaf of a search shares them, so the arrays are read-only.
     """
 
-    __slots__ = ("theta", "phi", "linear", "neg2theta", "A", "b", "rhs",
-                 "psi_sum", "m", "has", "lo", "hi", "outer", "inner",
-                 "inner_ok", "least", "index")
+    __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
+                 "outer", "inner", "inner_ok", "least", "index")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
         self.psi_sum, self.m = inst.psi_sum, inst.m
         self.theta = np.fromiter([a.theta for a in acts], float, n)
         self.phi = np.fromiter([a.phi for a in acts], float, n)
-        quad = self.theta < 0.0
-        self.linear = None if quad.all() else ~quad
-        self.neg2theta = np.where(quad, -2.0 * self.theta, 1.0)
         self.A = np.ones((1 + len(inst.extras), n))
         for k, ex in enumerate(inst.extras, 1):
             self.A[k] = ex.coeffs
-        self.rhs = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
-        self.b = np.array(self.rhs)
+        self.b = np.array([inst.budget_rhs] + [ex.rhs for ex in inst.extras])
         ends = np.fromiter(itertools.chain.from_iterable(
             [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in inst.regions]),
             float, 4 * n).reshape(n, 4).T
@@ -320,130 +196,32 @@ def _instance_arrays(inst: Instance) -> _InstanceArrays:
     return arrays
 
 
-class _NodeArrays:
-    """A node's dual, ready for ``_dual_eval_arrays``: the instance's
-    columns (``inst_arrays``) and the node's region bits as masks saying
-    which branch of ``_activity_best`` each activity takes (its ``_record``
-    modes), stacked by side like the columns.  ``open`` marks a side the
-    persp form prices, ``hull`` one the miqp form prices, and ``scaled`` the
-    free sides among those, whose miqp box ``[lo, hi]`` ends at zero and
-    scales with the activation.  Each evaluation refills two buffers:
-    ``sides`` with each side's activation, value and x, and ``acc`` with
-    the chosen ones and the extra rows' ``A x`` terms after the scalar start
-    values in column 0.  It records its multipliers in ``at`` and the sides
-    it chose in ``take_l`` and ``take_r``, from which ``_node_point`` reads
-    the inner solution there.
-    """
-
-    __slots__ = ("inst_arrays", "stay", "open", "hull", "scaled", "lo", "hi",
-                 "inner_ok", "sides", "acc", "at", "take_l", "take_r")
-
-    def __init__(self, inst: Instance, node: NodeState):
-        cols = self.inst_arrays = _instance_arrays(inst)
-        bits, free = node.bits, node.free
-        self.stay = np.zeros((3, inst.n))  # activation, value, x of the stay region
-        self.stay[1] = np.where((bits & 1) != 0, 0.0, -_INF)
-        self.open = np.array([(bits & 2) != 0, (bits & 4) != 0]) & cols.has
-        self.scaled = self.open & free & np.array([cols.lo[0] < 0.0, cols.hi[1] > 0.0])
-        self.hull = (self.open & ~free) | self.scaled
-        self.lo = np.array([cols.lo[0], np.where(self.scaled[1], 0.0, cols.lo[1])])
-        self.hi = np.array([np.where(self.scaled[0], 0.0, cols.hi[0]), cols.hi[1]])
-        self.inner_ok = self.scaled & cols.inner_ok
-        self.sides = np.empty((3, 2, inst.n))
-        self.acc = np.zeros((len(cols.A) + 2, inst.n + 1))
-        self.at = None
+def _prices(phi, A, lam):
+    """``phi - lam @ A``, one row at a time in row order, as the scalar
+    reference sums (``@`` sums pairwise or through BLAS)."""
+    c = phi - lam[0] * A[0]
+    for k in range(1, len(A)):
+        c -= lam[k] * A[k]
+    return c
 
 
-def _dual_eval_arrays(arr: _NodeArrays, mult: Tuple[float, ...], persp: bool):
-    """Dual value and subgradient at one multiplier vector.
-
-    Returns (value, subgradient) and leaves the inner solution in ``arr``
-    for ``_node_point``.  These are ``_activity_best``'s results summed in
-    activity order, bit for bit: every elementwise operation is the scalar
-    one in the scalar order, with both sides priced in one pass over ``(2, n)``
-    arrays; divisions run only where the scalar branch divides, comparisons
-    are strict in the order stay, decrease, increase, and the sums are one
-    sequential ``np.cumsum`` seeded with the scalar start values (``np.sum``
-    and ``@`` sum pairwise or through BLAS).  The activation sum adds the
-    chosen side's activation without the other side's 0.0, which would
-    only turn -0.0 into 0.0: a sum seeded with 0.0 cannot tell the two
-    apart.
-    """
-    cols = arr.inst_arrays
-    K = len(cols.rhs)
-    mu = mult[K]
-    start = cols.psi_sum + mu * cols.m
-    for k in range(K):
-        start += mult[k] * cols.rhs[k]
-    pe = cols.phi - mult[0]  # the budget row's coefficients are all 1.0
-    for k in range(1, K):
-        pe -= mult[k] * cols.A[k]
-
-    z, val, x = arr.sides
-    if persp:
-        c, lo, hi, on = pe, cols.lo, cols.hi, arr.open
-    else:
-        shift = np.divide(mu, cols.outer, out=np.zeros_like(x), where=arr.scaled)
-        c, lo, hi, on = pe - shift, arr.lo, arr.hi, arr.hull
-    _side_values(cols, c, lo, hi, x, val)
-    z[...] = 1.0
-    if persp:
-        val -= mu
-    else:
-        np.subtract(val, mu, out=val, where=~arr.scaled)
-        if mu > 0.0:
-            np.divide(x, cols.outer, out=z, where=arr.scaled)
-        else:
-            np.divide(x, cols.inner, out=z, where=arr.inner_ok)
-            np.minimum(z, 1.0, out=z)
-
-    acc = arr.acc
-    acc[1, 0] = start
-    chosen = acc[:3, 1:]
-    chosen[...] = arr.stay
-    take_l = arr.take_l = on[0] & (val[0] > chosen[1])
-    np.copyto(chosen, arr.sides[:, 0], where=take_l)
-    take_r = arr.take_r = on[1] & (val[1] > chosen[1])
-    np.copyto(chosen, arr.sides[:, 1], where=take_r)
-    arr.at = mult
-    np.multiply(cols.A[1:], chosen[2], out=acc[3:, 1:])
-    sums = np.cumsum(acc, axis=1)[:, -1]
-    grad = (cols.b - sums[2:]).tolist()
-    grad.append(cols.m - float(sums[0]))
-    return float(sums[1]), grad
-
-
-def _node_point(arr: _NodeArrays):
-    """The inner solution x, zL, zR of ``arr``'s last evaluation (at
-    ``arr.at``) and each activity's priced value there, its term in the
-    dual value."""
-    z, chosen = arr.sides[0], arr.acc[:3, 1:]
-    z_l = np.where(arr.take_r, 0.0, np.where(arr.take_l, z[0], 0.0))
-    z_r = np.where(arr.take_r, z[1], 0.0)
-    return chosen[2].tolist(), z_l.tolist(), z_r.tolist(), chosen[1].tolist()
-
-
-def _side_values(cols: _InstanceArrays, c, lo, hi, x: np.ndarray, val: np.ndarray):
-    """Each side's maximiser of ``theta*x^2 + c*x`` over ``[lo, hi]`` into
-    ``x`` and its value into ``val``, by ``_box_quad_max``'s operations."""
-    q = c / cols.neg2theta
-    x[...] = q
-    np.copyto(x, hi, where=q > hi)
-    np.copyto(x, lo, where=q < lo)
-    if cols.linear is not None:
-        flat = np.where(lo > 0.0, lo, np.where(hi < 0.0, hi, 0.0))
-        np.copyto(x, np.where(c > 0.0, hi, np.where(c < 0.0, lo, flat)),
-                  where=cols.linear)
-    np.multiply(cols.theta, x, out=val)
-    val *= x
-    val += c * x
+def _box_max(c, curv, lin, lo, hi):
+    """Each option's maximiser of ``theta*x^2 + c*x`` over ``[lo, hi]``,
+    given ``curv = -2*theta`` where theta < 0 and 1.0 where ``lin`` marks
+    theta = 0 (None when no option is linear).  A linear option priced to
+    exactly zero takes the point of its box closest to zero."""
+    x = np.minimum(np.maximum(c / curv, lo), hi)
+    if lin is not None:
+        rest = np.minimum(np.maximum(0.0, lo), hi)
+        x = np.where(lin, np.where(c > 0.0, hi, np.where(c < 0.0, lo, rest)), x)
+    return x
 
 
 # ---------------------------------------------------------------------------
 # Semismooth Newton machinery, shared by the node dual and the leaf dual.
 #
-# Both duals are D(y) = e.y + sum_i max_o [max_{x in box_io} theta_i x^2
-# + (phi_i - a_i.lam - kappa_io*mu) x - zeta_io*mu] over multipliers
+# Both duals are D(y) = const + e.y + sum_i max_o [max_{x in box_io}
+# theta_i x^2 + (phi_i - a_i.lam - kappa_io*mu) x - zeta_io*mu] over multipliers
 # y = (lam, mu) >= 0.  Each activity takes the best of its options o: one
 # for a leaf, where mu prices an empty row; stay, decrease and raise at a
 # node, where mu prices the cardinality row.  Option o uses the rows by
@@ -480,6 +258,8 @@ def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
         [ M_WW + ridge   -T_W ] [d]   [-r_W ]
         [ -T_W'            0  ] [w] = [ tgap]
 
+    The ridge is 1e-12 of the trace of ``M_WW`` (1e-12 where that is zero).
+
     ``work`` marks the working rows (a positive multiplier, or violated)
     and is updated in place.  An active-set loop settles the system: a tie
     whose weight leaves its bounds is released at the bound it crossed;
@@ -508,7 +288,8 @@ def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
         tw = T[np.ix_(rows, ties)]
         m = np.zeros((size, size))
         m[:k, :k] = M[np.ix_(rows, rows)]
-        m.flat[:k * size:size + 1] += 1e-12 * (np.trace(m) + 1.0)
+        trace = np.trace(m)
+        m.flat[:k * size:size + 1] += 1e-12 * (trace if trace > 0.0 else 1.0)
         m[:k, k:] = -tw
         m[k:, :k] = -tw.T
         rhs = np.concatenate((-r[rows], tgap[ties]))
@@ -685,68 +466,106 @@ def _exact_step(quad, curv, c, s, lo, hi, db, t_max, off, act):
 
 
 class _Dual:
-    """A dual of the form above, for the Newton method.
+    """A dual of the form above, its one pricing kernel and its Newton step.
 
     Row ``o`` of the ``(P, n)`` arrays is option ``o`` of every activity.
     The multipliers are ``y = (lam, mu)``: ``lam`` prices the rows ``A``
     (``K`` of them) and ``mu`` the last row, which counts activations.  At
     ``y`` option ``o`` prices ``x`` in ``[lo, hi]`` at
-    ``phi - a.lam - kappa*mu`` and costs ``zeta*mu + off`` (an infinite
-    ``off`` closes it), so it uses the rows by ``(a*x, kappa*x + zeta)``.
-    ``e`` holds the right-hand sides.  ``x`` is the point the last Newton
-    step recovered, each activity at its best option with its kink ties
-    placed.
+    ``phi - a.lam - mu/span`` and costs ``zeta*mu + off`` (an infinite
+    ``off`` closes it), so it uses the rows by ``(a*x, kappa*x + zeta)``
+    with ``kappa = 1/span``: ``span`` is the far end of a box that scales
+    with its activation, infinite for the others.  Where ``near`` is finite
+    the point at ``mu = 0`` takes the largest activation that holds ``x``,
+    ``x/near`` capped at one.  ``e`` holds the right-hand sides and
+    ``const`` the dual value's constant term.
+
+    ``value(y)`` prices every option and keeps what it finds: ``at`` (the
+    ``y``), ``f`` and ``grad`` (the value and subgradient there), ``c``,
+    ``x`` and ``val`` (each option's price, maximiser and value), ``best``
+    (each activity's best option, the first of equal values), and there
+    ``point``, ``terms`` (each activity's term in ``f``) and ``z`` (its
+    activation).  ``placed`` is the point the last Newton step recovered,
+    each activity at its best option with its kink ties placed.
     """
 
-    __slots__ = ("K", "A", "e", "phi", "theta", "quad", "curv", "lo", "hi",
-                 "kappa", "zeta", "off", "tie_rate", "x")
+    __slots__ = ("K", "A", "e", "const", "phi", "theta", "quad", "lin", "curv",
+                 "lo", "hi", "span", "scaled", "near", "kappa", "zeta", "off",
+                 "index", "at", "f", "grad", "c", "x", "val", "best", "point",
+                 "terms", "z", "placed")
 
-    def __init__(self, A, e, phi, theta, lo, hi, kappa, zeta, off):
+    def __init__(self, A, e, const, phi, theta, lo, hi, span, near, zeta, off):
         self.K = len(A)
-        self.A, self.e, self.phi, self.theta = A, e, phi, theta
+        self.A, self.e, self.const, self.phi, self.theta = A, e, const, phi, theta
         self.quad = theta < 0.0
+        self.lin = None if self.quad.all() else ~self.quad
         self.curv = np.where(self.quad, -2.0 * theta, 1.0)
-        self.lo, self.hi, self.kappa, self.zeta, self.off = lo, hi, kappa, zeta, off
-        self.tie_rate = 1e-12 * np.vstack((np.abs(A), np.abs(kappa).max(axis=0)))
-        self.x = None
+        self.lo, self.hi, self.span, self.near = lo, hi, span, near
+        self.scaled = span < _INF
+        self.kappa, self.zeta, self.off = 1.0 / span, zeta, off
+        self.index = np.arange(A.shape[1])
+        self.placed = None
 
-    def inner(self, c):
-        """Each option's maximiser of ``theta*x^2 + c*x`` over its box."""
-        x = np.minimum(np.maximum(c / self.curv, self.lo), self.hi)
-        lin = ~self.quad
-        if lin.any():
-            # a linear option priced to exactly zero takes the point closest
-            # to zero, as in _box_quad_max
-            lo, hi = self.lo, self.hi
-            rest = np.minimum(np.maximum(0.0, lo), hi)
-            x = np.where(lin, np.where(c > 0.0, hi, np.where(c < 0.0, lo, rest)), x)
-        return x
+    def value(self, y: np.ndarray):
+        """The dual value and subgradient at ``y``, kept on the dual with
+        the prices they come from.
 
-    def newton(self, y: np.ndarray, kept: np.ndarray):
-        """Newton step at ``y``.
+        These are the scalar reference's results summed in activity order,
+        bit for bit: each elementwise operation is the reference's, in its
+        order; ``np.argmax`` takes the first of equal values, as the
+        reference's strict comparisons in the order stay, decrease, raise
+        do; and the sums are one sequential ``np.cumsum`` seeded with the
+        constant terms.  The activation sum adds the chosen activation
+        only, as the reference does.
+        """
+        K, e, at = self.K, self.e.tolist(), y.tolist()
+        mu = at[K]
+        f = self.const + mu * e[K]
+        for k in range(K):
+            f += at[k] * e[k]
+        c = _prices(self.phi, self.A, at) - mu / self.span
+        x = _box_max(c, self.curv, self.lin, self.lo, self.hi)
+        val = self.theta * x * x + c * x - self.zeta * mu - self.off
+        best = np.argmax(val.T, axis=1)
+        if mu > 0.0:
+            z = np.where(self.scaled, x / self.span, self.zeta)
+        else:
+            z = np.where(self.near < _INF, np.minimum(x / self.near, 1.0),
+                         self.zeta + self.scaled)
+        pick = best, self.index
+        # rows: each coupling row's use, the activations, the values
+        acc = np.zeros((K + 2, best.size + 1))
+        acc[K + 1, 0] = f
+        point, acc[K, 1:], acc[K + 1, 1:] = x[pick], z[pick], val[pick]
+        np.multiply(self.A, point, out=acc[:K, 1:])
+        sums = np.cumsum(acc, axis=1)[:, -1]
+        self.at, self.c, self.x, self.val, self.best = y, c, x, val, best
+        self.point, self.z, self.terms = point, acc[K, 1:], acc[K + 1, 1:]
+        self.f, self.grad = float(sums[K + 1]), self.e - sums[:K + 1]
+        return self.f, self.grad
+
+    def newton(self, kept: np.ndarray):
+        """Newton step at ``at``, from the prices ``value`` kept there.
 
         ``kept`` holds, per activity, the bits (1 << option) of the two
         options it was left tied between by the previous step, or 0; such a
         tie stays in the system, with its residual, until the system
         releases it.  Returns the direction, the slack of the relaxation
-        point it recovers, the step's line search as a function of the
-        largest admissible length, and the ties to keep for the next step.
+        point it recovers, the ties to keep for the next step, and the
+        prices the step's line search (``search``) starts from.
         """
         K, A, quad, curv = self.K, self.A, self.quad, self.curv
-        lam, mu = y[:K], y[K]
-        n = A.shape[1]
-        idx = np.arange(n)
-        c = self.phi - lam @ A - self.kappa * mu
+        y, c, x, val = self.at, self.c, self.x, self.val
+        best, idx = self.best, self.index
+        mu, n = y[K], A.shape[1]
         lo, hi, lin = self.lo, self.hi, ~quad
-        x = self.inner(c)
-        val = self.theta * x * x + c * x - self.zeta * mu - self.off
-        best = np.argmax(val, axis=0)
-        vb, xb, cb = val[best, idx], x[best, idx], c[best, idx]
+        vb, xb, cb = self.terms, self.point.copy(), c[best, idx]
         kb, zb = self.kappa[best, idx], self.zeta[best, idx]
         # ties: a linear activity priced to zero inside its box, or two
         # options of level value that use the rows differently
+        tie_rate = 1e-12 * np.vstack((np.abs(A), np.abs(self.kappa).max(axis=0)))
         kink = lin & (lo[best, idx] < hi[best, idx]) & (
-            np.abs(cb) <= 1e-12 * (1.0 + np.abs(self.phi)) + y @ self.tie_rate)
+            np.abs(cb) <= 1e-12 * (1.0 + np.abs(self.phi)) + y @ tie_rate)
         ki = np.flatnonzero(kink)
         li = pair = np.zeros(0, dtype=np.int64)
         dx = dz = gap = np.zeros(0)
@@ -779,21 +598,24 @@ class _Dual:
         d, w, slack = _newton_step((cf / curv[free]) @ cf.T, r, T, tlo, thi, tgap, w0,
                                    y, (y > 0.0) | (r - T @ w0 < 0.0))
         xb[ki] = w[:ki.size]
-        self.x = xb
+        self.placed = xb
         w = w[ki.size:]
         inner = (w > 0.0) & (w < 1.0)
         kept = np.zeros(n, dtype=np.int64)
         kept[li[inner]] = pair[inner]
+        if ki.size:
+            c = c.copy()
+            c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
+        return d, slack, kept, c
 
-        c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
-
-        def search(t_max):
-            s = (d[:K] @ A) + self.kappa * d[K]
-            return _exact_step(quad, curv, c, s, lo, hi,
-                               float(self.e @ d), t_max, self.zeta * mu + self.off,
-                               self.zeta * d[K])
-
-        return d, slack, search, kept
+    def search(self, y: np.ndarray, d: np.ndarray, c: np.ndarray, t_max: float):
+        """``_exact_step`` from ``y`` along ``d``, with the prices ``c`` that
+        ``newton`` returned with ``d``."""
+        K, mu = self.K, y[self.K]
+        s = d[:K] @ self.A + self.kappa * d[K]
+        return _exact_step(self.quad, self.curv, c, s, self.lo, self.hi,
+                           float(self.e @ d), t_max, self.zeta * mu + self.off,
+                           self.zeta * d[K])
 
     def falls_along(self, d: np.ndarray) -> bool:
         """Whether the dual falls without bound along the ray ``d``."""
@@ -803,67 +625,76 @@ class _Dual:
                                     self.zeta * d[K] + self.off)
 
 
-def _node_dual(arr: _NodeArrays, persp: bool) -> _Dual:
+def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
     """A node's dual with three options per activity.
 
     Rows 0, 1 and 2 are staying (``x = 0``), the decrease side and the
-    raise side, open as ``_activity_best`` prices them; the last row is the
+    raise side, open as the node's bits say; the last row is the
     cardinality cap.  A persp side and a fixed miqp side are the region's
-    box at activation one (``kappa = 0``, ``zeta = 1``); a free miqp side is
-    the box from zero to the region's far end, at the smallest activation
-    that holds ``x`` (``kappa = 1/far end``, ``zeta = 0``).
+    box at activation one (``zeta = 1``); a free miqp side is the box from
+    zero to the region's far end (``span``), at the smallest activation
+    that holds ``x`` (``zeta = 0``).  An open stay costs -0.0: its value,
+    whose ``0*x`` terms can read -0.0, then reads 0.0, as the reference's.
     """
-    cols = arr.inst_arrays
-    zero = np.zeros((1, cols.index.size))
-    if persp:
-        on, lo, hi = arr.open, cols.lo, cols.hi
-        kappa, zeta = np.zeros_like(lo), np.ones_like(lo)
-    else:
-        on, lo, hi = arr.hull, arr.lo, arr.hi
-        kappa = np.divide(1.0, cols.outer, out=np.zeros_like(lo), where=arr.scaled)
-        zeta = np.where(arr.scaled, 0.0, 1.0)
-    off = np.where(np.vstack(((arr.stay[1] == 0.0)[None], on)), 0.0, _INF)
-    return _Dual(cols.A, np.append(cols.b, float(cols.m)), cols.phi, cols.theta,
-                 np.vstack((zero, lo)), np.vstack((zero, hi)),
-                 np.vstack((zero, kappa)), np.vstack((zero, zeta)), off)
+    cols = _instance_arrays(inst)
+    bits = node.bits
+    on = np.array([(bits & 2) != 0, (bits & 4) != 0]) & cols.has
+    lo, hi = np.zeros((3, inst.n)), np.zeros((3, inst.n))
+    lo[1:], hi[1:] = cols.lo, cols.hi
+    span, near = np.full((2, 3, inst.n), _INF)
+    zeta = np.ones((3, inst.n))
+    zeta[0] = 0.0
+    if not persp:
+        free = node.free
+        scaled = on & free & np.array([cols.lo[0] < 0.0, cols.hi[1] > 0.0])
+        on = (on & ~free) | scaled
+        np.copyto(hi[1], 0.0, where=scaled[0])
+        np.copyto(lo[2], 0.0, where=scaled[1])
+        np.copyto(span[1:], cols.outer, where=scaled)
+        np.copyto(near[1:], cols.inner, where=scaled & cols.inner_ok)
+        np.copyto(zeta[1:], 0.0, where=scaled)
+    off = np.full((3, inst.n), _INF)
+    np.copyto(off[0], -0.0, where=(bits & 1) != 0)
+    np.copyto(off[1:], 0.0, where=on)
+    return _Dual(cols.A, np.append(cols.b, float(cols.m)), cols.psi_sum, cols.phi,
+                 cols.theta, lo, hi, span, near, zeta, off)
 
 
-def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
+def _descend(dual: _Dual, y: np.ndarray, goal: float):
     """Projected semismooth Newton method on ``dual`` from ``y``.
 
-    ``value(y)`` returns the dual value and its subgradient at the inner
-    solution, and ``start`` is ``value(y)`` at the first ``y``.  Each step
-    solves the Newton system of ``_Dual.newton`` and moves by an exact line
-    search along it, or by the unit step where the search finds no slope
-    beyond rounding; a step that raises the value by more than rounding is
-    not taken.  The first step that admits the full length tries it before
-    its search (warm-started at a parent's multipliers, the Newton step
-    often lands on the child's minimum): if the value there rises by no
-    more than rounding and the inner solution passes the KKT test, the
-    method ends there; otherwise it searches, and tries no full step again.
-    Returns the multipliers, the dual value there, and how the method
-    ended: ``"converged"`` when the KKT residual of the inner solution, or
-    of the point the Newton step recovers, is down to
-    ``1e-12*(1 + max|e|)``; ``"target"`` once a step, the kept full step
-    included, takes the value to or below ``goal`` (a node is then pruned,
-    and a leaf cut, whatever follows); ``"ray"`` when the dual falls
-    without bound, with the value -inf (no point meets the rows);
-    ``"stalled"`` when a step gains nothing or the iteration cap is
-    reached.  On a ray the multipliers returned are the certificate, a
-    direction ``d >= 0`` with ``dual.falls_along(d)``: the Newton direction
-    the line search runs off along, or the last iterate.  A ``"converged"``
-    ending leaves ``dual.x`` None where the inner solution passed the test,
-    and the Newton step's point where that passed it.
+    The dual's last ``value`` call was at ``y``.  Each step solves the
+    Newton system of ``_Dual.newton`` and moves by an exact line search
+    along it, or by the unit step where the search finds no slope beyond
+    rounding; a step that raises the value by more than rounding is not
+    taken.  The first step that admits the full length tries it before its
+    search (warm-started at a parent's multipliers, the Newton step often
+    lands on the child's minimum): if the value there rises by no more than
+    rounding and the inner solution passes the KKT test, the method ends
+    there; otherwise it searches, and tries no full step again.  Returns
+    the multipliers, the dual value there, and how the method ended:
+    ``"converged"`` when the KKT residual of the inner solution, or of the
+    point the Newton step recovers, is down to ``1e-12*(1 + max|e|)``;
+    ``"target"`` once a step, the kept full step included, takes the value
+    to or below ``goal`` (a node is then pruned, and a leaf cut, whatever
+    follows); ``"ray"`` when the dual falls without bound, with the value
+    -inf (no point meets the rows); ``"stalled"`` when a step gains nothing
+    or the iteration cap is reached.  On a ray the multipliers returned are
+    the certificate, a direction ``d >= 0`` with ``dual.falls_along(d)``:
+    the Newton direction the line search runs off along, or the last
+    iterate.  A ``"converged"`` ending leaves ``dual.placed`` None where the
+    inner solution passed the test, and the Newton step's point where that
+    passed it.
     """
-    val, grad = start
+    val, grad = dual.f, dual.grad
     tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
     tried = False
     for it in range(_NEWTON_MAX_ITERS + 1):
-        dual.x = None
+        dual.placed = None
         if _kkt_residual(y, grad) <= tol:
             return y, val, "converged"
-        d, slack, search, kept = dual.newton(y, kept)
+        d, slack, kept, c = dual.newton(kept)
         if _kkt_residual(y, slack) <= tol:
             return y, val, "converged"
         if it == _NEWTON_MAX_ITERS or not d.any():
@@ -876,19 +707,19 @@ def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
             tried = True
             nxt = np.maximum(y + d, 0.0)
             nxt[ratio == 1.0] = 0.0
-            nval, ngrad = value(nxt)
+            nval, ngrad = dual.value(nxt)
             if (nval <= val + 1e-13 * max(1.0, abs(val))
                     and _kkt_residual(nxt, ngrad) <= tol):
-                dual.x = None  # the point is the inner solution at ``nxt``
+                dual.placed = None  # the point is the inner solution at ``nxt``
                 return nxt, nval, "target" if nval <= goal else "converged"
-        t = search(t_max)
+        t = dual.search(y, d, c, t_max)
         if t is None:  # no d < 0, as t_max is infinite
             return d, -_INF, "ray"
         if t == 0.0:  # a flat start to rounding: try the unit step
             t = min(1.0, t_max)
         nxt = np.maximum(y + t * d, 0.0)
         nxt[ratio == t] = 0.0  # t <= t_max: the multipliers the step takes to zero
-        nval, ngrad = value(nxt)
+        nval, ngrad = dual.value(nxt)
         if nval > val + 1e-13 * max(1.0, abs(val)):  # more than rounding
             break
         y, val, grad = nxt, nval, ngrad
@@ -902,8 +733,8 @@ def _descend(dual: _Dual, value: Callable, y: np.ndarray, start, goal: float):
 def dual_value(inst: Instance, node: NodeState, form: Formulation,
                multipliers: Sequence[float]) -> float:
     """Dual bound at an explicit multiplier vector (budget, extras..., card)."""
-    return _dual_eval_arrays(_NodeArrays(inst, node), tuple(multipliers),
-                             form == PERSPECTIVE)[0]
+    dual = _node_dual(inst, node, form == PERSPECTIVE)
+    return dual.value(np.array(multipliers, dtype=float))[0]
 
 
 def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
@@ -924,9 +755,9 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     is the dual value at the returned multipliers, so it is valid whatever
     the ending.  The primal point is the inner solution there and may
     violate the coupling rows; it is meant for branching scores and
-    incumbent rounding only.  It is read from the last dual evaluation,
-    which is at those multipliers except after a ray or a rejected step;
-    then the dual is evaluated there once more.
+    incumbent rounding only.  It is read from the last pricing, which is at
+    those multipliers except after a ray or a rejected step; then the dual
+    is priced there once more.
 
     ``rays`` are Farkas rays found on other nodes of the same instance
     (``RelaxResult.ray``).  Unless the warm start already reaches the
@@ -940,33 +771,29 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     lowers the dual pointwise, and every step descends.
     """
     goal = target if target is not None and math.isfinite(target) else -_INF
-    arr = _NodeArrays(inst, node)
-    persp = form == PERSPECTIVE
-    y = np.zeros(len(arr.inst_arrays.rhs) + 1)
+    dual = _node_dual(inst, node, form == PERSPECTIVE)
+    y = np.zeros(dual.K + 1)
     if warm is not None and len(warm) == y.size:
         y = np.maximum(np.array(warm, dtype=float), 0.0)
-
-    def value(y):
-        val, grad = _dual_eval_arrays(arr, tuple(y.tolist()), persp)
-        return val, np.array(grad)
-
-    start = value(y)
-    if start[0] <= goal:
-        val, end = start[0], "target"
+    val = dual.value(y)[0]
+    if val <= goal:
+        end = "target"
     else:
-        dual = _node_dual(arr, persp)
         hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
         if hit is not None:
             y, val, end = hit, -_INF, "ray"
         else:
-            y, val, end = _descend(dual, value, y, start, goal)
+            y, val, end = _descend(dual, y, goal)
+    if not np.array_equal(dual.at, y):  # a ray or a rejected step ended the descent
+        dual.value(y)
     mult = tuple(y.tolist())
-    if arr.at != mult:  # a ray or a rejected step ended the descent
-        _dual_eval_arrays(arr, mult, persp)
-    x, zl, zr, vals = _node_point(arr)
-    return RelaxResult(upper_bound=val, x=tuple(x), z_L=tuple(zl), z_R=tuple(zr),
+    best, z = dual.best, dual.z
+    return RelaxResult(upper_bound=val, x=tuple(dual.point.tolist()),
+                       z_L=tuple(np.where(best == 1, z, 0.0).tolist()),
+                       z_R=tuple(np.where(best == 2, z, 0.0).tolist()),
                        multipliers=mult, converged=end in ("converged", "ray"),
-                       values=tuple(vals), ray=mult if end == "ray" else None)
+                       values=tuple(dual.terms.tolist()),
+                       ray=mult if end == "ray" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -984,19 +811,16 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     term ``v_i`` of the dual value ``D``: the child's dual at the same
     multipliers is ``D - v_i + w_ir``, with ``w_iS = 0`` and a side's
     ``w_ir`` its value at activation one over its region box.  A fixed side
-    is priced that way in both formulations (``_record``'s fixed mode), so
-    the bound holds for both and agrees with ``dual_value`` on the child
-    to rounding.
+    is priced that way in both formulations (``_node_dual``), so the bound
+    holds for both and agrees with ``dual_value`` on the child to rounding.
     """
     cols = _instance_arrays(inst)
     mult = res.multipliers
-    K = len(cols.A)
-    pe = cols.phi - mult[0]  # the kernel's priced slopes, in its order
-    for k in range(1, K):
-        pe -= mult[k] * cols.A[k]
-    x, w = np.empty((2, inst.n)), np.empty((2, inst.n))
-    _side_values(cols, pe, cols.lo, cols.hi, x, w)
-    w -= mult[K]
+    pe = _prices(cols.phi, cols.A, mult)
+    quad = cols.theta < 0.0
+    x = _box_max(pe, np.where(quad, -2.0 * cols.theta, 1.0),
+                 None if quad.all() else ~quad, cols.lo, cols.hi)
+    w = cols.theta * x * x + pe * x - mult[len(cols.A)]
     base = res.upper_bound - np.array(res.values)
     return np.vstack((base, base + w))
 
@@ -1092,32 +916,26 @@ def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=())
     K, n = A.shape
     if K == 1 and math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
         return FixedOutcome(None, -_INF, -_INF, False)
-    zero = np.zeros((1, n))
-    dual = _Dual(A, np.append(b, 0.0), phi, theta, lo[None], hi[None], zero, zero, zero)
-    inner = {}
-
-    def value(y):
-        c = phi - y[:K] @ A
-        x = inner["x"] = dual.inner(c[None])[0]
-        return float(b @ y[:K] + theta @ (x * x) + c @ x), np.append(b - A @ x, 0.0)
-
+    zero, far = np.zeros((1, n)), np.full((1, n), _INF)
+    dual = _Dual(A, np.append(b, 0.0), 0.0, phi, theta, lo[None], hi[None], far, far,
+                 zero, zero)
     if multipliers is not None and goal > -_INF:
-        at = value(np.array(multipliers, dtype=float))[0]
+        at = dual.value(np.append(multipliers, 0.0))[0]
         if at <= goal:
             return FixedOutcome(None, -_INF, at, True)
     y = np.zeros(K + 1)
-    start = value(y)  # last, so that ``inner`` holds the point at zero
-    if start[0] <= goal:
-        return FixedOutcome(None, -_INF, start[0], True)
+    start = dual.value(y)[0]
+    if start <= goal:
+        return FixedOutcome(None, -_INF, start, True)
     hit = next((r for r in rays if dual.falls_along(np.array(r))), None)
     if hit is not None:
         return FixedOutcome(None, -_INF, -_INF, False, tuple(hit))
-    y, bound, end = _descend(dual, value, y, start, goal)
+    y, bound, end = _descend(dual, y, goal)
     if end == "ray":
         return FixedOutcome(None, -_INF, -_INF, False, tuple(y.tolist()))
     if end == "target":
         return FixedOutcome(None, -_INF, bound, True)
-    x = dual.x if dual.x is not None else inner["x"]
+    x = dual.placed if dual.placed is not None else dual.point
     if end == "stalled" and (A @ x > b + 1e-9 * (1.0 + np.abs(b))).any():
         return FixedOutcome(None, -_INF, bound, True)
     return FixedOutcome(tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound, True)

@@ -1,0 +1,126 @@
+"""The scalar reference for the solver's dual kernel.
+
+One activity's priced subproblem, solved in closed form with Python floats
+in the order the kernel in ``mixopt.relax`` repeats on whole columns.  The
+kernel test requires the kernel's points and per-activity values to equal
+these bit for bit; the grid oracle of ``test_relax.py`` checks these
+closed forms against a dense search.
+"""
+
+import math
+from typing import Optional, Sequence, Tuple
+
+from mixopt import PERSPECTIVE, Activity, Formulation, RegionBounds
+
+_INF = math.inf
+
+# A record is (theta, lL, uL, lR, uR, allowS, modeL, modeR) with mode
+# 0 = closed, 1 = free, 2 = fixed.
+
+_CLOSED, _FREE, _FIXED = 0, 1, 2
+
+
+def _record(act: Activity, rb: RegionBounds, allowed: frozenset):
+    def mode(region, present):
+        if not present or region not in allowed:
+            return _CLOSED
+        return _FIXED if len(allowed) == 1 else _FREE
+
+    lL, uL = rb.L if rb.L is not None else (0.0, 0.0)
+    lR, uR = rb.R if rb.R is not None else (0.0, 0.0)
+    return (act.theta, lL, uL, lR, uR, "S" in allowed,
+            mode("L", rb.L is not None), mode("R", rb.R is not None))
+
+
+def _box_quad_max(theta: float, c: float, lo: float, hi: float) -> Tuple[float, float]:
+    """argmax/max of ``theta*x^2 + c*x`` over ``[lo, hi]`` with theta <= 0."""
+    if theta < 0.0:
+        x = c / (-2.0 * theta)
+        if x < lo:
+            x = lo
+        elif x > hi:
+            x = hi
+    elif c > 0.0:
+        x = hi
+    elif c < 0.0:
+        x = lo
+    else:
+        x = lo if lo > 0.0 else (hi if hi < 0.0 else 0.0)
+    return x, theta * x * x + c * x
+
+
+def _activity_best(rec, phi_eff: float, mu: float, persp: bool):
+    """Best (value, x, zL, zR) for one activity under priced objective.
+
+    Ties prefer the stay region, then the decrease side; this keeps
+    incumbent rounding biased toward the fewest active indicators.
+    """
+    theta, lL, uL, lR, uR, allow_s, mode_l, mode_r = rec
+    if allow_s:
+        bv, bx, bzl, bzr = 0.0, 0.0, 0.0, 0.0
+    else:
+        bv, bx, bzl, bzr = -_INF, 0.0, 0.0, 0.0
+
+    if mode_l == _FIXED:
+        x, g = _box_quad_max(theta, phi_eff, lL, uL)
+        v = g - mu
+        if v > bv:
+            bv, bx, bzl, bzr = v, x, 1.0, 0.0
+    elif mode_l == _FREE:
+        if persp:
+            x, g = _box_quad_max(theta, phi_eff, lL, uL)
+            v = g - mu
+            # profile in z is linear, so the activation sits at an endpoint
+            if v > bv:
+                bv, bx, bzl, bzr = v, x, 1.0, 0.0
+        elif lL < 0.0:
+            x, v = _box_quad_max(theta, phi_eff - mu / lL, lL, 0.0)
+            if v > bv:
+                if mu > 0.0:
+                    z = x / lL
+                else:
+                    z = min(1.0, x / uL) if uL < 0.0 else 1.0
+                bv, bx, bzl, bzr = v, x, z, 0.0
+
+    if mode_r == _FIXED:
+        x, g = _box_quad_max(theta, phi_eff, lR, uR)
+        v = g - mu
+        if v > bv:
+            bv, bx, bzl, bzr = v, x, 0.0, 1.0
+    elif mode_r == _FREE:
+        if persp:
+            x, g = _box_quad_max(theta, phi_eff, lR, uR)
+            v = g - mu
+            if v > bv:
+                bv, bx, bzl, bzr = v, x, 0.0, 1.0
+        elif uR > 0.0:
+            x, v = _box_quad_max(theta, phi_eff - mu / uR, 0.0, uR)
+            if v > bv:
+                if mu > 0.0:
+                    z = x / uR
+                else:
+                    z = min(1.0, x / lR) if lR > 0.0 else 1.0
+                bv, bx, bzl, bzr = v, x, 0.0, z
+    return bv, bx, bzl, bzr
+
+
+def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
+                        lam: Sequence[float], mu: float, form: Formulation,
+                        coupling: Optional[Sequence[float]] = None,
+                        ) -> Tuple[float, float, float, float]:
+    """Solve one activity's priced subproblem; returns (x, zL, zR, value).
+
+    ``lam`` holds multipliers for the coupling rows and ``coupling`` the
+    activity's coefficients in those rows (all ones by default, matching a
+    budget-only instance).  The priced slope is accumulated in the numpy
+    kernel's order, and the kernel matches these results bit for bit.
+    """
+    lam = tuple(lam)
+    if coupling is None:
+        coupling = (1.0,) * len(lam)
+    phi_eff = act.phi
+    for l, c in zip(lam, coupling):
+        phi_eff -= l * c
+    v, x, zl, zr = _activity_best(_record(act, rb, frozenset(status)), phi_eff,
+                                  mu, form == PERSPECTIVE)
+    return x, zl, zr, v

@@ -30,6 +30,8 @@ from mixopt import (
     brute_force,
     check_minlp_feasible,
     generate,
+    mix_seed,
+    paper_cells,
     round_incumbent,
     solve_fixed_assignment,
     solve_node_relaxation,
@@ -147,6 +149,19 @@ def test_time_limit_zero_still_returns(rng):
         assert res.upper_bound >= res.objective - 1e-9
 
 
+def test_time_limit_overrun_is_one_node():
+    """``time_limit`` is checked once per popped node: the miqp search of
+    the strong n = 500 paper cell (epsilon 0.05, xi 0.5, suite seed 0),
+    which does not close, ends ``time-limit`` within one node's work of
+    its limit."""
+    cells = paper_cells(n_values=[500])
+    seed = mix_seed(0, cells.index(Cell("strong", 500, 0.05, 0.5)), 0)
+    inst = generate(GenConfig("strong", 500, 0.05, 0.5, seed))
+    res = branch_and_bound(inst, SolveParams(formulation="miqp", time_limit=0.5))
+    assert res.status == "time-limit" and res.nodes > 0
+    assert res.wall_time <= 1.0
+
+
 def test_gap_tol_contract(two_symmetric):
     for tol in (0.5, 2.0):
         res = branch_and_bound(two_symmetric, SolveParams(formulation="miqp", gap_tol=tol))
@@ -256,7 +271,7 @@ def test_hull_infeasible_root_ends_the_solve():
         res = solve_node_relaxation(inst, root, form)
         assert res.upper_bound == -math.inf and res.converged
         assert res.ray is not None and res.ray == res.multipliers
-        dual = relax._node_dual(relax._NodeArrays(inst, root), form == "persp")
+        dual = relax._node_dual(inst, root, form == "persp")
         assert dual.falls_along(np.array(res.ray))
         out = branch_and_bound(inst, SolveParams(formulation=form, node_limit=15))
         assert (out.status, out.nodes, out.incumbent) == ("infeasible", 0, None)
@@ -468,7 +483,7 @@ def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
     monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
     out = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
     assert (out.status, out.nodes, repr(out.upper_bound)) == (
-        "node-limit", 15, "-518.8817960682755")
+        "node-limit", 15, "-518.8817960682761")
     node_ends = [end for _, window in relaxations for end in window]
     assert len(relaxations) == 41 and len(node_ends) <= 20
     assert 0 < node_ends.count("ray") <= 3
@@ -558,7 +573,7 @@ def test_pooled_rays_close_the_infeasible_leaves(monkeypatch):
     calls = _leaf_descents(monkeypatch)
     out = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
     assert (out.status, out.nodes, repr(out.upper_bound)) == (
-        "node-limit", 15, "-518.8817960682755")
+        "node-limit", 15, "-518.8817960682761")
     assert len(calls) == 4
     assert all(not leaf.feasible and leaf.ray is not None for _, leaf in calls)
     assert [window for window, _ in calls] == [["ray"], [], [], []]

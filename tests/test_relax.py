@@ -29,14 +29,14 @@ from mixopt import (
     compute_regions,
     dual_value,
     generate,
-    per_activity_argmax,
     root_bounds,
     solve_fixed_assignment,
     solve_node_relaxation,
 )
 from mixopt import relax
-from mixopt.relax import _NodeArrays, _dual_eval_arrays, _node_point
+from mixopt.relax import _node_dual
 
+from activity_reference import per_activity_argmax
 from conftest import make_activity, random_instance
 
 _Z_GRID = np.linspace(0.0, 1.0, 20001)
@@ -271,14 +271,16 @@ def _kernel_nodes(inst, rng):
     yield saturated
 
 
-def test_dual_eval_arrays_match_the_scalar_loop():
-    """The numpy kernel is ``per_activity_argmax`` run activity by activity:
-    the x, zL, zR and per-activity values that ``_node_point`` reads after
-    an evaluation are the reference's bit for bit, and its dual value and
-    subgradient lie within 1e-12 (relative to the terms' magnitudes) of the
-    ``fsum`` of the reference's terms.  Each evaluation follows one at other
-    multipliers, whose buffers it must refill in full.  At n = 12 and 150,
-    with edge activities, and with m = 0 and m = n."""
+def test_node_dual_value_matches_the_scalar_loop():
+    """The pricing kernel ``_Dual.value`` on a node's dual is
+    ``per_activity_argmax`` run activity by activity: the x, zL, zR and
+    per-activity values it keeps (the node's point, as
+    ``solve_node_relaxation`` reads it) are the reference's bit for bit,
+    and its dual value and subgradient lie within 1e-12 (relative to the
+    terms' magnitudes) of the ``fsum`` of the reference's terms.  Each
+    pricing follows one at other multipliers, whose results it must
+    replace in full.  At n = 12 and 150, with edge activities, and with
+    m = 0 and m = n."""
     rng = random.Random(23)
     insts = []
     for n in (12, 150):
@@ -294,9 +296,8 @@ def test_dual_eval_arrays_match_the_scalar_loop():
         cols = [(1.0,) + tuple(ex.coeffs[i] for ex in inst.extras) for i in range(inst.n)]
         for node in (_kernel_nodes(inst, rng) if 0 < inst.m < inst.n
                      else [NodeState.root(inst)]):
-            arr = _NodeArrays(inst, node)
             for form in ("miqp", "persp"):
-                persp = form == "persp"
+                dual = _node_dual(inst, node, form == "persp")
                 mults = [(0.0,) * (K + 1),
                          tuple(solve_node_relaxation(inst, node, form).multipliers)]
                 for _ in range(4):
@@ -304,10 +305,14 @@ def test_dual_eval_arrays_match_the_scalar_loop():
                     mults += [tuple(lam) + (0.0,), tuple(lam) + (rng.uniform(0.0, 5.0),)]
                 for other, mult in zip(mults[::-1], mults):
                     lam, mu = mult[:K], mult[K]
-                    _dual_eval_arrays(arr, other, persp)
-                    value, grad = _dual_eval_arrays(arr, mult, persp)
-                    assert arr.at == mult
-                    x, zl, zr, vals = _node_point(arr)
+                    dual.value(np.array(other))
+                    value, grad = dual.value(np.array(mult))
+                    assert tuple(dual.at.tolist()) == mult
+                    best, z = dual.best, dual.z
+                    x, zl, zr, vals = (dual.point.tolist(),
+                                       np.where(best == 1, z, 0.0).tolist(),
+                                       np.where(best == 2, z, 0.0).tolist(),
+                                       dual.terms.tolist())
                     ref = [per_activity_argmax(act, rb, _regions(bits), lam, mu, form,
                                                coupling=col)
                            for act, rb, bits, col in zip(inst.activities, inst.regions,
@@ -345,11 +350,12 @@ def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
             for target in (at_warm, at_warm + 1.0):
                 points = []
 
-                def counted(arr, mult, persp):
-                    points.append(mult)
-                    return _dual_eval_arrays(arr, mult, persp)
+                def counted(dual, y):
+                    points.append(tuple(y.tolist()))
+                    return value(dual, y)
 
-                monkeypatch.setattr(relax, "_dual_eval_arrays", counted)
+                value = relax._Dual.value
+                monkeypatch.setattr(relax._Dual, "value", counted)
                 res = solve_node_relaxation(inst, child, form, warm=warm, target=target)
                 monkeypatch.undo()
                 assert points == [tuple(warm)]
@@ -504,10 +510,9 @@ def _polyak_multipliers(inst, node, form, iters=500):
     """The projected subgradient descent with Polyak steps that bounded
     nodes before the Newton method, as an independent minimiser: every
     iterate it visits."""
-    arr = _NodeArrays(inst, node)
-    persp = form == "persp"
+    dual = _node_dual(inst, node, form == "persp")
     mult = [0.0] * (len(inst.extras) + 2)
-    val, grad = _dual_eval_arrays(arr, tuple(mult), persp)
+    val, grad = dual.value(np.array(mult))
     best, visited = val, [tuple(mult)]
     for _ in range(iters):
         gnorm2 = math.fsum(g * g for g in grad)
@@ -515,7 +520,7 @@ def _polyak_multipliers(inst, node, form, iters=500):
             break
         step = (val - (best - max(0.1, 0.05 * abs(best)))) / gnorm2
         mult = [max(0.0, m - step * g) for m, g in zip(mult, grad)]
-        val, grad = _dual_eval_arrays(arr, tuple(mult), persp)
+        val, grad = dual.value(np.array(mult))
         best = min(best, val)
         visited.append(tuple(mult))
     return visited
@@ -1092,9 +1097,9 @@ def _node_descents(monkeypatch):
     events, descents = [], []
     newton, exact, descend = relax._Dual.newton, relax._exact_step, relax._descend
 
-    def counted_step(self, y, kept):
-        events.append(y.copy())
-        return newton(self, y, kept)
+    def counted_step(self, kept):
+        events.append(self.at.copy())
+        return newton(self, kept)
 
     def counted_search(*args):
         events.append(None)
@@ -1140,7 +1145,6 @@ def test_kept_full_steps_end_on_their_certificate(monkeypatch):
         nodes += [node for node in (_random_node(inst, rng) for _ in range(2))
                   if node is not None]
         for form in ("miqp", "persp"):
-            persp = form == "persp"
             warm = solve_node_relaxation(inst, root, form).multipliers
             for node, start in [(root, None)] + [(node, warm) for node in nodes]:
                 top = dual_value(inst, node, form, start or (0.0,) * len(rhs))
@@ -1163,8 +1167,35 @@ def test_kept_full_steps_end_on_their_certificate(monkeypatch):
                     assert res.converged == (end == "converged")
                     assert repr(res.upper_bound) == repr(
                         dual_value(inst, node, form, res.multipliers))
-                    grad = _dual_eval_arrays(_NodeArrays(inst, node), res.multipliers,
-                                             persp)[1]
-                    assert relax._kkt_residual(y, np.array(grad)) <= tol
+                    grad = _node_dual(inst, node, form == "persp").value(y)[1]
+                    assert relax._kkt_residual(y, grad) <= tol
                     assert end != "target" or not on_ray
     assert kept["converged"] > 30 and kept["target"] > 60
+
+
+def test_full_steps_keep_at_any_revenue_scale(monkeypatch):
+    """The ridge of the Newton system is relative to its Hessian block, so
+    scaling the revenue by 1e6 leaves as many root children keeping their
+    full Newton step, to within one: on the three n = 12 cells with the
+    budget row only (epsilon 0.1, xi 0.5, batch seed 9), every child of
+    the root warm-started at the root's multipliers, in both forms.  A
+    ridge of ``1e-12*(trace + 1)``, which does not scale with the block,
+    keeps 42 unscaled and none scaled."""
+    descents = _node_descents(monkeypatch)
+    cells = [Cell(c, 12, 0.1, 0.5) for c in CORRELATIONS]
+    kept = {}
+    for factor in (1.0, 1e6):
+        ends = []
+        for _, _, inst in batch(cells, 1, 9):
+            inst = _scaled_revenue(dataclasses.replace(inst, extras=()), factor)
+            root = NodeState.root(inst)
+            for form in ("miqp", "persp"):
+                warm = solve_node_relaxation(inst, root, form).multipliers
+                for i in root.free_indices():
+                    for region in sorted(_regions(root.bits[i])):
+                        del descents[:]
+                        solve_node_relaxation(inst, root.fix(i, region), form, warm=warm)
+                        ends += descents
+        kept[factor] = sum(full for _, _, full in ends)
+        assert len(ends) == 196
+    assert kept[1.0] > 30 and abs(kept[1e6] - kept[1.0]) <= 1

@@ -47,14 +47,15 @@ def test_bench_layers_runs(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#")
-    assert lines[1].split() == ["n", "form", "value_us", "point_us"]
+    assert lines[1].split() == ["n", "form", "build_us", "value_us", "newton_us"]
     rows = [line.split() for line in lines[2:6]]
     # one row per n x formulation
     assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
                                      for f in ("persp", "miqp")]
-    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
+    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 and float(r[4]) > 0.0
+               for r in rows)
     # then the node relaxation: one row per n x formulation x relaxation,
-    # with its dual evaluations, Newton steps and line searches
+    # with its pricings of the dual, Newton steps and line searches
     assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "search",
                                 "relax_us"]
     rows = [line.split() for line in lines[7:19]]
@@ -64,9 +65,9 @@ def test_bench_layers_runs(capsys):
     assert all(float(r[6]) > 0.0 for r in rows)
     # a step runs at most one line search
     assert all(int(r[5]) <= int(r[4]) for r in rows)
-    # a pruned child costs its warm-start evaluation, which the point is read from
+    # a pruned child costs its warm-start pricing, which the point is read from
     assert all(r[3:6] == ["1", "0", "0"] for r in rows if r[2] == "pruned")
-    # the root takes Newton steps, each evaluating the dual once
+    # the root takes Newton steps, each pricing the dual once
     assert all(int(r[4]) > 0 and int(r[3]) <= int(r[4]) + 2 for r in rows
                if r[2] == "root")
     # then reduced-cost fixing at the root: one row per n x formulation
