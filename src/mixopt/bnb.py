@@ -2,41 +2,46 @@
 
 Nodes are ``NodeState`` objects, one int8 array of region bits per node
 (1 = S, 2 = L, 4 = R); branching fixes one activity to each of its open
-regions (ternary at most: decrease side / stay / increase side).
-Every child is bounded eagerly by the Lagrangian relaxation before being
-pushed, inheriting ``min(parent bound, own bound)`` so bounds are monotone
-along any path.  The relaxation minimises the node dual exactly with a
-semismooth Newton method warm-started at the parent's multipliers; it
-stops early once the dual value reaches the incumbent's prune threshold,
-and a child pruned that way is not rounded either.  A relaxation whose dual
-falls without bound proves the node's hull relaxation infeasible: such a
-child is pruned, and such a root ends the solve as ``infeasible``.  Each
-search keeps a pool of the Farkas rays its descents find, and every child
-is tested along them before it descends (``solve_node_relaxation``'s
+regions (ternary at most: decrease side / stay / increase side).  The root
+is the one child of a virtual parent with bound +inf and no multipliers,
+and every child, the root included, takes one path: it is dropped when it
+breaks the cap or a row, closed when it is a leaf, and otherwise bounded
+eagerly by the Lagrangian relaxation, rounded, and pushed with ``min(parent
+bound, own bound)``, so bounds are monotone along any path.  The relaxation
+minimises the node dual exactly with a semismooth Newton method
+warm-started at the parent's multipliers; it stops early once the dual
+value reaches the incumbent's prune threshold, and a child pruned that way
+is not rounded either.  A relaxation whose dual falls without bound proves
+the node's hull relaxation infeasible, so the child is pruned; when that
+child is the root, the solve ends ``infeasible`` at 0 nodes.  Each search
+keeps a pool of the Farkas rays its descents find, and every child is
+tested along them before it descends (``solve_node_relaxation``'s
 ``rays``); a child whose dual falls along one is pruned without a descent.
 Roundings and leaves are solved against the incumbent's value as a floor,
-with the multipliers of the node they come from (``solve_fixed_assignment``'s
-``floor`` and ``multipliers``): a leaf whose dual value falls below the
-floor is cut without its full solve, as it could neither be admitted nor
-raise the bound.  Each search also pools the Farkas rays of its leaf duals,
-and tests every leaf along them and along the node rays before it descends.
-Roundings and leaves go through the feasibility checker only when they
-would beat the incumbent.
+with the multipliers of the node they come from
+(``solve_fixed_assignment``'s ``floor`` and ``multipliers``): a leaf whose
+dual value falls below the floor is cut without its full solve, as it could
+neither be admitted nor raise the bound.  Each search also pools the Farkas
+rays of its leaf duals, and tests every leaf along them and along the node
+rays before it descends.  Roundings and leaves go through the feasibility
+checker only when they would beat the incumbent.
 
 A popped node first drops every region whose Lagrangian child bound
 (``relax.fix_by_reduced_cost``: the node's dual value with one activity's
 term replaced by its value in that region, at the node's multipliers) is at
 or below the prune threshold of the incumbent found by then; it is then
-saturated and checked against the rows again, and closed as a leaf once
-nothing is left free.  The fixing runs at pop only, where it sees every
-incumbent found since the node was bounded; a root-only solve does none.
+saturated, and closed like a leaf child once nothing is left free.  The
+fixing runs at pop only, where it sees every incumbent found since the node
+was bounded; a root-only solve does none.
 
 Fully fixed assignments collapse to a separable concave program over boxes
 and the coupling rows, solved exactly by the same Newton method on its dual
 and certified by the KKT residual.
 
 The search is deterministic: best-bound selection with FIFO tie-breaks,
-and children are explored in the fixed region order L, S, R.
+and children are explored in the fixed region order L, S, R.  As a child's
+bound is at most its parent's, no open node's bound exceeds the last popped
+one, which bounds a search that a limit stops.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .hull import check_minlp_feasible
-from .instance import (Instance, Region, Solution, UnsupportedInstanceError,
-                       validate)
+from .instance import (Instance, InvalidInstanceError, Region, Solution,
+                       UnsupportedInstanceError, validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
                     RelaxResult, _BIT, _box_qp_max, _instance_arrays,
                     fix_by_reduced_cost, solve_fixed_assignment,
@@ -100,38 +105,33 @@ def _prune_threshold(gap_tol: float, inc_val: float) -> float:
 _REGION_OF = {bit: region for region, bit in _BIT.items()}
 
 
-def _assignment(node: NodeState) -> Tuple[Region, ...]:
-    return tuple(_REGION_OF[b] for b in node.bits.tolist())
+def _assignment(bits: np.ndarray) -> Tuple[Region, ...]:
+    """The region assignment that single region bits spell."""
+    return tuple(map(_REGION_OF.__getitem__, bits.tolist()))
 
 
 def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
                    ) -> Tuple[Region, ...]:
-    """Snap a fractional relaxation point to a region assignment."""
-    regions: List[Region] = []
-    scored = []
-    free = node.free.tolist()
-    for i, bits in enumerate(node.bits.tolist()):
-        if not free[i]:
-            regions.append(_REGION_OF[bits])
-            continue
-        zl, zr = res.z_L[i], res.z_R[i]
-        if zl + zr <= 0.5:
-            regions.append("S")
-        else:
-            reg = "L" if zl >= zr else "R"
-            regions.append(reg)
-            scored.append((zl + zr, i))
-    # enforce the cardinality cap: keep the strongest indicators
-    active = [i for i, r in enumerate(regions) if r != "S"]
-    if len(active) > inst.m:
-        fixed_active = [i for i in active if not free[i]]
-        budgetleft = inst.m - len(fixed_active)
-        order = sorted(scored, key=lambda t: (-t[0], t[1]))
-        keep = {i for _, i in order[:max(budgetleft, 0)]} | set(fixed_active)
-        for i in active:
-            if i not in keep:
-                regions[i] = "S"
-    return tuple(regions)
+    """Snap a fractional relaxation point to a region assignment.
+
+    A free activity stays when its combined indicator ``z_L + z_R`` is at
+    most 0.5, and otherwise takes the side with the larger indicator (L on
+    a tie); a fixed one keeps its region.  When more activities move than
+    the cardinality cap allows, the free movers with the largest combined
+    indicators are kept, the lowest index first among equal ones, and the
+    others stay.
+    """
+    free, z_L, z_R = node.free, np.array(res.z_L), np.array(res.z_R)
+    z = z_L + z_R
+    moves = free & (z > 0.5)
+    bits = np.where(moves, np.where(z_L >= z_R, _BIT["L"], _BIT["R"]),
+                    np.where(free, _BIT["S"], node.bits))
+    room = max(inst.m - node.fixed_nonzero, 0)
+    movers = np.flatnonzero(moves)
+    if movers.size > room:
+        strongest = movers[np.argsort(-z[movers], kind="stable")]
+        bits[strongest[room:]] = _BIT["S"]
+    return _assignment(bits)
 
 
 def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
@@ -180,20 +180,21 @@ def _node_row_infeasible(inst: Instance, node: NodeState) -> bool:
 
 
 def _branch_index(node: NodeState, res: RelaxResult) -> int:
-    """Most fractional combined indicator; lowest index breaks ties.
+    """The free activity whose combined indicator ``z_L + z_R`` is most
+    fractional; the lowest index among those within 1e-12 of the most
+    fractional one breaks ties.
 
     Falls back to the lowest-index free activity when the relaxation point
-    is already integral.
+    is already integral.  A scan by index that moves on only to a fraction
+    more than 1e-12 above the best so far picks the same activity, except
+    on a chain of fractions each within 1e-12 of the next whose ends lie
+    further apart: the scan climbs the chain, this rule takes its first
+    activity within 1e-12 of the top.
     """
-    free = node.free_indices()
-    best_i, best_frac = free[0], -1.0
-    for i in free:
-        zlr = res.z_L[i] + res.z_R[i]
-        frac = min(zlr, 1.0 - zlr)
-        if frac > best_frac + 1e-12:
-            best_frac = frac
-            best_i = i
-    return best_i
+    free = np.flatnonzero(node.free)
+    z = (np.array(res.z_L) + np.array(res.z_R))[free]
+    frac = np.minimum(z, 1.0 - z)
+    return int(free[np.argmax(frac >= frac.max() - 1e-12)])
 
 
 _REGION_ORDER: Tuple[Region, ...] = ("L", "S", "R")
@@ -203,6 +204,14 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
                      ) -> SolveResult:
     """Exact solve of the adjustment problem by Lagrangian-bounded search.
 
+    The root goes through the same ``expand`` as every child (see the
+    module docstring).  A search stopped by a limit reports the last popped
+    bound (the root's, before any pop), which no open node's bound exceeds;
+    an exhausted one reports the incumbent's value and what leaves closed
+    inexactly leave over.  The status is ``optimal`` whenever that bound is
+    within the gap tolerance of the incumbent: a limit status (``time-limit``,
+    ``node-limit``) is reported only while a gap remains.
+
     ``params.time_limit`` is checked once per popped node, so a solve
     overruns it by at most the root's relaxation and rounding, or one
     node's work: its fixing, the bounding of its children, and their
@@ -211,25 +220,12 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
     params = params or SolveParams()
     report = validate(inst)
     if not report.ok:
-        from .instance import InvalidInstanceError
         raise InvalidInstanceError("; ".join(report.violations))
     t0 = time.perf_counter()
-    form = params.formulation
 
     inc_sol: Optional[Solution] = None
     inc_val = -_INF
     residual_ub = -_INF  # leftover bound from leaves closed inexactly
-    nodes = 0
-    status: Optional[str] = None
-
-    def elapsed() -> float:
-        return time.perf_counter() - t0
-
-    def admit(sol: Optional[Solution]) -> None:
-        nonlocal inc_sol, inc_val
-        if sol is not None and sol.objective > inc_val:
-            inc_sol, inc_val = sol, sol.objective
-
     # a cut outcome stays below every later floor, as the incumbent only
     # rises, so the cache may hold it
     assignment_cache: dict = {}
@@ -238,9 +234,16 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
     # pricing an empty row, so the leaves are tested along both pools.
     rays: List[Tuple[float, ...]] = []
     leaf_rays: List[Tuple[float, ...]] = []
+    # entries are (-bound, ticket, node, relaxation): best bound first,
+    # FIFO among equal bounds
+    heap: list = []
+    seq = itertools.count()
 
-    def solve_assignment(regions: Tuple[Region, ...],
-                         res: Optional[RelaxResult]) -> FixedOutcome:
+    def solve_leaf(regions: Tuple[Region, ...], res: Optional[RelaxResult]) -> float:
+        """Solve an assignment against the incumbent's value as its floor,
+        with the multipliers of ``res`` (None at the root), or recall it;
+        admit its point when it beats the incumbent, and return its bound."""
+        nonlocal inc_sol, inc_val
         out = assignment_cache.get(regions)
         if out is None:
             pool = leaf_rays + rays
@@ -250,128 +253,81 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             assignment_cache[regions] = out
             if out.ray is not None and out.ray not in pool:
                 leaf_rays.append(out.ray)
-        return out
+        sol = _outcome_to_solution(inst, regions, out, inc_val)
+        if sol is not None:
+            inc_sol, inc_val = sol, sol.objective
+        return out.bound
 
-    def try_round(node: NodeState, res: RelaxResult) -> None:
-        regions = _round_regions(inst, node, res)
-        out = solve_assignment(regions, res)
-        if out.feasible:
-            admit(_outcome_to_solution(inst, regions, out, inc_val))
-
-    def close_leaf(node: NodeState, res: Optional[RelaxResult]) -> None:
-        """``res`` is the relaxation of the node or of its parent, whose
-        multipliers bound the leaf."""
+    def expand(children: List[NodeState], bound: float,
+               res: Optional[RelaxResult]) -> None:
+        """Drop the children over the cap or with a row out of reach, close
+        the leaves among the rest with the multipliers of their parent's
+        relaxation ``res``, then bound, round and push the others."""
         nonlocal residual_ub
-        if _node_row_infeasible(inst, node):
-            return
-        regions = _assignment(node)
-        out = solve_assignment(regions, res)
-        if not out.feasible:
-            return
-        admit(_outcome_to_solution(inst, regions, out, inc_val))
-        if out.bound > inc_val:
-            residual_ub = max(residual_ub, out.bound)
-
-    root = NodeState.root(inst)
-    if root.is_leaf:
-        close_leaf(root, None)
-        ub = max(inc_val, residual_ub)
-        if inc_sol is None:
-            return SolveResult("infeasible", None, None, -_INF, _INF, 0, elapsed())
-        gap = max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
-        st = "optimal" if gap <= max(params.gap_tol, 1e-9) else "gap-limit"
-        return SolveResult(st, inc_sol, inc_val, ub, gap, 0, elapsed())
-
-    root_res = solve_node_relaxation(inst, root, form)
-    if root_res.upper_bound == -_INF:  # the root's hull relaxation has no point
-        return SolveResult("infeasible", None, None, -_INF, _INF, 0, elapsed())
-    try_round(root, root_res)
-
-    # entries are (-bound, ticket, node, relaxation): best bound first,
-    # FIFO among equal bounds
-    seq = itertools.count()
-    heap = [(-root_res.upper_bound, next(seq), root, root_res)]
-
-    last_popped_bound = root_res.upper_bound
-    while heap:
-        if elapsed() > params.time_limit:
-            status = "time-limit"
-            break
-        if params.node_limit is not None and nodes >= params.node_limit:
-            status = "node-limit"
-            break
-        neg_bound, _, node, res = heapq.heappop(heap)
-        bound = -neg_bound
-        last_popped_bound = bound
-        threshold = _prune_threshold(params.gap_tol, inc_val)
-        if bound <= threshold:
-            status = None  # exhausted within tolerance
-            heap.clear()
-            break
-        nodes += 1
-        # drop the regions whose child bound cannot beat the incumbent found
-        # by now, then prune and saturate what is left, as at a push
-        fixed = fix_by_reduced_cost(inst, node, res, threshold)
-        if fixed is not node:
-            if fixed is None:
-                continue
-            node = fixed.saturate_cardinality(inst.m)
-            if node.fixed_nonzero > inst.m or _node_row_infeasible(inst, node):
-                continue
-        if node.is_leaf:
-            close_leaf(node, res)
-            continue
-        j = _branch_index(node, res)
-        children = []
-        for region in _REGION_ORDER:
-            if not node.bits[j] & _BIT[region]:
-                continue
-            child = node.fix(j, region).saturate_cardinality(inst.m)
-            if child.fixed_nonzero > inst.m:
-                continue
-            if _node_row_infeasible(inst, child):
-                continue
-            children.append(child)
-        leaves = [c for c in children if c.is_leaf]
-        inner = [c for c in children if not c.is_leaf]
-        for child in leaves:
-            close_leaf(child, res)
-        # every sibling is bounded against the prune threshold of the incumbent
-        # from before rounding: the Newton method stops once the dual value
-        # gets there.  The threshold only rises, so a child at or below it is
-        # pruned, and no point of it is worth rounding.  Siblings are bounded
-        # one at a time, each against the rays found so far, so that a later
-        # sibling can use an earlier sibling's ray.
+        children = [c for c in children
+                    if c.fixed_nonzero <= inst.m and not _node_row_infeasible(inst, c)]
+        for child in children:
+            if child.is_leaf:
+                residual_ub = max(residual_ub, solve_leaf(_assignment(child.bits), res))
+        # siblings are bounded one at a time, each against the rays found so
+        # far, and against the prune threshold from before their roundings, at
+        # which the Newton method stops; the threshold only rises, so a child
+        # at or below it is pruned, and no point of it is worth rounding
         aim = _prune_threshold(params.gap_tol, inc_val)
-        for child in inner:
-            cres = solve_node_relaxation(inst, child, form, warm=res.multipliers,
+        for child in children:
+            if child.is_leaf:
+                continue
+            cres = solve_node_relaxation(inst, child, params.formulation,
+                                         warm=None if res is None else res.multipliers,
                                          target=aim, rays=rays)
             if cres.ray is not None and cres.ray not in rays:
                 rays.append(cres.ray)
             child_bound = min(bound, cres.upper_bound)
             if child_bound <= aim:
                 continue
-            try_round(child, cres)
+            solve_leaf(_round_regions(inst, child, cres), cres)
             if child_bound > _prune_threshold(params.gap_tol, inc_val):
                 heapq.heappush(heap, (-child_bound, next(seq), child, cres))
 
-    wall = elapsed()
-    if inc_sol is None:
-        if status in ("time-limit", "node-limit"):
-            ub = max(last_popped_bound, residual_ub)
-            return SolveResult(status, None, None, ub, _INF, nodes, wall)
-        return SolveResult("infeasible", None, None, -_INF, _INF, nodes, wall)
+    expand([NodeState.root(inst)], _INF, None)
+    last_popped_bound = -heap[0][0] if heap else -_INF  # the root's, until a pop
+    nodes = 0
+    stopped: Optional[str] = None
+    while heap:
+        if time.perf_counter() - t0 > params.time_limit:
+            stopped = "time-limit"
+        elif params.node_limit is not None and nodes >= params.node_limit:
+            stopped = "node-limit"
+        if stopped:
+            break
+        neg_bound, _, node, res = heapq.heappop(heap)
+        last_popped_bound = -neg_bound
+        threshold = _prune_threshold(params.gap_tol, inc_val)
+        if last_popped_bound <= threshold:
+            break  # exhausted within tolerance
+        nodes += 1
+        # drop the regions whose child bound cannot beat the incumbent found
+        # by now; a node left over the cap or with a row out of reach has no
+        # child that ``expand`` keeps
+        node = fix_by_reduced_cost(inst, node, res, threshold)
+        if node is None:
+            continue
+        node = node.saturate_cardinality(inst.m)
+        if node.is_leaf:
+            children = [node]  # closed like a leaf child
+        else:
+            j = _branch_index(node, res)
+            children = [node.fix(j, region).saturate_cardinality(inst.m)
+                        for region in _REGION_ORDER if node.bits[j] & _BIT[region]]
+        expand(children, last_popped_bound, res)
 
-    if status in ("time-limit", "node-limit"):
-        open_ub = max((-entry[0] for entry in heap), default=-_INF)
-        ub = max(inc_val, residual_ub, open_ub, last_popped_bound)
-        gap = max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
-        return SolveResult(status, inc_sol, inc_val, ub, gap, nodes, wall)
-
-    ub = max(inc_val, residual_ub)
-    gap = max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
-    st = "optimal" if gap <= max(params.gap_tol, 1e-9) else "gap-limit"
-    return SolveResult(st, inc_sol, inc_val, ub, gap, nodes, wall)
+    ub = max(inc_val, residual_ub, last_popped_bound if stopped else -_INF)
+    gap = _INF if inc_sol is None else max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
+    status = ("optimal" if gap <= max(params.gap_tol, 1e-9)
+              else stopped or ("infeasible" if inc_sol is None else "gap-limit"))
+    return SolveResult(status, inc_sol, None if inc_sol is None else inc_val,
+                       -_INF if status == "infeasible" else ub, gap, nodes,
+                       time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +351,6 @@ def brute_force(inst: Instance) -> SolveResult:
     t0 = time.perf_counter()
     report = validate(inst)
     if not report.ok:
-        from .instance import InvalidInstanceError
         raise InvalidInstanceError("; ".join(report.violations))
     if inst.n > BRUTE_FORCE_MAX_N:
         raise UnsupportedInstanceError(

@@ -39,6 +39,7 @@ from mixopt import (
 from mixopt import bnb, relax
 from mixopt.bnb import _round_regions
 
+import bnb_reference
 from conftest import random_instance
 
 FORMS = ("miqp", "persp")
@@ -637,7 +638,10 @@ def test_search_with_fixing_matches_brute_force(n, monkeypatch):
 
 def test_root_only_solve_is_the_rounded_root():
     """With ``node_limit=0`` the search pops nothing, so no fixing runs: the
-    result is the root relaxation and its rounding, to the last bit."""
+    result is the root relaxation and its rounding, to the last bit.  The
+    status follows the gap: ``optimal`` with the rounding's value as the
+    bound when the rounding closes it, ``node-limit`` with the root bound
+    otherwise."""
     cells = [Cell(c, 100, 0.1, 0.75) for c in CORRELATIONS]
     for _, _, inst in batch(cells, 1, 0):
         root = NodeState.root(inst)
@@ -645,9 +649,122 @@ def test_root_only_solve_is_the_rounded_root():
             root_res = solve_node_relaxation(inst, root, form)
             sol = round_incumbent(inst, root_res)
             res = branch_and_bound(inst, SolveParams(formulation=form, node_limit=0))
-            want = ("node-limit", sol and sol.objective, root_res.upper_bound, sol)
+            value = sol and sol.objective
+            if sol is not None and root_res.upper_bound <= bnb._prune_threshold(0.0, value):
+                want = ("optimal", value, value, sol)
+            else:
+                want = ("node-limit", value, root_res.upper_bound, sol)
             assert repr((res.status, res.objective, res.upper_bound, res.incumbent)) \
                 == repr(want)
+            assert res.nodes == 0
+
+
+# weak n = 12, epsilon 0.2, xi 0.5, as generated: the persp root rounding
+# meets the root bound
+_CLOSED_AT_ROOT = GenConfig("weak", 12, 0.2, 0.5, 6028932161755819822)
+
+
+@pytest.mark.parametrize("limit", [dict(node_limit=0), dict(time_limit=0.0)])
+def test_root_rounding_that_closes_the_gap_is_optimal_under_a_limit(limit):
+    """A limit that binds before the first pop does not hide a proof: when
+    the root's rounding meets the root bound, the solve is ``optimal`` at 0
+    nodes, with the bound it reports without the limit."""
+    inst = generate(_CLOSED_AT_ROOT)
+    res = branch_and_bound(inst, SolveParams(formulation="persp", **limit))
+    full = branch_and_bound(inst, SolveParams(formulation="persp"))
+    assert (res.status, res.nodes, res.gap) == ("optimal", 0, 0.0)
+    assert res.objective == res.upper_bound == full.objective == full.upper_bound
+    assert res.incumbent == full.incumbent and full.nodes == 0
+
+
+def _grid_node(rng, n, integral, jitter):
+    """A node with random region sets, and a point whose indicators lie on
+    a 1/8 grid (on 0 and 1 only when ``integral``).  With ``jitter`` each
+    activity's nonzero indicator sum is raised by 0 or 4e-13 at random:
+    fractions then tie within 1e-12 without a chain of them reaching
+    further."""
+    bits = np.array([rng.choice((1, 2, 4, 3, 5, 7)) for _ in range(n)], np.int8)
+    z_L, z_R = [], []
+    for _ in range(n):
+        if integral:
+            a, b = rng.choice(((0, 0), (8, 0), (0, 8)))
+        else:
+            a = rng.randint(0, 8)
+            b = rng.randint(0, 8 - a)
+        up = jitter * rng.choice((0.0, 4e-13))
+        z_L.append(a and a / 8 + up)
+        z_R.append(b and b / 8 + (0.0 if a else up))
+    return NodeState(bits), z_L, z_R
+
+
+def test_vectorised_rules_match_the_scalar_reference():
+    """``_round_regions`` and ``_branch_index`` pick what the scalar loops
+    of ``bnb_reference`` pick, on random nodes and points with indicators
+    on a 1/8 grid: exact ties between activities and between the sides of
+    one, indicators of exactly 0.5, more movers than the cap leaves room
+    for, activities fixed to a side, integral points, and fractions apart
+    by less than the 1e-12 tie margin all occur."""
+    rng = random.Random(14)
+    insts = {n: random_instance(rng, n) for n in range(1, 10)}
+    seen = dict(tie=0, side_tie=0, half=0, capped=0, fixed=0, integral=0, margin=0)
+    for trial in range(3000):
+        n = rng.randint(1, 9)
+        inst = dataclasses.replace(insts[n], m=rng.randint(0, n))
+        integral, jitter = trial % 5 == 0, trial % 5 == 1
+        node, z_L, z_R = _grid_node(rng, n, integral, jitter)
+        res = _relax_point(inst, [0.0] * n, z_L, z_R)
+        assert _round_regions(inst, node, res) == bnb_reference.round_regions(inst, node, res)
+        free = node.free_indices()
+        z = [z_L[i] + z_R[i] for i in free]
+        movers = [v for v in z if v > 0.5]
+        seen["tie"] += len(set(movers)) < len(movers)
+        seen["side_tie"] += any(z_L[i] == z_R[i] > 0.0 for i in free)
+        seen["half"] += 0.5 in z
+        seen["capped"] += len(movers) > max(inst.m - node.fixed_nonzero, 0) > 0
+        seen["fixed"] += node.fixed_nonzero > 0
+        if free:
+            frac = [min(v, 1.0 - v) for v in z]
+            top = [f for f in frac if f >= max(frac) - 1e-12]
+            seen["margin"] += len(set(top)) > 1
+            seen["integral"] += integral
+            assert bnb._branch_index(node, res) == bnb_reference.branch_index(node, res)
+    assert all(seen.values()), seen
+
+
+def _no_sides(inst):
+    """``inst`` with every minimum change above both of an activity's spans,
+    so that no activity has an L or an R region."""
+    return dataclasses.replace(inst, activities=tuple(
+        dataclasses.replace(a, delta=1.0 + max(a.s - a.l, a.u - a.s))
+        for a in inst.activities))
+
+
+@pytest.mark.parametrize("with_extras", [True, False])
+@pytest.mark.parametrize("case", ["m=0", "m=n", "no sides"])
+def test_root_leaf_edges_match_brute_force(case, with_extras):
+    """The root goes through the same path as every child, a root that is a
+    leaf too: generated n = 8 instances with a zero cap, with the cap at n,
+    and with a positive cap but no activity holding an L or R region, each
+    with its extra rows and with the budget row only, in both formulations,
+    match ``brute_force``, and a root that is a leaf closes at 0 nodes."""
+    cells = [Cell(c, 8, 0.1, xi) for c in CORRELATIONS for xi in (0.5, 0.75)]
+    for _, _, inst in batch(cells, 1, 3):
+        if not with_extras:
+            inst = dataclasses.replace(inst, extras=())
+        inst = {"m=0": dataclasses.replace(inst, m=0),
+                "m=n": dataclasses.replace(inst, m=inst.n),
+                "no sides": _no_sides(inst)}[case]
+        leaf = NodeState.root(inst).is_leaf
+        assert leaf == (case != "m=n") and (inst.m > 0) == (case != "m=0")
+        truth = brute_force(inst)
+        for form in FORMS:
+            res = branch_and_bound(inst, SolveParams(formulation=form))
+            assert res.status == truth.status
+            if truth.status == "optimal":
+                assert res.objective == pytest.approx(truth.objective, rel=1e-9, abs=1e-9)
+                assert check_minlp_feasible(inst, res.incumbent, tol=1e-8).ok
+            if leaf:
+                assert res.nodes == 0
 
 
 def test_solve_params_defaults():

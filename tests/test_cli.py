@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from mixopt import brute_force, load_json, save_json
+from mixopt import GenConfig, brute_force, generate, load_json, save_json
 from mixopt.cli import build_parser, knee_point, main, pareto_svg, pareto_sweep
 
 from conftest import random_instance
@@ -137,6 +137,18 @@ def test_solve_exit_codes(tmp_path, capsys, rng, two_symmetric):
     dest.write_bytes(save_json(infeasible))
     assert main(["solve", str(dest)]) == 3
     assert _solve_fields(capsys.readouterr().out)["status"] == "infeasible"
+
+
+def test_solve_closed_at_the_root_exits_zero(tmp_path, capsys):
+    """A node limit of 0 that the root's rounding makes moot is no limit
+    stop: weak n = 12, epsilon 0.2, xi 0.5, as generated, whose persp root
+    rounding meets the root bound."""
+    path = tmp_path / "closed.json"
+    path.write_bytes(save_json(generate(GenConfig("weak", 12, 0.2, 0.5,
+                                                  6028932161755819822))))
+    assert main(["solve", str(path), "--form", "persp", "--node-limit", "0"]) == 0
+    fields = _solve_fields(capsys.readouterr().out)
+    assert (fields["status"], fields["nodes"]) == ("optimal", "0")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ unnoticed."""
 
 import csv
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -106,3 +108,27 @@ def test_bench_layers_runs(capsys):
         assert pooled > 0 and float(r[8]) > 0.0
     # persp, as benchmarked: 41 relaxations, 20 descents, 3 rays
     assert rows[0][2:8] == ["node-limit", "15", "41", "20", "3", "21"]
+
+
+def test_solve_signatures_runs(tmp_path, capsys, monkeypatch):
+    script = _load("solve_signatures")
+    # the fixed grid at n = 5, one replicate per cell
+    monkeypatch.setattr(script, "N_VALUES", (5,))
+    monkeypatch.setattr(script, "REPLICATES", 1)
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        assert script.run([str(path)]) == 0
+    capsys.readouterr()
+    # the same commit writes the same file, byte for byte
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    sigs = json.loads(paths[0].read_text())
+    # 12 cells x 2 row sets x 4 (cap, node limit) runs x 2 formulations
+    assert len(sigs) == 12 * 2 * 4 * 2
+    for key, sig in sigs.items():
+        status, objective, bound, nodes, gap, x = eval(
+            sig, {"__builtins__": {}}, {"inf": math.inf})
+        assert status in ("optimal", "gap-limit", "node-limit", "time-limit",
+                          "infeasible")
+        assert (x is None) == (objective is None)
+        if key.endswith("_nl0"):
+            assert nodes == 0
