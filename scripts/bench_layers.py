@@ -42,8 +42,9 @@ The search, on the ``coupled`` desk case weak n = 30 (generator seed
 of the tree below it is not, stopped after 15 nodes as benchmarked:
 ``relax`` counts its node relaxations, ``descents`` the Newton descents
 they run, ``rays`` the descents that end on a Farkas ray and ``pooled``
-the children closed by a ray an earlier descent found, without a descent
-of their own; ``solve_ms`` times the whole search.
+the children closed by a pooled ray without a descent of their own: a ray
+an earlier descent found, or the unit ray of a row the child cannot reach;
+``solve_ms`` times the whole search.
 
 Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations and leaves, one
@@ -151,7 +152,8 @@ def leaf_end(call):
 
 def search_counts(call):
     """Node relaxations, their descents, the descents that end on a ray,
-    and the relaxations closed by a pooled ray, in one search."""
+    and the relaxations closed by a pooled ray (unit rays included), in one
+    search."""
     ends, counts = [], [0, 0, 0, 0]
     descend, bound = relax._descend, bnb.solve_node_relaxation
 

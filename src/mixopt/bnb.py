@@ -5,26 +5,28 @@ Nodes are ``NodeState`` objects, one int8 array of region bits per node
 regions (ternary at most: decrease side / stay / increase side).  The root
 is the one child of a virtual parent with bound +inf and no multipliers,
 and every child, the root included, takes one path: it is dropped when it
-breaks the cap or a row, closed when it is a leaf, and otherwise bounded
-eagerly by the Lagrangian relaxation, rounded, and pushed with ``min(parent
-bound, own bound)``, so bounds are monotone along any path.  The relaxation
+breaks the cap, closed when it is a leaf, and otherwise bounded eagerly by
+the Lagrangian relaxation, rounded, and pushed with ``min(parent bound, own
+bound)``, so bounds are monotone along any path.  The relaxation
 minimises the node dual exactly with a semismooth Newton method
 warm-started at the parent's multipliers; it stops early once the dual
 value reaches the incumbent's prune threshold, and a child pruned that way
 is not rounded either.  A relaxation whose dual falls without bound proves
 the node's hull relaxation infeasible, so the child is pruned; when that
 child is the root, the solve ends ``infeasible`` at 0 nodes.  Each search
-keeps a pool of the Farkas rays its descents find, and every child is
-tested along them before it descends (``solve_node_relaxation``'s
-``rays``); a child whose dual falls along one is pruned without a descent.
-Roundings and leaves are solved against the incumbent's value as a floor,
-with the multipliers of the node they come from
-(``solve_fixed_assignment``'s ``floor`` and ``multipliers``): a leaf whose
-dual value falls below the floor is cut without its full solve, as it could
-neither be admitted nor raise the bound.  Each search also pools the Farkas
-rays of its leaf duals, and tests every leaf along them and along the node
-rays before it descends.  Roundings and leaves go through the feasibility
-checker only when they would beat the incumbent.
+keeps one pool of Farkas rays, seeded with the unit ray of each coupling
+row and grown by the rays its node and leaf descents find, and every child
+and leaf is tested along them before it descends (the ``rays`` of
+``solve_node_relaxation`` and ``solve_fixed_assignment``); one whose dual
+falls along a ray is closed without a descent.  A dual falls along a row's
+unit ray when that row is out of reach activity by activity, beyond
+rounding, so this one test closes those children too.  Roundings and
+leaves are solved against the incumbent's value as a floor, with the
+multipliers of the node they come from (``solve_fixed_assignment``'s
+``floor`` and ``multipliers``): a leaf whose dual value falls below the
+floor is cut without its full solve, as it could neither be admitted nor
+raise the bound.  Roundings and leaves go through the feasibility checker
+only when they would beat the incumbent.
 
 A popped node first drops every region whose Lagrangian child bound
 (``relax.fix_by_reduced_cost``: the node's dual value with one activity's
@@ -59,9 +61,8 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, InvalidInstanceError, Region, Solution,
                        UnsupportedInstanceError, validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, _BIT, _box_qp_max, _instance_arrays,
-                    fix_by_reduced_cost, solve_fixed_assignment,
-                    solve_node_relaxation)
+                    RelaxResult, _BIT, _box_qp_max, fix_by_reduced_cost,
+                    solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
 
@@ -167,18 +168,6 @@ def round_incumbent(inst: Instance, relax: RelaxResult,
                                 solve_fixed_assignment(inst, regions))
 
 
-def _node_row_infeasible(inst: Instance, node: NodeState) -> bool:
-    """True when some coupling row cannot be met even activity by activity:
-    the least use of each activity's open regions (``least`` of
-    ``_InstanceArrays``), summed in activity order (``np.cumsum`` is
-    sequential), exceeds the right-hand side by more than
-    ``1e-9*(1 + |rhs|)``."""
-    cols = _instance_arrays(inst)
-    least = cols.least[:, node.bits, cols.index]
-    total = np.cumsum(least, axis=1)[:, -1]
-    return bool((total > cols.b + 1e-9 * (1.0 + np.abs(cols.b))).any())
-
-
 def _branch_index(node: NodeState, res: RelaxResult) -> int:
     """The free activity whose combined indicator ``z_L + z_R`` is most
     fractional; the lowest index among those within 1e-12 of the most
@@ -229,11 +218,11 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
     # a cut outcome stays below every later floor, as the incumbent only
     # rises, so the cache may hold it
     assignment_cache: dict = {}
-    # Farkas rays the node descents found, and those the leaf descents found.
-    # A leaf's dual has the node dual's multipliers with the cardinality one
-    # pricing an empty row, so the leaves are tested along both pools.
-    rays: List[Tuple[float, ...]] = []
-    leaf_rays: List[Tuple[float, ...]] = []
+    # Farkas rays: each coupling row's unit ray, then those the node and
+    # leaf descents find.  A leaf's dual prices an empty activation row, so
+    # its rays have a zero cardinality entry and hold for node duals too.
+    rows = 1 + len(inst.extras)
+    rays: List[Tuple[float, ...]] = list(map(tuple, np.eye(rows, rows + 1).tolist()))
     # entries are (-bound, ticket, node, relaxation): best bound first,
     # FIFO among equal bounds
     heap: list = []
@@ -246,13 +235,12 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         nonlocal inc_sol, inc_val
         out = assignment_cache.get(regions)
         if out is None:
-            pool = leaf_rays + rays
             out = solve_fixed_assignment(
                 inst, regions, floor=inc_val,
-                multipliers=None if res is None else res.multipliers, rays=pool)
+                multipliers=None if res is None else res.multipliers, rays=rays)
             assignment_cache[regions] = out
-            if out.ray is not None and out.ray not in pool:
-                leaf_rays.append(out.ray)
+            if out.ray is not None and out.ray not in rays:
+                rays.append(out.ray)
         sol = _outcome_to_solution(inst, regions, out, inc_val)
         if sol is not None:
             inc_sol, inc_val = sol, sol.objective
@@ -260,12 +248,11 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
     def expand(children: List[NodeState], bound: float,
                res: Optional[RelaxResult]) -> None:
-        """Drop the children over the cap or with a row out of reach, close
-        the leaves among the rest with the multipliers of their parent's
-        relaxation ``res``, then bound, round and push the others."""
+        """Drop the children over the cap, close the leaves among the rest
+        with the multipliers of their parent's relaxation ``res``, then
+        bound, round and push the others."""
         nonlocal residual_ub
-        children = [c for c in children
-                    if c.fixed_nonzero <= inst.m and not _node_row_infeasible(inst, c)]
+        children = [c for c in children if c.fixed_nonzero <= inst.m]
         for child in children:
             if child.is_leaf:
                 residual_ub = max(residual_ub, solve_leaf(_assignment(child.bits), res))
@@ -307,8 +294,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             break  # exhausted within tolerance
         nodes += 1
         # drop the regions whose child bound cannot beat the incumbent found
-        # by now; a node left over the cap or with a row out of reach has no
-        # child that ``expand`` keeps
+        # by now; a node left over the cap has no child that ``expand`` keeps
         node = fix_by_reduced_cost(inst, node, res, threshold)
         if node is None:
             continue

@@ -40,7 +40,6 @@ CORRELATIONS = (UNCORRELATED, WEAK, STRONG)
 PAPER_N = (500, 750, 1000)
 PAPER_EPSILON = (0.05, 0.10, 0.20)
 PAPER_XI = (0.50, 0.75, 1.00)
-DESK_N = (8, 10, 12, 50, 60)
 
 
 def _round2(x: float) -> float:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,10 +88,12 @@ class NodeState:
         bits[i] = bit
         return NodeState(bits)
 
-    @property
+    @cached_property
     def free(self) -> np.ndarray:
-        """Where more than one region is left."""
-        return (self.bits & (self.bits - 1)) != 0
+        """Where more than one region is left; read-only, as ``bits``."""
+        free = (self.bits & (self.bits - 1)) != 0
+        free.flags.writeable = False
+        return free
 
     def saturate_cardinality(self, m: int) -> "NodeState":
         """Once m activities are fixed nonzero, pin every free one to S."""
@@ -98,7 +101,7 @@ class NodeState:
             return self
         return NodeState(np.where(self.free, 1, self.bits).astype(np.int8))
 
-    @property
+    @cached_property
     def fixed_nonzero(self) -> int:
         return int(np.count_nonzero((self.bits == 2) | (self.bits == 4)))
 
@@ -141,17 +144,15 @@ class _InstanceArrays:
     The coupling rows (budget first) are the rows of ``A``.  The side
     arrays stack the decrease side as row 0 and the raise side as row 1:
     ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0),
-    ``outer`` the end away from zero and ``inner`` the end next to it.
-    ``least[k, bits, i]`` is the least use of row ``k`` by activity ``i``
-    over the region set ``bits`` (a node's ``bits``; +inf for the empty
-    set), and ``index`` is ``arange(n)``, to pick one set per activity.
+    ``outer`` the end away from zero and ``inner`` the end next to it,
+    and ``index`` is ``arange(n)``, to pick one side per activity.
     ``psi_sum`` and ``m`` are the node dual's constant terms.  The leaf
     solve reads its boxes, rows and revenue from the same columns.  Every
     node and leaf of a search shares them, so the arrays are read-only.
     """
 
     __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
-                 "outer", "inner", "inner_ok", "least", "index")
+                 "outer", "inner", "inner_ok", "index")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
@@ -170,15 +171,6 @@ class _InstanceArrays:
         self.lo, self.hi = np.array([lL, lR]), np.array([uL, uR])
         self.outer, self.inner = np.array([lL, uR]), np.array([uL, lR])
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
-        A = self.A[:, None]
-        sides = np.where(A > 0.0, A * self.lo, A * self.hi)  # (row, side, n)
-        self.least = np.full((len(self.A), 8, n), _INF)
-        self.least[:, 1::2] = 0.0  # the sets holding S
-        for bits in range(2, 8):
-            for bit, side in ((2, 0), (4, 1)):
-                if bits & bit:
-                    np.minimum(self.least[:, bits], sides[:, side],
-                               out=self.least[:, bits])
         self.index = np.arange(n)
         for name in self.__slots__:
             value = getattr(self, name)
@@ -759,12 +751,15 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     those multipliers except after a ray or a rejected step; then the dual
     is priced there once more.
 
-    ``rays`` are Farkas rays found on other nodes of the same instance
-    (``RelaxResult.ray``).  Unless the warm start already reaches the
-    target, each is tested on this node's dual by ``_Dual.falls_along``
-    before the descent, the test the descent ends on; the first along
-    which the dual falls without bound proves the node infeasible as well,
-    and is returned as its ray without a descent.
+    ``rays`` are Farkas rays found on other nodes (``RelaxResult.ray``) or
+    leaves (``FixedOutcome.ray``, whose cardinality entry is 0) of the same
+    instance, or a coupling row's unit ray, along which the dual falls when
+    the node's open regions miss that row, activity by activity, by more
+    than rounding.  Unless the warm start already reaches the target, each
+    is tested on this node's dual by ``_Dual.falls_along`` before the
+    descent, the test the descent ends on; the first along which the dual
+    falls without bound proves the node infeasible as well, and is
+    returned as its ray without a descent.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
@@ -898,24 +893,23 @@ def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=())
     and ``bound`` still holds.
 
     The tests run in this order, each ending the solve:
-    - with one row, the interval test: no point of the boxes meets it;
     - the floor: the dual value at ``multipliers`` (one per row of ``A``),
       then at zero, is at or below ``goal``, so by weak duality the leaf
       cannot beat ``goal``;
     - the pooled ``rays`` (Farkas rays found on other duals over the same
       rows, each with one entry per row and one for the activation row):
       the first along which this dual falls without bound
-      (``_Dual.falls_along``) proves that no point meets the rows;
+      (``_Dual.falls_along``) proves that no point meets the rows; it
+      falls along a row's unit ray when the boxes miss that row by more
+      than rounding;
     - the descent, which ends on a ray as well, or at ``goal``
       (``"target"``).
     A solve cut at ``goal`` returns no point, with the dual value it ended
     at as its bound, and stays ``feasible``.  An infeasible one has bound
-    -inf and carries its ray, unless the interval test found it.  A solve
-    that is not cut follows the iterates of the unfloored one bit for bit.
+    -inf and carries its ray.  A solve that is not cut follows the
+    iterates of the unfloored one bit for bit.
     """
     K, n = A.shape
-    if K == 1 and math.fsum(np.minimum(A[0] * lo, A[0] * hi)) > b[0]:
-        return FixedOutcome(None, -_INF, -_INF, False)
     zero, far = np.zeros((1, n)), np.full((1, n), _INF)
     dual = _Dual(A, np.append(b, 0.0), 0.0, phi, theta, lo[None], hi[None], far, far,
                  zero, zero)
@@ -972,8 +966,10 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     that level, and stays ``feasible``; the floor only rises in a search,
     so it stays below every later floor.  ``rays`` are Farkas rays found
     on other leaves (``FixedOutcome.ray``) or nodes (``RelaxResult.ray``)
-    of the instance, tested after the floor and before the descent; a
-    node's cardinality entry prices the leaf's empty row.  The defaults
+    of the instance, or a coupling row's unit ray (1 for the row, 0 for
+    the others and the cardinality), which closes a leaf whose boxes miss
+    that row; they are tested after the floor and before the descent, and
+    a node's cardinality entry prices the leaf's empty row.  The defaults
     solve every leaf in full.
     """
     cols = _instance_arrays(inst)

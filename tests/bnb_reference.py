@@ -1,11 +1,14 @@
-"""The scalar reference for the search's rounding and branching rules.
+"""The scalar reference for the search's rounding and branching rules,
+and for the row rule that the unit Farkas rays of the rows replace.
 
-Both loops walk the activities in index order with Python floats; the
+The loops walk the activities in index order with Python floats; the
 solver's ``mixopt.bnb._round_regions`` and ``mixopt.bnb._branch_index``
 apply the same rules to whole numpy columns.  The rule test requires the
-two to agree on every node and point it draws.
+two to agree on every node and point it draws.  The row rule
+(``least_row_use``) is the oracle of the unit-ray test.
 """
 
+import math
 from typing import List, Tuple
 
 from mixopt import Instance, NodeState, Region, RelaxResult
@@ -58,3 +61,28 @@ def branch_index(node: NodeState, res: RelaxResult) -> int:
             best_frac = frac
             best_i = i
     return best_i
+
+
+def least_row_use(inst: Instance, node: NodeState) -> List[Tuple[float, float]]:
+    """Each coupling row's least use by the node's open regions and its
+    right-hand side, budget first.
+
+    An activity uses a row least at an end of one of its open regions (0
+    for S), and the least uses add up in activity order; +inf when an
+    activity has no region open.  A row whose least use exceeds its
+    right-hand side by more than ``1e-9*(1 + |b|)`` is out of reach: no
+    point of the node meets it.
+    """
+    rows = [((1.0,) * inst.n, inst.budget_rhs)]
+    rows += [(ex.coeffs, ex.rhs) for ex in inst.extras]
+    out = []
+    for coeffs, rhs in rows:
+        total = 0.0
+        for a, rb, bits in zip(coeffs, inst.regions, node.bits.tolist()):
+            uses = [0.0] if bits & 1 else []
+            for bit, interval in ((2, rb.L), (4, rb.R)):
+                if bits & bit:
+                    uses += [a * interval[0], a * interval[1]]
+            total += min(uses, default=math.inf)
+        out.append((total, rhs))
+    return out

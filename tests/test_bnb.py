@@ -581,6 +581,49 @@ def test_pooled_rays_close_the_infeasible_leaves(monkeypatch):
 
 
 @pytest.mark.parametrize("form", FORMS)
+def test_rows_out_of_reach_close_without_a_descent(form, monkeypatch):
+    """The search's ray pool starts with the unit ray of each row: on the
+    weak n = 12 desk case with the budget row only, as benchmarked, every
+    node relaxation and leaf solve of a node whose budget row is out of
+    reach (``bnb_reference.least_row_use``) runs no descent, and those the
+    floor does not cut end on the budget row's unit ray."""
+    inst = dataclasses.replace(
+        generate(GenConfig("weak", 12, 0.1, 0.5, 11539782348902174461)), extras=())
+    ends, calls = [], []  # calls: (node, descent endings, ray) per solve
+    descend = relax._descend
+
+    def counted(*args):
+        out = descend(*args)
+        ends.append(out[2])
+        return out
+
+    def bound(inst, node, *args, **kwargs):
+        before = len(ends)
+        res = solve_node_relaxation(inst, node, *args, **kwargs)
+        calls.append((node, ends[before:], res.ray))
+        return res
+
+    def leaf(inst, regions, **kwargs):
+        before = len(ends)
+        out = solve_fixed_assignment(inst, regions, **kwargs)
+        bits = np.array([{"S": 1, "L": 2, "R": 4}[r] for r in regions], np.int8)
+        calls.append((NodeState(bits), ends[before:], out.ray))
+        return out
+
+    monkeypatch.setattr(relax, "_descend", counted)
+    monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
+    monkeypatch.setattr(bnb, "solve_fixed_assignment", leaf)
+    branch_and_bound(inst, SolveParams(formulation=form, node_limit=60))
+    closed = []
+    for node, window, ray in calls:
+        [(use, b)] = bnb_reference.least_row_use(inst, node)
+        if use - b > 1e-9 * (1.0 + abs(b)):
+            assert window == [] and ray in (None, (1.0, 0.0))
+            closed.append(ray)
+    assert closed.count((1.0, 0.0)) >= 3
+
+
+@pytest.mark.parametrize("form", FORMS)
 def test_checker_sees_only_candidates_that_beat_the_incumbent(form, monkeypatch):
     """Roundings and leaves at or below the incumbent are dropped before the
     feasibility checker: on the strong n = 30 desk case with the budget row

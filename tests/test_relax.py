@@ -37,6 +37,7 @@ from mixopt import relax
 from mixopt.relax import _node_dual
 
 from activity_reference import per_activity_argmax
+from bnb_reference import least_row_use
 from conftest import make_activity, random_instance
 
 _Z_GRID = np.linspace(0.0, 1.0, 20001)
@@ -591,7 +592,8 @@ def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
     -inf as well.  On random small instances with extra rows drawn as the
     generator draws them (a third loosened), the root and random nodes, in
     both formulations; nodes are closed by the pooled ray itself, without
-    a Newton step, also by rays found below the root."""
+    a Newton step, also by rays found below the root and by the rays of
+    random leaves' duals."""
     steps = [0]
     newton = relax._Dual.newton
 
@@ -601,7 +603,7 @@ def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
 
     monkeypatch.setattr(relax._Dual, "newton", counted)
     rng = random.Random(43)
-    hits = {True: 0, False: 0}  # by whether the ray was found at the root
+    hits = {"root": 0, "node": 0, "leaf": 0}  # by the dual the ray was found on
     pruned = 0
     for k in range(30):
         inst = random_instance(rng, rng.randint(2, 6), with_extras=True)
@@ -612,9 +614,13 @@ def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
         nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(5)]
         nodes = [node for node in nodes if node is not None]
         hull_ok = [_hull_lp_feasible(inst, node) for node in nodes]
+        leaf_rng = random.Random(k)  # leaves drawn apart, so the nodes stay as drawn
+        leaves = [_random_assignment(inst, leaf_rng) for _ in range(6)]
+        leaf_rays = [solve_fixed_assignment(inst, regions).ray for regions in leaves]
         for form in ("miqp", "persp"):
             found = [(j, solve_node_relaxation(inst, node, form).ray)
                      for j, node in enumerate(nodes)]
+            found += [(None, ray) for ray in leaf_rays]
             for j, ray in found:
                 if ray is None:
                     continue
@@ -630,7 +636,7 @@ def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
                     assert len(res.x) == len(res.z_L) == len(res.values) == inst.n
                     if steps[0] == 0:  # closed by the pool
                         assert res.ray == ray
-                        hits[j == 0] += 1
+                        hits["leaf" if j is None else "root" if j == 0 else "node"] += 1
                     pruned += 1
                     assert not hull_ok[i]
                     assert solve_node_relaxation(inst, node, form).upper_bound == -math.inf
@@ -760,7 +766,7 @@ def test_node_state_matches_a_frozenset_model(seed):
     instances, m = 0 and m = n among them, agree with a model that keeps
     each activity's open regions as a frozenset: ``fix`` of a region the
     model lacks raises, ``fix`` leaves its parent as it was, and ``bits``
-    is read-only."""
+    and the cached ``free`` are read-only."""
     rng = random.Random(seed)
     n = rng.randint(1, 8)
     inst = random_instance(rng, n, m=rng.choice([0, n, rng.randint(0, n)]))
@@ -786,6 +792,8 @@ def test_node_state_matches_a_frozenset_model(seed):
         assert node.bits.dtype == np.int8
         with pytest.raises(ValueError):
             node.bits[0] = 7
+        with pytest.raises(ValueError):
+            node.free[0] = True
 
 
 # ---------------------------------------------------------------------------
@@ -1088,6 +1096,87 @@ def test_pooled_rays_cut_only_infeasible_leaves(monkeypatch):
                 own = solve_fixed_assignment(inst, regions)
                 assert not own.feasible and own.ray is not None
     assert min(hits.values()) >= 100
+
+
+def test_unit_rays_close_exactly_the_rows_out_of_reach(monkeypatch):
+    """The unit ray of each coupling row, offered by ``rays``, against the
+    scalar row rule (``bnb_reference.least_row_use``): where a row's least
+    use exceeds its right-hand side ``b`` by more than ``1e-9*(1 + |b|)``,
+    the node relaxation (both forms) and the leaf solve return a unit ray
+    as their ray, of a row that does not clear ``b`` by that margin, with
+    no Newton step; where every row clears by that margin, no unit ray
+    closes them.  On the root, random nodes and random leaves of generated
+    instances with both extra rows (as generated and with their right-hand
+    sides lowered) and with the budget row only; each node and leaf also
+    with one extra row moved to ``1e-8`` of its least use, on either side."""
+    steps = [0]
+    newton = relax._Dual.newton
+
+    def counted(self, *args):
+        steps[0] += 1
+        return newton(self, *args)
+
+    def verdict(inst, node, regions):
+        """Whether a row is out of reach, after checking the solves; None
+        when a row is within the margin, where either verdict holds."""
+        rows = [(use - b, 1e-9 * (1.0 + abs(b))) for use, b in least_row_use(inst, node)]
+        out = [miss > margin for miss, margin in rows]
+        clear = [miss <= -margin for miss, margin in rows]
+        if not any(out) and not all(clear):
+            return None
+        missed.update(k for k, o in enumerate(out) if o)
+        units = [tuple(r) for r in np.eye(len(rows), len(rows) + 1).tolist()]
+        for form in ("miqp", "persp") if regions is None else (None,):
+            steps[0] = 0
+            if regions is None:
+                res = solve_node_relaxation(inst, node, form, rays=units)
+                ray, closed = res.ray, res.upper_bound == -math.inf
+            else:
+                leaf = solve_fixed_assignment(inst, regions, rays=units)
+                ray, closed = leaf.ray, not leaf.feasible
+            if any(out):
+                assert closed and ray in units and steps[0] == 0
+                assert not clear[units.index(ray)]
+            else:
+                assert ray not in units
+        return any(out)
+
+    monkeypatch.setattr(relax._Dual, "newton", counted)
+    rng = random.Random(53)
+    cells = [Cell(c, n, 0.1, xi) for c in CORRELATIONS for n in (8, 12)
+             for xi in (0.5, 0.75)]
+    insts = []
+    for _, _, inst in batch(cells, 1, 11):
+        lowered = tuple(dataclasses.replace(
+            ex, rhs=ex.rhs - rng.uniform(0.0, 0.3) * sum(map(abs, ex.coeffs)))
+            for ex in inst.extras)
+        insts += [inst, dataclasses.replace(inst, extras=lowered),
+                  dataclasses.replace(inst, extras=())]
+    verdicts = {(kind, out): 0 for kind in ("node", "leaf", "near") for out in (True, False)}
+    missed = set()  # the rows seen out of reach, budget first
+    for inst in insts:
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(6)]
+        cases = [(node, None) for node in nodes if node is not None]
+        for regions in (_random_assignment(inst, rng) for _ in range(8)):
+            bits = np.array([{"S": 1, "L": 2, "R": 4}[r] for r in regions], np.int8)
+            cases.append((NodeState(bits), regions))
+        for node, regions in cases:
+            out = verdict(inst, node, regions)
+            if out is not None:
+                verdicts["node" if regions is None else "leaf", out] += 1
+            if not inst.extras:
+                continue
+            k = rng.randrange(len(inst.extras))
+            use = least_row_use(inst, node)[k + 1][0]
+            for side in (-1.0, 1.0):
+                extras = list(inst.extras)
+                extras[k] = dataclasses.replace(
+                    extras[k], rhs=use + side * 1e-8 * (1.0 + abs(use)))
+                near = dataclasses.replace(inst, extras=tuple(extras))
+                out = verdict(near, node, regions)
+                if out is not None:
+                    verdicts["near", out] += 1
+    assert min(verdicts.values()) >= 15 and missed == {0, 1, 2}
 
 
 def _node_descents(monkeypatch):
