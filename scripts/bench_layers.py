@@ -62,13 +62,18 @@ import platform
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from mixopt import bnb, gen, relax
-from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index, _prune_threshold,
-                        _round_regions, branch_and_bound, round_incumbent)
-from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,
+# a checkout runs without installing: the package comes from ``src/``
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mixopt import bnb, gen, relax  # noqa: E402
+from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
+                        _outcome_to_solution, _prune_threshold, _round_regions,
+                        branch_and_bound)
+from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,  # noqa: E402
                           solve_fixed_assignment, solve_node_relaxation)
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
@@ -132,17 +137,27 @@ def leaf_floors(inst, root_res, regions):
             "target": (0.5 * (full.value + top), None)}
 
 
+def recorder(ends):
+    """A stand-in for ``relax._descend`` that appends to ``ends`` how each
+    descent ends.  A call that its start's value at the goal or a pooled
+    ray ends runs no descent, and appends nothing."""
+    descend = relax._descend
+
+    def descent(dual, y, goal, rays=()):
+        runs = dual.f > goal and not any(dual.falls_along(np.array(r)) for r in rays)
+        out = descend(dual, y, goal, rays)
+        if runs:
+            ends.append(out[2])
+        return out
+
+    return descent
+
+
 def leaf_end(call):
     """How the one descent of a leaf solve ended, ``bound`` when none ran."""
     ends = []
     descend = relax._descend
-
-    def descent(*args):
-        out = descend(*args)
-        ends.append(out[2])
-        return out
-
-    relax._descend = descent
+    relax._descend = recorder(ends)
     try:
         call()
     finally:
@@ -157,11 +172,6 @@ def search_counts(call):
     ends, counts = [], [0, 0, 0, 0]
     descend, bound = relax._descend, bnb.solve_node_relaxation
 
-    def descent(*args):
-        out = descend(*args)
-        ends.append(out[2])
-        return out
-
     def relaxation(*args, **kwargs):
         before = len(ends)  # leaf solves descend too, outside any window
         res = bound(*args, **kwargs)
@@ -172,7 +182,7 @@ def search_counts(call):
         counts[3] += res.ray is not None and not window
         return res
 
-    relax._descend, bnb.solve_node_relaxation = descent, relaxation
+    relax._descend, bnb.solve_node_relaxation = recorder(ends), relaxation
     try:
         out = call()
     finally:
@@ -244,7 +254,8 @@ def run(argv=None):
 
     print(f"{'n':>5} {'form':>5} {'free':>5} {'fixed':>5} {'removed':>7} {'fix_us':>9}")
     for inst, root, form, root_res in cells:
-        sol = round_incumbent(inst, root_res, root)
+        regions = _round_regions(inst, root, root_res)
+        sol = _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
         threshold = _prune_threshold(0.0, sol.objective if sol else -math.inf)
         free = root.free
         out = fix_by_reduced_cost(inst, root, root_res, threshold)

@@ -12,7 +12,10 @@ import argparse
 import pathlib
 import sys
 
-from mixopt.cli import main as mixopt
+# a checkout runs without installing: the package comes from ``src/``
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from mixopt.cli import main as mixopt  # noqa: E402
 
 
 def run(argv=None):

@@ -22,8 +22,12 @@ import dataclasses
 import json
 import sys
 import time
+from pathlib import Path
 
-from mixopt import CORRELATIONS, Cell, SolveParams, batch, branch_and_bound
+# a checkout runs without installing: the package comes from ``src/``
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mixopt import CORRELATIONS, Cell, SolveParams, batch, branch_and_bound  # noqa: E402
 
 FORMS = ("miqp", "persp")
 N_VALUES = (12, 30)

@@ -10,7 +10,7 @@ Lagrangian-bounded branch-and-bound, a seeded instance generator, and CSV
 """
 
 from .bnb import (BRUTE_FORCE_MAX_N, SolveParams, SolveResult,
-                  branch_and_bound, brute_force, round_incumbent)
+                  branch_and_bound, brute_force)
 from .gen import (CORRELATIONS, STRONG, UNCORRELATED, WEAK, Cell, GenConfig,
                   batch, generate, mix_seed, paper_cells)
 from .hull import (ConeRow, FeasibilityReport, LinearRow, ModelIR, Variable,
@@ -42,7 +42,7 @@ __all__ = [
     "build_miqp", "build_misocp", "check_minlp_feasible", "compute_regions",
     "dual_value", "export_lp", "generate", "load_json",
     "mix_seed", "objective_value", "paper_cells",
-    "perspective_value", "root_bounds", "round_incumbent", "save_json",
+    "perspective_value", "root_bounds", "save_json",
     "solve_fixed_assignment", "solve_node_relaxation", "validate",
     "write_lp",
 ]

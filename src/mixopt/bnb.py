@@ -152,22 +152,6 @@ def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
     return sol
 
 
-def round_incumbent(inst: Instance, relax: RelaxResult,
-                    node: Optional[NodeState] = None) -> Optional[Solution]:
-    """Try to turn a node relaxation into a feasible solution.
-
-    The fractional point picks a region per activity (largest indicator,
-    stay when both are weak, at most m nonzero), the continuous layer is
-    re-optimized for that assignment, and the result is admitted only if
-    the exact feasibility checker accepts it.
-    """
-    if node is None:
-        node = NodeState.root(inst)
-    regions = _round_regions(inst, node, relax)
-    return _outcome_to_solution(inst, regions,
-                                solve_fixed_assignment(inst, regions))
-
-
 def _branch_index(node: NodeState, res: RelaxResult) -> int:
     """The free activity whose combined indicator ``z_L + z_R`` is most
     fractional; the lowest index among those within 1e-12 of the most

@@ -267,10 +267,11 @@ def _cmd_bench(args) -> int:
 # sweep
 
 
-def pareto_sweep(inst: Instance, form: str = PERSPECTIVE,
-                 time_limit: float = 100.0,
+def pareto_sweep(inst: Instance, params: Optional[SolveParams] = None,
                  m_values: Optional[Sequence[int]] = None) -> List[Dict[str, object]]:
-    """Solve the instance once per cardinality cap; rows sorted by m."""
+    """Solve the instance once per cardinality cap under ``params``; rows
+    sorted by m.  A solve that a limit stops keeps its row and status, with
+    no revenue: only the revenues of finished solves form the frontier."""
     n = inst.n
     if m_values is None:
         step = max(1, math.ceil(n / 20))
@@ -281,10 +282,10 @@ def pareto_sweep(inst: Instance, form: str = PERSPECTIVE,
     base_rev: Optional[float] = None
     for m in sorted(set(int(m) for m in m_values)):
         capped = dataclasses.replace(inst, m=m)
-        res = branch_and_bound(capped, SolveParams(
-            formulation=form, time_limit=time_limit))
+        res = branch_and_bound(capped, params)
         points.append({"m": m, "m_fraction": m / n,
-                       "revenue": res.objective, "status": res.status})
+                       "revenue": res.objective if res.ok else None,
+                       "status": res.status})
     for p in reversed(points):
         if p["m"] == n and p["revenue"] is not None:
             base_rev = p["revenue"]
@@ -379,8 +380,7 @@ def _cmd_sweep(args) -> int:
     inst = _load_instance(Path(args.instance))
     m_values = args.m if args.m else None
     try:
-        points = pareto_sweep(inst, form=_norm_form(args.form),
-                              time_limit=args.time_limit, m_values=m_values)
+        points = pareto_sweep(inst, _solve_params(args, _norm_form(args.form)), m_values)
     except AssertionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

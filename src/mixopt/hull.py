@@ -277,10 +277,8 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
     for k, ex in enumerate(inst.extras):
         activity = math.fsum(c * v for c, v in zip(ex.coeffs, sol.x))
-        if ex.sense == "le" and activity > ex.rhs + tol:
+        if activity > ex.rhs + tol:  # ``Instance`` stores every row as ``le``
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
-        if ex.sense == "ge" and activity < ex.rhs - tol:
-            out.append(f"extra {k} violated: {activity} < {ex.rhs}")
     obj = objective_value(inst, sol.x)
     if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")

@@ -39,7 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -109,9 +109,6 @@ class NodeState:
     def is_leaf(self) -> bool:
         return not self.free.any()
 
-    def free_indices(self) -> List[int]:
-        return np.flatnonzero(self.free).tolist()
-
 
 @dataclass
 class RelaxResult:
@@ -124,11 +121,6 @@ class RelaxResult:
     values: Tuple[float, ...]  # each activity's term in the bound
     # the Farkas ray that proves the bound -inf, else None
     ray: Optional[Tuple[float, ...]] = None
-
-    @property
-    def primal_z(self) -> Tuple[float, ...]:
-        """Combined fractional indicator per activity."""
-        return tuple(a + b for a, b in zip(self.z_L, self.z_R))
 
 
 # ---------------------------------------------------------------------------
@@ -317,22 +309,10 @@ def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
     return d, w, r - T[:, live] @ w[live]
 
 
-def _falls_without_bound(db, s, lo, hi, act):
-    """Farkas test of a ray ``d >= 0`` of the dual.
-
-    Far along ``d`` each activity takes the option and the end of its box
-    that use the rows least, ``min(s*lo, s*hi) + act`` in the direction
-    (``s`` the option's price slope and ``act`` its activation's; infinite
-    for a closed option).  The dual falls without bound when ``db = e.d``
-    lies below the sum of those by more than rounding, and then no point of
-    the boxes meets the rows.
-    """
-    use = (np.minimum(s * lo, s * hi) + act).min(axis=0)
-    return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
-
-
-def _exact_step(quad, curv, c, s, lo, hi, db, t_max, off, act):
-    """Step length in ``[0, t_max]`` that is best for the dual along a direction.
+def _exact_step(dual, y, d, c, t_max):
+    """Step length in ``[0, t_max]`` that is best for ``dual`` from ``y``
+    along ``d``, with the prices ``c`` that ``_Dual.newton`` returned with
+    ``d``.
 
     Each row of the ``(P, n)`` arrays is one option of every activity.
     Along ``y + t*d`` an option's priced slope is ``c - t*s`` and its
@@ -350,8 +330,11 @@ def _exact_step(quad, curv, c, s, lo, hi, db, t_max, off, act):
     the side the step drives them to.  Returns None when the derivative
     stays below zero for ever, by more than rounding: the dual falls
     without bound along the direction, a ray that proves no point of the
-    boxes meets the rows.
+    boxes meets the rows (``dual.falls_along(d)``).
     """
+    K, quad, curv, lo, hi = dual.K, dual.quad, dual.curv, dual.lo, dual.hi
+    s = d[:K] @ dual.A + dual.kappa * d[K]
+    db, off, act = float(dual.e @ d), dual.zeta * y[K] + dual.off, dual.zeta * d[K]
     P, n = c.shape
     theta = np.where(quad, -0.5 * curv, 0.0)
     lin = ~quad
@@ -453,8 +436,7 @@ def _exact_step(quad, curv, c, s, lo, hi, db, t_max, off, act):
         return left
     if right < _INF:
         return right
-    closed = np.where(off < _INF, act, _INF)
-    return None if _falls_without_bound(db, s, lo, hi, closed) else left
+    return None if dual.falls_along(d) else left
 
 
 class _Dual:
@@ -544,7 +526,7 @@ class _Dual:
         tie stays in the system, with its residual, until the system
         releases it.  Returns the direction, the slack of the relaxation
         point it recovers, the ties to keep for the next step, and the
-        prices the step's line search (``search``) starts from.
+        prices the step's line search (``_exact_step``) starts from.
         """
         K, A, quad, curv = self.K, self.A, self.quad, self.curv
         y, c, x, val = self.at, self.c, self.x, self.val
@@ -600,21 +582,21 @@ class _Dual:
             c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
         return d, slack, kept, c
 
-    def search(self, y: np.ndarray, d: np.ndarray, c: np.ndarray, t_max: float):
-        """``_exact_step`` from ``y`` along ``d``, with the prices ``c`` that
-        ``newton`` returned with ``d``."""
-        K, mu = self.K, y[self.K]
-        s = d[:K] @ self.A + self.kappa * d[K]
-        return _exact_step(self.quad, self.curv, c, s, self.lo, self.hi,
-                           float(self.e @ d), t_max, self.zeta * mu + self.off,
-                           self.zeta * d[K])
-
     def falls_along(self, d: np.ndarray) -> bool:
-        """Whether the dual falls without bound along the ray ``d``."""
+        """Farkas test of a ray ``d >= 0`` of the dual.
+
+        Far along ``d`` each activity takes the option and the end of its
+        box that use the rows least, ``min(s*lo, s*hi) + zeta*d_mu`` in the
+        direction (``s`` the option's price slope; ``off`` adds infinity for
+        a closed option).  The dual falls without bound when ``e.d`` lies
+        below the sum of those by more than rounding, and then no point of
+        the boxes meets the rows.
+        """
         K = self.K
         s = d[:K] @ self.A + self.kappa * d[K]
-        return _falls_without_bound(float(self.e @ d), s, self.lo, self.hi,
-                                    self.zeta * d[K] + self.off)
+        db, act = float(self.e @ d), self.zeta * d[K] + self.off
+        use = (np.minimum(s * self.lo, s * self.hi) + act).min(axis=0)
+        return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
 
 
 def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
@@ -652,14 +634,18 @@ def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
                  cols.theta, lo, hi, span, near, zeta, off)
 
 
-def _descend(dual: _Dual, y: np.ndarray, goal: float):
+def _descend(dual: _Dual, y: np.ndarray, goal: float,
+             rays: Sequence[Sequence[float]] = ()):
     """Projected semismooth Newton method on ``dual`` from ``y``.
 
-    The dual's last ``value`` call was at ``y``.  Each step solves the
-    Newton system of ``_Dual.newton`` and moves by an exact line search
-    along it, or by the unit step where the search finds no slope beyond
-    rounding; a step that raises the value by more than rounding is not
-    taken.  The first step that admits the full length tries it before its
+    The dual's last ``value`` call was at ``y``.  The method ends there
+    when the value is at or below ``goal``, or when the dual falls without
+    bound along one of ``rays`` (Farkas rays of other duals over the same
+    rows, one entry per multiplier; ``dual.falls_along``).  Each step
+    solves the Newton system of ``_Dual.newton`` and moves by an exact line
+    search along it, or by the unit step where the search finds no slope
+    beyond rounding; a step that raises the value by more than rounding is
+    not taken.  The first step that admits the full length tries it before its
     search (warm-started at a parent's multipliers, the Newton step often
     lands on the child's minimum): if the value there rises by no more than
     rounding and the inner solution passes the KKT test, the method ends
@@ -667,18 +653,24 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float):
     the multipliers, the dual value there, and how the method ended:
     ``"converged"`` when the KKT residual of the inner solution, or of the
     point the Newton step recovers, is down to ``1e-12*(1 + max|e|)``;
-    ``"target"`` once a step, the kept full step included, takes the value
-    to or below ``goal`` (a node is then pruned, and a leaf cut, whatever
-    follows); ``"ray"`` when the dual falls without bound, with the value
-    -inf (no point meets the rows); ``"stalled"`` when a step gains nothing
-    or the iteration cap is reached.  On a ray the multipliers returned are
-    the certificate, a direction ``d >= 0`` with ``dual.falls_along(d)``:
-    the Newton direction the line search runs off along, or the last
-    iterate.  A ``"converged"`` ending leaves ``dual.placed`` None where the
-    inner solution passed the test, and the Newton step's point where that
+    ``"target"`` once the start or a step, the kept full step included,
+    takes the value to or below ``goal`` (a node is then pruned, and a leaf
+    cut, whatever follows); ``"ray"`` when the dual falls without bound,
+    with the value -inf (no point meets the rows); ``"stalled"`` when a
+    step gains nothing or the iteration cap is reached.  On a ray the
+    multipliers returned are the certificate, a direction ``d >= 0`` with
+    ``dual.falls_along(d)``: the first pooled ray the dual falls along, the
+    Newton direction the line search runs off along, or the last iterate.
+    A ``"converged"`` ending leaves ``dual.placed`` None where the inner
+    solution passed the test, and the Newton step's point where that
     passed it.
     """
     val, grad = dual.f, dual.grad
+    if val <= goal:
+        return y, val, "target"
+    hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
+    if hit is not None:
+        return hit, -_INF, "ray"
     tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
     tried = False
@@ -704,7 +696,7 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float):
                     and _kkt_residual(nxt, ngrad) <= tol):
                 dual.placed = None  # the point is the inner solution at ``nxt``
                 return nxt, nval, "target" if nval <= goal else "converged"
-        t = dual.search(y, d, c, t_max)
+        t = _exact_step(dual, y, d, c, t_max)
         if t is None:  # no d < 0, as t_max is infinite
             return d, -_INF, "ray"
         if t == 0.0:  # a flat start to rounding: try the unit step
@@ -755,11 +747,11 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     leaves (``FixedOutcome.ray``, whose cardinality entry is 0) of the same
     instance, or a coupling row's unit ray, along which the dual falls when
     the node's open regions miss that row, activity by activity, by more
-    than rounding.  Unless the warm start already reaches the target, each
-    is tested on this node's dual by ``_Dual.falls_along`` before the
-    descent, the test the descent ends on; the first along which the dual
-    falls without bound proves the node infeasible as well, and is
-    returned as its ray without a descent.
+    than rounding.  Unless the warm start already reaches the target,
+    ``_descend`` tests each on this node's dual before its first step, by
+    the test the descent ends on; the first along which the dual falls
+    without bound proves the node infeasible as well, and is returned as
+    its ray without a step.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
@@ -770,15 +762,8 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     y = np.zeros(dual.K + 1)
     if warm is not None and len(warm) == y.size:
         y = np.maximum(np.array(warm, dtype=float), 0.0)
-    val = dual.value(y)[0]
-    if val <= goal:
-        end = "target"
-    else:
-        hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
-        if hit is not None:
-            y, val, end = hit, -_INF, "ray"
-        else:
-            y, val, end = _descend(dual, y, goal)
+    dual.value(y)
+    y, val, end = _descend(dual, y, goal, rays)
     if not np.array_equal(dual.at, y):  # a ray or a rejected step ended the descent
         dual.value(y)
     mult = tuple(y.tolist())
@@ -918,13 +903,8 @@ def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=())
         if at <= goal:
             return FixedOutcome(None, -_INF, at, True)
     y = np.zeros(K + 1)
-    start = dual.value(y)[0]
-    if start <= goal:
-        return FixedOutcome(None, -_INF, start, True)
-    hit = next((r for r in rays if dual.falls_along(np.array(r))), None)
-    if hit is not None:
-        return FixedOutcome(None, -_INF, -_INF, False, tuple(hit))
-    y, bound, end = _descend(dual, y, goal)
+    dual.value(y)
+    y, bound, end = _descend(dual, y, goal, rays)
     if end == "ray":
         return FixedOutcome(None, -_INF, -_INF, False, tuple(y.tolist()))
     if end == "target":

@@ -52,7 +52,7 @@ def branch_index(node: NodeState, res: RelaxResult) -> int:
     Falls back to the lowest-index free activity when the relaxation point
     is already integral.
     """
-    free = node.free_indices()
+    free = [i for i, f in enumerate(node.free.tolist()) if f]
     best_i, best_frac = free[0], -1.0
     for i in free:
         zlr = res.z_L[i] + res.z_R[i]

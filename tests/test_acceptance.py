@@ -204,7 +204,7 @@ def test_criterion_6_pareto_sweep():
     t0 = time.perf_counter()
     inst = _oracle_mix(3, offset=500)[2]  # strong class, n = 6, budget-only
     inst = dataclasses.replace(inst, m=inst.n)
-    points = pareto_sweep(inst, m_values=list(range(inst.n + 1)), time_limit=30.0)
+    points = pareto_sweep(inst, SolveParams(time_limit=30.0), list(range(inst.n + 1)))
     revs = [p["revenue"] for p in points]
     monotone = all(b >= a - 1e-9 for a, b in zip(revs, revs[1:]))
     truth = brute_force(inst)

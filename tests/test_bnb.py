@@ -21,6 +21,7 @@ from mixopt import (
     Cell,
     GenConfig,
     Instance,
+    InvalidInstanceError,
     NodeState,
     RelaxResult,
     SolveParams,
@@ -32,12 +33,11 @@ from mixopt import (
     generate,
     mix_seed,
     paper_cells,
-    round_incumbent,
     solve_fixed_assignment,
     solve_node_relaxation,
 )
 from mixopt import bnb, relax
-from mixopt.bnb import _round_regions
+from mixopt.bnb import _outcome_to_solution, _round_regions
 
 import bnb_reference
 from conftest import random_instance
@@ -81,6 +81,15 @@ def test_brute_force_refuses_what_it_cannot_certify(rng):
     assert res.status == ("infeasible" if truth is None else "optimal")
     if truth is not None:
         assert res.objective == pytest.approx(truth, rel=1e-9, abs=1e-9)
+
+
+def test_invalid_instances_are_refused(two_symmetric):
+    """Both solvers refuse an instance that ``validate`` flags, with its
+    violations."""
+    bad = dataclasses.replace(two_symmetric, m=5)  # more than n = 2
+    for solve in (branch_and_bound, brute_force):
+        with pytest.raises(InvalidInstanceError, match="cardinality"):
+            solve(bad)
 
 
 def test_zero_cap_is_instant(rng):
@@ -326,7 +335,7 @@ def test_rounded_leaf_passes_the_checker():
         res = solve_node_relaxation(inst, root, "persp")
         regions = _round_regions(inst, root, res)
         if solve_fixed_assignment(inst, regions).feasible:
-            assert round_incumbent(inst, res) is not None, cfg.seed
+            assert _round(inst, res) is not None, cfg.seed
 
 
 _SOLVES = """
@@ -373,9 +382,18 @@ def _relax_point(inst, x, z_L, z_R):
     )
 
 
+def _round(inst, res, node=None):
+    """The incumbent that the rounding of ``res`` at ``node`` (the root by
+    default) gives, solved in full and gated by the checker, as the search
+    admits it against no incumbent; None when it gives none."""
+    node = node or NodeState.root(inst)
+    regions = _round_regions(inst, node, res)
+    return _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
+
+
 def test_round_integral_point_passes_through(two_symmetric):
     relax = _relax_point(two_symmetric, [2.0, 0.0], [0.0, 0.0], [1.0, 0.0])
-    sol = round_incumbent(two_symmetric, relax)
+    sol = _round(two_symmetric, relax)
     assert sol is not None
     assert sol.x == (2.0, 0.0)
     assert sol.region == ("R", "S")
@@ -384,7 +402,7 @@ def test_round_integral_point_passes_through(two_symmetric):
 
 def test_round_half_ties_go_to_stay(two_symmetric):
     relax = _relax_point(two_symmetric, [1.0, 1.0], [0.0, 0.0], [0.5, 0.5])
-    sol = round_incumbent(two_symmetric, relax)
+    sol = _round(two_symmetric, relax)
     assert sol is not None
     assert sol.region == ("S", "S")
     assert sol.x == (0.0, 0.0)
@@ -398,7 +416,7 @@ def test_round_keeps_only_m_largest(rng):
     )
     inst = Instance(activities=acts, rho=5.0, m=2, extras=())
     relax = _relax_point(inst, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.9, 0.8, 0.7])
-    sol = round_incumbent(inst, relax)
+    sol = _round(inst, relax)
     assert sol is not None
     assert sol.region == ("R", "R", "S")
 
@@ -406,7 +424,7 @@ def test_round_keeps_only_m_largest(rng):
 def test_round_respects_node_fixings(two_symmetric):
     node = NodeState.root(two_symmetric).fix(0, "S")
     relax = _relax_point(two_symmetric, [2.0, 0.0], [0.0, 0.0], [0.9, 0.1])
-    sol = round_incumbent(two_symmetric, relax, node)
+    sol = _round(two_symmetric, relax, node)
     if sol is not None:
         assert sol.region[0] == "S"
 
@@ -416,7 +434,7 @@ def test_round_never_beats_the_oracle(rng):
         inst = random_instance(rng, rng.randint(2, 5))
         truth = brute_force(inst)
         relax = solve_node_relaxation(inst, NodeState.root(inst), "persp")
-        sol = round_incumbent(inst, relax)
+        sol = _round(inst, relax)
         if sol is None:
             continue
         assert check_minlp_feasible(inst, sol, tol=1e-8).ok
@@ -465,14 +483,8 @@ def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
     other children whose dual falls without bound are closed by a ray an
     earlier descent found."""
     inst = generate(GenConfig("weak", 30, 0.1, 0.5, 9489810283428522141))
-    ends = []  # how each descent of a node relaxation ended
+    ends = _descent_ends(monkeypatch)  # of node relaxations and leaf solves
     relaxations = []
-    descend = relax._descend
-
-    def counted(*args):
-        out = descend(*args)
-        ends.append(out[2])
-        return out
 
     def bound(*args, **kwargs):
         before = len(ends)
@@ -480,7 +492,6 @@ def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
         relaxations.append((res, ends[before:]))
         return res
 
-    monkeypatch.setattr(relax, "_descend", counted)
     monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
     out = branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
     assert (out.status, out.nodes, repr(out.upper_bound)) == (
@@ -493,16 +504,28 @@ def test_pooled_rays_close_the_infeasible_subtrees(monkeypatch):
     assert all(res.upper_bound == -math.inf and res.converged for res in pooled)
 
 
+def _descent_ends(monkeypatch):
+    """How each descent ends, in a list that fills as they run.  A
+    ``relax._descend`` call that its start's value at the goal or a pooled
+    ray ends runs no descent, and adds nothing."""
+    ends = []
+    descend = relax._descend
+
+    def counted(dual, y, goal, rays=()):
+        runs = dual.f > goal and not any(dual.falls_along(np.array(r)) for r in rays)
+        out = descend(dual, y, goal, rays)
+        if runs:
+            ends.append(out[2])
+        return out
+
+    monkeypatch.setattr(relax, "_descend", counted)
+    return ends
+
+
 def _leaf_descents(monkeypatch):
     """How each ``bnb.solve_fixed_assignment`` call ends its descents:
     one list per call, empty when the call descends to no end."""
-    ends, calls = [], []
-    descend = relax._descend
-
-    def counted(*args):
-        out = descend(*args)
-        ends.append(out[2])
-        return out
+    ends, calls = _descent_ends(monkeypatch), []
 
     def leaf(*args, **kwargs):
         before = len(ends)
@@ -510,7 +533,6 @@ def _leaf_descents(monkeypatch):
         calls.append((ends[before:], out))
         return out
 
-    monkeypatch.setattr(relax, "_descend", counted)
     monkeypatch.setattr(bnb, "solve_fixed_assignment", leaf)
     return calls
 
@@ -552,9 +574,9 @@ def test_full_newton_steps_skip_line_searches(form, want, newton, searches,
         counts["newton"] += len(self.lo) == 3
         return step(self, *args)
 
-    def counted_search(quad, curv, c, *args):
-        counts["search"] += len(c) == 3
-        return exact(quad, curv, c, *args)
+    def counted_search(dual, *args):
+        counts["search"] += len(dual.lo) == 3
+        return exact(dual, *args)
 
     monkeypatch.setattr(relax._Dual, "newton", counted_step)
     monkeypatch.setattr(relax, "_exact_step", counted_search)
@@ -589,13 +611,8 @@ def test_rows_out_of_reach_close_without_a_descent(form, monkeypatch):
     floor does not cut end on the budget row's unit ray."""
     inst = dataclasses.replace(
         generate(GenConfig("weak", 12, 0.1, 0.5, 11539782348902174461)), extras=())
-    ends, calls = [], []  # calls: (node, descent endings, ray) per solve
-    descend = relax._descend
-
-    def counted(*args):
-        out = descend(*args)
-        ends.append(out[2])
-        return out
+    ends = _descent_ends(monkeypatch)
+    calls = []  # (node, descent endings, ray) per solve
 
     def bound(inst, node, *args, **kwargs):
         before = len(ends)
@@ -610,7 +627,6 @@ def test_rows_out_of_reach_close_without_a_descent(form, monkeypatch):
         calls.append((NodeState(bits), ends[before:], out.ray))
         return out
 
-    monkeypatch.setattr(relax, "_descend", counted)
     monkeypatch.setattr(bnb, "solve_node_relaxation", bound)
     monkeypatch.setattr(bnb, "solve_fixed_assignment", leaf)
     branch_and_bound(inst, SolveParams(formulation=form, node_limit=60))
@@ -690,7 +706,7 @@ def test_root_only_solve_is_the_rounded_root():
         root = NodeState.root(inst)
         for form in FORMS:
             root_res = solve_node_relaxation(inst, root, form)
-            sol = round_incumbent(inst, root_res)
+            sol = _round(inst, root_res)
             res = branch_and_bound(inst, SolveParams(formulation=form, node_limit=0))
             value = sol and sol.objective
             if sol is not None and root_res.upper_bound <= bnb._prune_threshold(0.0, value):
@@ -757,7 +773,7 @@ def test_vectorised_rules_match_the_scalar_reference():
         node, z_L, z_R = _grid_node(rng, n, integral, jitter)
         res = _relax_point(inst, [0.0] * n, z_L, z_R)
         assert _round_regions(inst, node, res) == bnb_reference.round_regions(inst, node, res)
-        free = node.free_indices()
+        free = np.flatnonzero(node.free).tolist()
         z = [z_L[i] + z_R[i] for i in free]
         movers = [v for v in z if v > 0.5]
         seen["tie"] += len(set(movers)) < len(movers)

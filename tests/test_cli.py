@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from mixopt import GenConfig, brute_force, generate, load_json, save_json
+from mixopt import (GenConfig, SolveParams, branch_and_bound, brute_force, generate,
+                    load_json, save_json)
 from mixopt.cli import build_parser, knee_point, main, pareto_svg, pareto_sweep
 
 from conftest import random_instance
@@ -273,9 +274,32 @@ def test_sweep_explicit_caps_and_oracle(tmp_path, capsys, rng):
     assert float(rows[-1]["revenue"]) == pytest.approx(truth.objective, rel=1e-6)
 
 
+def test_sweep_applies_the_solver_flags(tmp_path, capsys):
+    """Each cap is solved under ``--node-limit`` and ``--gap-tol``, as
+    ``solve`` solves it: on the weak n = 30 instance of seed 7, the root
+    alone leaves a gap at m = 10, so that row ends ``node-limit`` with no
+    revenue, and a gap tolerance of 1 accepts the root's incumbent."""
+    inst = generate(GenConfig("weak", 30, 0.1, 0.5, 7))
+    path = tmp_path / "weak.json"
+    path.write_bytes(save_json(inst))
+    for gap_tol, statuses in (("0", ["optimal", "node-limit"]), ("1", ["optimal"] * 2)):
+        dest = tmp_path / f"gap{gap_tol}.csv"
+        assert main(["sweep", str(path), "--m", "5", "10", "--node-limit", "0",
+                     "--gap-tol", gap_tol, "--out", str(dest)]) == 0
+        capsys.readouterr()
+        with open(dest, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == statuses
+        for row in rows:
+            res = branch_and_bound(replace(inst, m=int(row["m"])),
+                                   SolveParams(node_limit=0, gap_tol=float(gap_tol)))
+            assert row["status"] == res.status
+            assert row["revenue"] == (repr(res.objective) if res.ok else "")
+
+
 def test_pareto_helpers(rng):
     inst = random_instance(rng, 5, m=5, rho=1.05)
-    points = pareto_sweep(inst, m_values=[0, 2, 5], time_limit=30.0)
+    points = pareto_sweep(inst, SolveParams(time_limit=30.0), [0, 2, 5])
     assert [p["m"] for p in points] == [0, 2, 5]
     knee = knee_point(points)
     assert knee is not None and knee["revenue_fraction"] >= 0.995
@@ -289,7 +313,7 @@ def test_knee_with_negative_revenues(two_symmetric):
     # feasible m; the knee must still land near the top of the curve.
     acts = tuple(replace(a, psi=-100.0) for a in two_symmetric.activities)
     inst = replace(two_symmetric, activities=acts, m=2)
-    points = pareto_sweep(inst, m_values=[0, 1, 2], time_limit=30.0)
+    points = pareto_sweep(inst, SolveParams(time_limit=30.0), [0, 1, 2])
     assert points[0]["revenue"] == pytest.approx(-200.0)
     assert points[0]["revenue_fraction"] > 1.0  # ratio is misleading here
     knee = knee_point(points)

@@ -1,5 +1,6 @@
 """Indicator-hull rows, model IR construction, and the MINLP checker."""
 
+import dataclasses
 import math
 import random
 
@@ -280,3 +281,31 @@ def test_checker_region_label_mismatch():
     inst = _both_open()
     sol = Solution.from_x(inst, [2.0, 0.0], ["S", "S"])  # x != 0 under label S
     assert not check_minlp_feasible(inst, sol).ok
+
+
+def test_checker_rejects_malformed_solutions():
+    """The checker's other rejections: a length mismatch, a change outside
+    the spend bounds, an unknown region, a region the activity does not
+    have, and a stored objective that is not the change vector's."""
+    inst = _both_open()
+    honest = Solution.from_x(inst, [0.0, 0.0], ["S", "S"])
+
+    def violations(sol, target=inst):
+        return check_minlp_feasible(target, sol).violations
+
+    for short in (dict(x=(0.0,)), dict(region=("S",))):
+        assert violations(dataclasses.replace(honest, **short)) == (
+            "expected 2 entries in x/region",)
+    # a's spend range allows a change of at most u - s = 5
+    out = violations(Solution.from_x(inst, [6.0, 0.0], ["R", "S"]))
+    assert any("outside spend bounds" in v for v in out)
+    assert violations(Solution.from_x(inst, [0.0, 0.0], ["Q", "S"])) == (
+        "activity 'a': unknown region 'Q'",)
+    # l = s leaves no decrease region
+    c = Activity(id="c", s=5.0, l=5.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
+    single = Instance(activities=(c,), rho=1.05, m=1, extras=())
+    assert single.regions[0].L is None
+    assert violations(Solution.from_x(single, [0.0], ["L"]), single) == (
+        "activity 'c': region L does not exist",)
+    off = dataclasses.replace(honest, objective=honest.objective + 1.0)
+    assert len(violations(off)) == 1 and "stored objective" in violations(off)[0]

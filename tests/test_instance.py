@@ -191,6 +191,25 @@ def test_ge_extra_normalized_to_le(rng):
     assert ge.normalized() == LinearConstraint(coeffs=(-1.0, 2.0), sense="le", rhs=-3.0)
 
 
+def test_construction_sorts_by_id_and_permutes_rows():
+    """Activities are sorted by id, and the coefficients of every extra row
+    of matching length follow them; a row of another length is left for
+    ``validate`` to flag."""
+    b = Activity(id="b", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    a = dataclasses.replace(b, id="a", phi=2.0)
+    rows = (LinearConstraint(coeffs=(1.0, 2.0), sense="le", rhs=3.0),
+            LinearConstraint(coeffs=(4.0, 5.0), sense="ge", rhs=6.0),
+            LinearConstraint(coeffs=(7.0, 8.0, 9.0), sense="le", rhs=1.0))
+    inst = Instance(activities=(b, a), rho=1.0, m=1, extras=rows)
+    assert inst.activities == (a, b)
+    assert inst.extras == (LinearConstraint((2.0, 1.0), "le", 3.0),
+                           LinearConstraint((-5.0, -4.0), "le", -6.0),
+                           rows[2])
+    assert any("expected 2" in v for v in validate(inst).violations)
+    # an instance already in id order is kept as given
+    assert Instance(activities=(a, b), rho=1.0, m=1, extras=rows[:1]).extras == rows[:1]
+
+
 @pytest.mark.parametrize(
     "payload,exc",
     [

@@ -213,7 +213,7 @@ def test_dual_value_sums_per_activity_argmax():
         b = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
         root = NodeState.root(inst)
         node = root
-        for i in rng.sample(root.free_indices(), 3):
+        for i in rng.sample(np.flatnonzero(root.free).tolist(), 3):
             node = node.fix(i, rng.choice(sorted(_regions(node.bits[i]))))
         for state in (root, node):
             for form in ("miqp", "persp"):
@@ -258,7 +258,7 @@ def _kernel_nodes(inst, rng):
     a node saturated by the cardinality cap."""
     root = NodeState.root(inst)
     yield root
-    free = root.free_indices()
+    free = np.flatnonzero(root.free).tolist()
     node = root
     for region in ("L", "S", "R"):
         i = next(i for i in free if node.free[i] and region in _regions(node.bits[i]))
@@ -344,7 +344,7 @@ def test_descent_stops_at_a_target_the_warm_start_reaches(monkeypatch):
     for n in (12, 30):
         inst = generate(GenConfig(correlation="weak", n=n, epsilon=0.1, xi=0.5, seed=n))
         root = NodeState.root(inst)
-        child = root.fix(root.free_indices()[0], "S")
+        child = root.fix(int(np.flatnonzero(root.free)[0]), "S")
         for form in ("miqp", "persp"):
             warm = solve_node_relaxation(inst, root, form).multipliers
             at_warm = dual_value(inst, child, form, warm)
@@ -376,8 +376,9 @@ def test_relaxation_bound_above_optimum_and_dominance(rng):
             assert res_m.upper_bound >= truth.objective - 1e-7
             assert res_p.upper_bound >= truth.objective - 1e-7
         assert res_p.upper_bound <= res_m.upper_bound + 1e-7
-        for z in res_p.primal_z + res_m.primal_z:
-            assert -1e-9 <= z <= 1.0 + 1e-9
+        for res in (res_p, res_m):
+            for z_l, z_r in zip(res.z_L, res.z_R):
+                assert -1e-9 <= z_l + z_r <= 1.0 + 1e-9
 
 
 def test_root_bounds_paired():
@@ -395,7 +396,7 @@ def test_child_bound_never_exceeds_parent(rng):
         root = NodeState.root(inst)
         for form in ("miqp", "persp"):
             parent = solve_node_relaxation(inst, root, form)
-            free = root.free_indices()
+            free = np.flatnonzero(root.free).tolist()
             if not free:
                 continue
             i = rng.choice(free)
@@ -454,7 +455,6 @@ def test_relax_result_shape(rng):
     inst = random_instance(rng, 4)
     res = solve_node_relaxation(inst, NodeState.root(inst), "persp")
     assert len(res.x) == 4 and len(res.z_L) == 4 and len(res.z_R) == 4
-    assert res.primal_z == tuple(l + r for l, r in zip(res.z_L, res.z_R))
     assert len(res.multipliers) == _mult_len(inst)
     assert all(m >= 0.0 for m in res.multipliers)
     assert isinstance(res.converged, bool)
@@ -664,7 +664,7 @@ def test_child_bounds_are_the_fixed_childs_dual():
                 if res.upper_bound == -math.inf:
                     continue
                 bounds = relax._child_bounds(inst, res)
-                for i in node.free_indices():
+                for i in np.flatnonzero(node.free).tolist():
                     for row, region in enumerate("SLR"):
                         if not node.bits[i] & (1 << row):
                             continue
@@ -693,7 +693,7 @@ def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
                 if res.upper_bound == -math.inf or node.is_leaf:
                     continue
                 bounds = relax._child_bounds(inst, res)
-                free = node.free_indices()
+                free = np.flatnonzero(node.free).tolist()
                 levels = sorted(bounds[:, free].ravel().tolist())
                 for threshold in [-math.inf] + rng.sample(levels, min(6, len(levels))):
                     model = [_regions(b) for b in node.bits.tolist()]
@@ -721,7 +721,7 @@ def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
 def test_node_state_lifecycle(two_symmetric):
     root = NodeState.root(two_symmetric)
     assert root.bits.dtype == np.int8 and root.bits.tolist() == [5, 5]  # S | R
-    assert root.free_indices() == [0, 1]
+    assert np.flatnonzero(root.free).tolist() == [0, 1]
     assert not root.is_leaf and root.fixed_nonzero == 0
 
     child = root.fix(0, "R")
@@ -753,7 +753,7 @@ def _model_root(inst):
 def _assert_matches_model(node, model):
     assert [_regions(b) for b in node.bits.tolist()] == model
     free = [i for i, a in enumerate(model) if len(a) > 1]
-    assert node.free_indices() == free
+    assert np.flatnonzero(node.free).tolist() == free
     assert node.free.tolist() == [len(a) > 1 for a in model]
     assert node.is_leaf == (not free)
     assert node.fixed_nonzero == sum(len(a) == 1 and "S" not in a for a in model)
@@ -1229,7 +1229,7 @@ def test_kept_full_steps_end_on_their_certificate(monkeypatch):
         rhs = [inst.budget_rhs, float(inst.m)] + [ex.rhs for ex in inst.extras]
         tol = 1e-12 * (1.0 + max(map(abs, rhs)))
         root = NodeState.root(inst)
-        nodes = [root.fix(i, region) for i in root.free_indices()
+        nodes = [root.fix(i, region) for i in np.flatnonzero(root.free).tolist()
                  for region in sorted(_regions(root.bits[i]))]
         nodes += [node for node in (_random_node(inst, rng) for _ in range(2))
                   if node is not None]
@@ -1280,7 +1280,7 @@ def test_full_steps_keep_at_any_revenue_scale(monkeypatch):
             root = NodeState.root(inst)
             for form in ("miqp", "persp"):
                 warm = solve_node_relaxation(inst, root, form).multipliers
-                for i in root.free_indices():
+                for i in np.flatnonzero(root.free).tolist():
                     for region in sorted(_regions(root.bits[i])):
                         del descents[:]
                         solve_node_relaxation(inst, root.fix(i, region), form, warm=warm)

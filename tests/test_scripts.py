@@ -5,6 +5,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -15,6 +18,15 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_scripts_run_from_a_checkout(tmp_path):
+    """A script finds the package in ``src/`` with no ``PYTHONPATH`` and
+    from any working directory."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run([sys.executable, str(SCRIPTS / "solve_signatures.py"), "--help"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_desk_bench_runs(tmp_path, capsys):
