@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the dual evaluation, relaxation, fixing, leaf solve and a search.
+"""Time the dual evaluation, relaxation, fixing, leaf solve, a search,
+rounding, the checker, generation and the JSON round trip.
 
 For each n it generates one instance of the paper cell (weak correlation,
 epsilon 0.1, xi 0.75, both extra rows) and solves its root relaxation in
@@ -46,14 +47,20 @@ the children closed by a pooled ray without a descent of their own: a ray
 an earlier descent found, or the unit ray of a row the child cannot reach;
 ``solve_ms`` times the whole search.
 
+Rounding and the checker, per n and formulation: ``round_us`` rounds the
+root relaxation to a region assignment (``bnb._round_regions``), and
+``check_us`` runs ``check_minlp_feasible`` on the incumbent that the
+assignment's leaf solve gives (``-`` when it gives none).  Generation and
+the JSON round trip, per n: ``gen_us`` draws the paper cell's instance
+(``gen.generate``), ``save_us`` writes it (``save_json``) and ``load_us``
+reads it back (``load_json``).
+
 Each time is the median over ``--repeats`` batches of the mean time of
-``--calls`` calls (``--relax-calls`` for the relaxations and leaves, one
-for the search).
+``--calls`` calls (``--relax-calls`` for the relaxations, leaves,
+generation and the JSON round trip; one for the search).
 
     python3 scripts/bench_layers.py
-    python3 scripts/bench_layers.py --n 64 500 --calls 200 --repeats 9
-
-The other layers are not timed yet.
+    python3 scripts/bench_layers.py --n 100 500 1000 --calls 200 --repeats 9
 """
 
 import argparse
@@ -69,7 +76,8 @@ import numpy as np
 # a checkout runs without installing: the package comes from ``src/``
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mixopt import bnb, gen, relax  # noqa: E402
+from mixopt import (bnb, check_minlp_feasible, gen, load_json, relax,  # noqa: E402
+                    save_json)
 from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
                         _outcome_to_solution, _prune_threshold, _round_regions,
                         branch_and_bound)
@@ -201,6 +209,11 @@ def per_call_us(call, calls, repeats):
     return 1e6 * statistics.median(means)
 
 
+def paper_cell(n):
+    """The generator config of the paper cell at ``n`` activities."""
+    return gen.GenConfig(correlation=gen.WEAK, n=n, epsilon=0.1, xi=0.75, seed=SEED)
+
+
 def run(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n", type=int, nargs="+", default=list(SIZES),
@@ -215,8 +228,7 @@ def run(argv=None):
           f"{platform.machine()}")
     cells = []
     for n in args.n:
-        inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=n, epsilon=0.1,
-                                          xi=0.75, seed=SEED))
+        inst = gen.generate(paper_cell(n))
         root = NodeState.root(inst)
         for form in FORMS:
             cells.append((inst, root, form, solve_node_relaxation(inst, root, form)))
@@ -289,6 +301,26 @@ def run(argv=None):
         took = per_call_us(lambda: branch_and_bound(inst, params), 1, args.repeats)
         print(f"{inst.n:5d} {form:>5} {out.status:>10} {out.nodes:5d} {counts[0]:5d} "
               f"{counts[1]:8d} {counts[2]:4d} {counts[3]:6d} {took / 1e3:9.1f}", flush=True)
+
+    print(f"{'n':>5} {'form':>5} {'round_us':>9} {'check_us':>9}")
+    for inst, root, form, root_res in cells:
+        regions = _round_regions(inst, root, root_res)
+        took = per_call_us(lambda: _round_regions(inst, root, root_res),
+                           args.calls, args.repeats)
+        sol = _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
+        check = "-" if sol is None else "%.1f" % per_call_us(
+            lambda: check_minlp_feasible(inst, sol, tol=1e-8), args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {took:9.1f} {check:>9}", flush=True)
+
+    print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9}")
+    for n in args.n:
+        cfg = paper_cell(n)
+        inst = gen.generate(cfg)
+        blob = save_json(inst)
+        took = [per_call_us(call, args.relax_calls, args.repeats)
+                for call in (lambda: gen.generate(cfg), lambda: save_json(inst),
+                             lambda: load_json(blob))]
+        print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took), flush=True)
     return 0
 
 

@@ -115,18 +115,15 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
                    ) -> Tuple[Region, ...]:
     """Snap a fractional relaxation point to a region assignment.
 
-    A free activity stays when its combined indicator ``z_L + z_R`` is at
-    most 0.5, and otherwise takes the side with the larger indicator (L on
-    a tie); a fixed one keeps its region.  When more activities move than
-    the cardinality cap allows, the free movers with the largest combined
-    indicators are kept, the lowest index first among equal ones, and the
-    others stay.
+    A free activity moves to its chosen option's region when that option's
+    activation ``z`` is above 0.5, and otherwise stays; a fixed one keeps
+    its region.  When more activities move than the cardinality cap allows,
+    the free movers with the largest activations are kept, the lowest index
+    first among equal ones, and the others stay.
     """
-    free, z_L, z_R = node.free, np.array(res.z_L), np.array(res.z_R)
-    z = z_L + z_R
+    free, z = node.free, res.z
     moves = free & (z > 0.5)
-    bits = np.where(moves, np.where(z_L >= z_R, _BIT["L"], _BIT["R"]),
-                    np.where(free, _BIT["S"], node.bits))
+    bits = np.where(moves, 1 << res.best, np.where(free, _BIT["S"], node.bits))
     room = max(inst.m - node.fixed_nonzero, 0)
     movers = np.flatnonzero(moves)
     if movers.size > room:
@@ -153,7 +150,7 @@ def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
 
 
 def _branch_index(node: NodeState, res: RelaxResult) -> int:
-    """The free activity whose combined indicator ``z_L + z_R`` is most
+    """The free activity whose chosen option's activation ``z`` is most
     fractional; the lowest index among those within 1e-12 of the most
     fractional one breaks ties.
 
@@ -165,7 +162,7 @@ def _branch_index(node: NodeState, res: RelaxResult) -> int:
     activity within 1e-12 of the top.
     """
     free = np.flatnonzero(node.free)
-    z = (np.array(res.z_L) + np.array(res.z_R))[free]
+    z = res.z[free]
     frac = np.minimum(z, 1.0 - z)
     return int(free[np.argmax(frac >= frac.max() - 1e-12)])
 

@@ -92,8 +92,11 @@ def _cmd_gen(args) -> int:
     rows: List[Dict[str, str]] = []
 
     def emit(corr: str, n: int, eps: float, xi: float, seed: int) -> None:
-        cfg = genmod.GenConfig(correlation=corr, n=n, epsilon=eps, xi=xi,
-                               seed=seed, rho=args.rho)
+        try:
+            cfg = genmod.GenConfig(correlation=corr, n=n, epsilon=eps, xi=xi,
+                                   seed=seed, rho=args.rho)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from exc
         inst = genmod.generate(cfg)
         name = f"{corr}_n{n}_e{eps:g}_x{xi:g}_s{seed}.json"
         (out_dir / name).write_bytes(save_json(inst))
@@ -379,6 +382,9 @@ def pareto_svg(points: Sequence[Dict[str, object]]) -> str:
 def _cmd_sweep(args) -> int:
     inst = _load_instance(Path(args.instance))
     m_values = args.m if args.m else None
+    for m in m_values or ():
+        if not 0 <= m <= inst.n:
+            raise SystemExit(f"error: --m {m} lies outside [0, {inst.n}]")
     try:
         points = pareto_sweep(inst, _solve_params(args, _norm_form(args.form)), m_values)
     except AssertionError as exc:

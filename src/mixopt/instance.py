@@ -117,22 +117,28 @@ class RegionBounds:
         return tuple(out)
 
 
+def _activity_violations(a: Activity) -> Tuple[str, ...]:
+    """The activity rules that ``a`` breaks: finite fields, then
+    ``l <= s <= u``, ``theta <= 0`` and ``delta >= 0``."""
+    if all(map(math.isfinite, (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi))):
+        rules = (("l > s", a.l > a.s), ("s > u", a.s > a.u),
+                 ("theta > 0", a.theta > 0), ("delta < 0", a.delta < 0))
+    else:
+        rules = (("non-finite field", True),)
+    return tuple(f"activity {a.id!r}: {name}" for name, broken in rules if broken)
+
+
 def compute_regions(a: Activity) -> RegionBounds:
     """Derive the L/S/R region intervals for one activity.
 
     The decrease region exists iff ``l - s <= -delta`` and the raise region
-    iff ``delta <= u - s``; degenerate single-point regions are kept.
+    iff ``delta <= u - s``; degenerate single-point regions are kept.  An
+    activity that breaks a rule of ``validate`` is an
+    ``InvalidActivityError``.
     """
-    fields = (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi)
-    if not all(math.isfinite(v) for v in fields):
-        raise InvalidActivityError(f"activity {a.id!r}: non-finite field")
-    if a.l > a.s or a.s > a.u:
-        raise InvalidActivityError(f"activity {a.id!r}: requires l <= s <= u")
-    if a.theta > 0:
-        raise InvalidActivityError(f"activity {a.id!r}: theta must be <= 0")
-    if a.delta < 0:
-        raise InvalidActivityError(f"activity {a.id!r}: delta must be >= 0")
-
+    broken = _activity_violations(a)
+    if broken:
+        raise InvalidActivityError("; ".join(broken))
     lo = a.l - a.s
     hi = a.u - a.s
     neg_delta = -a.delta if a.delta != 0 else 0.0
@@ -251,18 +257,7 @@ def validate(inst: Instance) -> ValidationReport:
         if a.id in seen:
             out.append(f"duplicate activity id {a.id!r}")
         seen.add(a.id)
-        vals = (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi)
-        if not all(math.isfinite(v) for v in vals):
-            out.append(f"activity {a.id!r}: non-finite field")
-            continue
-        if a.l > a.s:
-            out.append(f"activity {a.id!r}: l > s")
-        if a.s > a.u:
-            out.append(f"activity {a.id!r}: s > u")
-        if a.theta > 0:
-            out.append(f"activity {a.id!r}: theta > 0")
-        if a.delta < 0:
-            out.append(f"activity {a.id!r}: delta < 0")
+        out += _activity_violations(a)
     if not (math.isfinite(inst.rho) and inst.rho > 0):
         out.append("rho must be finite and positive")
     if inst.m < 0:

@@ -28,9 +28,10 @@ at a multiplier vector, for nodes and leaves alike.  It performs the
 scalar reference's operations (kept in the tests) in the scalar order and
 sums sequentially, so its points and per-activity values are the
 reference's bit for bit.  It keeps the prices and each activity's best
-option, and the dual value, the Newton step and the relaxation point all
-read them: each step prices the dual once.  Only a descent that a ray or
-a rejected step ends away from its last pricing prices once more.
+option, and the dual value, the Newton step and the arrays a relaxation
+hands the search all read them: each step prices the dual once.  Only a
+descent that a ray or a rejected step ends away from its last pricing
+prices once more.
 """
 
 from __future__ import annotations
@@ -75,10 +76,8 @@ class NodeState:
 
     @classmethod
     def root(cls, inst: Instance) -> "NodeState":
-        if inst.m == 0:
-            return cls(np.ones(inst.n, np.int8))
-        return cls(np.fromiter([1 | 2 * (rb.L is not None) | 4 * (rb.R is not None)
-                                for rb in inst.regions], np.int8, inst.n))
+        has = _instance_arrays(inst).has & (inst.m > 0)
+        return cls((1 | has[0] << 1 | has[1] << 2).astype(np.int8))
 
     def fix(self, i: int, region: Region) -> "NodeState":
         bit = _BIT[region]
@@ -110,17 +109,23 @@ class NodeState:
         return not self.free.any()
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RelaxResult:
     upper_bound: float
-    x: Tuple[float, ...]
-    z_L: Tuple[float, ...]
-    z_R: Tuple[float, ...]
     multipliers: Tuple[float, ...]  # (budget, extras..., cardinality)
     converged: bool
-    values: Tuple[float, ...]  # each activity's term in the bound
+    # read-only, per activity, from the last pricing: its term in the bound,
+    # its chosen option (0 stay, 1 decrease, 2 raise: ``1 << best`` is its
+    # region bit) and that option's activation (0 when it stays)
+    values: np.ndarray
+    best: np.ndarray
+    z: np.ndarray
     # the Farkas ray that proves the bound -inf, else None
     ray: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        for column in (self.values, self.best, self.z):
+            column.flags.writeable = False
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +742,10 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     the dual value is at or below it, possibly at the warm start: the node
     is then pruned whatever follows, and ``converged`` is False.  The bound
     is the dual value at the returned multipliers, so it is valid whatever
-    the ending.  The primal point is the inner solution there and may
-    violate the coupling rows; it is meant for branching scores and
-    incumbent rounding only.  It is read from the last pricing, which is at
-    those multipliers except after a ray or a rejected step; then the dual
-    is priced there once more.
+    the ending.  ``values``, ``best`` and ``z`` come from the pricing at
+    those multipliers: the last one, except after a ray or a rejected step,
+    when the dual is priced there once more.  A ``warm`` start with the
+    wrong number of multipliers is a ``ValueError``.
 
     ``rays`` are Farkas rays found on other nodes (``RelaxResult.ray``) or
     leaves (``FixedOutcome.ray``, whose cardinality entry is 0) of the same
@@ -759,21 +763,16 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     """
     goal = target if target is not None and math.isfinite(target) else -_INF
     dual = _node_dual(inst, node, form == PERSPECTIVE)
-    y = np.zeros(dual.K + 1)
-    if warm is not None and len(warm) == y.size:
-        y = np.maximum(np.array(warm, dtype=float), 0.0)
+    y = np.zeros(dual.K + 1) if warm is None else np.maximum(np.array(warm, dtype=float), 0.0)
+    if y.shape != (dual.K + 1,):
+        raise ValueError(f"warm start has {y.size} multipliers, the node dual {dual.K + 1}")
     dual.value(y)
     y, val, end = _descend(dual, y, goal, rays)
     if not np.array_equal(dual.at, y):  # a ray or a rejected step ended the descent
         dual.value(y)
     mult = tuple(y.tolist())
-    best, z = dual.best, dual.z
-    return RelaxResult(upper_bound=val, x=tuple(dual.point.tolist()),
-                       z_L=tuple(np.where(best == 1, z, 0.0).tolist()),
-                       z_R=tuple(np.where(best == 2, z, 0.0).tolist()),
-                       multipliers=mult, converged=end in ("converged", "ray"),
-                       values=tuple(dual.terms.tolist()),
-                       ray=mult if end == "ray" else None)
+    return RelaxResult(val, mult, end in ("converged", "ray"), dual.terms, dual.best,
+                       dual.z, mult if end == "ray" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +800,7 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     x = _box_max(pe, np.where(quad, -2.0 * cols.theta, 1.0),
                  None if quad.all() else ~quad, cols.lo, cols.hi)
     w = cols.theta * x * x + pe * x - mult[len(cols.A)]
-    base = res.upper_bound - np.array(res.values)
+    base = res.upper_bound - res.values
     return np.vstack((base, base + w))
 
 

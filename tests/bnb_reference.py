@@ -26,14 +26,13 @@ def round_regions(inst: Instance, node: NodeState, res: RelaxResult,
         if not free[i]:
             regions.append(_REGION_OF[bits])
             continue
-        zl, zr = res.z_L[i], res.z_R[i]
-        if zl + zr <= 0.5:
+        z = float(res.z[i])
+        if z <= 0.5:
             regions.append("S")
         else:
-            reg = "L" if zl >= zr else "R"
-            regions.append(reg)
-            scored.append((zl + zr, i))
-    # enforce the cardinality cap: keep the strongest indicators
+            regions.append(_REGION_OF[1 << int(res.best[i])])
+            scored.append((z, i))
+    # enforce the cardinality cap: keep the strongest activations
     active = [i for i, r in enumerate(regions) if r != "S"]
     if len(active) > inst.m:
         fixed_active = [i for i in active if not free[i]]
@@ -47,7 +46,8 @@ def round_regions(inst: Instance, node: NodeState, res: RelaxResult,
 
 
 def branch_index(node: NodeState, res: RelaxResult) -> int:
-    """Most fractional combined indicator; lowest index breaks ties.
+    """Most fractional activation of the chosen option; lowest index breaks
+    ties.
 
     Falls back to the lowest-index free activity when the relaxation point
     is already integral.
@@ -55,8 +55,8 @@ def branch_index(node: NodeState, res: RelaxResult) -> int:
     free = [i for i, f in enumerate(node.free.tolist()) if f]
     best_i, best_frac = free[0], -1.0
     for i in free:
-        zlr = res.z_L[i] + res.z_R[i]
-        frac = min(zlr, 1.0 - zlr)
+        z = float(res.z[i])
+        frac = min(z, 1.0 - z)
         if frac > best_frac + 1e-12:
             best_frac = frac
             best_i = i

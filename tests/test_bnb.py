@@ -370,15 +370,16 @@ def test_solve_does_not_depend_on_blas_threads():
 # incumbent rounding
 
 
-def _relax_point(inst, x, z_L, z_R):
+def _relax_point(inst, z, best):
+    """A relaxation whose pricing chose options ``best`` (0 stay, 1 decrease,
+    2 raise) at activations ``z``."""
     return RelaxResult(
         upper_bound=math.inf,
-        x=tuple(x),
-        z_L=tuple(z_L),
-        z_R=tuple(z_R),
         multipliers=(0.0,) * (2 + len(inst.extras)),
         converged=True,
-        values=(0.0,) * inst.n,
+        values=np.zeros(inst.n),
+        best=np.array(best, dtype=np.intp),
+        z=np.array(z, dtype=float),
     )
 
 
@@ -392,7 +393,7 @@ def _round(inst, res, node=None):
 
 
 def test_round_integral_point_passes_through(two_symmetric):
-    relax = _relax_point(two_symmetric, [2.0, 0.0], [0.0, 0.0], [1.0, 0.0])
+    relax = _relax_point(two_symmetric, [1.0, 0.0], [2, 0])
     sol = _round(two_symmetric, relax)
     assert sol is not None
     assert sol.x == (2.0, 0.0)
@@ -401,7 +402,7 @@ def test_round_integral_point_passes_through(two_symmetric):
 
 
 def test_round_half_ties_go_to_stay(two_symmetric):
-    relax = _relax_point(two_symmetric, [1.0, 1.0], [0.0, 0.0], [0.5, 0.5])
+    relax = _relax_point(two_symmetric, [0.5, 0.5], [2, 2])
     sol = _round(two_symmetric, relax)
     assert sol is not None
     assert sol.region == ("S", "S")
@@ -415,7 +416,7 @@ def test_round_keeps_only_m_largest(rng):
         for i in range(3)
     )
     inst = Instance(activities=acts, rho=5.0, m=2, extras=())
-    relax = _relax_point(inst, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.9, 0.8, 0.7])
+    relax = _relax_point(inst, [0.9, 0.8, 0.7], [2, 2, 2])
     sol = _round(inst, relax)
     assert sol is not None
     assert sol.region == ("R", "R", "S")
@@ -423,7 +424,7 @@ def test_round_keeps_only_m_largest(rng):
 
 def test_round_respects_node_fixings(two_symmetric):
     node = NodeState.root(two_symmetric).fix(0, "S")
-    relax = _relax_point(two_symmetric, [2.0, 0.0], [0.0, 0.0], [0.9, 0.1])
+    relax = _relax_point(two_symmetric, [0.9, 0.1], [2, 2])
     sol = _round(two_symmetric, relax, node)
     if sol is not None:
         assert sol.region[0] == "S"
@@ -737,52 +738,47 @@ def test_root_rounding_that_closes_the_gap_is_optimal_under_a_limit(limit):
 
 
 def _grid_node(rng, n, integral, jitter):
-    """A node with random region sets, and a point whose indicators lie on
-    a 1/8 grid (on 0 and 1 only when ``integral``).  With ``jitter`` each
-    activity's nonzero indicator sum is raised by 0 or 4e-13 at random:
-    fractions then tie within 1e-12 without a chain of them reaching
-    further."""
+    """A node with random region sets, and a point whose chosen options'
+    activations lie on a 1/8 grid (on 0 and 1 only when ``integral``); an
+    activity that chose to stay has activation 0.  With ``jitter`` each
+    nonzero activation is raised by 0 or 4e-13 at random: fractions then
+    tie within 1e-12 without a chain of them reaching further."""
     bits = np.array([rng.choice((1, 2, 4, 3, 5, 7)) for _ in range(n)], np.int8)
-    z_L, z_R = [], []
+    z, best = [], []
     for _ in range(n):
-        if integral:
-            a, b = rng.choice(((0, 0), (8, 0), (0, 8)))
-        else:
-            a = rng.randint(0, 8)
-            b = rng.randint(0, 8 - a)
-        up = jitter * rng.choice((0.0, 4e-13))
-        z_L.append(a and a / 8 + up)
-        z_R.append(b and b / 8 + (0.0 if a else up))
-    return NodeState(bits), z_L, z_R
+        option = rng.choice((0, 1, 2))
+        eighths = 0 if option == 0 else 8 if integral else rng.randint(0, 8)
+        z.append(eighths and eighths / 8 + jitter * rng.choice((0.0, 4e-13)))
+        best.append(option)
+    return NodeState(bits), z, best
 
 
 def test_vectorised_rules_match_the_scalar_reference():
     """``_round_regions`` and ``_branch_index`` pick what the scalar loops
-    of ``bnb_reference`` pick, on random nodes and points with indicators
-    on a 1/8 grid: exact ties between activities and between the sides of
-    one, indicators of exactly 0.5, more movers than the cap leaves room
-    for, activities fixed to a side, integral points, and fractions apart
-    by less than the 1e-12 tie margin all occur."""
+    of ``bnb_reference`` pick, on random nodes and points whose chosen
+    options' activations lie on a 1/8 grid: exact ties between activities,
+    activations of exactly 0.5, movers to both sides, more movers than the
+    cap leaves room for, activities fixed to a side, integral points, and
+    fractions apart by less than the 1e-12 tie margin all occur."""
     rng = random.Random(14)
     insts = {n: random_instance(rng, n) for n in range(1, 10)}
-    seen = dict(tie=0, side_tie=0, half=0, capped=0, fixed=0, integral=0, margin=0)
+    seen = dict(tie=0, sides=0, half=0, capped=0, fixed=0, integral=0, margin=0)
     for trial in range(3000):
         n = rng.randint(1, 9)
         inst = dataclasses.replace(insts[n], m=rng.randint(0, n))
         integral, jitter = trial % 5 == 0, trial % 5 == 1
-        node, z_L, z_R = _grid_node(rng, n, integral, jitter)
-        res = _relax_point(inst, [0.0] * n, z_L, z_R)
+        node, z, best = _grid_node(rng, n, integral, jitter)
+        res = _relax_point(inst, z, best)
         assert _round_regions(inst, node, res) == bnb_reference.round_regions(inst, node, res)
         free = np.flatnonzero(node.free).tolist()
-        z = [z_L[i] + z_R[i] for i in free]
-        movers = [v for v in z if v > 0.5]
-        seen["tie"] += len(set(movers)) < len(movers)
-        seen["side_tie"] += any(z_L[i] == z_R[i] > 0.0 for i in free)
-        seen["half"] += 0.5 in z
+        movers = [(z[i], best[i]) for i in free if z[i] > 0.5]
+        seen["tie"] += len(set(v for v, _ in movers)) < len(movers)
+        seen["sides"] += {1, 2} <= {b for _, b in movers}
+        seen["half"] += any(z[i] == 0.5 for i in free)
         seen["capped"] += len(movers) > max(inst.m - node.fixed_nonzero, 0) > 0
         seen["fixed"] += node.fixed_nonzero > 0
         if free:
-            frac = [min(v, 1.0 - v) for v in z]
+            frac = [min(z[i], 1.0 - z[i]) for i in free]
             top = [f for f in frac if f >= max(frac) - 1e-12]
             seen["margin"] += len(set(top)) > 1
             seen["integral"] += integral

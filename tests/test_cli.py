@@ -60,6 +60,18 @@ def test_gen_requires_n(tmp_path, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--n", "0", "--xi", "0.5"], ["--n", "6", "--xi", "1.5"]])
+def test_gen_reports_an_out_of_range_cell(tmp_path, capsys, flags):
+    """A cell the generator refuses is an ``error:`` line and exit 1, not a
+    traceback."""
+    rc = main(["gen", "--corr", "weak", "--eps", "0.1", *flags,
+               "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("n must" in err or "xi must" in err)
+    assert not (tmp_path / "x" / "manifest.csv").exists()
+
+
 def test_gen_paper_grid(tmp_path):
     out = tmp_path / "grid"
     rc = main(["gen", "--paper-grid", "--scale-n", "6", "--count", "1",
@@ -295,6 +307,19 @@ def test_sweep_applies_the_solver_flags(tmp_path, capsys):
                                    SolveParams(node_limit=0, gap_tol=float(gap_tol)))
             assert row["status"] == res.status
             assert row["revenue"] == (repr(res.objective) if res.ok else "")
+
+
+@pytest.mark.parametrize("caps", [["3", "9"], ["-1"]])
+def test_sweep_reports_a_cap_out_of_range_before_solving(tmp_path, capsys, caps):
+    """A cap outside ``[0, n]`` is an ``error:`` line and exit 1 before the
+    first solve, not a traceback after the caps in range are solved."""
+    path = tmp_path / "weak.json"
+    path.write_bytes(save_json(generate(GenConfig("weak", 6, 0.1, 0.5, 0))))
+    dest = tmp_path / "p.csv"
+    assert main(["sweep", str(path), "--m", *caps, "--out", str(dest)]) == 1
+    out = capsys.readouterr()
+    assert out.err == f"error: --m {caps[-1]} lies outside [0, 6]\n" and not out.out
+    assert not dest.exists()
 
 
 def test_pareto_helpers(rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mixopt import (
     Activity,
     Instance,
+    InvalidActivityError,
     LinearConstraint,
     ParseError,
     SchemaError,
@@ -135,12 +136,22 @@ def _single(**kw):
         (dict(s=0.5), "l > s"),
         (dict(delta=-1.0), "delta < 0"),
         (dict(theta=1.0), "theta > 0"),
+        (dict(phi=float("nan")), "non-finite field"),
+        (dict(u=float("inf")), "non-finite field"),
     ],
 )
 def test_validate_flags_bad_activities(kw, fragment):
-    report = validate(_single(**kw))
-    assert not report.ok
-    assert any(fragment in v for v in report.violations)
+    """One list of activity rules: ``validate`` reports each broken rule,
+    and ``compute_regions`` and ``Instance.regions`` refuse it with
+    ``InvalidActivityError`` in the same words."""
+    inst = _single(**kw)
+    message = f"activity 'a': {fragment}"
+    assert validate(inst).violations == (message,)
+    with pytest.raises(InvalidActivityError) as refused:
+        compute_regions(inst.activities[0])
+    assert str(refused.value) == message
+    with pytest.raises(InvalidActivityError, match=fragment):
+        inst.regions
 
 
 def test_validate_flags_instance_level_problems():

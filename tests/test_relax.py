@@ -377,8 +377,8 @@ def test_relaxation_bound_above_optimum_and_dominance(rng):
             assert res_p.upper_bound >= truth.objective - 1e-7
         assert res_p.upper_bound <= res_m.upper_bound + 1e-7
         for res in (res_p, res_m):
-            for z_l, z_r in zip(res.z_L, res.z_R):
-                assert -1e-9 <= z_l + z_r <= 1.0 + 1e-9
+            assert ((res.z >= -1e-9) & (res.z <= 1.0 + 1e-9)).all()
+            assert (res.z[res.best == 0] == 0.0).all()
 
 
 def test_root_bounds_paired():
@@ -454,10 +454,25 @@ def test_unconstrained_cardinality_loose_budget_bound():
 def test_relax_result_shape(rng):
     inst = random_instance(rng, 4)
     res = solve_node_relaxation(inst, NodeState.root(inst), "persp")
-    assert len(res.x) == 4 and len(res.z_L) == 4 and len(res.z_R) == 4
+    for column in (res.values, res.best, res.z):
+        assert isinstance(column, np.ndarray) and column.shape == (4,)
+        assert not column.flags.writeable
+    assert set(res.best.tolist()) <= {0, 1, 2}
+    assert not any(hasattr(res, name) for name in ("x", "z_L", "z_R"))
     assert len(res.multipliers) == _mult_len(inst)
     assert all(m >= 0.0 for m in res.multipliers)
     assert isinstance(res.converged, bool)
+
+
+def test_warm_start_of_the_wrong_length_is_refused():
+    """A warm start must price every row of the node dual: one that is
+    short or long is a ``ValueError``, not a silent cold start."""
+    inst = generate(GenConfig("weak", 30, 0.1, 0.5, 7))
+    root = NodeState.root(inst)
+    res = solve_node_relaxation(inst, root, "persp")
+    for warm in (res.multipliers[:2], res.multipliers + (0.0,)):
+        with pytest.raises(ValueError, match="warm start"):
+            solve_node_relaxation(inst, root, "persp", warm=warm)
 
 
 def _hull_lp_feasible(inst, node):
@@ -633,7 +648,7 @@ def test_pooled_rays_prune_only_infeasible_nodes(monkeypatch):
                     if res.upper_bound > -math.inf:
                         continue
                     assert res.converged and res.ray is not None
-                    assert len(res.x) == len(res.z_L) == len(res.values) == inst.n
+                    assert res.values.size == res.best.size == res.z.size == inst.n
                     if steps[0] == 0:  # closed by the pool
                         assert res.ray == ray
                         hits["leaf" if j is None else "root" if j == 0 else "node"] += 1

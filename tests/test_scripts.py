@@ -110,7 +110,7 @@ def test_bench_layers_runs(capsys):
     # then the search on the coupled weak n = 30 case: one row per formulation
     assert lines[37].split() == ["n", "form", "status", "nodes", "relax", "descents",
                                  "rays", "pooled", "solve_ms"]
-    rows = [line.split() for line in lines[38:]]
+    rows = [line.split() for line in lines[38:40]]
     assert [r[:2] for r in rows] == [["30", f] for f in ("persp", "miqp")]
     for r in rows:
         relaxations, descents, rays, pooled = map(int, r[4:8])
@@ -120,6 +120,18 @@ def test_bench_layers_runs(capsys):
         assert pooled > 0 and float(r[8]) > 0.0
     # persp, as benchmarked: 41 relaxations, 20 descents, 3 rays
     assert rows[0][2:8] == ["node-limit", "15", "41", "20", "3", "21"]
+    # then the rounding of the root relaxation and the checker on the
+    # incumbent it gives: one row per n x formulation
+    assert lines[40].split() == ["n", "form", "round_us", "check_us"]
+    rows = [line.split() for line in lines[41:45]]
+    assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
+                                     for f in ("persp", "miqp")]
+    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
+    # then generation and the JSON round trip: one row per n
+    assert lines[45].split() == ["n", "gen_us", "save_us", "load_us"]
+    rows = [line.split() for line in lines[46:]]
+    assert [r[0] for r in rows] == ["12", "64"]
+    assert all(float(t) > 0.0 for r in rows for t in r[1:])
 
 
 def test_solve_signatures_runs(tmp_path, capsys, monkeypatch):
