@@ -10,7 +10,12 @@ The node dual, at the multipliers the root relaxation ends at:
 ``build_us`` builds it from the node's bits, once per relaxation;
 ``value_us`` prices it (``_Dual.value``), once per step, which gives the
 dual value, the subgradient and the point; ``newton_us`` is the Newton
-step, which reads those prices and prices nothing itself.
+step, which reads those prices and prices nothing itself.  These three
+reuse one dual.  ``fresh_us`` is what the search pays once per
+relaxation: it builds the dual of the root's first child (the one the
+relaxations below bound), prices it at the child's warm start (the root's
+multipliers) and takes one Newton step there, so nothing a dual keeps
+between calls is reused.
 
 The node relaxation: the ``root`` from zero multipliers, and one child of
 the root (the branching activity fixed to its first open region),
@@ -233,8 +238,11 @@ def run(argv=None):
         for form in FORMS:
             cells.append((inst, root, form, solve_node_relaxation(inst, root, form)))
 
-    print(f"{'n':>5} {'form':>5} {'build_us':>9} {'value_us':>9} {'newton_us':>9}")
-    for inst, root, form, root_res in cells:
+    children = [_child_targets(inst, root, root_res, form)
+                for inst, root, form, root_res in cells]
+    print(f"{'n':>5} {'form':>5} {'build_us':>9} {'value_us':>9} {'newton_us':>9} "
+          f"{'fresh_us':>9}")
+    for (inst, root, form, root_res), (child, warm, _) in zip(cells, children):
         mult = np.array(root_res.multipliers)
         persp = form == relax.PERSPECTIVE
         build = per_call_us(lambda: relax._node_dual(inst, root, persp),
@@ -243,13 +251,19 @@ def run(argv=None):
         value = per_call_us(lambda: dual.value(mult), args.calls, args.repeats)
         kept = np.zeros(inst.n, dtype=np.int64)
         newton = per_call_us(lambda: dual.newton(kept), args.calls, args.repeats)
-        print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {newton:9.1f}",
+
+        def fresh():
+            step = relax._node_dual(inst, child, persp)
+            step.value(np.array(warm))
+            step.newton(kept)
+
+        took = per_call_us(fresh, args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {newton:9.1f} {took:9.1f}",
               flush=True)
 
     print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'search':>6} "
           f"{'relax_us':>9}")
-    for inst, root, form, root_res in cells:
-        child, warm, targets = _child_targets(inst, root, root_res, form)
+    for (inst, root, form, root_res), (child, warm, targets) in zip(cells, children):
         for kind in RELAXATIONS:
             if kind == "root":
                 def call():

@@ -87,29 +87,14 @@ def _load_instance(path: Path) -> Instance:
 
 
 def _cmd_gen(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows: List[Dict[str, str]] = []
-
-    def emit(corr: str, n: int, eps: float, xi: float, seed: int) -> None:
-        try:
-            cfg = genmod.GenConfig(correlation=corr, n=n, epsilon=eps, xi=xi,
-                                   seed=seed, rho=args.rho)
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from exc
-        inst = genmod.generate(cfg)
-        name = f"{corr}_n{n}_e{eps:g}_x{xi:g}_s{seed}.json"
-        (out_dir / name).write_bytes(save_json(inst))
-        rows.append({"path": name, "corr": corr, "n": str(n),
-                     "eps": f"{eps:g}", "xi": f"{xi:g}", "seed": str(seed)})
-
+    specs = []
     if args.paper_grid:
         n_values = tuple(args.scale_n) if args.scale_n else genmod.PAPER_N
         cells = genmod.paper_cells(n_values=n_values)
         for ci, cell in enumerate(cells):
             for r in range(args.count):
-                emit(cell.correlation, cell.n, cell.epsilon, cell.xi,
-                     genmod.mix_seed(args.seed, ci, r))
+                specs.append((cell.correlation, cell.n, cell.epsilon, cell.xi,
+                              genmod.mix_seed(args.seed, ci, r)))
     else:
         missing = [f for f, v in (("--corr", args.corr), ("--n", args.n),
                                   ("--eps", args.eps), ("--xi", args.xi))
@@ -117,8 +102,24 @@ def _cmd_gen(args) -> int:
         if missing:
             raise SystemExit(f"error: gen requires {' '.join(missing)} "
                              "(or --paper-grid)")
-        for r in range(args.count):
-            emit(args.corr, args.n, args.eps, args.xi, args.seed + r)
+        specs = [(args.corr, args.n, args.eps, args.xi, args.seed + r)
+                 for r in range(args.count)]
+    # every cell is checked before anything is written
+    try:
+        configs = [genmod.GenConfig(correlation=corr, n=n, epsilon=eps, xi=xi,
+                                    seed=seed, rho=args.rho)
+                   for corr, n, eps, xi, seed in specs]
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows: List[Dict[str, str]] = []
+    for cfg in configs:
+        name = f"{cfg.correlation}_n{cfg.n}_e{cfg.epsilon:g}_x{cfg.xi:g}_s{cfg.seed}.json"
+        (out_dir / name).write_bytes(save_json(genmod.generate(cfg)))
+        rows.append({"path": name, "corr": cfg.correlation, "n": str(cfg.n),
+                     "eps": f"{cfg.epsilon:g}", "xi": f"{cfg.xi:g}", "seed": str(cfg.seed)})
 
     manifest = out_dir / "manifest.csv"
     with manifest.open("w", newline="") as fh:
@@ -274,9 +275,14 @@ def pareto_sweep(inst: Instance, params: Optional[SolveParams] = None,
                  m_values: Optional[Sequence[int]] = None) -> List[Dict[str, object]]:
     """Solve the instance once per cardinality cap under ``params``; rows
     sorted by m.  A solve that a limit stops keeps its row and status, with
-    no revenue: only the revenues of finished solves form the frontier."""
+    no revenue: only the revenues of finished solves form the frontier.
+    A cap outside ``[0, n]`` is a ``ValueError``, raised before any solve."""
     n = inst.n
-    if m_values is None:
+    if m_values is not None:  # every cap is checked before the first solve
+        for m in m_values:
+            if not 0 <= m <= n:
+                raise ValueError(f"--m {m} lies outside [0, {n}]")
+    else:
         step = max(1, math.ceil(n / 20))
         m_values = list(range(0, n + 1, step))
         if m_values[-1] != n:
@@ -381,13 +387,10 @@ def pareto_svg(points: Sequence[Dict[str, object]]) -> str:
 
 def _cmd_sweep(args) -> int:
     inst = _load_instance(Path(args.instance))
-    m_values = args.m if args.m else None
-    for m in m_values or ():
-        if not 0 <= m <= inst.n:
-            raise SystemExit(f"error: --m {m} lies outside [0, {inst.n}]")
     try:
-        points = pareto_sweep(inst, _solve_params(args, _norm_form(args.form)), m_values)
-    except AssertionError as exc:
+        points = pareto_sweep(inst, _solve_params(args, _norm_form(args.form)),
+                              args.m or None)
+    except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out = Path(args.out)

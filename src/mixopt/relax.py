@@ -32,6 +32,14 @@ option, and the dual value, the Newton step and the arrays a relaxation
 hands the search all read them: each step prices the dual once.  Only a
 descent that a ray or a rejected step ends away from its last pricing
 prices once more.
+
+Every array of a node dual that does not depend on the node's bits is
+built once per instance and shared read-only (``_InstanceArrays.node``):
+the options' boxes, activations and activation rates, the right-hand
+sides, which activities are linear, and the tie tolerances.  A persp node
+builds only its options' costs; a miqp node copies the boxes that its free
+sides change.  A Newton step assembles its tie system only where an
+activity ties; without a tie it solves for the rows alone.
 """
 
 from __future__ import annotations
@@ -142,14 +150,20 @@ class _InstanceArrays:
     arrays stack the decrease side as row 0 and the raise side as row 1:
     ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0),
     ``outer`` the end away from zero and ``inner`` the end next to it,
-    and ``index`` is ``arange(n)``, to pick one side per activity.
-    ``psi_sum`` and ``m`` are the node dual's constant terms.  The leaf
-    solve reads its boxes, rows and revenue from the same columns.  Every
-    node and leaf of a search shares them, so the arrays are read-only.
+    ``scalable`` and ``inner_ok`` where those ends are off zero, and
+    ``index`` is ``arange(n)``, to pick one side per activity.
+    ``psi_sum`` and ``m`` are the node dual's constant terms.  ``node`` is
+    the persp node dual without its options' costs (``_node_dual``): its
+    boxes, activations and activation rates, right-hand sides, linear
+    activities and tie tolerances, which every persp node takes as they
+    are and from which a miqp node copies the boxes it changes.  The leaf
+    solve reads its boxes, rows and revenue from the side arrays.  Every
+    node and leaf of a search shares all of these, so the arrays are
+    read-only.
     """
 
     __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
-                 "outer", "inner", "inner_ok", "index")
+                 "outer", "inner", "inner_ok", "scalable", "index", "node")
 
     def __init__(self, inst: Instance):
         n, acts = inst.n, inst.activities
@@ -168,9 +182,18 @@ class _InstanceArrays:
         self.lo, self.hi = np.array([lL, lR]), np.array([uL, uR])
         self.outer, self.inner = np.array([lL, uR]), np.array([uL, lR])
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
+        self.scalable = np.array([lL < 0.0, uR > 0.0])
         self.index = np.arange(n)
-        for name in self.__slots__:
-            value = getattr(self, name)
+        # rows stay, decrease and raise; no box scales with its activation
+        lo, hi = np.zeros((3, n)), np.zeros((3, n))
+        lo[1:], hi[1:] = self.lo, self.hi
+        far = np.full((3, n), _INF)
+        zeta = np.ones((3, n))
+        zeta[0] = 0.0
+        self.node = _Dual(self.A, np.append(self.b, float(self.m)), self.psi_sum,
+                          self.phi, self.theta, lo, hi, far, far, zeta, None)
+        for value in ([getattr(self, name) for name in self.__slots__]
+                      + [getattr(self.node, name) for name in _Dual._SHARED]):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
@@ -232,22 +255,24 @@ def _kkt_residual(lam, r):
     return float(np.where(lam > 0.0, np.abs(r), np.maximum(-r, 0.0)).max())
 
 
-def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
+def _newton_step(M, r, lam, work, ties=None):
     """Newton direction on the dual and the primal point it aims at.
 
     ``M`` is the dual's generalized Hessian: every quadratic activity
     strictly inside its box responds to the multipliers with slope
     ``1/curv``.  ``r`` is the row slack of the point without its ties.  A
     tie is an activity whose price sits on a kink of the dual: a linear
-    activity priced to zero, or two options of equal value.  Its weight
-    ``w``, in ``[tlo, thi]``, is an unknown that adds ``w`` times its column
-    of ``T`` to the row usage, and the step must keep the tie
+    activity priced to zero, or two options of equal value.  ``ties`` is
+    None where there is none, else ``(T, tlo, thi, tgap, w0)``: tie ``j``
+    has a weight ``w``, in ``[tlo, thi]``, an unknown that adds ``w`` times
+    its column of ``T`` to the row usage, and the step must keep the tie
     (``-T_j.d = tgap_j``, the tie's residual):
 
         [ M_WW + ridge   -T_W ] [d]   [-r_W ]
         [ -T_W'            0  ] [w] = [ tgap]
 
     The ridge is 1e-12 of the trace of ``M_WW`` (1e-12 where that is zero).
+    Without live ties the system is ``M_WW + ridge`` alone.
 
     ``work`` marks the working rows (a positive multiplier, or violated)
     and is updated in place.  An active-set loop settles the system: a tie
@@ -261,12 +286,13 @@ def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
     Returns the step ``d`` (zero off the working rows), the weights (``w0``
     where no row works) and the slack of the point with the ties placed.
     """
-    r = r.copy()
-    w = w0.copy()
+    T, tlo, thi, tgap, w = ties or (None, None, None, None, np.zeros(0))
+    w = w.copy()
     live = np.ones(w.size, dtype=bool)
+    r = r.copy()
     left = np.zeros(lam.size, dtype=bool)
     d = np.zeros(lam.size)
-    for _ in range(4 * (lam.size + w.size) + 4):
+    for _ in range(4 * (lam.size + live.size) + 4):
         d[:] = 0.0
         if not work.any():
             break
@@ -274,44 +300,51 @@ def _newton_step(M, r, T, tlo, thi, tgap, w0, lam, work):
         ties = np.flatnonzero(live)
         k = rows.size
         size = k + ties.size
-        tw = T[np.ix_(rows, ties)]
-        m = np.zeros((size, size))
-        m[:k, :k] = M[np.ix_(rows, rows)]
+        m = M[rows][:, rows]
+        rhs = -r[rows]
+        if ties.size:  # border the rows' block with the live ties' columns
+            tw, block = T[np.ix_(rows, ties)], m
+            m = np.zeros((size, size))
+            m[:k, :k], m[:k, k:], m[k:, :k] = block, -tw, -tw.T
+            rhs = np.concatenate((rhs, tgap[ties]))
         trace = np.trace(m)
         m.flat[:k * size:size + 1] += 1e-12 * (trace if trace > 0.0 else 1.0)
-        m[:k, k:] = -tw
-        m[k:, :k] = -tw.T
-        rhs = np.concatenate((-r[rows], tgap[ties]))
         try:
             sol = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
         step, y = sol[:k], sol[k:]
-        out = (y < tlo[ties]) | (y > thi[ties])
-        if out.any():
-            gone = ties[out]
-            w[gone] = np.where(y[out] < tlo[gone], tlo[gone], thi[gone])
-            r -= T[:, gone] @ w[gone]
-            live[gone] = False
-            continue
+        if ties.size:
+            out = (y < tlo[ties]) | (y > thi[ties])
+            if out.any():
+                gone = ties[out]
+                w[gone] = np.where(y[out] < tlo[gone], tlo[gone], thi[gone])
+                r -= T[:, gone] @ w[gone]
+                live[gone] = False
+                continue
         drop = (lam[rows] == 0.0) & (step < 0.0)
         if drop.any():
             work[rows[drop]] = False
             left[rows[drop]] = True
             continue
-        w[ties] = y
         d[rows] = step
-        join = ~work & ~left & (r - T[:, ties] @ y < 0.0)
+        placed = r
+        if ties.size:
+            w[ties] = y
+            placed = r - T[:, ties] @ y
+        join = ~work & ~left & (placed < 0.0)
         if join.any():
             work |= join
             continue
+        if not live.size:
+            break
         lean = -tgap - d @ T  # where each tie's partner ends up against it
         back = ~live & (((w == tlo) & (lean > 0.0)) | ((w == thi) & (lean < 0.0)))
         if not back.any():
             break
         r += T[:, back] @ w[back]
         live |= back
-    return d, w, r - T[:, live] @ w[live]
+    return d, w, r - T[:, live] @ w[live] if live.any() else r
 
 
 def _exact_step(dual, y, d, c, t_max):
@@ -465,25 +498,54 @@ class _Dual:
     (each activity's best option, the first of equal values), and there
     ``point``, ``terms`` (each activity's term in ``f``) and ``z`` (its
     activation).  ``placed`` is the point the last Newton step recovered,
-    each activity at its best option with its kink ties placed.
+    each activity at its best option with its kink ties placed.  The rest
+    (``_SHARED``) does not depend on ``off``, and ``with_costs`` hands it
+    to another dual without a copy.
     """
 
-    __slots__ = ("K", "A", "e", "const", "phi", "theta", "quad", "lin", "curv",
-                 "lo", "hi", "span", "scaled", "near", "kappa", "zeta", "off",
-                 "index", "at", "f", "grad", "c", "x", "val", "best", "point",
-                 "terms", "z", "placed")
+    # ``rhs`` is ``e`` as floats, ``scaling`` whether any box scales, and
+    # ``kink_tol`` and ``tie_rate`` a kink tie's tolerances: None without
+    # linear activities, which cannot kink
+    _SHARED = ("K", "A", "e", "rhs", "const", "phi", "theta", "quad", "lin", "curv",
+               "lo", "hi", "span", "scaled", "scaling", "near", "kappa", "zeta",
+               "index", "kink_tol", "tie_rate")
+    __slots__ = _SHARED + ("off", "at", "f", "grad", "c", "x", "val", "best",
+                           "point", "terms", "z", "placed")
 
     def __init__(self, A, e, const, phi, theta, lo, hi, span, near, zeta, off):
         self.K = len(A)
         self.A, self.e, self.const, self.phi, self.theta = A, e, const, phi, theta
+        self.rhs = e.tolist()
         self.quad = theta < 0.0
         self.lin = None if self.quad.all() else ~self.quad
         self.curv = np.where(self.quad, -2.0 * theta, 1.0)
-        self.lo, self.hi, self.span, self.near = lo, hi, span, near
-        self.scaled = span < _INF
-        self.kappa, self.zeta, self.off = 1.0 / span, zeta, off
         self.index = np.arange(A.shape[1])
-        self.placed = None
+        self.kink_tol = self.tie_rate = None
+        if self.lin is not None:  # ``_set_boxes`` adds the activation row's rate
+            self.kink_tol, self.tie_rate = 1e-12 * (1.0 + np.abs(phi)), 1e-12 * np.abs(A)
+        self._set_boxes(lo, hi, span, near, zeta)
+        self.off, self.placed = off, None
+
+    def _set_boxes(self, lo, hi, span, near, zeta):
+        self.lo, self.hi, self.span, self.near, self.zeta = lo, hi, span, near, zeta
+        self.scaled = span < _INF
+        self.scaling = bool(self.scaled.any())
+        self.kappa = 1.0 / span
+        if self.lin is not None:
+            self.tie_rate = np.vstack((self.tie_rate[:self.K],
+                                       1e-12 * np.abs(self.kappa).max(axis=0)))
+
+    def with_costs(self, off, boxes=None):
+        """A dual that shares this one's arrays, with the options' costs
+        ``off`` and, where given, the boxes ``(lo, hi, span, near, zeta)``
+        in place of this one's."""
+        dual = object.__new__(_Dual)
+        for name in self._SHARED:
+            setattr(dual, name, getattr(self, name))
+        if boxes is not None:
+            dual._set_boxes(*boxes)
+        dual.off, dual.placed = off, None
+        return dual
 
     def value(self, y: np.ndarray):
         """The dual value and subgradient at ``y``, kept on the dual with
@@ -495,18 +557,25 @@ class _Dual:
         reference's strict comparisons in the order stay, decrease, raise
         do; and the sums are one sequential ``np.cumsum`` seeded with the
         constant terms.  The activation sum adds the chosen activation
-        only, as the reference does.
+        only, as the reference does.  Where no option's box scales with its
+        activation, ``mu/span`` is zero and every option of an activity
+        has one price, and each activation is its ``zeta``; neither is
+        priced.
         """
-        K, e, at = self.K, self.e.tolist(), y.tolist()
+        K, e, at = self.K, self.rhs, y.tolist()
         mu = at[K]
         f = self.const + mu * e[K]
         for k in range(K):
             f += at[k] * e[k]
-        c = _prices(self.phi, self.A, at) - mu / self.span
+        c = _prices(self.phi, self.A, at)
+        if self.scaling:
+            c = c - mu / self.span
         x = _box_max(c, self.curv, self.lin, self.lo, self.hi)
         val = self.theta * x * x + c * x - self.zeta * mu - self.off
         best = np.argmax(val.T, axis=1)
-        if mu > 0.0:
+        if not self.scaling:  # every option of an activity has its one price
+            c, z = np.broadcast_to(c, val.shape), self.zeta
+        elif mu > 0.0:
             z = np.where(self.scaled, x / self.span, self.zeta)
         else:
             z = np.where(self.near < _INF, np.minimum(x / self.near, 1.0),
@@ -533,55 +602,66 @@ class _Dual:
         point it recovers, the ties to keep for the next step, and the
         prices the step's line search (``_exact_step``) starts from.
         """
-        K, A, quad, curv = self.K, self.A, self.quad, self.curv
+        K, A = self.K, self.A
         y, c, x, val = self.at, self.c, self.x, self.val
         best, idx = self.best, self.index
         mu, n = y[K], A.shape[1]
-        lo, hi, lin = self.lo, self.hi, ~quad
-        vb, xb, cb = self.terms, self.point.copy(), c[best, idx]
-        kb, zb = self.kappa[best, idx], self.zeta[best, idx]
+        pick = best, idx
+        lo, hi = self.lo[pick], self.hi[pick]
+        vb, xb, cb = self.terms, self.point.copy(), c[pick]
+        kb, zb = self.kappa[pick], self.zeta[pick]
         # ties: a linear activity priced to zero inside its box, or two
         # options of level value that use the rows differently
-        tie_rate = 1e-12 * np.vstack((np.abs(A), np.abs(self.kappa).max(axis=0)))
-        kink = lin & (lo[best, idx] < hi[best, idx]) & (
-            np.abs(cb) <= 1e-12 * (1.0 + np.abs(self.phi)) + y @ tie_rate)
-        ki = np.flatnonzero(kink)
-        li = pair = np.zeros(0, dtype=np.int64)
+        ki = li = s2 = np.zeros(0, dtype=np.int64)
         dx = dz = gap = np.zeros(0)
+        if self.lin is not None:
+            ki = np.flatnonzero(self.lin & (lo < hi) & (
+                np.abs(cb) <= self.kink_tol + y @ self.tie_rate))
         if len(val) > 1:  # one option per activity ties no two
             others = val.copy()
-            others[best, idx] = -_INF
+            others[pick] = -_INF
             # a kept tie pairs the best option with its partner, others the two best
-            partner = kept & ~(1 << best)
-            remembered = (partner != kept) & (partner > 0)
-            second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
-                              np.argmax(others, axis=0))
-            x2, v2 = x[second, idx], others[second, idx]
-            dx = x2 - xb
-            dz = self.kappa[second, idx] * x2 + self.zeta[second, idx] - kb * xb - zb
+            second, remembered = others.argmax(axis=0), False
+            if kept.any():
+                partner = kept & ~(1 << best)
+                remembered = (partner != kept) & (partner > 0)
+                second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2, second)
+            v2 = others[second, idx]
             level = remembered | (vb - v2 <= 1e-10 * (
                 1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
-            level &= ~kink & (v2 > -_INF) & ((dx != 0.0) | (dz != 0.0))
-            li = np.flatnonzero(level)
-            dx, dz, gap = dx[li], dz[li], vb[li] - v2[li]
-            pair = (1 << best[li]) | (1 << second[li])
-        held = np.where(kink, 0.0, xb)
-        r = self.e - np.append(A @ held, kb @ held + zb.sum())
-        T = np.hstack((np.vstack((A[:, ki], kb[ki])), np.vstack((A[:, li] * dx, dz))))
-        tlo = np.concatenate((lo[best[ki], ki], np.zeros(li.size)))
-        thi = np.concatenate((hi[best[ki], ki], np.ones(li.size)))
-        tgap = np.concatenate((-cb[ki], gap))
-        w0 = np.concatenate((xb[ki], np.zeros(li.size)))
-        free = quad & (xb > lo[best, idx]) & (xb < hi[best, idx])
-        cf = np.vstack((A[:, free], kb[free]))
-        d, w, slack = _newton_step((cf / curv[free]) @ cf.T, r, T, tlo, thi, tgap, w0,
-                                   y, (y > 0.0) | (r - T @ w0 < 0.0))
+            level[ki] = False
+            li = np.flatnonzero(level & (v2 > -_INF))
+            if li.size:
+                s2 = second[li]
+                x2 = x[s2, li]
+                dx = x2 - xb[li]
+                dz = self.kappa[s2, li] * x2 + self.zeta[s2, li] - kb[li] * xb[li] - zb[li]
+                moves = (dx != 0.0) | (dz != 0.0)
+                li, s2, dx, dz = li[moves], s2[moves], dx[moves], dz[moves]
+                gap = vb[li] - v2[li]
+        held = xb.copy()
+        held[ki] = 0.0
+        r = self.e.copy()
+        r[:K] -= A @ held
+        r[K] -= kb @ held + zb.sum()
+        free = self.quad & (xb > lo) & (xb < hi)
+        cf = np.concatenate((A[:, free], kb[None, free]))
+        M = (cf / self.curv[free]) @ cf.T
+        ties, start = None, r  # the row slack with the ties at their start
+        if ki.size or li.size:
+            T = np.hstack((np.vstack((A[:, ki], kb[ki])), np.vstack((A[:, li] * dx, dz))))
+            w0 = np.concatenate((xb[ki], np.zeros(li.size)))
+            ties = (T, np.concatenate((lo[ki], np.zeros(li.size))),
+                    np.concatenate((hi[ki], np.ones(li.size))),
+                    np.concatenate((-cb[ki], gap)), w0)
+            start = r - T @ w0
+        d, w, slack = _newton_step(M, r, y, (y > 0.0) | (start < 0.0), ties)
         xb[ki] = w[:ki.size]
         self.placed = xb
         w = w[ki.size:]
         inner = (w > 0.0) & (w < 1.0)
         kept = np.zeros(n, dtype=np.int64)
-        kept[li[inner]] = pair[inner]
+        kept[li[inner]] = (1 << best[li[inner]]) | (1 << s2[inner])
         if ki.size:
             c = c.copy()
             c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
@@ -604,6 +684,11 @@ class _Dual:
         return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
 
 
+# each option's bit in a node's ``bits``, and its cost where it is open
+_OPTION_BITS = np.array([[1], [2], [4]], dtype=np.int8)
+_OPEN_COST = np.array([[-0.0], [0.0], [0.0]])
+
+
 def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
     """A node's dual with three options per activity.
 
@@ -614,29 +699,25 @@ def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
     zero to the region's far end (``span``), at the smallest activation
     that holds ``x`` (``zeta = 0``).  An open stay costs -0.0: its value,
     whose ``0*x`` terms can read -0.0, then reads 0.0, as the reference's.
+    The persp dual is the instance's ``_InstanceArrays.node`` with the
+    node's costs; a miqp dual copies from it the boxes a free side changes.
     """
     cols = _instance_arrays(inst)
-    bits = node.bits
-    on = np.array([(bits & 2) != 0, (bits & 4) != 0]) & cols.has
-    lo, hi = np.zeros((3, inst.n)), np.zeros((3, inst.n))
-    lo[1:], hi[1:] = cols.lo, cols.hi
-    span, near = np.full((2, 3, inst.n), _INF)
-    zeta = np.ones((3, inst.n))
-    zeta[0] = 0.0
-    if not persp:
-        free = node.free
-        scaled = on & free & np.array([cols.lo[0] < 0.0, cols.hi[1] > 0.0])
-        on = (on & ~free) | scaled
-        np.copyto(hi[1], 0.0, where=scaled[0])
-        np.copyto(lo[2], 0.0, where=scaled[1])
-        np.copyto(span[1:], cols.outer, where=scaled)
-        np.copyto(near[1:], cols.inner, where=scaled & cols.inner_ok)
-        np.copyto(zeta[1:], 0.0, where=scaled)
-    off = np.full((3, inst.n), _INF)
-    np.copyto(off[0], -0.0, where=(bits & 1) != 0)
-    np.copyto(off[1:], 0.0, where=on)
-    return _Dual(cols.A, np.append(cols.b, float(cols.m)), cols.psi_sum, cols.phi,
-                 cols.theta, lo, hi, span, near, zeta, off)
+    base = cols.node
+    opened = (node.bits & _OPTION_BITS) != 0
+    opened[1:] &= cols.has
+    if persp:
+        return base.with_costs(np.where(opened, _OPEN_COST, _INF))
+    scaled = opened[1:] & node.free & cols.scalable
+    opened[1:] &= ~node.free | scaled
+    lo, hi, span, near, zeta = (a.copy() for a in (base.lo, base.hi, base.span,
+                                                   base.near, base.zeta))
+    np.copyto(hi[1], 0.0, where=scaled[0])
+    np.copyto(lo[2], 0.0, where=scaled[1])
+    np.copyto(span[1:], cols.outer, where=scaled)
+    np.copyto(near[1:], cols.inner, where=scaled & cols.inner_ok)
+    np.copyto(zeta[1:], 0.0, where=scaled)
+    return base.with_costs(np.where(opened, _OPEN_COST, _INF), (lo, hi, span, near, zeta))
 
 
 def _descend(dual: _Dual, y: np.ndarray, goal: float,

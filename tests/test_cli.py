@@ -11,6 +11,7 @@ import pytest
 
 from mixopt import (GenConfig, SolveParams, branch_and_bound, brute_force, generate,
                     load_json, save_json)
+from mixopt import cli
 from mixopt.cli import build_parser, knee_point, main, pareto_svg, pareto_sweep
 
 from conftest import random_instance
@@ -69,7 +70,7 @@ def test_gen_reports_an_out_of_range_cell(tmp_path, capsys, flags):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ("n must" in err or "xi must" in err)
-    assert not (tmp_path / "x" / "manifest.csv").exists()
+    assert not (tmp_path / "x").exists()
 
 
 def test_gen_paper_grid(tmp_path):
@@ -310,16 +311,28 @@ def test_sweep_applies_the_solver_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("caps", [["3", "9"], ["-1"]])
-def test_sweep_reports_a_cap_out_of_range_before_solving(tmp_path, capsys, caps):
+def test_sweep_reports_a_cap_out_of_range_before_solving(tmp_path, capsys, monkeypatch,
+                                                         caps):
     """A cap outside ``[0, n]`` is an ``error:`` line and exit 1 before the
-    first solve, not a traceback after the caps in range are solved."""
+    first solve, not a traceback after the caps in range are solved; the
+    library call ``pareto_sweep`` raises ``ValueError`` with the same words,
+    also before its first solve."""
+    inst = generate(GenConfig("weak", 6, 0.1, 0.5, 0))
     path = tmp_path / "weak.json"
-    path.write_bytes(save_json(generate(GenConfig("weak", 6, 0.1, 0.5, 0))))
+    path.write_bytes(save_json(inst))
     dest = tmp_path / "p.csv"
+    solves = []
+    solve = cli.branch_and_bound
+    monkeypatch.setattr(cli, "branch_and_bound",
+                        lambda *args: solves.append(args) or solve(*args))
     assert main(["sweep", str(path), "--m", *caps, "--out", str(dest)]) == 1
     out = capsys.readouterr()
-    assert out.err == f"error: --m {caps[-1]} lies outside [0, 6]\n" and not out.out
+    message = f"--m {caps[-1]} lies outside [0, 6]"
+    assert out.err == f"error: {message}\n" and not out.out
     assert not dest.exists()
+    with pytest.raises(ValueError) as err:
+        pareto_sweep(inst, None, [int(m) for m in caps])
+    assert str(err.value) == message and not solves
 
 
 def test_pareto_helpers(rng):

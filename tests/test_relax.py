@@ -5,10 +5,13 @@ The grid oracle below re-derives every per-activity optimum from scratch
 code with the closed forms under test.
 """
 
+import collections
 import dataclasses
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1303,3 +1306,82 @@ def test_full_steps_keep_at_any_revenue_scale(monkeypatch):
         kept[factor] = sum(full for _, _, full in ends)
         assert len(ends) == 196
     assert kept[1.0] > 30 and abs(kept[1e6] - kept[1.0]) <= 1
+
+
+NEWTON_STEPS = Path(__file__).resolve().parent / "data" / "newton_steps.json"
+
+
+def newton_steps():
+    """Every ``_Dual.newton`` call of seeded small solves, by solve, as the
+    ``repr`` of ``(d, slack, kept, c, placed)`` in lists, so every bit shows;
+    and how many calls show each kind of tie, by dual.
+
+    The instances are random n = 6 ones with about 30% linear activities,
+    half of them with the two extra rows, and three generated n = 8 cells
+    with edge activities (``_with_edge_activities``).  Each solves its root
+    relaxation and two random nodes warm-started there, in both forms, and
+    five random leaves.  A call shows a kink tie when the prices it returns
+    differ from the dual's (the step drives a tie off its kink), a level
+    tie when it keeps one for the next step, and a kept tie when it was
+    handed one.
+    """
+    rng = random.Random(2)
+    steps, kinds, where = {}, collections.Counter(), []
+    newton = relax._Dual.newton
+
+    def recorded(self, kept):
+        d, slack, out, c = step = newton(self, kept)
+        steps.setdefault(where[-1], []).append(repr(
+            (d.tolist(), slack.tolist(), out.tolist(), c.tolist(), self.placed.tolist())))
+        dual = "leaf" if len(self.lo) == 1 else where[-1].split("_")[1]
+        kinds.update((dual, kind) for kind, seen in (
+            ("steps", True), ("extras", self.K > 1), ("kink", (c != self.c).any()),
+            ("level", out.any()), ("kept", kept.any())) if seen)
+        return step
+
+    insts = []
+    for k in range(6):
+        inst = random_instance(rng, 6, with_extras=k % 2 == 0)
+        acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.3 else a
+                     for a in inst.activities)
+        insts.append(dataclasses.replace(inst, activities=acts))
+    for _, _, inst in batch([Cell(c, 8, 0.1, 0.5) for c in CORRELATIONS], 1, 7):
+        insts.append(_with_edge_activities(inst))
+    relax._Dual.newton = recorded
+    try:
+        for k, inst in enumerate(insts):
+            root = NodeState.root(inst)
+            for form in ("persp", "miqp"):
+                where.append(f"{k}_{form}_root")
+                warm = solve_node_relaxation(inst, root, form).multipliers
+                for j in range(2):
+                    node = _random_node(inst, rng)
+                    if node is not None:
+                        where.append(f"{k}_{form}_node{j}")
+                        solve_node_relaxation(inst, node, form, warm=warm)
+            for j in range(5):
+                where.append(f"{k}_leaf_{j}")
+                solve_fixed_assignment(inst, _random_assignment(inst, rng))
+    finally:
+        relax._Dual.newton = newton
+    return steps, kinds
+
+
+def test_newton_steps_match_the_recorded_bits():
+    """``_Dual.newton`` returns, call for call, the bits recorded in
+    ``tests/data/newton_steps.json``: node duals of both forms and leaf
+    duals, with linear activities, extra rows, and kink, level and kept
+    ties.  A change that moves a step on purpose re-records the file
+    (``PYTHONPATH=src python3 tests/test_relax.py``) and says why."""
+    want = json.loads(NEWTON_STEPS.read_text())
+    got, kinds = newton_steps()
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} of {len(want)} solves moved: {moved}"
+    for dual, kind in itertools.product(("persp", "miqp", "leaf"), ("extras", "kink")):
+        assert kinds[dual, kind] > 0, (dual, kind)
+    for dual, kind in itertools.product(("persp", "miqp"), ("level", "kept")):
+        assert kinds[dual, kind] > 0, (dual, kind)
+
+
+if __name__ == "__main__":
+    NEWTON_STEPS.write_text(json.dumps(newton_steps()[0], indent=1, sort_keys=True) + "\n")

@@ -61,13 +61,13 @@ def test_bench_layers_runs(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#")
-    assert lines[1].split() == ["n", "form", "build_us", "value_us", "newton_us"]
+    assert lines[1].split() == ["n", "form", "build_us", "value_us", "newton_us",
+                                "fresh_us"]
     rows = [line.split() for line in lines[2:6]]
     # one row per n x formulation
     assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
                                      for f in ("persp", "miqp")]
-    assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 and float(r[4]) > 0.0
-               for r in rows)
+    assert all(float(t) > 0.0 for r in rows for t in r[2:6])
     # then the node relaxation: one row per n x formulation x relaxation,
     # with its pricings of the dual, Newton steps and line searches
     assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "search",
