@@ -60,6 +60,12 @@ the JSON round trip, per n: ``gen_us`` draws the paper cell's instance
 (``gen.generate``), ``save_us`` writes it (``save_json``) and ``load_us``
 reads it back (``load_json``).
 
+The line search, per n and formulation: one ``_exact_step`` along the
+first Newton direction of the root dual from zero multipliers, with the
+step bound ``_descend`` gives it; ``search_us`` times it and ``probes``
+counts the points at which it places the options: the probes of the
+directional derivative, and the point the crossings are built from.
+
 Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations, leaves,
 generation and the JSON round trip; one for the search).
@@ -203,6 +209,38 @@ def search_counts(call):
     return out, counts
 
 
+def first_search(inst, form):
+    """The root dual priced at zero, and the arguments of the line search
+    along its first Newton direction, with ``_descend``'s step bound."""
+    dual = relax._node_dual(inst, NodeState.root(inst), form == relax.PERSPECTIVE)
+    y = np.zeros(dual.K + 1)
+    dual.value(y)
+    d, _, _, c = dual.newton(np.zeros(inst.n, dtype=np.int64))
+    shrink = d < 0.0
+    t_max = float(np.min(y[shrink] / -d[shrink], initial=math.inf))
+    return dual, y, d, c, t_max
+
+
+def probes(args):
+    """How many points one ``_exact_step`` call places the options at (its
+    inner ``place``): each probe of the directional derivative, and the
+    point the crossings are built from; read from the interpreter's trace."""
+    place = next(code for code in relax._exact_step.__code__.co_consts
+                 if getattr(code, "co_name", None) == "place")
+    count = [0]
+
+    def tracer(frame, event, arg):
+        count[0] += frame.f_code is place
+        return None
+
+    sys.settrace(tracer)
+    try:
+        relax._exact_step(*args)
+    finally:
+        sys.settrace(None)
+    return count[0]
+
+
 def per_call_us(call, calls, repeats):
     """Median over ``repeats`` batches of the mean time of ``calls`` calls."""
     means = []
@@ -284,7 +322,7 @@ def run(argv=None):
         sol = _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
         threshold = _prune_threshold(0.0, sol.objective if sol else -math.inf)
         free = root.free
-        out = fix_by_reduced_cost(inst, root, root_res, threshold)
+        out = fix_by_reduced_cost(inst, root, root_res, threshold)[0]
         left = _regions_held(out.bits if out is not None else np.zeros_like(root.bits))
         fixed = int((left[free] == 1).sum())
         removed = int((_regions_held(root.bits) - left)[free].sum())
@@ -335,6 +373,12 @@ def run(argv=None):
                 for call in (lambda: gen.generate(cfg), lambda: save_json(inst),
                              lambda: load_json(blob))]
         print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took), flush=True)
+
+    print(f"{'n':>5} {'form':>5} {'probes':>6} {'search_us':>9}")
+    for inst, root, form, root_res in cells:
+        search = first_search(inst, form)
+        took = per_call_us(lambda: relax._exact_step(*search), args.calls, args.repeats)
+        print(f"{inst.n:5d} {form:>5} {probes(search):6d} {took:9.1f}", flush=True)
     return 0
 
 

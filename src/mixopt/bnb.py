@@ -79,6 +79,10 @@ class SolveParams:
     gap_tol: float = 0.0
     node_limit: Optional[int] = None
 
+    def __post_init__(self):
+        if not self.gap_tol >= 0.0:  # NaN as well
+            raise ValueError(f"gap_tol must be a nonnegative number, got {self.gap_tol}")
+
 
 @dataclass
 class SolveResult:
@@ -195,7 +199,10 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
     inc_sol: Optional[Solution] = None
     inc_val = -_INF
-    residual_ub = -_INF  # leftover bound from leaves closed inexactly
+    # what the search closed without proving it: the bounds of leaves closed
+    # inexactly, and those of nodes and regions dropped within the gap
+    # tolerance but above the rounding slack
+    residual_ub = -_INF
     # a cut outcome stays below every later floor, as the incumbent only
     # rises, so the cache may hold it
     assignment_cache: dict = {}
@@ -227,6 +234,13 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
             inc_sol, inc_val = sol, sol.objective
         return out.bound
 
+    def drop(bound: float) -> None:
+        """Keep the bound of what is dropped within the gap tolerance,
+        where it lies above the rounding slack."""
+        nonlocal residual_ub
+        if bound > _prune_threshold(0.0, inc_val):
+            residual_ub = max(residual_ub, bound)
+
     def expand(children: List[NodeState], bound: float,
                res: Optional[RelaxResult]) -> None:
         """Drop the children over the cap, close the leaves among the rest
@@ -252,10 +266,13 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
                 rays.append(cres.ray)
             child_bound = min(bound, cres.upper_bound)
             if child_bound <= aim:
+                drop(child_bound)
                 continue
             solve_leaf(_round_regions(inst, child, cres), cres)
             if child_bound > _prune_threshold(params.gap_tol, inc_val):
                 heapq.heappush(heap, (-child_bound, next(seq), child, cres))
+            else:
+                drop(child_bound)
 
     expand([NodeState.root(inst)], _INF, None)
     last_popped_bound = -heap[0][0] if heap else -_INF  # the root's, until a pop
@@ -272,11 +289,13 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         last_popped_bound = -neg_bound
         threshold = _prune_threshold(params.gap_tol, inc_val)
         if last_popped_bound <= threshold:
+            drop(last_popped_bound)  # the bound of every node left
             break  # exhausted within tolerance
         nodes += 1
         # drop the regions whose child bound cannot beat the incumbent found
         # by now; a node left over the cap has no child that ``expand`` keeps
-        node = fix_by_reduced_cost(inst, node, res, threshold)
+        node, dropped = fix_by_reduced_cost(inst, node, res, threshold)
+        drop(dropped)
         if node is None:
             continue
         node = node.saturate_cardinality(inst.m)

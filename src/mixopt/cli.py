@@ -135,8 +135,11 @@ def _cmd_gen(args) -> int:
 
 
 def _solve_params(args, form: str) -> SolveParams:
-    return SolveParams(formulation=form, time_limit=args.time_limit,
-                       gap_tol=args.gap_tol, node_limit=args.node_limit)
+    try:
+        return SolveParams(formulation=form, time_limit=args.time_limit,
+                           gap_tol=args.gap_tol, node_limit=args.node_limit)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from exc
 
 
 _EXIT_BY_STATUS = {"optimal": 0, "gap-limit": 0, "time-limit": 2,

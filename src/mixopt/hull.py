@@ -12,17 +12,22 @@ tight at fractional activations.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Literal, Sequence, Tuple
+
+import numpy as np
 
 from .instance import (
     Instance,
     InvalidInstanceError,
     RegionBounds,
     Solution,
+    _revenues,
     validate,
 )
+from .relax import _instance_arrays
 
 Sense = Literal["le", "ge", "eq"]
 
@@ -224,7 +229,7 @@ def objective_value(inst: Instance, x: Sequence[float]) -> float:
     """Total revenue of a change vector."""
     if len(x) != inst.n:
         raise ValueError(f"expected {inst.n} changes, got {len(x)}")
-    return math.fsum(a.revenue(float(v)) for a, v in zip(inst.activities, x))
+    return math.fsum(_revenues(inst, np.array(x, dtype=float)).tolist())
 
 
 @dataclass(frozen=True)
@@ -236,6 +241,11 @@ class FeasibilityReport:
         return not self.violations
 
 
+# the side of ``_InstanceArrays.lo`` and ``hi`` a claimed region reads; S
+# reads 2 and any other claim 3
+_SIDE = {"L": 0, "R": 1, "S": 2}
+
+
 def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> FeasibilityReport:
     """Reference feasibility check for a candidate solution.
 
@@ -244,42 +254,62 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
     ``delta*z <= |x| <= M*z`` with ``M = max(|l-s|, |u-s|)``, the budget,
     the cardinality cap, the extra rows, and consistency of the stored
     objective.  This is the gate every incumbent must pass.
+
+    The activities are checked together, on arrays built once per instance
+    (``Instance.columns`` and the regions' boxes of ``_InstanceArrays``);
+    the messages come activity by activity, in the order the rules above
+    are listed, and an activity whose region is unknown or absent gets no
+    further message.  Sums are exact (``math.fsum``).
     """
+    n = inst.n
+    if len(sol.x) != n or len(sol.region) != n:
+        return FeasibilityReport((f"expected {n} entries in x/region",))
+    col, arr = inst.columns, _instance_arrays(inst)
+    x = np.array(sol.x, dtype=float)
+    lo, hi = col["l"] - col["s"], col["u"] - col["s"]
+    code = np.fromiter(map(_SIDE.get, sol.region, itertools.repeat(3)), np.intp, n)
+    moves = code < 2
+    side = np.where(moves, code, 0), arr.index
+    absent = moves & ~arr.has[side]
+    known = (code < 3) & ~absent
+    ilo, ihi = np.where(moves, arr.lo[side], 0.0), np.where(moves, arr.hi[side], 0.0)
+    size = np.abs(x)
+    z = moves.astype(float)
+    big_m = np.maximum(np.abs(lo), np.abs(hi))
+    spend = (x < lo - tol) | (x > hi + tol)
+    outside = (x < ilo - tol) | (x > ihi + tol)
+    small = col["delta"] * z > size + tol
+    inactive = size > big_m * z + tol
     out = []
-    if len(sol.x) != inst.n or len(sol.region) != inst.n:
-        return FeasibilityReport((f"expected {inst.n} entries in x/region",))
-    nonzero = 0
-    for a, rb, xi, reg in zip(inst.activities, inst.regions, sol.x, sol.region):
-        lo, hi = a.l - a.s, a.u - a.s
-        if xi < lo - tol or xi > hi + tol:
-            out.append(f"activity {a.id!r}: change {xi} outside spend bounds [{lo}, {hi}]")
-        if reg not in ("L", "S", "R"):
-            out.append(f"activity {a.id!r}: unknown region {reg!r}")
-            continue
-        interval = rb.interval(reg)
-        if interval is None:
-            out.append(f"activity {a.id!r}: region {reg} does not exist")
-            continue
-        if xi < interval[0] - tol or xi > interval[1] + tol:
-            out.append(f"activity {a.id!r}: change {xi} outside region {reg} "
-                       f"interval [{interval[0]}, {interval[1]}]")
-        z = 0 if reg == "S" else 1
-        big_m = max(abs(lo), abs(hi))
-        if a.delta * z > abs(xi) + tol:
-            out.append(f"activity {a.id!r}: |change| {abs(xi)} below minimum {a.delta}")
-        if abs(xi) > big_m * z + tol:
-            out.append(f"activity {a.id!r}: nonzero change with inactive indicator")
-        nonzero += z
+    for i in np.flatnonzero(spend | ~known | outside | small | inactive).tolist():
+        name, xi, reg = inst.activities[i].id, sol.x[i], sol.region[i]
+        if spend[i]:
+            out.append(f"activity {name!r}: change {xi} outside spend bounds "
+                       f"[{lo[i].item()}, {hi[i].item()}]")
+        if code[i] == 3:
+            out.append(f"activity {name!r}: unknown region {reg!r}")
+        elif absent[i]:
+            out.append(f"activity {name!r}: region {reg} does not exist")
+        else:
+            if outside[i]:
+                out.append(f"activity {name!r}: change {xi} outside region {reg} "
+                           f"interval [{ilo[i].item()}, {ihi[i].item()}]")
+            if small[i]:
+                out.append(f"activity {name!r}: |change| {abs(xi)} below minimum "
+                           f"{inst.activities[i].delta}")
+            if inactive[i]:
+                out.append(f"activity {name!r}: nonzero change with inactive indicator")
+    nonzero = int(np.count_nonzero(moves & known))
     total = math.fsum(sol.x)
     if total > inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
-    for k, ex in enumerate(inst.extras):
-        activity = math.fsum(c * v for c, v in zip(ex.coeffs, sol.x))
+    for k, ex in enumerate(inst.extras, 1):
+        activity = math.fsum((arr.A[k] * x).tolist())
         if activity > ex.rhs + tol:  # ``Instance`` stores every row as ``le``
-            out.append(f"extra {k} violated: {activity} > {ex.rhs}")
-    obj = objective_value(inst, sol.x)
+            out.append(f"extra {k - 1} violated: {activity} > {ex.rhs}")
+    obj = objective_value(inst, x)
     if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
     return FeasibilityReport(tuple(out))

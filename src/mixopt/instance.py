@@ -13,7 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 Region = Literal["L", "S", "R"]
 
@@ -220,6 +222,22 @@ class Instance:
     def regions(self) -> Tuple[RegionBounds, ...]:
         return tuple(compute_regions(a) for a in self.activities)
 
+    @cached_property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Each numeric activity field (``s l u delta theta phi psi``) as a
+        read-only float array in activity order, built once."""
+        table = np.array([[a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi]
+                          for a in self.activities], dtype=float).reshape(self.n, 7).T.copy()
+        table.flags.writeable = False
+        return dict(zip(("s", "l", "u", "delta", "theta", "phi", "psi"), table))
+
+
+def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
+    """Each activity's revenue ``theta*x^2 + phi*x + psi`` at its change, in
+    the order ``Activity.revenue`` takes it, for the first ``len(x)``."""
+    n, col = x.size, inst.columns
+    return col["theta"][:n] * x * x + col["phi"][:n] * x + col["psi"][:n]
+
 
 @dataclass(frozen=True)
 class Solution:
@@ -232,9 +250,12 @@ class Solution:
 
     @classmethod
     def from_x(cls, inst: Instance, x: Sequence[float], region: Sequence[Region]) -> "Solution":
-        xs = tuple(float(v) for v in x)
-        obj = math.fsum(a.revenue(v) for a, v in zip(inst.activities, xs))
-        ys = tuple(a.s + v for a, v in zip(inst.activities, xs))
+        """The solution with changes ``x``: its objective sums the revenues
+        exactly (``math.fsum``), and its spends are ``s + x``."""
+        xs = tuple(map(float, x))
+        v = np.array(xs[:inst.n])
+        obj = math.fsum(_revenues(inst, v).tolist())
+        ys = tuple((inst.columns["s"][:v.size] + v).tolist())
         return cls(x=xs, region=tuple(region), objective=obj, y=ys)
 
 

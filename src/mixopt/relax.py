@@ -40,6 +40,13 @@ sides, which activities are linear, and the tie tolerances.  A persp node
 builds only its options' costs; a miqp node copies the boxes that its free
 sides change.  A Newton step assembles its tie system only where an
 activity ties; without a tie it solves for the rows alone.
+
+The line search (``_exact_step``) probes the directional derivative with
+each activity at its least-use option among those level with its best: a
+masked minimum over the options where only the sign matters, a strict
+``<`` over them in order (the first of equal uses) where the rate does.
+Its candidate points and probe order stay fixed, because the search tree
+hangs on the last bit of each step.
 """
 
 from __future__ import annotations
@@ -166,10 +173,9 @@ class _InstanceArrays:
                  "outer", "inner", "inner_ok", "scalable", "index", "node")
 
     def __init__(self, inst: Instance):
-        n, acts = inst.n, inst.activities
+        n = inst.n
         self.psi_sum, self.m = inst.psi_sum, inst.m
-        self.theta = np.fromiter([a.theta for a in acts], float, n)
-        self.phi = np.fromiter([a.phi for a in acts], float, n)
+        self.theta, self.phi = inst.columns["theta"], inst.columns["phi"]
         self.A = np.ones((1 + len(inst.extras), n))
         for k, ex in enumerate(inst.extras, 1):
             self.A[k] = ex.coeffs
@@ -347,10 +353,13 @@ def _newton_step(M, r, lam, work, ties=None):
     return d, w, r - T[:, live] @ w[live] if live.any() else r
 
 
+# the option pairs whose values a line search crosses: (0, 1), (0, 2), (1, 2)
+_PAIRS = np.array([[0, 0, 1], [1, 2, 2]])
+
+
 def _exact_step(dual, y, d, c, t_max):
-    """Step length in ``[0, t_max]`` that is best for ``dual`` from ``y``
-    along ``d``, with the prices ``c`` that ``_Dual.newton`` returned with
-    ``d``.
+    """Step length in ``[0, t_max]`` that is best for ``dual`` from ``y`` along
+    ``d``, with the prices ``c`` that ``_Dual.newton`` returned with ``d``.
 
     Each row of the ``(P, n)`` arrays is one option of every activity.
     Along ``y + t*d`` an option's priced slope is ``c - t*s`` and its
@@ -369,51 +378,56 @@ def _exact_step(dual, y, d, c, t_max):
     stays below zero for ever, by more than rounding: the dual falls
     without bound along the direction, a ray that proves no point of the
     boxes meets the rows (``dual.falls_along(d)``).
+
+    A probe for the slope alone takes each activity's least row use among
+    its options level with the best (a masked minimum); one for the rate
+    too picks that option, the first of equal uses, by a strict ``<`` over
+    the options in order.  The probe order is fixed: the bits hang on it.
     """
-    K, quad, curv, lo, hi = dual.K, dual.quad, dual.curv, dual.lo, dual.hi
+    K, quad, curv, lo, hi, lin = dual.K, dual.quad, dual.curv, dual.lo, dual.hi, dual.lin
     s = d[:K] @ dual.A + dual.kappa * d[K]
     db, off, act = float(dual.e @ d), dual.zeta * y[K] + dual.off, dual.zeta * d[K]
-    P, n = c.shape
-    theta = np.where(quad, -0.5 * curv, 0.0)
-    lin = ~quad
-    mixed = bool(lin.any())
-    cols = np.arange(n)
+    (P, n), theta, slide = c.shape, dual.theta_q, s * s / curv
     with np.errstate(divide="ignore", invalid="ignore"):
-        kink = np.where(lin & (c * s > 0.0), c / s, _INF)
         bend = quad & (off < _INF)
-        cuts = np.concatenate((np.where(bend, (c - curv * lo) / s, _INF),
-                               np.where(bend, (c - curv * hi) / s, _INF),
-                               kink)).ravel()
-    v0 = np.where((c > 0.0) | ((c == 0.0) & (s < 0.0)), hi, lo)
-    v1 = np.where(c > 0.0, lo, hi)
+        cuts = [np.where(bend, (c - curv * end) / s, _INF) for end in (lo, hi)]
+        if lin is not None:
+            kink = np.where(lin & (c * s > 0.0), c / s, _INF)
+            v0 = np.where((c > 0.0) | ((c == 0.0) & (s < 0.0)), hi, lo)
+            v1 = np.where(c > 0.0, lo, hi)
+            cuts.append(kink)
     if P > 1:  # rounding in the options' values, from their terms at t = 0
         x = np.minimum(np.maximum(c / curv, lo), hi)
         level_tol = 1e-12 * (1.0 + np.abs(theta * x * x) + np.abs(c * x)
                              + np.where(off < _INF, np.abs(off), 0.0)).max(axis=0)
+    ct, x, use, val = (np.empty((P, n)) for _ in range(4))
+
+    def place(t):
+        """Each option's point just after ``t``, into ``x``."""
+        np.subtract(c, np.multiply(s, t, out=ct), out=ct)
+        np.minimum(np.maximum(np.divide(ct, curv, out=x), lo, out=x), hi, out=x)
+        if lin is not None:
+            np.copyto(x, np.where(t < kink, v0, v1), where=lin)
 
     def state(t, full=False):
-        """Slope just after ``t``; with ``full`` also its rate there and the
-        options' points.
-
-        Among options level with an activity's best to rounding, the one
-        that uses the rows least along the direction is taken: it is the
-        best just after ``t``.
-        """
-        x = np.minimum(np.maximum((c - t * s) / curv, lo), hi)
-        if mixed:
-            x = np.where(lin, np.where(t < kink, v0, v1), x)
-        use = s * x + act
-        best = None
+        """Slope just after ``t``, with ``full`` also its rate: each activity
+        takes the least-use option of those level with its best."""
+        place(t)
+        chosen = np.add(np.multiply(s, x, out=use), act, out=use)
+        rate = np.where(quad & (x > lo) & (x < hi), slide, 0.0) if full else None
         if P > 1:
-            val = (theta * x + (c - t * s)) * x - (off + t * act)
-            level = val >= val.max(axis=0) - level_tol
-            best = np.argmin(np.where(level, use, _INF), axis=0)
-            use = use[best, cols]
-        slope = db - float(use.sum())
-        if not full:
-            return slope
-        rate = np.where(quad & (x > lo) & (x < hi), s * s / curv, 0.0)
-        return slope, float((rate if best is None else rate[best, cols]).sum()), x
+            np.multiply(np.add(np.multiply(theta, x, out=val), ct, out=val), x, out=val)
+            np.subtract(val, off + t * act, out=val)
+            masked = np.where(val >= val.max(axis=0) - level_tol, use, _INF)
+            if not full:
+                return db - float(masked.min(axis=0).sum())
+            best, chosen = np.zeros(n, dtype=np.intp), masked[0]
+            for p in range(1, P):
+                better = masked[p] < chosen
+                best[better], chosen[better] = p, masked[p][better]
+            rate = rate.take(best * n + dual.index)
+        slope = db - float(chosen.sum())
+        return (slope, float(rate.sum())) if full else slope
 
     def bracket(points, t_lo, f_lo, t_hi, f_hi, guess):
         """Narrow ``(t_lo, t_hi)``, where the slope ``f_lo`` is negative and
@@ -434,40 +448,36 @@ def _exact_step(dual, y, d, c, t_max):
                 j, t_hi, f_hi = k, points[k], f
             else:
                 i, t_lo, f_lo = k, points[k], f
-            if guess is None or above != side:
-                guess = (t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
-                         if f_hi < _INF else None)
-            else:
-                guess = None
+            chord = (guess is None or above != side) and f_hi < _INF
+            guess = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo) if chord else None
             side = above
         return t_lo, f_lo, t_hi, f_hi
 
     f0 = state(0.0)
     if f0 >= 0.0:
         return 0.0
-    left, f_left, right, f_right = bracket(cuts, 0.0, f0, t_max, _INF, 1.0)
+    left, f_left, right, f_right = bracket(np.concatenate(cuts).ravel(), 0.0, f0, t_max,
+                                           _INF, 1.0)
     if P > 1:
         # each option is one quadratic in t on (left, right): a + b t + g t^2
         probe = 0.5 * (left + right) if right < _INF else left + 1.0
-        x = state(probe, True)[2]
+        place(probe)
         inside = quad & (x > lo) & (x < hi)
+        p, q = _PAIRS[:, :P * (P - 1) // 2]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             g = np.where(inside, 0.5 * s * s / curv, 0.0)
             b = np.where(inside, -c * s / curv, -s * x) - act
             a = np.where(inside, 0.5 * c * c / curv, theta * x * x + c * x) - off
-            roots = []
-            for p, q in ((0, 1), (0, 2), (1, 2))[:P * (P - 1) // 2]:
-                da, db_, dg = a[p] - a[q], b[p] - b[q], g[p] - g[q]
-                disc = np.sqrt(db_ * db_ - 4.0 * dg * da)
-                half = -0.5 * (db_ + np.copysign(disc, db_))
-                roots += [np.where(dg != 0.0, half / dg, -da / db_), da / half]
-        cross = np.concatenate(roots)
+            da, db_, dg = a[p] - a[q], b[p] - b[q], g[p] - g[q]
+            disc = np.sqrt(db_ * db_ - 4.0 * dg * da)
+            half = -0.5 * (db_ + np.copysign(disc, db_))
+            cross = np.concatenate((np.where(dg != 0.0, half / dg, -da / db_), da / half))
         chord = (left - f_left * (right - left) / (f_right - f_left)
                  if f_right < _INF else None)
         left, f_left, right, f_right = bracket(cross[np.isfinite(cross)], left, f_left,
                                                right, f_right, chord)
     probe = 0.5 * (left + right) if right < _INF else left + 1.0
-    slope, rate, _ = state(probe, True)
+    slope, rate = state(probe, True)
     if rate > 0.0:
         return min(max(probe - slope / rate, left), right)
     if slope >= 0.0:  # the derivative jumped across zero at ``left``
@@ -503,12 +513,13 @@ class _Dual:
     to another dual without a copy.
     """
 
-    # ``rhs`` is ``e`` as floats, ``scaling`` whether any box scales, and
-    # ``kink_tol`` and ``tie_rate`` a kink tie's tolerances: None without
-    # linear activities, which cannot kink
+    # ``rhs`` is ``e`` as floats, ``scaling`` whether any box scales,
+    # ``theta_q`` theta where quadratic and +0.0 elsewhere (as the line
+    # search reads it), and ``kink_tol`` and ``tie_rate`` a kink tie's
+    # tolerances: None without linear activities, which cannot kink
     _SHARED = ("K", "A", "e", "rhs", "const", "phi", "theta", "quad", "lin", "curv",
-               "lo", "hi", "span", "scaled", "scaling", "near", "kappa", "zeta",
-               "index", "kink_tol", "tie_rate")
+               "theta_q", "lo", "hi", "span", "scaled", "scaling", "near", "kappa",
+               "zeta", "index", "kink_tol", "tie_rate")
     __slots__ = _SHARED + ("off", "at", "f", "grad", "c", "x", "val", "best",
                            "point", "terms", "z", "placed")
 
@@ -519,6 +530,7 @@ class _Dual:
         self.quad = theta < 0.0
         self.lin = None if self.quad.all() else ~self.quad
         self.curv = np.where(self.quad, -2.0 * theta, 1.0)
+        self.theta_q = np.where(self.quad, -0.5 * self.curv, 0.0)
         self.index = np.arange(A.shape[1])
         self.kink_tol = self.tie_rate = None
         if self.lin is not None:  # ``_set_boxes`` adds the activation row's rate
@@ -886,27 +898,31 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
 
 
 def fix_by_reduced_cost(inst: Instance, node: NodeState, res: RelaxResult,
-                        threshold: float) -> Optional[NodeState]:
+                        threshold: float) -> Tuple[Optional[NodeState], float]:
     """Drop every open region of a free activity whose child bound
     (``_child_bounds``) is at or below ``threshold``.
 
     Use the incumbent's prune threshold: a dropped region holds no
-    assignment above it, exactly as a pruned node does.  Returns ``node``
-    itself when nothing is dropped (always when ``threshold`` is -inf), or
-    None when an activity has no region left, so the node holds nothing
-    above the threshold.
+    assignment above it, exactly as a pruned node does.  Returns the node
+    left and the largest child bound among the regions dropped (-inf when
+    none is).  The node left is ``node`` itself when nothing is dropped
+    (always when ``threshold`` is -inf), or None when an activity has no
+    region left, so the node holds nothing above the threshold.
     """
     if threshold == -_INF:
-        return node
+        return node, -_INF
     bits = node.bits
-    above = _child_bounds(inst, res) > threshold
+    bounds = _child_bounds(inst, res)
+    above = bounds > threshold
     keep = above[0] | (above[1] << 1) | (above[2] << 2)
     left = np.where(node.free, bits & keep, bits)
     if (left == bits).all():
-        return node
+        return node, -_INF
+    gone = (bits & ~left & _OPTION_BITS) != 0
+    dropped = float(bounds[gone].max())
     if not left.all():
-        return None
-    return NodeState(left.astype(np.int8))
+        return None, dropped
+    return NodeState(left.astype(np.int8)), dropped
 
 
 def root_bounds(inst: Instance) -> Tuple[float, float]:

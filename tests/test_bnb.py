@@ -667,6 +667,33 @@ def test_checker_sees_only_candidates_that_beat_the_incumbent(form, monkeypatch)
     assert best == out.objective
 
 
+def test_bounds_under_a_gap_tolerance_are_valid():
+    """A search that stops within a gap tolerance still reports a valid
+    bound: every node, child and region it drops within the tolerance
+    keeps its bound in the one it reports.  On the n = 30 cells (epsilon
+    0.1, xi 0.5, each correlation, generator seeds 1-7; seed 4 is
+    infeasible in every class), persp, at gap tolerances 1e-3, 1e-2 and
+    0.05: the bound is at least the optimum the exact search proves, to
+    1e-9 relative, and the gap is within the tolerance."""
+    solves = 0
+    for corr in CORRELATIONS:
+        for seed in range(1, 8):
+            inst = generate(GenConfig(correlation=corr, n=30, epsilon=0.1, xi=0.5, seed=seed))
+            exact = branch_and_bound(inst)
+            if exact.status == "infeasible":
+                continue
+            assert exact.status == "optimal"
+            optimum = exact.objective
+            for gap_tol in (1e-3, 1e-2, 0.05):
+                res = branch_and_bound(inst, SolveParams(gap_tol=gap_tol))
+                assert res.status == "optimal", (corr, seed, gap_tol)
+                assert res.upper_bound >= optimum - 1e-9 * max(1.0, abs(optimum)), (
+                    corr, seed, gap_tol)
+                assert res.gap <= gap_tol, (corr, seed, gap_tol)
+                solves += 1
+    assert solves == 54
+
+
 @pytest.mark.parametrize("n", (6, 7, 8, 9))
 def test_search_with_fixing_matches_brute_force(n, monkeypatch):
     """Reduced-cost fixing at node pop changes neither status nor objective:
@@ -678,7 +705,7 @@ def test_search_with_fixing_matches_brute_force(n, monkeypatch):
 
     def fix(inst, node, res, threshold):
         out = fix_by_reduced_cost(inst, node, res, threshold)
-        dropped.append(out is not node)
+        dropped.append(out[0] is not node)
         return out
 
     monkeypatch.setattr(bnb, "fix_by_reduced_cost", fix)

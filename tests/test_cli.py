@@ -335,6 +335,28 @@ def test_sweep_reports_a_cap_out_of_range_before_solving(tmp_path, capsys, monke
     assert str(err.value) == message and not solves
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("gap_tol", ["nan", "-0.01"])
+def test_a_gap_tolerance_that_is_not_a_nonnegative_number_is_refused(
+        tmp_path, capsys, monkeypatch, command, gap_tol):
+    """A NaN or negative ``--gap-tol`` is an ``error:`` line and exit 1
+    before any solve; ``SolveParams`` raises ``ValueError`` with the same
+    words."""
+    inst = generate(GenConfig("weak", 6, 0.1, 0.5, 0))
+    path = tmp_path / "weak.json"
+    path.write_bytes(save_json(inst))
+    solves = []
+    monkeypatch.setattr(cli, "branch_and_bound", lambda *args: solves.append(args))
+    extra = ["--out", str(tmp_path / "p.csv")] if command == "sweep" else []
+    assert main([command, str(path), "--gap-tol", gap_tol, *extra]) == 1
+    out = capsys.readouterr()
+    message = f"gap_tol must be a nonnegative number, got {float(gap_tol)}"
+    assert out.err == f"error: {message}\n" and not out.out and not solves
+    with pytest.raises(ValueError) as err:
+        SolveParams(gap_tol=float(gap_tol))
+    assert str(err.value) == message
+
+
 def test_pareto_helpers(rng):
     inst = random_instance(rng, 5, m=5, rho=1.05)
     points = pareto_sweep(inst, SolveParams(time_limit=30.0), [0, 2, 5])

@@ -21,6 +21,7 @@ from mixopt import (
 )
 
 from conftest import random_instance
+from feasibility_reference import check_minlp_feasible as reference_check
 
 
 def test_hull_block_vertices_feasible():
@@ -309,3 +310,58 @@ def test_checker_rejects_malformed_solutions():
         "activity 'c': region L does not exist",)
     off = dataclasses.replace(honest, objective=honest.objective + 1.0)
     assert len(violations(off)) == 1 and "stored objective" in violations(off)[0]
+
+
+def _random_solution(rng, inst):
+    """A solution that breaks the rules now and then: each change is zero,
+    inside a region, at a region's or the spend range's end give or take a
+    few tolerances, or anywhere; each claimed region is the one the change
+    lies in, another one, or unknown; the stored objective is the true one
+    or off by a little or a lot."""
+    x, region = [], []
+    for a, rb in zip(inst.activities, inst.regions):
+        boxes = [box for box in (rb.L, rb.R) if box is not None] + [(0.0, 0.0)]
+        lo, hi = rng.choice(boxes + [(a.l - a.s, a.u - a.s)])
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = 0.0
+        elif kind == 1:
+            v = rng.uniform(lo, hi)
+        elif kind == 2:
+            v = rng.choice((lo, hi)) + rng.choice((-3, -1, -0.5, 0, 0.5, 1, 3)) * 1e-8
+        else:
+            v = rng.uniform(-20.0, 20.0)
+        x.append(v)
+        if rng.random() < 0.7:
+            region.append("S" if v == 0.0 else "L" if v < 0.0 else "R")
+        else:
+            region.append(rng.choice(("L", "S", "R", "Q", "")))
+    sol = Solution.from_x(inst, x, region)
+    off = rng.choice((0.0, 0.0, 1e-9, -1e-6, 1.0))
+    return dataclasses.replace(sol, objective=sol.objective + off * max(1.0, abs(sol.objective)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_checker_matches_the_scalar_reference(seed):
+    """``check_minlp_feasible`` gives the scalar reference's violations
+    (``tests/feasibility_reference.py``), message for message and in order,
+    on random solutions of random instances (with and without extra rows,
+    some activities with no minimum change or a single-point region, tight
+    and loose budgets and caps), at tolerances 0, 1e-8 and 1e-3."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(1, 8), with_extras=rng.random() < 0.5,
+                           rho=rng.choice((None, 0.9, 1.0, 5.0)))
+    acts = []
+    for a in inst.activities:
+        edge = rng.randrange(4)
+        if edge == 0:
+            a = dataclasses.replace(a, delta=0.0)
+        elif edge == 1 and a.l < a.s:
+            a = dataclasses.replace(a, delta=a.s - a.l)
+        acts.append(a)
+    inst = dataclasses.replace(inst, activities=tuple(acts))
+    sol = _random_solution(rng, inst)
+    for tol in (0.0, 1e-8, 1e-3):
+        assert check_minlp_feasible(inst, sol, tol=tol).violations == reference_check(
+            inst, sol, tol)

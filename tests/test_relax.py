@@ -5,12 +5,16 @@ The grid oracle below re-derives every per-activity optimum from scratch
 code with the closed forms under test.
 """
 
+import ast
 import collections
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import random
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -697,9 +701,10 @@ def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
     """``fix_by_reduced_cost`` against a frozenset model of the node: each
     free activity keeps the regions whose ``_child_bounds`` entry is above
     the threshold, fixed ones keep theirs; the node itself comes back when
-    nothing is dropped, None when an activity is left with nothing.  On
-    random nodes of generated instances, at thresholds drawn among the
-    child bounds, in both formulations."""
+    nothing is dropped, None when an activity is left with nothing; and the
+    bound returned with it is the largest child bound of a dropped region
+    (-inf when none is).  On random nodes of generated instances, at
+    thresholds drawn among the child bounds, in both formulations."""
     rng = random.Random(37)
     outcomes = {"same": 0, "none": 0, "fixed": 0}
     for n in (9, 40):
@@ -715,10 +720,14 @@ def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
                 levels = sorted(bounds[:, free].ravel().tolist())
                 for threshold in [-math.inf] + rng.sample(levels, min(6, len(levels))):
                     model = [_regions(b) for b in node.bits.tolist()]
+                    gone = [-math.inf]
                     for i in free:
+                        gone += [bounds[row, i] for row, r in enumerate("SLR")
+                                 if r in model[i] and bounds[row, i] <= threshold]
                         model[i] = frozenset(r for row, r in enumerate("SLR")
                                              if r in model[i] and bounds[row, i] > threshold)
-                    out = relax.fix_by_reduced_cost(inst, node, res, threshold)
+                    out, dropped = relax.fix_by_reduced_cost(inst, node, res, threshold)
+                    assert dropped == max(gone)
                     if not all(model):
                         assert out is None
                         outcomes["none"] += 1
@@ -1309,23 +1318,51 @@ def test_full_steps_keep_at_any_revenue_scale(monkeypatch):
 
 
 NEWTON_STEPS = Path(__file__).resolve().parent / "data" / "newton_steps.json"
+LINE_STEPS = Path(__file__).resolve().parent / "data" / "line_steps.json"
 
 
-def newton_steps():
-    """Every ``_Dual.newton`` call of seeded small solves, by solve, as the
-    ``repr`` of ``(d, slack, kept, c, placed)`` in lists, so every bit shows;
-    and how many calls show each kind of tie, by dual.
+def _seeded_solves(where):
+    """Seeded small solves, each labelled in ``where`` as it starts.
 
     The instances are random n = 6 ones with about 30% linear activities,
     half of them with the two extra rows, and three generated n = 8 cells
     with edge activities (``_with_edge_activities``).  Each solves its root
     relaxation and two random nodes warm-started there, in both forms, and
-    five random leaves.  A call shows a kink tie when the prices it returns
-    differ from the dual's (the step drives a tie off its kink), a level
-    tie when it keeps one for the next step, and a kept tie when it was
-    handed one.
+    five random leaves.
     """
     rng = random.Random(2)
+    insts = []
+    for k in range(6):
+        inst = random_instance(rng, 6, with_extras=k % 2 == 0)
+        acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.3 else a
+                     for a in inst.activities)
+        insts.append(dataclasses.replace(inst, activities=acts))
+    for _, _, inst in batch([Cell(c, 8, 0.1, 0.5) for c in CORRELATIONS], 1, 7):
+        insts.append(_with_edge_activities(inst))
+    for k, inst in enumerate(insts):
+        root = NodeState.root(inst)
+        for form in ("persp", "miqp"):
+            where.append(f"{k}_{form}_root")
+            warm = solve_node_relaxation(inst, root, form).multipliers
+            for j in range(2):
+                node = _random_node(inst, rng)
+                if node is not None:
+                    where.append(f"{k}_{form}_node{j}")
+                    solve_node_relaxation(inst, node, form, warm=warm)
+        for j in range(5):
+            where.append(f"{k}_leaf_{j}")
+            solve_fixed_assignment(inst, _random_assignment(inst, rng))
+
+
+def newton_steps():
+    """Every ``_Dual.newton`` call of ``_seeded_solves``, by solve, as the
+    ``repr`` of ``(d, slack, kept, c, placed)`` in lists, so every bit shows;
+    and how many calls show each kind of tie, by dual.
+
+    A call shows a kink tie when the prices it returns differ from the
+    dual's (the step drives a tie off its kink), a level tie when it keeps
+    one for the next step, and a kept tie when it was handed one.
+    """
     steps, kinds, where = {}, collections.Counter(), []
     newton = relax._Dual.newton
 
@@ -1339,32 +1376,106 @@ def newton_steps():
             ("level", out.any()), ("kept", kept.any())) if seen)
         return step
 
-    insts = []
-    for k in range(6):
-        inst = random_instance(rng, 6, with_extras=k % 2 == 0)
-        acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.3 else a
-                     for a in inst.activities)
-        insts.append(dataclasses.replace(inst, activities=acts))
-    for _, _, inst in batch([Cell(c, 8, 0.1, 0.5) for c in CORRELATIONS], 1, 7):
-        insts.append(_with_edge_activities(inst))
     relax._Dual.newton = recorded
     try:
-        for k, inst in enumerate(insts):
-            root = NodeState.root(inst)
-            for form in ("persp", "miqp"):
-                where.append(f"{k}_{form}_root")
-                warm = solve_node_relaxation(inst, root, form).multipliers
-                for j in range(2):
-                    node = _random_node(inst, rng)
-                    if node is not None:
-                        where.append(f"{k}_{form}_node{j}")
-                        solve_node_relaxation(inst, node, form, warm=warm)
-            for j in range(5):
-                where.append(f"{k}_leaf_{j}")
-                solve_fixed_assignment(inst, _random_assignment(inst, rng))
+        _seeded_solves(where)
     finally:
         relax._Dual.newton = newton
     return steps, kinds
+
+
+# how ``_exact_step`` returns, by the expression it returns
+_STEP_RETURNS = {"0.0": "flat", "min(max(probe - slope / rate, left), right)": "closed",
+                 "left": "jump", "right": "right",
+                 "None if dual.falls_along(d) else left": "ray"}
+
+
+def _return_lines(func):
+    """The line of each ``return`` in ``func``'s own body (not in the
+    functions it defines), with the kind ``_STEP_RETURNS`` names."""
+    lines, start = inspect.getsourcelines(func)
+    out = {}
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Return):
+                out[child.lineno + start - 1] = _STEP_RETURNS[ast.unparse(child.value)]
+            if not isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(textwrap.dedent("".join(lines))).body[0])
+    return out
+
+
+def line_steps():
+    """Every ``_exact_step`` return of ``_seeded_solves``, by solve, as its
+    ``repr``; and how many searches ended at each return, and ran on duals
+    with one and three options and with linear activities.
+
+    Which ``return`` a search left by is read from the interpreter's trace
+    of the call, so the function under test is not touched.  The last
+    return reads ``ray`` when it gives None and ``tail`` otherwise (a
+    derivative flat below zero for ever, to rounding).
+    """
+    steps, kinds, where = {}, collections.Counter(), []
+    exact = relax._exact_step
+    returns = _return_lines(exact)
+    left_by = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            left_by.append(returns[frame.f_lineno])
+        return local
+
+    def tracer(frame, event, arg):
+        if frame.f_code is exact.__code__:
+            frame.f_trace_lines = False
+            return local
+        return None
+
+    def recorded(dual, y, d, c, t_max):
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            t = exact(dual, y, d, c, t_max)
+        finally:
+            sys.settrace(before)
+        kind = left_by.pop()
+        steps.setdefault(where[-1], []).append(repr(None if t is None else float(t)))
+        kinds.update([kind if kind != "ray" or t is None else "tail",
+                      ("options", len(c)), ("mixed", dual.lin is not None)])
+        return t
+
+    relax._exact_step = recorded
+    try:
+        _seeded_solves(where)
+        where.append("jump")
+        _jump_search()
+    finally:
+        relax._exact_step = exact
+    return steps, kinds
+
+
+def _jump_search():
+    """A search that ends ``left`` on a jump of the derivative, which the
+    seeded solves never do: two options, level to rounding near a crossing
+    that a box end lies just below.
+
+    Activity 0 stays (value 0) or sits at 1, worth ``1 - t`` along the
+    direction; activity 1 has one open option, priced to leave its box at
+    ``1 - 6e-12``.  Level to ``4e-12``, the least-use option is taken from
+    ``1 - 4e-12`` on, where the derivative jumps from -0.5 to 0.5; the
+    search brackets the box end and the crossing, and its last probe, in
+    the band, finds the jump.
+    """
+    inf, end = math.inf, 1.0 - 6e-12
+    lo, hi = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 1.0]])
+    far, zero = np.full((2, 2), inf), np.zeros((2, 2))
+    dual = relax._Dual(np.ones((1, 2)), np.array([0.5, 0.0]), 0.0, np.array([2.0, end]),
+                       np.array([-1.0, -0.5]), lo, hi, far, far, zero,
+                       np.array([[0.0, inf], [0.0, 0.0]]))
+    relax._exact_step(dual, np.zeros(2), np.array([1.0, 0.0]),
+                      np.broadcast_to(dual.phi, (2, 2)), inf)
 
 
 def test_newton_steps_match_the_recorded_bits():
@@ -1383,5 +1494,24 @@ def test_newton_steps_match_the_recorded_bits():
         assert kinds[dual, kind] > 0, (dual, kind)
 
 
+def test_line_steps_match_the_recorded_bits():
+    """``_exact_step`` returns, search for search, the step lengths
+    recorded in ``tests/data/line_steps.json``, over the solves of
+    ``newton_steps``; and the searches reach every return: the closed form
+    on the last piece, ``left`` where the derivative jumps across zero,
+    ``right``, a ray (None) and a flat start (0.0), on duals with one
+    option (leaves) and three (nodes), with and without linear activities.
+    A change that moves a step on purpose re-records the file
+    (``PYTHONPATH=src python3 tests/test_relax.py``) and says why."""
+    want = json.loads(LINE_STEPS.read_text())
+    got, kinds = line_steps()
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} of {len(want)} solves moved: {moved}"
+    for kind in ("closed", "jump", "right", "ray", "flat", ("options", 1),
+                 ("options", 3), ("mixed", True), ("mixed", False)):
+        assert kinds[kind] > 0, kind
+
+
 if __name__ == "__main__":
     NEWTON_STEPS.write_text(json.dumps(newton_steps()[0], indent=1, sort_keys=True) + "\n")
+    LINE_STEPS.write_text(json.dumps(line_steps()[0], indent=1, sort_keys=True) + "\n")

@@ -129,9 +129,16 @@ def test_bench_layers_runs(capsys):
     assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
     # then generation and the JSON round trip: one row per n
     assert lines[45].split() == ["n", "gen_us", "save_us", "load_us"]
-    rows = [line.split() for line in lines[46:]]
+    rows = [line.split() for line in lines[46:48]]
     assert [r[0] for r in rows] == ["12", "64"]
     assert all(float(t) > 0.0 for r in rows for t in r[1:])
+    # then one line search along the root dual's first Newton direction:
+    # one row per n x formulation, with the derivative's probes
+    assert lines[48].split() == ["n", "form", "probes", "search_us"]
+    rows = [line.split() for line in lines[49:]]
+    assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
+                                     for f in ("persp", "miqp")]
+    assert all(int(r[2]) > 0 and float(r[3]) > 0.0 for r in rows)
 
 
 def test_solve_signatures_runs(tmp_path, capsys, monkeypatch):
