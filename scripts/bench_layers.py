@@ -10,8 +10,12 @@ The node dual, at the multipliers the root relaxation ends at:
 ``build_us`` builds it from the node's bits, once per relaxation;
 ``value_us`` prices it (``_Dual.value``), once per step, which gives the
 dual value, the subgradient and the point; ``newton_us`` is the Newton
-step, which reads those prices and prices nothing itself.  These three
-reuse one dual.  ``fresh_us`` is what the search pays once per
+step, which reads those prices and prices nothing itself, and ``ties``
+counts the ties its system holds (kink and level ties; the persp roots of
+the paper cell hold a level tie at most sizes).  ``start_us`` and
+``start_ties`` are the same for the root's first step, from zero
+multipliers, which holds no tie.  These reuse one dual.  ``fresh_us`` is
+what the search pays once per
 relaxation: it builds the dual of the root's first child (the one the
 relaxations below bound), prices it at the child's warm start (the root's
 multipliers) and takes one Newton step there, so nothing a dual keeps
@@ -209,6 +213,22 @@ def search_counts(call):
     return out, counts
 
 
+def step_ties(dual, kept):
+    """How many ties the system of ``dual``'s Newton step holds."""
+    seen, newton_step = [], relax._newton_step
+
+    def recorded(M, r, lam, work, ties=None):
+        seen.append(0 if ties is None else len(ties[4]))
+        return newton_step(M, r, lam, work, ties)
+
+    relax._newton_step = recorded
+    try:
+        dual.newton(kept)
+    finally:
+        relax._newton_step = newton_step
+    return seen[0]
+
+
 def first_search(inst, form):
     """The root dual priced at zero, and the arguments of the line search
     along its first Newton direction, with ``_descend``'s step bound."""
@@ -279,7 +299,7 @@ def run(argv=None):
     children = [_child_targets(inst, root, root_res, form)
                 for inst, root, form, root_res in cells]
     print(f"{'n':>5} {'form':>5} {'build_us':>9} {'value_us':>9} {'newton_us':>9} "
-          f"{'fresh_us':>9}")
+          f"{'ties':>4} {'start_us':>9} {'start_ties':>10} {'fresh_us':>9}")
     for (inst, root, form, root_res), (child, warm, _) in zip(cells, children):
         mult = np.array(root_res.multipliers)
         persp = form == relax.PERSPECTIVE
@@ -288,7 +308,11 @@ def run(argv=None):
         dual = relax._node_dual(inst, root, persp)
         value = per_call_us(lambda: dual.value(mult), args.calls, args.repeats)
         kept = np.zeros(inst.n, dtype=np.int64)
-        newton = per_call_us(lambda: dual.newton(kept), args.calls, args.repeats)
+        steps = []
+        for y in (mult, np.zeros(dual.K + 1)):
+            dual.value(y)
+            steps += [per_call_us(lambda: dual.newton(kept), args.calls, args.repeats),
+                      step_ties(dual, kept)]
 
         def fresh():
             step = relax._node_dual(inst, child, persp)
@@ -296,8 +320,8 @@ def run(argv=None):
             step.newton(kept)
 
         took = per_call_us(fresh, args.calls, args.repeats)
-        print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {newton:9.1f} {took:9.1f}",
-              flush=True)
+        print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {steps[0]:9.1f} {steps[1]:4d} "
+              f"{steps[2]:9.1f} {steps[3]:10d} {took:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'relax':>6} {'evals':>5} {'newton':>6} {'search':>6} "
           f"{'relax_us':>9}")

@@ -61,7 +61,7 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, InvalidInstanceError, Region, Solution,
                        UnsupportedInstanceError, validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, _BIT, _box_qp_max, fix_by_reduced_cost,
+                    RelaxResult, _BIT, _box_qp_max, _leaf_dual, fix_by_reduced_cost,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -82,6 +82,10 @@ class SolveParams:
     def __post_init__(self):
         if not self.gap_tol >= 0.0:  # NaN as well
             raise ValueError(f"gap_tol must be a nonnegative number, got {self.gap_tol}")
+        if not self.time_limit >= 0.0:
+            raise ValueError(f"time_limit must be a nonnegative number, got {self.time_limit}")
+        if self.node_limit is not None and self.node_limit < 0:
+            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
 
 
 @dataclass
@@ -348,6 +352,7 @@ def brute_force(inst: Instance) -> SolveResult:
     phi = np.array([a.phi for a in inst.activities])
     rows = np.array([(1.0,) * n] + [ex.coeffs for ex in inst.extras])
     rhs = np.array([b0] + [ex.rhs for ex in inst.extras])
+    leaf = _leaf_dual(rows, rhs, phi, theta)
 
     options: List[List[Tuple[Region, float, float]]] = []
     for rb in inst.regions:
@@ -434,7 +439,7 @@ def brute_force(inst: Instance) -> SolveResult:
         regions = tuple(options[i][c][0] for i, c in enumerate(code[j]))
         lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
         hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
-        out = _box_qp_max(theta, phi, lo, hi, rows, rhs)
+        out = _box_qp_max(leaf, lo, hi)
         if out.x is None:
             continue
         if out.value > best_sol_val:

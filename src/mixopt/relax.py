@@ -33,13 +33,19 @@ hands the search all read them: each step prices the dual once.  Only a
 descent that a ray or a rejected step ends away from its last pricing
 prices once more.
 
-Every array of a node dual that does not depend on the node's bits is
-built once per instance and shared read-only (``_InstanceArrays.node``):
-the options' boxes, activations and activation rates, the right-hand
-sides, which activities are linear, and the tie tolerances.  A persp node
-builds only its options' costs; a miqp node copies the boxes that its free
-sides change.  A Newton step assembles its tie system only where an
-activity ties; without a tie it solves for the rows alone.
+Every array of a dual that does not depend on the node's bits is built
+once per instance and shared read-only (``_InstanceArrays.node`` and
+``leaf``): the options' boxes, activations and activation rates, the
+right-hand sides, which activities are linear, and the tie tolerances.  A
+persp node builds only its options' costs, a miqp node copies the boxes
+that its free sides change, and a leaf sets its boxes.
+
+Work sized by the multipliers or the ties runs on Python floats: the
+Newton step's system, ties and active-set passes, the KKT test and the
+step to the next iterate.  Work over the activities, the linear solve and
+every matrix product stay in numpy, as a product's last bit hangs on how
+BLAS sums it (with OpenBLAS on x86_64, a (K+1) x 3 product and a sum in
+order differ in about a quarter of draws; elementwise operations agree).
 
 The line search (``_exact_step``) probes the directional derivative with
 each activity at its least-use option among those level with its best: a
@@ -163,14 +169,14 @@ class _InstanceArrays:
     the persp node dual without its options' costs (``_node_dual``): its
     boxes, activations and activation rates, right-hand sides, linear
     activities and tie tolerances, which every persp node takes as they
-    are and from which a miqp node copies the boxes it changes.  The leaf
-    solve reads its boxes, rows and revenue from the side arrays.  Every
-    node and leaf of a search shares all of these, so the arrays are
-    read-only.
+    are and from which a miqp node copies the boxes it changes.  ``leaf``
+    is the leaf dual (``_leaf_dual``), whose boxes each leaf sets from the
+    side arrays.  Every node and leaf of a search shares all of these, so
+    the arrays are read-only.
     """
 
     __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
-                 "outer", "inner", "inner_ok", "scalable", "index", "node")
+                 "outer", "inner", "inner_ok", "scalable", "index", "node", "leaf")
 
     def __init__(self, inst: Instance):
         n = inst.n
@@ -198,8 +204,10 @@ class _InstanceArrays:
         zeta[0] = 0.0
         self.node = _Dual(self.A, np.append(self.b, float(self.m)), self.psi_sum,
                           self.phi, self.theta, lo, hi, far, far, zeta, None)
+        self.leaf = _leaf_dual(self.A, self.b, self.phi, self.theta)
         for value in ([getattr(self, name) for name in self.__slots__]
-                      + [getattr(self.node, name) for name in _Dual._SHARED]):
+                      + [getattr(dual, name) for dual in (self.node, self.leaf)
+                         for name in _Dual._SHARED]):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
@@ -257,8 +265,15 @@ _NEWTON_MAX_ITERS = 100
 
 def _kkt_residual(lam, r):
     """Projected dual gradient: row slack ``r`` must vanish where the
-    multiplier is positive and be nonnegative where it is zero."""
-    return float(np.where(lam > 0.0, np.abs(r), np.maximum(-r, 0.0)).max())
+    multiplier is positive and be nonnegative where it is zero.  A NaN
+    slack makes it NaN, which passes no test."""
+    res = [abs(g) if y > 0.0 else max(-g, 0.0) for y, g in zip(lam, r)]
+    return math.nan if any(map(math.isnan, res)) else max(res)
+
+
+def _minus(r, v):
+    """``r - v`` for a list ``r`` and an array ``v``, as a list."""
+    return [a - b for a, b in zip(r, v.tolist())]
 
 
 def _newton_step(M, r, lam, work, ties=None):
@@ -278,7 +293,8 @@ def _newton_step(M, r, lam, work, ties=None):
         [ -T_W'            0  ] [w] = [ tgap]
 
     The ridge is 1e-12 of the trace of ``M_WW`` (1e-12 where that is zero).
-    Without live ties the system is ``M_WW + ridge`` alone.
+    Without live ties the system is ``M_WW + ridge`` alone; the matrix is
+    bordered once, and each pass slices it.
 
     ``work`` marks the working rows (a positive multiplier, or violated)
     and is updated in place.  An active-set loop settles the system: a tie
@@ -289,68 +305,69 @@ def _newton_step(M, r, lam, work, ties=None):
     would carry back across its kink is held again.  Each change solves the
     system again.  (A row judged by a step whose weights are out of bounds
     can leave when only the tie blocks it, and the step then vanishes.)
-    Returns the step ``d`` (zero off the working rows), the weights (``w0``
-    where no row works) and the slack of the point with the ties placed.
+    ``M`` and ``T`` are arrays and the rest lists.  Returns, as lists, the
+    step ``d`` (zero off the working rows), the weights (``w0`` where no row
+    works) and the slack of the point with the ties placed.
     """
-    T, tlo, thi, tgap, w = ties or (None, None, None, None, np.zeros(0))
-    w = w.copy()
-    live = np.ones(w.size, dtype=bool)
-    r = r.copy()
-    left = np.zeros(lam.size, dtype=bool)
-    d = np.zeros(lam.size)
-    for _ in range(4 * (lam.size + live.size) + 4):
-        d[:] = 0.0
-        if not work.any():
+    T, tlo, thi, tgap, w = ties or (None, (), (), (), ())
+    rows_n, w = len(r), list(w)
+    live, left, big = [True] * len(w), [False] * rows_n, M.tolist()
+    if w:  # border the rows' block with the ties' columns
+        neg = (-T).tolist()
+        big = ([row + neg[i] for i, row in enumerate(big)]
+               + [list(col) + [0.0] * len(w) for col in zip(*neg)])
+    for _ in range(4 * (rows_n + len(w)) + 4):
+        d = [0.0] * rows_n
+        rows = [i for i in range(rows_n) if work[i]]
+        if not rows:
             break
-        rows = np.flatnonzero(work)
-        ties = np.flatnonzero(live)
-        k = rows.size
-        size = k + ties.size
-        m = M[rows][:, rows]
-        rhs = -r[rows]
-        if ties.size:  # border the rows' block with the live ties' columns
-            tw, block = T[np.ix_(rows, ties)], m
-            m = np.zeros((size, size))
-            m[:k, :k], m[:k, k:], m[k:, :k] = block, -tw, -tw.T
-            rhs = np.concatenate((rhs, tgap[ties]))
-        trace = np.trace(m)
-        m.flat[:k * size:size + 1] += 1e-12 * (trace if trace > 0.0 else 1.0)
+        ties = [j for j in range(len(w)) if live[j]]
+        k, at = len(rows), rows + [rows_n + j for j in ties]
+        m = [[big[i][j] for j in at] for i in at]
+        trace = float(np.add.reduce([big[i][i] for i in at]))  # as np.trace sums
+        for i in range(k):
+            m[i][i] += 1e-12 * (trace if trace > 0.0 else 1.0)
+        rhs = [-r[i] for i in rows] + [tgap[j] for j in ties]
         try:
             sol = np.linalg.solve(m, rhs)
         except np.linalg.LinAlgError:
             sol = np.linalg.lstsq(m, rhs, rcond=None)[0]
-        step, y = sol[:k], sol[k:]
-        if ties.size:
-            out = (y < tlo[ties]) | (y > thi[ties])
-            if out.any():
-                gone = ties[out]
-                w[gone] = np.where(y[out] < tlo[gone], tlo[gone], thi[gone])
-                r -= T[:, gone] @ w[gone]
-                live[gone] = False
-                continue
-        drop = (lam[rows] == 0.0) & (step < 0.0)
-        if drop.any():
-            work[rows[drop]] = False
-            left[rows[drop]] = True
+        step, y = sol[:k].tolist(), sol[k:]
+        gone = {j: tlo[j] if v < tlo[j] else thi[j]  # the bound each weight crossed
+                for j, v in zip(ties, y.tolist()) if v < tlo[j] or v > thi[j]}
+        if gone:
+            for j in gone:
+                w[j], live[j] = gone[j], False
+            r = _minus(r, T[:, list(gone)] @ np.array(list(gone.values())))
             continue
-        d[rows] = step
-        placed = r
-        if ties.size:
-            w[ties] = y
-            placed = r - T[:, ties] @ y
-        join = ~work & ~left & (placed < 0.0)
-        if join.any():
-            work |= join
+        drop = [i for i, v in zip(rows, step) if lam[i] == 0.0 and v < 0.0]
+        if drop:
+            for i in drop:
+                work[i], left[i] = False, True
             continue
-        if not live.size:
+        for i, v in zip(rows, step):
+            d[i] = v
+        for j, v in zip(ties, y.tolist()):
+            w[j] = v
+        placed = _minus(r, T[:, ties] @ y) if ties else r
+        join = [i for i in range(rows_n) if not (work[i] or left[i]) and placed[i] < 0.0]
+        if join:
+            for i in join:
+                work[i] = True
+            continue
+        if not w:
             break
-        lean = -tgap - d @ T  # where each tie's partner ends up against it
-        back = ~live & (((w == tlo) & (lean > 0.0)) | ((w == thi) & (lean < 0.0)))
-        if not back.any():
+        # where each tie's partner ends up against it
+        lean = [-g - v for g, v in zip(tgap, (np.array(d) @ T).tolist())]
+        back = [j for j in range(len(w)) if not live[j] and (
+            (w[j] == tlo[j] and lean[j] > 0.0) or (w[j] == thi[j] and lean[j] < 0.0))]
+        if not back:
             break
-        r += T[:, back] @ w[back]
-        live |= back
-    return d, w, r - T[:, live] @ w[live] if live.any() else r
+        r = [a + b for a, b in zip(r, (T[:, back] @ np.array([w[j] for j in back])).tolist())]
+        for j in back:
+            live[j] = True
+    held = [j for j in range(len(w)) if live[j]]
+    return d, w, _minus(r, T[:, held] @ np.array([w[j] for j in held])) if held else r
 
 
 # the option pairs whose values a line search crosses: (0, 1), (0, 2), (1, 2)
@@ -503,11 +520,11 @@ class _Dual:
     ``const`` the dual value's constant term.
 
     ``value(y)`` prices every option and keeps what it finds: ``at`` (the
-    ``y``), ``f`` and ``grad`` (the value and subgradient there), ``c``,
-    ``x`` and ``val`` (each option's price, maximiser and value), ``best``
-    (each activity's best option, the first of equal values), and there
-    ``point``, ``terms`` (each activity's term in ``f``) and ``z`` (its
-    activation).  ``placed`` is the point the last Newton step recovered,
+    ``y``), ``f`` and ``grad`` (the value and subgradient there, floats),
+    ``c``, ``x`` and ``val`` (each option's price, maximiser and value),
+    ``best`` (each activity's best option, the first of equal values) and
+    ``pick`` (its flat index in those), and there ``point``, ``terms``
+    (each activity's term in ``f``) and ``z`` (its activation).  ``placed`` is the point the last Newton step recovered,
     each activity at its best option with its kink ties placed.  The rest
     (``_SHARED``) does not depend on ``off``, and ``with_costs`` hands it
     to another dual without a copy.
@@ -520,7 +537,7 @@ class _Dual:
     _SHARED = ("K", "A", "e", "rhs", "const", "phi", "theta", "quad", "lin", "curv",
                "theta_q", "lo", "hi", "span", "scaled", "scaling", "near", "kappa",
                "zeta", "index", "kink_tol", "tie_rate")
-    __slots__ = _SHARED + ("off", "at", "f", "grad", "c", "x", "val", "best",
+    __slots__ = _SHARED + ("off", "at", "f", "grad", "c", "x", "val", "best", "pick",
                            "point", "terms", "z", "placed")
 
     def __init__(self, A, e, const, phi, theta, lo, hi, span, near, zeta, off):
@@ -592,16 +609,16 @@ class _Dual:
         else:
             z = np.where(self.near < _INF, np.minimum(x / self.near, 1.0),
                          self.zeta + self.scaled)
-        pick = best, self.index
+        pick = best * best.size + self.index
         # rows: each coupling row's use, the activations, the values
         acc = np.zeros((K + 2, best.size + 1))
         acc[K + 1, 0] = f
-        point, acc[K, 1:], acc[K + 1, 1:] = x[pick], z[pick], val[pick]
+        point, acc[K, 1:], acc[K + 1, 1:] = x.take(pick), z.take(pick), val.take(pick)
         np.multiply(self.A, point, out=acc[:K, 1:])
-        sums = np.cumsum(acc, axis=1)[:, -1]
-        self.at, self.c, self.x, self.val, self.best = y, c, x, val, best
+        sums = np.cumsum(acc, axis=1)[:, -1].tolist()
+        self.at, self.c, self.x, self.val, self.best, self.pick = y, c, x, val, best, pick
         self.point, self.z, self.terms = point, acc[K, 1:], acc[K + 1, 1:]
-        self.f, self.grad = float(sums[K + 1]), self.e - sums[:K + 1]
+        self.f, self.grad = sums[K + 1], [a - b for a, b in zip(e, sums)]
         return self.f, self.grad
 
     def newton(self, kept: np.ndarray):
@@ -614,70 +631,67 @@ class _Dual:
         point it recovers, the ties to keep for the next step, and the
         prices the step's line search (``_exact_step``) starts from.
         """
-        K, A = self.K, self.A
-        y, c, x, val = self.at, self.c, self.x, self.val
-        best, idx = self.best, self.index
-        mu, n = y[K], A.shape[1]
-        pick = best, idx
-        lo, hi = self.lo[pick], self.hi[pick]
-        vb, xb, cb = self.terms, self.point.copy(), c[pick]
-        kb, zb = self.kappa[pick], self.zeta[pick]
+        K, A, y, c, x, val = self.K, self.A, self.at, self.c, self.x, self.val
+        best, pick, idx, at = self.best, self.pick, self.index, y.tolist()
+        mu, n = at[K], A.shape[1]
+        lo, hi = self.lo.take(pick), self.hi.take(pick)
+        vb, xb = self.terms, self.point.copy()
+        cb = c.take(pick) if self.scaling else c[0]
+        kb, zb = self.kappa.take(pick), self.zeta.take(pick)
         # ties: a linear activity priced to zero inside its box, or two
         # options of level value that use the rows differently
-        ki = li = s2 = np.zeros(0, dtype=np.int64)
-        dx = dz = gap = np.zeros(0)
+        ki, level_ties = np.zeros(0, dtype=np.int64), []
         if self.lin is not None:
             ki = np.flatnonzero(self.lin & (lo < hi) & (
                 np.abs(cb) <= self.kink_tol + y @ self.tie_rate))
         if len(val) > 1:  # one option per activity ties no two
             others = val.copy()
-            others[pick] = -_INF
+            others.put(pick, -_INF)
             # a kept tie pairs the best option with its partner, others the two best
             second, remembered = others.argmax(axis=0), False
             if kept.any():
                 partner = kept & ~(1 << best)
                 remembered = (partner != kept) & (partner > 0)
                 second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2, second)
-            v2 = others[second, idx]
+            v2 = others.take(second * n + idx)
             level = remembered | (vb - v2 <= 1e-10 * (
                 1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
             level[ki] = False
-            li = np.flatnonzero(level & (v2 > -_INF))
-            if li.size:
-                s2 = second[li]
-                x2 = x[s2, li]
-                dx = x2 - xb[li]
-                dz = self.kappa[s2, li] * x2 + self.zeta[s2, li] - kb[li] * xb[li] - zb[li]
-                moves = (dx != 0.0) | (dz != 0.0)
-                li, s2, dx, dz = li[moves], s2[moves], dx[moves], dz[moves]
-                gap = vb[li] - v2[li]
+            for i in np.flatnonzero(level & (v2 > -_INF)).tolist():
+                o = second.item(i)
+                x2, xi = x.item(o, i), xb.item(i)
+                dx, dz = x2 - xi, (self.kappa.item(o, i) * x2 + self.zeta.item(o, i)
+                                   - kb.item(i) * xi - zb.item(i))
+                if dx != 0.0 or dz != 0.0:  # the tie moves the rows
+                    level_ties.append((i, o, dx, dz, vb.item(i) - v2.item(i)))
         held = xb.copy()
         held[ki] = 0.0
-        r = self.e.copy()
-        r[:K] -= A @ held
-        r[K] -= kb @ held + zb.sum()
+        r = _minus(self.rhs[:K], A @ held) + [self.rhs[K] - float(kb @ held + zb.sum())]
         free = self.quad & (xb > lo) & (xb < hi)
         cf = np.concatenate((A[:, free], kb[None, free]))
         M = (cf / self.curv[free]) @ cf.T
         ties, start = None, r  # the row slack with the ties at their start
-        if ki.size or li.size:
-            T = np.hstack((np.vstack((A[:, ki], kb[ki])), np.vstack((A[:, li] * dx, dz))))
-            w0 = np.concatenate((xb[ki], np.zeros(li.size)))
-            ties = (T, np.concatenate((lo[ki], np.zeros(li.size))),
-                    np.concatenate((hi[ki], np.ones(li.size))),
-                    np.concatenate((-cb[ki], gap)), w0)
-            start = r - T @ w0
-        d, w, slack = _newton_step(M, r, y, (y > 0.0) | (start < 0.0), ties)
+        li, s2, dx, dz, gap = map(list, zip(*level_ties)) if level_ties else ([],) * 5
+        if ki.size or li:  # kink ties first, each column its activity's own row use
+            nk, fill = ki.size, [0.0] * len(li)
+            T = np.vstack((A[:, ki.tolist() + li] * ([1.0] * nk + dx), kb[ki].tolist() + dz))
+            w0 = xb[ki].tolist() + fill
+            ties = (T, lo[ki].tolist() + fill, hi[ki].tolist() + [1.0] * len(li),
+                    (-cb[ki]).tolist() + gap, w0)
+            if nk:  # level ties start at weight 0 and move no row
+                start = _minus(r, T @ np.array(w0))
+        d, w, slack = _newton_step(M, r, at, [a > 0.0 or s < 0.0 for a, s in zip(at, start)],
+                                   ties)
         xb[ki] = w[:ki.size]
         self.placed = xb
-        w = w[ki.size:]
-        inner = (w > 0.0) & (w < 1.0)
         kept = np.zeros(n, dtype=np.int64)
-        kept[li[inner]] = (1 << best[li[inner]]) | (1 << s2[inner])
+        for i, o, v in zip(li, s2, w[ki.size:]):
+            if 0.0 < v < 1.0:
+                kept[i] = (1 << best.item(i)) | (1 << o)
         if ki.size:
             c = c.copy()
-            c[best[ki], ki] = 0.0  # the step drives a kink tie off its kink
-        return d, slack, kept, c
+            c.put(pick[ki], 0.0)  # the step drives a kink tie off its kink
+        return np.array(d), np.array(slack), kept, c
 
     def falls_along(self, d: np.ndarray) -> bool:
         """Farkas test of a ray ``d >= 0`` of the dual.
@@ -732,6 +746,11 @@ def _node_dual(inst: Instance, node: NodeState, persp: bool) -> _Dual:
     return base.with_costs(np.where(opened, _OPEN_COST, _INF), (lo, hi, span, near, zeta))
 
 
+def _clipped(y, d, t, ratio):
+    """``max(y + t*d, 0)``, zero where the step ratio is ``t`` (``t <= t_max``)."""
+    return np.array([0.0 if q == t else max(a + t * b, 0.0) for a, b, q in zip(y, d, ratio)])
+
+
 def _descend(dual: _Dual, y: np.ndarray, goal: float,
              rays: Sequence[Sequence[float]] = ()):
     """Projected semismooth Newton method on ``dual`` from ``y``.
@@ -769,29 +788,28 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float,
     hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
     if hit is not None:
         return hit, -_INF, "ray"
-    tol = 1e-12 * (1.0 + float(np.abs(dual.e).max()))
+    tol = 1e-12 * (1.0 + max(map(abs, dual.rhs)))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
     tried = False
     for it in range(_NEWTON_MAX_ITERS + 1):
         dual.placed = None
-        if _kkt_residual(y, grad) <= tol:
+        at = y.tolist()
+        if _kkt_residual(at, grad) <= tol:
             return y, val, "converged"
         d, slack, kept, c = dual.newton(kept)
-        if _kkt_residual(y, slack) <= tol:
+        if _kkt_residual(at, slack.tolist()) <= tol:
             return y, val, "converged"
-        if it == _NEWTON_MAX_ITERS or not d.any():
+        step = d.tolist()
+        if it == _NEWTON_MAX_ITERS or not any(step):
             break
-        ratio = np.full(y.size, _INF)
-        shrink = d < 0.0
-        ratio[shrink] = y[shrink] / -d[shrink]
-        t_max = float(ratio.min())
+        ratio = [a / -b if b < 0.0 else _INF for a, b in zip(at, step)]
+        t_max = min(ratio)
         if t_max >= 1.0 and not tried:  # the full step, kept on its certificate
             tried = True
-            nxt = np.maximum(y + d, 0.0)
-            nxt[ratio == 1.0] = 0.0
+            nxt = _clipped(at, step, 1.0, ratio)
             nval, ngrad = dual.value(nxt)
             if (nval <= val + 1e-13 * max(1.0, abs(val))
-                    and _kkt_residual(nxt, ngrad) <= tol):
+                    and _kkt_residual(nxt.tolist(), ngrad) <= tol):
                 dual.placed = None  # the point is the inner solution at ``nxt``
                 return nxt, nval, "target" if nval <= goal else "converged"
         t = _exact_step(dual, y, d, c, t_max)
@@ -799,8 +817,7 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float,
             return d, -_INF, "ray"
         if t == 0.0:  # a flat start to rounding: try the unit step
             t = min(1.0, t_max)
-        nxt = np.maximum(y + t * d, 0.0)
-        nxt[ratio == t] = 0.0  # t <= t_max: the multipliers the step takes to zero
+        nxt = _clipped(at, step, t, ratio)
         nval, ngrad = dual.value(nxt)
         if nval > val + 1e-13 * max(1.0, abs(val)):  # more than rounding
             break
@@ -889,9 +906,7 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     cols = _instance_arrays(inst)
     mult = res.multipliers
     pe = _prices(cols.phi, cols.A, mult)
-    quad = cols.theta < 0.0
-    x = _box_max(pe, np.where(quad, -2.0 * cols.theta, 1.0),
-                 None if quad.all() else ~quad, cols.lo, cols.hi)
+    x = _box_max(pe, cols.node.curv, cols.node.lin, cols.lo, cols.hi)
     w = cols.theta * x * x + pe * x - mult[len(cols.A)]
     base = res.upper_bound - res.values
     return np.vstack((base, base + w))
@@ -959,19 +974,25 @@ class FixedOutcome:
     ray: Optional[Tuple[float, ...]] = None
 
 
-def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=()):
+def _leaf_dual(A, b, phi, theta):
+    """The dual of ``max sum theta*x^2 + phi*x`` over ``A x <= b`` (numpy,
+    not written to) and the boxes ``_box_qp_max`` sets, one per activity."""
+    zero, far = np.zeros((1, A.shape[1])), np.full((1, A.shape[1]), _INF)
+    return _Dual(A, np.append(b, 0.0), 0.0, phi, theta, zero, zero, far, far, zero, zero)
+
+
+def _box_qp_max(leaf, lo, hi, goal=-_INF, multipliers=None, rays=()):
     """Maximize ``sum theta*x^2 + phi*x`` over ``lo <= x <= hi``, ``A x <= b``.
 
-    ``theta <= 0`` elementwise; arrays are numpy, ``A`` has one row per
-    coupling row, and none of them is written to.  The dual is ``_Dual``
-    with one option per activity and an empty activation row, minimised by
-    ``_descend`` from zero.  Returns a ``FixedOutcome`` in the leaf's own
-    value.  ``bound`` is the dual value at the final multipliers, a valid
-    upper bound whatever happened; when the KKT residual of ``x`` falls to
-    ``1e-12*(1 + max|b|)`` the two agree to that order.  If the method
-    stalls first, ``x`` is returned as it stands when it meets every row
-    within ``1e-9*(1 + |b|)``; otherwise ``x`` is None and ``value`` -inf,
-    and ``bound`` still holds.
+    ``leaf`` is the problem's ``_leaf_dual``, which the solve shares and
+    does not change, and ``lo`` and ``hi`` are numpy.  The dual with these
+    boxes is minimised by ``_descend`` from zero.  Returns a
+    ``FixedOutcome`` in the leaf's own value.  ``bound`` is the dual value
+    at the final multipliers, a valid upper bound whatever happened; when
+    the KKT residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree
+    to that order.  If the method stalls first, ``x`` is returned as it
+    stands when it meets every row within ``1e-9*(1 + |b|)``; otherwise
+    ``x`` is None and ``value`` -inf, and ``bound`` still holds.
 
     The tests run in this order, each ending the solve:
     - the floor: the dual value at ``multipliers`` (one per row of ``A``),
@@ -990,15 +1011,14 @@ def _box_qp_max(theta, phi, lo, hi, A, b, goal=-_INF, multipliers=None, rays=())
     -inf and carries its ray.  A solve that is not cut follows the
     iterates of the unfloored one bit for bit.
     """
-    K, n = A.shape
-    zero, far = np.zeros((1, n)), np.full((1, n), _INF)
-    dual = _Dual(A, np.append(b, 0.0), 0.0, phi, theta, lo[None], hi[None], far, far,
-                 zero, zero)
+    theta, phi, A, b = leaf.theta, leaf.phi, leaf.A, leaf.e[:-1]
+    dual = leaf.with_costs(leaf.off)
+    dual.lo, dual.hi = lo[None], hi[None]
     if multipliers is not None and goal > -_INF:
         at = dual.value(np.append(multipliers, 0.0))[0]
         if at <= goal:
             return FixedOutcome(None, -_INF, at, True)
-    y = np.zeros(K + 1)
+    y = np.zeros(len(A) + 1)
     dual.value(y)
     y, bound, end = _descend(dual, y, goal, rays)
     if end == "ray":
@@ -1034,7 +1054,9 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
 
     ``floor`` is the value to beat (the incumbent's), and ``multipliers`` a
     node's ``RelaxResult.multipliers``, whose row entries (all but the last,
-    cardinality, one) price the leaf's rows.  The solve stops once the leaf
+    cardinality, one) price the leaf's rows: a vector of another length is
+    a ``ValueError``, and negative entries count as 0, where the cut is
+    valid.  The solve stops once the leaf
     provably cannot beat the floor by more than rounding: when its dual
     value, at those multipliers, at zero or along the descent, falls to
     ``floor - 1e-9*max(1, |floor|)`` (as ``bnb._prune_threshold`` allows
@@ -1049,6 +1071,9 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     solve every leaf in full.
     """
     cols = _instance_arrays(inst)
+    mult = None if multipliers is None else np.maximum(np.array(multipliers, dtype=float), 0.0)
+    if mult is not None and mult.shape != (len(cols.A) + 1,):
+        raise ValueError(f"{mult.size} multipliers, not {len(cols.A) + 1} (rows and cardinality)")
     code = np.fromiter(map(_SIDE.__getitem__, assignment), np.intp, inst.n)
     moves = code < 2
     side = np.where(moves, code, 0)
@@ -1058,7 +1083,6 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     hi = np.where(moves, cols.hi[side, cols.index], 0.0)
     # the cut level in the leaf's own value, which leaves out psi_sum
     goal = floor - 1e-9 * max(1.0, abs(floor)) - inst.psi_sum
-    out = _box_qp_max(cols.theta, cols.phi, lo, hi, cols.A, cols.b, goal,
-                      None if multipliers is None else multipliers[:-1], rays)
+    out = _box_qp_max(cols.leaf, lo, hi, goal, None if mult is None else mult[:-1], rays)
     return FixedOutcome(out.x, out.value + inst.psi_sum, out.bound + inst.psi_sum,
                         out.feasible, out.ray)

@@ -172,6 +172,16 @@ def test_time_limit_overrun_is_one_node():
     assert res.wall_time <= 1.0
 
 
+@pytest.mark.parametrize("field, value", [("time_limit", math.nan), ("time_limit", -1.0),
+                                          ("node_limit", -3)])
+def test_solve_params_refuse_a_nan_or_negative_limit(field, value):
+    """A NaN time limit would mean no limit, and a negative one or a
+    negative node limit a search stopped before its root; zero stays valid
+    (the tests above stop at the root with it)."""
+    with pytest.raises(ValueError, match=f"^{field} must be .*nonnegative"):
+        SolveParams(**{field: value})
+
+
 def test_gap_tol_contract(two_symmetric):
     for tol in (0.5, 2.0):
         res = branch_and_bound(two_symmetric, SolveParams(formulation="miqp", gap_tol=tol))

@@ -357,6 +357,25 @@ def test_a_gap_tolerance_that_is_not_a_nonnegative_number_is_refused(
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--time-limit", "nan", "time_limit must be a nonnegative number, got nan"),
+    ("--time-limit", "-1", "time_limit must be a nonnegative number, got -1.0"),
+    ("--node-limit", "-3", "node_limit must be nonnegative, got -3")])
+def test_a_negative_or_nan_limit_is_refused(tmp_path, capsys, monkeypatch, flag, value,
+                                            message):
+    """A NaN or negative ``--time-limit`` and a negative ``--node-limit``
+    are an ``error:`` line and exit 1 before any solve, as ``SolveParams``
+    refuses them; a NaN time limit would otherwise mean no limit."""
+    inst = generate(GenConfig("weak", 6, 0.1, 0.5, 0))
+    path = tmp_path / "weak.json"
+    path.write_bytes(save_json(inst))
+    solves = []
+    monkeypatch.setattr(cli, "branch_and_bound", lambda *args: solves.append(args))
+    assert main(["solve", str(path), flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and not out.out and not solves
+
+
 def test_pareto_helpers(rng):
     inst = random_instance(rng, 5, m=5, rho=1.05)
     points = pareto_sweep(inst, SolveParams(time_limit=30.0), [0, 2, 5])

@@ -40,7 +40,7 @@ from mixopt import (
     solve_fixed_assignment,
     solve_node_relaxation,
 )
-from mixopt import relax
+from mixopt import bnb, relax
 from mixopt.relax import _node_dual
 
 from activity_reference import per_activity_argmax
@@ -480,6 +480,24 @@ def test_warm_start_of_the_wrong_length_is_refused():
     for warm in (res.multipliers[:2], res.multipliers + (0.0,)):
         with pytest.raises(ValueError, match="warm start"):
             solve_node_relaxation(inst, root, "persp", warm=warm)
+
+
+def test_leaf_multipliers_are_checked():
+    """A leaf's ``multipliers`` price its rows and the cardinality: a vector
+    of another length is a ``ValueError`` naming the count, and a negative
+    entry counts as 0, where the floor's cut is valid.  At -1 on the
+    second extra row this leaf's dual falls below the leaf's own value, so
+    the floor would cut a leaf that beats it."""
+    inst = generate(GenConfig("weak", 30, 0.1, 0.5, 5))
+    root = NodeState.root(inst)
+    regions = bnb._round_regions(inst, root, solve_node_relaxation(inst, root, "persp"))
+    for mult in ((0.0,) * 3, (0.0,) * 5):
+        with pytest.raises(ValueError, match=r"not 4 \(rows and cardinality\)"):
+            solve_fixed_assignment(inst, regions, multipliers=mult)
+    full = solve_fixed_assignment(inst, regions)
+    floor = full.value - 1e-6 * max(1.0, abs(full.value))
+    assert solve_fixed_assignment(inst, regions, floor=floor,
+                                  multipliers=(0.0, 0.0, -1.0, 0.0)) == full
 
 
 def _hull_lp_feasible(inst, node):
@@ -939,7 +957,7 @@ def test_leaf_feasibility_agrees_with_highs():
             b = row_min + rng.uniform(0.0, 1e-9, K)
         else:
             b = row_min + rng.uniform(-0.2, 0.6, K) * (row_max - row_min)
-        out = relax._box_qp_max(theta, phi, lo, hi, A, b)
+        out = relax._box_qp_max(relax._leaf_dual(A, b, phi, theta), lo, hi)
         lp = linprog(np.zeros(n), A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)),
                      method="highs")
         assert lp.status in (0, 2)
@@ -967,7 +985,7 @@ def test_stalled_leaf_returns_no_point_off_its_rows():
     assert (theta == 0.0).any()
     lp = linprog(-phi, A_ub=A, b_ub=b, bounds=np.column_stack((lo, hi)), method="highs")
     assert lp.status == 0
-    out = relax._box_qp_max(theta, phi, lo, hi, A, b)
+    out = relax._box_qp_max(relax._leaf_dual(A, b, phi, theta), lo, hi)
     assert out.feasible and out.ray is None  # feasible: no ray
     x, value, bound = out.x, out.value, out.bound
     if x is not None:
@@ -1354,20 +1372,61 @@ def _seeded_solves(where):
             solve_fixed_assignment(inst, _random_assignment(inst, rng))
 
 
+# the branches of ``_newton_step``'s active-set loop, by the name its
+# ``if`` tests: a tie released at a bound, a row dropped, a row joining
+_STEP_BRANCHES = {"gone": "released", "drop": "dropped", "join": "joined"}
+
+
+def _branch_lines(func):
+    """The line that each branch of ``func``'s active-set loop runs once
+    when taken: the last statement under ``if gone``, ``if drop`` and
+    ``if join``, and the one after ``if not back: break``, where a released
+    tie is held again."""
+    lines, start = inspect.getsourcelines(func)
+    loop = next(node for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
+                if isinstance(node, ast.For))
+    out = {}
+    for stmt, after in zip(loop.body, loop.body[1:]):
+        test = ast.unparse(stmt.test) if isinstance(stmt, ast.If) else None
+        if test in _STEP_BRANCHES:
+            out[stmt.body[-1].lineno + start - 1] = _STEP_BRANCHES[test]
+        elif test == "not back":
+            out[after.lineno + start - 1] = "held"
+    assert sorted(out.values()) == ["dropped", "held", "joined", "released"]
+    return out
+
+
 def newton_steps():
     """Every ``_Dual.newton`` call of ``_seeded_solves``, by solve, as the
     ``repr`` of ``(d, slack, kept, c, placed)`` in lists, so every bit shows;
-    and how many calls show each kind of tie, by dual.
+    how many calls show each kind of tie, by dual; and how many passes of
+    ``_newton_step``'s active-set loop take each branch.
 
     A call shows a kink tie when the prices it returns differ from the
     dual's (the step drives a tie off its kink), a level tie when it keeps
-    one for the next step, and a kept tie when it was handed one.
+    one for the next step, and a kept tie when it was handed one.  The
+    branches are read from the interpreter's trace of ``_newton_step``
+    (``_branch_lines``), so the function under test is not touched.
     """
     steps, kinds, where = {}, collections.Counter(), []
-    newton = relax._Dual.newton
+    newton, code = relax._Dual.newton, relax._newton_step.__code__
+    branches = _branch_lines(relax._newton_step)
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in branches:
+            kinds[branches[frame.f_lineno]] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
 
     def recorded(self, kept):
-        d, slack, out, c = step = newton(self, kept)
+        before = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            d, slack, out, c = step = newton(self, kept)
+        finally:
+            sys.settrace(before)
         steps.setdefault(where[-1], []).append(repr(
             (d.tolist(), slack.tolist(), out.tolist(), c.tolist(), self.placed.tolist())))
         dual = "leaf" if len(self.lo) == 1 else where[-1].split("_")[1]
@@ -1492,6 +1551,19 @@ def test_newton_steps_match_the_recorded_bits():
         assert kinds[dual, kind] > 0, (dual, kind)
     for dual, kind in itertools.product(("persp", "miqp"), ("level", "kept")):
         assert kinds[dual, kind] > 0, (dual, kind)
+    for branch in ("released", "dropped", "joined", "held"):
+        assert kinds[branch] > 0, branch
+
+
+def test_a_newton_step_without_a_working_row_stays():
+    """With no working row the step is zero, the ties keep their starting
+    weights and the slack is that of the point with them placed."""
+    T = np.array([[1.0, 2.0], [0.5, -1.0]])
+    w0, r = [0.25, 0.0], [1.0, 2.0]
+    d, w, slack = relax._newton_step(np.eye(2), r, [0.0, 0.0], [False, False],
+                                     (T, [0.0, 0.0], [1.0, 1.0], [0.5, -0.5], w0))
+    assert d == [0.0, 0.0] and w == w0
+    assert slack == (np.array(r) - T @ np.array(w0)).tolist()
 
 
 def test_line_steps_match_the_recorded_bits():

@@ -61,13 +61,15 @@ def test_bench_layers_runs(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("#")
-    assert lines[1].split() == ["n", "form", "build_us", "value_us", "newton_us",
-                                "fresh_us"]
+    assert lines[1].split() == ["n", "form", "build_us", "value_us", "newton_us", "ties",
+                                "start_us", "start_ties", "fresh_us"]
     rows = [line.split() for line in lines[2:6]]
     # one row per n x formulation
     assert [r[:2] for r in rows] == [[n, f] for n in ("12", "64")
                                      for f in ("persp", "miqp")]
-    assert all(float(t) > 0.0 for r in rows for t in r[2:6])
+    assert all(float(r[k]) > 0.0 for r in rows for k in (2, 3, 4, 6, 8))
+    # the persp roots' steps hold a level tie, the first steps none
+    assert [(r[5], r[7]) for r in rows] == [("1", "0"), ("0", "0")] * 2
     # then the node relaxation: one row per n x formulation x relaxation,
     # with its pricings of the dual, Newton steps and line searches
     assert lines[6].split() == ["n", "form", "relax", "evals", "newton", "search",
