@@ -54,15 +54,21 @@ of the tree below it is not, stopped after 15 nodes as benchmarked:
 they run, ``rays`` the descents that end on a Farkas ray and ``pooled``
 the children closed by a pooled ray without a descent of their own: a ray
 an earlier descent found, or the unit ray of a row the child cannot reach;
-``solve_ms`` times the whole search.
+``solve_ms`` times the whole search.  ``pool`` counts the rays the search
+keeps at its end (the unit rays included), and ``rays_us`` times the test
+of that whole pool against the search's root dual, the one pass
+(``_Dual.falls_along``) a relaxation or leaf solve makes before it
+descends.
 
 Rounding and the checker, per n and formulation: ``round_us`` rounds the
 root relaxation to a region assignment (``bnb._round_regions``), and
 ``check_us`` runs ``check_minlp_feasible`` on the incumbent that the
 assignment's leaf solve gives (``-`` when it gives none).  Generation and
 the JSON round trip, per n: ``gen_us`` draws the paper cell's instance
-(``gen.generate``), ``save_us`` writes it (``save_json``) and ``load_us``
-reads it back (``load_json``).
+(``gen.generate``), ``save_us`` writes it (``save_json``), ``load_us``
+reads it back (``load_json``) and ``validate_us`` checks it
+(``validate``, as every solve does first, on the field rows the instance
+builds once).
 
 The line search, per n and formulation: one ``_exact_step`` along the
 first Newton direction of the root dual from zero multipliers, with the
@@ -92,7 +98,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mixopt import (bnb, check_minlp_feasible, gen, load_json, relax,  # noqa: E402
-                    save_json)
+                    save_json, validate)
 from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
                         _outcome_to_solution, _prune_threshold, _round_regions,
                         branch_and_bound)
@@ -167,7 +173,7 @@ def recorder(ends):
     descend = relax._descend
 
     def descent(dual, y, goal, rays=()):
-        runs = dual.f > goal and not any(dual.falls_along(np.array(r)) for r in rays)
+        runs = dual.f > goal and not dual.falls_along(np.array(rays, dtype=float)).any()
         out = descend(dual, y, goal, rays)
         if runs:
             ends.append(out[2])
@@ -191,12 +197,13 @@ def leaf_end(call):
 def search_counts(call):
     """Node relaxations, their descents, the descents that end on a ray,
     and the relaxations closed by a pooled ray (unit rays included), in one
-    search."""
-    ends, counts = [], [0, 0, 0, 0]
+    search; and the search's ray pool, as it stands when the search ends."""
+    ends, counts, pool = [], [0, 0, 0, 0], []
     descend, bound = relax._descend, bnb.solve_node_relaxation
 
     def relaxation(*args, **kwargs):
         before = len(ends)  # leaf solves descend too, outside any window
+        pool[:] = [kwargs["rays"]]  # the search's own list, which it grows
         res = bound(*args, **kwargs)
         window = ends[before:]
         counts[0] += 1
@@ -210,7 +217,7 @@ def search_counts(call):
         out = call()
     finally:
         relax._descend, bnb.solve_node_relaxation = descend, bound
-    return out, counts
+    return out, counts, np.array(pool[0], dtype=float)
 
 
 def step_ties(dual, kept):
@@ -370,13 +377,17 @@ def run(argv=None):
     inst = gen.generate(gen.GenConfig(correlation=gen.WEAK, n=30, epsilon=0.1,
                                       xi=0.5, seed=SEARCH_SEED))
     print(f"{'n':>5} {'form':>5} {'status':>10} {'nodes':>5} {'relax':>5} "
-          f"{'descents':>8} {'rays':>4} {'pooled':>6} {'solve_ms':>9}")
+          f"{'descents':>8} {'rays':>4} {'pooled':>6} {'solve_ms':>9} {'pool':>4} "
+          f"{'rays_us':>9}")
     for form in FORMS:
         params = SolveParams(formulation=form, node_limit=15)
-        out, counts = search_counts(lambda: branch_and_bound(inst, params))
+        out, counts, pool = search_counts(lambda: branch_and_bound(inst, params))
         took = per_call_us(lambda: branch_and_bound(inst, params), 1, args.repeats)
+        root = relax._node_dual(inst, NodeState.root(inst), form == relax.PERSPECTIVE)
+        test = per_call_us(lambda: root.falls_along(pool), args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {out.status:>10} {out.nodes:5d} {counts[0]:5d} "
-              f"{counts[1]:8d} {counts[2]:4d} {counts[3]:6d} {took / 1e3:9.1f}", flush=True)
+              f"{counts[1]:8d} {counts[2]:4d} {counts[3]:6d} {took / 1e3:9.1f} "
+              f"{len(pool):4d} {test:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'round_us':>9} {'check_us':>9}")
     for inst, root, form, root_res in cells:
@@ -388,7 +399,7 @@ def run(argv=None):
             lambda: check_minlp_feasible(inst, sol, tol=1e-8), args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {took:9.1f} {check:>9}", flush=True)
 
-    print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9}")
+    print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9} {'validate_us':>11}")
     for n in args.n:
         cfg = paper_cell(n)
         inst = gen.generate(cfg)
@@ -396,7 +407,9 @@ def run(argv=None):
         took = [per_call_us(call, args.relax_calls, args.repeats)
                 for call in (lambda: gen.generate(cfg), lambda: save_json(inst),
                              lambda: load_json(blob))]
-        print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took), flush=True)
+        took.append(per_call_us(lambda: validate(inst), args.calls, args.repeats))
+        print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took[:3]) + f" {took[3]:11.1f}",
+              flush=True)
 
     print(f"{'n':>5} {'form':>5} {'probes':>6} {'search_us':>9}")
     for inst, root, form, root_res in cells:

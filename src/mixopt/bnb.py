@@ -16,11 +16,12 @@ the node's hull relaxation infeasible, so the child is pruned; when that
 child is the root, the solve ends ``infeasible`` at 0 nodes.  Each search
 keeps one pool of Farkas rays, seeded with the unit ray of each coupling
 row and grown by the rays its node and leaf descents find, and every child
-and leaf is tested along them before it descends (the ``rays`` of
-``solve_node_relaxation`` and ``solve_fixed_assignment``); one whose dual
-falls along a ray is closed without a descent.  A dual falls along a row's
-unit ray when that row is out of reach activity by activity, beyond
-rounding, so this one test closes those children too.  Roundings and
+and leaf is tested along the whole pool in one pass before it descends
+(the ``rays`` of ``solve_node_relaxation`` and ``solve_fixed_assignment``);
+one whose dual falls along a ray is closed by the first such ray, without
+a descent.  A dual falls along a row's unit ray when that row is out of
+reach activity by activity, beyond rounding, so this one test closes
+those children too.  Roundings and
 leaves are solved against the incumbent's value as a floor, with the
 multipliers of the node they come from (``solve_fixed_assignment``'s
 ``floor`` and ``multipliers``): a leaf whose dual value falls below the
@@ -61,7 +62,7 @@ from .hull import check_minlp_feasible
 from .instance import (Instance, InvalidInstanceError, Region, Solution,
                        UnsupportedInstanceError, validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, _BIT, _box_qp_max, _leaf_dual, fix_by_reduced_cost,
+                    RelaxResult, _BIT, _box_qp_max, _instance_arrays, fix_by_reduced_cost,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -140,6 +141,13 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
     return _assignment(bits)
 
 
+def _settled(regions: Sequence[Region], x: np.ndarray) -> Tuple[Region, ...]:
+    """``regions`` with every activity at zero change staying put (``S``)."""
+    letters = np.frombuffer("".join(regions).encode("ascii"), np.uint8).copy()
+    letters[x == 0.0] = ord("S")
+    return tuple(letters.tobytes().decode("ascii"))
+
+
 def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
                          out: FixedOutcome, floor: float = -_INF,
                          ) -> Optional[Solution]:
@@ -148,10 +156,8 @@ def _outcome_to_solution(inst: Instance, regions: Sequence[Region],
     unchecked, as it could not replace the incumbent."""
     if not out.feasible or out.x is None:
         return None
-    # an activity sitting at zero change is really staying put
-    final_regions = tuple("S" if x == 0.0 else reg
-                          for x, reg in zip(out.x, regions))
-    sol = Solution.from_x(inst, out.x, final_regions)
+    x = np.array(out.x)
+    sol = Solution.from_x(inst, x, _settled(regions, x))
     if sol.objective <= floor or not check_minlp_feasible(inst, sol, tol=1e-8).ok:
         return None
     return sol
@@ -346,13 +352,8 @@ def brute_force(inst: Instance) -> SolveResult:
         raise UnsupportedInstanceError(
             f"brute force capped at {BRUTE_FORCE_MAX_N} activities, got {inst.n}")
 
-    n = inst.n
-    b0 = inst.budget_rhs
-    theta = np.array([a.theta for a in inst.activities])
-    phi = np.array([a.phi for a in inst.activities])
-    rows = np.array([(1.0,) * n] + [ex.coeffs for ex in inst.extras])
-    rhs = np.array([b0] + [ex.rhs for ex in inst.extras])
-    leaf = _leaf_dual(rows, rhs, phi, theta)
+    n, b0, cols = inst.n, inst.budget_rhs, _instance_arrays(inst)
+    theta, phi, rows, rhs, leaf = cols.theta, cols.phi, cols.A, cols.b, cols.leaf
 
     options: List[List[Tuple[Region, float, float]]] = []
     for rb in inst.regions:
@@ -363,9 +364,7 @@ def brute_force(inst: Instance) -> SolveResult:
             opts.append(("R",) + rb.R)
         options.append(opts)
     radices = [len(o) for o in options]
-    total = 1
-    for r in radices:
-        total *= r
+    total = math.prod(radices)
     lo_opts = [np.array([t[1] for t in o]) for o in options]
     hi_opts = [np.array([t[2] for t in o]) for o in options]
 
@@ -449,8 +448,6 @@ def brute_force(inst: Instance) -> SolveResult:
     if best is None:
         return SolveResult("infeasible", None, None, -_INF, _INF, total, wall)
     xs, regions, _ = best
-    final_regions = tuple("S" if x == 0.0 else reg
-                          for x, reg in zip(xs, regions))
-    sol = Solution.from_x(inst, xs, final_regions)
+    sol = Solution.from_x(inst, xs, _settled(regions, np.array(xs)))
     return SolveResult("optimal", sol, sol.objective, sol.objective, 0.0,
                        total, wall)

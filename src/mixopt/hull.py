@@ -12,7 +12,6 @@ tight at fractional activations.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, Literal, Sequence, Tuple
@@ -24,6 +23,7 @@ from .instance import (
     InvalidInstanceError,
     RegionBounds,
     Solution,
+    _region_codes,
     _revenues,
     validate,
 )
@@ -241,9 +241,8 @@ class FeasibilityReport:
         return not self.violations
 
 
-# the side of ``_InstanceArrays.lo`` and ``hi`` a claimed region reads; S
-# reads 2 and any other claim 3
-_SIDE = {"L": 0, "R": 1, "S": 2}
+# signs that make claims' bound rows upper ones: x < lo - tol is -x > -lo + tol
+_SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0], [1.0]])
 
 
 def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> FeasibilityReport:
@@ -255,61 +254,53 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
     the cardinality cap, the extra rows, and consistency of the stored
     objective.  This is the gate every incumbent must pass.
 
-    The activities are checked together, on arrays built once per instance
-    (``Instance.columns`` and the regions' boxes of ``_InstanceArrays``);
-    the messages come activity by activity, in the order the rules above
-    are listed, and an activity whose region is unknown or absent gets no
-    further message.  Sums are exact (``math.fsum``).
+    The activities are checked together, on one gather from
+    ``_InstanceArrays.claims``; the messages come activity by activity,
+    in the order the rules above are listed, and an activity whose region
+    is unknown or absent gets no further message.  Sums are exact
+    (``math.fsum``).
     """
     n = inst.n
     if len(sol.x) != n or len(sol.region) != n:
         return FeasibilityReport((f"expected {n} entries in x/region",))
-    col, arr = inst.columns, _instance_arrays(inst)
+    arr = _instance_arrays(inst)
     x = np.array(sol.x, dtype=float)
-    lo, hi = col["l"] - col["s"], col["u"] - col["s"]
-    code = np.fromiter(map(_SIDE.get, sol.region, itertools.repeat(3)), np.intp, n)
-    moves = code < 2
-    side = np.where(moves, code, 0), arr.index
-    absent = moves & ~arr.has[side]
-    known = (code < 3) & ~absent
-    ilo, ihi = np.where(moves, arr.lo[side], 0.0), np.where(moves, arr.hi[side], 0.0)
-    size = np.abs(x)
-    z = moves.astype(float)
-    big_m = np.maximum(np.abs(lo), np.abs(hi))
-    spend = (x < lo - tol) | (x > hi + tol)
-    outside = (x < ilo - tol) | (x > ihi + tol)
-    small = col["delta"] * z > size + tol
-    inactive = size > big_m * z + tol
+    code = _region_codes(sol.region)
+    claim = arr.claims.take(code * n + arr.index, axis=1)
+    lacks, bound, size = np.isnan(claim[0]), claim[:5] * _SIGNS + tol, np.abs(x)
+    # below the region's box, above it, below the spend bounds, above them
+    past = x * _SIGNS[:4] > bound[:4]
+    small, inactive = claim[5] > size + tol, size > bound[4]
     out = []
-    for i in np.flatnonzero(spend | ~known | outside | small | inactive).tolist():
+    for i in (lacks | past.any(axis=0) | small | inactive).nonzero()[0].tolist():
         name, xi, reg = inst.activities[i].id, sol.x[i], sol.region[i]
-        if spend[i]:
+        if past[2, i] or past[3, i]:
             out.append(f"activity {name!r}: change {xi} outside spend bounds "
-                       f"[{lo[i].item()}, {hi[i].item()}]")
+                       f"[{claim.item(2, i)}, {claim.item(3, i)}]")
         if code[i] == 3:
             out.append(f"activity {name!r}: unknown region {reg!r}")
-        elif absent[i]:
+        elif lacks[i]:
             out.append(f"activity {name!r}: region {reg} does not exist")
         else:
-            if outside[i]:
+            if past[0, i] or past[1, i]:
                 out.append(f"activity {name!r}: change {xi} outside region {reg} "
-                           f"interval [{ilo[i].item()}, {ihi[i].item()}]")
+                           f"interval [{claim.item(0, i)}, {claim.item(1, i)}]")
             if small[i]:
                 out.append(f"activity {name!r}: |change| {abs(xi)} below minimum "
                            f"{inst.activities[i].delta}")
             if inactive[i]:
                 out.append(f"activity {name!r}: nonzero change with inactive indicator")
-    nonzero = int(np.count_nonzero(moves & known))
+    nonzero = int(np.count_nonzero(~lacks & (code < 2)))
     total = math.fsum(sol.x)
     if total > inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
-    for k, ex in enumerate(inst.extras, 1):
-        activity = math.fsum((arr.A[k] * x).tolist())
+    for k, (ex, row) in enumerate(zip(inst.extras, (arr.A[1:] * x).tolist())):
+        activity = math.fsum(row)
         if activity > ex.rhs + tol:  # ``Instance`` stores every row as ``le``
-            out.append(f"extra {k - 1} violated: {activity} > {ex.rhs}")
-    obj = objective_value(inst, x)
+            out.append(f"extra {k} violated: {activity} > {ex.rhs}")
+    obj = math.fsum(_revenues(inst, x).tolist())
     if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
     return FeasibilityReport(tuple(out))

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -172,6 +173,14 @@ class LinearConstraint:
         return LinearConstraint(tuple(-c for c in self.coeffs), "le", -self.rhs)
 
 
+_FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
+_EDGES = (0.0, np.finfo(float).max, -np.finfo(float).max)
+# the rows of ``Instance._rows`` that ``validate`` pairs as ``low <= high``:
+# l <= s, s <= u, theta <= 0, 0 <= delta, each field finite (not NaN or inf)
+_LOW = np.array([1, 0, 4, 7] + [9] * 7 + list(range(7)))
+_HIGH = np.array([0, 2, 7, 3] + list(range(7)) + [8] * 7)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A full spend-adjustment problem.
@@ -226,10 +235,16 @@ class Instance:
     def columns(self) -> Dict[str, np.ndarray]:
         """Each numeric activity field (``s l u delta theta phi psi``) as a
         read-only float array in activity order, built once."""
-        table = np.array([[a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi]
-                          for a in self.activities], dtype=float).reshape(self.n, 7).T.copy()
-        table.flags.writeable = False
-        return dict(zip(("s", "l", "u", "delta", "theta", "phi", "psi"), table))
+        return dict(zip(_FIELDS, self._rows))
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The fields of ``columns`` as rows, then rows 0, the largest float
+        and its negative, which ``validate`` compares them with; read-only."""
+        fields = np.array(list(map(attrgetter(*_FIELDS), self.activities)), float)
+        rows = np.vstack((fields.reshape(self.n, 7).T, np.outer(_EDGES, np.ones(self.n))))
+        rows.flags.writeable = False
+        return rows
 
 
 def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
@@ -237,6 +252,23 @@ def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
     the order ``Activity.revenue`` takes it, for the first ``len(x)``."""
     n, col = x.size, inst.columns
     return col["theta"][:n] * x * x + col["phi"][:n] * x + col["psi"][:n]
+
+
+# each region's code, 0 decrease, 1 raise, 2 stay (any other claim reads 3)
+_CODE_OF = {"L": 0, "R": 1, "S": 2}
+_LETTER_CODE = np.array([_CODE_OF.get(chr(c), 3) for c in range(128)])
+
+
+def _region_codes(regions: Sequence) -> np.ndarray:
+    """The code of each claimed region, read from the claims' letters at
+    once, or one claim at a time unless each is one ASCII letter."""
+    try:
+        letters = "".join(regions).encode("ascii", "replace")
+    except TypeError:  # a claim that is not a string
+        letters = b""
+    if len(letters) == len(regions) and "" not in regions:
+        return _LETTER_CODE.take(np.frombuffer(letters, np.uint8))
+    return np.fromiter((_CODE_OF.get(r, 3) for r in regions), np.intp, len(regions))
 
 
 @dataclass(frozen=True)
@@ -252,11 +284,11 @@ class Solution:
     def from_x(cls, inst: Instance, x: Sequence[float], region: Sequence[Region]) -> "Solution":
         """The solution with changes ``x``: its objective sums the revenues
         exactly (``math.fsum``), and its spends are ``s + x``."""
-        xs = tuple(map(float, x))
-        v = np.array(xs[:inst.n])
-        obj = math.fsum(_revenues(inst, v).tolist())
-        ys = tuple((inst.columns["s"][:v.size] + v).tolist())
-        return cls(x=xs, region=tuple(region), objective=obj, y=ys)
+        v = np.asarray(x, dtype=float)
+        head = v[:inst.n]
+        obj = math.fsum(_revenues(inst, head).tolist())
+        ys = tuple((inst.columns["s"][:head.size] + head).tolist())
+        return cls(x=tuple(v.tolist()), region=tuple(region), objective=obj, y=ys)
 
 
 @dataclass(frozen=True)
@@ -269,26 +301,27 @@ class ValidationReport:
 
 
 def validate(inst: Instance) -> ValidationReport:
-    """Field-level checks; returns all violations instead of raising."""
-    out = []
-    if inst.n == 0:
-        out.append("instance has no activities")
-    seen = set()
-    for a in inst.activities:
-        if a.id in seen:
-            out.append(f"duplicate activity id {a.id!r}")
-        seen.add(a.id)
-        out += _activity_violations(a)
+    """Field-level checks; returns all violations instead of raising.  The
+    rules run on ``Instance._rows`` and the extra rows as arrays, and only
+    activities that break one or repeat an id (ids are sorted) are worded."""
+    rows, n, ids = inst._rows, inst.n, [a.id for a in inst.activities]
+    broken = ~(rows.take(_LOW, 0) <= rows.take(_HIGH, 0)).all(axis=0)
+    dup = {i for i in range(1, n) if ids[i] == ids[i - 1]} if len(set(ids)) < n else set()
+    out = [] if n else ["instance has no activities"]
+    for i in sorted(dup.union(broken.nonzero()[0].tolist())):
+        if i in dup:
+            out.append(f"duplicate activity id {ids[i]!r}")
+        out += _activity_violations(inst.activities[i])
     if not (math.isfinite(inst.rho) and inst.rho > 0):
         out.append("rho must be finite and positive")
     if inst.m < 0:
         out.append("cardinality cap is negative")
-    elif inst.m > inst.n:
+    elif inst.m > n:
         out.append("cardinality cap exceeds activity count")
     for k, ex in enumerate(inst.extras):
-        if len(ex.coeffs) != inst.n:
-            out.append(f"extra {k}: expected {inst.n} coefficients, got {len(ex.coeffs)}")
-        if not all(math.isfinite(c) for c in ex.coeffs) or not math.isfinite(ex.rhs):
+        if len(ex.coeffs) != n:
+            out.append(f"extra {k}: expected {n} coefficients, got {len(ex.coeffs)}")
+        if not np.isfinite(np.fromiter(ex.coeffs + (ex.rhs,), float)).all():
             out.append(f"extra {k}: non-finite coefficient or rhs")
     return ValidationReport(tuple(out))
 

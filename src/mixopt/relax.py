@@ -65,7 +65,7 @@ from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instance import Instance, Region
+from .instance import Instance, Region, _region_codes
 
 Formulation = Literal["miqp", "persp"]
 
@@ -164,7 +164,10 @@ class _InstanceArrays:
     ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0),
     ``outer`` the end away from zero and ``inner`` the end next to it,
     ``scalable`` and ``inner_ok`` where those ends are off zero, and
-    ``index`` is ``arange(n)``, to pick one side per activity.
+    ``index`` is ``arange(n)``, to pick one side per activity.  Column
+    ``code*n + i`` of ``claims`` is activity ``i`` claiming region ``code``
+    (``instance._region_codes``): lo and hi of its box (NaN if absent) and
+    of its spend, ``M*z`` and ``delta*z`` (``M = max|spend|``, ``z`` 1 off S).
     ``psi_sum`` and ``m`` are the node dual's constant terms.  ``node`` is
     the persp node dual without its options' costs (``_node_dual``): its
     boxes, activations and activation rates, right-hand sides, linear
@@ -176,7 +179,7 @@ class _InstanceArrays:
     """
 
     __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
-                 "outer", "inner", "inner_ok", "scalable", "index", "node", "leaf")
+                 "outer", "inner", "inner_ok", "scalable", "index", "claims", "node", "leaf")
 
     def __init__(self, inst: Instance):
         n = inst.n
@@ -196,6 +199,11 @@ class _InstanceArrays:
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
         self.scalable = np.array([lL < 0.0, uR > 0.0])
         self.index = np.arange(n)
+        col, z = inst.columns, np.array([[1.0], [1.0], [0.0], [0.0]])
+        low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
+        box = np.vstack((ends, np.zeros((2, n)), np.full((2, n), math.nan)))
+        self.claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
+            np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
         # rows stay, decrease and raise; no box scales with its activation
         lo, hi = np.zeros((3, n)), np.zeros((3, n))
         lo[1:], hi[1:] = self.lo, self.hi
@@ -458,7 +466,7 @@ def _exact_step(dual, y, d, c, t_max):
             if guess is None:
                 k = (i + j) // 2
             else:
-                k = min(max(int(np.searchsorted(points, guess)), i + 1), j - 1)
+                k = min(max(int(points.searchsorted(guess)), i + 1), j - 1)
             f = state(points[k])
             above = f >= 0.0
             if above:
@@ -601,9 +609,9 @@ class _Dual:
             c = c - mu / self.span
         x = _box_max(c, self.curv, self.lin, self.lo, self.hi)
         val = self.theta * x * x + c * x - self.zeta * mu - self.off
-        best = np.argmax(val.T, axis=1)
+        best = val.T.argmax(axis=1)
         if not self.scaling:  # every option of an activity has its one price
-            c, z = np.broadcast_to(c, val.shape), self.zeta
+            c, z = c[None].repeat(len(val), 0), self.zeta
         elif mu > 0.0:
             z = np.where(self.scaled, x / self.span, self.zeta)
         else:
@@ -615,7 +623,7 @@ class _Dual:
         acc[K + 1, 0] = f
         point, acc[K, 1:], acc[K + 1, 1:] = x.take(pick), z.take(pick), val.take(pick)
         np.multiply(self.A, point, out=acc[:K, 1:])
-        sums = np.cumsum(acc, axis=1)[:, -1].tolist()
+        sums = acc.cumsum(axis=1)[:, -1].tolist()
         self.at, self.c, self.x, self.val, self.best, self.pick = y, c, x, val, best, pick
         self.point, self.z, self.terms = point, acc[K, 1:], acc[K + 1, 1:]
         self.f, self.grad = sums[K + 1], [a - b for a, b in zip(e, sums)]
@@ -648,22 +656,24 @@ class _Dual:
             others = val.copy()
             others.put(pick, -_INF)
             # a kept tie pairs the best option with its partner, others the two best
-            second, remembered = others.argmax(axis=0), False
+            second, remembered = None, False
             if kept.any():
                 partner = kept & ~(1 << best)
                 remembered = (partner != kept) & (partner > 0)
-                second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2, second)
-            v2 = others.take(second * n + idx)
+                second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
+                                  others.argmax(axis=0))
+            v2 = others.max(axis=0) if second is None else others.take(second * n + idx)
             level = remembered | (vb - v2 <= 1e-10 * (
                 1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
             level[ki] = False
-            for i in np.flatnonzero(level & (v2 > -_INF)).tolist():
-                o = second.item(i)
+            lv = (level & (v2 > -_INF)).nonzero()[0]  # only these need the second's index
+            second = others[:, lv].argmax(axis=0) if second is None else second[lv]
+            for i, o in zip(lv.tolist(), second.tolist()):
                 x2, xi = x.item(o, i), xb.item(i)
                 dx, dz = x2 - xi, (self.kappa.item(o, i) * x2 + self.zeta.item(o, i)
                                    - kb.item(i) * xi - zb.item(i))
                 if dx != 0.0 or dz != 0.0:  # the tie moves the rows
-                    level_ties.append((i, o, dx, dz, vb.item(i) - v2.item(i)))
+                    level_ties.append((i, o, dx, dz, vb.item(i) - others.item(o, i)))
         held = xb.copy()
         held[ki] = 0.0
         r = _minus(self.rhs[:K], A @ held) + [self.rhs[K] - float(kb @ held + zb.sum())]
@@ -693,21 +703,24 @@ class _Dual:
             c.put(pick[ki], 0.0)  # the step drives a kink tie off its kink
         return np.array(d), np.array(slack), kept, c
 
-    def falls_along(self, d: np.ndarray) -> bool:
-        """Farkas test of a ray ``d >= 0`` of the dual.
+    def falls_along(self, rays: np.ndarray) -> np.ndarray:
+        """Farkas test of each ray ``d >= 0`` of the dual in the stack
+        ``rays`` (one ray is a stack of one).
 
         Far along ``d`` each activity takes the option and the end of its
         box that use the rows least, ``min(s*lo, s*hi) + zeta*d_mu`` in the
         direction (``s`` the option's price slope; ``off`` adds infinity for
         a closed option).  The dual falls without bound when ``e.d`` lies
         below the sum of those by more than rounding, and then no point of
-        the boxes meets the rows.
+        the boxes meets the rows.  Each ray gets its verdict alone: one-row
+        ``matmul`` products (as ``d[:K] @ A``, ``e @ d``) and a sum per row.
         """
-        K = self.K
-        s = d[:K] @ self.A + self.kappa * d[K]
-        db, act = float(self.e @ d), self.zeta * d[K] + self.off
-        use = (np.minimum(s * self.lo, s * self.hi) + act).min(axis=0)
-        return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
+        K, d = self.K, np.reshape(rays, (-1, self.K + 1))
+        mu = d[:, K, None, None]
+        s = d[:, None, :K] @ self.A + self.kappa * mu
+        db = (d[:, None, :] @ self.e[:, None])[:, 0, 0]
+        use = (np.minimum(s * self.lo, s * self.hi) + (self.zeta * mu + self.off)).min(axis=1)
+        return db - use.sum(axis=1) < -1e-12 * (np.abs(db) + np.abs(use).sum(axis=1))
 
 
 # each option's bit in a node's ``bits``, and its cost where it is open
@@ -785,9 +798,10 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float,
     val, grad = dual.f, dual.grad
     if val <= goal:
         return y, val, "target"
-    hit = next((r for r in map(np.array, rays) if dual.falls_along(r)), None)
-    if hit is not None:
-        return hit, -_INF, "ray"
+    pool = np.array(rays, dtype=float)
+    falls = dual.falls_along(pool)
+    if falls.any():
+        return pool[falls.argmax()], -_INF, "ray"
     tol = 1e-12 * (1.0 + max(map(abs, dual.rhs)))
     kept = np.zeros(dual.A.shape[1], dtype=np.int64)
     tried = False
@@ -862,10 +876,10 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     instance, or a coupling row's unit ray, along which the dual falls when
     the node's open regions miss that row, activity by activity, by more
     than rounding.  Unless the warm start already reaches the target,
-    ``_descend`` tests each on this node's dual before its first step, by
-    the test the descent ends on; the first along which the dual falls
-    without bound proves the node infeasible as well, and is returned as
-    its ray without a step.
+    ``_descend`` tests them all on this node's dual in one pass before its
+    first step, by the test the descent ends on; the first along which the
+    dual falls without bound proves the node infeasible as well, and is
+    returned as its ray without a step.
 
     Starting from a parent node's multipliers (``warm``) guarantees the
     child bound never exceeds the parent bound: shrinking the region sets
@@ -1031,10 +1045,6 @@ def _box_qp_max(leaf, lo, hi, goal=-_INF, multipliers=None, rays=()):
     return FixedOutcome(tuple(x.tolist()), float(theta @ (x * x) + phi @ x), bound, True)
 
 
-# the side of ``_InstanceArrays.lo`` and ``hi`` each region reads; 2 stays
-_SIDE = {"L": 0, "R": 1, "S": 2}
-
-
 def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
                            floor: float = -_INF,
                            multipliers: Optional[Sequence[float]] = None,
@@ -1074,13 +1084,12 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     mult = None if multipliers is None else np.maximum(np.array(multipliers, dtype=float), 0.0)
     if mult is not None and mult.shape != (len(cols.A) + 1,):
         raise ValueError(f"{mult.size} multipliers, not {len(cols.A) + 1} (rows and cardinality)")
-    code = np.fromiter(map(_SIDE.__getitem__, assignment), np.intp, inst.n)
-    moves = code < 2
-    side = np.where(moves, code, 0)
-    if (moves & ~cols.has[side, cols.index]).any():
+    code = _region_codes(assignment)
+    if code.size != inst.n:
+        raise ValueError(f"{code.size} regions for {inst.n} activities")
+    lo, hi = cols.claims[:2].take(code * inst.n + cols.index, axis=1)
+    if np.isnan(lo).any():
         return FixedOutcome(None, -_INF, -_INF, False)
-    lo = np.where(moves, cols.lo[side, cols.index], 0.0)
-    hi = np.where(moves, cols.hi[side, cols.index], 0.0)
     # the cut level in the leaf's own value, which leaves out psi_sum
     goal = floor - 1e-9 * max(1.0, abs(floor)) - inst.psi_sum
     out = _box_qp_max(cols.leaf, lo, hi, goal, None if mult is None else mult[:-1], rays)

@@ -335,7 +335,7 @@ def _random_solution(rng, inst):
         if rng.random() < 0.7:
             region.append("S" if v == 0.0 else "L" if v < 0.0 else "R")
         else:
-            region.append(rng.choice(("L", "S", "R", "Q", "")))
+            region.append(rng.choice(("L", "S", "R", "Q", "", "RS", None, "é")))
     sol = Solution.from_x(inst, x, region)
     off = rng.choice((0.0, 0.0, 1e-9, -1e-6, 1.0))
     return dataclasses.replace(sol, objective=sol.objective + off * max(1.0, abs(sol.objective)))

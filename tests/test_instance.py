@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+import random
 import time
 
 import pytest
@@ -23,6 +25,7 @@ from mixopt import (
 )
 
 from conftest import random_instance
+from validation_reference import validate as reference_validate
 
 # dyadic gap values keep l = s - gl and u = s + gu exactly representable,
 # so region bounds can be compared with == rather than a tolerance
@@ -172,6 +175,98 @@ def test_validate_accepts_clean_instances(rng):
 
 def test_zero_delta_is_valid():
     assert validate(_single(delta=0.0)).ok
+
+
+# the ways ``_broken`` breaks an instance, one rule each
+BREAKS = ("non-finite", "l > s", "s > u", "theta > 0", "delta < 0", "two copies",
+          "three copies", "rho", "m < 0", "m > n", "no activities", "short row",
+          "long row", "non-finite coefficient", "non-finite rhs")
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+def _broken(rng, inst, breaks):
+    """``inst`` with each of ``breaks`` applied, each to a random activity,
+    extra row or field where it needs one."""
+    acts, rho, m, extras = list(inst.activities), inst.rho, inst.m, list(inst.extras)
+    for kind in breaks:
+        i = rng.randrange(len(acts)) if acts else None
+        if kind == "no activities":
+            acts = []
+        elif kind == "rho":
+            rho = rng.choice((0.0, -1.0) + _NON_FINITE)
+        elif kind == "m < 0":
+            m = -rng.randint(1, 3)
+        elif kind == "m > n":
+            m = len(acts) + rng.randint(1, 3)
+        elif kind in ("short row", "long row", "non-finite coefficient", "non-finite rhs"):
+            k = rng.randrange(len(extras)) if extras else None
+            if k is None:
+                continue
+            coeffs, rhs = list(extras[k].coeffs), extras[k].rhs
+            if kind == "short row":
+                coeffs = coeffs[:-1]
+            elif kind == "long row":
+                coeffs.append(rng.uniform(1.0, 10.0))
+            elif kind == "non-finite rhs":
+                rhs = rng.choice(_NON_FINITE)
+            elif coeffs:
+                coeffs[rng.randrange(len(coeffs))] = rng.choice(_NON_FINITE)
+            extras[k] = LinearConstraint(tuple(coeffs), "le", rhs)
+        elif i is None:
+            continue
+        elif kind in ("two copies", "three copies"):
+            for j in rng.sample(range(len(acts)), min(len(acts), 2 + (kind == "three copies"))):
+                acts[j] = dataclasses.replace(acts[j], id=acts[i].id)
+        else:
+            a = acts[i]
+            acts[i] = dataclasses.replace(a, **{
+                "non-finite": {rng.choice(("s", "l", "u", "delta", "theta", "phi", "psi")):
+                               rng.choice(_NON_FINITE)},
+                "l > s": {"l": a.s + rng.choice((1e-9, 1.0))},
+                "s > u": {"u": a.s - rng.choice((1e-9, 1.0))},
+                "theta > 0": {"theta": rng.choice((1e-300, 2.0))},
+                "delta < 0": {"delta": rng.choice((-1e-300, -1.0))},
+            }[kind])
+    return Instance(tuple(acts), rho, m, tuple(extras))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(BREAKS), max_size=4))
+def test_validate_matches_the_loop_reference(seed, breaks):
+    """``validate`` gives the activity loop's report
+    (``tests/validation_reference.py``), message for message and in order,
+    on random instances (n from 0 to 8, with and without the two extra rows)
+    broken in up to four ways at once: non-finite fields, each activity
+    rule, two or three copies of one id, a bad ``rho``, ``m`` below 0 or
+    above n, no activities, and extra rows of the wrong length or with a
+    non-finite coefficient or right-hand side."""
+    rng = random.Random(seed)
+    inst = random_instance(rng, rng.randint(1, 8), with_extras=rng.random() < 0.7)
+    inst = _broken(rng, inst, breaks)
+    assert validate(inst).violations == reference_validate(inst)
+
+
+@pytest.mark.parametrize("field", ("s", "l", "u", "delta", "theta", "phi", "psi"))
+@pytest.mark.parametrize("value", _NON_FINITE)
+def test_validate_flags_every_non_finite_field(field, value):
+    """Each field of the middle activity at NaN or at either infinity:
+    ``validate`` reports that activity alone, in the reference's words."""
+    inst = random_instance(random.Random(5), 5, with_extras=True)
+    acts = list(inst.activities)
+    acts[2] = dataclasses.replace(acts[2], **{field: value})
+    inst = dataclasses.replace(inst, activities=tuple(acts))
+    assert validate(inst).violations == reference_validate(inst) == (
+        f"activity {acts[2].id!r}: non-finite field",)
+
+
+@pytest.mark.parametrize("kind", BREAKS)
+def test_validate_reports_each_break_as_the_reference(kind):
+    """Each way of breaking an instance, alone, on instances with both extra
+    rows: ``validate`` reports it, and in the loop reference's words."""
+    rng = random.Random(BREAKS.index(kind))
+    for _ in range(20):
+        inst = _broken(rng, random_instance(rng, rng.randint(3, 8), with_extras=True), [kind])
+        assert validate(inst).violations == reference_validate(inst) != ()
 
 
 # ---------------------------------------------------------------------------

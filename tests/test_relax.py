@@ -396,6 +396,34 @@ def test_root_bounds_paired():
         assert bp <= bm + 1e-9
 
 
+# generator configs whose persp root descent stalls (ROADMAP item 1): a Newton
+# step of zero, the iteration cap, and a step refused for raising the value
+_STALLED_ROOTS = (GenConfig("strong", 500, 0.05, 0.5, 58),
+                  GenConfig("strong", 50, 0.05, 0.5, 9),
+                  GenConfig("uncorrelated", 300, 0.1, 0.5, 23))
+
+
+@pytest.mark.xfail(strict=True, reason="the persp root descent stalls (ROADMAP item 1)")
+@pytest.mark.parametrize("cfg", _STALLED_ROOTS, ids=lambda cfg: f"{cfg.correlation}-{cfg.n}")
+def test_persp_root_descent_converges(cfg):
+    """The persp root descent of each instance ends ``converged``.  Today
+    each ends ``stalled``, at 3780.90, -327.56 and 2.09, where the miqp
+    roots converge at -3881.26, -247.47 and 115.38."""
+    inst = generate(cfg)
+    dual = _node_dual(inst, NodeState.root(inst), True)
+    y = np.zeros(dual.K + 1)
+    dual.value(y)
+    assert relax._descend(dual, y, -math.inf)[2] == "converged"
+
+
+@pytest.mark.parametrize("cfg", _STALLED_ROOTS, ids=lambda cfg: f"{cfg.correlation}-{cfg.n}")
+def test_root_bounds_keep_persp_below_miqp_on_stalled_roots(cfg):
+    """``root_bounds`` prices each form at the other's multipliers too, so
+    the persp bound stays at or below the miqp bound when a descent stalls."""
+    bm, bp = root_bounds(generate(cfg))
+    assert bp <= bm
+
+
 def test_child_bound_never_exceeds_parent(rng):
     """Fixing a region shrinks the feasible set, so bounds only tighten."""
     for _ in range(12):
@@ -996,17 +1024,22 @@ def test_stalled_leaf_returns_no_point_off_its_rows():
 
 
 def test_fixed_assignment_absent_region_is_infeasible():
-    """An assignment to a region the activity does not have is infeasible
-    at once, with no point and no bound."""
+    """An assignment to a region the activity does not have, or to no
+    region at all, is infeasible at once, with no point and no bound; one
+    of the wrong length is refused."""
     act = dict(s=2.0, l=2.0, u=8.0, delta=1.0, theta=-1.0, phi=5.0, psi=1.0)
     a, b = Activity(id="a", **act), Activity(id="b", **act)  # no decrease side
     inst = Instance(activities=(a, b), rho=2.0, m=2, extras=())
     assert inst.regions[0].L is None
     for floor in (-math.inf, 0.0):
-        out = solve_fixed_assignment(inst, ["L", "S"], floor=floor)
-        assert (out.x, out.value, out.bound, out.feasible, out.ray) == (
-            None, -math.inf, -math.inf, False, None)
+        for regions in (["L", "S"], ["Q", "S"], ["S", ""], ["RS", ""], [None, "S"]):
+            out = solve_fixed_assignment(inst, regions, floor=floor)
+            assert (out.x, out.value, out.bound, out.feasible, out.ray) == (
+                None, -math.inf, -math.inf, False, None)
     assert solve_fixed_assignment(inst, ["R", "S"]).feasible
+    for regions in (["R"], ["R", "S", "S"]):
+        with pytest.raises(ValueError):
+            solve_fixed_assignment(inst, regions)
 
 
 def _random_assignment(inst, rng):
@@ -1141,6 +1174,90 @@ def test_pooled_rays_cut_only_infeasible_leaves(monkeypatch):
                 own = solve_fixed_assignment(inst, regions)
                 assert not own.feasible and own.ray is not None
     assert min(hits.values()) >= 100
+
+
+def _falls_alone(dual, d):
+    """The Farkas test of one ray ``d`` by itself, its sums on Python
+    floats, as ``_Dual.falls_along`` ran it before it took a stack."""
+    K = dual.K
+    s = d[:K] @ dual.A + dual.kappa * d[K]
+    db, act = float(dual.e @ d), dual.zeta * d[K] + dual.off
+    use = (np.minimum(s * dual.lo, s * dual.hi) + act).min(axis=0)
+    return db - float(use.sum()) < -1e-12 * (abs(db) + float(np.abs(use).sum()))
+
+
+def test_stacked_farkas_test_matches_each_ray_alone():
+    """``_Dual.falls_along`` on a pool gives every ray the verdict of the
+    ray tested alone (``_falls_alone``), and ``_descend`` ends on the first
+    ray of the pool along which the dual falls: on node duals of both forms
+    and on leaf duals of random instances with both extra rows (a third of
+    them loosened, a third tightened), against shuffled pools of the rows'
+    unit rays, the rays the instance's relaxations and leaf solves find, and
+    random nonnegative vectors over six decades."""
+    rng = random.Random(53)
+    seen = collections.Counter()
+    for k in range(40):
+        inst = random_instance(rng, rng.randint(2, 8), with_extras=True)
+        shift = (0.0, 20.0, -20.0)[k % 3]
+        inst = dataclasses.replace(inst, extras=tuple(
+            dataclasses.replace(ex, rhs=ex.rhs + rng.uniform(0.0, shift)) for ex in inst.extras))
+        cols = relax._instance_arrays(inst)
+        rows = len(cols.A)
+        nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(3)]
+        nodes = [node for node in nodes if node is not None]
+        leaves = [_random_assignment(inst, rng) for _ in range(3)]
+        found = [solve_node_relaxation(inst, node, form).ray
+                 for node in nodes for form in ("miqp", "persp")]
+        found += [solve_fixed_assignment(inst, regions).ray for regions in leaves]
+        pool = np.eye(rows, rows + 1).tolist() + [list(r) for r in found if r is not None]
+        pool += [[rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 3.0))) for _ in range(rows + 1)]
+                 for _ in range(6)]
+        rng.shuffle(pool)
+        duals = [("node", _node_dual(inst, node, persp))
+                 for node in nodes for persp in (False, True)]
+        for regions in leaves:
+            leaf = cols.leaf.with_costs(cols.leaf.off)
+            leaf.lo, leaf.hi = (np.array([[rb.interval(r)[end] for rb, r in
+                                           zip(inst.regions, regions)]]) for end in (0, 1))
+            duals.append(("leaf", leaf))
+        for kind, dual in duals:
+            alone = [_falls_alone(dual, np.array(ray)) for ray in pool]
+            assert dual.falls_along(np.array(pool)).tolist() == alone
+            seen[kind, any(alone)] += 1
+            y = np.zeros(rows + 1)
+            dual.value(y)
+            if any(alone):
+                out, val, end = relax._descend(dual, y, -math.inf, pool)
+                assert (out.tolist(), val, end) == (pool[alone.index(True)], -math.inf, "ray")
+            # the verdicts where they hang on the last bits: the last right-hand
+            # side stepped ulp by ulp across one ray's threshold
+            ray = next((np.array(r) for r in pool if r[rows] > 0.0), None)
+            if ray is not None:
+                for e in _across_threshold(dual, ray):
+                    near = dual.with_costs(dual.off)
+                    near.e = e
+                    verdicts = [_falls_alone(near, np.array(r)) for r in pool]
+                    assert near.falls_along(np.array(pool)).tolist() == verdicts
+                    seen["flips", verdicts[pool.index(ray.tolist())]] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def _across_threshold(dual, d):
+    """Right-hand sides of ``dual``, the last one stepped by single ulps
+    from 16 below to 16 above where ray ``d`` sits on the Farkas threshold."""
+    K = dual.K
+    s = d[:K] @ dual.A + dual.kappa * d[K]
+    use = (np.minimum(s * dual.lo, s * dual.hi) + dual.zeta * d[K] + dual.off).min(axis=0)
+    total, size = float(use.sum()), float(np.abs(use).sum())
+    level = total - 1e-12 * (abs(total) + size)
+    e = dual.e.copy()
+    e[K] = (level - float(e[:K] @ d[:K])) / d[K]
+    out = []
+    for step in range(-16, 17):
+        shifted = e.copy()
+        shifted[K] = e[K] + step * np.spacing(e[K])
+        out.append(shifted)
+    return out
 
 
 def test_unit_rays_close_exactly_the_rows_out_of_reach(monkeypatch):

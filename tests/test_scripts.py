@@ -111,7 +111,7 @@ def test_bench_layers_runs(capsys):
     assert sum(r[3] == "target" for r in rows) >= 3
     # then the search on the coupled weak n = 30 case: one row per formulation
     assert lines[37].split() == ["n", "form", "status", "nodes", "relax", "descents",
-                                 "rays", "pooled", "solve_ms"]
+                                 "rays", "pooled", "solve_ms", "pool", "rays_us"]
     rows = [line.split() for line in lines[38:40]]
     assert [r[:2] for r in rows] == [["30", f] for f in ("persp", "miqp")]
     for r in rows:
@@ -120,6 +120,9 @@ def test_bench_layers_runs(capsys):
         # warm start already prunes it
         assert descents + pooled <= relaxations and rays <= descents
         assert pooled > 0 and float(r[8]) > 0.0
+        # the final pool holds the two extra rows' and the budget's unit rays
+        # and the rays the descents found, and is tested in one pass
+        assert int(r[9]) >= 3 and float(r[10]) > 0.0
     # persp, as benchmarked: 41 relaxations, 20 descents, 3 rays
     assert rows[0][2:8] == ["node-limit", "15", "41", "20", "3", "21"]
     # then the rounding of the root relaxation and the checker on the
@@ -130,7 +133,7 @@ def test_bench_layers_runs(capsys):
                                      for f in ("persp", "miqp")]
     assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
     # then generation and the JSON round trip: one row per n
-    assert lines[45].split() == ["n", "gen_us", "save_us", "load_us"]
+    assert lines[45].split() == ["n", "gen_us", "save_us", "load_us", "validate_us"]
     rows = [line.split() for line in lines[46:48]]
     assert [r[0] for r in rows] == ["12", "64"]
     assert all(float(t) > 0.0 for r in rows for t in r[1:])
