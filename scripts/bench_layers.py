@@ -78,7 +78,10 @@ directional derivative, and the point the crossings are built from.
 
 Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations, leaves,
-generation and the JSON round trip; one for the search).
+generation and the JSON round trip; one for the search).  The times are
+raw wall clock, not scaled to the host's speed, so on a shared host only
+runs interleaved in one process can be compared: two runs of this script
+one after the other may differ by more than any change between them.
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --n 100 500 1000 --calls 200 --repeats 9
@@ -102,6 +105,7 @@ from mixopt import (bnb, check_minlp_feasible, gen, load_json, relax,  # noqa: E
 from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
                         _outcome_to_solution, _prune_threshold, _round_regions,
                         branch_and_bound)
+from mixopt.instance import _CODE_OF  # noqa: E402
 from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,  # noqa: E402
                           solve_fixed_assignment, solve_node_relaxation)
 
@@ -121,7 +125,7 @@ def _child_targets(inst, root, root_res, form):
     """The first child of the root, and the targets that prune it at its
     warm start and that leave it open."""
     j = _branch_index(root, root_res)
-    region = next(r for r in _REGION_ORDER if root.bits[j] & relax._BIT[r])
+    region = next(r for r in _REGION_ORDER if root.bits[j] >> _CODE_OF[r] & 1)
     child = root.fix(j, region).saturate_cardinality(inst.m)
     warm = root_res.multipliers
     reach = solve_node_relaxation(inst, child, form, warm=warm).upper_bound

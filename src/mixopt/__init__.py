@@ -15,7 +15,7 @@ from .gen import (CORRELATIONS, STRONG, UNCORRELATED, WEAK, Cell, GenConfig,
                   batch, generate, mix_seed, paper_cells)
 from .hull import (ConeRow, FeasibilityReport, LinearRow, ModelIR, Variable,
                    build_miqp, build_misocp, check_minlp_feasible,
-                   objective_value, perspective_value)
+                   perspective_value)
 from .instance import (Activity, Instance, InstanceError,
                        InvalidActivityError, InvalidInstanceError,
                        LinearConstraint, ParseError, Region, RegionBounds,
@@ -41,7 +41,7 @@ __all__ = [
     "Variable", "WEAK", "batch", "branch_and_bound", "brute_force",
     "build_miqp", "build_misocp", "check_minlp_feasible", "compute_regions",
     "dual_value", "export_lp", "generate", "load_json",
-    "mix_seed", "objective_value", "paper_cells",
+    "mix_seed", "paper_cells",
     "perspective_value", "root_bounds", "save_json",
     "solve_fixed_assignment", "solve_node_relaxation", "validate",
     "write_lp",

@@ -59,10 +59,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .hull import check_minlp_feasible
-from .instance import (Instance, InvalidInstanceError, Region, Solution,
-                       UnsupportedInstanceError, validate)
+from .instance import (_CODE_OF, _REGIONS, Instance, InvalidInstanceError, Region,
+                       Solution, UnsupportedInstanceError, validate)
 from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, _BIT, _box_qp_max, _instance_arrays, fix_by_reduced_cost,
+                    RelaxResult, _box_qp_max, _instance_arrays, fix_by_reduced_cost,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -111,13 +111,10 @@ def _prune_threshold(gap_tol: float, inc_val: float) -> float:
     return inc_val + max(gap_tol, 1e-9) * max(1.0, abs(inc_val))
 
 
-# the region of each single bit of a node's ``bits``
-_REGION_OF = {bit: region for region, bit in _BIT.items()}
-
-
 def _assignment(bits: np.ndarray) -> Tuple[Region, ...]:
-    """The region assignment that single region bits spell."""
-    return tuple(map(_REGION_OF.__getitem__, bits.tolist()))
+    """The region assignment that single region bits spell: bit
+    ``1 << code`` shifted right once is ``code``, as codes run 0 to 2."""
+    return tuple(map(_REGIONS.__getitem__, (bits >> 1).tolist()))
 
 
 def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
@@ -132,12 +129,13 @@ def _round_regions(inst: Instance, node: NodeState, res: RelaxResult,
     """
     free, z = node.free, res.z
     moves = free & (z > 0.5)
-    bits = np.where(moves, 1 << res.best, np.where(free, _BIT["S"], node.bits))
+    stay = 1 << _CODE_OF["S"]
+    bits = np.where(moves, 1 << res.best, np.where(free, stay, node.bits))
     room = max(inst.m - node.fixed_nonzero, 0)
     movers = np.flatnonzero(moves)
     if movers.size > room:
         strongest = movers[np.argsort(-z[movers], kind="stable")]
-        bits[strongest[room:]] = _BIT["S"]
+        bits[strongest[room:]] = stay
     return _assignment(bits)
 
 
@@ -314,7 +312,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
         else:
             j = _branch_index(node, res)
             children = [node.fix(j, region).saturate_cardinality(inst.m)
-                        for region in _REGION_ORDER if node.bits[j] & _BIT[region]]
+                        for region in _REGION_ORDER if node.bits[j] >> _CODE_OF[region] & 1]
         expand(children, last_popped_bound, res)
 
     ub = max(inc_val, residual_ub, last_popped_bound if stopped else -_INF)

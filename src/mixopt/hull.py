@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Literal, Sequence, Tuple
+from typing import Literal, Tuple
 
 import numpy as np
 
@@ -90,42 +90,6 @@ class ModelIR:
     cones: Tuple[ConeRow, ...] = ()
     sense: str = "maximize"
 
-    def variable_names(self) -> Tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
-
-    def check_refs(self) -> None:
-        names = set(self.variable_names())
-        for row in self.rows:
-            for v, _ in row.coeffs:
-                if v not in names:
-                    raise ValueError(f"row {row.name}: unknown variable {v}")
-        for v1, v2, _ in self.quad_obj:
-            if v1 not in names or v2 not in names:
-                raise ValueError("quadratic objective references unknown variable")
-        for v, _ in self.lin_obj:
-            if v not in names:
-                raise ValueError("linear objective references unknown variable")
-        for cone in self.cones:
-            for v in (cone.e_var, cone.z_var, cone.x_var):
-                if v not in names:
-                    raise ValueError(f"cone {cone.name}: unknown variable {v}")
-
-    def objective_at(self, point: Dict[str, float]) -> float:
-        total = self.const_obj
-        for v1, v2, c in self.quad_obj:
-            total += c * point[v1] * point[v2]
-        for v, c in self.lin_obj:
-            total += c * point[v]
-        return total
-
-    def row_activity(self, row: LinearRow, point: Dict[str, float]) -> float:
-        return math.fsum(c * point[v] for v, c in row.coeffs)
-
-    def cone_slack(self, cone: ConeRow, point: Dict[str, float]) -> float:
-        """Value of ``e*z - coeff*x^2`` (nonnegative when satisfied)."""
-        return (point[cone.e_var] * point[cone.z_var]
-                - cone.coeff * point[cone.x_var] ** 2)
-
 
 def _x_bounds(rb: RegionBounds) -> Tuple[float, float]:
     lo = rb.L[0] if rb.L is not None else 0.0
@@ -186,11 +150,8 @@ def build_miqp(inst: Instance) -> ModelIR:
     quad = tuple((f"x_{i}", f"x_{i}", a.theta)
                  for i, a in enumerate(inst.activities) if a.theta != 0.0)
     lin = tuple((f"x_{i}", a.phi) for i, a in enumerate(inst.activities))
-    const = math.fsum(a.psi for a in inst.activities)
-    ir = ModelIR(name="miqp", variables=tuple(variables), rows=tuple(rows),
-                 quad_obj=quad, lin_obj=lin, const_obj=const)
-    ir.check_refs()
-    return ir
+    return ModelIR(name="miqp", variables=tuple(variables), rows=tuple(rows),
+                   quad_obj=quad, lin_obj=lin, const_obj=inst.psi_sum)
 
 
 def build_misocp(inst: Instance) -> ModelIR:
@@ -198,7 +159,6 @@ def build_misocp(inst: Instance) -> ModelIR:
     ``e_i * zLR_i >= -theta_i * x_i^2`` and a purely linear objective."""
     _require_valid(inst)
     variables, rows = _core_rows(inst)
-    n = inst.n
     cones = []
     lin = []
     for i, (a, rb) in enumerate(zip(inst.activities, inst.regions)):
@@ -217,19 +177,9 @@ def build_misocp(inst: Instance) -> ModelIR:
             f"link_{i}",
             ((f"zL_{i}", 1.0), (f"zR_{i}", 1.0), (f"zLR_{i}", -1.0)),
             "eq", 0.0))
-    const = math.fsum(a.psi for a in inst.activities)
-    ir = ModelIR(name="misocp", variables=tuple(variables), rows=tuple(rows),
-                 quad_obj=(), lin_obj=tuple(lin), const_obj=const,
-                 cones=tuple(cones))
-    ir.check_refs()
-    return ir
-
-
-def objective_value(inst: Instance, x: Sequence[float]) -> float:
-    """Total revenue of a change vector."""
-    if len(x) != inst.n:
-        raise ValueError(f"expected {inst.n} changes, got {len(x)}")
-    return math.fsum(_revenues(inst, np.array(x, dtype=float)).tolist())
+    return ModelIR(name="misocp", variables=tuple(variables), rows=tuple(rows),
+                   quad_obj=(), lin_obj=tuple(lin), const_obj=inst.psi_sum,
+                   cones=tuple(cones))
 
 
 @dataclass(frozen=True)
@@ -290,7 +240,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
                            f"{inst.activities[i].delta}")
             if inactive[i]:
                 out.append(f"activity {name!r}: nonzero change with inactive indicator")
-    nonzero = int(np.count_nonzero(~lacks & (code < 2)))
+    nonzero = int(np.count_nonzero(~lacks & (code > 0)))  # L or R, where it exists
     total = math.fsum(sol.x)
     if total > inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")

@@ -11,18 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Dict, Iterable, Literal, Optional, Sequence, Tuple, Union
+from typing import Dict, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 Region = Literal["L", "S", "R"]
-
-REGION_L: Region = "L"
-REGION_S: Region = "S"
-REGION_R: Region = "R"
 
 
 class InstanceError(Exception):
@@ -101,23 +97,6 @@ class RegionBounds:
 
     L: Optional[Interval]
     R: Optional[Interval]
-
-    @property
-    def S(self) -> Interval:
-        return (0.0, 0.0)
-
-    def interval(self, region: Region) -> Optional[Interval]:
-        if region == REGION_S:
-            return self.S
-        return self.L if region == REGION_L else self.R
-
-    def open_regions(self) -> Tuple[Region, ...]:
-        out = [REGION_S]
-        if self.L is not None:
-            out.insert(0, REGION_L)
-        if self.R is not None:
-            out.append(REGION_R)
-        return tuple(out)
 
 
 def _activity_violations(a: Activity) -> Tuple[str, ...]:
@@ -254,8 +233,11 @@ def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
     return col["theta"][:n] * x * x + col["phi"][:n] * x + col["psi"][:n]
 
 
-# each region's code, 0 decrease, 1 raise, 2 stay (any other claim reads 3)
-_CODE_OF = {"L": 0, "R": 1, "S": 2}
+# the regions by code, 0 stay, 1 decrease, 2 raise (any other claim reads
+# 3): a region's code is the row of its option in the node dual and of its
+# claims in ``relax._InstanceArrays``, and ``1 << code`` its node bit
+_REGIONS: Tuple[Region, ...] = ("S", "L", "R")
+_CODE_OF = {region: code for code, region in enumerate(_REGIONS)}
 _LETTER_CODE = np.array([_CODE_OF.get(chr(c), 3) for c in range(128)])
 
 
@@ -416,10 +398,7 @@ def load_json(data: Union[str, bytes]) -> Instance:
             raise ParseError(f"{ctx}.sense: expected 'le' or 'ge'")
         extras.append(LinearConstraint(coeffs, sense, _num(ed["rhs"], f"{ctx}.rhs")))
 
-    inst = Instance(activities=tuple(acts), rho=rho, m=m, extras=tuple(extras))
-    if validate(inst).ok:
-        inst.regions  # warm the eager region cache for valid instances
-    return inst
+    return Instance(activities=tuple(acts), rho=rho, m=m, extras=tuple(extras))
 
 
 def save_json(inst: Instance) -> bytes:

@@ -15,7 +15,7 @@ to the same float, so a reader recovers the model bit-for-bit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from .hull import ModelIR, build_miqp, build_misocp
 from .instance import Instance

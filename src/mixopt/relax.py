@@ -65,7 +65,7 @@ from typing import Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .instance import Instance, Region, _region_codes
+from .instance import _CODE_OF, Instance, Region, _region_codes
 
 Formulation = Literal["miqp", "persp"]
 
@@ -75,17 +75,14 @@ PERSPECTIVE: Formulation = "persp"
 _INF = math.inf
 
 
-# the bit of each region in a node's ``bits``
-_BIT = {"S": 1, "L": 2, "R": 4}
-
-
 @dataclass(frozen=True, eq=False)
 class NodeState:
     """Per-activity region availability at a branch-and-bound node.
 
     ``bits[i]`` holds the regions activity ``i`` may still take, one bit
-    each (``_BIT``: 1 = S, 2 = L, 4 = R): every open region at the root,
-    one bit once fixed.  S disappears only by fixing L or R.  The int8
+    each, ``1 << code`` for region code ``code`` (``instance._CODE_OF``:
+    S 0, L 1, R 2, so bits 1, 2, 4): every open region at the root, one
+    bit once fixed.  S disappears only by fixing L or R.  The int8
     array is read-only: ``fix`` and ``saturate_cardinality`` return a new
     node and leave this one as it was.
     """
@@ -101,7 +98,7 @@ class NodeState:
         return cls((1 | has[0] << 1 | has[1] << 2).astype(np.int8))
 
     def fix(self, i: int, region: Region) -> "NodeState":
-        bit = _BIT[region]
+        bit = 1 << _CODE_OF[region]
         if not self.bits[i] & bit:
             raise ValueError(f"region {region} not open for activity {i}")
         bits = self.bits.copy()
@@ -136,8 +133,8 @@ class RelaxResult:
     multipliers: Tuple[float, ...]  # (budget, extras..., cardinality)
     converged: bool
     # read-only, per activity, from the last pricing: its term in the bound,
-    # its chosen option (0 stay, 1 decrease, 2 raise: ``1 << best`` is its
-    # region bit) and that option's activation (0 when it stays)
+    # its chosen option (the region's code, 0 stay, 1 decrease, 2 raise:
+    # ``1 << best`` is its bit) and that option's activation (0 when it stays)
     values: np.ndarray
     best: np.ndarray
     z: np.ndarray
@@ -199,9 +196,9 @@ class _InstanceArrays:
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
         self.scalable = np.array([lL < 0.0, uR > 0.0])
         self.index = np.arange(n)
-        col, z = inst.columns, np.array([[1.0], [1.0], [0.0], [0.0]])
+        col, z = inst.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
         low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
-        box = np.vstack((ends, np.zeros((2, n)), np.full((2, n), math.nan)))
+        box = np.vstack((np.zeros((2, n)), ends, np.full((2, n), math.nan)))
         self.claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
             np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
         # rows stay, decrease and raise; no box scales with its activation
@@ -906,9 +903,9 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
 def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     """The bound of every child "activity i in region r" of the node that
     ``res`` bounds, at the node's multipliers, as a ``(3, n)`` array with
-    rows stay, decrease side and raise side (the bit order of a node's
-    ``bits``); entries of regions the node does not hold mean
-    nothing.
+    rows stay, decrease side and raise side (row ``code`` for region code
+    ``code``, as a node's bits); entries of regions the node does not hold
+    mean nothing.
 
     The node dual is separable, so fixing ``i`` to ``r`` replaces only its
     term ``v_i`` of the dual value ``D``: the child's dual at the same

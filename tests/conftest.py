@@ -30,6 +30,12 @@ def make_activity(i, rng, theta_range=(-10.0, -0.5), phi_range=(-2.0, 10.0)):
     )
 
 
+def region_box(rb, region):
+    """The change interval of ``region`` in the region bounds ``rb``: the
+    origin for S, ``rb.L`` or ``rb.R`` (None when absent) otherwise."""
+    return (0.0, 0.0) if region == "S" else rb.L if region == "L" else rb.R
+
+
 def random_instance(rng, n, *, m=None, rho=None, with_extras=False):
     acts = tuple(make_activity(i, rng) for i in range(n))
     if rho is None:

@@ -34,7 +34,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
         if reg not in ("L", "S", "R"):
             out.append(f"activity {a.id!r}: unknown region {reg!r}")
             continue
-        interval = rb.interval(reg)
+        interval = (0.0, 0.0) if reg == "S" else rb.L if reg == "L" else rb.R
         if interval is None:
             out.append(f"activity {a.id!r}: region {reg} does not exist")
             continue

@@ -5,7 +5,8 @@ touching the writer's code paths. Understands exactly the dialect the
 exporter produces: a Maximize/Minimize objective with an optional quadratic
 ``[ ... ] / 2`` bracket and constant term, linear and quadratic rows
 (including ``e * z`` bilinear products), a Bounds section, a Binary section,
-and End.
+and End.  ``ir_objective`` and ``ir_row_activity`` evaluate the other side
+of the round trip, the ``ModelIR`` the text was written from.
 """
 
 import math
@@ -225,3 +226,18 @@ def parse_lp(text: str) -> ParsedLP:
     if "end" not in sections:
         raise ValueError("missing End marker")
     return ParsedLP(sense=sense, objective=objective, rows=rows, bounds=bounds, binaries=binaries)
+
+
+def ir_objective(ir, point: Dict[str, float]) -> float:
+    """The objective of a ``ModelIR`` at ``point`` (every variable named)."""
+    total = ir.const_obj
+    for v1, v2, c in ir.quad_obj:
+        total += c * point[v1] * point[v2]
+    for v, c in ir.lin_obj:
+        total += c * point[v]
+    return total
+
+
+def ir_row_activity(row, point: Dict[str, float]) -> float:
+    """The left-hand side of a ``ModelIR`` row at ``point``."""
+    return math.fsum(c * point[v] for v, c in row.coeffs)

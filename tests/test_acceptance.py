@@ -19,6 +19,7 @@ from mixopt import (
     GenConfig,
     Instance,
     SolveParams,
+    Solution,
     branch_and_bound,
     brute_force,
     build_miqp,
@@ -34,7 +35,7 @@ from mixopt import (
 )
 from mixopt.cli import pareto_sweep
 
-from lp_reader import parse_lp
+from lp_reader import ir_objective, ir_row_activity, parse_lp
 
 BASE_SEED = 20240814
 CLASSES = ("uncorrelated", "weak", "strong")
@@ -61,12 +62,17 @@ def test_criterion_1_region_grid():
                      theta=-1.0, phi=1.0, psi=0.0)
         rb = compute_regions(a)
         lo, hi = a.l - a.s, a.u - a.s
+        # staying is the origin: it passes the checker, and a change off zero
+        # claimed as S lies outside the region's box
+        one = Instance(activities=(a,), rho=1.0, m=1, extras=())
+        off = check_minlp_feasible(one, Solution.from_x(one, [-1e-3], ["S"])).violations
         ok = (
             (rb.L is not None) == (lo <= -delta)
             and (rb.R is not None) == (delta <= hi)
             and (rb.L == ((lo, -delta) if lo <= -delta else None))
             and (rb.R == ((delta, hi) if delta <= hi else None))
-            and rb.S == (0.0, 0.0)
+            and check_minlp_feasible(one, Solution.from_x(one, [0.0], ["S"])).ok
+            and "activity 'a': change -0.001 outside region S interval [0.0, 0.0]" in off
         )
         bad += 0 if ok else 1
         total += 1
@@ -298,10 +304,10 @@ def test_criterion_9_export_fidelity():
             parsed = parse_lp(export_lp(inst, form))
             for _ in range(5):  # 5 per form = 10 points per instance
                 pt = _in_bounds_point(ir, rng)
-                diff = abs(parsed.objective_at(pt) - ir.objective_at(pt))
-                worst = max(worst, diff / max(1.0, abs(ir.objective_at(pt))))
+                diff = abs(parsed.objective_at(pt) - ir_objective(ir, pt))
+                worst = max(worst, diff / max(1.0, abs(ir_objective(ir, pt))))
                 for row in ir.rows:
-                    gap = abs(parsed.row_activity(row.name, pt) - ir.row_activity(row, pt))
+                    gap = abs(parsed.row_activity(row.name, pt) - ir_row_activity(row, pt))
                     worst = max(worst, gap)
                 points += 1
     elapsed = time.perf_counter() - t0

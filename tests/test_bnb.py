@@ -128,7 +128,7 @@ def test_node_count_bounded_by_assignment_space(rng):
         inst = random_instance(rng, rng.randint(2, 6))
         product = 1
         for rb in inst.regions:
-            product *= len(rb.open_regions())
+            product *= 1 + (rb.L is not None) + (rb.R is not None)
         for form in FORMS:
             res = branch_and_bound(inst, SolveParams(formulation=form))
             assert res.nodes <= product

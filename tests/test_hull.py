@@ -1,5 +1,6 @@
 """Indicator-hull rows, model IR construction, and the MINLP checker."""
 
+import collections
 import dataclasses
 import math
 import random
@@ -9,19 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixopt import (
+    CORRELATIONS,
     Activity,
+    GenConfig,
     Instance,
     LinearConstraint,
     Solution,
     build_miqp,
     build_misocp,
     check_minlp_feasible,
-    objective_value,
+    generate,
     perspective_value,
 )
 
 from conftest import random_instance
 from feasibility_reference import check_minlp_feasible as reference_check
+from feasibility_reference import objective_value
+from lp_reader import ir_objective, ir_row_activity
 
 
 def test_hull_block_vertices_feasible():
@@ -187,15 +192,17 @@ def test_objective_agreement_between_formulations():
         z = pt[f"zL_{i}"] + pt[f"zR_{i}"]
         persp_pt[f"zLR_{i}"] = z
         persp_pt[cone.e_var] = cone.coeff * x * x / z if z > 0 else 0.0
-    assert persp.objective_at(persp_pt) == pytest.approx(miqp.objective_at(pt), rel=1e-12)
-    assert miqp.objective_at(pt) == pytest.approx(objective_value(inst, [2.0, 0.0]), rel=1e-12)
+    assert ir_objective(persp, persp_pt) == pytest.approx(ir_objective(miqp, pt), rel=1e-12)
+    assert ir_objective(miqp, pt) == pytest.approx(objective_value(inst, [2.0, 0.0]), rel=1e-12)
 
 
 def test_objective_at_origin_is_psi_sum():
     inst = _both_open()
-    ir = build_miqp(inst)
-    zero = {v.name: 0.0 for v in ir.variables}
-    assert ir.objective_at(zero) == pytest.approx(sum(a.psi for a in inst.activities))
+    for build in (build_miqp, build_misocp):
+        ir = build(inst)
+        zero = {v.name: 0.0 for v in ir.variables}
+        assert ir.const_obj == inst.psi_sum
+        assert ir_objective(ir, zero) == pytest.approx(sum(a.psi for a in inst.activities))
 
 
 def test_row_activity_and_extras(rng):
@@ -206,22 +213,52 @@ def test_row_activity_and_extras(rng):
     pt = {v.name: 0.0 for v in ir.variables}
     pt["x_0"] = 1.5
     row = next(r for r in ir.rows if r.name == "budget")
-    assert ir.row_activity(row, pt) == pytest.approx(1.5)
+    assert ir_row_activity(row, pt) == pytest.approx(1.5)
     for r, lc in zip(extra_rows, inst.extras):
-        assert ir.row_activity(r, pt) == pytest.approx(lc.coeffs[0] * 1.5)
+        assert ir_row_activity(r, pt) == pytest.approx(lc.coeffs[0] * 1.5)
         assert r.sense == "le" and r.rhs == pytest.approx(lc.rhs)
 
 
 def test_cone_slack_sign():
+    """A cone row ``e*z >= coeff*x^2`` carries ``coeff = -theta``, which is
+    positive, so ``e*z - coeff*x^2`` is nonnegative exactly where the row
+    holds."""
     inst = _both_open()
     ir = build_misocp(inst)
+    assert [c.coeff for c in ir.cones] == [-a.theta for a in inst.activities]
     cone = ir.cones[0]
-    tight = {"x_0": 2.0, "zLR_0": 1.0, "e_0": 4.0}
-    assert ir.cone_slack(cone, tight) == pytest.approx(0.0)
-    loose = {"x_0": 2.0, "zLR_0": 1.0, "e_0": 5.0}
-    assert ir.cone_slack(cone, loose) > 0.0  # e z - c x^2, nonnegative = satisfied
-    short = {"x_0": 2.0, "zLR_0": 1.0, "e_0": 3.0}
-    assert ir.cone_slack(cone, short) < 0.0
+    assert (cone.e_var, cone.z_var, cone.x_var) == ("e_0", "zLR_0", "x_0")
+    assert cone.coeff > 0.0
+
+    def slack(e, z=1.0, x=2.0):
+        return e * z - cone.coeff * x * x
+
+    assert slack(4.0) == pytest.approx(0.0)  # tight
+    assert slack(5.0) > 0.0  # satisfied
+    assert slack(3.0) < 0.0
+
+
+def test_models_declare_each_named_variable_once():
+    """Every variable a row, a cone or an objective term of either model
+    names is declared exactly once: on generated instances, which carry both
+    extra rows, and on one of them with a linear (theta = 0) activity."""
+    insts = [generate(GenConfig(correlation=c, n=7, epsilon=0.1, xi=0.75, seed=s))
+             for c in CORRELATIONS for s in (1, 2)]
+    assert all(len(inst.extras) == 2 for inst in insts)
+    acts = list(insts[0].activities)
+    acts[3] = dataclasses.replace(acts[3], theta=0.0)
+    insts.append(dataclasses.replace(insts[0], activities=tuple(acts)))
+    for inst in insts:
+        for build in (build_miqp, build_misocp):
+            ir = build(inst)
+            declared = collections.Counter(v.name for v in ir.variables)
+            named = {v for row in ir.rows for v, _ in row.coeffs}
+            named |= {v for cone in ir.cones for v in (cone.e_var, cone.z_var, cone.x_var)}
+            named |= {v for v1, v2, _ in ir.quad_obj for v in (v1, v2)}
+            named |= {v for v, _ in ir.lin_obj}
+            assert {v: declared[v] for v in named} == dict.fromkeys(named, 1)
+            assert len(named) >= 3 * inst.n
+    assert len(build_misocp(insts[-1]).cones) == insts[-1].n - 1  # none for theta = 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from mixopt import (
     save_json,
     validate,
 )
+from mixopt.instance import _CODE_OF
+from mixopt.relax import _instance_arrays
 
 from conftest import random_instance
 from validation_reference import validate as reference_validate
@@ -47,6 +49,12 @@ def _make(gl, gu, delta):
     )
 
 
+def _stay_box(a):
+    """The box a one-activity instance of ``a`` holds for claiming S."""
+    one = Instance(activities=(a,), rho=1.0, m=1, extras=())
+    return _instance_arrays(one).claims[:2, _CODE_OF["S"]].tolist()
+
+
 def test_region_grid_exhaustive():
     """Every existence/bound rule over orderings of (l-s, -delta, 0, delta, u-s).
 
@@ -64,7 +72,6 @@ def test_region_grid_exhaustive():
         assert (rb.L is not None) == (lo <= -delta)
         if lo <= -delta:
             assert rb.L == (lo, -delta)
-            assert rb.interval("L") == (lo, -delta)
         else:
             assert rb.L is None
 
@@ -76,8 +83,7 @@ def test_region_grid_exhaustive():
             assert rb.R is None
 
         # no-change region always exists and is the origin
-        assert rb.S == (0.0, 0.0)
-        assert "S" in rb.open_regions()
+        assert _stay_box(a) == [0.0, 0.0]
         cases += 1
     assert cases == len(GAPS) * len(GAPS) * len(DELTAS)
     assert time.perf_counter() - t0 < 1.0
@@ -99,10 +105,11 @@ def test_region_worked_examples(s, l, u, delta, expect_L, expect_R):
 
 
 def test_zero_delta_regions_touch_origin():
-    rb = compute_regions(Activity(id="a", s=5.0, l=1.0, u=10.0, delta=0.0, theta=-1.0, phi=0.0, psi=0.0))
+    zero_delta = Activity(id="a", s=5.0, l=1.0, u=10.0, delta=0.0, theta=-1.0, phi=0.0, psi=0.0)
+    rb = compute_regions(zero_delta)
     assert rb.L == (-4.0, 0.0)
     assert rb.R == (0.0, 5.0)
-    assert rb.S == (0.0, 0.0)
+    assert _stay_box(zero_delta) == [0.0, 0.0]
 
 
 def test_instance_caches_regions(rng):

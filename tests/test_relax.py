@@ -41,11 +41,12 @@ from mixopt import (
     solve_node_relaxation,
 )
 from mixopt import bnb, relax
+from mixopt.instance import _region_codes
 from mixopt.relax import _node_dual
 
 from activity_reference import per_activity_argmax
 from bnb_reference import least_row_use
-from conftest import make_activity, random_instance
+from conftest import make_activity, random_instance, region_box
 
 _Z_GRID = np.linspace(0.0, 1.0, 20001)
 
@@ -140,7 +141,7 @@ def test_per_activity_argmax_matches_grid_oracle(seed):
             phi_eff = act.phi - sum(lam)
             if z > 1e-12:
                 region = "L" if zl > 0 else "R"
-                lo, hi = rb.interval(region)
+                lo, hi = rb.L if region == "L" else rb.R
                 assert lo * z - 1e-9 <= x <= hi * z + 1e-9
                 quad = act.theta * x * x / z if form == "persp" else act.theta * x * x
                 assert quad + phi_eff * x - mu * z == pytest.approx(value, rel=1e-9, abs=1e-9)
@@ -474,8 +475,7 @@ def test_unconstrained_cardinality_loose_budget_bound():
     expect = sum(a.psi for a in acts)
     for a, rb in zip(acts, inst.regions):
         best = 0.0
-        for region in ("L", "R"):
-            iv = rb.interval(region) if (rb.L if region == "L" else rb.R) else None
+        for iv in (rb.L, rb.R):
             if iv is None:
                 continue
             xs = np.linspace(iv[0], iv[1], 40001)
@@ -743,6 +743,52 @@ def test_child_bounds_are_the_fixed_childs_dual():
     assert checked > 300
 
 
+def test_regions_numbered_once():
+    """One code per region (``instance._region_codes``: S 0, L 1, R 2, 3 for
+    any other claim) from node bit to claim column: ``1 << code`` is the
+    region's bit in ``NodeState``, the option ``RelaxResult.best`` names on
+    an activity fixed there, and the row of ``_child_bounds`` with that
+    child's bound; column ``code*n + i`` of the claims holds
+    ``compute_regions``' box of the region, NaN where it is absent; and
+    ``bnb._assignment`` reads the bits back.  On generated instances where
+    some activity lacks L and some lacks R, in both formulations."""
+    insts = [generate(GenConfig(correlation=c, n=12, epsilon=0.1, xi=0.75, seed=s))
+             for c in CORRELATIONS for s in range(3)]
+    regions = [rb for inst in insts for rb in inst.regions]
+    assert any(rb.L is None for rb in regions) and any(rb.R is None for rb in regions)
+    absent = checked = 0
+    for inst in insts:
+        n, root = inst.n, NodeState.root(inst)
+        claims = relax._instance_arrays(inst).claims
+        for form in ("miqp", "persp"):
+            res = solve_node_relaxation(inst, root, form)
+            assert (root.bits & 1 << res.best).all()  # an open option
+            bounds = relax._child_bounds(inst, res)
+            for letter in "SLR":
+                code = int(_region_codes(letter)[0])
+                bit = 1 << code
+                for i, rb in enumerate(inst.regions):
+                    box = region_box(rb, letter)
+                    got = claims[:2, code * n + i].tolist()
+                    if box is None:
+                        assert np.isnan(got).all() and not root.bits[i] & bit
+                        absent += 1
+                        continue
+                    assert got == list(box)
+                    child = root.fix(i, letter)
+                    assert child.bits[i] == bit
+                    assert bnb._assignment(child.bits[i:i + 1]) == (letter,)
+                    fixed = solve_node_relaxation(inst, child, form, warm=res.multipliers)
+                    assert fixed.best[i] == code
+                    want = dual_value(inst, child, form, res.multipliers)
+                    assert abs(bounds[code, i] - want) <= 1e-12 * max(1.0, abs(want))
+                    checked += 1
+    assert absent > 0 and checked > 300
+    odd = ["S", "RS", None, "\u00e9", "", "Q", "R", "L"]
+    assert _region_codes(odd).tolist() == [0, 3, 3, 3, 3, 3, 2, 1]
+    assert _region_codes(["S", "Q", "\u00e9", "L", "R"]).tolist() == [0, 3, 3, 1, 2]
+
+
 def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
     """``fix_by_reduced_cost`` against a frozenset model of the node: each
     free activity keeps the regions whose ``_child_bounds`` entry is above
@@ -877,7 +923,7 @@ def _scipy_fixed_opt(inst, assignment):
     """Independent concave QP solve over the fixed boxes (None if infeasible)."""
     boxes = []
     for rb, region in zip(inst.regions, assignment):
-        iv = rb.interval(region)
+        iv = region_box(rb, region)
         if iv is None:
             return None
         boxes.append(iv)
@@ -1117,7 +1163,7 @@ def test_floor_cuts_only_leaves_that_cannot_beat_it():
 
 def _leaf_lp_feasible(inst, regions):
     """HiGHS on the leaf's boxes and coupling rows."""
-    bounds = [rb.interval(r) for rb, r in zip(inst.regions, regions)]
+    bounds = [region_box(rb, r) for rb, r in zip(inst.regions, regions)]
     rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
     rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
     lp = linprog(np.zeros(inst.n), A_ub=np.array(rows), b_ub=rhs, bounds=bounds,
@@ -1217,7 +1263,7 @@ def test_stacked_farkas_test_matches_each_ray_alone():
                  for node in nodes for persp in (False, True)]
         for regions in leaves:
             leaf = cols.leaf.with_costs(cols.leaf.off)
-            leaf.lo, leaf.hi = (np.array([[rb.interval(r)[end] for rb, r in
+            leaf.lo, leaf.hi = (np.array([[region_box(rb, r)[end] for rb, r in
                                            zip(inst.regions, regions)]]) for end in (0, 1))
             duals.append(("leaf", leaf))
         for kind, dual in duals:
