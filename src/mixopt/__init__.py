@@ -13,9 +13,8 @@ from .bnb import (BRUTE_FORCE_MAX_N, SolveParams, SolveResult,
                   branch_and_bound, brute_force)
 from .gen import (CORRELATIONS, STRONG, UNCORRELATED, WEAK, Cell, GenConfig,
                   batch, generate, mix_seed, paper_cells)
-from .hull import (ConeRow, FeasibilityReport, LinearRow, ModelIR, Variable,
-                   build_miqp, build_misocp, check_minlp_feasible,
-                   perspective_value)
+from .hull import (ConeRow, LinearRow, ModelIR, Variable, build_miqp,
+                   build_misocp, check_minlp_feasible, perspective_value)
 from .instance import (Activity, Instance, InstanceError,
                        InvalidActivityError, InvalidInstanceError,
                        LinearConstraint, ParseError, Region, RegionBounds,
@@ -31,7 +30,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activity", "BRUTE_FORCE_MAX_N", "Cell", "ConeRow", "CORRELATIONS",
-    "FeasibilityReport", "FixedOutcome", "Formulation", "GenConfig",
+    "FixedOutcome", "Formulation", "GenConfig",
     "Instance", "InstanceError", "InvalidActivityError",
     "InvalidInstanceError", "LinearConstraint", "LinearRow", "MIQP",
     "ModelIR", "NodeState", "ParseError", "PERSPECTIVE", "Region",

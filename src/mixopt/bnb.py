@@ -61,8 +61,8 @@ import numpy as np
 from .hull import check_minlp_feasible
 from .instance import (_CODE_OF, _REGIONS, Instance, InvalidInstanceError, Region,
                        Solution, UnsupportedInstanceError, validate)
-from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState,
-                    RelaxResult, _box_qp_max, _instance_arrays, fix_by_reduced_cost,
+from .relax import (PERSPECTIVE, FixedOutcome, Formulation, NodeState, RelaxResult,
+                    _box_qp_max, _instance_arrays, _persp, fix_by_reduced_cost,
                     solve_fixed_assignment, solve_node_relaxation)
 
 _INF = math.inf
@@ -81,6 +81,7 @@ class SolveParams:
     node_limit: Optional[int] = None
 
     def __post_init__(self):
+        _persp(self.formulation)  # an unknown name is a ValueError
         if not self.gap_tol >= 0.0:  # NaN as well
             raise ValueError(f"gap_tol must be a nonnegative number, got {self.gap_tol}")
         if not self.time_limit >= 0.0:
@@ -350,8 +351,8 @@ def brute_force(inst: Instance) -> SolveResult:
         raise UnsupportedInstanceError(
             f"brute force capped at {BRUTE_FORCE_MAX_N} activities, got {inst.n}")
 
-    n, b0, cols = inst.n, inst.budget_rhs, _instance_arrays(inst)
-    theta, phi, rows, rhs, leaf = cols.theta, cols.phi, cols.A, cols.b, cols.leaf
+    n, b0, (rows, rhs) = inst.n, inst.budget_rhs, inst.coupling
+    theta, phi, leaf = inst.columns["theta"], inst.columns["phi"], _instance_arrays(inst).leaf
 
     options: List[List[Tuple[Region, float, float]]] = []
     for rb in inst.regions:

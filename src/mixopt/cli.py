@@ -28,6 +28,7 @@ from .relax import MIQP, PERSPECTIVE
 MANIFEST_FIELDS = ("path", "corr", "n", "eps", "xi", "seed")
 BENCH_FIELDS = ("corr", "n", "eps", "xi", "seed", "form", "status",
                 "objective", "bound", "gap", "nodes", "time_s")
+_KNEE_FRACTION = 0.995  # the share of the maximum revenue that marks the knee
 
 
 @dataclasses.dataclass
@@ -60,13 +61,7 @@ def _norm_form(name: str) -> str:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _load_instance(path: Path) -> Instance:
@@ -319,8 +314,7 @@ def pareto_sweep(inst: Instance, params: Optional[SolveParams] = None,
     return points
 
 
-def knee_point(points: Sequence[Dict[str, object]],
-               threshold: float = 0.995) -> Optional[Dict[str, object]]:
+def knee_point(points: Sequence[Dict[str, object]]) -> Optional[Dict[str, object]]:
     # Closeness is measured on the revenue scale (top - slack*|top|), not on
     # the reported ratio: when the best achievable revenue is negative every
     # worse point has revenue/top >= 1, which would fire the knee immediately.
@@ -328,7 +322,7 @@ def knee_point(points: Sequence[Dict[str, object]],
     if not revs:
         return None
     top = max(revs)
-    cut = top - (1.0 - threshold) * abs(top)
+    cut = top - (1.0 - _KNEE_FRACTION) * abs(top)
     for p in points:
         rev = p.get("revenue")
         if rev is not None and rev >= cut:
@@ -411,7 +405,7 @@ def _cmd_sweep(args) -> int:
             f"revenue {knee['revenue']:.6g}"
         print(f"knee: m={knee['m']} (m/n={knee['m_fraction']:.3f}) reaches {reach}")
     else:
-        print("knee: no sweep point reaches 0.995 of maximum revenue")
+        print(f"knee: no sweep point reaches {_KNEE_FRACTION} of maximum revenue")
     if args.svg:
         Path(args.svg).write_text(pareto_svg(points))
         print(f"wrote {args.svg}")

@@ -23,11 +23,11 @@ from .instance import (
     InvalidInstanceError,
     RegionBounds,
     Solution,
+    ValidationReport,
     _region_codes,
     _revenues,
     validate,
 )
-from .relax import _instance_arrays
 
 Sense = Literal["le", "ge", "eq"]
 
@@ -182,20 +182,11 @@ def build_misocp(inst: Instance) -> ModelIR:
                    cones=tuple(cones))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    violations: Tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 # signs that make claims' bound rows upper ones: x < lo - tol is -x > -lo + tol
 _SIGNS = np.array([[-1.0], [1.0], [-1.0], [1.0], [1.0]])
 
 
-def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> FeasibilityReport:
+def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> ValidationReport:
     """Reference feasibility check for a candidate solution.
 
     Verifies, within additive ``tol``: spend bounds, membership of each
@@ -205,18 +196,17 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
     objective.  This is the gate every incumbent must pass.
 
     The activities are checked together, on one gather from
-    ``_InstanceArrays.claims``; the messages come activity by activity,
+    ``Instance.claims``; the messages come activity by activity,
     in the order the rules above are listed, and an activity whose region
     is unknown or absent gets no further message.  Sums are exact
     (``math.fsum``).
     """
     n = inst.n
     if len(sol.x) != n or len(sol.region) != n:
-        return FeasibilityReport((f"expected {n} entries in x/region",))
-    arr = _instance_arrays(inst)
+        return ValidationReport((f"expected {n} entries in x/region",))
     x = np.array(sol.x, dtype=float)
     code = _region_codes(sol.region)
-    claim = arr.claims.take(code * n + arr.index, axis=1)
+    claim = inst.claims.take(code * n + np.arange(n), axis=1)
     lacks, bound, size = np.isnan(claim[0]), claim[:5] * _SIGNS + tol, np.abs(x)
     # below the region's box, above it, below the spend bounds, above them
     past = x * _SIGNS[:4] > bound[:4]
@@ -246,11 +236,11 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Fe
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
-    for k, (ex, row) in enumerate(zip(inst.extras, (arr.A[1:] * x).tolist())):
+    for k, (ex, row) in enumerate(zip(inst.extras, (inst.coupling[0][1:] * x).tolist())):
         activity = math.fsum(row)
         if activity > ex.rhs + tol:  # ``Instance`` stores every row as ``le``
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = math.fsum(_revenues(inst, x).tolist())
     if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
-    return FeasibilityReport(tuple(out))
+    return ValidationReport(tuple(out))

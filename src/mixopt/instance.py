@@ -9,6 +9,7 @@ in one of three regions: decrease (L), stay at zero (S), or raise (R).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -153,6 +154,7 @@ class LinearConstraint:
 
 
 _FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
+_ABSENT = (math.nan, math.nan)
 _EDGES = (0.0, np.finfo(float).max, -np.finfo(float).max)
 # the rows of ``Instance._rows`` that ``validate`` pairs as ``low <= high``:
 # l <= s, s <= u, theta <= 0, 0 <= delta, each field finite (not NaN or inf)
@@ -225,6 +227,34 @@ class Instance:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def claims(self) -> np.ndarray:
+        """The claim table, read-only: column ``code*n + i`` is activity
+        ``i`` claiming region ``code`` (``_region_codes``): lo and hi of its
+        box (NaN if absent) and of its spend change, ``M*z`` and ``delta*z``
+        (``M = max|spend change|``, ``z`` 1 off S)."""
+        n, col, z = self.n, self.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
+        ends = np.fromiter(itertools.chain.from_iterable(
+            [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in self.regions]),
+            float, 4 * n).reshape(n, 4).T
+        low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
+        box = np.vstack((np.zeros((2, n)), ends, np.full((2, n), math.nan)))
+        claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
+            np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
+        claims.flags.writeable = False
+        return claims
+
+    @cached_property
+    def coupling(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The coupling rows ``A x <= b``, budget first, as read-only
+        arrays ``(A, b)``."""
+        A = np.ones((1 + len(self.extras), self.n))
+        for k, ex in enumerate(self.extras, 1):
+            A[k] = ex.coeffs
+        b = np.array([self.budget_rhs] + [ex.rhs for ex in self.extras])
+        A.flags.writeable = b.flags.writeable = False
+        return A, b
+
 
 def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
     """Each activity's revenue ``theta*x^2 + phi*x + psi`` at its change, in
@@ -234,8 +264,8 @@ def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
 
 
 # the regions by code, 0 stay, 1 decrease, 2 raise (any other claim reads
-# 3): a region's code is the row of its option in the node dual and of its
-# claims in ``relax._InstanceArrays``, and ``1 << code`` its node bit
+# 3): a region's code is the row of its option in the node dual and the
+# block of its columns in ``Instance.claims``, and ``1 << code`` its node bit
 _REGIONS: Tuple[Region, ...] = ("S", "L", "R")
 _CODE_OF = {region: code for code, region in enumerate(_REGIONS)}
 _LETTER_CODE = np.array([_CODE_OF.get(chr(c), 3) for c in range(128)])

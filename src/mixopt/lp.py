@@ -24,10 +24,6 @@ _SENSE = {"le": "<=", "ge": ">=", "eq": "="}
 
 
 def _num(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    if x == -math.inf:
-        return "-inf"
     return repr(float(x))
 
 

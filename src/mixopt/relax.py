@@ -57,7 +57,6 @@ hangs on the last bit of each step.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,6 +72,13 @@ MIQP: Formulation = "miqp"
 PERSPECTIVE: Formulation = "persp"
 
 _INF = math.inf
+
+
+def _persp(form: str) -> bool:
+    """Whether ``form`` is persp; a name other than miqp and persp is a ``ValueError``."""
+    if form not in (MIQP, PERSPECTIVE):
+        raise ValueError(f"unknown formulation {form!r}, not {MIQP!r} or {PERSPECTIVE!r}")
+    return form == PERSPECTIVE
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,66 +156,42 @@ class RelaxResult:
 # The numpy dual kernel
 
 
-_ABSENT = (math.nan, math.nan)
-
-
 class _InstanceArrays:
-    """The kernel's columns that do not depend on the node.
+    """The kernel's columns that do not depend on the node, beyond the
+    instance's own (``Instance.columns``, ``claims`` and ``coupling``).
 
-    The coupling rows (budget first) are the rows of ``A``.  The side
-    arrays stack the decrease side as row 0 and the raise side as row 1:
-    ``lo`` and ``hi`` hold the region ends (an absent region's read 0.0),
-    ``outer`` the end away from zero and ``inner`` the end next to it,
-    ``scalable`` and ``inner_ok`` where those ends are off zero, and
-    ``index`` is ``arange(n)``, to pick one side per activity.  Column
-    ``code*n + i`` of ``claims`` is activity ``i`` claiming region ``code``
-    (``instance._region_codes``): lo and hi of its box (NaN if absent) and
-    of its spend, ``M*z`` and ``delta*z`` (``M = max|spend|``, ``z`` 1 off S).
-    ``psi_sum`` and ``m`` are the node dual's constant terms.  ``node`` is
-    the persp node dual without its options' costs (``_node_dual``): its
-    boxes, activations and activation rates, right-hand sides, linear
-    activities and tie tolerances, which every persp node takes as they
-    are and from which a miqp node copies the boxes it changes.  ``leaf``
-    is the leaf dual (``_leaf_dual``), whose boxes each leaf sets from the
-    side arrays.  Every node and leaf of a search shares all of these, so
-    the arrays are read-only.
+    The side arrays stack the decrease side as row 0 and the raise side as
+    row 1: ``has`` where the region exists, ``outer`` its end away from
+    zero and ``inner`` the end next to it (an absent region's read 0.0),
+    and ``scalable`` and ``inner_ok`` where those ends are off zero.
+    ``node`` is the persp node dual without its options' costs
+    (``_node_dual``): its boxes, activations and activation rates,
+    right-hand sides, linear activities and tie tolerances, which every
+    persp node takes as they are and from which a miqp node copies the
+    boxes it changes.  ``leaf`` is the leaf dual (``_leaf_dual``), whose
+    boxes each leaf sets from the claims.  Every node and leaf of a search
+    shares all of these, so the arrays are read-only.
     """
 
-    __slots__ = ("theta", "phi", "A", "b", "psi_sum", "m", "has", "lo", "hi",
-                 "outer", "inner", "inner_ok", "scalable", "index", "claims", "node", "leaf")
+    __slots__ = ("has", "outer", "inner", "inner_ok", "scalable", "node", "leaf")
 
     def __init__(self, inst: Instance):
-        n = inst.n
-        self.psi_sum, self.m = inst.psi_sum, inst.m
-        self.theta, self.phi = inst.columns["theta"], inst.columns["phi"]
-        self.A = np.ones((1 + len(inst.extras), n))
-        for k, ex in enumerate(inst.extras, 1):
-            self.A[k] = ex.coeffs
-        self.b = np.array([inst.budget_rhs] + [ex.rhs for ex in inst.extras])
-        ends = np.fromiter(itertools.chain.from_iterable(
-            [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in inst.regions]),
-            float, 4 * n).reshape(n, 4).T
-        self.has = ~np.isnan(ends[::2])
-        lL, uL, lR, uR = np.where(np.isnan(ends), 0.0, ends)
-        self.lo, self.hi = np.array([lL, lR]), np.array([uL, uR])
+        n, (A, b), col = inst.n, inst.coupling, inst.columns
+        box = inst.claims[:2, n:3 * n].reshape(2, 2, n)  # lo, hi of sides L, R
+        self.has = ~np.isnan(box[0])
+        side = np.where(np.isnan(box), 0.0, box)
+        (lL, lR), (uL, uR) = side
         self.outer, self.inner = np.array([lL, uR]), np.array([uL, lR])
         self.inner_ok = np.array([uL < 0.0, lR > 0.0])
         self.scalable = np.array([lL < 0.0, uR > 0.0])
-        self.index = np.arange(n)
-        col, z = inst.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
-        low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
-        box = np.vstack((np.zeros((2, n)), ends, np.full((2, n), math.nan)))
-        self.claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
-            np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
         # rows stay, decrease and raise; no box scales with its activation
-        lo, hi = np.zeros((3, n)), np.zeros((3, n))
-        lo[1:], hi[1:] = self.lo, self.hi
+        lo, hi = np.concatenate((np.zeros((2, 1, n)), side), axis=1)
         far = np.full((3, n), _INF)
         zeta = np.ones((3, n))
         zeta[0] = 0.0
-        self.node = _Dual(self.A, np.append(self.b, float(self.m)), self.psi_sum,
-                          self.phi, self.theta, lo, hi, far, far, zeta, None)
-        self.leaf = _leaf_dual(self.A, self.b, self.phi, self.theta)
+        self.node = _Dual(A, np.append(b, float(inst.m)), inst.psi_sum,
+                          col["phi"], col["theta"], lo, hi, far, far, zeta, None)
+        self.leaf = _leaf_dual(A, b, col["phi"], col["theta"])
         for value in ([getattr(self, name) for name in self.__slots__]
                       + [getattr(dual, name) for dual in (self.node, self.leaf)
                          for name in _Dual._SHARED]):
@@ -657,8 +639,7 @@ class _Dual:
             if kept.any():
                 partner = kept & ~(1 << best)
                 remembered = (partner != kept) & (partner > 0)
-                second = np.where(remembered, partner >> 1 & 1 | (partner >> 2) * 2,
-                                  others.argmax(axis=0))
+                second = np.where(remembered, partner >> 1, others.argmax(axis=0))
             v2 = others.max(axis=0) if second is None else others.take(second * n + idx)
             level = remembered | (vb - v2 <= 1e-10 * (
                 1.0 + np.abs(self.theta * xb * xb) + np.abs(cb * xb) + zb * mu))
@@ -843,7 +824,7 @@ def _descend(dual: _Dual, y: np.ndarray, goal: float,
 def dual_value(inst: Instance, node: NodeState, form: Formulation,
                multipliers: Sequence[float]) -> float:
     """Dual bound at an explicit multiplier vector (budget, extras..., card)."""
-    dual = _node_dual(inst, node, form == PERSPECTIVE)
+    dual = _node_dual(inst, node, _persp(form))
     return dual.value(np.array(multipliers, dtype=float))[0]
 
 
@@ -883,7 +864,7 @@ def solve_node_relaxation(inst: Instance, node: NodeState, form: Formulation,
     lowers the dual pointwise, and every step descends.
     """
     goal = target if target is not None and math.isfinite(target) else -_INF
-    dual = _node_dual(inst, node, form == PERSPECTIVE)
+    dual = _node_dual(inst, node, _persp(form))
     y = np.zeros(dual.K + 1) if warm is None else np.maximum(np.array(warm, dtype=float), 0.0)
     if y.shape != (dual.K + 1,):
         raise ValueError(f"warm start has {y.size} multipliers, the node dual {dual.K + 1}")
@@ -914,11 +895,10 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     is priced that way in both formulations (``_node_dual``), so the bound
     holds for both and agrees with ``dual_value`` on the child to rounding.
     """
-    cols = _instance_arrays(inst)
-    mult = res.multipliers
-    pe = _prices(cols.phi, cols.A, mult)
-    x = _box_max(pe, cols.node.curv, cols.node.lin, cols.lo, cols.hi)
-    w = cols.theta * x * x + pe * x - mult[len(cols.A)]
+    node, mult = _instance_arrays(inst).node, res.multipliers
+    pe = _prices(node.phi, node.A, mult)
+    x = _box_max(pe, node.curv, node.lin, node.lo[1:], node.hi[1:])
+    w = node.theta * x * x + pe * x - mult[node.K]
     base = res.upper_bound - res.values
     return np.vstack((base, base + w))
 
@@ -1049,7 +1029,7 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     """Best change vector for a fully decided region assignment.
 
     The continuous layer is a separable concave QP over the regions' boxes
-    (read from ``_InstanceArrays``) under the budget row and any extra
+    (read from ``Instance.claims``) under the budget row and any extra
     rows, solved exactly by ``_box_qp_max``.  ``value`` is attained by the
     returned point; ``bound`` is the dual value at the final multipliers, a
     certified upper bound for the assignment that meets ``value`` once the
@@ -1077,18 +1057,18 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     a node's cardinality entry prices the leaf's empty row.  The defaults
     solve every leaf in full.
     """
-    cols = _instance_arrays(inst)
+    leaf = _instance_arrays(inst).leaf
     mult = None if multipliers is None else np.maximum(np.array(multipliers, dtype=float), 0.0)
-    if mult is not None and mult.shape != (len(cols.A) + 1,):
-        raise ValueError(f"{mult.size} multipliers, not {len(cols.A) + 1} (rows and cardinality)")
+    if mult is not None and mult.shape != (leaf.K + 1,):
+        raise ValueError(f"{mult.size} multipliers, not {leaf.K + 1} (rows and cardinality)")
     code = _region_codes(assignment)
     if code.size != inst.n:
         raise ValueError(f"{code.size} regions for {inst.n} activities")
-    lo, hi = cols.claims[:2].take(code * inst.n + cols.index, axis=1)
+    lo, hi = inst.claims[:2].take(code * inst.n + leaf.index, axis=1)
     if np.isnan(lo).any():
         return FixedOutcome(None, -_INF, -_INF, False)
     # the cut level in the leaf's own value, which leaves out psi_sum
     goal = floor - 1e-9 * max(1.0, abs(floor)) - inst.psi_sum
-    out = _box_qp_max(cols.leaf, lo, hi, goal, None if mult is None else mult[:-1], rays)
+    out = _box_qp_max(leaf, lo, hi, goal, None if mult is None else mult[:-1], rays)
     return FixedOutcome(out.x, out.value + inst.psi_sum, out.bound + inst.psi_sum,
                         out.feasible, out.ray)

@@ -859,6 +859,44 @@ def test_root_leaf_edges_match_brute_force(case, with_extras):
                 assert res.nodes == 0
 
 
+def test_unknown_formulation_name_is_refused():
+    """A formulation other than miqp and persp is a ``ValueError`` at each
+    entry point that takes one, not a solve of the miqp dual.  (The command
+    line reads misocp as persp: ``test_cli``.)"""
+    inst = generate(GenConfig("weak", 12, 0.1, 0.5, 3))
+    root = NodeState.root(inst)
+    for name in ("misocp", "perspective"):
+        with pytest.raises(ValueError, match="unknown formulation"):
+            SolveParams(formulation=name)
+        with pytest.raises(ValueError, match="unknown formulation"):
+            solve_node_relaxation(inst, root, name)
+        with pytest.raises(ValueError, match="unknown formulation"):
+            relax.dual_value(inst, root, name, [0.0] * (2 + len(inst.extras)))
+
+
+_NO_SCIPY = """
+import sys
+from mixopt import GenConfig, SolveParams, branch_and_bound, export_lp, generate
+inst = generate(GenConfig("weak", 30, 0.1, 0.75, 0))
+assert branch_and_bound(inst, SolveParams(node_limit=100)).incumbent is not None
+assert export_lp(inst, "persp").split()[-1] == "End"
+loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def test_solve_and_export_load_no_scipy():
+    """numpy is the package's one runtime dependency: importing it, solving
+    a generated n = 30 instance and exporting its LP load no scipy module
+    (importing ``scipy.optimize`` alone about triples a solve's peak RSS)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(mixopt.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+
+
 def test_solve_params_defaults():
     p = SolveParams()
     assert p.formulation == "persp"

@@ -117,6 +117,24 @@ def test_solve_forms_agree(tmp_path, capsys):
     assert values["misocp"] == values["persp"]
 
 
+def test_solve_misocp_alias_bounds_as_persp(tmp_path, capsys):
+    """``--form misocp`` is persp: at the root of an instance where the two
+    forms' bounds differ, it reports persp's bound."""
+    path = tmp_path / "inst.json"
+    path.write_bytes(save_json(generate(GenConfig("weak", 12, 0.1, 0.5, 3))))
+    bounds = {}
+    for form in ("miqp", "persp", "misocp"):
+        main(["solve", str(path), "--form", form, "--node-limit", "0"])
+        bounds[form] = _solve_fields(capsys.readouterr().out)["bound"]
+    assert bounds["misocp"] == bounds["persp"] != bounds["miqp"]
+
+
+def test_fmt_spells_floats_by_repr():
+    for value, text in ((math.inf, "inf"), (-math.inf, "-inf"), (0.1, "0.1"),
+                        (-2.5e-300, "-2.5e-300"), (3, "3"), (None, "")):
+        assert cli._fmt(value) == text
+
+
 def test_solve_json_output(tmp_path, capsys):
     out, rows = _gen(tmp_path)
     dest = tmp_path / "sol.json"

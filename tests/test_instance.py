@@ -12,19 +12,25 @@ from hypothesis import strategies as st
 
 from mixopt import (
     Activity,
+    GenConfig,
     Instance,
     InvalidActivityError,
     LinearConstraint,
     ParseError,
     SchemaError,
+    SolveParams,
     Solution,
+    ValidationReport,
+    branch_and_bound,
+    check_minlp_feasible,
     compute_regions,
+    generate,
     load_json,
     save_json,
     validate,
 )
 from mixopt.instance import _CODE_OF
-from mixopt.relax import _instance_arrays
+from mixopt.relax import _InstanceArrays, _instance_arrays
 
 from conftest import random_instance
 from validation_reference import validate as reference_validate
@@ -52,7 +58,7 @@ def _make(gl, gu, delta):
 def _stay_box(a):
     """The box a one-activity instance of ``a`` holds for claiming S."""
     one = Instance(activities=(a,), rho=1.0, m=1, extras=())
-    return _instance_arrays(one).claims[:2, _CODE_OF["S"]].tolist()
+    return one.claims[:2, _CODE_OF["S"]].tolist()
 
 
 def test_region_grid_exhaustive():
@@ -335,6 +341,32 @@ def test_construction_sorts_by_id_and_permutes_rows():
 def test_load_json_rejects_garbage(payload, exc):
     with pytest.raises(exc):
         load_json(payload)
+
+
+def test_instance_tables_have_one_owner():
+    """The claim table and the coupling rows are built once, on the
+    instance, and read-only; the solver's duals take them, and the activity
+    columns, without a copy; and checking a solution builds no dual."""
+    cfg = GenConfig("strong", 12, 0.1, 0.75, 0)
+    inst = generate(cfg)
+    A, b = inst.coupling
+    assert inst.claims is inst.claims and inst.coupling is inst.coupling
+    assert inst.claims.shape == (6, 4 * inst.n)
+    assert A.shape == (1 + len(inst.extras), inst.n) and b.tolist() == (
+        [inst.budget_rhs] + [ex.rhs for ex in inst.extras])
+    for table in (inst.claims, A, b):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    arrays = _instance_arrays(inst)
+    assert len(_InstanceArrays.__slots__) <= 7
+    assert arrays.node.A is A and arrays.leaf.A is A
+    assert arrays.node.theta is inst.columns["theta"]
+    res = branch_and_bound(inst, SolveParams(node_limit=10))
+    fresh = generate(cfg)
+    report = check_minlp_feasible(fresh, res.incumbent)
+    assert isinstance(report, ValidationReport) and report.ok
+    assert "_kernel_arrays" not in fresh.__dict__
 
 
 def test_solution_from_x():

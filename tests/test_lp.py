@@ -1,10 +1,12 @@
 """LP text writer: structure, exact numbers, and reader round-trips."""
 
+import math
 import random
 
 import pytest
 
 from mixopt import Activity, Instance, build_miqp, build_misocp, export_lp, write_lp
+from mixopt.lp import _num
 
 from conftest import random_instance
 from lp_reader import ir_objective, ir_row_activity, parse_lp
@@ -114,3 +116,8 @@ def test_reader_rejects_truncated_file():
     text = export_lp(_single(), "miqp")
     with pytest.raises(ValueError):
         parse_lp(text.replace("End", ""))
+
+
+def test_num_spells_floats_by_repr():
+    for value, text in ((math.inf, "inf"), (-math.inf, "-inf"), (0.1, "0.1"), (3, "3.0")):
+        assert _num(value) == text

@@ -759,7 +759,7 @@ def test_regions_numbered_once():
     absent = checked = 0
     for inst in insts:
         n, root = inst.n, NodeState.root(inst)
-        claims = relax._instance_arrays(inst).claims
+        claims = inst.claims
         for form in ("miqp", "persp"):
             res = solve_node_relaxation(inst, root, form)
             assert (root.bits & 1 << res.best).all()  # an open option
@@ -1247,8 +1247,7 @@ def test_stacked_farkas_test_matches_each_ray_alone():
         shift = (0.0, 20.0, -20.0)[k % 3]
         inst = dataclasses.replace(inst, extras=tuple(
             dataclasses.replace(ex, rhs=ex.rhs + rng.uniform(0.0, shift)) for ex in inst.extras))
-        cols = relax._instance_arrays(inst)
-        rows = len(cols.A)
+        base, rows = relax._instance_arrays(inst).leaf, len(inst.coupling[0])
         nodes = [NodeState.root(inst)] + [_random_node(inst, rng) for _ in range(3)]
         nodes = [node for node in nodes if node is not None]
         leaves = [_random_assignment(inst, rng) for _ in range(3)]
@@ -1262,7 +1261,7 @@ def test_stacked_farkas_test_matches_each_ray_alone():
         duals = [("node", _node_dual(inst, node, persp))
                  for node in nodes for persp in (False, True)]
         for regions in leaves:
-            leaf = cols.leaf.with_costs(cols.leaf.off)
+            leaf = base.with_costs(base.off)
             leaf.lo, leaf.hi = (np.array([[region_box(rb, r)[end] for rb, r in
                                            zip(inst.regions, regions)]]) for end in (0, 1))
             duals.append(("leaf", leaf))
