@@ -330,7 +330,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
 
 def brute_force(inst: Instance) -> SolveResult:
-    """Enumerate every region assignment and solve each continuous layer.
+    """Enumerate every assignment of open regions; solve each continuous layer.
 
     Exact oracle for small instances, up to ``BRUTE_FORCE_MAX_N``
     activities (the assignment count grows as fast as ``3**n``), with the
@@ -351,23 +351,18 @@ def brute_force(inst: Instance) -> SolveResult:
         raise UnsupportedInstanceError(
             f"brute force capped at {BRUTE_FORCE_MAX_N} activities, got {inst.n}")
 
-    n, b0, (rows, rhs) = inst.n, inst.budget_rhs, inst.coupling
+    n, b0, (rows, rhs), index = inst.n, inst.budget_rhs, inst.coupling, np.arange(inst.n)
     theta, phi, leaf = inst.columns["theta"], inst.columns["phi"], _instance_arrays(inst).leaf
 
-    options: List[List[Tuple[Region, float, float]]] = []
-    for rb in inst.regions:
-        opts: List[Tuple[Region, float, float]] = [("S", 0.0, 0.0)]
-        if inst.m > 0 and rb.L is not None:
-            opts.append(("L",) + rb.L)
-        if inst.m > 0 and rb.R is not None:
-            opts.append(("R",) + rb.R)
-        options.append(opts)
-    radices = [len(o) for o in options]
-    total = math.prod(radices)
-    lo_opts = [np.array([t[1] for t in o]) for o in options]
-    hi_opts = [np.array([t[2] for t in o]) for o in options]
+    # digit d of activity i is its d-th open region at the root, S first:
+    # region code table[i, d], padded with 3 past the open ones
+    open_ = NodeState.root(inst).bits[:, None] >> np.arange(3) & 1 == 1
+    table = np.sort(np.where(open_, np.arange(3), 3), axis=1)
+    radices = open_.sum(axis=1)
+    place = np.append(np.cumprod(radices[:0:-1])[::-1], 1)  # digit i's place value
+    total = math.prod(radices.tolist())
 
-    span = max(max(abs(a.l - a.s), abs(a.u - a.s)) for a in inst.activities)
+    span = float(inst.claims[4].max())  # the largest |spend change|
     lam_top = max(1.0, float(phi.max()) + 2.0 * float((-theta).max()) * span + 1.0)
     neg2theta = -2.0 * theta  # zero entries flagged below
     is_quad = theta < 0.0
@@ -389,16 +384,8 @@ def brute_force(inst: Instance) -> SolveResult:
 
     for start in range(0, total, _BRUTE_FORCE_CHUNK):
         idx = np.arange(start, min(start + _BRUTE_FORCE_CHUNK, total), dtype=np.int64)
-        rem = idx
-        code = np.empty((idx.size, n), dtype=np.int8)
-        for i in range(n - 1, -1, -1):
-            code[:, i] = rem % radices[i]
-            rem = rem // radices[i]
-        lo = np.empty((idx.size, n))
-        hi = np.empty((idx.size, n))
-        for i in range(n):
-            lo[:, i] = lo_opts[i][code[:, i]]
-            hi[:, i] = hi_opts[i][code[:, i]]
+        code = table[index, idx[:, None] // place % radices]
+        lo, hi = inst.claims[:2].take(code * n + index, axis=1)
         # no row may be out of reach activity by activity
         reach = (np.minimum(lo[:, None, :] * rows, hi[:, None, :] * rows).sum(axis=2)
                  <= rhs)
@@ -434,15 +421,12 @@ def brute_force(inst: Instance) -> SolveResult:
     for j in np.argsort(-upper, kind="stable"):
         if upper[j] <= best_sol_val:
             break
-        regions = tuple(options[i][c][0] for i, c in enumerate(code[j]))
-        lo = np.array([options[i][c][1] for i, c in enumerate(code[j])])
-        hi = np.array([options[i][c][2] for i, c in enumerate(code[j])])
-        out = _box_qp_max(leaf, lo, hi)
+        out = _box_qp_max(leaf, *inst.claims[:2].take(code[j] * n + index, axis=1))
         if out.x is None:
             continue
         if out.value > best_sol_val:
             best_sol_val = out.value
-            best = (out.x, regions, out.value)
+            best = (out.x, tuple(map(_REGIONS.__getitem__, code[j].tolist())), out.value)
     wall = time.perf_counter() - t0
     if best is None:
         return SolveResult("infeasible", None, None, -_INF, _INF, total, wall)

@@ -43,17 +43,11 @@ class BenchRecord:
     miqp: Optional[SolveResult]
     persp: Optional[SolveResult]
 
-    @property
-    def time_ratio(self) -> Optional[float]:
-        if self.miqp is None or self.persp is None or self.miqp.wall_time <= 0:
+    def ratio(self, field: str) -> Optional[float]:
+        """persp over miqp in ``field`` (``wall_time`` or ``nodes``)."""
+        if self.miqp is None or self.persp is None or getattr(self.miqp, field) <= 0:
             return None
-        return self.persp.wall_time / self.miqp.wall_time
-
-    @property
-    def node_ratio(self) -> Optional[float]:
-        if self.miqp is None or self.persp is None or self.miqp.nodes <= 0:
-            return None
-        return self.persp.nodes / self.miqp.nodes
+        return getattr(self.persp, field) / getattr(self.miqp, field)
 
 
 def _norm_form(name: str) -> str:
@@ -203,12 +197,7 @@ def _summary_rows(records: List[BenchRecord]) -> List[List[str]]:
     groups: List[Tuple[str, str, List[BenchRecord]]] = [("all", "all", records)]
     for attr, label in (("corr", "corr"), ("n", "n"), ("eps", "eps"),
                         ("xi", "xi")):
-        seen = []
-        for rec in records:
-            v = getattr(rec, attr)
-            if v not in seen:
-                seen.append(v)
-        for v in seen:
+        for v in dict.fromkeys(getattr(rec, attr) for rec in records):
             groups.append((label, f"{v:g}" if isinstance(v, float) else str(v),
                            [r for r in records if getattr(r, attr) == v]))
     rows = []
@@ -217,8 +206,8 @@ def _summary_rows(records: List[BenchRecord]) -> List[List[str]]:
             continue
         gaps_m = _median([r.miqp.gap for r in recs if r.miqp is not None])
         gaps_p = _median([r.persp.gap for r in recs if r.persp is not None])
-        tr = _median([r.time_ratio for r in recs])
-        nr = _median([r.node_ratio for r in recs])
+        tr = _median([r.ratio("wall_time") for r in recs])
+        nr = _median([r.ratio("nodes") for r in recs])
         rows.append([label, value, str(len(recs)), _fmt(gaps_m), _fmt(gaps_p),
                      _fmt(tr), _fmt(nr)])
     return rows
@@ -286,16 +275,13 @@ def pareto_sweep(inst: Instance, params: Optional[SolveParams] = None,
         if m_values[-1] != n:
             m_values.append(n)
     points: List[Dict[str, object]] = []
-    base_rev: Optional[float] = None
     for m in sorted(set(int(m) for m in m_values)):
         capped = dataclasses.replace(inst, m=m)
         res = branch_and_bound(capped, params)
         points.append({"m": m, "m_fraction": m / n,
                        "revenue": res.objective if res.ok else None,
                        "status": res.status})
-    for p in reversed(points):
-        if p["m"] == n and p["revenue"] is not None:
-            base_rev = p["revenue"]
+    base_rev = next((p["revenue"] for p in points if p["m"] == n), None)
     for p in points:
         rev = p["revenue"]
         if rev is None or base_rev is None or base_rev == 0.0:

@@ -123,13 +123,11 @@ class Cell:
     xi: float
 
 
-def paper_cells(n_values: Sequence[int] = PAPER_N,
-                epsilons: Sequence[float] = PAPER_EPSILON,
-                xis: Sequence[float] = PAPER_XI) -> List[Cell]:
-    """Experiment grid: correlation x n x epsilon x xi, in that nesting order."""
-    return [Cell(c, n, e, x)
-            for c, n, e, x in itertools.product(CORRELATIONS, n_values,
-                                                epsilons, xis)]
+def paper_cells(n_values: Sequence[int] = PAPER_N) -> List[Cell]:
+    """Experiment grid: correlation x n x epsilon x xi, in that nesting
+    order, over ``PAPER_EPSILON`` and ``PAPER_XI``: 27 cells per size."""
+    return [Cell(*key) for key in itertools.product(CORRELATIONS, n_values,
+                                                    PAPER_EPSILON, PAPER_XI)]
 
 
 def mix_seed(base_seed: int, cell_index: int, replicate: int) -> int:
@@ -138,14 +136,14 @@ def mix_seed(base_seed: int, cell_index: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def batch(cells: Sequence[Cell], replicates: int, base_seed: int = 0,
-          rho: float = 1.01) -> List[Tuple[Cell, GenConfig, Instance]]:
-    """Generate ``replicates`` instances for every cell, deterministically."""
+def batch(cells: Sequence[Cell], replicates: int,
+          base_seed: int = 0) -> List[Tuple[Cell, GenConfig, Instance]]:
+    """Generate ``replicates`` instances for every cell, deterministically,
+    at ``GenConfig``'s default ``rho``."""
     out: List[Tuple[Cell, GenConfig, Instance]] = []
     for ci, cell in enumerate(cells):
         for r in range(replicates):
-            cfg = GenConfig(correlation=cell.correlation, n=cell.n,
-                            epsilon=cell.epsilon, xi=cell.xi,
-                            seed=mix_seed(base_seed, ci, r), rho=rho)
+            cfg = GenConfig(correlation=cell.correlation, n=cell.n, epsilon=cell.epsilon,
+                            xi=cell.xi, seed=mix_seed(base_seed, ci, r))
             out.append((cell, cfg, generate(cfg)))
     return out

@@ -79,7 +79,8 @@ class ConeRow:
 
 @dataclass(frozen=True)
 class ModelIR:
-    """Solver-independent model: variables, rows, objective pieces."""
+    """Solver-independent model: variables, rows, objective pieces; the
+    objective is maximized."""
 
     name: str
     variables: Tuple[Variable, ...]
@@ -88,7 +89,6 @@ class ModelIR:
     lin_obj: Tuple[Tuple[str, float], ...]
     const_obj: float
     cones: Tuple[ConeRow, ...] = ()
-    sense: str = "maximize"
 
 
 def _x_bounds(rb: RegionBounds) -> Tuple[float, float]:

@@ -55,6 +55,9 @@ class UnsupportedInstanceError(InstanceError):
     """Instance is outside the supported envelope of an operation."""
 
 
+_FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")  # the numeric fields
+
+
 @dataclass(frozen=True)
 class Activity:
     """One marketing activity.
@@ -76,11 +79,8 @@ class Activity:
 
     def __post_init__(self):
         object.__setattr__(self, "id", str(self.id))
-        for name in ("s", "l", "u", "delta", "theta", "phi", "psi"):
+        for name in _FIELDS:
             object.__setattr__(self, name, float(getattr(self, name)))
-
-    def revenue(self, x: float) -> float:
-        return self.theta * x * x + self.phi * x + self.psi
 
 
 Interval = Tuple[float, float]
@@ -103,7 +103,7 @@ class RegionBounds:
 def _activity_violations(a: Activity) -> Tuple[str, ...]:
     """The activity rules that ``a`` breaks: finite fields, then
     ``l <= s <= u``, ``theta <= 0`` and ``delta >= 0``."""
-    if all(map(math.isfinite, (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi))):
+    if all(map(math.isfinite, attrgetter(*_FIELDS)(a))):
         rules = (("l > s", a.l > a.s), ("s > u", a.s > a.u),
                  ("theta > 0", a.theta > 0), ("delta < 0", a.delta < 0))
     else:
@@ -153,7 +153,6 @@ class LinearConstraint:
         return LinearConstraint(tuple(-c for c in self.coeffs), "le", -self.rhs)
 
 
-_FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
 _ABSENT = (math.nan, math.nan)
 _EDGES = (0.0, np.finfo(float).max, -np.finfo(float).max)
 # the rows of ``Instance._rows`` that ``validate`` pairs as ``low <= high``:
@@ -257,8 +256,8 @@ class Instance:
 
 
 def _revenues(inst: Instance, x: np.ndarray) -> np.ndarray:
-    """Each activity's revenue ``theta*x^2 + phi*x + psi`` at its change, in
-    the order ``Activity.revenue`` takes it, for the first ``len(x)``."""
+    """Each activity's revenue ``theta*x*x + phi*x + psi`` at its change,
+    for the first ``len(x)``."""
     n, col = x.size, inst.columns
     return col["theta"][:n] * x * x + col["phi"][:n] * x + col["psi"][:n]
 
@@ -347,7 +346,7 @@ def validate(inst: Instance) -> ValidationReport:
 # prints numbers with shortest round-trip decimals.
 
 _TOP_KEYS = ("rho", "m", "activities", "extras")
-_ACT_KEYS = ("id", "s", "l", "u", "delta", "theta", "phi", "psi")
+_ACT_KEYS = ("id",) + _FIELDS
 _EXTRA_KEYS = ("coeffs", "sense", "rhs")
 
 
@@ -363,9 +362,12 @@ def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
 def _num(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{ctx}: expected a number, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ParseError(f"{ctx}: expected a finite number")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ParseError(f"{ctx}: expected a finite number")
 
 
 def load_json(data: Union[str, bytes]) -> Instance:
@@ -375,13 +377,13 @@ def load_json(data: Union[str, bytes]) -> Instance:
     SchemaError for missing/unknown fields.  Semantic checks (orderings,
     signs, cardinality) are left to :func:`validate`.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg} (line {e.lineno} column {e.colno})",
                          line=e.lineno, col=e.colno) from e
+    except ValueError as e:  # not UTF-8, or an integer of too many digits
+        raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     _require_keys(doc, _TOP_KEYS, "document")
@@ -401,16 +403,7 @@ def load_json(data: Union[str, bytes]) -> Instance:
         _require_keys(ad, _ACT_KEYS, ctx)
         if not isinstance(ad["id"], str):
             raise ParseError(f"{ctx}.id: expected a string")
-        acts.append(Activity(
-            id=ad["id"],
-            s=_num(ad["s"], f"{ctx}.s"),
-            l=_num(ad["l"], f"{ctx}.l"),
-            u=_num(ad["u"], f"{ctx}.u"),
-            delta=_num(ad["delta"], f"{ctx}.delta"),
-            theta=_num(ad["theta"], f"{ctx}.theta"),
-            phi=_num(ad["phi"], f"{ctx}.phi"),
-            psi=_num(ad["psi"], f"{ctx}.psi"),
-        ))
+        acts.append(Activity(ad["id"], *(_num(ad[k], f"{ctx}.{k}") for k in _FIELDS)))
 
     if not isinstance(doc["extras"], list):
         raise ParseError("extras: expected an array")

@@ -35,10 +35,10 @@ def _push_term(tokens: List[str], coef: float, body: str) -> None:
     tokens.append(f"{_num(abs(coef))} {body}".strip())
 
 
-def _wrap(prefix: str, tokens: Iterable[str], width: int = 78) -> List[str]:
+def _wrap(prefix: str, tokens: Iterable[str]) -> List[str]:
     lines = [prefix]
     for tok in tokens:
-        if len(lines[-1]) + 1 + len(tok) > width:
+        if len(lines[-1]) + 1 + len(tok) > 78:
             lines.append("   " + tok)
         else:
             lines[-1] += " " + tok
@@ -46,8 +46,7 @@ def _wrap(prefix: str, tokens: Iterable[str], width: int = 78) -> List[str]:
 
 
 def write_lp(ir: ModelIR) -> str:
-    out: List[str] = [f"\\ {ir.name}"]
-    out.append("Maximize" if ir.sense == "maximize" else "Minimize")
+    out: List[str] = [f"\\ {ir.name}", "Maximize"]
 
     tokens: List[str] = []
     for var, coef in ir.lin_obj:
@@ -91,8 +90,6 @@ def write_lp(ir: ModelIR) -> str:
             continue
         if v.lb == v.ub:
             out.append(f" {v.name} = {_num(v.lb)}")
-        elif v.lb == -math.inf and v.ub == math.inf:
-            out.append(f" {v.name} free")
         elif v.ub == math.inf:
             out.append(f" {v.name} >= {_num(v.lb)}")
         else:

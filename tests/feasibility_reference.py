@@ -14,7 +14,8 @@ from mixopt import Instance, Solution
 
 def objective_value(inst: Instance, x) -> float:
     """Total revenue of a change vector, one activity at a time."""
-    return math.fsum(a.revenue(float(v)) for a, v in zip(inst.activities, x))
+    return math.fsum(a.theta * v * v + a.phi * v + a.psi
+                     for a, v in zip(inst.activities, map(float, x)))
 
 
 def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tuple[str, ...]:

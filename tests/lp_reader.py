@@ -2,7 +2,7 @@
 
 Used by the export-fidelity tests to re-evaluate objective and rows without
 touching the writer's code paths. Understands exactly the dialect the
-exporter produces: a Maximize/Minimize objective with an optional quadratic
+exporter produces: a Maximize objective with an optional quadratic
 ``[ ... ] / 2`` bracket and constant term, linear and quadratic rows
 (including ``e * z`` bilinear products), a Bounds section, a Binary section,
 and End.  ``ir_objective`` and ``ir_row_activity`` evaluate the other side
@@ -43,7 +43,6 @@ class Row:
 
 @dataclass
 class ParsedLP:
-    sense: str
     objective: Expr
     rows: List[Row]
     bounds: Dict[str, Tuple[float, float]]
@@ -174,10 +173,6 @@ def _parse_bound_line(line: str, bounds: Dict[str, Tuple[float, float]]) -> None
         bounds[toks[0]] = (v, v)
     elif len(toks) == 3 and toks[1] == ">=":
         bounds[toks[0]] = (float(toks[2]), math.inf)
-    elif len(toks) == 3 and toks[1] == "<=":
-        bounds[toks[0]] = (-math.inf, float(toks[2]))
-    elif len(toks) == 2 and toks[1].lower() == "free":
-        bounds[toks[0]] = (-math.inf, math.inf)
     else:
         raise ValueError(f"unrecognized bound line: {line!r}")
 
@@ -190,21 +185,17 @@ def parse_lp(text: str) -> ParsedLP:
             continue
         stripped = raw.strip()
         header = stripped.lower()
-        if header in ("maximize", "minimize", "subject to", "bounds", "binary", "end"):
+        if header in ("maximize", "subject to", "bounds", "binary", "end"):
             current = header
             sections.setdefault(current, [])
             continue
         if stripped and current is not None:
             sections[current].append(raw)
 
-    if "maximize" in sections:
-        sense, obj_lines = "maximize", sections["maximize"]
-    elif "minimize" in sections:
-        sense, obj_lines = "minimize", sections["minimize"]
-    else:
-        raise ValueError("no objective section")
+    if "maximize" not in sections:
+        raise ValueError("no Maximize section")
 
-    obj_items = _split_items(obj_lines)
+    obj_items = _split_items(sections["maximize"])
     if len(obj_items) != 1:
         raise ValueError("expected exactly one objective")
     objective = _parse_expr(obj_items[0][1:])  # drop "obj:"
@@ -225,7 +216,7 @@ def parse_lp(text: str) -> ParsedLP:
 
     if "end" not in sections:
         raise ValueError("missing End marker")
-    return ParsedLP(sense=sense, objective=objective, rows=rows, bounds=bounds, binaries=binaries)
+    return ParsedLP(objective=objective, rows=rows, bounds=bounds, binaries=binaries)
 
 
 def ir_objective(ir, point: Dict[str, float]) -> float:

@@ -4,13 +4,13 @@ import csv
 import json
 import math
 import os
-import random
+import statistics
 from dataclasses import replace
 
 import pytest
 
-from mixopt import (GenConfig, SolveParams, branch_and_bound, brute_force, generate,
-                    load_json, save_json)
+from mixopt import (Activity, GenConfig, Instance, SolveParams, branch_and_bound, brute_force,
+                    generate, load_json, save_json)
 from mixopt import cli
 from mixopt.cli import build_parser, knee_point, main, pareto_svg, pareto_sweep
 
@@ -252,6 +252,110 @@ def test_bench_records_per_instance_failures(tmp_path, capsys):
     data = list(csv.DictReader(head.splitlines()))
     assert [r["status"] for r in data] == ["infeasible", "infeasible"]
     assert all(r["objective"] == "" for r in data)
+
+
+def _malformed(directory, kind):
+    """A file ``mixopt solve`` must refuse with an ``error:`` line: not
+    UTF-8, or ``rho`` an integer too large for a float (400 zeros) or for
+    Python's integer parser (4300 zeros); ``missing`` writes no file."""
+    path = directory / f"{kind}.json"
+    blob = save_json(generate(GenConfig("weak", 5, 0.1, 0.5, 1)))
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff" + blob)
+    elif kind != "missing":
+        zeros = b"0" * (400 if kind == "huge-rho" else 4300)
+        path.write_bytes(blob.replace(b'"rho": 1.01', b'"rho": 1' + zeros))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["not-utf8", "huge-rho", "4301-digits"])
+def test_solve_refuses_a_malformed_file(tmp_path, capsys, kind):
+    path = _malformed(tmp_path, kind)
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def test_solve_refuses_an_invalid_instance(tmp_path, capsys):
+    """A file that parses but breaks a rule of ``validate`` is named with
+    the rule it breaks."""
+    act = Activity(id="a", s=1.0, l=2.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
+    path = tmp_path / "bad.json"
+    path.write_bytes(save_json(Instance(activities=(act,), rho=1.1, m=1)))
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: activity 'a': l > s\n"
+
+
+def _write_manifest(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=cli.MANIFEST_FIELDS)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-utf8", "huge-rho", "4301-digits"])
+def test_bench_skips_an_unreadable_row(tmp_path, capsys, kind):
+    """A row whose file is missing or malformed gets two ``error`` rows,
+    and the rows around it are solved."""
+    out, rows = _gen(tmp_path)
+    bad = dict(rows[0], path=_malformed(out, kind).name, seed="0")
+    _write_manifest(out / "manifest.csv", [rows[0], bad, rows[0]])
+    dest = tmp_path / "bench.csv"
+    assert main(["bench", str(out / "manifest.csv"), "--out", str(dest)]) == 0
+    assert f"skipping {bad['path']}: error: " in capsys.readouterr().err
+    head = dest.read_text().split("\n# medians")[0]
+    data = list(csv.DictReader(head.splitlines()))
+    assert [r["status"] for r in data] == ["optimal"] * 2 + ["error"] * 2 + ["optimal"] * 2
+    assert [r["seed"] for r in data[2:4]] == ["0", "0"]
+    assert all(r[k] == "" for r in data[2:4] for k in BENCH_HEADER.split(",")[7:])
+
+
+def test_bench_manifest_missing_a_column(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("path,corr,n\n")
+    assert main(["bench", str(manifest)]) == 1
+    assert capsys.readouterr().err == "error: manifest missing columns: ['eps', 'seed', 'xi']\n"
+
+
+def test_bench_manifest_without_header(tmp_path, capsys):
+    manifest = tmp_path / "empty.csv"
+    manifest.write_text("")
+    dest = tmp_path / "eb.csv"
+    assert main(["bench", str(manifest), "--out", str(dest)]) == 0
+    assert dest.read_text() == BENCH_HEADER + "\n"
+    capsys.readouterr()
+
+
+def test_bench_summary_medians_in_first_seen_order(tmp_path, capsys):
+    """Each summary row's ``node_ratio`` is the median over its group of
+    persp nodes over miqp nodes, read from the data rows; groups come in
+    the order the manifest first shows their value."""
+    rows = []
+    for k, (corr, n, eps, xi) in enumerate([("weak", 7, 0.2, 0.5), ("strong", 6, 0.1, 0.75),
+                                            ("weak", 6, 0.2, 0.5)]):
+        out, cell = _gen(tmp_path / str(k), corr=corr, n=n, eps=eps, xi=xi, seed=k)
+        rows.append(dict(cell[0], path=f"{k}/instances/{cell[0]['path']}"))
+    _write_manifest(tmp_path / "manifest.csv", rows)
+    dest = tmp_path / "bench.csv"
+    assert main(["bench", str(tmp_path / "manifest.csv"), "--out", str(dest)]) == 0
+    capsys.readouterr()
+    head, tail = dest.read_text().split("# medians per group (ratio base: miqp)\n")
+    data = list(csv.DictReader(head.splitlines()))
+    ratios = []
+    for miqp, persp in zip(data[::2], data[1::2]):
+        assert (miqp["form"], persp["form"]) == ("miqp", "persp")
+        nodes = int(miqp["nodes"])
+        ratios.append(int(persp["nodes"]) / nodes if nodes > 0 else None)
+    assert any(r is not None for r in ratios)
+    groups = [("all", "all", [0, 1, 2]), ("corr", "weak", [0, 2]), ("corr", "strong", [1]),
+              ("n", "7", [0]), ("n", "6", [1, 2]), ("eps", "0.2", [0, 2]), ("eps", "0.1", [1]),
+              ("xi", "0.5", [0, 2]), ("xi", "0.75", [1])]
+    summary = list(csv.DictReader(tail.splitlines()))
+    assert [(r["group"], r["value"], r["instances"]) for r in summary] == [
+        (g, v, str(len(ks))) for g, v, ks in groups]
+    for row, (_, _, ks) in zip(summary, groups):
+        vals = [ratios[k] for k in ks if ratios[k] is not None]
+        assert row["node_ratio"] == (str(statistics.median(vals)) if vals else "")
 
 
 # ---------------------------------------------------------------------------

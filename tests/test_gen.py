@@ -1,7 +1,6 @@
 """Seeded instance generation: supports, correlation classes, reproducibility."""
 
 import decimal
-import itertools
 
 import pytest
 from hypothesis import given, settings

@@ -2,7 +2,6 @@
 
 import collections
 import dataclasses
-import math
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from mixopt import (
     Activity,
     GenConfig,
     Instance,
-    LinearConstraint,
     Solution,
     build_miqp,
     build_misocp,

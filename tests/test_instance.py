@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import time
@@ -341,6 +342,82 @@ def test_construction_sorts_by_id_and_permutes_rows():
 def test_load_json_rejects_garbage(payload, exc):
     with pytest.raises(exc):
         load_json(payload)
+
+
+def _doc(**changes):
+    """A valid one-activity, one-extra document with ``changes`` applied:
+    a key ``"activities[0].s"`` or ``"extras[0].sense"`` sets that field
+    of the entry."""
+    doc = {"rho": 1.05, "m": 1,
+           "activities": [dict(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0,
+                               phi=1.0, psi=0.0)],
+           "extras": [{"coeffs": [1.0], "sense": "le", "rhs": 1.0}]}
+    for key, value in changes.items():
+        owner, _, field = key.rpartition(".")
+        (doc[owner[:-3]][0] if owner else doc)[field] = value
+    return json.dumps(doc)
+
+
+_FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
+
+
+@pytest.mark.parametrize("changes,exc,message", [
+    ({"zeta": 1}, SchemaError, "document: unknown field 'zeta'"),
+    ({"activities[0].zeta": 1}, SchemaError, "activities[0]: unknown field 'zeta'"),
+    ({"extras[0].zeta": 1}, SchemaError, "extras[0]: unknown field 'zeta'"),
+    ({"rho": "1.05"}, ParseError, "rho: expected a number, got str"),
+    ({"rho": True}, ParseError, "rho: expected a number, got bool"),
+    ({"rho": math.inf}, ParseError, "rho: expected a finite number"),
+    ({"rho": -math.inf}, ParseError, "rho: expected a finite number"),
+    ({"rho": math.nan}, ParseError, "rho: expected a finite number"),
+    ({"m": 1.0}, ParseError, "m: expected an integer"),
+    ({"m": False}, ParseError, "m: expected an integer"),
+    ({"activities": {}}, ParseError, "activities: expected an array"),
+    ({"activities": [1]}, ParseError, "activities[0]: expected an object"),
+    ({"activities[0].id": 3}, ParseError, "activities[0].id: expected a string"),
+    *[({f"activities[0].{k}": "1"}, ParseError,
+       f"activities[0].{k}: expected a number, got str") for k in _FIELDS],
+    *[({f"activities[0].{k}": True}, ParseError,
+       f"activities[0].{k}: expected a number, got bool") for k in _FIELDS],
+    *[({f"activities[0].{k}": math.inf}, ParseError,
+       f"activities[0].{k}: expected a finite number") for k in _FIELDS],
+    ({"extras": None}, ParseError, "extras: expected an array"),
+    ({"extras": ["le"]}, ParseError, "extras[0]: expected an object"),
+    ({"extras[0].coeffs": 1.0}, ParseError, "extras[0].coeffs: expected an array"),
+    ({"extras[0].coeffs": [None]}, ParseError,
+     "extras[0].coeffs[0]: expected a number, got NoneType"),
+    ({"extras[0].sense": "eq"}, ParseError, "extras[0].sense: expected 'le' or 'ge'"),
+    ({"extras[0].rhs": math.nan}, ParseError, "extras[0].rhs: expected a finite number"),
+])
+def test_load_json_error_messages(changes, exc, message):
+    """Each refusal of ``load_json`` has its type and exact message; an
+    ``Infinity`` or ``NaN`` literal is no finite number."""
+    with pytest.raises(exc) as info:
+        load_json(_doc(**changes))
+    assert str(info.value) == message
+    assert type(info.value) is exc
+
+
+_HUGE = "1" + "0" * 400  # an integer beyond the largest float
+
+
+@pytest.mark.parametrize("blob,message", [
+    (b"\xff" + _doc().encode(), "invalid JSON: 'utf-8' codec can't decode byte 0xff"),
+    (_doc(rho="RHO").replace('"RHO"', _HUGE).encode(), "rho: expected a finite number"),
+    (_doc(rho="RHO").replace('"RHO"', "-" + _HUGE), "rho: expected a finite number"),
+    (_doc(**{"activities[0].u": "U"}).replace('"U"', _HUGE),
+     "activities[0].u: expected a finite number"),
+    (_doc(**{"extras[0].coeffs": ["C"]}).replace('"C"', _HUGE),
+     "extras[0].coeffs[0]: expected a finite number"),
+    (_doc(rho="RHO").replace('"RHO"', "1" + "0" * 4300),
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["not-utf8", "huge-rho", "huge-negative-rho", "huge-u", "huge-coeff", "4301-digits"])
+def test_load_json_refuses_malformed_files(blob, message):
+    """A file that is not UTF-8, or holds an integer too large for a float
+    or for Python's integer parser, is a ``ParseError``."""
+    with pytest.raises(ParseError) as info:
+        load_json(blob)
+    assert str(info.value).startswith(message)
 
 
 def test_instance_tables_have_one_owner():

@@ -1,7 +1,6 @@
 """LP text writer: structure, exact numbers, and reader round-trips."""
 
 import math
-import random
 
 import pytest
 
