@@ -39,11 +39,16 @@ def signature(res) -> str:
     return repr((res.status, res.objective, res.upper_bound, res.nodes, res.gap, x))
 
 
-def solves():
-    """(key, instance, params) for every solve of the grid, in a fixed order."""
+def grid():
+    """(cell, config, instance) for every instance of the grid, in order."""
     cells = [Cell(c, n, eps, xi) for n in N_VALUES for c in CORRELATIONS
              for eps in (0.1, 0.2) for xi in (0.5, 0.75)]
-    for cell, cfg, inst in batch(cells, REPLICATES, base_seed=5):
+    return batch(cells, REPLICATES, base_seed=5)
+
+
+def solves():
+    """(key, instance, params) for every solve of the grid, in a fixed order."""
+    for cell, cfg, inst in grid():
         name = (f"{cell.correlation}_n{cell.n}_e{cell.epsilon}_x{cell.xi}"
                 f"_s{cfg.seed}")
         for rows, base in (("x", inst), ("b", dataclasses.replace(inst, extras=()))):

@@ -20,8 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import gen as genmod
 from .bnb import SolveParams, SolveResult, branch_and_bound
-from .instance import (Instance, InstanceError, ParseError, SchemaError,
-                       load_json, save_json, validate)
+from .instance import Instance, InstanceError, load_json, save_json, validate
 from .lp import export_lp
 from .relax import MIQP, PERSPECTIVE
 
@@ -63,7 +62,7 @@ def _load_instance(path: Path) -> Instance:
         inst = load_json(path.read_bytes())
     except OSError as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc
-    except (ParseError, SchemaError, InstanceError) as exc:
+    except InstanceError as exc:  # ParseError and SchemaError among them
         raise SystemExit(f"error: {path}: {exc}") from exc
     report = validate(inst)
     if not report.ok:
@@ -138,21 +137,11 @@ _EXIT_BY_STATUS = {"optimal": 0, "gap-limit": 0, "time-limit": 2,
 def _cmd_solve(args) -> int:
     inst = _load_instance(Path(args.instance))
     res = branch_and_bound(inst, _solve_params(args, _norm_form(args.form)))
-    print(f"status     {res.status}")
-    print(f"objective  {_fmt(res.objective)}")
-    print(f"bound      {_fmt(res.upper_bound)}")
-    print(f"gap        {_fmt(res.gap)}")
-    print(f"nodes      {res.nodes}")
-    print(f"time_s     {res.wall_time:.3f}")
+    payload = {"status": res.status, "objective": res.objective, "bound": res.upper_bound,
+               "gap": res.gap, "nodes": res.nodes, "time_s": res.wall_time}
+    for key, value in payload.items():
+        print(f"{key:<10} " + (f"{value:.3f}" if key == "time_s" else _fmt(value)))
     if args.json:
-        payload = {
-            "status": res.status,
-            "objective": res.objective,
-            "bound": res.upper_bound,
-            "gap": res.gap,
-            "nodes": res.nodes,
-            "time_s": res.wall_time,
-        }
         if res.incumbent is not None:
             payload["x"] = list(res.incumbent.x)
             payload["regions"] = list(res.incumbent.region)
@@ -179,13 +168,11 @@ def _read_manifest(path: Path) -> List[Dict[str, str]]:
         raise SystemExit(f"error: cannot read {path}: {exc}") from exc
 
 
-def _bench_row(rec: BenchRecord, form: str, res: Optional[SolveResult]) -> List[str]:
-    base = [rec.corr, str(rec.n), f"{rec.eps:g}", f"{rec.xi:g}", str(rec.seed),
-            form]
+def _bench_row(key: List[str], form: str, res: Optional[SolveResult]) -> List[str]:
     if res is None:
-        return base + ["error", "", "", "", "", ""]
-    return base + [res.status, _fmt(res.objective), _fmt(res.upper_bound),
-                   _fmt(res.gap), str(res.nodes), f"{res.wall_time:.6f}"]
+        return key + [form, "error", "", "", "", "", ""]
+    return key + [form, res.status, _fmt(res.objective), _fmt(res.upper_bound),
+                  _fmt(res.gap), str(res.nodes), f"{res.wall_time:.6f}"]
 
 
 def _median(values: List[float]) -> Optional[float]:
@@ -221,22 +208,26 @@ def _cmd_bench(args) -> int:
     writer = csv.writer(buf)
     writer.writerow(BENCH_FIELDS)
     for entry in entries:
-        inst_path = manifest_path.parent / entry["path"]
-        rec = BenchRecord(corr=entry["corr"], n=int(entry["n"]),
-                          eps=float(entry["eps"]), xi=float(entry["xi"]),
-                          seed=int(entry["seed"]), miqp=None, persp=None)
+        key = [entry[k] for k in MANIFEST_FIELDS[1:]]
         try:
-            inst = _load_instance(inst_path)
+            rec = BenchRecord(corr=entry["corr"], n=int(entry["n"]),
+                              eps=float(entry["eps"]), xi=float(entry["xi"]),
+                              seed=int(entry["seed"]), miqp=None, persp=None)
+        except ValueError as exc:  # its error rows keep the row's text; no summary counts it
+            print(f"skipping {entry['path']}: error: n, eps, xi and seed must be numbers "
+                  f"({exc})", file=sys.stderr)
+            writer.writerows(_bench_row(key, form, None) for form in (MIQP, PERSPECTIVE))
+            continue
+        key = [rec.corr, str(rec.n), f"{rec.eps:g}", f"{rec.xi:g}", str(rec.seed)]
+        try:
+            inst = _load_instance(manifest_path.parent / entry["path"])
         except SystemExit as exc:
             print(f"skipping {entry['path']}: {exc}", file=sys.stderr)
-            writer.writerow(_bench_row(rec, MIQP, None))
-            writer.writerow(_bench_row(rec, PERSPECTIVE, None))
-            records.append(rec)
-            continue
-        rec.miqp = branch_and_bound(inst, _solve_params(args, MIQP))
-        rec.persp = branch_and_bound(inst, _solve_params(args, PERSPECTIVE))
-        writer.writerow(_bench_row(rec, MIQP, rec.miqp))
-        writer.writerow(_bench_row(rec, PERSPECTIVE, rec.persp))
+        else:
+            rec.miqp = branch_and_bound(inst, _solve_params(args, MIQP))
+            rec.persp = branch_and_bound(inst, _solve_params(args, PERSPECTIVE))
+        writer.writerow(_bench_row(key, MIQP, rec.miqp))
+        writer.writerow(_bench_row(key, PERSPECTIVE, rec.persp))
         records.append(rec)
 
     if records:
@@ -282,12 +273,9 @@ def pareto_sweep(inst: Instance, params: Optional[SolveParams] = None,
                        "revenue": res.objective if res.ok else None,
                        "status": res.status})
     base_rev = next((p["revenue"] for p in points if p["m"] == n), None)
-    for p in points:
+    for p in points:  # no fraction of a missing or zero base
         rev = p["revenue"]
-        if rev is None or base_rev is None or base_rev == 0.0:
-            p["revenue_fraction"] = None
-        else:
-            p["revenue_fraction"] = rev / base_rev
+        p["revenue_fraction"] = None if rev is None or not base_rev else rev / base_rev
     prev = -math.inf
     for p in points:
         if p["revenue"] is None:

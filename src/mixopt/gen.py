@@ -5,8 +5,13 @@ Reproducibility contract
 The stream is ``numpy.random.Generator(PCG64(SeedSequence(seed)))``.  Draws
 happen per activity, in the order ``l, u, s, tau, gamma`` followed by the
 class-specific objective coefficients (``theta, phi, psi`` where drawn),
-then ``zeta`` and ``eta`` once after the activity loop.  Uniform variates
-use ``Generator.uniform(lo, hi)``.
+then ``zeta`` and ``eta`` once after the activities.  A variate on
+``[lo, hi)`` is ``lo + (hi - lo) * u`` for a double ``u`` of the stream,
+which is what ``Generator.uniform(lo, hi)`` computes.  The activities'
+doubles come as one block of ``Generator.random``, consumed activity by
+activity in the order above, so they are the doubles that one scalar
+``uniform`` call per variate would take; ``zeta`` and ``eta`` are two
+scalar ``uniform`` calls after the block.
 
 Every drawn variate is rounded half-up to two decimals (ties away from
 zero on the shortest decimal rendering) before anything is derived from
@@ -24,8 +29,9 @@ replicate can be regenerated in isolation.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -40,14 +46,23 @@ CORRELATIONS = (UNCORRELATED, WEAK, STRONG)
 PAPER_N = (500, 750, 1000)
 PAPER_EPSILON = (0.05, 0.10, 0.20)
 PAPER_XI = (0.50, 0.75, 1.00)
+# the supports [low, low + span) of l, u, tau, gamma and the uncorrelated theta, phi, psi
+_LOW = np.array([[1.0], [5.0], [1.0], [1.0], [-10.0], [1.0], [1.0]])
+_SPAN = np.array([[4.0], [5.0], [9.0], [9.0], [9.0], [9.0], [9.0]])
+EPSILON_MAX = 1e11  # keeps delta = epsilon * s (s <= 10) where rounding is exact
 
 
-def _round2(x: float) -> float:
-    return float(Decimal(repr(x)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
-
-
-def _half_up_int(x: float) -> int:
-    return int(Decimal(repr(x)).quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+def _round_half_up(x: np.ndarray, per: float) -> np.ndarray:
+    """``x`` rounded half-up to a multiple of ``1 / per`` (``per`` 1 or 100)
+    on each value's shortest decimal rendering, keeping the sign.  Below
+    1e12 a rendering is at or above ``k / per`` or ``(2k + 1) / (2 per)``
+    exactly when its float is at or above that decimal's float."""
+    a = np.abs(x)
+    k = np.floor(a * per)
+    k -= k / per > a
+    k += (k + 1.0) / per <= a
+    k += (2.0 * k + 1.0) / (2.0 * per) <= a
+    return np.copysign(k / per, x)
 
 
 @dataclass(frozen=True)
@@ -62,57 +77,42 @@ class GenConfig:
     def __post_init__(self):
         if self.correlation not in CORRELATIONS:
             raise ValueError(f"unknown correlation class {self.correlation!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be an integer of at least 1, got {self.n!r}")
+        if not 0 <= self.epsilon < EPSILON_MAX:
+            raise ValueError(f"epsilon must be finite, nonnegative and below {EPSILON_MAX:g}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError("xi must lie in [0, 1]")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be finite and positive")
 
 
 def generate(cfg: GenConfig) -> Instance:
     """Draw one instance; pure function of the config."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-    acts: List[Activity] = []
-    taus: List[float] = []
-    gammas: List[float] = []
-    for i in range(cfg.n):
-        l = _round2(rng.uniform(1.0, 5.0))
-        u = _round2(rng.uniform(5.0, 10.0))
-        s = _round2(rng.uniform(l, u))
-        tau = _round2(rng.uniform(1.0, 10.0))
-        gamma = _round2(rng.uniform(1.0, 10.0))
-        if cfg.correlation == UNCORRELATED:
-            theta = _round2(rng.uniform(-10.0, -1.0))
-            phi = _round2(rng.uniform(1.0, 10.0))
-            psi = _round2(rng.uniform(1.0, 10.0))
-        elif cfg.correlation == WEAK:
-            c = (tau + gamma) / 2.0
-            theta = _round2(rng.uniform(-(c + 1.0), -(c - 1.0)))
-            phi = _round2(rng.uniform(c - 1.0, c + 1.0))
-            psi = _round2(rng.uniform(c - 1.0, c + 1.0))
-        else:  # strong: exact function of the rounded row coefficients
-            c = (tau + gamma) / 2.0
-            theta = -(c + 1.0)
-            phi = c + 1.0
-            psi = c + 1.0
-        delta = _round2(cfg.epsilon * s)
-        acts.append(Activity(id=f"a{i:05d}", s=s, l=l, u=u, delta=delta,
-                             theta=theta, phi=phi, psi=psi))
-        taus.append(tau)
-        gammas.append(gamma)
-    zeta = _round2(rng.uniform(0.90, 1.00))
-    eta = _round2(rng.uniform(1.00, 1.10))
-    tau_rhs = (zeta - 1.0) * float(np.dot(taus, [a.s for a in acts]))
-    gamma_rhs = (eta - 1.0) * float(np.dot(gammas, [a.s for a in acts]))
-    extras = (
-        LinearConstraint(coeffs=tuple(taus), sense="le", rhs=tau_rhs),
-        LinearConstraint(coeffs=tuple(gammas), sense="ge", rhs=gamma_rhs),
-    )
-    m = _half_up_int(cfg.xi * cfg.n)
-    return Instance(rho=cfg.rho, m=m, activities=tuple(acts), extras=extras)
+    strong = cfg.correlation == STRONG
+    # one row of doubles per variate; contiguous rows keep np.dot's summation order
+    u = np.ascontiguousarray(rng.random((5 if strong else 8) * cfg.n).reshape(cfg.n, -1).T)
+    l, up, tau, gamma = _round_half_up(_LOW[:4] + _SPAN[:4] * u[[0, 1, 3, 4]], 100)
+    s = _round_half_up(l + (up - l) * u[2], 100)
+    c = (tau + gamma) / 2.0
+    if strong:  # exact function of the rounded row coefficients
+        theta, phi, psi = -(c + 1.0), c + 1.0, c + 1.0
+    else:
+        lo, span = _LOW[4:], _SPAN[4:]
+        if cfg.correlation == WEAK:
+            lo = np.array([-(c + 1.0), c - 1.0, c - 1.0])
+            span = np.array([-(c - 1.0), c + 1.0, c + 1.0]) - lo
+        theta, phi, psi = _round_half_up(lo + span * u[5:], 100)
+    delta = _round_half_up(cfg.epsilon * s, 100)
+    columns = np.array([s, l, up, delta, theta, phi, psi]).tolist()
+    acts = tuple(map(Activity, [f"a{i:05d}" for i in range(cfg.n)], *columns))
+    zeta = float(_round_half_up(rng.uniform(0.90, 1.00), 100))
+    eta = float(_round_half_up(rng.uniform(1.00, 1.10), 100))
+    extras = (LinearConstraint(tuple(tau.tolist()), "le", (zeta - 1.0) * float(np.dot(tau, s))),
+              LinearConstraint(tuple(gamma.tolist()), "ge", (eta - 1.0) * float(np.dot(gamma, s))))
+    m = int(_round_half_up(cfg.xi * cfg.n, 1))
+    return Instance(rho=cfg.rho, m=m, activities=acts, extras=extras)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, Literal, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,10 +77,13 @@ class Activity:
     phi: float
     psi: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "id", str(self.id))
+    def __post_init__(self):  # bulk builders pass exact types, so most fields need no coercion
+        if type(self.id) is not str:
+            object.__setattr__(self, "id", str(self.id))
         for name in _FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, float(value))
 
 
 Interval = Tuple[float, float]
@@ -180,13 +183,9 @@ class Instance:
         acts = tuple(self.activities)
         extras = tuple(self.extras)
         order = sorted(range(len(acts)), key=lambda i: acts[i].id)
-        if order != list(range(len(acts))):
-            permuted = []
-            for ex in extras:
-                if len(ex.coeffs) == len(acts):
-                    ex = LinearConstraint(tuple(ex.coeffs[i] for i in order), ex.sense, ex.rhs)
-                permuted.append(ex)
-            extras = tuple(permuted)
+        if order != list(range(len(acts))):  # a row of another length is left as it is
+            extras = tuple(LinearConstraint(tuple(ex.coeffs[i] for i in order), ex.sense, ex.rhs)
+                           if len(ex.coeffs) == len(acts) else ex for ex in extras)
             acts = tuple(acts[i] for i in order)
         extras = tuple(ex.normalized() for ex in extras)
         object.__setattr__(self, "activities", acts)
@@ -347,7 +346,10 @@ def validate(inst: Instance) -> ValidationReport:
 
 _TOP_KEYS = ("rho", "m", "activities", "extras")
 _ACT_KEYS = ("id",) + _FIELDS
+_ACT_ROW = itemgetter(*_ACT_KEYS)
+_ACT_KEY_SET = frozenset(_ACT_KEYS)
 _EXTRA_KEYS = ("coeffs", "sense", "rhs")
+_NUMBERS = {int, float}  # the types json.loads gives a number (bool is neither)
 
 
 def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
@@ -359,15 +361,39 @@ def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
             raise SchemaError(k, f"{ctx}: unknown field {k!r}")
 
 
+def _finite_numbers(values: list) -> bool:
+    """Whether every one of ``values`` is a finite number, checked at once."""
+    try:
+        return set(map(type, values)) <= _NUMBERS and all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _num(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{ctx}: expected a number, got {type(value).__name__}")
-    try:
-        if math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ParseError(f"{ctx}: expected a finite number")
+    if not _finite_numbers([value]):
+        raise ParseError(f"{ctx}: expected a finite number")
+    return float(value)
+
+
+def _activities(docs: list) -> list:
+    """The activities of ``docs``, checked a column at a time; when a check
+    fails they are checked one field at a time, which names the field."""
+    if all(type(ad) is dict and ad.keys() == _ACT_KEY_SET for ad in docs):
+        ids, *numbers = list(zip(*map(_ACT_ROW, docs))) or [()] * len(_ACT_KEYS)
+        if set(map(type, ids)) <= {str} and _finite_numbers(list(itertools.chain(*numbers))):
+            return list(map(Activity, ids, *numbers))
+    acts = []
+    for i, ad in enumerate(docs):
+        ctx = f"activities[{i}]"
+        if not isinstance(ad, dict):
+            raise ParseError(f"{ctx}: expected an object")
+        _require_keys(ad, _ACT_KEYS, ctx)
+        if not isinstance(ad["id"], str):
+            raise ParseError(f"{ctx}.id: expected a string")
+        acts.append(Activity(ad["id"], *(_num(ad[k], f"{ctx}.{k}") for k in _FIELDS)))
+    return acts
 
 
 def load_json(data: Union[str, bytes]) -> Instance:
@@ -395,15 +421,7 @@ def load_json(data: Union[str, bytes]) -> Instance:
 
     if not isinstance(doc["activities"], list):
         raise ParseError("activities: expected an array")
-    acts = []
-    for i, ad in enumerate(doc["activities"]):
-        ctx = f"activities[{i}]"
-        if not isinstance(ad, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        _require_keys(ad, _ACT_KEYS, ctx)
-        if not isinstance(ad["id"], str):
-            raise ParseError(f"{ctx}.id: expected a string")
-        acts.append(Activity(ad["id"], *(_num(ad[k], f"{ctx}.{k}") for k in _FIELDS)))
+    acts = _activities(doc["activities"])
 
     if not isinstance(doc["extras"], list):
         raise ParseError("extras: expected an array")
@@ -415,26 +433,21 @@ def load_json(data: Union[str, bytes]) -> Instance:
         _require_keys(ed, _EXTRA_KEYS, ctx)
         if not isinstance(ed["coeffs"], list):
             raise ParseError(f"{ctx}.coeffs: expected an array")
-        coeffs = tuple(_num(c, f"{ctx}.coeffs[{j}]") for j, c in enumerate(ed["coeffs"]))
+        coeffs = ed["coeffs"]
+        if not _finite_numbers(coeffs):
+            coeffs = [_num(c, f"{ctx}.coeffs[{j}]") for j, c in enumerate(coeffs)]
         sense = ed["sense"]
         if sense not in ("le", "ge"):
             raise ParseError(f"{ctx}.sense: expected 'le' or 'ge'")
-        extras.append(LinearConstraint(coeffs, sense, _num(ed["rhs"], f"{ctx}.rhs")))
+        extras.append(LinearConstraint(tuple(coeffs), sense, _num(ed["rhs"], f"{ctx}.rhs")))
 
     return Instance(activities=tuple(acts), rho=rho, m=m, extras=tuple(extras))
 
 
 def save_json(inst: Instance) -> bytes:
     """Serialize to the canonical byte form (load(save(i)) == i)."""
-    doc = {
-        "rho": inst.rho,
-        "m": inst.m,
-        "activities": [
-            {k: getattr(a, k) for k in _ACT_KEYS} for a in inst.activities
-        ],
-        "extras": [
-            {"coeffs": list(ex.coeffs), "sense": ex.sense, "rhs": ex.rhs}
-            for ex in inst.extras
-        ],
-    }
+    doc = {"rho": inst.rho, "m": inst.m,
+           "activities": [{k: getattr(a, k) for k in _ACT_KEYS} for a in inst.activities],
+           "extras": [{"coeffs": list(ex.coeffs), "sense": ex.sense, "rhs": ex.rhs}
+                      for ex in inst.extras]}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

@@ -310,6 +310,26 @@ def test_bench_skips_an_unreadable_row(tmp_path, capsys, kind):
     assert all(r[k] == "" for r in data[2:4] for k in BENCH_HEADER.split(",")[7:])
 
 
+@pytest.mark.parametrize("field", ["n", "eps", "xi", "seed"])
+def test_bench_skips_a_row_whose_numbers_do_not_parse(tmp_path, capsys, field):
+    """A row whose ``n``, ``eps``, ``xi`` or ``seed`` is not a number gets
+    two ``error`` rows that keep its text, the rows around it are solved,
+    and the summary counts only them."""
+    out, rows = _gen(tmp_path)
+    bad = dict(rows[0], **{field: "abc"})
+    _write_manifest(out / "manifest.csv", [rows[0], bad, rows[0]])
+    dest = tmp_path / "bench.csv"
+    assert main(["bench", str(out / "manifest.csv"), "--out", str(dest)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"skipping {bad['path']}: error: ") and err.count("\n") == 1
+    head, tail = dest.read_text().split("\n# medians")
+    data = list(csv.DictReader(head.splitlines()))
+    assert [r["status"] for r in data] == ["optimal"] * 2 + ["error"] * 2 + ["optimal"] * 2
+    assert [r[field] for r in data[2:4]] == ["abc", "abc"]
+    assert all(r[k] == "" for r in data[2:4] for k in BENCH_HEADER.split(",")[7:])
+    assert tail.splitlines()[2].startswith("all,all,2,")
+
+
 def test_bench_manifest_missing_a_column(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
     manifest.write_text("path,corr,n\n")

@@ -1,19 +1,69 @@
-"""Seeded instance generation: supports, correlation classes, reproducibility."""
+"""Seeded instance generation: supports, correlation classes, reproducibility.
 
-import decimal
+The bytes of every generated instance are part of the generator's
+contract.  ``tests/data/instance_digests.json`` holds the sha256 of
+``save_json`` for three sets of instances; a change that moves an instance
+on purpose re-records it, and says why:
 
+    python3 tests/test_gen.py
+"""
+
+import dataclasses
+import hashlib
+import importlib.util
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+TESTS = Path(__file__).resolve().parent
+if __name__ == "__main__":  # a checkout runs without installing
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+
 from mixopt import Cell, GenConfig, batch, generate, mix_seed, paper_cells, save_json, validate
+from mixopt.gen import EPSILON_MAX, _round_half_up
+from rounding_reference import half_up_int, round2 as _round2
 
 CLASSES = ("uncorrelated", "weak", "strong")
+DIGESTS = TESTS / "data" / "instance_digests.json"
+# n = 1, epsilon = 0, xi at both ends and a rho other than the default
+EDGES = (dict(n=1, epsilon=0.1, xi=0.5), dict(n=1, epsilon=0.2, xi=0.0),
+         dict(n=7, epsilon=0.0, xi=0.5), dict(n=7, epsilon=0.1, xi=0.0),
+         dict(n=7, epsilon=0.1, xi=1.0), dict(n=7, epsilon=0.05, xi=0.75, rho=1.07))
 
 
-def _round2(x):
-    return float(decimal.Decimal(repr(x)).quantize(decimal.Decimal("0.01"),
-                                                   rounding=decimal.ROUND_HALF_UP))
+def instance_digests():
+    """The sha256 of ``save_json`` of each instance, by key: the 27 paper
+    cells at n = 500 (``batch(paper_cells([500]), 1, 0)``), the grid of
+    ``scripts/solve_signatures.py``, and ``EDGES`` in each class at seeds
+    0-2."""
+    spec = importlib.util.spec_from_file_location(
+        "solve_signatures", TESTS.parent / "scripts" / "solve_signatures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    named = [(f"{tag}_{cell.correlation}_n{cell.n}_e{cell.epsilon}_x{cell.xi}_s{cfg.seed}",
+              inst) for tag, rows in (("paper", batch(paper_cells([500]), 1, 0)),
+                                      ("desk", script.grid()))
+             for cell, cfg, inst in rows]
+    for corr in CLASSES:
+        for k, edge in enumerate(EDGES):
+            for seed in range(3):
+                named.append((f"edge{k}_{corr}_s{seed}",
+                              generate(GenConfig(correlation=corr, seed=seed, **edge))))
+    return {key: hashlib.sha256(save_json(inst)).hexdigest() for key, inst in named}
+
+
+def test_instances_match_the_recorded_digests():
+    want = json.loads(DIGESTS.read_text())
+    got = instance_digests()
+    assert len(want) == 27 + 48 + 54
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} of {len(want)} instances moved: {moved}"
 
 
 def _is_2dp(v):
@@ -90,6 +140,11 @@ def test_rho_passthrough():
     assert inst.rho == 1.07
 
 
+def test_numpy_integer_n():
+    cfg = GenConfig(correlation="weak", n=np.int64(9), epsilon=0.1, xi=0.5, seed=5)
+    assert save_json(generate(cfg)) == save_json(generate(dataclasses.replace(cfg, n=9)))
+
+
 def test_byte_identical_regeneration():
     cfg = GenConfig(correlation="weak", n=25, epsilon=0.2, xi=1.0, seed=123456789)
     assert save_json(generate(cfg)) == save_json(generate(cfg))
@@ -122,6 +177,14 @@ def test_generated_instances_always_validate(corr, n, eps, xi, seed):
         (dict(epsilon=-0.1), "epsilon"),
         (dict(xi=1.5), "xi"),
         (dict(correlation="bogus"), "correlation"),
+        (dict(epsilon=math.nan), "epsilon"),
+        (dict(epsilon=math.inf), "epsilon"),
+        (dict(epsilon=1e27), "epsilon"),
+        (dict(epsilon=EPSILON_MAX), "epsilon"),
+        (dict(n=2.5), "n must"),
+        (dict(n=True), "n must"),
+        (dict(rho=math.inf), "rho"),
+        (dict(rho=math.nan), "rho"),
     ],
 )
 def test_config_validation(kw, fragment):
@@ -129,6 +192,57 @@ def test_config_validation(kw, fragment):
     base.update(kw)
     with pytest.raises(ValueError, match=fragment):
         GenConfig(**base)
+
+
+def test_largest_epsilon_rounds_as_the_oracle():
+    """Up to the largest epsilon ``GenConfig`` takes, each minimum change
+    is its Decimal rounding."""
+    eps = float(np.nextafter(EPSILON_MAX, 0.0))
+    inst = generate(GenConfig(correlation="weak", n=50, epsilon=eps, xi=0.5, seed=3))
+    assert [repr(a.delta) for a in inst.activities] == [
+        repr(_round2(eps * a.s)) for a in inst.activities]
+
+
+# ---------------------------------------------------------------------------
+# the array rounding against the Decimal oracle
+
+
+def _agrees(x):
+    """Whether ``gen._round_half_up`` of the values ``x`` gives, bit for bit
+    (signed zeros too), what the Decimal oracle gives value by value, to
+    cents, and to the integers of the cardinality cap."""
+    x = np.asarray(x, dtype=float)
+    cents = _round_half_up(x, 100).tolist()
+    units = _round_half_up(x, 1).tolist()
+    return (list(map(repr, cents)) == [repr(_round2(v)) for v in x.tolist()]
+            and list(map(int, units)) == list(map(half_up_int, x.tolist())))
+
+
+def _ties(k, per):
+    """The ties ``(2k + 1) / (2 per)`` and their float neighbours, of both signs."""
+    ties = (2.0 * np.asarray(k, dtype=float) + 1.0) / (2.0 * per)
+    x = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    return np.concatenate([x, -x])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.floats(min_value=-1e12, max_value=1e12, exclude_min=True, exclude_max=True),
+    st.integers(min_value=0, max_value=10**14 - 1).map(lambda k: (2 * k + 1) / 200),
+    st.integers(min_value=1 - 10**14, max_value=10**14 - 1).map(lambda k: k / 100),
+))
+def test_array_rounding_matches_the_oracle(x):
+    assert _agrees([x])
+    assert _agrees([float(np.nextafter(x, 0.0)), float(np.nextafter(x, np.inf)), -x])
+
+
+def test_array_rounding_matches_the_oracle_on_ties():
+    rng = np.random.default_rng(0)
+    small = np.arange(20_000)  # every cent tie below 100
+    large = rng.integers(0, 10**14 - 1, 20_000)  # ties up to 1e12
+    assert _agrees(_ties(np.concatenate([small, large]), 100))
+    assert _agrees(_ties(np.concatenate([np.arange(2000), rng.integers(0, 10**12, 2000)]), 1))
+    assert _agrees([0.0, -0.0, 0.004, -0.004, 0.005, -0.005, 1e-300, -1e-300, 5e-324])
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +295,7 @@ def test_mix_seed_is_a_pure_64bit_mix():
     triples = {(b, c, r): mix_seed(b, c, r) for b in (0, 5) for c in (0, 1) for r in (0, 1)}
     assert len(set(triples.values())) == len(triples)
     assert all(0 <= v < 2**64 for v in triples.values())
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(instance_digests(), indent=1, sort_keys=True) + "\n")

@@ -7,6 +7,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -418,6 +419,84 @@ def test_load_json_refuses_malformed_files(blob, message):
     with pytest.raises(ParseError) as info:
         load_json(blob)
     assert str(info.value).startswith(message)
+
+
+def _many(**changes):
+    """A valid document of four activities and one extra row with
+    ``changes`` applied: a key ``"activities[i].k"`` sets field ``k`` of
+    activity ``i`` (``...k=None`` deletes it), ``"activities[i]"`` replaces
+    the entry, and ``"extras[0].coeffs[j]"`` sets one coefficient."""
+    doc = json.loads(save_json(generate(GenConfig("weak", 4, 0.1, 0.5, 2))))
+    del doc["extras"][1]
+    for key, value in changes.items():
+        owner, _, field = key.rpartition(".")
+        if not owner:
+            name, index = field[:-1].split("[")
+            doc[name][int(index)] = value
+        elif field.startswith("coeffs["):
+            doc["extras"][0]["coeffs"][int(field[7:-1])] = value
+        else:
+            entry = doc["activities"][int(owner[11:-1])]
+            entry.pop(field) if value is None else entry.__setitem__(field, value)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("changes,exc,message", [
+    ({"activities[2].phi": True}, ParseError, "activities[2].phi: expected a number, got bool"),
+    ({"activities[2].l": "1"}, ParseError, "activities[2].l: expected a number, got str"),
+    ({"activities[3].psi": math.nan}, ParseError, "activities[3].psi: expected a finite number"),
+    ({"activities[1].id": 7}, ParseError, "activities[1].id: expected a string"),
+    ({"activities[2]": [1.0]}, ParseError, "activities[2]: expected an object"),
+    ({"activities[3].u": None}, SchemaError, "activities[3]: missing field 'u'"),
+    ({"activities[1].zeta": 0.0}, SchemaError, "activities[1]: unknown field 'zeta'"),
+    # the first entry that breaks a check is named, whatever the later ones break
+    ({"activities[1].delta": math.inf, "activities[2].zeta": 0.0, "activities[3]": 5},
+     ParseError, "activities[1].delta: expected a finite number"),
+    ({"activities[0].s": 2, "activities[2].theta": False}, ParseError,
+     "activities[2].theta: expected a number, got bool"),
+    ({"extras[0].coeffs[3]": math.inf}, ParseError,
+     "extras[0].coeffs[3]: expected a finite number"),
+    ({"extras[0].coeffs[1]": True, "extras[0].coeffs[2]": None}, ParseError,
+     "extras[0].coeffs[1]: expected a number, got bool"),
+])
+def test_load_json_names_the_first_bad_entry(changes, exc, message):
+    """Among many activities and coefficients, a refusal names the first
+    field that breaks a check, as the field-by-field checks always did."""
+    with pytest.raises(exc) as info:
+        load_json(_many(**changes))
+    assert str(info.value) == message
+    assert type(info.value) is exc
+
+
+def test_load_json_takes_integers_as_floats():
+    """A document that writes some numbers as integers loads to the same
+    instance as the one that writes them all as floats, with every field
+    and coefficient stored as a float."""
+    rows = [("a", 2, 1.0, 5, 0.5, -1, 4.25, 0), ("b", 3.5, 2, 6.0, 1, -2.5, 3, 1.5),
+            ("c", 4.0, 3.0, 8.0, 0.0, -0.5, 1.0, 2.0)]
+    keys = ("id", "s", "l", "u", "delta", "theta", "phi", "psi")
+    mixed = {"rho": 1, "m": 2, "activities": [dict(zip(keys, r)) for r in rows],
+             "extras": [{"coeffs": [1, 2.5, 3], "sense": "ge", "rhs": -4}]}
+    floats = dict(json.loads(json.dumps(mixed), parse_int=float), m=2)
+    assert any(type(v) is int for entry in mixed["activities"] for v in entry.values())
+    back = load_json(json.dumps(mixed))
+    assert back == load_json(json.dumps(floats))
+    assert save_json(back) == save_json(load_json(json.dumps(floats)))
+    assert {type(v) for a in back.activities for v in dataclasses.astuple(a)[1:]} == {float}
+    assert {type(c) for ex in back.extras for c in ex.coeffs + (ex.rhs,)} == {float}
+    assert type(back.rho) is float
+
+
+def test_activity_stores_str_and_float():
+    """Fields given as numpy scalars, ints or bools are stored as a ``str``
+    id and ``float`` numbers; a ``float`` subclass is stored as ``float``."""
+    a = Activity(id=np.str_("a"), s=np.float64(2.5), l=1, u=np.int64(5), delta=True,
+                 theta=np.float32(-1.5), phi=False, psi=np.float64(0.25))
+    assert type(a.id) is str and a.id == "a"
+    assert [type(v) for v in dataclasses.astuple(a)[1:]] == [float] * 7
+    assert dataclasses.astuple(a)[1:] == (2.5, 1.0, 5.0, 1.0, -1.5, 0.0, 0.25)
+    b = Activity(id=3, s=2.5, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    assert b.id == "3" and b == Activity("3", 2.5, 1.0, 5.0, 0.5, -1.0, 1.0, 0.0)
 
 
 def test_instance_tables_have_one_owner():
