@@ -66,9 +66,10 @@ root relaxation to a region assignment (``bnb._round_regions``), and
 assignment's leaf solve gives (``-`` when it gives none).  Generation and
 the JSON round trip, per n: ``gen_us`` draws the paper cell's instance
 (``gen.generate``), ``save_us`` writes it (``save_json``), ``load_us``
-reads it back (``load_json``) and ``validate_us`` checks it
-(``validate``, as every solve does first, on the field rows the instance
-builds once).
+reads it back (``load_json``), ``validate_us`` checks it (``validate``,
+as every solve does first, on the field rows the instance builds once)
+and ``claims_us`` builds its claim table (``Instance.claims``, the region
+rule on the instance's columns) on a fresh copy with nothing cached.
 
 The line search, per n and formulation: one ``_exact_step`` along the
 first Newton direction of the root dual from zero multipliers, with the
@@ -88,6 +89,7 @@ one after the other may differ by more than any change between them.
 """
 
 import argparse
+import dataclasses
 import math
 import platform
 import statistics
@@ -403,7 +405,8 @@ def run(argv=None):
             lambda: check_minlp_feasible(inst, sol, tol=1e-8), args.calls, args.repeats)
         print(f"{inst.n:5d} {form:>5} {took:9.1f} {check:>9}", flush=True)
 
-    print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9} {'validate_us':>11}")
+    print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9} {'validate_us':>11} "
+          f"{'claims_us':>9}")
     for n in args.n:
         cfg = paper_cell(n)
         inst = gen.generate(cfg)
@@ -412,8 +415,10 @@ def run(argv=None):
                 for call in (lambda: gen.generate(cfg), lambda: save_json(inst),
                              lambda: load_json(blob))]
         took.append(per_call_us(lambda: validate(inst), args.calls, args.repeats))
-        print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took[:3]) + f" {took[3]:11.1f}",
-              flush=True)
+        fresh = iter([dataclasses.replace(inst) for _ in range(args.relax_calls * args.repeats)])
+        claims = per_call_us(lambda: next(fresh).claims, args.relax_calls, args.repeats)
+        print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took[:3]) + f" {took[3]:11.1f}"
+              f" {claims:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'probes':>6} {'search_us':>9}")
     for inst, root, form, root_res in cells:

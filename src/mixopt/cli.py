@@ -141,11 +141,13 @@ def _cmd_solve(args) -> int:
                "gap": res.gap, "nodes": res.nodes, "time_s": res.wall_time}
     for key, value in payload.items():
         print(f"{key:<10} " + (f"{value:.3f}" if key == "time_s" else _fmt(value)))
-    if args.json:
+    if args.json:  # RFC 8259 has no infinity or NaN: such a number is written null
+        payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in payload.items()}
         if res.incumbent is not None:
             payload["x"] = list(res.incumbent.x)
             payload["regions"] = list(res.incumbent.region)
-        Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
+        Path(args.json).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return _EXIT_BY_STATUS[res.status]
 
 

@@ -21,7 +21,6 @@ import numpy as np
 from .instance import (
     Instance,
     InvalidInstanceError,
-    RegionBounds,
     Solution,
     ValidationReport,
     _region_codes,
@@ -91,40 +90,29 @@ class ModelIR:
     cones: Tuple[ConeRow, ...] = ()
 
 
-def _x_bounds(rb: RegionBounds) -> Tuple[float, float]:
-    lo = rb.L[0] if rb.L is not None else 0.0
-    hi = rb.R[1] if rb.R is not None else 0.0
-    return min(lo, 0.0), max(hi, 0.0)
+def _sides(inst: Instance) -> list:
+    """Each activity's decrease and raise boxes ``(L, R)``, read from
+    ``Instance.claims`` as Python floats; ``None`` where a box is absent."""
+    lo, hi = inst.claims[:2, inst.n:3 * inst.n].tolist()
+    boxes = [None if math.isnan(a) else (a, b) for a, b in zip(lo, hi)]
+    return list(zip(boxes[:inst.n], boxes[inst.n:]))
 
 
 def _core_rows(inst: Instance) -> Tuple[list, list]:
     """Variables and rows shared by both formulations."""
+    n, live = inst.n, inst.m > 0
     variables = []
-    rows = []
-    n = inst.n
-    for i, (a, rb) in enumerate(zip(inst.activities, inst.regions)):
-        lo, hi = _x_bounds(rb)
-        variables.append(Variable(f"x_{i}", "continuous", lo, hi))
-        zl_ub = 1.0 if (rb.L is not None and inst.m > 0) else 0.0
-        zr_ub = 1.0 if (rb.R is not None and inst.m > 0) else 0.0
-        variables.append(Variable(f"zL_{i}", "binary", 0.0, zl_ub))
-        variables.append(Variable(f"zR_{i}", "binary", 0.0, zr_ub))
-
-    rows.append(LinearRow(
-        "budget", tuple((f"x_{i}", 1.0) for i in range(n)), "le", inst.budget_rhs))
-    for i, rb in enumerate(inst.regions):
-        lo_terms = [(f"x_{i}", 1.0)]
-        hi_terms = [(f"x_{i}", 1.0)]
-        if rb.L is not None:
-            lo_terms.append((f"zL_{i}", -rb.L[0]))
-            hi_terms.append((f"zL_{i}", -rb.L[1]))
-        if rb.R is not None:
-            lo_terms.append((f"zR_{i}", -rb.R[0]))
-            hi_terms.append((f"zR_{i}", -rb.R[1]))
-        rows.append(LinearRow(f"rng_lo_{i}", tuple(lo_terms), "ge", 0.0))
-        rows.append(LinearRow(f"rng_hi_{i}", tuple(hi_terms), "le", 0.0))
-        rows.append(LinearRow(
-            f"pick_{i}", ((f"zL_{i}", 1.0), (f"zR_{i}", 1.0)), "le", 1.0))
+    rows = [LinearRow("budget", tuple((f"x_{i}", 1.0) for i in range(n)), "le", inst.budget_rhs)]
+    for i, (L, R) in enumerate(_sides(inst)):
+        # L lies at or below 0 and R at or above, so x spans L's low end to R's high end
+        variables += [Variable(f"x_{i}", "continuous", L[0] if L else 0.0, R[1] if R else 0.0),
+                      Variable(f"zL_{i}", "binary", 0.0, 1.0 if L and live else 0.0),
+                      Variable(f"zR_{i}", "binary", 0.0, 1.0 if R and live else 0.0)]
+        boxes = [(f"z{side}_{i}", box) for side, box in (("L", L), ("R", R)) if box]
+        for end, (name, sense) in enumerate((("rng_lo", "ge"), ("rng_hi", "le"))):
+            terms = ((f"x_{i}", 1.0),) + tuple((z, -box[end]) for z, box in boxes)
+            rows.append(LinearRow(f"{name}_{i}", terms, sense, 0.0))
+        rows.append(LinearRow(f"pick_{i}", ((f"zL_{i}", 1.0), (f"zR_{i}", 1.0)), "le", 1.0))
     rows.append(LinearRow(
         "card",
         tuple((f"z{side}_{i}", 1.0) for i in range(n) for side in ("L", "R")),
@@ -159,12 +147,10 @@ def build_misocp(inst: Instance) -> ModelIR:
     ``e_i * zLR_i >= -theta_i * x_i^2`` and a purely linear objective."""
     _require_valid(inst)
     variables, rows = _core_rows(inst)
-    cones = []
-    lin = []
-    for i, (a, rb) in enumerate(zip(inst.activities, inst.regions)):
-        active = (rb.L is not None or rb.R is not None) and inst.m > 0
-        zlr_ub = 1.0 if active else 0.0
-        variables.append(Variable(f"zLR_{i}", "binary", 0.0, zlr_ub))
+    cones, lin = [], []
+    for i, (a, (L, R)) in enumerate(zip(inst.activities, _sides(inst))):
+        active = (L is not None or R is not None) and inst.m > 0
+        variables.append(Variable(f"zLR_{i}", "binary", 0.0, 1.0 if active else 0.0))
         if a.theta < 0.0:
             variables.append(Variable(f"e_{i}", "continuous", 0.0, math.inf))
             cones.append(ConeRow(f"qc_{i}", f"e_{i}", f"zLR_{i}", f"x_{i}", -a.theta))
@@ -208,9 +194,10 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
     code = _region_codes(sol.region)
     claim = inst.claims.take(code * n + np.arange(n), axis=1)
     lacks, bound, size = np.isnan(claim[0]), claim[:5] * _SIGNS + tol, np.abs(x)
-    # below the region's box, above it, below the spend bounds, above them
-    past = x * _SIGNS[:4] > bound[:4]
-    small, inactive = claim[5] > size + tol, size > bound[4]
+    # below the region's box, above it, below the spend bounds, above them;
+    # each rule is written to fail on a NaN, which compares false
+    past = ~(x * _SIGNS[:4] <= bound[:4])
+    small, inactive = ~(claim[5] <= size + tol), ~(size <= bound[4])
     out = []
     for i in (lacks | past.any(axis=0) | small | inactive).nonzero()[0].tolist():
         name, xi, reg = inst.activities[i].id, sol.x[i], sol.region[i]
@@ -232,15 +219,15 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
                 out.append(f"activity {name!r}: nonzero change with inactive indicator")
     nonzero = int(np.count_nonzero(~lacks & (code > 0)))  # L or R, where it exists
     total = math.fsum(sol.x)
-    if total > inst.budget_rhs + tol:
+    if not total <= inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
     for k, (ex, row) in enumerate(zip(inst.extras, (inst.coupling[0][1:] * x).tolist())):
         activity = math.fsum(row)
-        if activity > ex.rhs + tol:  # ``Instance`` stores every row as ``le``
+        if not activity <= ex.rhs + tol:  # ``Instance`` stores every row as ``le``
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = math.fsum(_revenues(inst, x).tolist())
-    if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
+    if not abs(obj - sol.objective) <= tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
     return ValidationReport(tuple(out))

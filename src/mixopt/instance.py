@@ -114,23 +114,30 @@ def _activity_violations(a: Activity) -> Tuple[str, ...]:
     return tuple(f"activity {a.id!r}: {name}" for name, broken in rules if broken)
 
 
-def compute_regions(a: Activity) -> RegionBounds:
-    """Derive the L/S/R region intervals for one activity.
+def _region_ends(col) -> Tuple[np.ndarray, ...]:
+    """The minimum-change rule, on the columns ``col`` or one activity's
+    fields: the ends ``lo_L, hi_L, lo_R, hi_R`` of the decrease box
+    ``[l-s, -delta]``, there iff ``l-s <= -delta`` (+0.0 when delta is a
+    zero), and the raise box ``[delta, u-s]``, there iff ``delta <= u-s``;
+    NaN where a box is absent."""
+    delta = col["delta"]
+    low, high, neg = col["l"] - col["s"], col["u"] - col["s"], 0.0 - delta
+    has_l, has_r = low <= neg, delta <= high
+    return (np.where(has_l, low, math.nan), np.where(has_l, neg, math.nan),
+            np.where(has_r, delta, math.nan), np.where(has_r, high, math.nan))
 
-    The decrease region exists iff ``l - s <= -delta`` and the raise region
-    iff ``delta <= u - s``; degenerate single-point regions are kept.  An
-    activity that breaks a rule of ``validate`` is an
-    ``InvalidActivityError``.
-    """
+
+def compute_regions(a: Activity) -> RegionBounds:
+    """The L/S/R region intervals of one activity, by the rule that
+    ``Instance.claims`` applies to whole columns (``_region_ends``);
+    single-point regions are kept.  An activity that breaks a rule of
+    ``validate`` is an ``InvalidActivityError``."""
     broken = _activity_violations(a)
     if broken:
         raise InvalidActivityError("; ".join(broken))
-    lo = a.l - a.s
-    hi = a.u - a.s
-    neg_delta = -a.delta if a.delta != 0 else 0.0
-    L = (lo, neg_delta) if lo <= neg_delta else None
-    R = (a.delta, hi) if a.delta <= hi else None
-    return RegionBounds(L=L, R=R)
+    lo_l, hi_l, lo_r, hi_r = map(float, _region_ends(vars(a)))
+    return RegionBounds(L=None if math.isnan(lo_l) else (lo_l, hi_l),
+                        R=None if math.isnan(lo_r) else (lo_r, hi_r))
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,6 @@ class LinearConstraint:
         return LinearConstraint(tuple(-c for c in self.coeffs), "le", -self.rhs)
 
 
-_ABSENT = (math.nan, math.nan)
 _EDGES = (0.0, np.finfo(float).max, -np.finfo(float).max)
 # the rows of ``Instance._rows`` that ``validate`` pairs as ``low <= high``:
 # l <= s, s <= u, theta <= 0, 0 <= delta, each field finite (not NaN or inf)
@@ -207,10 +213,6 @@ class Instance:
         return math.fsum(a.psi for a in self.activities)
 
     @cached_property
-    def regions(self) -> Tuple[RegionBounds, ...]:
-        return tuple(compute_regions(a) for a in self.activities)
-
-    @cached_property
     def columns(self) -> Dict[str, np.ndarray]:
         """Each numeric activity field (``s l u delta theta phi psi``) as a
         read-only float array in activity order, built once."""
@@ -220,23 +222,32 @@ class Instance:
     def _rows(self) -> np.ndarray:
         """The fields of ``columns`` as rows, then rows 0, the largest float
         and its negative, which ``validate`` compares them with; read-only."""
-        fields = np.array(list(map(attrgetter(*_FIELDS), self.activities)), float)
+        fields = np.fromiter(itertools.chain.from_iterable(
+            map(attrgetter(*_FIELDS), self.activities)), float, 7 * self.n)
         rows = np.vstack((fields.reshape(self.n, 7).T, np.outer(_EDGES, np.ones(self.n))))
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def _broken(self) -> np.ndarray:
+        """The indices of the activities that break a rule of ``validate``
+        (``_activity_violations``), read from ``_rows``."""
+        rows = self._rows
+        return (~(rows.take(_LOW, 0) <= rows.take(_HIGH, 0)).all(axis=0)).nonzero()[0]
 
     @cached_property
     def claims(self) -> np.ndarray:
         """The claim table, read-only: column ``code*n + i`` is activity
         ``i`` claiming region ``code`` (``_region_codes``): lo and hi of its
         box (NaN if absent) and of its spend change, ``M*z`` and ``delta*z``
-        (``M = max|spend change|``, ``z`` 1 off S)."""
+        (``M = max|spend change|``, ``z`` 1 off S).  An instance with a
+        broken activity is an ``InvalidActivityError`` naming the first."""
+        if self._broken.size:
+            first = self.activities[self._broken[0]]
+            raise InvalidActivityError("; ".join(_activity_violations(first)))
         n, col, z = self.n, self.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
-        ends = np.fromiter(itertools.chain.from_iterable(
-            [(rb.L or _ABSENT) + (rb.R or _ABSENT) for rb in self.regions]),
-            float, 4 * n).reshape(n, 4).T
         low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
-        box = np.vstack((np.zeros((2, n)), ends, np.full((2, n), math.nan)))
+        box = np.vstack((np.zeros((2, n)), _region_ends(col), np.full((2, n), math.nan)))
         claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
             np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
         claims.flags.writeable = False
@@ -314,11 +325,10 @@ def validate(inst: Instance) -> ValidationReport:
     """Field-level checks; returns all violations instead of raising.  The
     rules run on ``Instance._rows`` and the extra rows as arrays, and only
     activities that break one or repeat an id (ids are sorted) are worded."""
-    rows, n, ids = inst._rows, inst.n, [a.id for a in inst.activities]
-    broken = ~(rows.take(_LOW, 0) <= rows.take(_HIGH, 0)).all(axis=0)
+    n, ids = inst.n, [a.id for a in inst.activities]
     dup = {i for i in range(1, n) if ids[i] == ids[i - 1]} if len(set(ids)) < n else set()
     out = [] if n else ["instance has no activities"]
-    for i in sorted(dup.union(broken.nonzero()[0].tolist())):
+    for i in sorted(dup.union(inst._broken.tolist())):
         if i in dup:
             out.append(f"duplicate activity id {ids[i]!r}")
         out += _activity_violations(inst.activities[i])

@@ -201,7 +201,7 @@ class _InstanceArrays:
 
 def _instance_arrays(inst: Instance) -> _InstanceArrays:
     """Built on first use and kept in the instance's ``__dict__``, as
-    ``functools.cached_property`` keeps ``Instance.regions``; an instance
+    ``functools.cached_property`` keeps ``Instance.claims``; an instance
     is frozen, so every node of a search shares them."""
     arrays = inst.__dict__.get("_kernel_arrays")
     if arrays is None:

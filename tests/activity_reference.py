@@ -1,18 +1,49 @@
-"""The scalar reference for the solver's dual kernel.
+"""The scalar references for one activity: its regions and its priced
+subproblem.
 
-One activity's priced subproblem, solved in closed form with Python floats
-in the order the kernel in ``mixopt.relax`` repeats on whole columns.  The
-kernel test requires the kernel's points and per-activity values to equal
-these bit for bit; the grid oracle of ``test_relax.py`` checks these
-closed forms against a dense search.
+``region_bounds`` is the minimum-change rule with Python floats, one
+activity at a time, as the package spelled it before the rule moved onto
+the instance's columns (``Instance.claims``); the instance tests require
+the claim table and ``compute_regions`` to give its boxes bit for bit, and
+every other test reads an instance's regions from ``regions``.
+
+The priced subproblem is solved in closed form with Python floats in the
+order the kernel in ``mixopt.relax`` repeats on whole columns.  The kernel
+test requires the kernel's points and per-activity values to equal these
+bit for bit; the grid oracle of ``test_relax.py`` checks these closed
+forms against a dense search.
 """
 
 import math
 from typing import Optional, Sequence, Tuple
 
-from mixopt import PERSPECTIVE, Activity, Formulation, RegionBounds
+from mixopt import PERSPECTIVE, Activity, Formulation, Instance, InvalidActivityError, RegionBounds
+
+from validation_reference import activity_violations
 
 _INF = math.inf
+
+
+def region_bounds(act: Activity) -> RegionBounds:
+    """The decrease box ``[l-s, -delta]``, there iff ``l - s <= -delta``,
+    and the raise box ``[delta, u-s]``, there iff ``delta <= u - s``
+    (``-delta`` reads +0.0 when delta is a zero); an activity that breaks
+    a rule of ``activity_violations`` is an ``InvalidActivityError`` in
+    its words."""
+    broken = activity_violations(act)
+    if broken:
+        raise InvalidActivityError("; ".join(broken))
+    lo = act.l - act.s
+    hi = act.u - act.s
+    neg_delta = -act.delta if act.delta != 0 else 0.0
+    L = (lo, neg_delta) if lo <= neg_delta else None
+    R = (act.delta, hi) if act.delta <= hi else None
+    return RegionBounds(L=L, R=R)
+
+
+def regions(inst: Instance) -> Tuple[RegionBounds, ...]:
+    """``region_bounds`` of each activity of ``inst``, in activity order."""
+    return tuple(map(region_bounds, inst.activities))
 
 # A record is (theta, lL, uL, lR, uR, allowS, modeL, modeR) with mode
 # 0 = closed, 1 = free, 2 = fixed.

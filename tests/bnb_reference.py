@@ -13,6 +13,8 @@ from typing import List, Tuple
 
 from mixopt import Instance, NodeState, Region, RelaxResult
 
+from activity_reference import regions as reference_regions
+
 _REGION_OF = {1: "S", 2: "L", 4: "R"}
 
 
@@ -78,7 +80,7 @@ def least_row_use(inst: Instance, node: NodeState) -> List[Tuple[float, float]]:
     out = []
     for coeffs, rhs in rows:
         total = 0.0
-        for a, rb, bits in zip(coeffs, inst.regions, node.bits.tolist()):
+        for a, rb, bits in zip(coeffs, reference_regions(inst), node.bits.tolist()):
             uses = [0.0] if bits & 1 else []
             for bit, interval in ((2, rb.L), (4, rb.R)):
                 if bits & bit:

@@ -11,6 +11,8 @@ from typing import Tuple
 
 from mixopt import Instance, Solution
 
+from activity_reference import regions as reference_regions
+
 
 def objective_value(inst: Instance, x) -> float:
     """Total revenue of a change vector, one activity at a time."""
@@ -23,14 +25,15 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
     membership of each change in its claimed region interval, the
     minimum-change rule ``delta*z <= |x| <= M*z`` with
     ``M = max(|l-s|, |u-s|)``, the budget, the cardinality cap, the extra
-    rows, and consistency of the stored objective."""
+    rows, and consistency of the stored objective.  Each rule is written
+    to fail on a NaN, which compares false."""
     out = []
     if len(sol.x) != inst.n or len(sol.region) != inst.n:
         return (f"expected {inst.n} entries in x/region",)
     nonzero = 0
-    for a, rb, xi, reg in zip(inst.activities, inst.regions, sol.x, sol.region):
+    for a, rb, xi, reg in zip(inst.activities, reference_regions(inst), sol.x, sol.region):
         lo, hi = a.l - a.s, a.u - a.s
-        if xi < lo - tol or xi > hi + tol:
+        if not lo - tol <= xi <= hi + tol:
             out.append(f"activity {a.id!r}: change {xi} outside spend bounds [{lo}, {hi}]")
         if reg not in ("L", "S", "R"):
             out.append(f"activity {a.id!r}: unknown region {reg!r}")
@@ -39,26 +42,26 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
         if interval is None:
             out.append(f"activity {a.id!r}: region {reg} does not exist")
             continue
-        if xi < interval[0] - tol or xi > interval[1] + tol:
+        if not interval[0] - tol <= xi <= interval[1] + tol:
             out.append(f"activity {a.id!r}: change {xi} outside region {reg} "
                        f"interval [{interval[0]}, {interval[1]}]")
         z = 0 if reg == "S" else 1
         big_m = max(abs(lo), abs(hi))
-        if a.delta * z > abs(xi) + tol:
+        if not a.delta * z <= abs(xi) + tol:
             out.append(f"activity {a.id!r}: |change| {abs(xi)} below minimum {a.delta}")
-        if abs(xi) > big_m * z + tol:
+        if not abs(xi) <= big_m * z + tol:
             out.append(f"activity {a.id!r}: nonzero change with inactive indicator")
         nonzero += z
     total = math.fsum(sol.x)
-    if total > inst.budget_rhs + tol:
+    if not total <= inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
     for k, ex in enumerate(inst.extras):
         activity = math.fsum(c * v for c, v in zip(ex.coeffs, sol.x))
-        if activity > ex.rhs + tol:
+        if not activity <= ex.rhs + tol:
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = objective_value(inst, sol.x)
-    if abs(obj - sol.objective) > tol * (1.0 + abs(obj)):
+    if not abs(obj - sol.objective) <= tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
     return tuple(out)

@@ -40,6 +40,7 @@ from mixopt import bnb, relax
 from mixopt.bnb import _outcome_to_solution, _round_regions
 
 import bnb_reference
+from activity_reference import regions as reference_regions
 from conftest import random_instance
 
 FORMS = ("miqp", "persp")
@@ -127,7 +128,7 @@ def test_node_count_bounded_by_assignment_space(rng):
     for _ in range(8):
         inst = random_instance(rng, rng.randint(2, 6))
         product = 1
-        for rb in inst.regions:
+        for rb in reference_regions(inst):
             product *= 1 + (rb.L is not None) + (rb.R is not None)
         for form in FORMS:
             res = branch_and_bound(inst, SolveParams(formulation=form))
@@ -227,7 +228,7 @@ def _enumerated_optimum(inst):
     value; None when no assignment is feasible.
     """
     options = [["S"] + [r for r, iv in (("L", rb.L), ("R", rb.R)) if iv is not None]
-               for rb in inst.regions]
+               for rb in reference_regions(inst)]
     best = None
     for regions in itertools.product(*options):
         if sum(r != "S" for r in regions) > inst.m:

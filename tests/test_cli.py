@@ -146,6 +146,15 @@ def test_solve_json_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _strict_json(path):
+    """The JSON document at ``path``, read by RFC 8259: a bare ``NaN``,
+    ``Infinity`` or ``-Infinity`` is an error."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_solve_exit_codes(tmp_path, capsys, rng, two_symmetric):
     # 1: unreadable or invalid input
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
@@ -158,17 +167,25 @@ def test_solve_exit_codes(tmp_path, capsys, rng, two_symmetric):
     # 2: resource limit hit (forced via a zero node budget on a gapped model)
     gapped = tmp_path / "two.json"
     gapped.write_bytes(save_json(two_symmetric))
-    assert main(["solve", str(gapped), "--form", "miqp", "--node-limit", "0"]) == 2
+    report = tmp_path / "report.json"
+    assert main(["solve", str(gapped), "--form", "miqp", "--node-limit", "0",
+                 "--json", str(report)]) == 2
     assert _solve_fields(capsys.readouterr().out)["status"] == "node-limit"
+    assert _strict_json(report)["status"] == "node-limit"
 
-    # 3: proven infeasible (extras demand movement, zero cap forbids it)
+    # 3: proven infeasible (extras demand movement, zero cap forbids it);
+    # the report spells the infinite bound and gap null, as RFC 8259 asks
     import dataclasses
 
     infeasible = dataclasses.replace(random_instance(rng, 4, with_extras=True), m=0)
     dest = tmp_path / "inf.json"
     dest.write_bytes(save_json(infeasible))
-    assert main(["solve", str(dest)]) == 3
-    assert _solve_fields(capsys.readouterr().out)["status"] == "infeasible"
+    assert main(["solve", str(dest), "--json", str(report)]) == 3
+    fields = _solve_fields(capsys.readouterr().out)
+    assert (fields["status"], fields["bound"], fields["gap"]) == ("infeasible", "-inf", "inf")
+    blob = _strict_json(report)
+    assert (blob["status"], blob["objective"], blob["bound"], blob["gap"]) == (
+        "infeasible", None, None, None)
 
 
 def test_solve_closed_at_the_root_exits_zero(tmp_path, capsys):

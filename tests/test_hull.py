@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import math
 import random
 
 import pytest
@@ -14,6 +15,8 @@ from mixopt import (
     GenConfig,
     Instance,
     Solution,
+    SolveParams,
+    branch_and_bound,
     build_miqp,
     build_misocp,
     check_minlp_feasible,
@@ -21,6 +24,7 @@ from mixopt import (
     perspective_value,
 )
 
+from activity_reference import regions as reference_regions
 from conftest import random_instance
 from feasibility_reference import check_minlp_feasible as reference_check
 from feasibility_reference import objective_value
@@ -39,7 +43,7 @@ def test_hull_block_vertices_feasible():
     for inst in insts:
         ir = build_miqp(inst)
         rows = {r.name: r for r in ir.rows}
-        for i, rb in enumerate(inst.regions):
+        for i, rb in enumerate(reference_regions(inst)):
             block = [rows[f"{name}_{i}"] for name in ("rng_lo", "rng_hi", "pick")]
 
             def violated(x, zl, zr):
@@ -295,7 +299,7 @@ def test_checker_catches_budget_violation():
 
 def test_checker_catches_extras_violation(rng):
     inst = random_instance(rng, 3, m=3, rho=100.0, with_extras=True)
-    rb0 = inst.regions[0]
+    rb0 = reference_regions(inst)[0]
     if rb0.R is None:
         pytest.skip("draw produced no increase region")
     # a big enough increase breaks the tau-row (its rhs is near zero)
@@ -340,21 +344,44 @@ def test_checker_rejects_malformed_solutions():
     # l = s leaves no decrease region
     c = Activity(id="c", s=5.0, l=5.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
     single = Instance(activities=(c,), rho=1.05, m=1, extras=())
-    assert single.regions[0].L is None
+    assert reference_regions(single)[0].L is None
     assert violations(Solution.from_x(single, [0.0], ["L"]), single) == (
         "activity 'c': region L does not exist",)
     off = dataclasses.replace(honest, objective=honest.objective + 1.0)
     assert len(violations(off)) == 1 and "stored objective" in violations(off)[0]
 
 
+def test_checker_fails_nan():
+    """A NaN change or stored objective fails the gate, which a rule
+    written ``value > limit`` would pass (a NaN compares false): the
+    all-stay point with ``x[0]`` at NaN, whose true objective also hides
+    that it breaks both extra rows, and the solver's own incumbent with a
+    NaN objective; in the scalar reference's words."""
+    inst = generate(GenConfig("weak", 12, 0.1, 0.5, 3))
+    stay = ["S"] * inst.n
+    broken = Solution.from_x(inst, [0.0] * inst.n, stay)
+    assert [v.startswith("extra") for v in check_minlp_feasible(inst, broken).violations] == [
+        True, True]
+    x = [math.nan] + [0.0] * (inst.n - 1)
+    incumbent = branch_and_bound(inst, SolveParams(node_limit=50)).incumbent
+    assert check_minlp_feasible(inst, incumbent).ok
+    for sol in (Solution(tuple(x), tuple(stay), math.nan, tuple(x)),
+                Solution.from_x(inst, x, stay),
+                dataclasses.replace(incumbent, objective=math.nan)):
+        report = check_minlp_feasible(inst, sol)
+        assert not report.ok and report.violations == reference_check(inst, sol)
+        assert any("stored objective nan" in v or "recomputed nan" in v
+                   for v in report.violations)
+
+
 def _random_solution(rng, inst):
     """A solution that breaks the rules now and then: each change is zero,
     inside a region, at a region's or the spend range's end give or take a
-    few tolerances, or anywhere; each claimed region is the one the change
-    lies in, another one, or unknown; the stored objective is the true one
-    or off by a little or a lot."""
+    few tolerances, anywhere, or NaN; each claimed region is the one the
+    change lies in, another one, or unknown; the stored objective is the
+    true one, off by a little or a lot, or NaN."""
     x, region = [], []
-    for a, rb in zip(inst.activities, inst.regions):
+    for a, rb in zip(inst.activities, reference_regions(inst)):
         boxes = [box for box in (rb.L, rb.R) if box is not None] + [(0.0, 0.0)]
         lo, hi = rng.choice(boxes + [(a.l - a.s, a.u - a.s)])
         kind = rng.randrange(4)
@@ -365,14 +392,14 @@ def _random_solution(rng, inst):
         elif kind == 2:
             v = rng.choice((lo, hi)) + rng.choice((-3, -1, -0.5, 0, 0.5, 1, 3)) * 1e-8
         else:
-            v = rng.uniform(-20.0, 20.0)
+            v = rng.uniform(-20.0, 20.0) if rng.random() < 0.9 else math.nan
         x.append(v)
         if rng.random() < 0.7:
             region.append("S" if v == 0.0 else "L" if v < 0.0 else "R")
         else:
             region.append(rng.choice(("L", "S", "R", "Q", "", "RS", None, "é")))
     sol = Solution.from_x(inst, x, region)
-    off = rng.choice((0.0, 0.0, 1e-9, -1e-6, 1.0))
+    off = rng.choice((0.0, 0.0, 1e-9, -1e-6, 1.0, math.nan))
     return dataclasses.replace(sol, objective=sol.objective + off * max(1.0, abs(sol.objective)))
 
 

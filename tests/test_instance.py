@@ -19,6 +19,7 @@ from mixopt import (
     InvalidActivityError,
     LinearConstraint,
     ParseError,
+    RegionBounds,
     SchemaError,
     SolveParams,
     Solution,
@@ -34,6 +35,8 @@ from mixopt import (
 from mixopt.instance import _CODE_OF
 from mixopt.relax import _InstanceArrays, _instance_arrays
 
+from activity_reference import region_bounds
+from activity_reference import regions as reference_regions
 from conftest import random_instance
 from validation_reference import validate as reference_validate
 
@@ -120,12 +123,78 @@ def test_zero_delta_regions_touch_origin():
     assert _stay_box(zero_delta) == [0.0, 0.0]
 
 
+def _claimed(inst):
+    """Each activity's region bounds as ``inst.claims`` holds them: the
+    boxes of its L and R columns, None where they read NaN."""
+    n = inst.n
+    lo, hi = inst.claims[:2, n:3 * n].tolist()
+    boxes = [None if math.isnan(a) else (a, b) for a, b in zip(lo, hi)]
+    return tuple(RegionBounds(L, R) for L, R in zip(boxes[:n], boxes[n:]))
+
+
 def test_instance_caches_regions(rng):
+    """The claim table is the instance's one region table: built once, and
+    holding the reference's boxes (``activity_reference.regions``)."""
     inst = random_instance(rng, 6)
-    assert len(inst.regions) == inst.n == 6
-    assert inst.regions is inst.regions  # cached, not rebuilt per access
-    for a, rb in zip(inst.activities, inst.regions):
-        assert rb == compute_regions(a)
+    assert inst.claims is inst.claims  # cached, not rebuilt per access
+    assert _claimed(inst) == reference_regions(inst)
+    assert len(_claimed(inst)) == inst.n == 6
+
+
+# spends and gaps that hit the rule's edges: signed zeros, dyadic values
+# whose differences are exact, and values whose differences round
+_SPOTS = st.sampled_from((0.0, -0.0, 0.25, 1.0, 8.0, 0.1, 0.7, 1e300)) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _rule_activities(draw, index):
+    """An activity with ``l <= s <= u`` drawn from ``_SPOTS`` (equal values
+    in draw order, so either signed zero can come first) and a minimum
+    change at a tie (``l-s == -delta`` or ``delta == u-s``), one ulp off
+    one, at a zero of either sign, or elsewhere; at times broken by one
+    rule of ``validate``."""
+    l, s, u = sorted(draw(st.lists(_SPOTS, min_size=3, max_size=3)))
+    delta = draw(st.sampled_from((s - l, u - s, 0.0, -0.0)) | st.floats(0.0, 1e6))
+    delta = draw(st.sampled_from((delta, delta, math.nextafter(delta, math.inf),
+                                  max(0.0, math.nextafter(delta, -math.inf)))))
+    fields = dict(s=s, l=l, u=u, delta=delta, theta=-1.0, phi=0.5, psi=0.0)
+    brk = draw(st.sampled_from((None,) * 6 + ("l", "u", "theta", "delta", "phi")))
+    if brk is not None:
+        fields[brk] = {"l": u + 1.0, "u": l - 1.0, "theta": 1.0, "delta": -1.0,
+                       "phi": math.nan}[brk]
+    return Activity(id=f"a{index}", **fields)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(*(_rule_activities(i) for i in range(n)))))
+def test_claims_match_the_region_oracle(acts):
+    """``Instance.claims`` and ``compute_regions`` give the scalar
+    reference's boxes (``activity_reference.region_bounds``), compared by
+    ``repr`` so that the sign of a zero counts, on activities at and next
+    to the rule's ties; and on an instance with a broken activity, the
+    claims refuse it in the reference's words, naming the first."""
+    inst = Instance(acts, rho=1.0, m=1)
+    for a in inst.activities:
+        try:
+            want = repr(region_bounds(a))
+        except InvalidActivityError as refused:
+            want = repr(refused)
+        try:
+            got = repr(compute_regions(a))
+        except InvalidActivityError as refused:
+            got = repr(refused)
+        assert got == want
+    try:
+        want = repr(reference_regions(inst))
+    except InvalidActivityError as refused:
+        want = repr(refused)
+    try:
+        got = repr(_claimed(inst))
+    except InvalidActivityError as refused:
+        got = repr(refused)
+    assert got == want
 
 
 def test_budget_rhs():
@@ -160,16 +229,15 @@ def _single(**kw):
 )
 def test_validate_flags_bad_activities(kw, fragment):
     """One list of activity rules: ``validate`` reports each broken rule,
-    and ``compute_regions`` and ``Instance.regions`` refuse it with
+    and ``compute_regions`` and ``Instance.claims`` refuse it with
     ``InvalidActivityError`` in the same words."""
     inst = _single(**kw)
     message = f"activity 'a': {fragment}"
     assert validate(inst).violations == (message,)
-    with pytest.raises(InvalidActivityError) as refused:
-        compute_regions(inst.activities[0])
-    assert str(refused.value) == message
-    with pytest.raises(InvalidActivityError, match=fragment):
-        inst.regions
+    for table in (lambda: compute_regions(inst.activities[0]), lambda: inst.claims):
+        with pytest.raises(InvalidActivityError) as refused:
+            table()
+        assert str(refused.value) == message
 
 
 def test_validate_flags_instance_level_problems():

@@ -1,10 +1,27 @@
-"""LP text writer: structure, exact numbers, and reader round-trips."""
+"""LP text writer: structure, exact numbers, and reader round-trips.
 
+The exported text is part of the model builders' contract.
+``tests/data/lp_digests.json`` holds the sha256 of ``export_lp`` in both
+forms for the 27 paper cells at n = 500 and a set of edge instances; a
+change that moves an export on purpose re-records them, and says why:
+
+    python3 tests/test_lp.py
+"""
+
+import hashlib
+import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from mixopt import Activity, Instance, build_miqp, build_misocp, export_lp, write_lp
+TESTS = Path(__file__).resolve().parent
+if __name__ == "__main__":  # a checkout runs without installing
+    sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
+
+from mixopt import (Activity, Instance, LinearConstraint, batch, build_miqp, build_misocp,
+                    export_lp, paper_cells, write_lp)
 from mixopt.lp import _num
 
 from conftest import random_instance
@@ -120,3 +137,53 @@ def test_reader_rejects_truncated_file():
 def test_num_spells_floats_by_repr():
     for value, text in ((math.inf, "inf"), (-math.inf, "-inf"), (0.1, "0.1"), (3, "3.0")):
         assert _num(value) == text
+
+
+LP_DIGESTS = TESTS / "data" / "lp_digests.json"
+# one activity per edge of the region rule: a side that starts at the
+# baseline, a minimum change of zero (either sign), sides that are single
+# points, spend bounds that are signed zeros, and a linear revenue
+EDGE_ACTIVITIES = (
+    Activity("l_eq_s", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25),
+    Activity("u_eq_s", s=3.0, l=1.0, u=3.0, delta=0.5, theta=-2.0, phi=-1.0, psi=1.0),
+    Activity("delta_zero", s=2.0, l=1.0, u=3.0, delta=0.0, theta=-0.5, phi=1.5, psi=0.0),
+    Activity("delta_neg_zero", s=2.0, l=1.0, u=3.0, delta=-0.0, theta=-0.5, phi=-1.5, psi=2.0),
+    Activity("single_points", s=2.0, l=1.5, u=2.5, delta=0.5, theta=-3.0, phi=0.5, psi=0.5),
+    Activity("theta_zero", s=2.0, l=0.5, u=6.0, delta=0.25, theta=0.0, phi=1.0, psi=0.75),
+    Activity("l_neg_zero", s=0.0, l=-0.0, u=1.0, delta=0.0, theta=-1.0, phi=0.25, psi=0.0),
+    Activity("u_neg_zero", s=0.0, l=-1.0, u=-0.0, delta=-0.0, theta=-1.0, phi=-0.25, psi=0.0),
+)
+
+
+def lp_instances():
+    """The instances whose exports are recorded, by key: the 27 paper
+    cells at n = 500 (``batch(paper_cells([500]), 1, 0)``), each edge
+    activity alone, and all of them under an extra row with m = 0 and
+    m = n."""
+    named = [(f"paper_{cell.correlation}_e{cell.epsilon}_x{cell.xi}", inst)
+             for cell, _, inst in batch(paper_cells([500]), 1, 0)]
+    named += [(a.id, Instance((a,), rho=1.5, m=1)) for a in EDGE_ACTIVITIES]
+    n = len(EDGE_ACTIVITIES)
+    extra = LinearConstraint(tuple(float(i % 3 - 1) for i in range(n)), "ge", -2.0)
+    named += [(f"edges_m{m}", Instance(EDGE_ACTIVITIES, rho=1.1, m=m, extras=(extra,)))
+              for m in (0, n)]
+    return named
+
+
+def lp_digests():
+    """The sha256 of ``export_lp`` of each instance of ``lp_instances`` in
+    the forms miqp and misocp."""
+    return {f"{key}_{form}": hashlib.sha256(export_lp(inst, form).encode()).hexdigest()
+            for key, inst in lp_instances() for form in ("miqp", "misocp")}
+
+
+def test_exports_match_the_recorded_digests():
+    want = json.loads(LP_DIGESTS.read_text())
+    got = lp_digests()
+    assert len(want) == 2 * (27 + len(EDGE_ACTIVITIES) + 2)
+    moved = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    assert not moved, f"{len(moved)} of {len(want)} exports moved: {moved}"
+
+
+if __name__ == "__main__":
+    LP_DIGESTS.write_text(json.dumps(lp_digests(), indent=1, sort_keys=True) + "\n")

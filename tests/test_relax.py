@@ -33,7 +33,6 @@ from mixopt import (
     NodeState,
     batch,
     brute_force,
-    compute_regions,
     dual_value,
     generate,
     root_bounds,
@@ -44,7 +43,8 @@ from mixopt import bnb, relax
 from mixopt.instance import _region_codes
 from mixopt.relax import _node_dual
 
-from activity_reference import per_activity_argmax
+from activity_reference import per_activity_argmax, region_bounds
+from activity_reference import regions as reference_regions
 from bnb_reference import least_row_use
 from conftest import make_activity, random_instance, region_box
 
@@ -126,7 +126,7 @@ def test_per_activity_argmax_matches_grid_oracle(seed):
     act = make_activity(0, rng)
     if rng.random() < 0.15:  # exercise the linear-revenue corner too
         act = dataclasses.replace(act, theta=0.0)
-    rb = compute_regions(act)
+    rb = region_bounds(act)
     lam = [rng.uniform(0.0, 3.0)]
     mu = rng.choice([0.0, rng.uniform(0.0, 8.0)])
     for form in ("miqp", "persp"):
@@ -152,7 +152,7 @@ def test_per_activity_argmax_matches_grid_oracle(seed):
 
 def test_per_activity_worked_examples():
     act = Activity(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
-    rb = compute_regions(act)
+    rb = region_bounds(act)
     assert rb.R == (0.5, 3.0) and rb.L is None
     free = frozenset({"S", "R"})
 
@@ -173,7 +173,7 @@ def test_per_activity_worked_examples():
 
     # nonpositive revenue on the whole region: stay wins
     flat = Activity(id="b", s=2.0, l=2.0, u=7.0, delta=2.0, theta=-1.0, phi=0.0, psi=0.0)
-    frb = compute_regions(flat)
+    frb = region_bounds(flat)
     assert frb.R == (2.0, 5.0)
     x, zl, zr, v = per_activity_argmax(flat, frb, frozenset({"S", "R"}), [0.0], 0.0, "miqp")
     assert (x, zl, zr, v) == (0.0, 0.0, 0.0, 0.0)
@@ -232,7 +232,7 @@ def test_dual_value_sums_per_activity_argmax():
                     expect = math.fsum(a.psi for a in inst.activities) + mu * inst.m
                     for lam_k, b_k in zip(lam, b):
                         expect += lam_k * b_k
-                    for i, (act, rb) in enumerate(zip(inst.activities, inst.regions)):
+                    for i, (act, rb) in enumerate(zip(inst.activities, reference_regions(inst))):
                         col = (1.0,) + tuple(ex.coeffs[i] for ex in inst.extras)
                         expect += per_activity_argmax(act, rb, _regions(state.bits[i]),
                                                       lam, mu, form, coupling=col)[3]
@@ -324,7 +324,7 @@ def test_node_dual_value_matches_the_scalar_loop():
                                        dual.terms.tolist())
                     ref = [per_activity_argmax(act, rb, _regions(bits), lam, mu, form,
                                                coupling=col)
-                           for act, rb, bits, col in zip(inst.activities, inst.regions,
+                           for act, rb, bits, col in zip(inst.activities, reference_regions(inst),
                                                          node.bits.tolist(), cols)]
                     assert repr(list(zip(x, zl, zr, vals))) == repr(ref)
                     terms = ([a.psi for a in inst.activities] + [mu * inst.m]
@@ -457,7 +457,7 @@ def test_all_stay_node_bound_is_exact():
 def test_single_activity_loose_budget_bound_is_exact():
     act = Activity(id="a", s=2.0, l=1.0, u=6.0, delta=0.5, theta=-1.0, phi=3.0, psi=0.75)
     inst = Instance(activities=(act,), rho=50.0, m=1, extras=())
-    rb = inst.regions[0]
+    rb = reference_regions(inst)[0]
     x, _, _, v = per_activity_argmax(act, rb, _regions(NodeState.root(inst).bits[0]), [0.0],
                                      0.0, "miqp")
     expect = max(v, 0.0) + act.psi
@@ -473,7 +473,7 @@ def test_unconstrained_cardinality_loose_budget_bound():
     acts = tuple(make_activity(i, rng) for i in range(5))
     inst = Instance(activities=acts, rho=1e6, m=5, extras=())
     expect = sum(a.psi for a in acts)
-    for a, rb in zip(acts, inst.regions):
+    for a, rb in zip(acts, reference_regions(inst)):
         best = 0.0
         for iv in (rb.L, rb.R):
             if iv is None:
@@ -536,7 +536,7 @@ def _hull_lp_feasible(inst, node):
     n = inst.n
     sides = [[iv if iv is not None and bits & bit else None
               for bit, iv in ((2, rb.L), (4, rb.R))]
-             for rb, bits in zip(inst.regions, node.bits.tolist())]
+             for rb, bits in zip(reference_regions(inst), node.bits.tolist())]
     # variables: x_L, x_R, z_L, z_R, each a block of n
     bounds, A_ub, b_ub, A_eq, b_eq = [], [], [], [], []
     for k in range(2):
@@ -749,12 +749,13 @@ def test_regions_numbered_once():
     region's bit in ``NodeState``, the option ``RelaxResult.best`` names on
     an activity fixed there, and the row of ``_child_bounds`` with that
     child's bound; column ``code*n + i`` of the claims holds
-    ``compute_regions``' box of the region, NaN where it is absent; and
+    the reference box of the region (``activity_reference.regions``),
+    NaN where it is absent; and
     ``bnb._assignment`` reads the bits back.  On generated instances where
     some activity lacks L and some lacks R, in both formulations."""
     insts = [generate(GenConfig(correlation=c, n=12, epsilon=0.1, xi=0.75, seed=s))
              for c in CORRELATIONS for s in range(3)]
-    regions = [rb for inst in insts for rb in inst.regions]
+    regions = [rb for inst in insts for rb in reference_regions(inst)]
     assert any(rb.L is None for rb in regions) and any(rb.R is None for rb in regions)
     absent = checked = 0
     for inst in insts:
@@ -767,7 +768,7 @@ def test_regions_numbered_once():
             for letter in "SLR":
                 code = int(_region_codes(letter)[0])
                 bit = 1 << code
-                for i, rb in enumerate(inst.regions):
+                for i, rb in enumerate(reference_regions(inst)):
                     box = region_box(rb, letter)
                     got = claims[:2, code * n + i].tolist()
                     if box is None:
@@ -866,7 +867,7 @@ def _model_root(inst):
     if inst.m == 0:
         return [frozenset("S")] * inst.n
     return [frozenset("S" + "L" * (rb.L is not None) + "R" * (rb.R is not None))
-            for rb in inst.regions]
+            for rb in reference_regions(inst)]
 
 
 def _assert_matches_model(node, model):
@@ -922,7 +923,7 @@ def test_node_state_matches_a_frozenset_model(seed):
 def _scipy_fixed_opt(inst, assignment):
     """Independent concave QP solve over the fixed boxes (None if infeasible)."""
     boxes = []
-    for rb, region in zip(inst.regions, assignment):
+    for rb, region in zip(reference_regions(inst), assignment):
         iv = region_box(rb, region)
         if iv is None:
             return None
@@ -967,7 +968,7 @@ def test_fixed_assignment_matches_scipy(seed):
                      for a in inst.activities)
         inst = dataclasses.replace(inst, activities=acts)
     assignment = []
-    for rb in inst.regions:
+    for rb in reference_regions(inst):
         options = ["S"]
         if rb.L is not None:
             options.append("L")
@@ -1076,7 +1077,7 @@ def test_fixed_assignment_absent_region_is_infeasible():
     act = dict(s=2.0, l=2.0, u=8.0, delta=1.0, theta=-1.0, phi=5.0, psi=1.0)
     a, b = Activity(id="a", **act), Activity(id="b", **act)  # no decrease side
     inst = Instance(activities=(a, b), rho=2.0, m=2, extras=())
-    assert inst.regions[0].L is None
+    assert reference_regions(inst)[0].L is None
     for floor in (-math.inf, 0.0):
         for regions in (["L", "S"], ["Q", "S"], ["S", ""], ["RS", ""], [None, "S"]):
             out = solve_fixed_assignment(inst, regions, floor=floor)
@@ -1163,7 +1164,7 @@ def test_floor_cuts_only_leaves_that_cannot_beat_it():
 
 def _leaf_lp_feasible(inst, regions):
     """HiGHS on the leaf's boxes and coupling rows."""
-    bounds = [region_box(rb, r) for rb, r in zip(inst.regions, regions)]
+    bounds = [region_box(rb, r) for rb, r in zip(reference_regions(inst), regions)]
     rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
     rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
     lp = linprog(np.zeros(inst.n), A_ub=np.array(rows), b_ub=rhs, bounds=bounds,
@@ -1262,8 +1263,8 @@ def test_stacked_farkas_test_matches_each_ray_alone():
                  for node in nodes for persp in (False, True)]
         for regions in leaves:
             leaf = base.with_costs(base.off)
-            leaf.lo, leaf.hi = (np.array([[region_box(rb, r)[end] for rb, r in
-                                           zip(inst.regions, regions)]]) for end in (0, 1))
+            boxes = [region_box(rb, r) for rb, r in zip(reference_regions(inst), regions)]
+            leaf.lo, leaf.hi = (np.array([[box[end] for box in boxes]]) for end in (0, 1))
             duals.append(("leaf", leaf))
         for kind, dual in duals:
             alone = [_falls_alone(dual, np.array(ray)) for ray in pool]

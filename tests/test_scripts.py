@@ -133,7 +133,8 @@ def test_bench_layers_runs(capsys):
                                      for f in ("persp", "miqp")]
     assert all(float(r[2]) > 0.0 and float(r[3]) > 0.0 for r in rows)
     # then generation and the JSON round trip: one row per n
-    assert lines[45].split() == ["n", "gen_us", "save_us", "load_us", "validate_us"]
+    assert lines[45].split() == ["n", "gen_us", "save_us", "load_us", "validate_us",
+                                 "claims_us"]
     rows = [line.split() for line in lines[46:48]]
     assert [r[0] for r in rows] == ["12", "64"]
     assert all(float(t) > 0.0 for r in rows for t in r[1:])
