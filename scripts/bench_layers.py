@@ -80,9 +80,10 @@ directional derivative, and the point the crossings are built from.
 Each time is the median over ``--repeats`` batches of the mean time of
 ``--calls`` calls (``--relax-calls`` for the relaxations, leaves,
 generation and the JSON round trip; one for the search).  The times are
-raw wall clock, not scaled to the host's speed, so on a shared host only
-runs interleaved in one process can be compared: two runs of this script
-one after the other may differ by more than any change between them.
+host-scaled by ``HostClock`` of ``perfbench/run.py``: each figure is
+scaled by how fast a fixed reference loop ran just before and after it,
+to a host on which that loop takes 4 ms, so that runs on a shared host
+can be compared.  The first line prints the scale factor at the start.
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --n 100 500 1000 --calls 200 --repeats 9
@@ -99,8 +100,10 @@ from pathlib import Path
 
 import numpy as np
 
-# a checkout runs without installing: the package comes from ``src/``
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# a checkout runs without installing: the package comes from ``src/``, and
+# the host clock from ``perfbench/``
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from mixopt import (bnb, check_minlp_feasible, gen, load_json, relax,  # noqa: E402
                     save_json, validate)
@@ -110,6 +113,7 @@ from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
 from mixopt.instance import _CODE_OF  # noqa: E402
 from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,  # noqa: E402
                           solve_fixed_assignment, solve_node_relaxation)
+from run import HostClock  # noqa: E402
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
 SEED = 3  # the generator seed of the paper cell the ROADMAP numbers use
@@ -274,15 +278,16 @@ def probes(args):
     return count[0]
 
 
-def per_call_us(call, calls, repeats):
-    """Median over ``repeats`` batches of the mean time of ``calls`` calls."""
+def per_call_us(call, calls, repeats, clock):
+    """Median over ``repeats`` batches of the mean time of ``calls`` calls,
+    scaled by the ``HostClock`` ``clock`` as one timed section."""
     means = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         for _ in range(calls):
             call()
         means.append((time.perf_counter() - t0) / calls)
-    return 1e6 * statistics.median(means)
+    return 1e6 * clock.scaled(statistics.median(means))
 
 
 def paper_cell(n):
@@ -300,8 +305,9 @@ def run(argv=None):
                     help="node relaxations per timed batch")
     args = ap.parse_args(argv)
 
+    clock = HostClock()
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
-          f"{platform.machine()}")
+          f"{platform.machine()}, host scale {HostClock.NOMINAL_S / clock.last:.3f}")
     cells = []
     for n in args.n:
         inst = gen.generate(paper_cell(n))
@@ -317,14 +323,15 @@ def run(argv=None):
         mult = np.array(root_res.multipliers)
         persp = form == relax.PERSPECTIVE
         build = per_call_us(lambda: relax._node_dual(inst, root, persp),
-                            args.calls, args.repeats)
+                            args.calls, args.repeats, clock)
         dual = relax._node_dual(inst, root, persp)
-        value = per_call_us(lambda: dual.value(mult), args.calls, args.repeats)
+        value = per_call_us(lambda: dual.value(mult), args.calls, args.repeats, clock)
         kept = np.zeros(inst.n, dtype=np.int64)
         steps = []
         for y in (mult, np.zeros(dual.K + 1)):
             dual.value(y)
-            steps += [per_call_us(lambda: dual.newton(kept), args.calls, args.repeats),
+            steps += [per_call_us(lambda: dual.newton(kept), args.calls, args.repeats,
+                                  clock),
                       step_ties(dual, kept)]
 
         def fresh():
@@ -332,7 +339,7 @@ def run(argv=None):
             step.value(np.array(warm))
             step.newton(kept)
 
-        took = per_call_us(fresh, args.calls, args.repeats)
+        took = per_call_us(fresh, args.calls, args.repeats, clock)
         print(f"{inst.n:5d} {form:>5} {build:9.1f} {value:9.1f} {steps[0]:9.1f} {steps[1]:4d} "
               f"{steps[2]:9.1f} {steps[3]:10d} {took:9.1f}", flush=True)
 
@@ -349,7 +356,7 @@ def run(argv=None):
                 def call():
                     solve_node_relaxation(inst, child, form, warm=warm, target=target)
             evals, newton, search = counted(call)
-            took = per_call_us(call, args.relax_calls, args.repeats)
+            took = per_call_us(call, args.relax_calls, args.repeats, clock)
             print(f"{inst.n:5d} {form:>5} {kind:>6} {evals:5d} {newton:6d} {search:6d} "
                   f"{took:9.1f}", flush=True)
 
@@ -364,7 +371,7 @@ def run(argv=None):
         fixed = int((left[free] == 1).sum())
         removed = int((_regions_held(root.bits) - left)[free].sum())
         took = per_call_us(lambda: fix_by_reduced_cost(inst, root, root_res, threshold),
-                           args.calls, args.repeats)
+                           args.calls, args.repeats, clock)
         print(f"{inst.n:5d} {form:>5} {free.sum():5d} {fixed:5d} {removed:7d} {took:9.1f}",
               flush=True)
 
@@ -376,7 +383,7 @@ def run(argv=None):
                 solve_fixed_assignment(inst, regions, floor=floor, multipliers=mult)
             end = leaf_end(call)
             newton = counted(call)[1]
-            took = per_call_us(call, args.relax_calls, args.repeats)
+            took = per_call_us(call, args.relax_calls, args.repeats, clock)
             print(f"{inst.n:5d} {form:>5} {kind:>6} {end:>9} {newton:6d} {took:9.1f}",
                   flush=True)
 
@@ -388,9 +395,9 @@ def run(argv=None):
     for form in FORMS:
         params = SolveParams(formulation=form, node_limit=15)
         out, counts, pool = search_counts(lambda: branch_and_bound(inst, params))
-        took = per_call_us(lambda: branch_and_bound(inst, params), 1, args.repeats)
+        took = per_call_us(lambda: branch_and_bound(inst, params), 1, args.repeats, clock)
         root = relax._node_dual(inst, NodeState.root(inst), form == relax.PERSPECTIVE)
-        test = per_call_us(lambda: root.falls_along(pool), args.calls, args.repeats)
+        test = per_call_us(lambda: root.falls_along(pool), args.calls, args.repeats, clock)
         print(f"{inst.n:5d} {form:>5} {out.status:>10} {out.nodes:5d} {counts[0]:5d} "
               f"{counts[1]:8d} {counts[2]:4d} {counts[3]:6d} {took / 1e3:9.1f} "
               f"{len(pool):4d} {test:9.1f}", flush=True)
@@ -399,10 +406,11 @@ def run(argv=None):
     for inst, root, form, root_res in cells:
         regions = _round_regions(inst, root, root_res)
         took = per_call_us(lambda: _round_regions(inst, root, root_res),
-                           args.calls, args.repeats)
+                           args.calls, args.repeats, clock)
         sol = _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
         check = "-" if sol is None else "%.1f" % per_call_us(
-            lambda: check_minlp_feasible(inst, sol, tol=1e-8), args.calls, args.repeats)
+            lambda: check_minlp_feasible(inst, sol, tol=1e-8), args.calls, args.repeats,
+            clock)
         print(f"{inst.n:5d} {form:>5} {took:9.1f} {check:>9}", flush=True)
 
     print(f"{'n':>5} {'gen_us':>9} {'save_us':>9} {'load_us':>9} {'validate_us':>11} "
@@ -411,19 +419,19 @@ def run(argv=None):
         cfg = paper_cell(n)
         inst = gen.generate(cfg)
         blob = save_json(inst)
-        took = [per_call_us(call, args.relax_calls, args.repeats)
+        took = [per_call_us(call, args.relax_calls, args.repeats, clock)
                 for call in (lambda: gen.generate(cfg), lambda: save_json(inst),
                              lambda: load_json(blob))]
-        took.append(per_call_us(lambda: validate(inst), args.calls, args.repeats))
+        took.append(per_call_us(lambda: validate(inst), args.calls, args.repeats, clock))
         fresh = iter([dataclasses.replace(inst) for _ in range(args.relax_calls * args.repeats)])
-        claims = per_call_us(lambda: next(fresh).claims, args.relax_calls, args.repeats)
+        claims = per_call_us(lambda: next(fresh).claims, args.relax_calls, args.repeats, clock)
         print(f"{n:5d} " + " ".join(f"{t:9.1f}" for t in took[:3]) + f" {took[3]:11.1f}"
               f" {claims:9.1f}", flush=True)
 
     print(f"{'n':>5} {'form':>5} {'probes':>6} {'search_us':>9}")
     for inst, root, form, root_res in cells:
         search = first_search(inst, form)
-        took = per_call_us(lambda: relax._exact_step(*search), args.calls, args.repeats)
+        took = per_call_us(lambda: relax._exact_step(*search), args.calls, args.repeats, clock)
         print(f"{inst.n:5d} {form:>5} {probes(search):6d} {took:9.1f}", flush=True)
     return 0
 

@@ -36,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .instance import Activity, Instance, LinearConstraint
+from .instance import Instance, LinearConstraint, _Activities
 
 UNCORRELATED = "uncorrelated"
 WEAK = "weak"
@@ -105,14 +105,13 @@ def generate(cfg: GenConfig) -> Instance:
             span = np.array([-(c - 1.0), c + 1.0, c + 1.0]) - lo
         theta, phi, psi = _round_half_up(lo + span * u[5:], 100)
     delta = _round_half_up(cfg.epsilon * s, 100)
-    columns = np.array([s, l, up, delta, theta, phi, psi]).tolist()
-    acts = tuple(map(Activity, [f"a{i:05d}" for i in range(cfg.n)], *columns))
     zeta = float(_round_half_up(rng.uniform(0.90, 1.00), 100))
     eta = float(_round_half_up(rng.uniform(1.00, 1.10), 100))
     extras = (LinearConstraint(tuple(tau.tolist()), "le", (zeta - 1.0) * float(np.dot(tau, s))),
               LinearConstraint(tuple(gamma.tolist()), "ge", (eta - 1.0) * float(np.dot(gamma, s))))
     m = int(_round_half_up(cfg.xi * cfg.n, 1))
-    return Instance(rho=cfg.rho, m=m, activities=acts, extras=extras)
+    fields = np.array([s, l, up, delta, theta, phi, psi])
+    return Instance(_Activities([f"a{i:05d}" for i in range(cfg.n)], fields), cfg.rho, m, extras)
 
 
 @dataclass(frozen=True)

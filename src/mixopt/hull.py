@@ -135,9 +135,9 @@ def build_miqp(inst: Instance) -> ModelIR:
     """Big-M style model: concave quadratic objective over the hull rows."""
     _require_valid(inst)
     variables, rows = _core_rows(inst)
-    quad = tuple((f"x_{i}", f"x_{i}", a.theta)
-                 for i, a in enumerate(inst.activities) if a.theta != 0.0)
-    lin = tuple((f"x_{i}", a.phi) for i, a in enumerate(inst.activities))
+    theta, phi = inst.columns["theta"].tolist(), inst.columns["phi"].tolist()
+    quad = tuple((f"x_{i}", f"x_{i}", t) for i, t in enumerate(theta) if t != 0.0)
+    lin = tuple((f"x_{i}", p) for i, p in enumerate(phi))
     return ModelIR(name="miqp", variables=tuple(variables), rows=tuple(rows),
                    quad_obj=quad, lin_obj=lin, const_obj=inst.psi_sum)
 
@@ -148,17 +148,18 @@ def build_misocp(inst: Instance) -> ModelIR:
     _require_valid(inst)
     variables, rows = _core_rows(inst)
     cones, lin = [], []
-    for i, (a, (L, R)) in enumerate(zip(inst.activities, _sides(inst))):
+    columns = (inst.columns["theta"].tolist(), inst.columns["phi"].tolist(), _sides(inst))
+    for i, (theta, phi, (L, R)) in enumerate(zip(*columns)):
         active = (L is not None or R is not None) and inst.m > 0
         variables.append(Variable(f"zLR_{i}", "binary", 0.0, 1.0 if active else 0.0))
-        if a.theta < 0.0:
+        if theta < 0.0:
             variables.append(Variable(f"e_{i}", "continuous", 0.0, math.inf))
-            cones.append(ConeRow(f"qc_{i}", f"e_{i}", f"zLR_{i}", f"x_{i}", -a.theta))
+            cones.append(ConeRow(f"qc_{i}", f"e_{i}", f"zLR_{i}", f"x_{i}", -theta))
             lin.append((f"e_{i}", -1.0))
         else:
             # theta == 0: the cone row degenerates and e_i = 0 at any optimum
             variables.append(Variable(f"e_{i}", "continuous", 0.0, 0.0))
-        lin.append((f"x_{i}", a.phi))
+        lin.append((f"x_{i}", phi))
         rows.append(LinearRow(
             f"link_{i}",
             ((f"zL_{i}", 1.0), (f"zR_{i}", 1.0), (f"zLR_{i}", -1.0)),
@@ -166,6 +167,15 @@ def build_misocp(inst: Instance) -> ModelIR:
     return ModelIR(name="misocp", variables=tuple(variables), rows=tuple(rows),
                    quad_obj=(), lin_obj=tuple(lin), const_obj=inst.psi_sum,
                    cones=tuple(cones))
+
+
+def _fsum(values) -> float:
+    """``math.fsum`` of ``values``, or NaN where it raises: on an inf and a
+    -inf, or on an overflow."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
 
 
 # signs that make claims' bound rows upper ones: x < lo - tol is -x > -lo + tol
@@ -185,7 +195,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
     ``Instance.claims``; the messages come activity by activity,
     in the order the rules above are listed, and an activity whose region
     is unknown or absent gets no further message.  Sums are exact
-    (``math.fsum``).
+    (``math.fsum``), or NaN where it raises, which fails the rule.
     """
     n = inst.n
     if len(sol.x) != n or len(sol.region) != n:
@@ -200,7 +210,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
     small, inactive = ~(claim[5] <= size + tol), ~(size <= bound[4])
     out = []
     for i in (lacks | past.any(axis=0) | small | inactive).nonzero()[0].tolist():
-        name, xi, reg = inst.activities[i].id, sol.x[i], sol.region[i]
+        name, xi, reg = inst.ids[i], sol.x[i], sol.region[i]
         if past[2, i] or past[3, i]:
             out.append(f"activity {name!r}: change {xi} outside spend bounds "
                        f"[{claim.item(2, i)}, {claim.item(3, i)}]")
@@ -214,20 +224,22 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
                            f"interval [{claim.item(0, i)}, {claim.item(1, i)}]")
             if small[i]:
                 out.append(f"activity {name!r}: |change| {abs(xi)} below minimum "
-                           f"{inst.activities[i].delta}")
+                           f"{inst.columns['delta'].item(i)}")
             if inactive[i]:
                 out.append(f"activity {name!r}: nonzero change with inactive indicator")
     nonzero = int(np.count_nonzero(~lacks & (code > 0)))  # L or R, where it exists
-    total = math.fsum(sol.x)
+    total = _fsum(sol.x)
     if not total <= inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
-    for k, (ex, row) in enumerate(zip(inst.extras, (inst.coupling[0][1:] * x).tolist())):
-        activity = math.fsum(row)
+    with np.errstate(invalid="ignore", over="ignore"):  # the rules below judge an inf or NaN
+        rows, revenues = (inst.coupling[0][1:] * x).tolist(), _revenues(inst, x).tolist()
+    for k, (ex, row) in enumerate(zip(inst.extras, rows)):
+        activity = _fsum(row)
         if not activity <= ex.rhs + tol:  # ``Instance`` stores every row as ``le``
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
-    obj = math.fsum(_revenues(inst, x).tolist())
+    obj = _fsum(revenues)
     if not abs(obj - sol.objective) <= tol * (1.0 + abs(obj)):
         out.append(f"stored objective {sol.objective} != recomputed {obj}")
     return ValidationReport(tuple(out))

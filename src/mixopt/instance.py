@@ -12,10 +12,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter, itemgetter
-from typing import Dict, Literal, Optional, Sequence, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter, neg
+from typing import Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
 
@@ -77,13 +79,10 @@ class Activity:
     phi: float
     psi: float
 
-    def __post_init__(self):  # bulk builders pass exact types, so most fields need no coercion
-        if type(self.id) is not str:
-            object.__setattr__(self, "id", str(self.id))
+    def __post_init__(self):
+        object.__setattr__(self, "id", str(self.id))
         for name in _FIELDS:
-            value = getattr(self, name)
-            if type(value) is not float:
-                object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 Interval = Tuple[float, float]
@@ -103,15 +102,17 @@ class RegionBounds:
     R: Optional[Interval]
 
 
-def _activity_violations(a: Activity) -> Tuple[str, ...]:
-    """The activity rules that ``a`` breaks: finite fields, then
-    ``l <= s <= u``, ``theta <= 0`` and ``delta >= 0``."""
-    if all(map(math.isfinite, attrgetter(*_FIELDS)(a))):
-        rules = (("l > s", a.l > a.s), ("s > u", a.s > a.u),
-                 ("theta > 0", a.theta > 0), ("delta < 0", a.delta < 0))
+def _activity_violations(name: str, fields: Sequence[float]) -> Tuple[str, ...]:
+    """The activity rules that activity ``name`` with ``fields`` (in
+    ``_FIELDS`` order) breaks: finite fields, then ``l <= s <= u``,
+    ``theta <= 0`` and ``delta >= 0``."""
+    s, l, u, delta, theta = fields[:5]
+    if all(map(math.isfinite, fields)):
+        rules = (("l > s", l > s), ("s > u", s > u), ("theta > 0", theta > 0),
+                 ("delta < 0", delta < 0))
     else:
         rules = (("non-finite field", True),)
-    return tuple(f"activity {a.id!r}: {name}" for name, broken in rules if broken)
+    return tuple(f"activity {name!r}: {rule}" for rule, broken in rules if broken)
 
 
 def _region_ends(col) -> Tuple[np.ndarray, ...]:
@@ -132,7 +133,7 @@ def compute_regions(a: Activity) -> RegionBounds:
     ``Instance.claims`` applies to whole columns (``_region_ends``);
     single-point regions are kept.  An activity that breaks a rule of
     ``validate`` is an ``InvalidActivityError``."""
-    broken = _activity_violations(a)
+    broken = _activity_violations(a.id, attrgetter(*_FIELDS)(a))
     if broken:
         raise InvalidActivityError("; ".join(broken))
     lo_l, hi_l, lo_r, hi_r = map(float, _region_ends(vars(a)))
@@ -153,21 +154,47 @@ class LinearConstraint:
     rhs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
         object.__setattr__(self, "rhs", float(self.rhs))
 
     def normalized(self) -> "LinearConstraint":
         """Return the equivalent <= form."""
         if self.sense == "le":
             return self
-        return LinearConstraint(tuple(-c for c in self.coeffs), "le", -self.rhs)
+        return LinearConstraint(tuple(map(neg, self.coeffs)), "le", -self.rhs)
 
 
-_EDGES = (0.0, np.finfo(float).max, -np.finfo(float).max)
-# the rows of ``Instance._rows`` that ``validate`` pairs as ``low <= high``:
-# l <= s, s <= u, theta <= 0, 0 <= delta, each field finite (not NaN or inf)
-_LOW = np.array([1, 0, 4, 7] + [9] * 7 + list(range(7)))
-_HIGH = np.array([0, 2, 7, 3] + list(range(7)) + [8] * 7)
+class _Activities(Sequence):
+    """An instance's activities as columns: the ids and ``rows``, the
+    fields (``_FIELDS``) as a read-only 7 x n float table.  Each
+    ``Activity`` is built on the first read of one, and views compare and
+    hash as the tuples of them do, from the columns."""
+
+    def __init__(self, ids: Sequence[str], fields: np.ndarray, acts: Optional[tuple] = None):
+        self.ids, self.rows, self._acts = tuple(ids), np.ascontiguousarray(fields, float), acts
+        self.rows.flags.writeable = False
+
+    def _objects(self) -> Tuple[Activity, ...]:
+        if self._acts is None:
+            self._acts = tuple(map(Activity, self.ids, *self.rows.tolist()))
+        return self._acts
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        return self._objects()[i]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Activities):  # a NaN field is unequal to itself, as in a float
+            return self is other or self.ids == other.ids and np.array_equal(self.rows, other.rows)
+        return self._objects() == other
+
+    def __hash__(self) -> int:
+        return hash(tuple(zip(self.ids, *self.rows.tolist())))
+
+    def __repr__(self) -> str:
+        return repr(self._objects())
 
 
 @dataclass(frozen=True)
@@ -178,21 +205,26 @@ class Instance:
     exceed ``(rho - 1) * sum(s)``.  At most ``m`` activities may change.
     Construction canonicalizes: activities are sorted by id (extra-row
     coefficients are permuted to match) and >= extras are normalized to <=.
+    The activities are held as columns (``ids``, ``columns``).
     """
 
-    activities: Tuple[Activity, ...]
+    activities: Sequence[Activity]
     rho: float
     m: int
     extras: Tuple[LinearConstraint, ...] = ()
 
     def __post_init__(self):
-        acts = tuple(self.activities)
-        extras = tuple(self.extras)
-        order = sorted(range(len(acts)), key=lambda i: acts[i].id)
+        acts, extras = self.activities, tuple(self.extras)
+        if not isinstance(acts, _Activities):
+            acts = tuple(acts)
+            fields = np.array(list(map(attrgetter(*_FIELDS), acts)), float).reshape(-1, 7).T
+            acts = _Activities([a.id for a in acts], fields, acts)
+        order = sorted(range(len(acts)), key=acts.ids.__getitem__)
         if order != list(range(len(acts))):  # a row of another length is left as it is
             extras = tuple(LinearConstraint(tuple(ex.coeffs[i] for i in order), ex.sense, ex.rhs)
                            if len(ex.coeffs) == len(acts) else ex for ex in extras)
-            acts = tuple(acts[i] for i in order)
+            acts = _Activities([acts.ids[i] for i in order], acts.rows[:, order],
+                               acts._acts and tuple(map(acts._acts.__getitem__, order)))
         extras = tuple(ex.normalized() for ex in extras)
         object.__setattr__(self, "activities", acts)
         object.__setattr__(self, "extras", extras)
@@ -203,37 +235,38 @@ class Instance:
     def n(self) -> int:
         return len(self.activities)
 
+    @property
+    def ids(self) -> Tuple[str, ...]:
+        """The activity ids, in activity order."""
+        return self.activities.ids
+
+    @property
+    def _rows(self) -> np.ndarray:
+        """The rows of ``activities`` (``_Activities``)."""
+        return self.activities.rows
+
     @cached_property
     def budget_rhs(self) -> float:
-        return (self.rho - 1.0) * math.fsum(a.s for a in self.activities)
+        return (self.rho - 1.0) * math.fsum(self.columns["s"].tolist())
 
     @cached_property
     def psi_sum(self) -> float:
         """Revenue at zero change, the constant every bound and leaf adds."""
-        return math.fsum(a.psi for a in self.activities)
+        return math.fsum(self.columns["psi"].tolist())
 
     @cached_property
     def columns(self) -> Dict[str, np.ndarray]:
         """Each numeric activity field (``s l u delta theta phi psi``) as a
-        read-only float array in activity order, built once."""
+        read-only float array in activity order."""
         return dict(zip(_FIELDS, self._rows))
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        """The fields of ``columns`` as rows, then rows 0, the largest float
-        and its negative, which ``validate`` compares them with; read-only."""
-        fields = np.fromiter(itertools.chain.from_iterable(
-            map(attrgetter(*_FIELDS), self.activities)), float, 7 * self.n)
-        rows = np.vstack((fields.reshape(self.n, 7).T, np.outer(_EDGES, np.ones(self.n))))
-        rows.flags.writeable = False
-        return rows
 
     @cached_property
     def _broken(self) -> np.ndarray:
         """The indices of the activities that break a rule of ``validate``
-        (``_activity_violations``), read from ``_rows``."""
-        rows = self._rows
-        return (~(rows.take(_LOW, 0) <= rows.take(_HIGH, 0)).all(axis=0)).nonzero()[0]
+        (``_activity_violations``), read from the columns."""
+        c = self.columns
+        ok = (c["l"] <= c["s"]) & (c["s"] <= c["u"]) & (c["theta"] <= 0.0) & (c["delta"] >= 0.0)
+        return (~(ok & np.isfinite(self._rows).all(axis=0))).nonzero()[0]
 
     @cached_property
     def claims(self) -> np.ndarray:
@@ -243,8 +276,9 @@ class Instance:
         (``M = max|spend change|``, ``z`` 1 off S).  An instance with a
         broken activity is an ``InvalidActivityError`` naming the first."""
         if self._broken.size:
-            first = self.activities[self._broken[0]]
-            raise InvalidActivityError("; ".join(_activity_violations(first)))
+            first = self._broken[0]
+            raise InvalidActivityError("; ".join(_activity_violations(
+                self.ids[first], self._rows[:, first].tolist())))
         n, col, z = self.n, self.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
         low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
         box = np.vstack((np.zeros((2, n)), _region_ends(col), np.full((2, n), math.nan)))
@@ -325,13 +359,13 @@ def validate(inst: Instance) -> ValidationReport:
     """Field-level checks; returns all violations instead of raising.  The
     rules run on ``Instance._rows`` and the extra rows as arrays, and only
     activities that break one or repeat an id (ids are sorted) are worded."""
-    n, ids = inst.n, [a.id for a in inst.activities]
+    n, ids = inst.n, inst.ids
     dup = {i for i in range(1, n) if ids[i] == ids[i - 1]} if len(set(ids)) < n else set()
     out = [] if n else ["instance has no activities"]
     for i in sorted(dup.union(inst._broken.tolist())):
         if i in dup:
             out.append(f"duplicate activity id {ids[i]!r}")
-        out += _activity_violations(inst.activities[i])
+        out += _activity_violations(ids[i], inst._rows[:, i].tolist())
     if not (math.isfinite(inst.rho) and inst.rho > 0):
         out.append("rho must be finite and positive")
     if inst.m < 0:
@@ -356,10 +390,14 @@ def validate(inst: Instance) -> ValidationReport:
 
 _TOP_KEYS = ("rho", "m", "activities", "extras")
 _ACT_KEYS = ("id",) + _FIELDS
-_ACT_ROW = itemgetter(*_ACT_KEYS)
 _ACT_KEY_SET = frozenset(_ACT_KEYS)
 _EXTRA_KEYS = ("coeffs", "sense", "rhs")
 _NUMBERS = {int, float}  # the types json.loads gives a number (bool is neither)
+_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's non-finite floats
+# ``json.dumps(doc, indent=2)`` of the document, of one activity and of one extra row
+_DOC_JSON = '{\n  "rho": %s,\n  "m": %s,\n  "activities": %s,\n  "extras": %s\n}\n'
+_ACT_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in _ACT_KEYS) + "\n    }"
+_EXTRA_JSON = '{\n      "coeffs": %s,\n      "sense": %s,\n      "rhs": %s\n    }'
 
 
 def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
@@ -387,14 +425,15 @@ def _num(value, ctx: str) -> float:
     return float(value)
 
 
-def _activities(docs: list) -> list:
-    """The activities of ``docs``, checked a column at a time; when a check
-    fails they are checked one field at a time, which names the field."""
+def _activity_columns(docs: list) -> Tuple[Sequence[str], np.ndarray]:
+    """The ids and the 7 x n field table of the activities ``docs``,
+    checked a column at a time; when a check fails they are checked one
+    field at a time, which names the field."""
     if all(type(ad) is dict and ad.keys() == _ACT_KEY_SET for ad in docs):
-        ids, *numbers = list(zip(*map(_ACT_ROW, docs))) or [()] * len(_ACT_KEYS)
+        ids, *numbers = [list(map(itemgetter(k), docs)) for k in _ACT_KEYS]
         if set(map(type, ids)) <= {str} and _finite_numbers(list(itertools.chain(*numbers))):
-            return list(map(Activity, ids, *numbers))
-    acts = []
+            return ids, np.array(numbers, float)
+    rows = []
     for i, ad in enumerate(docs):
         ctx = f"activities[{i}]"
         if not isinstance(ad, dict):
@@ -402,8 +441,8 @@ def _activities(docs: list) -> list:
         _require_keys(ad, _ACT_KEYS, ctx)
         if not isinstance(ad["id"], str):
             raise ParseError(f"{ctx}.id: expected a string")
-        acts.append(Activity(ad["id"], *(_num(ad[k], f"{ctx}.{k}") for k in _FIELDS)))
-    return acts
+        rows.append([_num(ad[k], f"{ctx}.{k}") for k in _FIELDS])
+    return [ad["id"] for ad in docs], np.array(rows, float).reshape(-1, 7).T
 
 
 def load_json(data: Union[str, bytes]) -> Instance:
@@ -431,7 +470,7 @@ def load_json(data: Union[str, bytes]) -> Instance:
 
     if not isinstance(doc["activities"], list):
         raise ParseError("activities: expected an array")
-    acts = _activities(doc["activities"])
+    ids, fields = _activity_columns(doc["activities"])
 
     if not isinstance(doc["extras"], list):
         raise ParseError("extras: expected an array")
@@ -451,13 +490,30 @@ def load_json(data: Union[str, bytes]) -> Instance:
             raise ParseError(f"{ctx}.sense: expected 'le' or 'ge'")
         extras.append(LinearConstraint(tuple(coeffs), sense, _num(ed["rhs"], f"{ctx}.rhs")))
 
-    return Instance(activities=tuple(acts), rho=rho, m=m, extras=tuple(extras))
+    return Instance(_Activities(ids, fields), rho, m, tuple(extras))
+
+
+def _json_numbers(values: Sequence[float]) -> list:
+    """Each float of ``values`` as ``json.dumps`` writes it."""
+    text = list(map(float.__repr__, values))
+    return text if all(map(math.isfinite, values)) else [_WORDS.get(t, t) for t in text]
+
+
+def _json_array(items: list, indent: int) -> str:
+    """The array of the JSON texts ``items``, one a line at ``indent``."""
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
 
 
 def save_json(inst: Instance) -> bytes:
-    """Serialize to the canonical byte form (load(save(i)) == i)."""
-    doc = {"rho": inst.rho, "m": inst.m,
-           "activities": [{k: getattr(a, k) for k in _ACT_KEYS} for a in inst.activities],
-           "extras": [{"coeffs": list(ex.coeffs), "sense": ex.sense, "rhs": ex.rhs}
-                      for ex in inst.extras]}
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+    """Serialize to the canonical byte form (load(save(i)) == i): the bytes
+    of ``json.dumps(doc, indent=2)`` and a newline, written from the
+    columns."""
+    n, words = inst.n, _json_numbers(inst._rows.ravel().tolist())
+    fields = (words[k * n:(k + 1) * n] for k in range(7))
+    acts = list(map(_ACT_JSON.__mod__, zip(map(encode_basestring_ascii, inst.ids), *fields)))
+    extras = [_EXTRA_JSON % (_json_array(_json_numbers(ex.coeffs), 8),
+                             encode_basestring_ascii(ex.sense), *_json_numbers([ex.rhs]))
+              for ex in inst.extras]
+    return (_DOC_JSON % (*_json_numbers([inst.rho]), int.__repr__(inst.m),
+                         _json_array(acts, 4), _json_array(extras, 4))).encode("utf-8")

@@ -14,9 +14,18 @@ from mixopt import Instance, Solution
 from activity_reference import regions as reference_regions
 
 
+def exact_sum(values) -> float:
+    """``math.fsum``, or NaN where it raises on an inf and a -inf or on an
+    overflow."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def objective_value(inst: Instance, x) -> float:
     """Total revenue of a change vector, one activity at a time."""
-    return math.fsum(a.theta * v * v + a.phi * v + a.psi
+    return exact_sum(a.theta * v * v + a.phi * v + a.psi
                      for a, v in zip(inst.activities, map(float, x)))
 
 
@@ -26,7 +35,8 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
     minimum-change rule ``delta*z <= |x| <= M*z`` with
     ``M = max(|l-s|, |u-s|)``, the budget, the cardinality cap, the extra
     rows, and consistency of the stored objective.  Each rule is written
-    to fail on a NaN, which compares false."""
+    to fail on a NaN, which compares false; a sum that ``math.fsum``
+    refuses is a NaN."""
     out = []
     if len(sol.x) != inst.n or len(sol.region) != inst.n:
         return (f"expected {inst.n} entries in x/region",)
@@ -52,13 +62,13 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
         if not abs(xi) <= big_m * z + tol:
             out.append(f"activity {a.id!r}: nonzero change with inactive indicator")
         nonzero += z
-    total = math.fsum(sol.x)
+    total = exact_sum(sol.x)
     if not total <= inst.budget_rhs + tol:
         out.append(f"budget exceeded: {total} > {inst.budget_rhs}")
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
     for k, ex in enumerate(inst.extras):
-        activity = math.fsum(c * v for c, v in zip(ex.coeffs, sol.x))
+        activity = exact_sum(c * v for c, v in zip(ex.coeffs, sol.x))
         if not activity <= ex.rhs + tol:
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = objective_value(inst, sol.x)

@@ -374,6 +374,27 @@ def test_checker_fails_nan():
                    for v in report.violations)
 
 
+
+@pytest.mark.parametrize("head", [(math.inf, -math.inf), (math.nan, math.inf, -math.inf),
+                                  (math.nan,), (1e308, 1e308)])
+def test_checker_reports_sums_fsum_refuses(head):
+    """Changes whose sums ``math.fsum`` refuses (an inf and a -inf, or an
+    overflow), and a NaN change, fail the budget, the extra rows and the
+    objective instead of raising, in the scalar reference's words; the
+    huge changes leave the normalized ``ge`` row's sum at -inf, which
+    holds."""
+    inst = generate(GenConfig("weak", 12, 0.1, 0.5, 3))
+    extras = ["extra 0 violated"] + ["extra 1 violated"] * (head[0] != 1e308)
+    x = head + (0.0,) * (inst.n - len(head))
+    for region, objective in (("S", 0.0), ("R", math.nan)):
+        sol = Solution(x, (region,) * inst.n, objective, x)
+        report = check_minlp_feasible(inst, sol)
+        assert report.violations == reference_check(inst, sol)
+        rows = [v.split(":")[0] for v in report.violations if not v.startswith(("activity",
+                                                                               "cardinality"))]
+        assert rows == ["budget exceeded", *extras,
+                        f"stored objective {objective} != recomputed nan"]
+
 def _random_solution(rng, inst):
     """A solution that breaks the rules now and then: each change is zero,
     inside a region, at a region's or the spend range's end give or take a

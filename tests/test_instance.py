@@ -25,10 +25,13 @@ from mixopt import (
     Solution,
     ValidationReport,
     branch_and_bound,
+    batch,
     check_minlp_feasible,
     compute_regions,
+    export_lp,
     generate,
     load_json,
+    paper_cells,
     save_json,
     validate,
 )
@@ -38,6 +41,7 @@ from mixopt.relax import _InstanceArrays, _instance_arrays
 from activity_reference import region_bounds
 from activity_reference import regions as reference_regions
 from conftest import random_instance
+from json_reference import save_json as reference_save_json
 from validation_reference import validate as reference_validate
 
 # dyadic gap values keep l = s - gl and u = s + gu exactly representable,
@@ -609,3 +613,61 @@ def test_round_trip_property(seed, n):
 
     inst = random_instance(random.Random(seed), n, with_extras=bool(seed % 2))
     assert load_json(save_json(inst)) == inst
+
+
+# ids that need escaping, and repeats; numbers of every kind a field can hold
+_IDS = st.one_of(st.sampled_from(["a", "b", "", 'q"', "back\\slash", "tab\t", "\x00\x1f",
+                                  "\u00e9t\u00e9", "\u2603", "\U0001f600"]), st.text(max_size=6))
+_NUMBERS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                                  5e-324, 1.7976931348623157e308, 1e16, 0.1]),
+                     st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _any_instance(draw):
+    """An instance the generator never emits: any ids, in any order and
+    repeated, any numbers, ``ge`` rows and rows of another length."""
+    n = draw(st.integers(0, 5))
+    acts = [Activity(draw(_IDS), *draw(st.lists(_NUMBERS, min_size=7, max_size=7)))
+            for _ in range(n)]
+    extras = [LinearConstraint(draw(st.lists(_NUMBERS, min_size=size, max_size=size)),
+                               draw(st.sampled_from(["le", "ge"])), draw(_NUMBERS))
+              for size in draw(st.lists(st.sampled_from([n, n, n + 1]), max_size=3))]
+    return Instance(acts, draw(_NUMBERS), draw(st.integers(-3, 8)), extras)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_instance())
+def test_save_json_writes_the_bytes_of_json_dumps(inst):
+    """``save_json`` writes the bytes of ``json.dumps(doc, indent=2)`` on
+    any instance (``tests/json_reference.py``); ``load_json`` reads them
+    back to an equal instance when every number is finite, and refuses them
+    otherwise."""
+    blob = save_json(inst)
+    assert blob == reference_save_json(inst)
+    numbers = [inst.rho] + [v for a in inst.activities for v in dataclasses.astuple(a)[1:]]
+    numbers += [v for ex in inst.extras for v in ex.coeffs + (ex.rhs,)]
+    if all(map(math.isfinite, numbers)):
+        assert load_json(blob) == inst
+    else:
+        with pytest.raises(ParseError, match="expected a finite number"):
+            load_json(blob)
+
+
+def test_paper_cell_pipeline_builds_no_activity(monkeypatch):
+    """Generating the paper cell, its JSON round trip, validation, a search
+    stopped after the root, the check of its incumbent and both LP exports
+    read the instance's columns: none builds an ``Activity``, and the
+    instances' activity views stay unbuilt."""
+    built = []
+    monkeypatch.setattr(Activity, "__post_init__", lambda a: built.append(a.id))
+    cell = [c for c in paper_cells([500])
+            if (c.correlation, c.epsilon, c.xi) == ("weak", 0.1, 0.75)]
+    (_, _, made), = batch(cell, 1, 0)
+    inst = load_json(save_json(made))
+    assert inst == made and validate(inst).ok
+    res = branch_and_bound(inst, SolveParams(node_limit=0))
+    assert res.incumbent is not None and check_minlp_feasible(inst, res.incumbent).ok
+    assert all(export_lp(inst, form) for form in ("miqp", "misocp"))
+    assert built == []
+    assert made.activities._acts is None and inst.activities._acts is None
