@@ -15,12 +15,10 @@ from .gen import (CORRELATIONS, STRONG, UNCORRELATED, WEAK, Cell, GenConfig,
                   batch, generate, mix_seed, paper_cells)
 from .hull import (ConeRow, LinearRow, ModelIR, Variable, build_miqp,
                    build_misocp, check_minlp_feasible, perspective_value)
-from .instance import (Activity, Instance, InstanceError,
-                       InvalidActivityError, InvalidInstanceError,
-                       LinearConstraint, ParseError, Region, RegionBounds,
-                       SchemaError, Solution, UnsupportedInstanceError,
-                       ValidationReport, compute_regions, load_json,
-                       save_json, validate)
+from .instance import (Instance, InstanceError, InvalidActivityError,
+                       InvalidInstanceError, LinearConstraint, ParseError,
+                       Region, SchemaError, Solution, UnsupportedInstanceError,
+                       ValidationReport, load_json, save_json, validate)
 from .lp import export_lp, write_lp
 from .relax import (MIQP, PERSPECTIVE, FixedOutcome, Formulation, NodeState,
                     RelaxResult, dual_value, root_bounds,
@@ -29,16 +27,16 @@ from .relax import (MIQP, PERSPECTIVE, FixedOutcome, Formulation, NodeState,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activity", "BRUTE_FORCE_MAX_N", "Cell", "ConeRow", "CORRELATIONS",
+    "BRUTE_FORCE_MAX_N", "Cell", "ConeRow", "CORRELATIONS",
     "FixedOutcome", "Formulation", "GenConfig",
     "Instance", "InstanceError", "InvalidActivityError",
     "InvalidInstanceError", "LinearConstraint", "LinearRow", "MIQP",
     "ModelIR", "NodeState", "ParseError", "PERSPECTIVE", "Region",
-    "RegionBounds", "RelaxResult",
+    "RelaxResult",
     "SchemaError", "Solution", "SolveParams", "SolveResult", "STRONG",
     "UNCORRELATED", "UnsupportedInstanceError", "ValidationReport",
     "Variable", "WEAK", "batch", "branch_and_bound", "brute_force",
-    "build_miqp", "build_misocp", "check_minlp_feasible", "compute_regions",
+    "build_miqp", "build_misocp", "check_minlp_feasible",
     "dual_value", "export_lp", "generate", "load_json",
     "mix_seed", "paper_cells",
     "perspective_value", "root_bounds", "save_json",

@@ -36,7 +36,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .instance import Instance, LinearConstraint, _Activities
+from .instance import Instance, LinearConstraint
 
 UNCORRELATED = "uncorrelated"
 WEAK = "weak"
@@ -111,7 +111,7 @@ def generate(cfg: GenConfig) -> Instance:
               LinearConstraint(tuple(gamma.tolist()), "ge", (eta - 1.0) * float(np.dot(gamma, s))))
     m = int(_round_half_up(cfg.xi * cfg.n, 1))
     fields = np.array([s, l, up, delta, theta, phi, psi])
-    return Instance(_Activities([f"a{i:05d}" for i in range(cfg.n)], fields), cfg.rho, m, extras)
+    return Instance([f"a{i:05d}" for i in range(cfg.n)], fields, cfg.rho, m, extras)
 
 
 @dataclass(frozen=True)

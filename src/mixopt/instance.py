@@ -13,10 +13,11 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, itemgetter, neg
+from operator import itemgetter, neg
 from typing import Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
@@ -46,7 +47,7 @@ class SchemaError(InstanceError):
 
 
 class InvalidActivityError(InstanceError):
-    """Activity fields violate the basic ordering/sign rules."""
+    """An activity's fields violate the basic ordering/sign rules."""
 
 
 class InvalidInstanceError(InstanceError):
@@ -58,48 +59,7 @@ class UnsupportedInstanceError(InstanceError):
 
 
 _FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")  # the numeric fields
-
-
-@dataclass(frozen=True)
-class Activity:
-    """One marketing activity.
-
-    ``s`` is the baseline spend, ``[l, u]`` the admissible spend interval
-    (so the change ``x`` lives in ``[l - s, u - s]``), ``delta`` the minimum
-    magnitude of any nonzero change, and ``theta/phi/psi`` the coefficients
-    of the concave revenue response ``theta*x^2 + phi*x + psi``.
-    """
-
-    id: str
-    s: float
-    l: float
-    u: float
-    delta: float
-    theta: float
-    phi: float
-    psi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "id", str(self.id))
-        for name in _FIELDS:
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-Interval = Tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RegionBounds:
-    """Admissible intervals for the change variable of one activity.
-
-    ``L`` is the decrease interval ``[l-s, -delta]`` when it is nonempty,
-    ``R`` the raise interval ``[delta, u-s]``; the stay region S is always
-    the single point 0.  A missing interval (``None``) pins the matching
-    indicator variable to 0.
-    """
-
-    L: Optional[Interval]
-    R: Optional[Interval]
+_ROW_LENGTH = "extra {}: expected {} coefficients, got {}"  # extra row k's length, against n
 
 
 def _activity_violations(name: str, fields: Sequence[float]) -> Tuple[str, ...]:
@@ -113,32 +73,6 @@ def _activity_violations(name: str, fields: Sequence[float]) -> Tuple[str, ...]:
     else:
         rules = (("non-finite field", True),)
     return tuple(f"activity {name!r}: {rule}" for rule, broken in rules if broken)
-
-
-def _region_ends(col) -> Tuple[np.ndarray, ...]:
-    """The minimum-change rule, on the columns ``col`` or one activity's
-    fields: the ends ``lo_L, hi_L, lo_R, hi_R`` of the decrease box
-    ``[l-s, -delta]``, there iff ``l-s <= -delta`` (+0.0 when delta is a
-    zero), and the raise box ``[delta, u-s]``, there iff ``delta <= u-s``;
-    NaN where a box is absent."""
-    delta = col["delta"]
-    low, high, neg = col["l"] - col["s"], col["u"] - col["s"], 0.0 - delta
-    has_l, has_r = low <= neg, delta <= high
-    return (np.where(has_l, low, math.nan), np.where(has_l, neg, math.nan),
-            np.where(has_r, delta, math.nan), np.where(has_r, high, math.nan))
-
-
-def compute_regions(a: Activity) -> RegionBounds:
-    """The L/S/R region intervals of one activity, by the rule that
-    ``Instance.claims`` applies to whole columns (``_region_ends``);
-    single-point regions are kept.  An activity that breaks a rule of
-    ``validate`` is an ``InvalidActivityError``."""
-    broken = _activity_violations(a.id, attrgetter(*_FIELDS)(a))
-    if broken:
-        raise InvalidActivityError("; ".join(broken))
-    lo_l, hi_l, lo_r, hi_r = map(float, _region_ends(vars(a)))
-    return RegionBounds(L=None if math.isnan(lo_l) else (lo_l, hi_l),
-                        R=None if math.isnan(lo_r) else (lo_r, hi_r))
 
 
 @dataclass(frozen=True)
@@ -164,86 +98,54 @@ class LinearConstraint:
         return LinearConstraint(tuple(map(neg, self.coeffs)), "le", -self.rhs)
 
 
-class _Activities(Sequence):
-    """An instance's activities as columns: the ids and ``rows``, the
-    fields (``_FIELDS``) as a read-only 7 x n float table.  Each
-    ``Activity`` is built on the first read of one, and views compare and
-    hash as the tuples of them do, from the columns."""
-
-    def __init__(self, ids: Sequence[str], fields: np.ndarray, acts: Optional[tuple] = None):
-        self.ids, self.rows, self._acts = tuple(ids), np.ascontiguousarray(fields, float), acts
-        self.rows.flags.writeable = False
-
-    def _objects(self) -> Tuple[Activity, ...]:
-        if self._acts is None:
-            self._acts = tuple(map(Activity, self.ids, *self.rows.tolist()))
-        return self._acts
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, i):
-        return self._objects()[i]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Activities):  # a NaN field is unequal to itself, as in a float
-            return self is other or self.ids == other.ids and np.array_equal(self.rows, other.rows)
-        return self._objects() == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(zip(self.ids, *self.rows.tolist())))
-
-    def __repr__(self) -> str:
-        return repr(self._objects())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A full spend-adjustment problem.
 
-    The budget right-hand side is derived from ``rho``: total change must not
-    exceed ``(rho - 1) * sum(s)``.  At most ``m`` activities may change.
+    ``ids`` names the activities and ``fields`` holds their numbers, a
+    read-only 7 x n float table, one row per field (``_FIELDS``): ``s`` the
+    baseline spend, ``[l, u]`` the admissible spend interval (so the change
+    ``x`` lives in ``[l - s, u - s]``), ``delta`` the minimum magnitude of
+    any nonzero change, and ``theta/phi/psi`` the coefficients of the
+    concave revenue response ``theta*x^2 + phi*x + psi``.  The budget
+    right-hand side is derived from ``rho``: total change must not exceed
+    ``(rho - 1) * sum(s)``.  At most ``m`` activities may change.
     Construction canonicalizes: activities are sorted by id (extra-row
     coefficients are permuted to match) and >= extras are normalized to <=.
-    The activities are held as columns (``ids``, ``columns``).
+    Instances compare by value; a NaN field is unequal, as a float is.
     """
 
-    activities: Sequence[Activity]
+    ids: Tuple[str, ...]
+    fields: np.ndarray
     rho: float
     m: int
     extras: Tuple[LinearConstraint, ...] = ()
 
     def __post_init__(self):
-        acts, extras = self.activities, tuple(self.extras)
-        if not isinstance(acts, _Activities):
-            acts = tuple(acts)
-            fields = np.array(list(map(attrgetter(*_FIELDS), acts)), float).reshape(-1, 7).T
-            acts = _Activities([a.id for a in acts], fields, acts)
-        order = sorted(range(len(acts)), key=acts.ids.__getitem__)
-        if order != list(range(len(acts))):  # a row of another length is left as it is
+        ids, fields = tuple(map(str, self.ids)), np.ascontiguousarray(self.fields, float)
+        if fields.shape != (7, len(ids)):
+            raise ValueError(f"fields: expected a 7 x {len(ids)} table, got shape {fields.shape}")
+        order, extras = sorted(range(len(ids)), key=ids.__getitem__), self.extras
+        if order != list(range(len(ids))):  # a row of another length is left as it is
             extras = tuple(LinearConstraint(tuple(ex.coeffs[i] for i in order), ex.sense, ex.rhs)
-                           if len(ex.coeffs) == len(acts) else ex for ex in extras)
-            acts = _Activities([acts.ids[i] for i in order], acts.rows[:, order],
-                               acts._acts and tuple(map(acts._acts.__getitem__, order)))
-        extras = tuple(ex.normalized() for ex in extras)
-        object.__setattr__(self, "activities", acts)
-        object.__setattr__(self, "extras", extras)
+                           if len(ex.coeffs) == len(ids) else ex for ex in self.extras)
+            ids, fields = tuple(map(ids.__getitem__, order)), fields[:, order]
+        fields.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "extras", tuple(ex.normalized() for ex in extras))
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "m", int(self.m))
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        same = (self.ids, self.rho, self.m, self.extras) == (other.ids, other.rho, other.m, other.extras)
+        return same and np.array_equal(self.fields, other.fields)
+
     @property
     def n(self) -> int:
-        return len(self.activities)
-
-    @property
-    def ids(self) -> Tuple[str, ...]:
-        """The activity ids, in activity order."""
-        return self.activities.ids
-
-    @property
-    def _rows(self) -> np.ndarray:
-        """The rows of ``activities`` (``_Activities``)."""
-        return self.activities.rows
+        return len(self.ids)
 
     @cached_property
     def budget_rhs(self) -> float:
@@ -256,9 +158,9 @@ class Instance:
 
     @cached_property
     def columns(self) -> Dict[str, np.ndarray]:
-        """Each numeric activity field (``s l u delta theta phi psi``) as a
-        read-only float array in activity order."""
-        return dict(zip(_FIELDS, self._rows))
+        """Each row of ``fields`` (``s l u delta theta phi psi``) as a
+        read-only float array in activity order, by name."""
+        return dict(zip(_FIELDS, self.fields))
 
     @cached_property
     def _broken(self) -> np.ndarray:
@@ -266,34 +168,42 @@ class Instance:
         (``_activity_violations``), read from the columns."""
         c = self.columns
         ok = (c["l"] <= c["s"]) & (c["s"] <= c["u"]) & (c["theta"] <= 0.0) & (c["delta"] >= 0.0)
-        return (~(ok & np.isfinite(self._rows).all(axis=0))).nonzero()[0]
+        return (~(ok & np.isfinite(self.fields).all(axis=0))).nonzero()[0]
 
     @cached_property
     def claims(self) -> np.ndarray:
         """The claim table, read-only: column ``code*n + i`` is activity
         ``i`` claiming region ``code`` (``_region_codes``): lo and hi of its
         box (NaN if absent) and of its spend change, ``M*z`` and ``delta*z``
-        (``M = max|spend change|``, ``z`` 1 off S).  An instance with a
-        broken activity is an ``InvalidActivityError`` naming the first."""
+        (``M = max|spend change|``, ``z`` 1 off S).  The boxes follow the
+        minimum-change rule: the decrease box ``[l-s, -delta]`` is there iff
+        ``l-s <= -delta`` (+0.0 when delta is a zero), the raise box
+        ``[delta, u-s]`` iff ``delta <= u-s``.  An instance with a broken
+        activity is an ``InvalidActivityError`` naming the first."""
         if self._broken.size:
             first = self._broken[0]
             raise InvalidActivityError("; ".join(_activity_violations(
-                self.ids[first], self._rows[:, first].tolist())))
+                self.ids[first], self.fields[:, first].tolist())))
         n, col, z = self.n, self.columns, np.array([[0.0], [1.0], [1.0], [0.0]])
-        low, high = col["l"] - col["s"], col["u"] - col["s"]  # the spend bounds
-        box = np.vstack((np.zeros((2, n)), _region_ends(col), np.full((2, n), math.nan)))
+        low, high, delta = col["l"] - col["s"], col["u"] - col["s"], col["delta"]
+        neg_delta = 0.0 - delta  # +0.0 where delta is a zero
+        box = np.vstack((np.zeros((2, n)), np.where(low <= neg_delta, (low, neg_delta), math.nan),
+                         np.where(delta <= high, (delta, high), math.nan), np.full((2, n), math.nan)))
         claims = np.stack(np.broadcast_arrays(box[::2], box[1::2], low, high, np.maximum(
-            np.abs(low), np.abs(high)) * z, col["delta"] * z)).reshape(6, -1)
+            np.abs(low), np.abs(high)) * z, delta * z)).reshape(6, -1)
         claims.flags.writeable = False
         return claims
 
     @cached_property
     def coupling(self) -> Tuple[np.ndarray, np.ndarray]:
         """The coupling rows ``A x <= b``, budget first, as read-only
-        arrays ``(A, b)``."""
+        arrays ``(A, b)``.  An extra row of another length than ``n`` is an
+        ``InvalidInstanceError`` in ``validate``'s words."""
         A = np.ones((1 + len(self.extras), self.n))
-        for k, ex in enumerate(self.extras, 1):
-            A[k] = ex.coeffs
+        for k, ex in enumerate(self.extras):
+            if len(ex.coeffs) != self.n:
+                raise InvalidInstanceError(_ROW_LENGTH.format(k, self.n, len(ex.coeffs)))
+            A[k + 1] = ex.coeffs
         b = np.array([self.budget_rhs] + [ex.rhs for ex in self.extras])
         A.flags.writeable = b.flags.writeable = False
         return A, b
@@ -357,7 +267,7 @@ class ValidationReport:
 
 def validate(inst: Instance) -> ValidationReport:
     """Field-level checks; returns all violations instead of raising.  The
-    rules run on ``Instance._rows`` and the extra rows as arrays, and only
+    rules run on ``Instance.fields`` and the extra rows as arrays, and only
     activities that break one or repeat an id (ids are sorted) are worded."""
     n, ids = inst.n, inst.ids
     dup = {i for i in range(1, n) if ids[i] == ids[i - 1]} if len(set(ids)) < n else set()
@@ -365,7 +275,7 @@ def validate(inst: Instance) -> ValidationReport:
     for i in sorted(dup.union(inst._broken.tolist())):
         if i in dup:
             out.append(f"duplicate activity id {ids[i]!r}")
-        out += _activity_violations(ids[i], inst._rows[:, i].tolist())
+        out += _activity_violations(ids[i], inst.fields[:, i].tolist())
     if not (math.isfinite(inst.rho) and inst.rho > 0):
         out.append("rho must be finite and positive")
     if inst.m < 0:
@@ -374,7 +284,7 @@ def validate(inst: Instance) -> ValidationReport:
         out.append("cardinality cap exceeds activity count")
     for k, ex in enumerate(inst.extras):
         if len(ex.coeffs) != n:
-            out.append(f"extra {k}: expected {n} coefficients, got {len(ex.coeffs)}")
+            out.append(_ROW_LENGTH.format(k, n, len(ex.coeffs)))
         if not np.isfinite(np.fromiter(ex.coeffs + (ex.rhs,), float)).all():
             out.append(f"extra {k}: non-finite coefficient or rhs")
     return ValidationReport(tuple(out))
@@ -409,18 +319,21 @@ def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
             raise SchemaError(k, f"{ctx}: unknown field {k!r}")
 
 
-def _finite_numbers(values: list) -> bool:
-    """Whether every one of ``values`` is a finite number, checked at once."""
-    try:
-        return set(map(type, values)) <= _NUMBERS and all(map(math.isfinite, values))
-    except OverflowError:  # an integer beyond the float range
-        return False
+def _finite_numbers(values: list) -> Optional[np.ndarray]:
+    """``values`` as a float array if each is a finite number, checked at
+    once; otherwise None."""
+    if set(map(type, values)) <= _NUMBERS:
+        with suppress(OverflowError):  # an integer beyond the float range
+            array = np.array(values, float)
+            if np.isfinite(array).all():
+                return array
+    return None
 
 
 def _num(value, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{ctx}: expected a number, got {type(value).__name__}")
-    if not _finite_numbers([value]):
+    if _finite_numbers([value]) is None:
         raise ParseError(f"{ctx}: expected a finite number")
     return float(value)
 
@@ -431,8 +344,9 @@ def _activity_columns(docs: list) -> Tuple[Sequence[str], np.ndarray]:
     field at a time, which names the field."""
     if all(type(ad) is dict and ad.keys() == _ACT_KEY_SET for ad in docs):
         ids, *numbers = [list(map(itemgetter(k), docs)) for k in _ACT_KEYS]
-        if set(map(type, ids)) <= {str} and _finite_numbers(list(itertools.chain(*numbers))):
-            return ids, np.array(numbers, float)
+        table = _finite_numbers(list(itertools.chain(*numbers)))
+        if set(map(type, ids)) <= {str} and table is not None:
+            return ids, table.reshape(7, -1)
     rows = []
     for i, ad in enumerate(docs):
         ctx = f"activities[{i}]"
@@ -483,14 +397,14 @@ def load_json(data: Union[str, bytes]) -> Instance:
         if not isinstance(ed["coeffs"], list):
             raise ParseError(f"{ctx}.coeffs: expected an array")
         coeffs = ed["coeffs"]
-        if not _finite_numbers(coeffs):
+        if _finite_numbers(coeffs) is None:
             coeffs = [_num(c, f"{ctx}.coeffs[{j}]") for j, c in enumerate(coeffs)]
         sense = ed["sense"]
         if sense not in ("le", "ge"):
             raise ParseError(f"{ctx}.sense: expected 'le' or 'ge'")
         extras.append(LinearConstraint(tuple(coeffs), sense, _num(ed["rhs"], f"{ctx}.rhs")))
 
-    return Instance(_Activities(ids, fields), rho, m, tuple(extras))
+    return Instance(ids, fields, rho, m, tuple(extras))
 
 
 def _json_numbers(values: Sequence[float]) -> list:
@@ -509,7 +423,7 @@ def save_json(inst: Instance) -> bytes:
     """Serialize to the canonical byte form (load(save(i)) == i): the bytes
     of ``json.dumps(doc, indent=2)`` and a newline, written from the
     columns."""
-    n, words = inst.n, _json_numbers(inst._rows.ravel().tolist())
+    n, words = inst.n, _json_numbers(inst.fields.ravel().tolist())
     fields = (words[k * n:(k + 1) * n] for k in range(7))
     acts = list(map(_ACT_JSON.__mod__, zip(map(encode_basestring_ascii, inst.ids), *fields)))
     extras = [_EXTRA_JSON % (_json_array(_json_numbers(ex.coeffs), 8),

@@ -1,11 +1,16 @@
-"""The scalar references for one activity: its regions and its priced
-subproblem.
+"""The scalar references for one activity: its record, its regions and its
+priced subproblem.
+
+``Act`` is one activity as a record of its id and seven fields;
+``instance_of`` builds an instance of such records and ``activities``
+reads them back from an instance's ids and columns, so that a test states
+activities one at a time without reading the package's own code.
 
 ``region_bounds`` is the minimum-change rule with Python floats, one
 activity at a time, as the package spelled it before the rule moved onto
 the instance's columns (``Instance.claims``); the instance tests require
-the claim table and ``compute_regions`` to give its boxes bit for bit, and
-every other test reads an instance's regions from ``regions``.
+the claim table, read back by ``claimed``, to give its boxes bit for bit,
+and every other test reads an instance's regions from ``regions``.
 
 The priced subproblem is solved in closed form with Python floats in the
 order the kernel in ``mixopt.relax`` repeats on whole columns.  The kernel
@@ -15,16 +20,48 @@ forms against a dense search.
 """
 
 import math
+from collections import namedtuple
 from typing import Optional, Sequence, Tuple
 
-from mixopt import PERSPECTIVE, Activity, Formulation, Instance, InvalidActivityError, RegionBounds
-
-from validation_reference import activity_violations
+from mixopt import PERSPECTIVE, Formulation, Instance, InvalidActivityError
 
 _INF = math.inf
 
+FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
+# one activity: ``s`` the baseline spend, ``[l, u]`` the spend interval,
+# ``delta`` the minimum change, ``theta/phi/psi`` the revenue curve
+Act = namedtuple("Act", ("id",) + FIELDS)
+# the decrease and raise intervals of one activity's change, None if absent
+Regions = namedtuple("Regions", ("L", "R"))
 
-def region_bounds(act: Activity) -> RegionBounds:
+
+def instance_of(acts: Sequence[Act], rho: float, m: int, extras=()) -> Instance:
+    """The instance of the activities ``acts``: their ids and the table
+    of their fields, one row per field."""
+    acts = tuple(acts)
+    return Instance([a.id for a in acts], [[getattr(a, k) for a in acts] for k in FIELDS],
+                    rho, m, extras)
+
+
+def activities(inst: Instance) -> Tuple[Act, ...]:
+    """The activities of ``inst`` in activity order, read from its ids and
+    columns as Python floats."""
+    rows = zip(*(inst.columns[k].tolist() for k in FIELDS))
+    return tuple(Act(i, *row) for i, row in zip(inst.ids, rows))
+
+
+def activity_violations(a: Act) -> Tuple[str, ...]:
+    """The activity rules that ``a`` breaks: finite fields, then
+    ``l <= s <= u``, ``theta <= 0`` and ``delta >= 0``."""
+    if all(map(math.isfinite, (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi))):
+        rules = (("l > s", a.l > a.s), ("s > u", a.s > a.u),
+                 ("theta > 0", a.theta > 0), ("delta < 0", a.delta < 0))
+    else:
+        rules = (("non-finite field", True),)
+    return tuple(f"activity {a.id!r}: {name}" for name, broken in rules if broken)
+
+
+def region_bounds(act: Act) -> Regions:
     """The decrease box ``[l-s, -delta]``, there iff ``l - s <= -delta``,
     and the raise box ``[delta, u-s]``, there iff ``delta <= u - s``
     (``-delta`` reads +0.0 when delta is a zero); an activity that breaks
@@ -38,12 +75,22 @@ def region_bounds(act: Activity) -> RegionBounds:
     neg_delta = -act.delta if act.delta != 0 else 0.0
     L = (lo, neg_delta) if lo <= neg_delta else None
     R = (act.delta, hi) if act.delta <= hi else None
-    return RegionBounds(L=L, R=R)
+    return Regions(L=L, R=R)
 
 
-def regions(inst: Instance) -> Tuple[RegionBounds, ...]:
+def regions(inst: Instance) -> Tuple[Regions, ...]:
     """``region_bounds`` of each activity of ``inst``, in activity order."""
-    return tuple(map(region_bounds, inst.activities))
+    return tuple(map(region_bounds, activities(inst)))
+
+
+def claimed(inst: Instance) -> Tuple[Regions, ...]:
+    """Each activity's regions as the package holds them in
+    ``inst.claims``: the boxes of its L and R columns, None where they
+    read NaN; to be compared with ``regions``."""
+    n = inst.n
+    lo, hi = inst.claims[:2, n:3 * n].tolist()
+    boxes = [None if math.isnan(a) else (a, b) for a, b in zip(lo, hi)]
+    return tuple(map(Regions, boxes[:n], boxes[n:]))
 
 # A record is (theta, lL, uL, lR, uR, allowS, modeL, modeR) with mode
 # 0 = closed, 1 = free, 2 = fixed.
@@ -51,7 +98,7 @@ def regions(inst: Instance) -> Tuple[RegionBounds, ...]:
 _CLOSED, _FREE, _FIXED = 0, 1, 2
 
 
-def _record(act: Activity, rb: RegionBounds, allowed: frozenset):
+def _record(act: Act, rb: Regions, allowed: frozenset):
     def mode(region, present):
         if not present or region not in allowed:
             return _CLOSED
@@ -135,7 +182,7 @@ def _activity_best(rec, phi_eff: float, mu: float, persp: bool):
     return bv, bx, bzl, bzr
 
 
-def per_activity_argmax(act: Activity, rb: RegionBounds, status: frozenset,
+def per_activity_argmax(act: Act, rb: Regions, status: frozenset,
                         lam: Sequence[float], mu: float, form: Formulation,
                         coupling: Optional[Sequence[float]] = None,
                         ) -> Tuple[float, float, float, float]:

@@ -9,7 +9,9 @@ import random
 
 import pytest
 
-from mixopt import Activity, Instance, LinearConstraint
+from mixopt import LinearConstraint
+
+from activity_reference import Act, instance_of
 
 
 def make_activity(i, rng, theta_range=(-10.0, -0.5), phi_range=(-2.0, 10.0)):
@@ -18,7 +20,7 @@ def make_activity(i, rng, theta_range=(-10.0, -0.5), phi_range=(-2.0, 10.0)):
     u = rng.uniform(5.0, 10.0)
     s = rng.uniform(l, u)
     delta = rng.uniform(0.05, 0.6) * s
-    return Activity(
+    return Act(
         id=f"a{i:03d}",
         s=s,
         l=l,
@@ -54,7 +56,7 @@ def random_instance(rng, n, *, m=None, rho=None, with_extras=False):
             LinearConstraint(coeffs=tuple(taus), sense="le", rhs=tau_rhs),
             LinearConstraint(coeffs=tuple(gammas), sense="ge", rhs=gamma_rhs),
         )
-    return Instance(activities=acts, rho=rho, m=m, extras=extras)
+    return instance_of(acts, rho=rho, m=m, extras=extras)
 
 
 @pytest.fixture
@@ -70,6 +72,6 @@ def two_symmetric():
     and leaves the other at no-change.
     """
     act = dict(s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
-    a = Activity(id="a", **act)
-    b = Activity(id="b", **act)
-    return Instance(activities=(a, b), rho=10.0, m=1, extras=())
+    a = Act(id="a", **act)
+    b = Act(id="b", **act)
+    return instance_of((a, b), rho=10.0, m=1, extras=())

@@ -11,6 +11,7 @@ from typing import Tuple
 
 from mixopt import Instance, Solution
 
+from activity_reference import activities
 from activity_reference import regions as reference_regions
 
 
@@ -26,7 +27,7 @@ def exact_sum(values) -> float:
 def objective_value(inst: Instance, x) -> float:
     """Total revenue of a change vector, one activity at a time."""
     return exact_sum(a.theta * v * v + a.phi * v + a.psi
-                     for a, v in zip(inst.activities, map(float, x)))
+                     for a, v in zip(activities(inst), map(float, x)))
 
 
 def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tuple[str, ...]:
@@ -41,7 +42,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
     if len(sol.x) != inst.n or len(sol.region) != inst.n:
         return (f"expected {inst.n} entries in x/region",)
     nonzero = 0
-    for a, rb, xi, reg in zip(inst.activities, reference_regions(inst), sol.x, sol.region):
+    for a, rb, xi, reg in zip(activities(inst), reference_regions(inst), sol.x, sol.region):
         lo, hi = a.l - a.s, a.u - a.s
         if not lo - tol <= xi <= hi + tol:
             out.append(f"activity {a.id!r}: change {xi} outside spend bounds [{lo}, {hi}]")

@@ -15,9 +15,7 @@ import time
 import numpy as np
 
 from mixopt import (
-    Activity,
     GenConfig,
-    Instance,
     SolveParams,
     Solution,
     branch_and_bound,
@@ -25,7 +23,6 @@ from mixopt import (
     build_miqp,
     build_misocp,
     check_minlp_feasible,
-    compute_regions,
     export_lp,
     generate,
     mix_seed,
@@ -35,6 +32,7 @@ from mixopt import (
 )
 from mixopt.cli import pareto_sweep
 
+from activity_reference import Act, activities, claimed, instance_of
 from lp_reader import ir_objective, ir_row_activity, parse_lp
 
 BASE_SEED = 20240814
@@ -58,13 +56,13 @@ def test_criterion_1_region_grid():
     bad = 0
     total = 0
     for gl, gu, delta in itertools.product(gaps, gaps, gaps):
-        a = Activity(id="a", s=8.0, l=8.0 - gl, u=8.0 + gu, delta=delta,
-                     theta=-1.0, phi=1.0, psi=0.0)
-        rb = compute_regions(a)
+        a = Act(id="a", s=8.0, l=8.0 - gl, u=8.0 + gu, delta=delta,
+                theta=-1.0, phi=1.0, psi=0.0)
         lo, hi = a.l - a.s, a.u - a.s
         # staying is the origin: it passes the checker, and a change off zero
         # claimed as S lies outside the region's box
-        one = Instance(activities=(a,), rho=1.0, m=1, extras=())
+        one = instance_of((a,), rho=1.0, m=1, extras=())
+        rb, = claimed(one)
         off = check_minlp_feasible(one, Solution.from_x(one, [-1e-3], ["S"])).violations
         ok = (
             (rb.L is not None) == (lo <= -delta)
@@ -141,8 +139,7 @@ def test_criterion_3_relaxation_dominance():
     # crafted fractional-root instance: symmetric pair under a unit cap; the
     # big-M hull pays for half-activations the perspective envelope prices out
     act = dict(s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
-    crafted = Instance(activities=(Activity(id="a", **act), Activity(id="b", **act)),
-                       rho=10.0, m=1, extras=())
+    crafted = instance_of((Act(id="a", **act), Act(id="b", **act)), rho=10.0, m=1, extras=())
     bm, bp = root_bounds(crafted)
     strict = bm - bp
     elapsed = time.perf_counter() - t0
@@ -184,7 +181,7 @@ def test_criterion_5_generator():
     gammas = tuple(-c for c in inst.extras[1].coeffs)
     identity_bad = 0
     support_bad = 0
-    for a, tau, gamma in zip(inst.activities, inst.extras[0].coeffs, gammas):
+    for a, tau, gamma in zip(activities(inst), inst.extras[0].coeffs, gammas):
         c = (tau + gamma) / 2.0
         if not (a.theta == -(c + 1.0) and a.phi == c + 1.0 and a.psi == a.phi
                 and a.theta + a.phi == 0.0):
@@ -215,7 +212,7 @@ def test_criterion_6_pareto_sweep():
     monotone = all(b >= a - 1e-9 for a, b in zip(revs, revs[1:]))
     truth = brute_force(inst)
     top_ok = abs(revs[-1] - truth.objective) <= 1e-6 * max(1.0, abs(truth.objective))
-    psi_sum = math.fsum(a.psi for a in inst.activities)
+    psi_sum = math.fsum(a.psi for a in activities(inst))
     zero_ok = revs[0] == psi_sum
     elapsed = time.perf_counter() - t0
     _report(6, "pareto sweep vs enumeration", monotone and top_ok and zero_ok,

@@ -17,10 +17,8 @@ from hypothesis import strategies as st
 import mixopt
 from mixopt import (
     CORRELATIONS,
-    Activity,
     Cell,
     GenConfig,
-    Instance,
     InvalidInstanceError,
     NodeState,
     RelaxResult,
@@ -40,6 +38,7 @@ from mixopt import bnb, relax
 from mixopt.bnb import _outcome_to_solution, _round_regions
 
 import bnb_reference
+from activity_reference import Act, activities, instance_of
 from activity_reference import regions as reference_regions
 from conftest import random_instance
 
@@ -95,7 +94,7 @@ def test_invalid_instances_are_refused(two_symmetric):
 
 def test_zero_cap_is_instant(rng):
     inst = random_instance(rng, 5, m=0)
-    psi_sum = sum(a.psi for a in inst.activities)
+    psi_sum = sum(a.psi for a in activities(inst))
     for form in FORMS:
         res = branch_and_bound(inst, SolveParams(formulation=form))
         assert res.status == "optimal"
@@ -309,9 +308,9 @@ def _linear_instance(seed):
     with probability 1/2."""
     rng = random.Random(seed)
     inst = random_instance(rng, 2 + seed % 6)
-    acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.5 else a
-                 for a in inst.activities)
-    return dataclasses.replace(inst, activities=acts)
+    acts = tuple(a._replace(theta=0.0) if rng.random() < 0.5 else a
+                 for a in activities(inst))
+    return instance_of(acts, inst.rho, inst.m, inst.extras)
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -423,10 +422,10 @@ def test_round_half_ties_go_to_stay(two_symmetric):
 
 def test_round_keeps_only_m_largest(rng):
     acts = tuple(
-        Activity(id=f"a{i}", s=2.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
+        Act(id=f"a{i}", s=2.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
         for i in range(3)
     )
-    inst = Instance(activities=acts, rho=5.0, m=2, extras=())
+    inst = instance_of(acts, rho=5.0, m=2, extras=())
     relax = _relax_point(inst, [0.9, 0.8, 0.7], [2, 2, 2])
     sol = _round(inst, relax)
     assert sol is not None
@@ -827,9 +826,8 @@ def test_vectorised_rules_match_the_scalar_reference():
 def _no_sides(inst):
     """``inst`` with every minimum change above both of an activity's spans,
     so that no activity has an L or an R region."""
-    return dataclasses.replace(inst, activities=tuple(
-        dataclasses.replace(a, delta=1.0 + max(a.s - a.l, a.u - a.s))
-        for a in inst.activities))
+    return instance_of((a._replace(delta=1.0 + max(a.s - a.l, a.u - a.s))
+                        for a in activities(inst)), inst.rho, inst.m, inst.extras)
 
 
 @pytest.mark.parametrize("with_extras", [True, False])

@@ -9,11 +9,12 @@ from dataclasses import replace
 
 import pytest
 
-from mixopt import (Activity, GenConfig, Instance, SolveParams, branch_and_bound, brute_force,
+from mixopt import (GenConfig, SolveParams, branch_and_bound, brute_force,
                     generate, load_json, save_json)
 from mixopt import cli
 from mixopt.cli import build_parser, knee_point, main, pareto_svg, pareto_sweep
 
+from activity_reference import Act, activities, instance_of
 from conftest import random_instance
 from lp_reader import parse_lp
 
@@ -296,9 +297,9 @@ def test_solve_refuses_a_malformed_file(tmp_path, capsys, kind):
 def test_solve_refuses_an_invalid_instance(tmp_path, capsys):
     """A file that parses but breaks a rule of ``validate`` is named with
     the rule it breaks."""
-    act = Activity(id="a", s=1.0, l=2.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
+    act = Act(id="a", s=1.0, l=2.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
     path = tmp_path / "bad.json"
-    path.write_bytes(save_json(Instance(activities=(act,), rho=1.1, m=1)))
+    path.write_bytes(save_json(instance_of((act,), rho=1.1, m=1)))
     assert main(["solve", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: activity 'a': l > s\n"
 
@@ -423,7 +424,7 @@ def test_sweep_monotone_with_knee(tmp_path, capsys, rng):
     assert float(rows[-1]["revenue_fraction"]) == pytest.approx(1.0)
 
     top = float(rows[-1]["revenue"])
-    psi_sum = sum(a.psi for a in inst.activities)
+    psi_sum = sum(a.psi for a in activities(inst))
     first = rows[0]
     assert int(first["m"]) == 0
     assert float(first["revenue"]) == pytest.approx(psi_sum, rel=1e-12)
@@ -549,8 +550,8 @@ def test_knee_with_negative_revenues(two_symmetric):
     # When even the best revenue is negative, revenue/top >= 1 for every
     # worse point, so a ratio threshold alone would fire at the first
     # feasible m; the knee must still land near the top of the curve.
-    acts = tuple(replace(a, psi=-100.0) for a in two_symmetric.activities)
-    inst = replace(two_symmetric, activities=acts, m=2)
+    acts = tuple(a._replace(psi=-100.0) for a in activities(two_symmetric))
+    inst = instance_of(acts, two_symmetric.rho, m=2, extras=two_symmetric.extras)
     points = pareto_sweep(inst, SolveParams(time_limit=30.0), [0, 1, 2])
     assert points[0]["revenue"] == pytest.approx(-200.0)
     assert points[0]["revenue_fraction"] > 1.0  # ratio is misleading here

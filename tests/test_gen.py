@@ -27,6 +27,7 @@ if __name__ == "__main__":  # a checkout runs without installing
 
 from mixopt import Cell, GenConfig, batch, generate, mix_seed, paper_cells, save_json, validate
 from mixopt.gen import EPSILON_MAX, _round_half_up
+from activity_reference import activities
 from rounding_reference import half_up_int, round2 as _round2
 
 CLASSES = ("uncorrelated", "weak", "strong")
@@ -82,7 +83,7 @@ def test_supports_respected(corr):
     assert validate(inst).ok
     taus = inst.extras[0].coeffs
     gammas = _gammas(inst)
-    for a, tau, gamma in zip(inst.activities, taus, gammas):
+    for a, tau, gamma in zip(activities(inst), taus, gammas):
         assert 1.0 <= a.l <= 5.0 and 5.0 <= a.u <= 10.0
         assert a.l <= a.s <= a.u
         assert 1.0 <= tau <= 10.0 and 1.0 <= gamma <= 10.0
@@ -104,7 +105,7 @@ def test_strong_identity_exact():
     cfg = GenConfig(correlation="strong", n=60, epsilon=0.05, xi=0.5, seed=4)
     inst = generate(cfg)
     gammas = _gammas(inst)
-    for a, tau, gamma in zip(inst.activities, inst.extras[0].coeffs, gammas):
+    for a, tau, gamma in zip(activities(inst), inst.extras[0].coeffs, gammas):
         c = (tau + gamma) / 2.0
         assert a.theta == -(c + 1.0)  # exact, no re-rounding
         assert a.phi == c + 1.0
@@ -118,8 +119,8 @@ def test_extra_rows_shape():
     assert all(row.sense == "le" for row in inst.extras)
     taus = inst.extras[0].coeffs
     gammas = _gammas(inst)
-    tau_spend = sum(t * a.s for t, a in zip(taus, inst.activities))
-    gamma_spend = sum(g * a.s for g, a in zip(gammas, inst.activities))
+    tau_spend = sum(t * a.s for t, a in zip(taus, activities(inst)))
+    gamma_spend = sum(g * a.s for g, a in zip(gammas, activities(inst)))
     # tau row: zeta in [0.90, 1.00] makes the rhs a required weighted cut
     assert -0.10 * tau_spend - 1e-9 <= inst.extras[0].rhs <= 0.0
     # gamma row arrives as >= with rhs (eta-1)*gamma_spend, eta in [1.00, 1.10]
@@ -199,8 +200,8 @@ def test_largest_epsilon_rounds_as_the_oracle():
     is its Decimal rounding."""
     eps = float(np.nextafter(EPSILON_MAX, 0.0))
     inst = generate(GenConfig(correlation="weak", n=50, epsilon=eps, xi=0.5, seed=3))
-    assert [repr(a.delta) for a in inst.activities] == [
-        repr(_round2(eps * a.s)) for a in inst.activities]
+    assert [repr(a.delta) for a in activities(inst)] == [
+        repr(_round2(eps * a.s)) for a in activities(inst)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,19 +11,23 @@ from hypothesis import strategies as st
 
 from mixopt import (
     CORRELATIONS,
-    Activity,
     GenConfig,
-    Instance,
+    InvalidInstanceError,
+    LinearConstraint,
+    NodeState,
     Solution,
     SolveParams,
     branch_and_bound,
+    brute_force,
     build_miqp,
     build_misocp,
     check_minlp_feasible,
     generate,
     perspective_value,
+    validate,
 )
 
+from activity_reference import Act, activities, instance_of
 from activity_reference import regions as reference_regions
 from conftest import random_instance
 from feasibility_reference import check_minlp_feasible as reference_check
@@ -35,10 +39,10 @@ def test_hull_block_vertices_feasible():
     """Each activity's hull rows in the built model (``rng_lo_i``,
     ``rng_hi_i``, ``pick_i``) admit every (x in region k, z = e_k) vertex
     and the origin with no indicator set."""
-    two_range = Activity(id="a", s=5.0, l=1.0, u=10.0, delta=2.0,
-                         theta=-1.0, phi=1.0, psi=0.0)
+    two_range = Act(id="a", s=5.0, l=1.0, u=10.0, delta=2.0,
+                    theta=-1.0, phi=1.0, psi=0.0)
     assert (two_range.l - two_range.s, two_range.u - two_range.s) == (-4.0, 5.0)
-    insts = [Instance(activities=(two_range,), rho=2.0, m=1, extras=())]
+    insts = [instance_of((two_range,), rho=2.0, m=1, extras=())]
     insts.append(random_instance(random.Random(21), 8, m=8))
     for inst in insts:
         ir = build_miqp(inst)
@@ -111,9 +115,9 @@ def test_perspective_scaling_identity():
 
 
 def _both_open():
-    a = Activity(id="a", s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.5)
-    b = Activity(id="b", s=6.0, l=2.0, u=9.0, delta=0.5, theta=-2.0, phi=1.0, psi=0.0)
-    return Instance(activities=(a, b), rho=1.05, m=1, extras=())
+    a = Act(id="a", s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.5)
+    b = Act(id="b", s=6.0, l=2.0, u=9.0, delta=0.5, theta=-2.0, phi=1.0, psi=0.0)
+    return instance_of((a, b), rho=1.05, m=1, extras=())
 
 
 def test_build_miqp_shape():
@@ -132,8 +136,8 @@ def test_build_miqp_shape():
 def test_single_activity_row_count():
     # budget + two range rows + pick + card: the two-sided range box is two
     # LP rows, so a one-activity model has five rows, not four
-    inst = Instance(
-        activities=(Activity(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0),),
+    inst = instance_of(
+        (Act(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0),),
         rho=2.0,
         m=1,
         extras=(),
@@ -145,8 +149,8 @@ def test_single_activity_row_count():
 
 def test_closed_region_fixes_indicator():
     # l == s kills the decrease region; its binary must be bound-fixed to 0
-    inst = Instance(
-        activities=(Activity(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0),),
+    inst = instance_of(
+        (Act(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0),),
         rho=2.0,
         m=1,
         extras=(),
@@ -175,10 +179,10 @@ def test_build_misocp_shape():
 
 def test_misocp_linear_activity_has_no_cone():
     acts = (
-        Activity(id="a", s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0),
-        Activity(id="b", s=5.0, l=1.0, u=10.0, delta=1.0, theta=0.0, phi=2.0, psi=0.0),
+        Act(id="a", s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0),
+        Act(id="b", s=5.0, l=1.0, u=10.0, delta=1.0, theta=0.0, phi=2.0, psi=0.0),
     )
-    ir = build_misocp(Instance(activities=acts, rho=1.2, m=2, extras=()))
+    ir = build_misocp(instance_of(acts, rho=1.2, m=2, extras=()))
     assert [c.name for c in ir.cones] == ["qc_0"]
     e1 = next(v for v in ir.variables if v.name == "e_1")
     assert (e1.lb, e1.ub) == (0.0, 0.0)
@@ -204,7 +208,7 @@ def test_objective_at_origin_is_psi_sum():
         ir = build(inst)
         zero = {v.name: 0.0 for v in ir.variables}
         assert ir.const_obj == inst.psi_sum
-        assert ir_objective(ir, zero) == pytest.approx(sum(a.psi for a in inst.activities))
+        assert ir_objective(ir, zero) == pytest.approx(sum(a.psi for a in activities(inst)))
 
 
 def test_row_activity_and_extras(rng):
@@ -227,7 +231,7 @@ def test_cone_slack_sign():
     holds."""
     inst = _both_open()
     ir = build_misocp(inst)
-    assert [c.coeff for c in ir.cones] == [-a.theta for a in inst.activities]
+    assert [c.coeff for c in ir.cones] == [-a.theta for a in activities(inst)]
     cone = ir.cones[0]
     assert (cone.e_var, cone.z_var, cone.x_var) == ("e_0", "zLR_0", "x_0")
     assert cone.coeff > 0.0
@@ -247,9 +251,9 @@ def test_models_declare_each_named_variable_once():
     insts = [generate(GenConfig(correlation=c, n=7, epsilon=0.1, xi=0.75, seed=s))
              for c in CORRELATIONS for s in (1, 2)]
     assert all(len(inst.extras) == 2 for inst in insts)
-    acts = list(insts[0].activities)
-    acts[3] = dataclasses.replace(acts[3], theta=0.0)
-    insts.append(dataclasses.replace(insts[0], activities=tuple(acts)))
+    acts = list(activities(insts[0]))
+    acts[3] = acts[3]._replace(theta=0.0)
+    insts.append(instance_of(acts, insts[0].rho, insts[0].m, insts[0].extras))
     for inst in insts:
         for build in (build_miqp, build_misocp):
             ir = build(inst)
@@ -342,8 +346,8 @@ def test_checker_rejects_malformed_solutions():
     assert violations(Solution.from_x(inst, [0.0, 0.0], ["Q", "S"])) == (
         "activity 'a': unknown region 'Q'",)
     # l = s leaves no decrease region
-    c = Activity(id="c", s=5.0, l=5.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
-    single = Instance(activities=(c,), rho=1.05, m=1, extras=())
+    c = Act(id="c", s=5.0, l=5.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
+    single = instance_of((c,), rho=1.05, m=1, extras=())
     assert reference_regions(single)[0].L is None
     assert violations(Solution.from_x(single, [0.0], ["L"]), single) == (
         "activity 'c': region L does not exist",)
@@ -375,6 +379,26 @@ def test_checker_fails_nan():
 
 
 
+@pytest.mark.parametrize("coeffs", [(1.0, 2.0, 3.0), (1.0,)])
+def test_rows_of_another_length_are_refused_in_validates_words(coeffs):
+    """An extra row whose length is not the activity count: the coupling
+    rows refuse it as an ``InvalidInstanceError`` in ``validate``'s words,
+    so the checker and the root node refuse it with that message (a longer
+    row did not fit the row table, and a row of one coefficient was spread
+    over every activity), as both solve entry points do."""
+    act = dict(s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
+    inst = instance_of((Act("a", **act), Act("b", **act)), rho=1.05, m=1,
+                       extras=(LinearConstraint(coeffs, "le", 1.0),))
+    message = f"extra 0: expected 2 coefficients, got {len(coeffs)}"
+    assert validate(inst).violations == (message,)
+    sol = Solution.from_x(inst, [0.0, 0.0], ["S", "S"])
+    for call in (lambda: check_minlp_feasible(inst, sol), lambda: NodeState.root(inst),
+                 lambda: branch_and_bound(inst), lambda: brute_force(inst)):
+        with pytest.raises(InvalidInstanceError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("head", [(math.inf, -math.inf), (math.nan, math.inf, -math.inf),
                                   (math.nan,), (1e308, 1e308)])
 def test_checker_reports_sums_fsum_refuses(head):
@@ -402,7 +426,7 @@ def _random_solution(rng, inst):
     change lies in, another one, or unknown; the stored objective is the
     true one, off by a little or a lot, or NaN."""
     x, region = [], []
-    for a, rb in zip(inst.activities, reference_regions(inst)):
+    for a, rb in zip(activities(inst), reference_regions(inst)):
         boxes = [box for box in (rb.L, rb.R) if box is not None] + [(0.0, 0.0)]
         lo, hi = rng.choice(boxes + [(a.l - a.s, a.u - a.s)])
         kind = rng.randrange(4)
@@ -436,14 +460,14 @@ def test_checker_matches_the_scalar_reference(seed):
     inst = random_instance(rng, rng.randint(1, 8), with_extras=rng.random() < 0.5,
                            rho=rng.choice((None, 0.9, 1.0, 5.0)))
     acts = []
-    for a in inst.activities:
+    for a in activities(inst):
         edge = rng.randrange(4)
         if edge == 0:
-            a = dataclasses.replace(a, delta=0.0)
+            a = a._replace(delta=0.0)
         elif edge == 1 and a.l < a.s:
-            a = dataclasses.replace(a, delta=a.s - a.l)
+            a = a._replace(delta=a.s - a.l)
         acts.append(a)
-    inst = dataclasses.replace(inst, activities=tuple(acts))
+    inst = instance_of(acts, inst.rho, inst.m, inst.extras)
     sol = _random_solution(rng, inst)
     for tol in (0.0, 1e-8, 1e-3):
         assert check_minlp_feasible(inst, sol, tol=tol).violations == reference_check(

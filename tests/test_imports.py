@@ -37,3 +37,17 @@ def test_unused_import_is_caught(tmp_path):
     path.write_text("from __future__ import annotations\nimport os\nimport os.path\n"
                     "import sys\nfrom math import pi, tau as t\n\nprint(sys.argv, t)\n")
     assert _unused_imports(path) == [(2, "os"), (3, "os"), (5, "pi")]
+
+
+def test_package_exports_what_it_imports():
+    """``mixopt.__all__`` is the set of names ``mixopt/__init__.py``
+    imports, each once, and each resolves on the package, so a name deleted
+    from a module leaves no stale export."""
+    import mixopt
+
+    tree = ast.parse((ROOT / "src" / "mixopt" / "__init__.py").read_text())
+    imported = {a.asname or a.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert len(set(mixopt.__all__)) == len(mixopt.__all__)
+    assert set(mixopt.__all__) == imported
+    assert all(hasattr(mixopt, name) for name in mixopt.__all__)

@@ -13,13 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixopt import (
-    Activity,
     GenConfig,
     Instance,
     InvalidActivityError,
     LinearConstraint,
     ParseError,
-    RegionBounds,
     SchemaError,
     SolveParams,
     Solution,
@@ -27,7 +25,6 @@ from mixopt import (
     branch_and_bound,
     batch,
     check_minlp_feasible,
-    compute_regions,
     export_lp,
     generate,
     load_json,
@@ -38,7 +35,7 @@ from mixopt import (
 from mixopt.instance import _CODE_OF
 from mixopt.relax import _InstanceArrays, _instance_arrays
 
-from activity_reference import region_bounds
+from activity_reference import FIELDS, Act, activities, claimed, instance_of
 from activity_reference import regions as reference_regions
 from conftest import random_instance
 from json_reference import save_json as reference_save_json
@@ -52,7 +49,7 @@ BASE = 8.0
 
 
 def _make(gl, gu, delta):
-    return Activity(
+    return Act(
         id="a",
         s=BASE,
         l=BASE - gl,
@@ -64,10 +61,19 @@ def _make(gl, gu, delta):
     )
 
 
+def _one(a):
+    """The one-activity instance of ``a``."""
+    return instance_of((a,), rho=1.0, m=1, extras=())
+
+
+def _regions(a):
+    """The regions the one-activity instance of ``a`` claims."""
+    return claimed(_one(a))[0]
+
+
 def _stay_box(a):
     """The box a one-activity instance of ``a`` holds for claiming S."""
-    one = Instance(activities=(a,), rho=1.0, m=1, extras=())
-    return one.claims[:2, _CODE_OF["S"]].tolist()
+    return _one(a).claims[:2, _CODE_OF["S"]].tolist()
 
 
 def test_region_grid_exhaustive():
@@ -80,7 +86,7 @@ def test_region_grid_exhaustive():
     cases = 0
     for gl, gu, delta in itertools.product(GAPS, GAPS, DELTAS):
         a = _make(gl, gu, delta)
-        rb = compute_regions(a)
+        rb = _regions(a)
         lo, hi = a.l - a.s, a.u - a.s
 
         # decrease region exists iff l - s <= -delta, range [l-s, -delta]
@@ -114,26 +120,17 @@ def test_region_grid_exhaustive():
     ],
 )
 def test_region_worked_examples(s, l, u, delta, expect_L, expect_R):
-    rb = compute_regions(Activity(id="a", s=s, l=l, u=u, delta=delta, theta=-1.0, phi=0.0, psi=0.0))
+    rb = _regions(Act(id="a", s=s, l=l, u=u, delta=delta, theta=-1.0, phi=0.0, psi=0.0))
     assert rb.L == expect_L
     assert rb.R == expect_R
 
 
 def test_zero_delta_regions_touch_origin():
-    zero_delta = Activity(id="a", s=5.0, l=1.0, u=10.0, delta=0.0, theta=-1.0, phi=0.0, psi=0.0)
-    rb = compute_regions(zero_delta)
+    zero_delta = Act(id="a", s=5.0, l=1.0, u=10.0, delta=0.0, theta=-1.0, phi=0.0, psi=0.0)
+    rb = _regions(zero_delta)
     assert rb.L == (-4.0, 0.0)
     assert rb.R == (0.0, 5.0)
     assert _stay_box(zero_delta) == [0.0, 0.0]
-
-
-def _claimed(inst):
-    """Each activity's region bounds as ``inst.claims`` holds them: the
-    boxes of its L and R columns, None where they read NaN."""
-    n = inst.n
-    lo, hi = inst.claims[:2, n:3 * n].tolist()
-    boxes = [None if math.isnan(a) else (a, b) for a, b in zip(lo, hi)]
-    return tuple(RegionBounds(L, R) for L, R in zip(boxes[:n], boxes[n:]))
 
 
 def test_instance_caches_regions(rng):
@@ -141,8 +138,8 @@ def test_instance_caches_regions(rng):
     holding the reference's boxes (``activity_reference.regions``)."""
     inst = random_instance(rng, 6)
     assert inst.claims is inst.claims  # cached, not rebuilt per access
-    assert _claimed(inst) == reference_regions(inst)
-    assert len(_claimed(inst)) == inst.n == 6
+    assert claimed(inst) == reference_regions(inst)
+    assert len(claimed(inst)) == inst.n == 6
 
 
 # spends and gaps that hit the rule's edges: signed zeros, dyadic values
@@ -167,44 +164,37 @@ def _rule_activities(draw, index):
     if brk is not None:
         fields[brk] = {"l": u + 1.0, "u": l - 1.0, "theta": 1.0, "delta": -1.0,
                        "phi": math.nan}[brk]
-    return Activity(id=f"a{index}", **fields)
+    return Act(id=f"a{index}", **fields)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(*(_rule_activities(i) for i in range(n)))))
 def test_claims_match_the_region_oracle(acts):
-    """``Instance.claims`` and ``compute_regions`` give the scalar
-    reference's boxes (``activity_reference.region_bounds``), compared by
-    ``repr`` so that the sign of a zero counts, on activities at and next
-    to the rule's ties; and on an instance with a broken activity, the
-    claims refuse it in the reference's words, naming the first."""
-    inst = Instance(acts, rho=1.0, m=1)
-    for a in inst.activities:
-        try:
-            want = repr(region_bounds(a))
-        except InvalidActivityError as refused:
-            want = repr(refused)
-        try:
-            got = repr(compute_regions(a))
-        except InvalidActivityError as refused:
-            got = repr(refused)
-        assert got == want
+    """``Instance.claims`` gives the scalar reference's boxes
+    (``activity_reference.region_bounds``), compared by ``repr`` so that
+    the sign of a zero counts, on activities at and next to the rule's
+    ties, each alone and all together; and on an instance with a broken
+    activity, the claims refuse it in the reference's words, naming the
+    first."""
+    inst = instance_of(acts, rho=1.0, m=1)
+    for part in [inst] + list(map(_one, activities(inst))):
+        assert _told(claimed, part) == _told(reference_regions, part)
+
+
+def _told(table, inst):
+    """``repr`` of ``table(inst)``, or of the ``InvalidActivityError`` it
+    raises."""
     try:
-        want = repr(reference_regions(inst))
+        return repr(table(inst))
     except InvalidActivityError as refused:
-        want = repr(refused)
-    try:
-        got = repr(_claimed(inst))
-    except InvalidActivityError as refused:
-        got = repr(refused)
-    assert got == want
+        return repr(refused)
 
 
 def test_budget_rhs():
-    a = Activity(id="a", s=4.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
-    b = Activity(id="b", s=6.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
-    inst = Instance(activities=(a, b), rho=1.05, m=2, extras=())
+    a = Act(id="a", s=4.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    b = Act(id="b", s=6.0, l=1.0, u=8.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    inst = instance_of((a, b), rho=1.05, m=2, extras=())
     assert inst.budget_rhs == pytest.approx(0.05 * 10.0)
     cut = dataclasses.replace(inst, rho=0.9)
     assert cut.budget_rhs == pytest.approx(-1.0)  # budget cuts are legal
@@ -217,7 +207,7 @@ def test_budget_rhs():
 def _single(**kw):
     base = dict(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
     base.update(kw)
-    return Instance(activities=(Activity(**base),), rho=1.0, m=1, extras=())
+    return instance_of((Act(**base),), rho=1.0, m=1, extras=())
 
 
 @pytest.mark.parametrize(
@@ -233,25 +223,24 @@ def _single(**kw):
 )
 def test_validate_flags_bad_activities(kw, fragment):
     """One list of activity rules: ``validate`` reports each broken rule,
-    and ``compute_regions`` and ``Instance.claims`` refuse it with
-    ``InvalidActivityError`` in the same words."""
+    and ``Instance.claims`` refuses it with ``InvalidActivityError`` in the
+    same words."""
     inst = _single(**kw)
     message = f"activity 'a': {fragment}"
     assert validate(inst).violations == (message,)
-    for table in (lambda: compute_regions(inst.activities[0]), lambda: inst.claims):
-        with pytest.raises(InvalidActivityError) as refused:
-            table()
-        assert str(refused.value) == message
+    with pytest.raises(InvalidActivityError) as refused:
+        inst.claims
+    assert str(refused.value) == message
 
 
 def test_validate_flags_instance_level_problems():
-    a = Activity(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
-    assert any("duplicate" in v for v in validate(Instance((a, a), 1.0, 1, ())).violations)
-    assert any("cardinality" in v for v in validate(Instance((a,), 1.0, 5, ())).violations)
-    assert any("cardinality" in v for v in validate(Instance((a,), 1.0, -1, ())).violations)
-    assert any("rho" in v for v in validate(Instance((a,), -1.0, 1, ())).violations)
+    a = Act(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    assert any("duplicate" in v for v in validate(instance_of((a, a), 1.0, 1, ())).violations)
+    assert any("cardinality" in v for v in validate(instance_of((a,), 1.0, 5, ())).violations)
+    assert any("cardinality" in v for v in validate(instance_of((a,), 1.0, -1, ())).violations)
+    assert any("rho" in v for v in validate(instance_of((a,), -1.0, 1, ())).violations)
     bad_row = LinearConstraint(coeffs=(1.0, 2.0), sense="le", rhs=0.0)
-    assert any("expected 1" in v for v in validate(Instance((a,), 1.0, 1, (bad_row,))).violations)
+    assert any("expected 1" in v for v in validate(instance_of((a,), 1.0, 1, (bad_row,))).violations)
 
 
 def test_validate_accepts_clean_instances(rng):
@@ -274,7 +263,7 @@ _NON_FINITE = (math.nan, math.inf, -math.inf)
 def _broken(rng, inst, breaks):
     """``inst`` with each of ``breaks`` applied, each to a random activity,
     extra row or field where it needs one."""
-    acts, rho, m, extras = list(inst.activities), inst.rho, inst.m, list(inst.extras)
+    acts, rho, m, extras = list(activities(inst)), inst.rho, inst.m, list(inst.extras)
     for kind in breaks:
         i = rng.randrange(len(acts)) if acts else None
         if kind == "no activities":
@@ -303,10 +292,10 @@ def _broken(rng, inst, breaks):
             continue
         elif kind in ("two copies", "three copies"):
             for j in rng.sample(range(len(acts)), min(len(acts), 2 + (kind == "three copies"))):
-                acts[j] = dataclasses.replace(acts[j], id=acts[i].id)
+                acts[j] = acts[j]._replace(id=acts[i].id)
         else:
             a = acts[i]
-            acts[i] = dataclasses.replace(a, **{
+            acts[i] = a._replace(**{
                 "non-finite": {rng.choice(("s", "l", "u", "delta", "theta", "phi", "psi")):
                                rng.choice(_NON_FINITE)},
                 "l > s": {"l": a.s + rng.choice((1e-9, 1.0))},
@@ -314,7 +303,7 @@ def _broken(rng, inst, breaks):
                 "theta > 0": {"theta": rng.choice((1e-300, 2.0))},
                 "delta < 0": {"delta": rng.choice((-1e-300, -1.0))},
             }[kind])
-    return Instance(tuple(acts), rho, m, tuple(extras))
+    return instance_of(acts, rho, m, tuple(extras))
 
 
 @settings(max_examples=300, deadline=None)
@@ -339,9 +328,9 @@ def test_validate_flags_every_non_finite_field(field, value):
     """Each field of the middle activity at NaN or at either infinity:
     ``validate`` reports that activity alone, in the reference's words."""
     inst = random_instance(random.Random(5), 5, with_extras=True)
-    acts = list(inst.activities)
-    acts[2] = dataclasses.replace(acts[2], **{field: value})
-    inst = dataclasses.replace(inst, activities=tuple(acts))
+    acts = list(activities(inst))
+    acts[2] = acts[2]._replace(**{field: value})
+    inst = instance_of(acts, inst.rho, inst.m, inst.extras)
     assert validate(inst).violations == reference_validate(inst) == (
         f"activity {acts[2].id!r}: non-finite field",)
 
@@ -388,19 +377,19 @@ def test_construction_sorts_by_id_and_permutes_rows():
     """Activities are sorted by id, and the coefficients of every extra row
     of matching length follow them; a row of another length is left for
     ``validate`` to flag."""
-    b = Activity(id="b", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
-    a = dataclasses.replace(b, id="a", phi=2.0)
+    b = Act(id="b", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+    a = b._replace(id="a", phi=2.0)
     rows = (LinearConstraint(coeffs=(1.0, 2.0), sense="le", rhs=3.0),
             LinearConstraint(coeffs=(4.0, 5.0), sense="ge", rhs=6.0),
             LinearConstraint(coeffs=(7.0, 8.0, 9.0), sense="le", rhs=1.0))
-    inst = Instance(activities=(b, a), rho=1.0, m=1, extras=rows)
-    assert inst.activities == (a, b)
+    inst = instance_of((b, a), rho=1.0, m=1, extras=rows)
+    assert activities(inst) == (a, b)
     assert inst.extras == (LinearConstraint((2.0, 1.0), "le", 3.0),
                            LinearConstraint((-5.0, -4.0), "le", -6.0),
                            rows[2])
     assert any("expected 2" in v for v in validate(inst).violations)
     # an instance already in id order is kept as given
-    assert Instance(activities=(a, b), rho=1.0, m=1, extras=rows[:1]).extras == rows[:1]
+    assert instance_of((a, b), rho=1.0, m=1, extras=rows[:1]).extras == rows[:1]
 
 
 @pytest.mark.parametrize(
@@ -554,21 +543,61 @@ def test_load_json_takes_integers_as_floats():
     back = load_json(json.dumps(mixed))
     assert back == load_json(json.dumps(floats))
     assert save_json(back) == save_json(load_json(json.dumps(floats)))
-    assert {type(v) for a in back.activities for v in dataclasses.astuple(a)[1:]} == {float}
+    assert back.fields.dtype == np.float64
     assert {type(c) for ex in back.extras for c in ex.coeffs + (ex.rhs,)} == {float}
     assert type(back.rho) is float
 
 
-def test_activity_stores_str_and_float():
-    """Fields given as numpy scalars, ints or bools are stored as a ``str``
-    id and ``float`` numbers; a ``float`` subclass is stored as ``float``."""
-    a = Activity(id=np.str_("a"), s=np.float64(2.5), l=1, u=np.int64(5), delta=True,
-                 theta=np.float32(-1.5), phi=False, psi=np.float64(0.25))
-    assert type(a.id) is str and a.id == "a"
-    assert [type(v) for v in dataclasses.astuple(a)[1:]] == [float] * 7
-    assert dataclasses.astuple(a)[1:] == (2.5, 1.0, 5.0, 1.0, -1.5, 0.0, 0.25)
-    b = Activity(id=3, s=2.5, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
-    assert b.id == "3" and b == Activity("3", 2.5, 1.0, 5.0, 0.5, -1.0, 1.0, 0.0)
+def test_instance_stores_str_and_float():
+    """Ids given as ints or numpy strings are stored as ``str``, fields
+    given as numpy scalars, ints or bools as ``float`` in a float table,
+    ``rho`` as ``float`` and ``m`` as ``int``."""
+    inst = Instance([np.str_("a"), 3], [[np.float64(2.5), 2.5], [1, 1.0], [np.int64(5), 5.0],
+                                        [True, 0.5], [np.float32(-1.5), -1.0], [False, 1.0],
+                                        [np.float64(0.25), 0.0]], np.float64(1.05), np.int64(1))
+    assert inst.ids == ("3", "a") and [type(i) for i in inst.ids] == [str, str]
+    assert inst.fields.dtype == np.float64 and type(inst.rho) is float and type(inst.m) is int
+    assert activities(inst)[1] == ("a", 2.5, 1.0, 5.0, 1.0, -1.5, 0.0, 0.25)
+
+
+_PAIR = (Act("a", 2.0, 1.0, 5.0, 0.5, -1.0, 1.0, 0.0), Act("b", 3.0, 1.0, 5.0, 0.5, -1.0, 2.0, 0.0))
+_ROW = LinearConstraint((1.0, 2.0), "le", 1.0)
+
+
+def _pair(acts=_PAIR, rho=1.05, m=1, extras=(_ROW,)):
+    return instance_of(acts, rho, m, extras)
+
+
+def test_instance_compares_by_value():
+    """Two separate builds of one instance are equal; a change to an id,
+    to any one field, to ``rho``, to ``m`` or to one extra coefficient makes
+    them unequal.  A NaN field is unequal across builds, as a float is, and
+    a -0.0 field equals 0.0."""
+    base = _pair()
+    assert base == _pair() and base.fields is not _pair().fields
+    changed = [_pair(acts=(_PAIR[0]._replace(id="c"), _PAIR[1])), _pair(rho=1.1), _pair(m=2),
+               _pair(extras=(LinearConstraint((1.0, 2.5), "le", 1.0),))]
+    changed += [_pair(acts=(_PAIR[0]._replace(**{k: getattr(_PAIR[0], k) + 0.25}), _PAIR[1]))
+                for k in FIELDS]
+    assert all(base != other and other != base for other in changed)
+    nan = (_PAIR[0]._replace(psi=math.nan), _PAIR[1])
+    assert _pair(acts=nan) != _pair(acts=nan)
+    assert _pair(acts=(_PAIR[0]._replace(psi=-0.0), _PAIR[1])) == base
+
+
+def test_instance_table_is_read_only_and_of_its_shape():
+    """``fields`` is read-only and taken without a copy when it is a
+    C-contiguous float table in id order; a table that is not 7 x n is a
+    ``ValueError``; ``dataclasses.replace`` keeps the table."""
+    table = np.array([[float(k), k + 0.5] for k in range(7)])
+    inst = Instance(("a", "b"), table, 1.05, 1)
+    assert inst.fields is table and not table.flags.writeable
+    with pytest.raises(ValueError):
+        inst.fields[0, 0] = 1.0
+    assert dataclasses.replace(inst, extras=()).fields is table
+    for wrong in (np.zeros((6, 2)), np.zeros((7, 3)), np.zeros((2, 7)), np.zeros(14)):
+        with pytest.raises(ValueError, match="expected a 7 x 2 table"):
+            Instance(("a", "b"), wrong, 1.05, 1)
 
 
 def test_instance_tables_have_one_owner():
@@ -598,8 +627,8 @@ def test_instance_tables_have_one_owner():
 
 
 def test_solution_from_x():
-    a = Activity(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25)
-    inst = Instance(activities=(a,), rho=2.0, m=1, extras=())
+    a = Act(id="a", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25)
+    inst = instance_of((a,), rho=2.0, m=1, extras=())
     sol = Solution.from_x(inst, [1.0], ["R"])
     assert sol.objective == pytest.approx(-1.0 + 4.0 + 0.25)
     assert sol.y == (3.0,)
@@ -628,12 +657,12 @@ def _any_instance(draw):
     """An instance the generator never emits: any ids, in any order and
     repeated, any numbers, ``ge`` rows and rows of another length."""
     n = draw(st.integers(0, 5))
-    acts = [Activity(draw(_IDS), *draw(st.lists(_NUMBERS, min_size=7, max_size=7)))
+    acts = [Act(draw(_IDS), *draw(st.lists(_NUMBERS, min_size=7, max_size=7)))
             for _ in range(n)]
     extras = [LinearConstraint(draw(st.lists(_NUMBERS, min_size=size, max_size=size)),
                                draw(st.sampled_from(["le", "ge"])), draw(_NUMBERS))
               for size in draw(st.lists(st.sampled_from([n, n, n + 1]), max_size=3))]
-    return Instance(acts, draw(_NUMBERS), draw(st.integers(-3, 8)), extras)
+    return instance_of(acts, draw(_NUMBERS), draw(st.integers(-3, 8)), extras)
 
 
 @settings(max_examples=400, deadline=None)
@@ -645,7 +674,7 @@ def test_save_json_writes_the_bytes_of_json_dumps(inst):
     otherwise."""
     blob = save_json(inst)
     assert blob == reference_save_json(inst)
-    numbers = [inst.rho] + [v for a in inst.activities for v in dataclasses.astuple(a)[1:]]
+    numbers = [inst.rho] + [v for a in activities(inst) for v in a[1:]]
     numbers += [v for ex in inst.extras for v in ex.coeffs + (ex.rhs,)]
     if all(map(math.isfinite, numbers)):
         assert load_json(blob) == inst
@@ -654,13 +683,10 @@ def test_save_json_writes_the_bytes_of_json_dumps(inst):
             load_json(blob)
 
 
-def test_paper_cell_pipeline_builds_no_activity(monkeypatch):
+def test_paper_cell_pipeline_builds_no_activity():
     """Generating the paper cell, its JSON round trip, validation, a search
     stopped after the root, the check of its incumbent and both LP exports
-    read the instance's columns: none builds an ``Activity``, and the
-    instances' activity views stay unbuilt."""
-    built = []
-    monkeypatch.setattr(Activity, "__post_init__", lambda a: built.append(a.id))
+    run on the instance's ids and field table."""
     cell = [c for c in paper_cells([500])
             if (c.correlation, c.epsilon, c.xi) == ("weak", 0.1, 0.75)]
     (_, _, made), = batch(cell, 1, 0)
@@ -669,5 +695,3 @@ def test_paper_cell_pipeline_builds_no_activity(monkeypatch):
     res = branch_and_bound(inst, SolveParams(node_limit=0))
     assert res.incumbent is not None and check_minlp_feasible(inst, res.incumbent).ok
     assert all(export_lp(inst, form) for form in ("miqp", "misocp"))
-    assert built == []
-    assert made.activities._acts is None and inst.activities._acts is None

@@ -20,17 +20,18 @@ TESTS = Path(__file__).resolve().parent
 if __name__ == "__main__":  # a checkout runs without installing
     sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
-from mixopt import (Activity, Instance, LinearConstraint, batch, build_miqp, build_misocp,
+from mixopt import (LinearConstraint, batch, build_miqp, build_misocp,
                     export_lp, paper_cells, write_lp)
 from mixopt.lp import _num
 
+from activity_reference import Act, activities, instance_of
 from conftest import random_instance
 from lp_reader import ir_objective, ir_row_activity, parse_lp
 
 
 def _single():
-    act = Activity(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25)
-    return Instance(activities=(act,), rho=2.0, m=1, extras=())
+    act = Act(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25)
+    return instance_of((act,), rho=2.0, m=1, extras=())
 
 
 def test_section_order_and_structure():
@@ -88,7 +89,7 @@ def test_numbers_round_trip_exactly(rng):
         for i, c in enumerate(ex.coeffs):
             if c != 0.0:
                 assert row.expr.lin[f"x_{i}"] == c
-    for i, a in enumerate(inst.activities):
+    for i, a in enumerate(activities(inst)):
         assert parsed.objective.quad[f"x_{i}"] == a.theta
         assert parsed.objective.lin[f"x_{i}"] == a.phi
 
@@ -144,14 +145,14 @@ LP_DIGESTS = TESTS / "data" / "lp_digests.json"
 # baseline, a minimum change of zero (either sign), sides that are single
 # points, spend bounds that are signed zeros, and a linear revenue
 EDGE_ACTIVITIES = (
-    Activity("l_eq_s", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25),
-    Activity("u_eq_s", s=3.0, l=1.0, u=3.0, delta=0.5, theta=-2.0, phi=-1.0, psi=1.0),
-    Activity("delta_zero", s=2.0, l=1.0, u=3.0, delta=0.0, theta=-0.5, phi=1.5, psi=0.0),
-    Activity("delta_neg_zero", s=2.0, l=1.0, u=3.0, delta=-0.0, theta=-0.5, phi=-1.5, psi=2.0),
-    Activity("single_points", s=2.0, l=1.5, u=2.5, delta=0.5, theta=-3.0, phi=0.5, psi=0.5),
-    Activity("theta_zero", s=2.0, l=0.5, u=6.0, delta=0.25, theta=0.0, phi=1.0, psi=0.75),
-    Activity("l_neg_zero", s=0.0, l=-0.0, u=1.0, delta=0.0, theta=-1.0, phi=0.25, psi=0.0),
-    Activity("u_neg_zero", s=0.0, l=-1.0, u=-0.0, delta=-0.0, theta=-1.0, phi=-0.25, psi=0.0),
+    Act("l_eq_s", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.25),
+    Act("u_eq_s", s=3.0, l=1.0, u=3.0, delta=0.5, theta=-2.0, phi=-1.0, psi=1.0),
+    Act("delta_zero", s=2.0, l=1.0, u=3.0, delta=0.0, theta=-0.5, phi=1.5, psi=0.0),
+    Act("delta_neg_zero", s=2.0, l=1.0, u=3.0, delta=-0.0, theta=-0.5, phi=-1.5, psi=2.0),
+    Act("single_points", s=2.0, l=1.5, u=2.5, delta=0.5, theta=-3.0, phi=0.5, psi=0.5),
+    Act("theta_zero", s=2.0, l=0.5, u=6.0, delta=0.25, theta=0.0, phi=1.0, psi=0.75),
+    Act("l_neg_zero", s=0.0, l=-0.0, u=1.0, delta=0.0, theta=-1.0, phi=0.25, psi=0.0),
+    Act("u_neg_zero", s=0.0, l=-1.0, u=-0.0, delta=-0.0, theta=-1.0, phi=-0.25, psi=0.0),
 )
 
 
@@ -162,10 +163,10 @@ def lp_instances():
     m = n."""
     named = [(f"paper_{cell.correlation}_e{cell.epsilon}_x{cell.xi}", inst)
              for cell, _, inst in batch(paper_cells([500]), 1, 0)]
-    named += [(a.id, Instance((a,), rho=1.5, m=1)) for a in EDGE_ACTIVITIES]
+    named += [(a.id, instance_of((a,), rho=1.5, m=1)) for a in EDGE_ACTIVITIES]
     n = len(EDGE_ACTIVITIES)
     extra = LinearConstraint(tuple(float(i % 3 - 1) for i in range(n)), "ge", -2.0)
-    named += [(f"edges_m{m}", Instance(EDGE_ACTIVITIES, rho=1.1, m=m, extras=(extra,)))
+    named += [(f"edges_m{m}", instance_of(EDGE_ACTIVITIES, rho=1.1, m=m, extras=(extra,)))
               for m in (0, n)]
     return named
 

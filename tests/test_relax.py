@@ -25,10 +25,8 @@ from scipy.optimize import linprog, minimize
 
 from mixopt import (
     CORRELATIONS,
-    Activity,
     Cell,
     GenConfig,
-    Instance,
     LinearConstraint,
     NodeState,
     batch,
@@ -43,7 +41,7 @@ from mixopt import bnb, relax
 from mixopt.instance import _region_codes
 from mixopt.relax import _node_dual
 
-from activity_reference import per_activity_argmax, region_bounds
+from activity_reference import Act, activities, instance_of, per_activity_argmax, region_bounds
 from activity_reference import regions as reference_regions
 from bnb_reference import least_row_use
 from conftest import make_activity, random_instance, region_box
@@ -125,7 +123,7 @@ def test_per_activity_argmax_matches_grid_oracle(seed):
     rng = random.Random(seed)
     act = make_activity(0, rng)
     if rng.random() < 0.15:  # exercise the linear-revenue corner too
-        act = dataclasses.replace(act, theta=0.0)
+        act = act._replace(theta=0.0)
     rb = region_bounds(act)
     lam = [rng.uniform(0.0, 3.0)]
     mu = rng.choice([0.0, rng.uniform(0.0, 8.0)])
@@ -151,7 +149,7 @@ def test_per_activity_argmax_matches_grid_oracle(seed):
 
 
 def test_per_activity_worked_examples():
-    act = Activity(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
+    act = Act(id="a", s=1.0, l=1.0, u=4.0, delta=0.5, theta=-1.0, phi=4.0, psi=0.0)
     rb = region_bounds(act)
     assert rb.R == (0.5, 3.0) and rb.L is None
     free = frozenset({"S", "R"})
@@ -172,7 +170,7 @@ def test_per_activity_worked_examples():
     assert v > 0.0  # the dominance gap in miniature
 
     # nonpositive revenue on the whole region: stay wins
-    flat = Activity(id="b", s=2.0, l=2.0, u=7.0, delta=2.0, theta=-1.0, phi=0.0, psi=0.0)
+    flat = Act(id="b", s=2.0, l=2.0, u=7.0, delta=2.0, theta=-1.0, phi=0.0, psi=0.0)
     frb = region_bounds(flat)
     assert frb.R == (2.0, 5.0)
     x, zl, zr, v = per_activity_argmax(flat, frb, frozenset({"S", "R"}), [0.0], 0.0, "miqp")
@@ -229,10 +227,10 @@ def test_dual_value_sums_per_activity_argmax():
                 drawn = [rng.uniform(0.0, 2.0) for _ in range(len(b) + 1)]
                 for mult in (solved, drawn):
                     lam, mu = mult[:-1], mult[-1]
-                    expect = math.fsum(a.psi for a in inst.activities) + mu * inst.m
+                    expect = math.fsum(a.psi for a in activities(inst)) + mu * inst.m
                     for lam_k, b_k in zip(lam, b):
                         expect += lam_k * b_k
-                    for i, (act, rb) in enumerate(zip(inst.activities, reference_regions(inst))):
+                    for i, (act, rb) in enumerate(zip(activities(inst), reference_regions(inst))):
                         col = (1.0,) + tuple(ex.coeffs[i] for ex in inst.extras)
                         expect += per_activity_argmax(act, rb, _regions(state.bits[i]),
                                                       lam, mu, form, coupling=col)[3]
@@ -245,20 +243,19 @@ def _with_edge_activities(inst):
     single-point decrease and raise regions, and add a >= row with a zero
     right-hand side (stored as a <= row with rhs -0.0)."""
     acts = []
-    for i, a in enumerate(inst.activities):
+    for i, a in enumerate(activities(inst)):
         kind = i % 5
         if kind == 0:
-            a = dataclasses.replace(a, theta=0.0)
+            a = a._replace(theta=0.0)
         elif kind == 1:
-            a = dataclasses.replace(a, delta=0.0)
+            a = a._replace(delta=0.0)
         elif kind == 2 and a.l < a.s:
-            a = dataclasses.replace(a, delta=a.s - a.l)  # L = [l - s, l - s]
+            a = a._replace(delta=a.s - a.l)  # L = [l - s, l - s]
         elif kind == 3 and a.s < a.u:
-            a = dataclasses.replace(a, delta=a.u - a.s)  # R = [u - s, u - s]
+            a = a._replace(delta=a.u - a.s)  # R = [u - s, u - s]
         acts.append(a)
     row = LinearConstraint(tuple(1.0 + (i % 7) for i in range(inst.n)), "ge", 0.0)
-    return dataclasses.replace(inst, activities=tuple(acts),
-                               extras=inst.extras + (row,))
+    return instance_of(acts, inst.rho, inst.m, inst.extras + (row,))
 
 
 def _kernel_nodes(inst, rng):
@@ -324,10 +321,10 @@ def test_node_dual_value_matches_the_scalar_loop():
                                        dual.terms.tolist())
                     ref = [per_activity_argmax(act, rb, _regions(bits), lam, mu, form,
                                                coupling=col)
-                           for act, rb, bits, col in zip(inst.activities, reference_regions(inst),
+                           for act, rb, bits, col in zip(activities(inst), reference_regions(inst),
                                                          node.bits.tolist(), cols)]
                     assert repr(list(zip(x, zl, zr, vals))) == repr(ref)
-                    terms = ([a.psi for a in inst.activities] + [mu * inst.m]
+                    terms = ([a.psi for a in activities(inst)] + [mu * inst.m]
                              + [l * r for l, r in zip(lam, b)] + list(vals))
                     want = math.fsum(terms)
                     scale = math.fsum(abs(t) for t in terms)
@@ -448,15 +445,15 @@ def test_all_stay_node_bound_is_exact():
     node = NodeState.root(inst)
     for i in range(inst.n):
         node = node.fix(i, "S")
-    psi_sum = sum(a.psi for a in inst.activities)
+    psi_sum = sum(a.psi for a in activities(inst))
     for form in ("miqp", "persp"):
         res = solve_node_relaxation(inst, node, form)
         assert res.upper_bound == pytest.approx(psi_sum, rel=1e-12)
 
 
 def test_single_activity_loose_budget_bound_is_exact():
-    act = Activity(id="a", s=2.0, l=1.0, u=6.0, delta=0.5, theta=-1.0, phi=3.0, psi=0.75)
-    inst = Instance(activities=(act,), rho=50.0, m=1, extras=())
+    act = Act(id="a", s=2.0, l=1.0, u=6.0, delta=0.5, theta=-1.0, phi=3.0, psi=0.75)
+    inst = instance_of((act,), rho=50.0, m=1, extras=())
     rb = reference_regions(inst)[0]
     x, _, _, v = per_activity_argmax(act, rb, _regions(NodeState.root(inst).bits[0]), [0.0],
                                      0.0, "miqp")
@@ -471,7 +468,7 @@ def test_single_activity_loose_budget_bound_is_exact():
 def test_unconstrained_cardinality_loose_budget_bound():
     rng = random.Random(5)
     acts = tuple(make_activity(i, rng) for i in range(5))
-    inst = Instance(activities=acts, rho=1e6, m=5, extras=())
+    inst = instance_of(acts, rho=1e6, m=5, extras=())
     expect = sum(a.psi for a in acts)
     for a, rb in zip(acts, reference_regions(inst)):
         best = 0.0
@@ -934,9 +931,9 @@ def _scipy_fixed_opt(inst, assignment):
     lp = linprog(c=[0.0] * n, A_ub=rows, b_ub=rhs, bounds=boxes, method="highs")
     if lp.status != 0:
         return None
-    theta = np.array([a.theta for a in inst.activities])
-    phi = np.array([a.phi for a in inst.activities])
-    psi = sum(a.psi for a in inst.activities)
+    theta = np.array([a.theta for a in activities(inst)])
+    phi = np.array([a.phi for a in activities(inst)])
+    psi = sum(a.psi for a in activities(inst))
 
     def neg(v):
         return -(theta @ (v * v) + phi @ v)
@@ -964,9 +961,9 @@ def test_fixed_assignment_matches_scipy(seed):
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(2, 5), with_extras=rng.random() < 0.4)
     if rng.random() < 1.0 / 3.0:  # linear revenue on about 30% of activities
-        acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.3 else a
-                     for a in inst.activities)
-        inst = dataclasses.replace(inst, activities=acts)
+        acts = tuple(a._replace(theta=0.0) if rng.random() < 0.3 else a
+                     for a in activities(inst))
+        inst = instance_of(acts, inst.rho, inst.m, inst.extras)
     assignment = []
     for rb in reference_regions(inst):
         options = ["S"]
@@ -1002,9 +999,9 @@ def test_fixed_assignment_budget_only_is_tight(rng):
 def test_fixed_assignment_infeasible_boxes():
     # two activities forced to increase by 2 against a budget cap of 0.2
     act = dict(l=1.0, u=8.0, delta=2.0, theta=-1.0, phi=5.0, psi=0.0)
-    a = Activity(id="a", s=2.0, **act)
-    b = Activity(id="b", s=2.0, **act)
-    inst = Instance(activities=(a, b), rho=1.05, m=2, extras=())
+    a = Act(id="a", s=2.0, **act)
+    b = Act(id="b", s=2.0, **act)
+    inst = instance_of((a, b), rho=1.05, m=2, extras=())
     out = solve_fixed_assignment(inst, ["R", "R"])
     assert not out.feasible
     assert out.value == -math.inf
@@ -1075,8 +1072,8 @@ def test_fixed_assignment_absent_region_is_infeasible():
     region at all, is infeasible at once, with no point and no bound; one
     of the wrong length is refused."""
     act = dict(s=2.0, l=2.0, u=8.0, delta=1.0, theta=-1.0, phi=5.0, psi=1.0)
-    a, b = Activity(id="a", **act), Activity(id="b", **act)  # no decrease side
-    inst = Instance(activities=(a, b), rho=2.0, m=2, extras=())
+    a, b = Act(id="a", **act), Act(id="b", **act)  # no decrease side
+    inst = instance_of((a, b), rho=2.0, m=2, extras=())
     assert reference_regions(inst)[0].L is None
     for floor in (-math.inf, 0.0):
         for regions in (["L", "S"], ["Q", "S"], ["S", ""], ["RS", ""], [None, "S"]):
@@ -1096,9 +1093,9 @@ def _random_assignment(inst, rng):
 
 def _scaled_revenue(inst, factor):
     """The instance with every revenue coefficient scaled by ``factor``."""
-    acts = tuple(dataclasses.replace(a, theta=a.theta * factor, phi=a.phi * factor,
-                                     psi=a.psi * factor) for a in inst.activities)
-    return dataclasses.replace(inst, activities=acts)
+    acts = tuple(a._replace(theta=a.theta * factor, phi=a.phi * factor, psi=a.psi * factor)
+                 for a in activities(inst))
+    return instance_of(acts, inst.rho, inst.m, inst.extras)
 
 
 # where a floor sits above a leaf's value, relative to max(1, |value|): the
@@ -1515,9 +1512,9 @@ def _seeded_solves(where):
     insts = []
     for k in range(6):
         inst = random_instance(rng, 6, with_extras=k % 2 == 0)
-        acts = tuple(dataclasses.replace(a, theta=0.0) if rng.random() < 0.3 else a
-                     for a in inst.activities)
-        insts.append(dataclasses.replace(inst, activities=acts))
+        acts = tuple(a._replace(theta=0.0) if rng.random() < 0.3 else a
+                     for a in activities(inst))
+        insts.append(instance_of(acts, inst.rho, inst.m, inst.extras))
     for _, _, inst in batch([Cell(c, 8, 0.1, 0.5) for c in CORRELATIONS], 1, 7):
         insts.append(_with_edge_activities(inst))
     for k, inst in enumerate(insts):

@@ -11,16 +11,7 @@ from typing import Tuple
 
 from mixopt import Instance
 
-
-def activity_violations(a) -> Tuple[str, ...]:
-    """The activity rules that ``a`` breaks: finite fields, then
-    ``l <= s <= u``, ``theta <= 0`` and ``delta >= 0``."""
-    if all(map(math.isfinite, (a.s, a.l, a.u, a.delta, a.theta, a.phi, a.psi))):
-        rules = (("l > s", a.l > a.s), ("s > u", a.s > a.u),
-                 ("theta > 0", a.theta > 0), ("delta < 0", a.delta < 0))
-    else:
-        rules = (("non-finite field", True),)
-    return tuple(f"activity {a.id!r}: {name}" for name, broken in rules if broken)
+from activity_reference import activities, activity_violations
 
 
 def validate(inst: Instance) -> Tuple[str, ...]:
@@ -29,7 +20,7 @@ def validate(inst: Instance) -> Tuple[str, ...]:
     if inst.n == 0:
         out.append("instance has no activities")
     seen = set()
-    for a in inst.activities:
+    for a in activities(inst):
         if a.id in seen:
             out.append(f"duplicate activity id {a.id!r}")
         seen.add(a.id)
