@@ -33,10 +33,11 @@ test ends the descent without one).
 
 Reduced-cost fixing, at the root's multipliers and against the prune
 threshold of the incumbent rounded from the root relaxation, as the search
-runs it when it pops the root: ``fix_us`` times the call, ``removed``
-counts the regions it drops and ``fixed`` the activities it leaves with
-one region, of the ``free`` ones (a root it prunes shows every free
-region removed and none fixed).
+runs it when it pops the root: ``fix_us`` times the pricing of the child
+bounds (``_child_bounds``, which branching reads too) and the call,
+``removed`` counts the regions it drops and ``fixed`` the activities it
+leaves with one region, of the ``free`` ones (a root it prunes shows
+every free region removed and none fixed).
 
 The leaf solve, on the assignment the root relaxation rounds to, as the
 search's first rounding solves it: ``full`` with no floor; ``cut`` against
@@ -111,8 +112,9 @@ from mixopt.bnb import (_REGION_ORDER, SolveParams, _branch_index,  # noqa: E402
                         _outcome_to_solution, _prune_threshold, _round_regions,
                         branch_and_bound)
 from mixopt.instance import _CODE_OF  # noqa: E402
-from mixopt.relax import (NodeState, dual_value, fix_by_reduced_cost,  # noqa: E402
-                          solve_fixed_assignment, solve_node_relaxation)
+from mixopt.relax import (NodeState, _child_bounds, dual_value,  # noqa: E402
+                          fix_by_reduced_cost, solve_fixed_assignment,
+                          solve_node_relaxation)
 from run import HostClock  # noqa: E402
 
 SIZES = (12, 16, 20, 24, 30, 48, 64, 100, 500, 1000)
@@ -130,7 +132,7 @@ def _regions_held(bits):
 def _child_targets(inst, root, root_res, form):
     """The first child of the root, and the targets that prune it at its
     warm start and that leave it open."""
-    j = _branch_index(root, root_res)
+    j = _branch_index(root, root_res, _child_bounds(inst, root_res))
     region = next(r for r in _REGION_ORDER if root.bits[j] >> _CODE_OF[r] & 1)
     child = root.fix(j, region).saturate_cardinality(inst.m)
     warm = root_res.multipliers
@@ -366,12 +368,13 @@ def run(argv=None):
         sol = _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
         threshold = _prune_threshold(0.0, sol.objective if sol else -math.inf)
         free = root.free
-        out = fix_by_reduced_cost(inst, root, root_res, threshold)[0]
+        out = fix_by_reduced_cost(root, _child_bounds(inst, root_res), threshold)[0]
         left = _regions_held(out.bits if out is not None else np.zeros_like(root.bits))
         fixed = int((left[free] == 1).sum())
         removed = int((_regions_held(root.bits) - left)[free].sum())
-        took = per_call_us(lambda: fix_by_reduced_cost(inst, root, root_res, threshold),
-                           args.calls, args.repeats, clock)
+        took = per_call_us(
+            lambda: fix_by_reduced_cost(root, _child_bounds(inst, root_res), threshold),
+            args.calls, args.repeats, clock)
         print(f"{inst.n:5d} {form:>5} {free.sum():5d} {fixed:5d} {removed:7d} {took:9.1f}",
               flush=True)
 

@@ -903,10 +903,10 @@ def _child_bounds(inst: Instance, res: RelaxResult) -> np.ndarray:
     return np.vstack((base, base + w))
 
 
-def fix_by_reduced_cost(inst: Instance, node: NodeState, res: RelaxResult,
-                        threshold: float) -> Tuple[Optional[NodeState], float]:
+def fix_by_reduced_cost(node: NodeState, bounds: np.ndarray, threshold: float,
+                        ) -> Tuple[Optional[NodeState], float]:
     """Drop every open region of a free activity whose child bound
-    (``_child_bounds``) is at or below ``threshold``.
+    (``bounds``, the node's ``_child_bounds``) is at or below ``threshold``.
 
     Use the incumbent's prune threshold: a dropped region holds no
     assignment above it, exactly as a pruned node does.  Returns the node
@@ -918,7 +918,6 @@ def fix_by_reduced_cost(inst: Instance, node: NodeState, res: RelaxResult,
     if threshold == -_INF:
         return node, -_INF
     bits = node.bits
-    bounds = _child_bounds(inst, res)
     above = bounds > threshold
     keep = above[0] | (above[1] << 1) | (above[2] << 2)
     left = np.where(node.free, bits & keep, bits)

@@ -47,21 +47,30 @@ def round_regions(inst: Instance, node: NodeState, res: RelaxResult,
     return tuple(regions)
 
 
-def branch_index(node: NodeState, res: RelaxResult) -> int:
-    """Most fractional activation of the chosen option; lowest index breaks
-    ties.
+def branch_index(node: NodeState, res: RelaxResult, bounds) -> int:
+    """The product rule on the child bounds ``bounds`` (row ``code``,
+    column ``i``) at a fractional point; the lowest free index at an
+    integral one.
 
-    Falls back to the lowest-index free activity when the relaxation point
-    is already integral.
+    A point is fractional when some free activity has
+    ``min(z, 1 - z) > 1e-12``.  There each free activity scores the
+    product, over its open regions in code order, of the node bound less
+    the child bound, floored at ``1e-9 * max(1, |node bound|)``, and the
+    first activity with the top score wins.
     """
     free = [i for i, f in enumerate(node.free.tolist()) if f]
-    best_i, best_frac = free[0], -1.0
+    if all(min(float(res.z[i]), 1.0 - float(res.z[i])) <= 1e-12 for i in free):
+        return free[0]
+    ub = float(res.upper_bound)
+    floor = 1e-9 * max(1.0, abs(ub))
+    best_i, best_score = free[0], -math.inf
     for i in free:
-        z = float(res.z[i])
-        frac = min(z, 1.0 - z)
-        if frac > best_frac + 1e-12:
-            best_frac = frac
-            best_i = i
+        score = 1.0
+        for code in range(3):
+            if node.bits[i] >> code & 1:
+                score *= max(ub - float(bounds[code][i]), floor)
+        if score > best_score:
+            best_i, best_score = i, score
     return best_i
 
 

@@ -380,11 +380,11 @@ def test_solve_does_not_depend_on_blas_threads():
 # incumbent rounding
 
 
-def _relax_point(inst, z, best):
+def _relax_point(inst, z, best, upper_bound=math.inf):
     """A relaxation whose pricing chose options ``best`` (0 stay, 1 decrease,
     2 raise) at activations ``z``."""
     return RelaxResult(
-        upper_bound=math.inf,
+        upper_bound=upper_bound,
         multipliers=(0.0,) * (2 + len(inst.extras)),
         converged=True,
         values=np.zeros(inst.n),
@@ -552,30 +552,29 @@ def test_floor_cuts_leaf_descents_and_keeps_the_search(monkeypatch):
     """Leaves are solved against the incumbent's value: on the strong
     n = 30 desk case with the budget row only, miqp, node limit 60, as
     benchmarked, the search ends as it did when every leaf was solved in
-    full, to the last bit, while only 3 of its 63 leaf solves reach a
-    descent (61 did)."""
+    full, to the last bit, while only 6 of its 35 leaf solves reach a
+    descent (26 did)."""
     inst = dataclasses.replace(
         generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
     calls = _leaf_descents(monkeypatch)
     out = branch_and_bound(inst, SolveParams(formulation="miqp", node_limit=60))
     assert repr((out.status, out.objective, out.upper_bound, out.nodes, out.gap)) == repr(
-        ("node-limit", 196.41045634110043, 197.2433879809493, 60, 0.004240770350853172))
-    assert len(calls) == 63
-    assert sum(len(window) for window, _ in calls) == 3
+        ("optimal", 196.4913595232, 196.4913595232, 51, 0.0))
+    assert len(calls) == 35
+    assert sum(len(window) for window, _ in calls) == 6
 
 
 @pytest.mark.parametrize("form, want, newton, searches", [
-    ("miqp", ("node-limit", 196.41045634110043, 197.2433879809493, 60,
-              0.004240770350853172), 119, 35),
+    ("miqp", ("optimal", 196.4913595232, 196.4913595232, 51, 0.0), 66, 17),
     ("persp", ("optimal", 196.4913595232, 196.4913595232, 9, 0.0), 24, 12)])
 def test_full_newton_steps_skip_line_searches(form, want, newton, searches,
                                               monkeypatch):
     """Node descents keep a full Newton step whose point passes the KKT
     test without a line search: on the strong n = 30 desk case with the
     budget row only, node limit 60, as benchmarked, the search ends as it
-    did when every step ran one, to the last bit (miqp at the node limit,
-    persp optimal at 9 nodes), and takes the same node Newton steps; miqp
-    runs 35 node line searches (119 did), persp 12 as before."""
+    did when every step ran one, to the last bit (miqp optimal at 51
+    nodes, persp at 9), and takes the same node Newton steps; miqp runs 17
+    node line searches (66 did), persp 12 as before."""
     inst = dataclasses.replace(
         generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
     counts = {"newton": 0, "search": 0}  # on node duals: three options
@@ -595,6 +594,19 @@ def test_full_newton_steps_skip_line_searches(form, want, newton, searches,
     assert repr((out.status, out.objective, out.upper_bound, out.nodes, out.gap)) == repr(
         want)
     assert counts == {"newton": newton, "search": searches}
+
+
+def test_product_branching_closes_the_strong_miqp_case():
+    """Branching a fractional node on the product of its children's
+    Lagrangian drops proves the strong n = 30 desk case with the budget
+    row only, miqp, within the benchmarked 60 nodes (the most fractional
+    activation stopped there with a gap of 4.2e-3), at the persp
+    optimum."""
+    inst = dataclasses.replace(
+        generate(GenConfig("strong", 30, 0.1, 0.5, 7442128715089956104)), extras=())
+    out = branch_and_bound(inst, SolveParams(formulation="miqp", node_limit=60))
+    assert (out.status, out.nodes) == ("optimal", 51)
+    assert out.objective == branch_and_bound(inst, SolveParams(formulation="persp")).objective
 
 
 def test_pooled_rays_close_the_infeasible_leaves(monkeypatch):
@@ -713,8 +725,8 @@ def test_search_with_fixing_matches_brute_force(n, monkeypatch):
     dropped = []
     fix_by_reduced_cost = bnb.fix_by_reduced_cost
 
-    def fix(inst, node, res, threshold):
-        out = fix_by_reduced_cost(inst, node, res, threshold)
+    def fix(node, bounds, threshold):
+        out = fix_by_reduced_cost(node, bounds, threshold)
         dropped.append(out[0] is not node)
         return out
 
@@ -778,34 +790,55 @@ def _grid_node(rng, n, integral, jitter):
     """A node with random region sets, and a point whose chosen options'
     activations lie on a 1/8 grid (on 0 and 1 only when ``integral``); an
     activity that chose to stay has activation 0.  With ``jitter`` each
-    nonzero activation is raised by 0 or 4e-13 at random: fractions then
-    tie within 1e-12 without a chain of them reaching further."""
+    nonzero activation is lowered by 0, 5e-13 or 5e-12 at random: on an
+    integral point, its fraction then lies on either side of the 1e-12
+    margin past which a point is fractional."""
     bits = np.array([rng.choice((1, 2, 4, 3, 5, 7)) for _ in range(n)], np.int8)
     z, best = [], []
     for _ in range(n):
         option = rng.choice((0, 1, 2))
         eighths = 0 if option == 0 else 8 if integral else rng.randint(0, 8)
-        z.append(eighths and eighths / 8 + jitter * rng.choice((0.0, 4e-13)))
+        z.append(eighths and eighths / 8 - jitter * rng.choice((0.0, 5e-13, 5e-12)))
         best.append(option)
     return NodeState(bits), z, best
+
+
+def _grid_bounds(rng, node):
+    """A node bound and child bounds below it by drops on a grid that the
+    node bound scales: drops of 0 and below, and all of them at the node
+    bound 2.5e9, fall to the 1e-9 floor, and products of the others tie
+    often.  Entries of regions the node does not hold are NaN or a drop
+    larger than any held one, and mean nothing."""
+    ub = rng.choice((0.0, 7.5, -40.0, 2.5e9))
+    bounds = np.empty((3, node.bits.size))
+    for i, bits in enumerate(node.bits.tolist()):
+        for code in range(3):
+            drops = (-0.25, 0.0, 0.5, 1.0, 2.0) if bits >> code & 1 else (np.nan, 1e3)
+            bounds[code, i] = ub - rng.choice(drops)
+    return ub, bounds
 
 
 def test_vectorised_rules_match_the_scalar_reference():
     """``_round_regions`` and ``_branch_index`` pick what the scalar loops
     of ``bnb_reference`` pick, on random nodes and points whose chosen
-    options' activations lie on a 1/8 grid: exact ties between activities,
-    activations of exactly 0.5, movers to both sides, more movers than the
-    cap leaves room for, activities fixed to a side, integral points, and
-    fractions apart by less than the 1e-12 tie margin all occur."""
+    options' activations lie on a 1/8 grid, with child bounds on a grid
+    (``_grid_bounds``): exact ties between activities, activations of
+    exactly 0.5, movers to both sides, more movers than the cap leaves room
+    for, activities fixed to a side, fractional and integral points,
+    points whose largest fraction lies just within and just past the 1e-12
+    margin, equal top branching scores, drops at the 1e-9 floor and free
+    activities with a closed region all occur."""
     rng = random.Random(14)
     insts = {n: random_instance(rng, n) for n in range(1, 10)}
-    seen = dict(tie=0, sides=0, half=0, capped=0, fixed=0, integral=0, margin=0)
+    seen = dict(tie=0, sides=0, half=0, capped=0, fixed=0, integral=0, margin=0,
+                past_margin=0, fractional=0, equal=0, floor=0, closed=0)
     for trial in range(3000):
         n = rng.randint(1, 9)
         inst = dataclasses.replace(insts[n], m=rng.randint(0, n))
-        integral, jitter = trial % 5 == 0, trial % 5 == 1
+        integral, jitter = trial % 5 < 2, trial % 5 == 1
         node, z, best = _grid_node(rng, n, integral, jitter)
-        res = _relax_point(inst, z, best)
+        ub, bounds = _grid_bounds(rng, node)
+        res = _relax_point(inst, z, best, ub)
         assert _round_regions(inst, node, res) == bnb_reference.round_regions(inst, node, res)
         free = np.flatnonzero(node.free).tolist()
         movers = [(z[i], best[i]) for i in free if z[i] > 0.5]
@@ -816,10 +849,21 @@ def test_vectorised_rules_match_the_scalar_reference():
         seen["fixed"] += node.fixed_nonzero > 0
         if free:
             frac = [min(z[i], 1.0 - z[i]) for i in free]
-            top = [f for f in frac if f >= max(frac) - 1e-12]
-            seen["margin"] += len(set(top)) > 1
-            seen["integral"] += integral
-            assert bnb._branch_index(node, res) == bnb_reference.branch_index(node, res)
+            seen["margin"] += 0.0 < max(frac) <= 1e-12
+            seen["past_margin"] += 1e-12 < max(frac) < 1e-9
+            if max(frac) > 1e-12:
+                floor = 1e-9 * max(1.0, abs(ub))
+                drops = [[ub - bounds[code, i] for code in range(3)
+                          if node.bits[i] >> code & 1] for i in free]
+                scores = [math.prod(max(d, floor) for d in held) for held in drops]
+                seen["fractional"] += 1
+                seen["equal"] += scores.count(max(scores)) > 1
+                seen["floor"] += any(d <= floor for held in drops for d in held)
+                seen["closed"] += any(node.bits[i] in (3, 5, 6) for i in free)
+            else:
+                seen["integral"] += 1
+            assert bnb._branch_index(node, res, bounds) == bnb_reference.branch_index(
+                node, res, bounds)
     assert all(seen.values()), seen
 
 

@@ -816,7 +816,7 @@ def test_fix_by_reduced_cost_drops_what_the_child_bounds_say():
                                  if r in model[i] and bounds[row, i] <= threshold]
                         model[i] = frozenset(r for row, r in enumerate("SLR")
                                              if r in model[i] and bounds[row, i] > threshold)
-                    out, dropped = relax.fix_by_reduced_cost(inst, node, res, threshold)
+                    out, dropped = relax.fix_by_reduced_cost(node, bounds, threshold)
                     assert dropped == max(gone)
                     if not all(model):
                         assert out is None
