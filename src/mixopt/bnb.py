@@ -56,6 +56,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -90,8 +91,11 @@ class SolveParams:
             raise ValueError(f"gap_tol must be a nonnegative number, got {self.gap_tol}")
         if not self.time_limit >= 0.0:
             raise ValueError(f"time_limit must be a nonnegative number, got {self.time_limit}")
-        if self.node_limit is not None and self.node_limit < 0:
-            raise ValueError(f"node_limit must be nonnegative, got {self.node_limit}")
+        limit = self.node_limit
+        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, numbers.Integral)):
+            raise ValueError(f"node_limit must be an integer or None, got {limit!r}")
+        if limit is not None and limit < 0:
+            raise ValueError(f"node_limit must be nonnegative, got {limit}")
 
 
 @dataclass
@@ -203,9 +207,10 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
     module docstring).  A search stopped by a limit reports the last popped
     bound (the root's, before any pop), which no open node's bound exceeds;
     an exhausted one reports the incumbent's value and what leaves closed
-    inexactly leave over.  The status is ``optimal`` whenever that bound is
-    within the gap tolerance of the incumbent: a limit status (``time-limit``,
-    ``node-limit``) is reported only while a gap remains.
+    inexactly leave over.  The status is ``optimal`` whenever there is an
+    incumbent and that bound is within the gap tolerance of it: a limit
+    status (``time-limit``, ``node-limit``) is reported only while a gap
+    remains.
 
     ``params.time_limit`` is checked once per popped node, so a solve
     overruns it by at most the root's relaxation and rounding, or one
@@ -331,7 +336,7 @@ def branch_and_bound(inst: Instance, params: Optional[SolveParams] = None,
 
     ub = max(inc_val, residual_ub, last_popped_bound if stopped else -_INF)
     gap = _INF if inc_sol is None else max(0.0, ub - inc_val) / max(1.0, abs(inc_val))
-    status = ("optimal" if gap <= max(params.gap_tol, 1e-9)
+    status = ("optimal" if inc_sol is not None and gap <= max(params.gap_tol, 1e-9)
               else stopped or ("infeasible" if inc_sol is None else "gap-limit"))
     return SolveResult(status, inc_sol, None if inc_sol is None else inc_val,
                        -_INF if status == "infeasible" else ub, gap, nodes,

@@ -49,10 +49,6 @@ class BenchRecord:
         return getattr(self.persp, field) / getattr(self.miqp, field)
 
 
-def _norm_form(name: str) -> str:
-    return PERSPECTIVE if name in ("persp", "misocp") else MIQP
-
-
 def _fmt(x) -> str:
     return "" if x is None else str(x)
 
@@ -136,7 +132,7 @@ _EXIT_BY_STATUS = {"optimal": 0, "gap-limit": 0, "time-limit": 2,
 
 def _cmd_solve(args) -> int:
     inst = _load_instance(Path(args.instance))
-    res = branch_and_bound(inst, _solve_params(args, _norm_form(args.form)))
+    res = branch_and_bound(inst, _solve_params(args, args.form))
     payload = {"status": res.status, "objective": res.objective, "bound": res.upper_bound,
                "gap": res.gap, "nodes": res.nodes, "time_s": res.wall_time}
     for key, value in payload.items():
@@ -361,7 +357,7 @@ def pareto_svg(points: Sequence[Dict[str, object]]) -> str:
 def _cmd_sweep(args) -> int:
     inst = _load_instance(Path(args.instance))
     try:
-        points = pareto_sweep(inst, _solve_params(args, _norm_form(args.form)),
+        points = pareto_sweep(inst, _solve_params(args, args.form),
                               args.m or None)
     except (ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -408,9 +404,8 @@ def _cmd_export(args) -> int:
 
 
 def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", default="persp",
-                   choices=["miqp", "persp", "misocp"],
-                   help="bounding formulation (misocp is an alias for persp)")
+    p.add_argument("--form", default=PERSPECTIVE, choices=[MIQP, PERSPECTIVE],
+                   help="bounding formulation")
     p.add_argument("--time-limit", type=float, default=100.0)
     p.add_argument("--gap-tol", type=float, default=0.0)
     p.add_argument("--node-limit", type=int, default=None)

@@ -107,8 +107,9 @@ def generate(cfg: GenConfig) -> Instance:
     delta = _round_half_up(cfg.epsilon * s, 100)
     zeta = float(_round_half_up(rng.uniform(0.90, 1.00), 100))
     eta = float(_round_half_up(rng.uniform(1.00, 1.10), 100))
-    extras = (LinearConstraint(tuple(tau.tolist()), "le", (zeta - 1.0) * float(np.dot(tau, s))),
-              LinearConstraint(tuple(gamma.tolist()), "ge", (eta - 1.0) * float(np.dot(gamma, s))))
+    # the gamma row, gamma @ x >= (eta - 1) gamma @ s, as its <= form
+    extras = (LinearConstraint(tau, (zeta - 1.0) * float(np.dot(tau, s))),
+              LinearConstraint(-gamma, -((eta - 1.0) * float(np.dot(gamma, s)))))
     m = int(_round_half_up(cfg.xi * cfg.n, 1))
     fields = np.array([s, l, up, delta, theta, phi, psi])
     return Instance([f"a{i:05d}" for i in range(cfg.n)], fields, cfg.rho, m, extras)

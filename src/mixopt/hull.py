@@ -120,8 +120,8 @@ def _core_rows(inst: Instance) -> Tuple[list, list]:
     for k, ex in enumerate(inst.extras):
         rows.append(LinearRow(
             f"extra_{k}",
-            tuple((f"x_{i}", c) for i, c in enumerate(ex.coeffs) if c != 0.0),
-            ex.sense, ex.rhs))
+            tuple((f"x_{i}", c) for i, c in enumerate(ex.coeffs.tolist()) if c != 0.0),
+            "le", ex.rhs))
     return variables, rows
 
 
@@ -237,7 +237,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Va
         rows, revenues = (inst.coupling[0][1:] * x).tolist(), _revenues(inst, x).tolist()
     for k, (ex, row) in enumerate(zip(inst.extras, rows)):
         activity = _fsum(row)
-        if not activity <= ex.rhs + tol:  # ``Instance`` stores every row as ``le``
+        if not activity <= ex.rhs + tol:
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = _fsum(revenues)
     if not abs(obj - sol.objective) <= tol * (1.0 + abs(obj)):

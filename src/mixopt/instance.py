@@ -2,9 +2,10 @@
 
 An instance is a set of marketing activities with baseline spends, per-activity
 spend bounds, a minimum magnitude for any nonzero change, quadratic revenue
-curves, a relative budget cap, optional extra linear constraints, and a cap on
-how many activities may change at all.  Each activity's change variable lives
-in one of three regions: decrease (L), stay at zero (S), or raise (R).
+curves, a relative budget cap, optional extra linear rows ``coeffs @ x <= rhs``
+(a ``>=`` row exists only in instance files), and a cap on how many activities
+may change at all.  Each activity's change variable lives in one of three
+regions: decrease (L), stay at zero (S), or raise (R).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter, neg
+from operator import itemgetter
 from typing import Dict, Literal, Optional, Tuple, Union
 
 import numpy as np
@@ -32,18 +33,9 @@ class InstanceError(Exception):
 class ParseError(InstanceError):
     """Malformed JSON or a field of the wrong type."""
 
-    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
-        super().__init__(message)
-        self.line = line
-        self.col = col
-
 
 class SchemaError(InstanceError):
     """A required field is missing or an unknown field is present."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(message)
-        self.field = field_name
 
 
 class InvalidActivityError(InstanceError):
@@ -75,27 +67,29 @@ def _activity_violations(name: str, fields: Sequence[float]) -> Tuple[str, ...]:
     return tuple(f"activity {name!r}: {rule}" for rule, broken in rules if broken)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearConstraint:
-    """A linear row over the change variables, ``coeffs @ x (le|ge) rhs``.
+    """A linear row over the change variables, ``coeffs @ x <= rhs``.
 
-    Coefficients are positional and aligned with the instance's activity
-    order.
+    ``coeffs`` is the row's own read-only float copy, positional and aligned
+    with the instance's activity order.  Rows compare by value.
     """
 
-    coeffs: Tuple[float, ...]
-    sense: Literal["le", "ge"]
+    coeffs: np.ndarray
     rhs: float
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
+        coeffs = np.array(self.coeffs, float)
+        if coeffs.ndim != 1:
+            raise ValueError(f"coeffs: expected a row of numbers, got shape {coeffs.shape}")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "rhs", float(self.rhs))
 
-    def normalized(self) -> "LinearConstraint":
-        """Return the equivalent <= form."""
-        if self.sense == "le":
-            return self
-        return LinearConstraint(tuple(map(neg, self.coeffs)), "le", -self.rhs)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearConstraint):
+            return NotImplemented
+        return self.rhs == other.rhs and np.array_equal(self.coeffs, other.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +104,10 @@ class Instance:
     concave revenue response ``theta*x^2 + phi*x + psi``.  The budget
     right-hand side is derived from ``rho``: total change must not exceed
     ``(rho - 1) * sum(s)``.  At most ``m`` activities may change.
-    Construction canonicalizes: activities are sorted by id (extra-row
-    coefficients are permuted to match) and >= extras are normalized to <=.
-    Instances compare by value; a NaN field is unequal, as a float is.
+    Construction sorts the activities by id and permutes the coefficients
+    of the extra rows to match; a table that is not 7 x n, or a row whose
+    coefficients are not n, is a ``ValueError``.  Instances compare by
+    value; a NaN field is unequal, as a float is.
     """
 
     ids: Tuple[str, ...]
@@ -125,15 +120,18 @@ class Instance:
         ids, fields = tuple(map(str, self.ids)), np.ascontiguousarray(self.fields, float)
         if fields.shape != (7, len(ids)):
             raise ValueError(f"fields: expected a 7 x {len(ids)} table, got shape {fields.shape}")
-        order, extras = sorted(range(len(ids)), key=ids.__getitem__), self.extras
-        if order != list(range(len(ids))):  # a row of another length is left as it is
-            extras = tuple(LinearConstraint(tuple(ex.coeffs[i] for i in order), ex.sense, ex.rhs)
-                           if len(ex.coeffs) == len(ids) else ex for ex in self.extras)
+        extras = tuple(self.extras)
+        for k, ex in enumerate(extras):
+            if ex.coeffs.size != len(ids):
+                raise ValueError(_ROW_LENGTH.format(k, len(ids), ex.coeffs.size))
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        if order != list(range(len(ids))):
+            extras = tuple(LinearConstraint(ex.coeffs[order], ex.rhs) for ex in extras)
             ids, fields = tuple(map(ids.__getitem__, order)), fields[:, order]
         fields.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "extras", tuple(ex.normalized() for ex in extras))
+        object.__setattr__(self, "extras", extras)
         object.__setattr__(self, "rho", float(self.rho))
         object.__setattr__(self, "m", int(self.m))
 
@@ -197,13 +195,8 @@ class Instance:
     @cached_property
     def coupling(self) -> Tuple[np.ndarray, np.ndarray]:
         """The coupling rows ``A x <= b``, budget first, as read-only
-        arrays ``(A, b)``.  An extra row of another length than ``n`` is an
-        ``InvalidInstanceError`` in ``validate``'s words."""
-        A = np.ones((1 + len(self.extras), self.n))
-        for k, ex in enumerate(self.extras):
-            if len(ex.coeffs) != self.n:
-                raise InvalidInstanceError(_ROW_LENGTH.format(k, self.n, len(ex.coeffs)))
-            A[k + 1] = ex.coeffs
+        arrays ``(A, b)``."""
+        A = np.vstack((np.ones(self.n), *(ex.coeffs for ex in self.extras)))
         b = np.array([self.budget_rhs] + [ex.rhs for ex in self.extras])
         A.flags.writeable = b.flags.writeable = False
         return A, b
@@ -283,9 +276,7 @@ def validate(inst: Instance) -> ValidationReport:
     elif inst.m > n:
         out.append("cardinality cap exceeds activity count")
     for k, ex in enumerate(inst.extras):
-        if len(ex.coeffs) != n:
-            out.append(_ROW_LENGTH.format(k, n, len(ex.coeffs)))
-        if not np.isfinite(np.fromiter(ex.coeffs + (ex.rhs,), float)).all():
+        if not (np.isfinite(ex.coeffs).all() and math.isfinite(ex.rhs)):
             out.append(f"extra {k}: non-finite coefficient or rhs")
     return ValidationReport(tuple(out))
 
@@ -295,6 +286,7 @@ def validate(inst: Instance) -> ValidationReport:
 #   {"rho": number, "m": integer,
 #    "activities": [{"id","s","l","u","delta","theta","phi","psi"}...],
 #    "extras": [{"coeffs": [number...], "sense": "le"|"ge", "rhs": number}...]}
+# A "ge" row loads as its negated <= row, and every row is written "le".
 # Canonical output sorts activities by id, keeps keys in schema order and
 # prints numbers with shortest round-trip decimals.
 
@@ -307,16 +299,16 @@ _WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's non-fi
 # ``json.dumps(doc, indent=2)`` of the document, of one activity and of one extra row
 _DOC_JSON = '{\n  "rho": %s,\n  "m": %s,\n  "activities": %s,\n  "extras": %s\n}\n'
 _ACT_JSON = "{\n" + ",\n".join(f'      "{k}": %s' for k in _ACT_KEYS) + "\n    }"
-_EXTRA_JSON = '{\n      "coeffs": %s,\n      "sense": %s,\n      "rhs": %s\n    }'
+_EXTRA_JSON = '{\n      "coeffs": %s,\n      "sense": "le",\n      "rhs": %s\n    }'
 
 
 def _require_keys(doc: dict, keys: Sequence[str], ctx: str) -> None:
     for k in keys:
         if k not in doc:
-            raise SchemaError(k, f"{ctx}: missing field {k!r}")
+            raise SchemaError(f"{ctx}: missing field {k!r}")
     for k in doc:
         if k not in keys:
-            raise SchemaError(k, f"{ctx}: unknown field {k!r}")
+            raise SchemaError(f"{ctx}: unknown field {k!r}")
 
 
 def _finite_numbers(values: list) -> Optional[np.ndarray]:
@@ -369,8 +361,7 @@ def load_json(data: Union[str, bytes]) -> Instance:
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg} (line {e.lineno} column {e.colno})",
-                         line=e.lineno, col=e.colno) from e
+        raise ParseError(f"invalid JSON: {e.msg} (line {e.lineno} column {e.colno})") from e
     except ValueError as e:  # not UTF-8, or an integer of too many digits
         raise ParseError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -396,13 +387,16 @@ def load_json(data: Union[str, bytes]) -> Instance:
         _require_keys(ed, _EXTRA_KEYS, ctx)
         if not isinstance(ed["coeffs"], list):
             raise ParseError(f"{ctx}.coeffs: expected an array")
-        coeffs = ed["coeffs"]
-        if _finite_numbers(coeffs) is None:
-            coeffs = [_num(c, f"{ctx}.coeffs[{j}]") for j, c in enumerate(coeffs)]
-        sense = ed["sense"]
-        if sense not in ("le", "ge"):
+        coeffs = _finite_numbers(ed["coeffs"])
+        if coeffs is None:
+            coeffs = np.array([_num(c, f"{ctx}.coeffs[{j}]") for j, c in enumerate(ed["coeffs"])])
+        if coeffs.size != len(ids):
+            raise ParseError(f"{ctx}.coeffs: " + _ROW_LENGTH.format(k, len(ids), coeffs.size))
+        if ed["sense"] not in ("le", "ge"):
             raise ParseError(f"{ctx}.sense: expected 'le' or 'ge'")
-        extras.append(LinearConstraint(tuple(coeffs), sense, _num(ed["rhs"], f"{ctx}.rhs")))
+        rhs = _num(ed["rhs"], f"{ctx}.rhs")
+        extras.append(LinearConstraint(-coeffs, -rhs) if ed["sense"] == "ge"
+                      else LinearConstraint(coeffs, rhs))
 
     return Instance(ids, fields, rho, m, tuple(extras))
 
@@ -426,8 +420,7 @@ def save_json(inst: Instance) -> bytes:
     n, words = inst.n, _json_numbers(inst.fields.ravel().tolist())
     fields = (words[k * n:(k + 1) * n] for k in range(7))
     acts = list(map(_ACT_JSON.__mod__, zip(map(encode_basestring_ascii, inst.ids), *fields)))
-    extras = [_EXTRA_JSON % (_json_array(_json_numbers(ex.coeffs), 8),
-                             encode_basestring_ascii(ex.sense), *_json_numbers([ex.rhs]))
-              for ex in inst.extras]
+    extras = [_EXTRA_JSON % (_json_array(_json_numbers(ex.coeffs.tolist()), 8),
+                             *_json_numbers([ex.rhs])) for ex in inst.extras]
     return (_DOC_JSON % (*_json_numbers([inst.rho]), int.__repr__(inst.m),
                          _json_array(acts, 4), _json_array(extras, 4))).encode("utf-8")

@@ -85,7 +85,7 @@ def least_row_use(inst: Instance, node: NodeState) -> List[Tuple[float, float]]:
     point of the node meets it.
     """
     rows = [((1.0,) * inst.n, inst.budget_rhs)]
-    rows += [(ex.coeffs, ex.rhs) for ex in inst.extras]
+    rows += [(ex.coeffs.tolist(), ex.rhs) for ex in inst.extras]
     out = []
     for coeffs, rhs in rows:
         total = 0.0

@@ -52,9 +52,10 @@ def random_instance(rng, n, *, m=None, rho=None, with_extras=False):
         eta = rng.uniform(1.00, 1.10)
         tau_rhs = (zeta - 1.0) * sum(t * a.s for t, a in zip(taus, acts))
         gamma_rhs = (eta - 1.0) * sum(g * a.s for g, a in zip(gammas, acts))
+        # the gamma row, gammas @ x >= gamma_rhs, as its <= form
         extras = (
-            LinearConstraint(coeffs=tuple(taus), sense="le", rhs=tau_rhs),
-            LinearConstraint(coeffs=tuple(gammas), sense="ge", rhs=gamma_rhs),
+            LinearConstraint(coeffs=taus, rhs=tau_rhs),
+            LinearConstraint(coeffs=[-g for g in gammas], rhs=-gamma_rhs),
         )
     return instance_of(acts, rho=rho, m=m, extras=extras)
 

@@ -69,7 +69,7 @@ def check_minlp_feasible(inst: Instance, sol: Solution, tol: float = 1e-8) -> Tu
     if nonzero > inst.m:
         out.append(f"cardinality exceeded: {nonzero} > {inst.m}")
     for k, ex in enumerate(inst.extras):
-        activity = exact_sum(c * v for c, v in zip(ex.coeffs, sol.x))
+        activity = exact_sum(c * v for c, v in zip(ex.coeffs.tolist(), sol.x))
         if not activity <= ex.rhs + tol:
             out.append(f"extra {k} violated: {activity} > {ex.rhs}")
     obj = objective_value(inst, sol.x)

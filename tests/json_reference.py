@@ -18,6 +18,6 @@ KEYS = ("id", "s", "l", "u", "delta", "theta", "phi", "psi")
 def save_json(inst: Instance) -> bytes:
     doc = {"rho": inst.rho, "m": inst.m,
            "activities": [{k: getattr(a, k) for k in KEYS} for a in activities(inst)],
-           "extras": [{"coeffs": list(ex.coeffs), "sense": ex.sense, "rhs": ex.rhs}
+           "extras": [{"coeffs": ex.coeffs.tolist(), "sense": "le", "rhs": ex.rhs}
                       for ex in inst.extras]}
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")

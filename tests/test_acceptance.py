@@ -178,10 +178,10 @@ def test_criterion_5_generator():
     t0 = time.perf_counter()
     cfg = GenConfig(correlation="strong", n=10_000, epsilon=0.1, xi=0.75, seed=BASE_SEED)
     inst = generate(cfg)
-    gammas = tuple(-c for c in inst.extras[1].coeffs)
+    gammas = tuple(-c for c in inst.extras[1].coeffs.tolist())
     identity_bad = 0
     support_bad = 0
-    for a, tau, gamma in zip(activities(inst), inst.extras[0].coeffs, gammas):
+    for a, tau, gamma in zip(activities(inst), inst.extras[0].coeffs.tolist(), gammas):
         c = (tau + gamma) / 2.0
         if not (a.theta == -(c + 1.0) and a.phi == c + 1.0 and a.psi == a.phi
                 and a.theta + a.phi == 0.0):

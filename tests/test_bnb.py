@@ -182,6 +182,28 @@ def test_solve_params_refuse_a_nan_or_negative_limit(field, value):
         SolveParams(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, True, "3", 2.0])
+def test_solve_params_refuse_a_node_limit_that_is_no_integer(value):
+    """A node limit is an integer or None: a fraction would stop a search
+    one node past its floor, and a bool or a string is no count."""
+    with pytest.raises(ValueError) as refused:
+        SolveParams(node_limit=value)
+    assert str(refused.value) == f"node_limit must be an integer or None, got {value!r}"
+    assert SolveParams(node_limit=np.int64(3)).node_limit == 3
+
+
+def test_no_gap_tolerance_makes_a_solve_without_an_incumbent_optimal():
+    """Without an incumbent the gap is inf, which no gap tolerance closes,
+    not even an infinite one: weak n = 4, epsilon 0.1, xi 0.75, seed 3 is
+    infeasible at the root under every tolerance."""
+    inst = generate(GenConfig("weak", 4, 0.1, 0.75, 3))
+    for tol in (0.0, 1e300, math.inf):
+        res = branch_and_bound(inst, SolveParams(gap_tol=tol))
+        assert (res.status, res.incumbent, res.objective, res.nodes) == (
+            "infeasible", None, None, 0)
+        assert res.upper_bound == -math.inf and not res.ok
+
+
 def test_gap_tol_contract(two_symmetric):
     for tol in (0.5, 2.0):
         res = branch_and_bound(two_symmetric, SolveParams(formulation="miqp", gap_tol=tol))

@@ -108,26 +108,33 @@ def test_solve_reports_and_exit_zero(tmp_path, capsys):
 
 
 def test_solve_forms_agree(tmp_path, capsys):
+    """Both formulations solve to the same optimum, and ``--form`` takes
+    no other name: ``misocp`` is refused as an invalid choice."""
     out, rows = _gen(tmp_path)
     path = str(out / rows[0]["path"])
     values = {}
-    for form in ("miqp", "persp", "misocp"):
+    for form in ("miqp", "persp"):
         assert main(["solve", path, "--form", form]) == 0
         values[form] = float(_solve_fields(capsys.readouterr().out)["objective"])
     assert values["persp"] == pytest.approx(values["miqp"], rel=1e-6)
-    assert values["misocp"] == values["persp"]
+    with pytest.raises(SystemExit) as refused:
+        main(["solve", path, "--form", "misocp"])
+    assert refused.value.code == 2 and "invalid choice: 'misocp'" in capsys.readouterr().err
 
 
-def test_solve_misocp_alias_bounds_as_persp(tmp_path, capsys):
-    """``--form misocp`` is persp: at the root of an instance where the two
-    forms' bounds differ, it reports persp's bound."""
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_solver_commands_refuse_the_misocp_alias(tmp_path, capsys, monkeypatch, command):
+    """The solver commands take ``--form miqp|persp``, as ``SolveParams``
+    does: ``misocp`` is a usage error before any solve (``export`` keeps
+    it, as the name of the LP form)."""
     path = tmp_path / "inst.json"
     path.write_bytes(save_json(generate(GenConfig("weak", 12, 0.1, 0.5, 3))))
-    bounds = {}
-    for form in ("miqp", "persp", "misocp"):
-        main(["solve", str(path), "--form", form, "--node-limit", "0"])
-        bounds[form] = _solve_fields(capsys.readouterr().out)["bound"]
-    assert bounds["misocp"] == bounds["persp"] != bounds["miqp"]
+    solves = []
+    monkeypatch.setattr(cli, "branch_and_bound", lambda *args: solves.append(args))
+    with pytest.raises(SystemExit) as refused:
+        main([command, str(path), "--form", "misocp"])
+    assert refused.value.code == 2 and not solves
+    assert "invalid choice: 'misocp'" in capsys.readouterr().err
 
 
 def test_fmt_spells_floats_by_repr():
@@ -184,6 +191,9 @@ def test_solve_exit_codes(tmp_path, capsys, rng, two_symmetric):
     assert main(["solve", str(dest), "--json", str(report)]) == 3
     fields = _solve_fields(capsys.readouterr().out)
     assert (fields["status"], fields["bound"], fields["gap"]) == ("infeasible", "-inf", "inf")
+    # no gap tolerance makes a solve without an incumbent optimal
+    assert main(["solve", str(dest), "--gap-tol", "inf"]) == 3
+    assert _solve_fields(capsys.readouterr().out)["status"] == "infeasible"
     blob = _strict_json(report)
     assert (blob["status"], blob["objective"], blob["bound"], blob["gap"]) == (
         "infeasible", None, None, None)

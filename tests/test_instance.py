@@ -239,8 +239,9 @@ def test_validate_flags_instance_level_problems():
     assert any("cardinality" in v for v in validate(instance_of((a,), 1.0, 5, ())).violations)
     assert any("cardinality" in v for v in validate(instance_of((a,), 1.0, -1, ())).violations)
     assert any("rho" in v for v in validate(instance_of((a,), -1.0, 1, ())).violations)
-    bad_row = LinearConstraint(coeffs=(1.0, 2.0), sense="le", rhs=0.0)
-    assert any("expected 1" in v for v in validate(instance_of((a,), 1.0, 1, (bad_row,))).violations)
+    bad_row = LinearConstraint(coeffs=(math.nan,), rhs=0.0)
+    assert validate(instance_of((a,), 1.0, 1, (bad_row,))).violations == (
+        "extra 0: non-finite coefficient or rhs",)
 
 
 def test_validate_accepts_clean_instances(rng):
@@ -255,8 +256,8 @@ def test_zero_delta_is_valid():
 
 # the ways ``_broken`` breaks an instance, one rule each
 BREAKS = ("non-finite", "l > s", "s > u", "theta > 0", "delta < 0", "two copies",
-          "three copies", "rho", "m < 0", "m > n", "no activities", "short row",
-          "long row", "non-finite coefficient", "non-finite rhs")
+          "three copies", "rho", "m < 0", "m > n", "no activities",
+          "non-finite coefficient", "non-finite rhs")
 _NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
@@ -266,28 +267,24 @@ def _broken(rng, inst, breaks):
     acts, rho, m, extras = list(activities(inst)), inst.rho, inst.m, list(inst.extras)
     for kind in breaks:
         i = rng.randrange(len(acts)) if acts else None
-        if kind == "no activities":
-            acts = []
+        if kind == "no activities":  # and no coefficients
+            acts, extras = [], [LinearConstraint((), ex.rhs) for ex in extras]
         elif kind == "rho":
             rho = rng.choice((0.0, -1.0) + _NON_FINITE)
         elif kind == "m < 0":
             m = -rng.randint(1, 3)
         elif kind == "m > n":
             m = len(acts) + rng.randint(1, 3)
-        elif kind in ("short row", "long row", "non-finite coefficient", "non-finite rhs"):
+        elif kind in ("non-finite coefficient", "non-finite rhs"):
             k = rng.randrange(len(extras)) if extras else None
             if k is None:
                 continue
-            coeffs, rhs = list(extras[k].coeffs), extras[k].rhs
-            if kind == "short row":
-                coeffs = coeffs[:-1]
-            elif kind == "long row":
-                coeffs.append(rng.uniform(1.0, 10.0))
-            elif kind == "non-finite rhs":
+            coeffs, rhs = extras[k].coeffs.tolist(), extras[k].rhs
+            if kind == "non-finite rhs":
                 rhs = rng.choice(_NON_FINITE)
             elif coeffs:
                 coeffs[rng.randrange(len(coeffs))] = rng.choice(_NON_FINITE)
-            extras[k] = LinearConstraint(tuple(coeffs), "le", rhs)
+            extras[k] = LinearConstraint(coeffs, rhs)
         elif i is None:
             continue
         elif kind in ("two copies", "three copies"):
@@ -314,8 +311,8 @@ def test_validate_matches_the_loop_reference(seed, breaks):
     on random instances (n from 0 to 8, with and without the two extra rows)
     broken in up to four ways at once: non-finite fields, each activity
     rule, two or three copies of one id, a bad ``rho``, ``m`` below 0 or
-    above n, no activities, and extra rows of the wrong length or with a
-    non-finite coefficient or right-hand side."""
+    above n, no activities, and extra rows with a non-finite coefficient or
+    right-hand side."""
     rng = random.Random(seed)
     inst = random_instance(rng, rng.randint(1, 8), with_extras=rng.random() < 0.7)
     inst = _broken(rng, inst, breaks)
@@ -365,29 +362,75 @@ def test_load_json_accepts_str_and_bytes(rng):
     assert load_json(blob) == inst
 
 
-def test_ge_extra_normalized_to_le(rng):
-    inst = random_instance(rng, 4, with_extras=True)
-    # construction normalizes every row to <= form
-    assert all(row.sense == "le" for row in inst.extras)
-    ge = LinearConstraint(coeffs=(1.0, -2.0), sense="ge", rhs=3.0)
-    assert ge.normalized() == LinearConstraint(coeffs=(-1.0, 2.0), sense="le", rhs=-3.0)
+# a two-activity document, out of id order, whose one extra row is >=
+_GE_DOC = json.dumps({
+    "rho": 1.05, "m": 1,
+    "activities": [dict(id=i, s=s, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
+                   for i, s in (("b", 2.0), ("a", 3))],
+    "extras": [{"coeffs": [1, -2.5], "sense": "ge", "rhs": 0.0}]})
+
+
+def test_a_ge_row_loads_as_its_le_row():
+    """A ``ge`` row of a file loads as the ``<=`` row with its coefficients
+    and right-hand side negated (in id order; 0.0 becomes -0.0), and is
+    written back as ``"le"`` with those numbers."""
+    inst = load_json(_GE_DOC)
+    assert inst.extras == (LinearConstraint((2.5, -1.0), 0.0),)
+    assert math.copysign(1.0, inst.extras[0].rhs) == -1.0
+    blob = save_json(inst)
+    assert blob.endswith(b'  "extras": [\n    {\n      "coeffs": [\n        2.5,\n'
+                         b'        -1.0\n      ],\n      "sense": "le",\n      "rhs": -0.0\n'
+                         b'    }\n  ]\n}\n')
+    assert load_json(blob) == inst and save_json(load_json(blob)) == blob
+
+
+def test_a_row_is_its_own_read_only_copy_and_compares_by_value():
+    """``LinearConstraint`` copies its coefficients into a read-only float
+    array and its ``rhs`` into a float; rows compare by coefficients and
+    ``rhs``; coefficients that are not one row are a ``ValueError``."""
+    given = np.array([1.0, 2.0])
+    row = LinearConstraint(given, 3)
+    given[0] = 5.0
+    assert row.coeffs.tolist() == [1.0, 2.0] and row.coeffs.dtype == np.float64
+    assert type(row.rhs) is float and not row.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        row.coeffs[0] = 0.0
+    assert row == LinearConstraint((1, 2), 3.0) and row != LinearConstraint((1.0, 2.0), 4.0)
+    assert row != LinearConstraint((1.0, 2.5), 3.0) and row != LinearConstraint((1.0,), 3.0)
+    assert [f.name for f in dataclasses.fields(LinearConstraint)] == ["coeffs", "rhs"]
+    with pytest.raises(ValueError, match=r"expected a row of numbers, got shape \(1, 2\)"):
+        LinearConstraint([[1.0, 2.0]], 0.0)
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 2.0, 3.0), (1.0,)])
+def test_a_row_of_another_length_is_refused_at_construction(coeffs):
+    """An extra row whose length is not the activity count is a
+    ``ValueError`` when the instance is built, and a ``ParseError`` naming
+    the row's coefficients when ``load_json`` reads it."""
+    act = dict(s=5.0, l=1.0, u=10.0, delta=1.0, theta=-1.0, phi=4.0, psi=0.0)
+    message = f"extra 0: expected 2 coefficients, got {len(coeffs)}"
+    with pytest.raises(ValueError) as refused:
+        instance_of((Act("a", **act), Act("b", **act)), rho=1.05, m=1,
+                    extras=(LinearConstraint(coeffs, 1.0),))
+    assert str(refused.value) == message
+    doc = json.loads(_GE_DOC)
+    doc["extras"][0]["coeffs"] = list(coeffs)
+    with pytest.raises(ParseError) as refused:
+        load_json(json.dumps(doc))
+    assert str(refused.value) == "extras[0].coeffs: " + message
 
 
 def test_construction_sorts_by_id_and_permutes_rows():
     """Activities are sorted by id, and the coefficients of every extra row
-    of matching length follow them; a row of another length is left for
-    ``validate`` to flag."""
+    follow them."""
     b = Act(id="b", s=2.0, l=1.0, u=5.0, delta=0.5, theta=-1.0, phi=1.0, psi=0.0)
     a = b._replace(id="a", phi=2.0)
-    rows = (LinearConstraint(coeffs=(1.0, 2.0), sense="le", rhs=3.0),
-            LinearConstraint(coeffs=(4.0, 5.0), sense="ge", rhs=6.0),
-            LinearConstraint(coeffs=(7.0, 8.0, 9.0), sense="le", rhs=1.0))
+    rows = (LinearConstraint(coeffs=(1.0, 2.0), rhs=3.0),
+            LinearConstraint(coeffs=(-4.0, -5.0), rhs=-6.0))
     inst = instance_of((b, a), rho=1.0, m=1, extras=rows)
     assert activities(inst) == (a, b)
-    assert inst.extras == (LinearConstraint((2.0, 1.0), "le", 3.0),
-                           LinearConstraint((-5.0, -4.0), "le", -6.0),
-                           rows[2])
-    assert any("expected 2" in v for v in validate(inst).violations)
+    assert inst.extras == (LinearConstraint((2.0, 1.0), 3.0),
+                           LinearConstraint((-5.0, -4.0), -6.0))
     # an instance already in id order is kept as given
     assert instance_of((a, b), rho=1.0, m=1, extras=rows[:1]).extras == rows[:1]
 
@@ -450,6 +493,8 @@ _FIELDS = ("s", "l", "u", "delta", "theta", "phi", "psi")
      "extras[0].coeffs[0]: expected a number, got NoneType"),
     ({"extras[0].sense": "eq"}, ParseError, "extras[0].sense: expected 'le' or 'ge'"),
     ({"extras[0].rhs": math.nan}, ParseError, "extras[0].rhs: expected a finite number"),
+    ({"extras[0].coeffs": [1.0, 2.0]}, ParseError,
+     "extras[0].coeffs: extra 0: expected 1 coefficients, got 2"),
 ])
 def test_load_json_error_messages(changes, exc, message):
     """Each refusal of ``load_json`` has its type and exact message; an
@@ -544,7 +589,7 @@ def test_load_json_takes_integers_as_floats():
     assert back == load_json(json.dumps(floats))
     assert save_json(back) == save_json(load_json(json.dumps(floats)))
     assert back.fields.dtype == np.float64
-    assert {type(c) for ex in back.extras for c in ex.coeffs + (ex.rhs,)} == {float}
+    assert all(ex.coeffs.dtype == np.float64 and type(ex.rhs) is float for ex in back.extras)
     assert type(back.rho) is float
 
 
@@ -561,7 +606,7 @@ def test_instance_stores_str_and_float():
 
 
 _PAIR = (Act("a", 2.0, 1.0, 5.0, 0.5, -1.0, 1.0, 0.0), Act("b", 3.0, 1.0, 5.0, 0.5, -1.0, 2.0, 0.0))
-_ROW = LinearConstraint((1.0, 2.0), "le", 1.0)
+_ROW = LinearConstraint((1.0, 2.0), 1.0)
 
 
 def _pair(acts=_PAIR, rho=1.05, m=1, extras=(_ROW,)):
@@ -576,7 +621,7 @@ def test_instance_compares_by_value():
     base = _pair()
     assert base == _pair() and base.fields is not _pair().fields
     changed = [_pair(acts=(_PAIR[0]._replace(id="c"), _PAIR[1])), _pair(rho=1.1), _pair(m=2),
-               _pair(extras=(LinearConstraint((1.0, 2.5), "le", 1.0),))]
+               _pair(extras=(LinearConstraint((1.0, 2.5), 1.0),))]
     changed += [_pair(acts=(_PAIR[0]._replace(**{k: getattr(_PAIR[0], k) + 0.25}), _PAIR[1]))
                 for k in FIELDS]
     assert all(base != other and other != base for other in changed)
@@ -655,13 +700,12 @@ _NUMBERS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf
 @st.composite
 def _any_instance(draw):
     """An instance the generator never emits: any ids, in any order and
-    repeated, any numbers, ``ge`` rows and rows of another length."""
+    repeated, and any numbers."""
     n = draw(st.integers(0, 5))
     acts = [Act(draw(_IDS), *draw(st.lists(_NUMBERS, min_size=7, max_size=7)))
             for _ in range(n)]
-    extras = [LinearConstraint(draw(st.lists(_NUMBERS, min_size=size, max_size=size)),
-                               draw(st.sampled_from(["le", "ge"])), draw(_NUMBERS))
-              for size in draw(st.lists(st.sampled_from([n, n, n + 1]), max_size=3))]
+    extras = [LinearConstraint(draw(st.lists(_NUMBERS, min_size=n, max_size=n)), draw(_NUMBERS))
+              for _ in range(draw(st.integers(0, 3)))]
     return instance_of(acts, draw(_NUMBERS), draw(st.integers(-3, 8)), extras)
 
 
@@ -675,7 +719,7 @@ def test_save_json_writes_the_bytes_of_json_dumps(inst):
     blob = save_json(inst)
     assert blob == reference_save_json(inst)
     numbers = [inst.rho] + [v for a in activities(inst) for v in a[1:]]
-    numbers += [v for ex in inst.extras for v in ex.coeffs + (ex.rhs,)]
+    numbers += [v for ex in inst.extras for v in ex.coeffs.tolist() + [ex.rhs]]
     if all(map(math.isfinite, numbers)):
         assert load_json(blob) == inst
     else:

@@ -86,7 +86,7 @@ def test_numbers_round_trip_exactly(rng):
     for k, ex in enumerate(inst.extras):
         row = parsed.row(f"extra_{k}")
         assert row.rhs == ex.rhs
-        for i, c in enumerate(ex.coeffs):
+        for i, c in enumerate(ex.coeffs.tolist()):
             if c != 0.0:
                 assert row.expr.lin[f"x_{i}"] == c
     for i, a in enumerate(activities(inst)):
@@ -165,7 +165,7 @@ def lp_instances():
              for cell, _, inst in batch(paper_cells([500]), 1, 0)]
     named += [(a.id, instance_of((a,), rho=1.5, m=1)) for a in EDGE_ACTIVITIES]
     n = len(EDGE_ACTIVITIES)
-    extra = LinearConstraint(tuple(float(i % 3 - 1) for i in range(n)), "ge", -2.0)
+    extra = LinearConstraint([-float(i % 3 - 1) for i in range(n)], 2.0)  # a >= -2 row
     named += [(f"edges_m{m}", instance_of(EDGE_ACTIVITIES, rho=1.1, m=m, extras=(extra,)))
               for m in (0, n)]
     return named

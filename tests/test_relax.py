@@ -231,7 +231,7 @@ def test_dual_value_sums_per_activity_argmax():
                     for lam_k, b_k in zip(lam, b):
                         expect += lam_k * b_k
                     for i, (act, rb) in enumerate(zip(activities(inst), reference_regions(inst))):
-                        col = (1.0,) + tuple(ex.coeffs[i] for ex in inst.extras)
+                        col = (1.0,) + tuple(ex.coeffs.item(i) for ex in inst.extras)
                         expect += per_activity_argmax(act, rb, _regions(state.bits[i]),
                                                       lam, mu, form, coupling=col)[3]
                     got = dual_value(inst, state, form, mult)
@@ -254,7 +254,7 @@ def _with_edge_activities(inst):
         elif kind == 3 and a.s < a.u:
             a = a._replace(delta=a.u - a.s)  # R = [u - s, u - s]
         acts.append(a)
-    row = LinearConstraint(tuple(1.0 + (i % 7) for i in range(inst.n)), "ge", 0.0)
+    row = LinearConstraint([-1.0 - (i % 7) for i in range(inst.n)], -0.0)  # a >= 0 row
     return instance_of(acts, inst.rho, inst.m, inst.extras + (row,))
 
 
@@ -299,7 +299,7 @@ def test_node_dual_value_matches_the_scalar_loop():
     for inst in insts:
         K = 1 + len(inst.extras)
         b = (inst.budget_rhs,) + tuple(ex.rhs for ex in inst.extras)
-        cols = [(1.0,) + tuple(ex.coeffs[i] for ex in inst.extras) for i in range(inst.n)]
+        cols = [(1.0,) + tuple(ex.coeffs.item(i) for ex in inst.extras) for i in range(inst.n)]
         for node in (_kernel_nodes(inst, rng) if 0 < inst.m < inst.n
                      else [NodeState.root(inst)]):
             for form in ("miqp", "persp"):
@@ -559,7 +559,7 @@ def _hull_lp_feasible(inst, node):
         else:
             A_eq.append(row)
             b_eq.append(1.0)
-    coupling = [((1.0,) * n, inst.budget_rhs)] + [(ex.coeffs, ex.rhs) for ex in inst.extras]
+    coupling = [((1.0,) * n, inst.budget_rhs)] + [(ex.coeffs.tolist(), ex.rhs) for ex in inst.extras]
     for coeffs, rhs in coupling:
         A_ub.append(np.concatenate((coeffs, coeffs, np.zeros(2 * n))))
         b_ub.append(rhs)
@@ -926,7 +926,7 @@ def _scipy_fixed_opt(inst, assignment):
             return None
         boxes.append(iv)
     n = inst.n
-    rows = [[1.0] * n] + [list(ex.coeffs) for ex in inst.extras]
+    rows = [[1.0] * n] + [ex.coeffs.tolist() for ex in inst.extras]
     rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
     lp = linprog(c=[0.0] * n, A_ub=rows, b_ub=rhs, bounds=boxes, method="highs")
     if lp.status != 0:
@@ -1162,7 +1162,7 @@ def test_floor_cuts_only_leaves_that_cannot_beat_it():
 def _leaf_lp_feasible(inst, regions):
     """HiGHS on the leaf's boxes and coupling rows."""
     bounds = [region_box(rb, r) for rb, r in zip(reference_regions(inst), regions)]
-    rows = [(1.0,) * inst.n] + [ex.coeffs for ex in inst.extras]
+    rows = [(1.0,) * inst.n] + [ex.coeffs.tolist() for ex in inst.extras]
     rhs = [inst.budget_rhs] + [ex.rhs for ex in inst.extras]
     lp = linprog(np.zeros(inst.n), A_ub=np.array(rows), b_ub=rhs, bounds=bounds,
                  method="highs")
@@ -1353,7 +1353,7 @@ def test_unit_rays_close_exactly_the_rows_out_of_reach(monkeypatch):
     insts = []
     for _, _, inst in batch(cells, 1, 11):
         lowered = tuple(dataclasses.replace(
-            ex, rhs=ex.rhs - rng.uniform(0.0, 0.3) * sum(map(abs, ex.coeffs)))
+            ex, rhs=ex.rhs - rng.uniform(0.0, 0.3) * sum(map(abs, ex.coeffs.tolist())))
             for ex in inst.extras)
         insts += [inst, dataclasses.replace(inst, extras=lowered),
                   dataclasses.replace(inst, extras=())]
