@@ -19,12 +19,12 @@ row and grown by the rays its node and leaf descents find, and every child
 and leaf is tested along the whole pool in one pass before it descends
 (the ``rays`` of ``solve_node_relaxation`` and ``solve_fixed_assignment``);
 one whose dual falls along a ray is closed by the first such ray, without
-a descent.  A dual falls along a row's unit ray when that row is out of
-reach activity by activity, beyond rounding, so this one test closes
-those children too.  Roundings and
-leaves are solved against the incumbent's value as a floor, with the
-multipliers of the node they come from (``solve_fixed_assignment``'s
-``floor`` and ``multipliers``): a leaf whose dual value falls below the
+a descent.  A dual falls along a row's unit ray when that row is out of reach activity
+by activity, beyond rounding, so this one test closes those children too.
+Roundings and leaves are solved from the multipliers of the node they come
+from, against the incumbent's value as a floor
+(``solve_fixed_assignment``'s ``multipliers`` and ``floor``): a leaf whose
+dual value at zero, at that start or along its descent falls below the
 floor is cut without its full solve, as it could neither be admitted nor
 raise the bound.  Roundings and leaves go through the feasibility checker
 only when they would beat the incumbent.

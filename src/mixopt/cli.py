@@ -180,15 +180,12 @@ def _median(values: List[float]) -> Optional[float]:
 
 def _summary_rows(records: List[BenchRecord]) -> List[List[str]]:
     groups: List[Tuple[str, str, List[BenchRecord]]] = [("all", "all", records)]
-    for attr, label in (("corr", "corr"), ("n", "n"), ("eps", "eps"),
-                        ("xi", "xi")):
+    for attr in ("corr", "n", "eps", "xi"):
         for v in dict.fromkeys(getattr(rec, attr) for rec in records):
-            groups.append((label, f"{v:g}" if isinstance(v, float) else str(v),
+            groups.append((attr, f"{v:g}" if isinstance(v, float) else str(v),
                            [r for r in records if getattr(r, attr) == v]))
     rows = []
-    for label, value, recs in groups:
-        if not recs:
-            continue
+    for label, value, recs in groups:  # each holds a record: ``records`` is not empty
         gaps_m = _median([r.miqp.gap for r in recs if r.miqp is not None])
         gaps_p = _median([r.persp.gap for r in recs if r.persp is not None])
         tr = _median([r.ratio("wall_time") for r in recs])
@@ -224,16 +221,14 @@ def _cmd_bench(args) -> int:
         else:
             rec.miqp = branch_and_bound(inst, _solve_params(args, MIQP))
             rec.persp = branch_and_bound(inst, _solve_params(args, PERSPECTIVE))
-        writer.writerow(_bench_row(key, MIQP, rec.miqp))
-        writer.writerow(_bench_row(key, PERSPECTIVE, rec.persp))
+        writer.writerows(_bench_row(key, form, getattr(rec, form)) for form in (MIQP, PERSPECTIVE))
         records.append(rec)
 
     if records:
         buf.write("\n# medians per group (ratio base: miqp)\n")
         writer.writerow(["group", "value", "instances", "gap_miqp",
                          "gap_persp", "time_ratio", "node_ratio"])
-        for row in _summary_rows(records):
-            writer.writerow(row)
+        writer.writerows(_summary_rows(records))
     text = buf.getvalue()
     if args.out:
         Path(args.out).write_text(text)
@@ -403,9 +398,10 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--form", default=PERSPECTIVE, choices=[MIQP, PERSPECTIVE],
-                   help="bounding formulation")
+def _add_common_solver_flags(p: argparse.ArgumentParser, form: bool = True) -> None:
+    if form:  # ``bench`` solves both
+        p.add_argument("--form", default=PERSPECTIVE, choices=[MIQP, PERSPECTIVE],
+                       help="bounding formulation")
     p.add_argument("--time-limit", type=float, default=100.0)
     p.add_argument("--gap-tol", type=float, default=0.0)
     p.add_argument("--node-limit", type=int, default=None)
@@ -442,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run both formulations over a manifest")
     p.add_argument("manifest")
-    _add_common_solver_flags(p)
+    _add_common_solver_flags(p, form=False)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_bench)
 

@@ -51,8 +51,8 @@ The line search (``_exact_step``) probes the directional derivative with
 each activity at its least-use option among those level with its best: a
 masked minimum over the options where only the sign matters, a strict
 ``<`` over them in order (the first of equal uses) where the rate does.
-Its candidate points and probe order stay fixed, because the search tree
-hangs on the last bit of each step.
+The search tree hangs on the last bit of each step, so its candidate points
+and its closed form stay fixed; the probe order only finds the piece.
 """
 
 from __future__ import annotations
@@ -386,7 +386,9 @@ def _exact_step(dual, y, d, c, t_max):
     A probe for the slope alone takes each activity's least row use among
     its options level with the best (a masked minimum); one for the rate
     too picks that option, the first of equal uses, by a strict ``<`` over
-    the options in order.  The probe order is fixed: the bits hang on it.
+    the options in order.  The slope changes sign once over the sorted
+    points: the bits hang on the point sets and the closed form, not on the
+    probe order.
     """
     K, quad, curv, lo, hi, lin = dual.K, dual.quad, dual.curv, dual.lo, dual.hi, dual.lin
     s = d[:K] @ dual.A + dual.kappa * d[K]
@@ -975,19 +977,20 @@ def _box_qp_max(leaf, lo, hi, goal=-_INF, multipliers=None, rays=()):
     """Maximize ``sum theta*x^2 + phi*x`` over ``lo <= x <= hi``, ``A x <= b``.
 
     ``leaf`` is the problem's ``_leaf_dual``, which the solve shares and
-    does not change, and ``lo`` and ``hi`` are numpy.  The dual with these
-    boxes is minimised by ``_descend`` from zero.  Returns a
-    ``FixedOutcome`` in the leaf's own value.  ``bound`` is the dual value
-    at the final multipliers, a valid upper bound whatever happened; when
-    the KKT residual of ``x`` falls to ``1e-12*(1 + max|b|)`` the two agree
-    to that order.  If the method stalls first, ``x`` is returned as it
-    stands when it meets every row within ``1e-9*(1 + |b|)``; otherwise
-    ``x`` is None and ``value`` -inf, and ``bound`` still holds.
+    does not change, and ``lo`` and ``hi`` are numpy.  ``_descend``
+    minimises the dual with these boxes from ``multipliers`` (one per row of
+    ``A``), with 0 for the empty activation row, or from zero without them.
+    Returns a ``FixedOutcome`` in the leaf's own value.  ``bound`` is the
+    dual value at the final multipliers, a valid upper bound whatever
+    happened; when the KKT residual of ``x`` falls to ``1e-12*(1 + max|b|)``
+    the two agree to that order.  If the method stalls first, ``x`` is
+    returned as it stands when it meets every row within ``1e-9*(1 + |b|)``;
+    otherwise ``x`` is None and ``value`` -inf, and ``bound`` still holds.
 
     The tests run in this order, each ending the solve:
-    - the floor: the dual value at ``multipliers`` (one per row of ``A``),
-      then at zero, is at or below ``goal``, so by weak duality the leaf
-      cannot beat ``goal``;
+    - the floor, given ``multipliers`` and a finite ``goal``: the dual value
+      at zero is at or below ``goal``, so the leaf cannot beat ``goal``;
+    - the start: the dual value there is at or below ``goal``;
     - the pooled ``rays`` (Farkas rays found on other duals over the same
       rows, each with one entry per row and one for the activation row):
       the first along which this dual falls without bound
@@ -999,16 +1002,16 @@ def _box_qp_max(leaf, lo, hi, goal=-_INF, multipliers=None, rays=()):
     A solve cut at ``goal`` returns no point, with the dual value it ended
     at as its bound, and stays ``feasible``.  An infeasible one has bound
     -inf and carries its ray.  A solve that is not cut follows the
-    iterates of the unfloored one bit for bit.
+    iterates of the unfloored one from the same multipliers bit for bit.
     """
     theta, phi, A, b = leaf.theta, leaf.phi, leaf.A, leaf.e[:-1]
     dual = leaf.with_costs(leaf.off)
     dual.lo, dual.hi = lo[None], hi[None]
-    if multipliers is not None and goal > -_INF:
-        at = dual.value(np.append(multipliers, 0.0))[0]
-        if at <= goal:
-            return FixedOutcome(None, -_INF, at, True)
     y = np.zeros(len(A) + 1)
+    if multipliers is not None:
+        if goal > -_INF and dual.value(y)[0] <= goal:
+            return FixedOutcome(None, -_INF, dual.f, True)
+        y = np.append(multipliers, 0.0)
     dual.value(y)
     y, bound, end = _descend(dual, y, goal, rays)
     if end == "ray":
@@ -1041,20 +1044,21 @@ def solve_fixed_assignment(inst: Instance, assignment: Sequence[Region], *,
     ``floor`` is the value to beat (the incumbent's), and ``multipliers`` a
     node's ``RelaxResult.multipliers``, whose row entries (all but the last,
     cardinality, one) price the leaf's rows: a vector of another length is
-    a ``ValueError``, and negative entries count as 0, where the cut is
-    valid.  The solve stops once the leaf
-    provably cannot beat the floor by more than rounding: when its dual
-    value, at those multipliers, at zero or along the descent, falls to
-    ``floor - 1e-9*max(1, |floor|)`` (as ``bnb._prune_threshold`` allows
-    for nodes).  Such a cut outcome has no point and a bound at or below
-    that level, and stays ``feasible``; the floor only rises in a search,
-    so it stays below every later floor.  ``rays`` are Farkas rays found
-    on other leaves (``FixedOutcome.ray``) or nodes (``RelaxResult.ray``)
-    of the instance, or a coupling row's unit ray (1 for the row, 0 for
-    the others and the cardinality), which closes a leaf whose boxes miss
-    that row; they are tested after the floor and before the descent, and
-    a node's cardinality entry prices the leaf's empty row.  The defaults
-    solve every leaf in full.
+    a ``ValueError``, and negative entries count as 0.  The descent starts
+    there, with 0 for the empty activation row, or at zero without them.
+    The solve stops once the leaf provably cannot beat the floor by more
+    than rounding: when its dual value at zero (priced first, given
+    multipliers and a finite floor), at the start or along the descent
+    falls to ``floor - 1e-9*max(1, |floor|)`` (as ``bnb._prune_threshold``
+    allows for nodes).  Such a cut outcome has no point and a bound at or
+    below that level, and stays ``feasible``; the floor only rises in a
+    search, so it stays below every later floor.  ``rays`` are Farkas rays
+    found on other leaves (``FixedOutcome.ray``) or nodes
+    (``RelaxResult.ray``) of the instance, or a coupling row's unit ray (1
+    for the row, 0 for the others and the cardinality), which closes a leaf
+    whose boxes miss that row, and a node ray's cardinality entry prices the
+    empty row; they are tested after the start and before the descent.  The
+    defaults solve every leaf in full, from zero.
     """
     leaf = _instance_arrays(inst).leaf
     mult = None if multipliers is None else np.maximum(np.array(multipliers, dtype=float), 0.0)

@@ -19,7 +19,9 @@ from mixopt import (
     CORRELATIONS,
     Cell,
     GenConfig,
+    Instance,
     InvalidInstanceError,
+    LinearConstraint,
     NodeState,
     RelaxResult,
     SolveParams,
@@ -415,13 +417,15 @@ def _relax_point(inst, z, best, upper_bound=math.inf):
     )
 
 
-def _round(inst, res, node=None):
+def _round(inst, res, node=None, multipliers=None):
     """The incumbent that the rounding of ``res`` at ``node`` (the root by
-    default) gives, solved in full and gated by the checker, as the search
-    admits it against no incumbent; None when it gives none."""
+    default) gives, solved in full from ``multipliers`` (zero by default)
+    and gated by the checker, as the search admits it against no
+    incumbent; None when it gives none."""
     node = node or NodeState.root(inst)
     regions = _round_regions(inst, node, res)
-    return _outcome_to_solution(inst, regions, solve_fixed_assignment(inst, regions))
+    out = solve_fixed_assignment(inst, regions, multipliers=multipliers)
+    return _outcome_to_solution(inst, regions, out)
 
 
 def test_round_integral_point_passes_through(two_symmetric):
@@ -769,16 +773,16 @@ def test_search_with_fixing_matches_brute_force(n, monkeypatch):
 
 def test_root_only_solve_is_the_rounded_root():
     """With ``node_limit=0`` the search pops nothing, so no fixing runs: the
-    result is the root relaxation and its rounding, to the last bit.  The
-    status follows the gap: ``optimal`` with the rounding's value as the
-    bound when the rounding closes it, ``node-limit`` with the root bound
-    otherwise."""
+    result is the root relaxation and its rounding, solved from the root's
+    multipliers as the search solves it, to the last bit.  The status
+    follows the gap: ``optimal`` with the rounding's value as the bound when
+    the rounding closes it, ``node-limit`` with the root bound otherwise."""
     cells = [Cell(c, 100, 0.1, 0.75) for c in CORRELATIONS]
     for _, _, inst in batch(cells, 1, 0):
         root = NodeState.root(inst)
         for form in FORMS:
             root_res = solve_node_relaxation(inst, root, form)
-            sol = _round(inst, root_res)
+            sol = _round(inst, root_res, multipliers=root_res.multipliers)
             res = branch_and_bound(inst, SolveParams(formulation=form, node_limit=0))
             value = sol and sol.objective
             if sol is not None and root_res.upper_bound <= bnb._prune_threshold(0.0, value):
@@ -806,6 +810,44 @@ def test_root_rounding_that_closes_the_gap_is_optimal_under_a_limit(limit):
     assert (res.status, res.nodes, res.gap) == ("optimal", 0, 0.0)
     assert res.objective == res.upper_bound == full.objective == full.upper_bound
     assert res.incumbent == full.incumbent and full.nodes == 0
+
+
+# two uncorrelated n = 12 desk instances, as generated, with the optimum
+# that ``brute_force`` proves for each (ROADMAP item 9)
+_UNIT_CASES = ((GenConfig("uncorrelated", 12, 0.1, 0.75, 2656959587162494210),
+                -278.76684290497866),
+               (GenConfig("uncorrelated", 12, 0.2, 0.5, 10236345654442229010),
+                -112.41117877977113))
+
+
+def _in_units(inst, beta):
+    """The same problem with spends counted in units ``beta`` times smaller:
+    ``s``, ``l``, ``u``, ``delta`` and the extra rows' right-hand sides
+    times ``beta``, ``theta`` over ``beta**2`` and ``phi`` over ``beta``, so
+    every revenue, and the optimum, stays as it is."""
+    scale = np.array([beta, beta, beta, beta, beta ** -2, 1.0 / beta, 1.0])
+    extras = tuple(LinearConstraint(ex.coeffs, ex.rhs * beta) for ex in inst.extras)
+    return Instance(inst.ids, inst.fields * scale[:, None], inst.rho, inst.m, extras)
+
+
+def test_spends_at_2_10_keep_the_optimum():
+    """With spends at 2^10 both instances solve at the optimum of the
+    instance as generated, at the root."""
+    for cfg, optimum in _UNIT_CASES:
+        res = branch_and_bound(_in_units(generate(cfg), 2.0 ** 10))
+        assert (res.status, res.nodes) == ("optimal", 0)
+        assert res.objective == pytest.approx(optimum, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="the units change the answer (ROADMAP item 9)")
+def test_spends_at_2_20_keep_the_optimum():
+    """With spends at 2^20 both instances solve at the optimum of the
+    instance as generated.  Today the first ends ``infeasible`` after 24
+    nodes and the second ``gap-limit`` with its incumbent at -147.27."""
+    for cfg, optimum in _UNIT_CASES:
+        res = branch_and_bound(_in_units(generate(cfg), 2.0 ** 20))
+        assert res.status == "optimal"
+        assert res.objective == pytest.approx(optimum, rel=1e-9)
 
 
 def _grid_node(rng, n, integral, jitter):

@@ -126,7 +126,8 @@ def test_solve_forms_agree(tmp_path, capsys):
 def test_solver_commands_refuse_the_misocp_alias(tmp_path, capsys, monkeypatch, command):
     """The solver commands take ``--form miqp|persp``, as ``SolveParams``
     does: ``misocp`` is a usage error before any solve (``export`` keeps
-    it, as the name of the LP form)."""
+    it, as the name of the LP form).  ``bench`` solves both forms and has
+    no ``--form``, so there it is an unrecognized argument."""
     path = tmp_path / "inst.json"
     path.write_bytes(save_json(generate(GenConfig("weak", 12, 0.1, 0.5, 3))))
     solves = []
@@ -134,7 +135,24 @@ def test_solver_commands_refuse_the_misocp_alias(tmp_path, capsys, monkeypatch, 
     with pytest.raises(SystemExit) as refused:
         main([command, str(path), "--form", "misocp"])
     assert refused.value.code == 2 and not solves
-    assert "invalid choice: 'misocp'" in capsys.readouterr().err
+    assert ("unrecognized arguments: --form misocp" if command == "bench"
+            else "invalid choice: 'misocp'") in capsys.readouterr().err
+
+
+def test_bench_takes_no_form(tmp_path, capsys, monkeypatch):
+    """``bench`` always solves each row in both forms, and its summary takes
+    persp/miqp ratios, so ``--form`` is a usage error there, even with a form
+    that ``solve`` and ``sweep`` take."""
+    out, _ = _gen(tmp_path)
+    solves = []
+    monkeypatch.setattr(cli, "branch_and_bound", lambda *args: solves.append(args))
+    with pytest.raises(SystemExit) as refused:
+        main(["bench", str(out / "manifest.csv"), "--form", "miqp"])
+    assert refused.value.code == 2 and not solves
+    assert "unrecognized arguments: --form miqp" in capsys.readouterr().err
+    assert "form" not in vars(build_parser().parse_args(["bench", "m.csv"]))
+    for command in ("solve", "sweep"):
+        assert build_parser().parse_args([command, "i.json", "--form", "miqp"]).form == "miqp"
 
 
 def test_fmt_spells_floats_by_repr():

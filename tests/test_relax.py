@@ -29,8 +29,12 @@ from mixopt import (
     GenConfig,
     LinearConstraint,
     NodeState,
+    Solution,
+    SolveParams,
     batch,
+    branch_and_bound,
     brute_force,
+    check_minlp_feasible,
     dual_value,
     generate,
     root_bounds,
@@ -1104,24 +1108,19 @@ _FLOOR_OFFSETS = (-1e-1, -1e-6, -1e-9, -1e-10, 0.0, 1e-10, 5e-10, 9e-10, 1.1e-9,
                   3e-9, 1e-6, 1e-3, 1e-1, 1.0)
 
 
-def test_floor_cuts_only_leaves_that_cannot_beat_it():
-    """``solve_fixed_assignment`` with a floor and a node's multipliers
-    either returns the outcome it returns without them, field for field, or
-    cuts the leaf: no point, ``feasible``, no ray and a bound at or below
-    ``floor - 1e-9*max(1, |floor|)``; the outcome without a floor then has
-    its value and bound at or below the floor.  On generated instances, as
-    generated and with the budget row only, with edge activities (linear
-    revenue, single-point regions) and with the revenue coefficients scaled
-    by 1e6; random assignments; the multipliers of node relaxations (root
-    and random nodes, both forms), random ones and none; floors from far
-    below to far above each leaf's value, some inside the margin."""
+def _floor_leaves():
+    """``(inst, nodes, regions, mults)`` for the leaves of the floor tests:
+    generated instances, as generated and with the budget row only, with
+    edge activities (linear revenue, single-point regions) and with the
+    revenue coefficients scaled by 1e6; three random assignments each; the
+    multipliers of node relaxations (root and random nodes, both forms),
+    random ones and none."""
     rng = random.Random(61)
     cells = [Cell(c, 8, 0.1, xi) for c in CORRELATIONS for xi in (0.5, 0.75)]
     insts = []
     for _, _, inst in batch(cells, 1, 5):
         insts += [inst, dataclasses.replace(inst, extras=()),
                   _with_edge_activities(inst), _scaled_revenue(inst, 1e6)]
-    kept = cut = 0
     for inst in insts:
         nodes = [NodeState.root(inst), _random_node(inst, rng)]
         mults = [solve_node_relaxation(inst, node, form).multipliers
@@ -1132,31 +1131,83 @@ def test_floor_cuts_only_leaves_that_cannot_beat_it():
                         for _ in range(width)) for _ in range(2)]
         mults.append(None)
         for _ in range(3):
-            regions = _random_assignment(inst, rng)
-            full = solve_fixed_assignment(inst, regions)
-            level = full.value if full.x is not None else full.bound
-            if level == -math.inf:  # infeasible: floors around the root bound
-                level = solve_node_relaxation(inst, nodes[0], "persp").upper_bound
-            if level == -math.inf:
-                level = 0.0
-            for offset in _FLOOR_OFFSETS:
-                floor = level + offset * max(1.0, abs(level))
-                goal = floor - 1e-9 * max(1.0, abs(floor))
-                # the bound carries psi_sum, added after the cut
-                slack = 4.0 * math.ulp(max(abs(goal), abs(inst.psi_sum)))
-                for mult in mults:
-                    out = solve_fixed_assignment(inst, regions, floor=floor,
-                                                 multipliers=mult)
-                    if out == full:
-                        kept += 1
-                        continue
-                    cut += 1
-                    assert (out.x, out.value, out.feasible, out.ray) == (
-                        None, -math.inf, True, None)
-                    assert out.bound <= goal + slack
-                    assert full.value <= floor and full.bound <= floor
-                    assert 0.0 < offset or full.x is None
+            yield inst, nodes, _random_assignment(inst, rng), mults
+
+
+def test_floor_cuts_only_leaves_that_cannot_beat_it():
+    """``solve_fixed_assignment`` with a floor either returns the outcome
+    it returns without one from the same multipliers, field for field, or
+    cuts the leaf: no point, ``feasible``, no ray and a bound at or below
+    ``floor - 1e-9*max(1, |floor|)``; the outcome without a floor then has
+    its value and bound at or below the floor.  On the leaves of
+    ``_floor_leaves``, with floors from far below to far above each leaf's
+    value, some inside the margin."""
+    kept = cut = 0
+    for inst, nodes, regions, mults in _floor_leaves():
+        full = solve_fixed_assignment(inst, regions)
+        level = full.value if full.x is not None else full.bound
+        if level == -math.inf:  # infeasible: floors around the root bound
+            level = solve_node_relaxation(inst, nodes[0], "persp").upper_bound
+        if level == -math.inf:
+            level = 0.0
+        fulls = [solve_fixed_assignment(inst, regions, multipliers=mult) for mult in mults]
+        for offset in _FLOOR_OFFSETS:
+            floor = level + offset * max(1.0, abs(level))
+            goal = floor - 1e-9 * max(1.0, abs(floor))
+            # the bound carries psi_sum, added after the cut
+            slack = 4.0 * math.ulp(max(abs(goal), abs(inst.psi_sum)))
+            for mult, unfloored in zip(mults, fulls):
+                out = solve_fixed_assignment(inst, regions, floor=floor, multipliers=mult)
+                if out == unfloored:
+                    kept += 1
+                    continue
+                cut += 1
+                assert (out.x, out.value, out.feasible, out.ray) == (
+                    None, -math.inf, True, None)
+                assert out.bound <= goal + slack
+                assert unfloored.value <= floor and unfloored.bound <= floor
+                assert 0.0 < offset or unfloored.x is None
     assert kept > 2000 and cut > 2000
+
+
+def test_leaves_start_at_their_node_multipliers(monkeypatch):
+    """A leaf solved with its node's multipliers descends from them, not from
+    zero.  On the ``coupled`` benchmark suite (the desk cells n 12 and 30,
+    epsilon 0.1, xi 0.5, ``batch(..., 1, 0)``, as generated, persp, node
+    limit 15) one pass takes 4 leaf Newton steps (26 from zero) and the
+    same 137 node steps.  On the leaves of ``_floor_leaves``, every point a
+    warm-started solve returns passes ``check_minlp_feasible`` (with the
+    cardinality cap lifted, as a leaf does not see it), and its value is
+    within 1e-9 (relative) of the solve from zero, which gives a point
+    exactly when it does."""
+    counts = {"leaf": 0, "node": 0}
+    step = relax._Dual.newton
+
+    def counted_step(self, *args):
+        counts["node" if len(self.lo) == 3 else "leaf"] += 1
+        return step(self, *args)
+
+    cells = [Cell(c, n, 0.1, 0.5) for n in (12, 30) for c in CORRELATIONS]
+    monkeypatch.setattr(relax._Dual, "newton", counted_step)
+    for _, _, inst in batch(cells, 1, 0):
+        branch_and_bound(inst, SolveParams(formulation="persp", node_limit=15))
+    monkeypatch.undo()
+    assert counts["leaf"] <= 4 and counts["node"] == 137
+    compared = 0
+    for inst, _, regions, mults in _floor_leaves():
+        zero = solve_fixed_assignment(inst, regions)
+        uncapped = dataclasses.replace(inst, m=inst.n)
+        for mult in mults[:-1]:
+            out = solve_fixed_assignment(inst, regions, multipliers=mult)
+            assert (out.feasible, out.x is None) == (zero.feasible, zero.x is None)
+            if out.x is None:
+                continue
+            x = np.array(out.x)
+            sol = Solution.from_x(uncapped, x, bnb._settled(regions, x))
+            assert check_minlp_feasible(uncapped, sol, tol=1e-8).ok
+            assert out.value == pytest.approx(zero.value, rel=1e-9, abs=0.0)
+            compared += 1
+    assert compared > 90
 
 
 def _leaf_lp_feasible(inst, regions):

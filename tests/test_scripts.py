@@ -153,12 +153,25 @@ def test_solve_signatures_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(script, "N_VALUES", (5,))
     monkeypatch.setattr(script, "REPLICATES", 1)
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
-    for path in paths:
-        assert script.run([str(path)]) == 0
-    capsys.readouterr()
-    # the same commit writes the same file, byte for byte
+    assert script.run([str(paths[0])]) == 0
+    assert script.run([str(paths[1]), "--against", str(paths[0])]) == 0
+    # the same commit writes the same file, byte for byte, and nothing moved
     assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert "0 of 192 signatures moved" in capsys.readouterr().out
     sigs = json.loads(paths[0].read_text())
+    # each move is filed under the first of status, node count and bits
+    keys = sorted(sigs)
+    old = dict(sigs)
+    for key, field, value in ((keys[0], 0, "time-limit"), (keys[1], 3, -1),
+                              (keys[2], 2, 1e300)):
+        moved = list(script.parse(old[key]))
+        moved[field] = value
+        old[key] = repr(tuple(moved))
+    del old[keys[3]]
+    moves = script.compare(old, sigs)
+    assert [moves[k] for k in ("status", "nodes", "bits", "missing")] == [
+        [keys[0]], [keys[1]], [keys[2]], [keys[3]]]
+    assert moves["bound"][1] == keys[2] and moves["bound"][0] > 0.5
     # 12 cells x 2 row sets x 4 (cap, node limit) runs x 2 formulations
     assert len(sigs) == 12 * 2 * 4 * 2
     for key, sig in sigs.items():
